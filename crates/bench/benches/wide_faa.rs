@@ -104,7 +104,7 @@ fn bench_borrowed_probe(c: &mut Criterion) {
         reg.add(&layout.unary_increment(p, 0, 256)); // 1024 bits total
     }
     group.bench_function("read_with_decode", |b| {
-        b.iter(|| black_box(reg.probe_unary(&layout, 2)));
+        b.iter(|| black_box(reg.read_with(|v| layout.decode_unary(2, v))));
     });
     group.bench_function("snapshot_then_decode", |b| {
         b.iter(|| {

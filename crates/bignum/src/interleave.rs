@@ -233,6 +233,43 @@ pub enum LaneEncoding {
     Binary,
 }
 
+/// The lane codec every single-writer monotone lane user shares (max
+/// registers, counters, and their checker twins): one arm per encoding,
+/// so an object picks its register width by picking a variant.
+impl LaneEncoding {
+    /// Decodes lane `i` of a borrowed register image (allocation-free).
+    pub fn decode(self, layout: &Layout, i: usize, image: &BigNat) -> u64 {
+        match self {
+            LaneEncoding::Unary => layout.decode_unary(i, image),
+            LaneEncoding::Binary => BinaryLayout::over(*layout).decode(i, image),
+        }
+    }
+
+    /// The `(posAdj, negAdj)` of the one `fetch&add` that raises lane
+    /// `i` from `old` to `new ≥ old`. Unary lanes only set bits
+    /// (`negAdj = 0`); a raised binary lane's top differing digit is a
+    /// set digit, so `posAdj > negAdj` and the delta is positive under
+    /// either encoding.
+    pub fn adjustments(self, layout: &Layout, i: usize, old: u64, new: u64) -> (BigNat, BigNat) {
+        debug_assert!(old <= new, "monotone lanes are only ever raised");
+        match self {
+            LaneEncoding::Unary => (layout.unary_increment(i, old, new), BigNat::zero()),
+            LaneEncoding::Binary => BinaryLayout::over(*layout).adjustments(i, old, new),
+        }
+    }
+
+    /// Sum of all lane values in a register image — the counter fold.
+    pub fn sum(self, layout: &Layout, image: &BigNat) -> u64 {
+        match self {
+            LaneEncoding::Unary => image.count_ones() as u64,
+            LaneEncoding::Binary => image
+                .one_bits()
+                .map(|g| 1u64 << (g / layout.processes()))
+                .sum(),
+        }
+    }
+}
+
 /// Log-width companion of [`Layout`]: the same interleaved lanes, with
 /// each lane holding its value in *binary* rather than unary.
 ///

@@ -49,7 +49,7 @@
 use std::cell::UnsafeCell;
 
 use crate::cell::RawSpin;
-use crate::{Atomic128, BigNat, Layout};
+use crate::{Atomic128, BigNat};
 
 /// Bit 127 of the cell: set exactly when the value has migrated to the
 /// heap slot. Inline values are therefore capped at 2^127 − 1, which
@@ -218,68 +218,7 @@ impl WideFaa {
     /// the short decode work the §3 algorithms need.
     #[inline]
     pub fn fetch_add_with<R>(&self, delta: &BigNat, f: impl FnOnce(&BigNat) -> R) -> R {
-        if Atomic128::is_lock_free() {
-            match delta.to_u128() {
-                Some(d) => {
-                    // Seed with a relaxed guess: a torn guess costs one
-                    // failed CAS (which returns the untorn value) and
-                    // can never be *acted* on — the tag and overflow
-                    // branches below re-read atomically before
-                    // committing to a slow path.
-                    let mut cur = self.cell.guess();
-                    let mut confirmed = false;
-                    loop {
-                        sl2_chaos::point("wfaa.pre_cas");
-                        // A tagged value is definitive even from a torn
-                        // guess: the tag lives in the hi half, which
-                        // `guess` loads atomically, and migration is
-                        // one-way — no confirming DWCAS needed before
-                        // falling through to the lock.
-                        if is_tagged(cur) {
-                            break;
-                        }
-                        match cur.checked_add(d).filter(|n| !is_tagged(*n)) {
-                            Some(new) => match self.cell.compare_exchange(cur, new) {
-                                Ok(prev) => return f(&BigNat::from(prev)),
-                                Err(actual) => {
-                                    sl2_obs::count("faa.dwcas_retry");
-                                    sl2_trace::event("faa.dwcas_retry", actual as u64);
-                                    cur = actual;
-                                    confirmed = true;
-                                }
-                            },
-                            None => {
-                                if !confirmed {
-                                    sl2_obs::count("faa.guess_miss");
-                                    cur = self.cell.load();
-                                    confirmed = true;
-                                    continue;
-                                }
-                                // Genuine carry into the tag bit.
-                                return self.migrate_and(|v| {
-                                    let out = f(v);
-                                    *v += delta;
-                                    out
-                                });
-                            }
-                        }
-                    }
-                }
-                None => {
-                    // Heap-sized delta: the result cannot stay inline.
-                    return self.migrate_and(|v| {
-                        let out = f(v);
-                        *v += delta;
-                        out
-                    });
-                }
-            }
-        }
-        self.slow_locked(|v| {
-            let out = f(v);
-            *v += delta;
-            out
-        })
+        self.fetch_adjust_with(delta, &BigNat::zero(), f)
     }
 
     /// Atomically adds `delta`, returning the **previous** value.
@@ -324,12 +263,20 @@ impl WideFaa {
     ) -> R {
         if Atomic128::is_lock_free() {
             if let (Some(p), Some(n)) = (pos.to_u128(), neg.to_u128()) {
+                // Seed with a relaxed guess: a torn guess costs one
+                // failed CAS (which returns the untorn value) and can
+                // never be *acted* on — the overflow and underflow
+                // branches below re-read atomically before committing
+                // to a slow path.
                 let mut cur = self.cell.guess();
                 let mut confirmed = false;
                 loop {
                     sl2_chaos::point("wfaa.pre_cas");
-                    // Tagged guesses are definitive (atomic hi-half
-                    // load + one-way migration), as in `fetch_add_with`.
+                    // A tagged value is definitive even from a torn
+                    // guess: the tag lives in the hi half, which
+                    // `guess` loads atomically, and migration is
+                    // one-way — no confirming DWCAS needed before
+                    // falling through to the lock.
                     if is_tagged(cur) {
                         break;
                     }
@@ -428,7 +375,7 @@ impl WideFaa {
         if Atomic128::is_lock_free() {
             // A tagged guess routes straight to the lock (the hi half
             // is loaded atomically and migration is one-way — see
-            // `fetch_add_with`); otherwise the guess seeds one DWCAS
+            // `fetch_adjust_with`); otherwise the guess seeds one DWCAS
             // that captures the untorn snapshot, re-checking the tag
             // that may have landed since.
             let guess = self.cell.guess();
@@ -453,14 +400,6 @@ impl WideFaa {
         self.read_with(|v| v.clone())
     }
 
-    /// Decodes process `i`'s unary lane — the §3.1 recovery probe
-    /// (`fetch&add(R, 0)` then count own-lane bits) as a single
-    /// allocation-free entry point, lock-free while inline.
-    #[inline]
-    pub fn probe_unary(&self, layout: &Layout, i: usize) -> u64 {
-        self.read_with(|v| layout.decode_unary(i, v))
-    }
-
     /// Current width of the stored value in bits — the quantity tracked
     /// by experiment E12 ("extremely large values", Discussion section).
     /// Lock-free while inline.
@@ -472,6 +411,7 @@ impl WideFaa {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Layout;
     use std::sync::Arc;
 
     #[test]
@@ -517,15 +457,6 @@ mod tests {
         r.add(&BigNat::from(6u64));
         r.adjust(&BigNat::from(1u64), &BigNat::from(4u64));
         assert_eq!(r.load(), BigNat::from(3u64));
-    }
-
-    #[test]
-    fn probe_unary_decodes_a_lane() {
-        let layout = Layout::new(3);
-        let r = WideFaa::new();
-        r.add(&layout.unary_increment(1, 0, 4));
-        assert_eq!(r.probe_unary(&layout, 1), 4);
-        assert_eq!(r.probe_unary(&layout, 0), 0);
     }
 
     #[test]
@@ -627,7 +558,8 @@ mod tests {
             a.add(&inc);
             b.add(&inc);
             assert_eq!(a.load(), b.load(), "diverged at step {step}");
-            assert_eq!(a.probe_unary(&layout, p), b.probe_unary(&layout, p));
+            let lane = |r: &WideFaa| r.read_with(|v| layout.decode_unary(p, v));
+            assert_eq!(lane(&a), lane(&b));
         }
     }
 

@@ -31,10 +31,15 @@
 //! observability, not semantics — no read path consults it) to keep
 //! the checker's state space tight.
 //!
+//! Inner lanes go through the shared [`LaneEncoding`] codec: the
+//! constructors model the paper's unary lanes, and `with_encoding`
+//! re-codes them — [`LaneEncoding::Binary`] is what the registry ships
+//! behind both front-ends.
+//!
 //! [`LaggingCounterSpec`]: sl2_spec::relaxed::LaggingCounterSpec
 //! [`LaggingMaxSpec`]: sl2_spec::relaxed::LaggingMaxSpec
 
-use sl2_bignum::{BigNat, Layout};
+use sl2_bignum::{BigNat, LaneEncoding, Layout};
 use sl2_exec::machine::{Algorithm, OpMachine, Step};
 use sl2_exec::mem::{Cell, Loc, SimMemory};
 use sl2_primitives::Sharding;
@@ -84,6 +89,7 @@ pub struct FrontCells {
     shards: Vec<Loc>,
     layout: Layout,
     sharding: Sharding,
+    encoding: LaneEncoding,
 }
 
 impl FrontCells {
@@ -97,7 +103,18 @@ impl FrontCells {
                 .collect(),
             layout: Layout::new(n),
             sharding: Sharding::new(shards),
+            encoding: LaneEncoding::Unary,
         }
+    }
+
+    /// Decodes lane `i` of an inner shard image.
+    fn lane(&self, i: usize, image: &BigNat) -> u64 {
+        self.encoding.decode(&self.layout, i, image)
+    }
+
+    /// The `(pos, neg)` raising lane `i` of an inner shard.
+    fn raise(&self, i: usize, old: u64, new: u64) -> (BigNat, BigNat) {
+        self.encoding.adjustments(&self.layout, i, old, new)
     }
 
     /// Home shard and quotient count of a max-register value.
@@ -233,6 +250,15 @@ impl CombiningMaxRegAlg<LaggingMaxSpec> {
     }
 }
 
+impl<S> CombiningMaxRegAlg<S> {
+    /// Re-codes the inner lanes ([`LaneEncoding::Binary`] is the twin
+    /// of the shipped `ShardedMaxRegister::new_binary` inner register).
+    pub fn with_encoding(mut self, encoding: LaneEncoding) -> Self {
+        self.cells.encoding = encoding;
+        self
+    }
+}
+
 impl<S> Algorithm for CombiningMaxRegAlg<S>
 where
     S: Spec<Op = MaxOp, Resp = MaxResp>,
@@ -295,8 +321,8 @@ pub enum WriteStage {
         /// The claimed value.
         value: u64,
     },
-    /// Combiner applying a claimed value: the fetch&add setting the
-    /// missing own-lane bits.
+    /// Combiner applying a claimed value: the fetch&add of `pos − neg`
+    /// raising the own lane.
     ApplyAdd {
         /// Sweep cursor (for the continuation).
         i: usize,
@@ -304,8 +330,10 @@ pub enum WriteStage {
         value: u64,
         /// Home shard of the claimed value.
         shard: Loc,
-        /// The unary increment image.
-        inc: BigNat,
+        /// Lane bits to set.
+        pos: BigNat,
+        /// Lane bits to clear.
+        neg: BigNat,
     },
     /// Combiner reading the published fold before the sweep (the merge
     /// base; production reads it under the lock for the same reason —
@@ -321,8 +349,10 @@ pub enum WriteStage {
     DirectAdd {
         /// Home shard of the own value.
         shard: Loc,
-        /// The unary increment image.
-        inc: BigNat,
+        /// Lane bits to set.
+        pos: BigNat,
+        /// Lane bits to clear.
+        neg: BigNat,
     },
     /// Election lost: retiring the own announcement.
     Withdraw,
@@ -408,7 +438,7 @@ impl WriteState {
             WriteStage::ApplyProbe { i, value } => {
                 let (shard, count) = cells.ensure_of(value);
                 let image = mem.wide_adjust(shard, &BigNat::zero(), &BigNat::zero());
-                let prev = cells.layout.decode_unary(self.process, &image);
+                let prev = cells.lane(self.process, &image);
                 if count <= prev {
                     // Already landed (this lane covers it): merged into
                     // the fold all the same — it is a landed value.
@@ -416,12 +446,13 @@ impl WriteState {
                     self.applied = true;
                     self.stage = self.after_slot(i);
                 } else {
-                    let inc = cells.layout.unary_increment(self.process, prev, count);
+                    let (pos, neg) = cells.raise(self.process, prev, count);
                     self.stage = WriteStage::ApplyAdd {
                         i,
                         value,
                         shard,
-                        inc,
+                        pos,
+                        neg,
                     };
                 }
                 Step::Pending
@@ -430,9 +461,10 @@ impl WriteState {
                 i,
                 value,
                 shard,
-                inc,
+                pos,
+                neg,
             } => {
-                mem.wide_adjust(shard, &inc, &BigNat::zero());
+                mem.wide_adjust(shard, &pos, &neg);
                 self.fold = self.fold.max(value);
                 self.applied = true;
                 self.stage = self.after_slot(i);
@@ -450,17 +482,17 @@ impl WriteState {
             WriteStage::DirectProbe => {
                 let (shard, count) = cells.ensure_of(self.payload);
                 let image = mem.wide_adjust(shard, &BigNat::zero(), &BigNat::zero());
-                let prev = cells.layout.decode_unary(self.process, &image);
+                let prev = cells.lane(self.process, &image);
                 if count <= prev {
                     self.stage = WriteStage::Withdraw;
                 } else {
-                    let inc = cells.layout.unary_increment(self.process, prev, count);
-                    self.stage = WriteStage::DirectAdd { shard, inc };
+                    let (pos, neg) = cells.raise(self.process, prev, count);
+                    self.stage = WriteStage::DirectAdd { shard, pos, neg };
                 }
                 Step::Pending
             }
-            WriteStage::DirectAdd { shard, inc } => {
-                mem.wide_adjust(shard, &inc, &BigNat::zero());
+            WriteStage::DirectAdd { shard, pos, neg } => {
+                mem.wide_adjust(shard, &pos, &neg);
                 self.stage = WriteStage::Withdraw;
                 Step::Pending
             }
@@ -513,7 +545,7 @@ impl OpMachine for CombiningMaxRegMachine {
             } => {
                 let image = mem.wide_adjust(cells.shards[*idx], &BigNat::zero(), &BigNat::zero());
                 let fold = (0..cells.layout.processes())
-                    .map(|i| cells.layout.decode_unary(i, &image))
+                    .map(|i| cells.lane(i, &image))
                     .max()
                     .unwrap_or(0);
                 current.push(fold);
@@ -592,6 +624,13 @@ where
             recovery: false,
             spec,
         }
+    }
+
+    /// Re-codes the inner lanes ([`LaneEncoding::Binary`] is the twin
+    /// of the shipped `ShardedFetchInc::new_binary` inner counter).
+    pub fn with_encoding(mut self, encoding: LaneEncoding) -> Self {
+        self.cells.encoding = encoding;
+        self
     }
 
     /// Starts the front-end in the crash aftermath: the election lock
@@ -701,7 +740,8 @@ pub enum CombiningCounterMachine {
         /// Whether the election runs the lease-reclaim protocol.
         recovery: bool,
     },
-    /// `inc` step 2: one fetch&add setting the next own-lane bit.
+    /// `inc` step 2: one fetch&add of `pos − neg` raising the own lane
+    /// by one.
     IncAdd {
         /// The front-end's base objects.
         cells: FrontCells,
@@ -711,8 +751,10 @@ pub enum CombiningCounterMachine {
         recovery: bool,
         /// Home shard of the process.
         shard: Loc,
-        /// The unary increment image.
-        delta: BigNat,
+        /// Lane bits to set.
+        pos: BigNat,
+        /// Lane bits to clear.
+        neg: BigNat,
     },
     /// `inc` step 3: the election — lost completes the operation,
     /// won proceeds to publish. Under recovery the process swaps its
@@ -787,14 +829,15 @@ impl OpMachine for CombiningCounterMachine {
             } => {
                 let shard = cells.shards[cells.sharding.of_process(*process)];
                 let image = mem.wide_adjust(shard, &BigNat::zero(), &BigNat::zero());
-                let mine = cells.layout.decode_unary(*process, &image);
-                let delta = BigNat::pow2(cells.layout.bit(*process, mine as usize));
+                let mine = cells.lane(*process, &image);
+                let (pos, neg) = cells.raise(*process, mine, mine + 1);
                 *self = CombiningCounterMachine::IncAdd {
                     cells: cells.clone(),
                     process: *process,
                     recovery: *recovery,
                     shard,
-                    delta,
+                    pos,
+                    neg,
                 };
                 Step::Pending
             }
@@ -803,9 +846,10 @@ impl OpMachine for CombiningCounterMachine {
                 process,
                 recovery,
                 shard,
-                delta,
+                pos,
+                neg,
             } => {
-                mem.wide_adjust(*shard, delta, &BigNat::zero());
+                mem.wide_adjust(*shard, pos, neg);
                 *self = CombiningCounterMachine::TryLock {
                     cells: cells.clone(),
                     process: *process,
@@ -862,7 +906,7 @@ impl OpMachine for CombiningCounterMachine {
             }
             CombiningCounterMachine::Fold { cells, s, acc } => {
                 let image = mem.wide_adjust(cells.shards[*s], &BigNat::zero(), &BigNat::zero());
-                let acc = *acc + image.count_ones() as u64;
+                let acc = *acc + cells.encoding.sum(&cells.layout, &image);
                 if *s + 1 < cells.shards.len() {
                     *self = CombiningCounterMachine::Fold {
                         cells: cells.clone(),
@@ -898,7 +942,7 @@ impl OpMachine for CombiningCounterMachine {
                 previous,
             } => {
                 let image = mem.wide_adjust(cells.shards[*idx], &BigNat::zero(), &BigNat::zero());
-                current.push(image.count_ones() as u64);
+                current.push(cells.encoding.sum(&cells.layout, &image));
                 *idx += 1;
                 if *idx < cells.shards.len() {
                     return Step::Pending;

@@ -14,7 +14,7 @@
 //! fetch&add base object rather than plain test&set.
 
 use sl2_bignum::WideFaa;
-use sl2_bignum::{BigNat, Layout};
+use sl2_bignum::{LaneEncoding, Layout};
 use sl2_primitives::ChunkedArray;
 
 use super::readable_ts::SlReadableTas;
@@ -69,11 +69,13 @@ impl SlFetchInc {
 }
 
 /// Wait-free readable fetch&increment over the wide fetch&add
-/// register: process `i`'s increments set successive bits of its
-/// interleaved lane (the unary encoding of §3.1), and the returned
-/// ticket is `1 +` the number of set bits in the register immediately
+/// register: process `i`'s increments raise its interleaved lane by one
+/// and the returned ticket is `1 +` the sum of all lanes immediately
 /// before the add — decoded from the *borrowed* pre-state inside the
 /// register's critical section, so small registers never allocate.
+/// [`WideFetchInc::new`] counts in the paper's unary code (§3.1; the
+/// E12 growth series), [`WideFetchInc::new_binary`] is the shipped
+/// log-width form (DESIGN.md §9 "Binary lanes").
 ///
 /// Strong linearizability is immediate: every `fetch_inc` is one
 /// fetch&add on the register and every `read` is one `fetch&add(R, 0)`
@@ -95,31 +97,53 @@ impl SlFetchInc {
 pub struct WideFetchInc {
     reg: WideFaa,
     layout: Layout,
+    encoding: LaneEncoding,
 }
 
 impl WideFetchInc {
     /// Creates a fetch&increment shared by `n` processes, with value 1
-    /// (matching [`SlFetchInc`]: the first ticket is 1).
+    /// (matching [`SlFetchInc`]: the first ticket is 1), unary lanes.
     pub fn new(n: usize) -> Self {
+        WideFetchInc::with_encoding(n, LaneEncoding::Unary)
+    }
+
+    /// The shipped form: binary lanes, lock-free inline up to
+    /// `2^⌊127/n⌋ − 1` increments per process.
+    pub fn new_binary(n: usize) -> Self {
+        WideFetchInc::with_encoding(n, LaneEncoding::Binary)
+    }
+
+    /// Creates a fetch&increment with an explicit lane encoding.
+    pub fn with_encoding(n: usize, encoding: LaneEncoding) -> Self {
         WideFetchInc {
             reg: WideFaa::new(),
             layout: Layout::new(n),
+            encoding,
         }
     }
 
     /// `fetch&increment()` by process `process`: returns the ticket.
     pub fn fetch_inc(&self, process: usize) -> u64 {
-        // Only this process writes its lane, so the own-lane length is
+        let (layout, encoding) = (&self.layout, self.encoding);
+        // Only this process writes its lane, so the own-lane value is
         // stable between the probe and the add.
-        let mine = self.reg.probe_unary(&self.layout, process);
-        let delta = BigNat::pow2(self.layout.bit(process, mine as usize));
+        let mine = self
+            .reg
+            .read_with(|image| encoding.decode(layout, process, image));
+        let (pos, neg) = encoding.adjustments(layout, process, mine, mine + 1);
         self.reg
-            .fetch_add_with(&delta, |old| old.count_ones() as u64 + 1)
+            .fetch_adjust_with(&pos, &neg, |old| encoding.sum(layout, old) + 1)
     }
 
     /// `read()`: the current value (1 + total increments so far).
     pub fn read(&self) -> u64 {
-        self.reg.read_with(|v| v.count_ones() as u64 + 1)
+        self.reg
+            .read_with(|image| self.encoding.sum(&self.layout, image) + 1)
+    }
+
+    /// True while the register is in `WideFaa`'s lock-free inline regime.
+    pub fn is_inline_lock_free(&self) -> bool {
+        self.reg.is_inline_lock_free()
     }
 
     /// Current width of the backing register in bits (experiment E12).
@@ -184,27 +208,41 @@ mod tests {
     fn wide_concurrent_increments_return_distinct_values() {
         let n = 4;
         let per_thread = 300;
-        let c = Arc::new(WideFetchInc::new(n));
-        let mut all: Vec<u64> = Vec::new();
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..n)
-                .map(|p| {
-                    let c = Arc::clone(&c);
-                    s.spawn(move || {
-                        (0..per_thread)
-                            .map(|_| c.fetch_inc(p))
-                            .collect::<Vec<u64>>()
+        for encoding in [LaneEncoding::Unary, LaneEncoding::Binary] {
+            let c = Arc::new(WideFetchInc::with_encoding(n, encoding));
+            let mut all: Vec<u64> = Vec::new();
+            std::thread::scope(|s| {
+                let handles: Vec<_> = (0..n)
+                    .map(|p| {
+                        let c = Arc::clone(&c);
+                        s.spawn(move || {
+                            (0..per_thread)
+                                .map(|_| c.fetch_inc(p))
+                                .collect::<Vec<u64>>()
+                        })
                     })
-                })
-                .collect();
-            for h in handles {
-                all.extend(h.join().expect("no panics"));
-            }
-        });
-        all.sort_unstable();
-        let expect: Vec<u64> = (1..=(per_thread * n) as u64).collect();
-        assert_eq!(all, expect, "a dense, duplicate-free range of tickets");
-        assert_eq!(c.read(), (per_thread * n) as u64 + 1);
+                    .collect();
+                for h in handles {
+                    all.extend(h.join().expect("no panics"));
+                }
+            });
+            all.sort_unstable();
+            let expect: Vec<u64> = (1..=(per_thread * n) as u64).collect();
+            assert_eq!(all, expect, "{encoding:?}: dense, duplicate-free tickets");
+            assert_eq!(c.read(), (per_thread * n) as u64 + 1);
+        }
+    }
+
+    #[test]
+    fn binary_lanes_keep_the_register_log_width() {
+        let (unary, binary) = (WideFetchInc::new(2), WideFetchInc::new_binary(2));
+        for i in 0..1000 {
+            assert_eq!(unary.fetch_inc(i % 2), binary.fetch_inc(i % 2));
+        }
+        assert_eq!(unary.register_bits(), 1000, "one bit per increment");
+        assert_eq!(binary.register_bits(), 18, "two 9-bit lanes holding 500");
+        assert_eq!(binary.is_inline_lock_free(), WideFaa::backend_lock_free());
+        assert!(!unary.is_inline_lock_free());
     }
 
     #[test]

@@ -3,18 +3,18 @@
 //!
 //! See [`crate::machines::max_register`] for the algorithm commentary;
 //! this form runs on a real [`WideFaa`] register and is safe to share
-//! across threads. Values are stored in unary (the paper's warm-up
-//! encoding), so the register grows by one bit per unit of value per
-//! process — experiment E12 measures exactly this growth; use
-//! [`crate::algos::simple`]'s snapshot-based max register when values
-//! are large.
+//! across threads. [`SlMaxRegister::new`] is the paper's form: values
+//! in unary (the §3.1 warm-up encoding), one register bit per unit of
+//! value per process — experiment E12 measures exactly this growth.
+//! [`SlMaxRegister::new_binary`] is the shipped form: the same two
+//! steps over log-width lanes (DESIGN.md §9 "Binary lanes").
 //!
 //! [`CasMaxRegister`] is the consensus-number-∞ comparison point: a
 //! compare&swap retry loop whose successful CAS fixes the
 //! linearization point.
 
-use sl2_bignum::Layout;
 use sl2_bignum::WideFaa;
+use sl2_bignum::{LaneEncoding, Layout};
 use sl2_primitives::CompareAndSwap;
 
 use super::MaxRegister;
@@ -36,15 +36,34 @@ use super::MaxRegister;
 pub struct SlMaxRegister {
     reg: WideFaa,
     layout: Layout,
+    encoding: LaneEncoding,
 }
 
 impl SlMaxRegister {
-    /// Creates a max register shared by `n` processes.
+    /// Creates a max register shared by `n` processes in the paper's
+    /// unary encoding (what E12 and the corpus twins certify).
     pub fn new(n: usize) -> Self {
+        SlMaxRegister::with_encoding(n, LaneEncoding::Unary)
+    }
+
+    /// The shipped form: binary lanes, lock-free inline up to
+    /// `2^⌊127/n⌋ − 1` per lane and ≤ 64·n register bits at any value.
+    pub fn new_binary(n: usize) -> Self {
+        SlMaxRegister::with_encoding(n, LaneEncoding::Binary)
+    }
+
+    /// Creates a max register with an explicit lane encoding.
+    pub fn with_encoding(n: usize, encoding: LaneEncoding) -> Self {
         SlMaxRegister {
             reg: WideFaa::new(),
             layout: Layout::new(n),
+            encoding,
         }
+    }
+
+    /// True while the register is in `WideFaa`'s lock-free inline regime.
+    pub fn is_inline_lock_free(&self) -> bool {
+        self.reg.is_inline_lock_free()
     }
 
     /// Current width of the backing register in bits (experiment E12:
@@ -61,20 +80,23 @@ impl MaxRegister for SlMaxRegister {
         // probe decodes from the register's atomic snapshot (one DWCAS
         // read while the value is inline, a locked view once it has
         // spilled) — no copy of the whole register is materialized.
-        let prev = self.reg.probe_unary(&self.layout, process);
+        let (layout, encoding) = (&self.layout, self.encoding);
+        let prev = self
+            .reg
+            .read_with(|image| encoding.decode(layout, process, image));
         if v <= prev {
             return; // the probing fetch&add was the linearization point
         }
-        // Step 2: set lane bits prev+1 ..= v in one fetch&add (the
-        // write-only form: the previous value is not needed).
-        let inc = self.layout.unary_increment(process, prev, v);
-        self.reg.add(&inc);
+        // Step 2: raise the lane to v in one fetch&add (the write-only
+        // form: the previous value is not needed).
+        let (pos, neg) = encoding.adjustments(layout, process, prev, v);
+        self.reg.adjust(&pos, &neg);
     }
 
     fn read_max(&self) -> u64 {
         self.reg.read_with(|image| {
             (0..self.layout.processes())
-                .map(|i| self.layout.decode_unary(i, image))
+                .map(|i| self.encoding.decode(&self.layout, i, image))
                 .max()
                 .unwrap_or(0)
         })
@@ -166,6 +188,23 @@ mod tests {
         let bits_10 = m.register_bits();
         m.write_max(0, 100);
         assert!(m.register_bits() > bits_10, "unary encoding grows");
+    }
+
+    #[test]
+    fn binary_lanes_match_unary_and_stay_log_width() {
+        let (unary, binary) = (SlMaxRegister::new(3), SlMaxRegister::new_binary(3));
+        for (p, v) in [(1, 7u64), (0, 3), (2, 7), (0, 12), (1, 5), (2, 1000)] {
+            unary.write_max(p, v);
+            binary.write_max(p, v);
+            assert_eq!(unary.read_max(), binary.read_max(), "after ({p}, {v})");
+        }
+        assert!(unary.register_bits() > 128 && !unary.is_inline_lock_free());
+        assert!(binary.register_bits() <= 3 * 10);
+        assert_eq!(binary.is_inline_lock_free(), WideFaa::backend_lock_free());
+        // Any u64 operand fits: the register never exceeds 64·n bits.
+        binary.write_max(0, u64::MAX);
+        assert_eq!(binary.read_max(), u64::MAX);
+        assert!(binary.register_bits() <= 64 * 3);
     }
 
     #[test]

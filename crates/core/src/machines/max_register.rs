@@ -15,8 +15,15 @@
 //! Only process `i` ever writes lane `i`, so the decoded value *is*
 //! `prevLocalMax`; semantics and linearization points are unchanged,
 //! and operations stay wait-free (exactly 1–2 steps).
+//!
+//! [`MaxRegAlg::new`] is that unary paper form;
+//! [`MaxRegAlg::with_encoding`] at [`LaneEncoding::Binary`] is the twin
+//! of the shipped `SlMaxRegister::new_binary` — the same machine with
+//! every lane read and write going through the codec's binary arm, so
+//! lane states are in bijection and the checker explores the same
+//! graph (`tests/corpus.rs` pins equal node counts).
 
-use sl2_bignum::{BigNat, Layout};
+use sl2_bignum::{BigNat, LaneEncoding, Layout};
 use sl2_exec::machine::{Algorithm, OpMachine, Step};
 use sl2_exec::mem::{Cell, Loc, SimMemory};
 use sl2_spec::max_register::{MaxOp, MaxRegisterSpec, MaxResp};
@@ -26,14 +33,22 @@ use sl2_spec::max_register::{MaxOp, MaxRegisterSpec, MaxResp};
 pub struct MaxRegAlg {
     reg: Loc,
     layout: Layout,
+    encoding: LaneEncoding,
 }
 
 impl MaxRegAlg {
-    /// Allocates the shared wide register for `n` processes.
+    /// Allocates the shared wide register for `n` processes (unary
+    /// lanes, the paper's form).
     pub fn new(mem: &mut SimMemory, n: usize) -> Self {
+        Self::with_encoding(mem, n, LaneEncoding::Unary)
+    }
+
+    /// As [`MaxRegAlg::new`] with an explicit lane encoding.
+    pub fn with_encoding(mem: &mut SimMemory, n: usize, encoding: LaneEncoding) -> Self {
         MaxRegAlg {
             reg: mem.alloc(Cell::Wide(BigNat::zero())),
             layout: Layout::new(n),
+            encoding,
         }
     }
 }
@@ -51,12 +66,14 @@ impl Algorithm for MaxRegAlg {
             MaxOp::Write(v) => MaxRegMachine::WriteProbe {
                 reg: self.reg,
                 layout: self.layout,
+                encoding: self.encoding,
                 process,
                 v,
             },
             MaxOp::Read => MaxRegMachine::Read {
                 reg: self.reg,
                 layout: self.layout,
+                encoding: self.encoding,
             },
         }
     }
@@ -72,17 +89,22 @@ pub enum MaxRegMachine {
         reg: Loc,
         /// Lane layout.
         layout: Layout,
+        /// How lane values are coded into lane bits.
+        encoding: LaneEncoding,
         /// Writing process.
         process: usize,
         /// Value being written.
         v: u64,
     },
-    /// `WriteMax` step 2: set lane bits `prev+1 ..= v` by fetch&add.
+    /// `WriteMax` step 2: raise the lane from `prev` to `v` by one
+    /// fetch&add of `pos − neg` (unary: `neg = 0`).
     WriteAdd {
         /// The shared wide register.
         reg: Loc,
-        /// The unary increment image.
-        inc: BigNat,
+        /// Lane bits to set.
+        pos: BigNat,
+        /// Lane bits to clear.
+        neg: BigNat,
     },
     /// `ReadMax`: one `fetch&add(R,0)`.
     Read {
@@ -90,6 +112,8 @@ pub enum MaxRegMachine {
         reg: Loc,
         /// Lane layout.
         layout: Layout,
+        /// How lane values are coded into lane bits.
+        encoding: LaneEncoding,
     },
 }
 
@@ -101,29 +125,38 @@ impl OpMachine for MaxRegMachine {
             MaxRegMachine::WriteProbe {
                 reg,
                 layout,
+                encoding,
                 process,
                 v,
             } => {
                 let snapshot = mem.wide_adjust(*reg, &BigNat::zero(), &BigNat::zero());
-                let prev = layout.decode_unary(*process, &snapshot);
+                let prev = encoding.decode(layout, *process, &snapshot);
                 if *v <= prev {
                     // The probing fetch&add(R,0) is the linearization
                     // point (paper: "not needed for correctness, but it
                     // simplifies the linearization proof").
                     return Step::Ready(MaxResp::Ok);
                 }
-                let inc = layout.unary_increment(*process, prev, *v);
-                *self = MaxRegMachine::WriteAdd { reg: *reg, inc };
+                let (pos, neg) = encoding.adjustments(layout, *process, prev, *v);
+                *self = MaxRegMachine::WriteAdd {
+                    reg: *reg,
+                    pos,
+                    neg,
+                };
                 Step::Pending
             }
-            MaxRegMachine::WriteAdd { reg, inc } => {
-                mem.wide_adjust(*reg, inc, &BigNat::zero());
+            MaxRegMachine::WriteAdd { reg, pos, neg } => {
+                mem.wide_adjust(*reg, pos, neg);
                 Step::Ready(MaxResp::Ok)
             }
-            MaxRegMachine::Read { reg, layout } => {
+            MaxRegMachine::Read {
+                reg,
+                layout,
+                encoding,
+            } => {
                 let snapshot = mem.wide_adjust(*reg, &BigNat::zero(), &BigNat::zero());
                 let max = (0..layout.processes())
-                    .map(|i| layout.decode_unary(i, &snapshot))
+                    .map(|i| encoding.decode(layout, i, &snapshot))
                     .max()
                     .unwrap_or(0);
                 Step::Ready(MaxResp::Value(max))

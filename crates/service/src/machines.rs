@@ -32,8 +32,12 @@
 //!   therefore refuted against the exact keyed spec and certified
 //!   against [`LaggingKeyedMaxSpec`] — the §8 law resurfacing one
 //!   layer up, per key (DESIGN.md §12).
+//!
+//! Per-key registers go through the shared [`LaneEncoding`] codec:
+//! [`KeyedDispatchAlg::new`] models the paper's unary lanes,
+//! `with_encoding(LaneEncoding::Binary)` the lanes `KeyObject` ships.
 
-use sl2_bignum::{BigNat, Layout};
+use sl2_bignum::{BigNat, LaneEncoding, Layout};
 use sl2_exec::machine::{Algorithm, OpMachine, Step};
 use sl2_exec::mem::{Cell, Loc, SimMemory};
 use sl2_spec::keyed::{KeyedMaxOp, KeyedMaxSpec, LaggingKeyedMaxSpec};
@@ -62,13 +66,35 @@ pub struct KeyedDispatchAlg {
     route: Loc,
     /// Per key: `(key, §3 register, published-fold cache)`.
     keys: Vec<(u64, Loc, Loc)>,
-    layout: Layout,
+    lanes: Lanes,
     mode: RouteMode,
+}
+
+/// A key register's lane geometry and value code, carried by every
+/// machine state that decodes or raises a lane.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Lanes {
+    layout: Layout,
+    encoding: LaneEncoding,
+}
+
+impl Lanes {
+    fn decode(&self, i: usize, image: &BigNat) -> u64 {
+        self.encoding.decode(&self.layout, i, image)
+    }
+
+    /// The key's fold: the largest lane value.
+    fn fold(&self, image: &BigNat) -> u64 {
+        (0..self.layout.processes())
+            .map(|i| self.decode(i, image))
+            .max()
+            .unwrap_or(0)
+    }
 }
 
 impl KeyedDispatchAlg {
     /// Allocates the dispatch cells and one Theorem-1 register (plus
-    /// cache) per key, for `n` processes.
+    /// cache) per key, for `n` processes (unary lanes).
     pub fn new(mem: &mut SimMemory, n: usize, keys: &[u64], mode: RouteMode) -> Self {
         KeyedDispatchAlg {
             depth: mem.alloc(Cell::Faa(0)),
@@ -83,9 +109,18 @@ impl KeyedDispatchAlg {
                     )
                 })
                 .collect(),
-            layout: Layout::new(n),
+            lanes: Lanes {
+                layout: Layout::new(n),
+                encoding: LaneEncoding::Unary,
+            },
             mode,
         }
+    }
+
+    /// Re-codes the per-key lanes.
+    pub fn with_encoding(mut self, encoding: LaneEncoding) -> Self {
+        self.lanes.encoding = encoding;
+        self
     }
 
     fn key_locs(&self, key: u64) -> (Loc, Loc) {
@@ -115,7 +150,7 @@ impl Algorithm for KeyedDispatchAlg {
                     next: PostRoute::Write {
                         reg,
                         cache,
-                        layout: self.layout,
+                        lanes: self.lanes,
                         process,
                         v,
                         publish: self.mode == RouteMode::Cached,
@@ -130,7 +165,7 @@ impl Algorithm for KeyedDispatchAlg {
                     next: match self.mode {
                         RouteMode::Exact => PostRoute::ReadExact {
                             reg,
-                            layout: self.layout,
+                            lanes: self.lanes,
                         },
                         RouteMode::Cached => PostRoute::ReadCached { cache },
                     },
@@ -149,8 +184,8 @@ pub enum PostRoute {
         reg: Loc,
         /// The key's published-fold cache.
         cache: Loc,
-        /// Lane layout.
-        layout: Layout,
+        /// Lane layout and encoding.
+        lanes: Lanes,
         /// Writing process.
         process: usize,
         /// Value being folded in.
@@ -162,8 +197,8 @@ pub enum PostRoute {
     ReadExact {
         /// The key's register.
         reg: Loc,
-        /// Lane layout.
-        layout: Layout,
+        /// Lane layout and encoding.
+        lanes: Lanes,
     },
     /// Execute a cached read: one load of the key's cache register.
     ReadCached {
@@ -199,8 +234,8 @@ pub enum KeyedDispatchMachine {
         reg: Loc,
         /// The key's cache.
         cache: Loc,
-        /// Lane layout.
-        layout: Layout,
+        /// Lane layout and encoding.
+        lanes: Lanes,
         /// Writing process.
         process: usize,
         /// Value being folded in.
@@ -208,16 +243,18 @@ pub enum KeyedDispatchMachine {
         /// Leader flag (publishes after landing, cached mode only).
         leader: bool,
     },
-    /// Write step 4: land the unary increment.
+    /// Write step 4: land the lane-raising `pos − neg`.
     WriteAdd {
         /// The key's register.
         reg: Loc,
         /// The key's cache.
         cache: Loc,
-        /// Lane layout.
-        layout: Layout,
-        /// The unary increment image.
-        inc: BigNat,
+        /// Lane layout and encoding.
+        lanes: Lanes,
+        /// Lane bits to set.
+        pos: BigNat,
+        /// Lane bits to clear.
+        neg: BigNat,
         /// Leader flag.
         leader: bool,
     },
@@ -227,8 +264,8 @@ pub enum KeyedDispatchMachine {
         reg: Loc,
         /// The key's cache.
         cache: Loc,
-        /// Lane layout.
-        layout: Layout,
+        /// Lane layout and encoding.
+        lanes: Lanes,
     },
     /// Leader's publish, step 6: write the fold to the cache.
     PublishWrite {
@@ -241,21 +278,14 @@ pub enum KeyedDispatchMachine {
     ReadExact {
         /// The key's register.
         reg: Loc,
-        /// Lane layout.
-        layout: Layout,
+        /// Lane layout and encoding.
+        lanes: Lanes,
     },
     /// Cached-read execute: one load of the cache register.
     ReadCached {
         /// The key's cache.
         cache: Loc,
     },
-}
-
-fn fold(layout: &Layout, image: &BigNat) -> u64 {
-    (0..layout.processes())
-        .map(|i| layout.decode_unary(i, image))
-        .max()
-        .unwrap_or(0)
 }
 
 impl OpMachine for KeyedDispatchMachine {
@@ -286,20 +316,20 @@ impl OpMachine for KeyedDispatchMachine {
                     PostRoute::Write {
                         reg,
                         cache,
-                        layout,
+                        lanes,
                         process,
                         v,
                         publish,
                     } => KeyedDispatchMachine::WriteProbe {
                         reg,
                         cache,
-                        layout,
+                        lanes,
                         process,
                         v,
                         leader: publish && *ticket == 0,
                     },
-                    PostRoute::ReadExact { reg, layout } => {
-                        KeyedDispatchMachine::ReadExact { reg, layout }
+                    PostRoute::ReadExact { reg, lanes } => {
+                        KeyedDispatchMachine::ReadExact { reg, lanes }
                     }
                     PostRoute::ReadCached { cache } => KeyedDispatchMachine::ReadCached { cache },
                 };
@@ -308,13 +338,13 @@ impl OpMachine for KeyedDispatchMachine {
             KeyedDispatchMachine::WriteProbe {
                 reg,
                 cache,
-                layout,
+                lanes,
                 process,
                 v,
                 leader,
             } => {
                 let image = mem.wide_adjust(*reg, &BigNat::zero(), &BigNat::zero());
-                let prev = layout.decode_unary(*process, &image);
+                let prev = lanes.decode(*process, &image);
                 if *v <= prev {
                     if *leader {
                         // Nothing to land, but the leader still owes
@@ -322,18 +352,21 @@ impl OpMachine for KeyedDispatchMachine {
                         *self = KeyedDispatchMachine::PublishRead {
                             reg: *reg,
                             cache: *cache,
-                            layout: *layout,
+                            lanes: *lanes,
                         };
                         return Step::Pending;
                     }
                     return Step::Ready(MaxResp::Ok);
                 }
-                let inc = layout.unary_increment(*process, prev, *v);
+                let (pos, neg) = lanes
+                    .encoding
+                    .adjustments(&lanes.layout, *process, prev, *v);
                 *self = KeyedDispatchMachine::WriteAdd {
                     reg: *reg,
                     cache: *cache,
-                    layout: *layout,
-                    inc,
+                    lanes: *lanes,
+                    pos,
+                    neg,
                     leader: *leader,
                 };
                 Step::Pending
@@ -341,25 +374,26 @@ impl OpMachine for KeyedDispatchMachine {
             KeyedDispatchMachine::WriteAdd {
                 reg,
                 cache,
-                layout,
-                inc,
+                lanes,
+                pos,
+                neg,
                 leader,
             } => {
-                mem.wide_adjust(*reg, inc, &BigNat::zero());
+                mem.wide_adjust(*reg, pos, neg);
                 if *leader {
                     *self = KeyedDispatchMachine::PublishRead {
                         reg: *reg,
                         cache: *cache,
-                        layout: *layout,
+                        lanes: *lanes,
                     };
                     return Step::Pending;
                 }
                 // The no-waiters direct path: completes unpublished.
                 Step::Ready(MaxResp::Ok)
             }
-            KeyedDispatchMachine::PublishRead { reg, cache, layout } => {
+            KeyedDispatchMachine::PublishRead { reg, cache, lanes } => {
                 let image = mem.wide_adjust(*reg, &BigNat::zero(), &BigNat::zero());
-                let f = fold(layout, &image);
+                let f = lanes.fold(&image);
                 *self = KeyedDispatchMachine::PublishWrite {
                     cache: *cache,
                     fold: f,
@@ -370,9 +404,9 @@ impl OpMachine for KeyedDispatchMachine {
                 mem.write(*cache, *fold);
                 Step::Ready(MaxResp::Ok)
             }
-            KeyedDispatchMachine::ReadExact { reg, layout } => {
+            KeyedDispatchMachine::ReadExact { reg, lanes } => {
                 let image = mem.wide_adjust(*reg, &BigNat::zero(), &BigNat::zero());
-                Step::Ready(MaxResp::Value(fold(layout, &image)))
+                Step::Ready(MaxResp::Value(lanes.fold(&image)))
             }
             KeyedDispatchMachine::ReadCached { cache } => {
                 Step::Ready(MaxResp::Value(mem.read(*cache)))
@@ -398,6 +432,12 @@ impl LaggingKeyedDispatchAlg {
             inner: KeyedDispatchAlg::new(mem, n, keys, RouteMode::Cached),
             k,
         }
+    }
+
+    /// Re-codes the per-key lanes.
+    pub fn with_encoding(mut self, encoding: LaneEncoding) -> Self {
+        self.inner = self.inner.with_encoding(encoding);
+        self
     }
 }
 

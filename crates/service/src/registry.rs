@@ -94,7 +94,9 @@ pub struct KeyObject {
     snapshot: AtomicPtr<KeyedSnapshot>,
 }
 
-/// A per-key max register on one of the three backends.
+/// A per-key max register on one of the three backends, binary lanes
+/// on all of them (DESIGN.md §9): any `u64` operand, ≤ 64·n register
+/// bits.
 // One boxed allocation per key per object kind lives behind an
 // AtomicPtr for its whole lifetime, so sizing every box to the
 // largest (combining) variant is the cheap, simple choice.
@@ -103,13 +105,14 @@ pub struct KeyObject {
 pub enum KeyedMax {
     /// Theorem-1 register.
     Global(SlMaxRegister),
-    /// Value-sharded, stable-collect read, binary lanes.
+    /// Value-sharded, stable-collect read.
     Sharded(ShardedMaxRegister),
     /// Combining front-end: exact stable read plus cached read.
     Combining(CombiningMaxRegister),
 }
 
-/// A per-key counter on one of the three backends.
+/// A per-key counter on one of the three backends, binary lanes on all
+/// of them: lock-free inline up to `2^⌊127/n⌋ − 1` increments per lane.
 // One boxed allocation per key per object kind lives behind an
 // AtomicPtr for its whole lifetime, so sizing every box to the
 // largest (combining) variant is the cheap, simple choice.
@@ -177,7 +180,7 @@ impl KeyObject {
     /// The key's max register, materializing it on first touch.
     pub fn max(&self) -> &KeyedMax {
         Self::lazy(&self.max, || match self.backend {
-            Backend::Global => KeyedMax::Global(SlMaxRegister::new(self.processes)),
+            Backend::Global => KeyedMax::Global(SlMaxRegister::new_binary(self.processes)),
             Backend::Sharded { shards } => {
                 KeyedMax::Sharded(ShardedMaxRegister::new_binary(self.processes, shards))
             }
@@ -190,12 +193,12 @@ impl KeyObject {
     /// The key's counter, materializing it on first touch.
     pub fn counter(&self) -> &KeyedCounter {
         Self::lazy(&self.counter, || match self.backend {
-            Backend::Global => KeyedCounter::Global(WideFetchInc::new(self.processes)),
+            Backend::Global => KeyedCounter::Global(WideFetchInc::new_binary(self.processes)),
             Backend::Sharded { shards } => {
-                KeyedCounter::Sharded(ShardedFetchInc::new(self.processes, shards))
+                KeyedCounter::Sharded(ShardedFetchInc::new_binary(self.processes, shards))
             }
             Backend::Combining { shards } => KeyedCounter::Combining(CombiningCounter::new(
-                ShardedFetchInc::new(self.processes, shards),
+                ShardedFetchInc::new_binary(self.processes, shards),
             )),
         })
     }
@@ -542,6 +545,35 @@ mod tests {
         r.get_or_insert(&1).inc(0);
         assert_eq!(r.get_or_insert(&1).read_count(), 1);
         assert_eq!(r.get_or_insert(&2).read_count(), 0);
+    }
+
+    #[test]
+    fn large_operands_round_trip_on_every_backend() {
+        // Regression: on unary lanes `write_max(_, 1 << 40)` asked a
+        // `Global` key for a 2^40-bit register image and aborted the
+        // worker on allocation.
+        let n = 2;
+        for backend in [
+            Backend::Global,
+            Backend::Sharded { shards: 2 },
+            Backend::Combining { shards: 2 },
+        ] {
+            let r: Registry<u64> = Registry::new(4, n, backend);
+            let obj = r.get_or_insert(&1);
+            for v in [1u64 << 40, u64::MAX >> 1] {
+                obj.write_max(1, v);
+                assert_eq!(obj.read_max(), v, "{backend:?}");
+            }
+            obj.write_max(0, 9);
+            assert_eq!(obj.read_max(), u64::MAX >> 1, "{backend:?}");
+            let bits = match obj.max() {
+                KeyedMax::Global(m) => m.register_bits(),
+                KeyedMax::Sharded(m) => m.register_bits(),
+                KeyedMax::Combining(m) => m.front().inner().register_bits(),
+            };
+            let registers = if backend == Backend::Global { 1 } else { 2 };
+            assert!(bits <= 64 * n * registers, "{backend:?}: {bits} bits");
+        }
     }
 
     #[test]

@@ -4,10 +4,13 @@
 //! [`sl2_spec::relaxed::LaggingCounterSpec`].
 //!
 //! Increments are the cheap, wait-free part of sharding a counter:
-//! process `p` sets the next unary bit of its own lane in shard
-//! `p mod S` with one fetch&add — a fixed linearization point, no
-//! cross-shard coordination, and (with padding) no shared cache line
-//! between stripes. What sharding *gives up* is the read:
+//! process `p` raises its own lane in shard `p mod S` by one with one
+//! fetch&add — a fixed linearization point, no cross-shard
+//! coordination, and (with padding) no shared cache line between
+//! stripes. Lanes count in the paper's unary code
+//! ([`ShardedFetchInc::new`]) or the shipped log-width binary code
+//! ([`ShardedFetchInc::new_binary`]; DESIGN.md §9 "Binary lanes"). What
+//! sharding *gives up* is the read:
 //!
 //! * the **exact** read collects per-shard counts until two
 //!   consecutive collects agree — exact and linearizable (stable
@@ -30,9 +33,8 @@
 //!
 //! [`WideFetchInc`]: sl2_core::algos::fetch_inc::WideFetchInc
 
-use sl2_bignum::BigNat;
-use sl2_bignum::Layout;
 use sl2_bignum::WideFaa;
+use sl2_bignum::{LaneEncoding, Layout};
 use sl2_primitives::{CachePadded, Sharding};
 
 /// A unique increment receipt: shard-dense, not globally ordered.
@@ -44,7 +46,7 @@ pub struct ShardTicket {
     pub seq: u64,
 }
 
-/// Exact sharded counter: per-process-striped unary increments with a
+/// Exact sharded counter: per-process-striped increments with a
 /// stable-collect exact read.
 ///
 /// # Examples
@@ -63,18 +65,31 @@ pub struct ShardedFetchInc {
     shards: Box<[CachePadded<WideFaa>]>,
     layout: Layout,
     sharding: Sharding,
+    encoding: LaneEncoding,
 }
 
 impl ShardedFetchInc {
     /// Creates a counter shared by `n` processes over `shards` stripes,
     /// with value 0 (unlike the 1-based §4.2 fetch&increment: this is a
-    /// counter, not a ticket dispenser).
+    /// counter, not a ticket dispenser), counting in the paper's unary
+    /// code.
     ///
     /// # Panics
     ///
     /// Panics if `n == 0`, `shards == 0`, or `shards` exceeds
     /// [`sl2_primitives::MAX_SHARDS`].
     pub fn new(n: usize, shards: usize) -> Self {
+        ShardedFetchInc::with_encoding(n, shards, LaneEncoding::Unary)
+    }
+
+    /// The shipped form: binary lanes (panics as [`ShardedFetchInc::new`]).
+    pub fn new_binary(n: usize, shards: usize) -> Self {
+        ShardedFetchInc::with_encoding(n, shards, LaneEncoding::Binary)
+    }
+
+    /// Creates a counter with an explicit lane encoding (panics as
+    /// [`ShardedFetchInc::new`]).
+    pub fn with_encoding(n: usize, shards: usize, encoding: LaneEncoding) -> Self {
         let sharding = Sharding::new(shards);
         ShardedFetchInc {
             shards: (0..shards)
@@ -82,6 +97,7 @@ impl ShardedFetchInc {
                 .collect(),
             layout: Layout::new(n),
             sharding,
+            encoding,
         }
     }
 
@@ -98,26 +114,27 @@ impl ShardedFetchInc {
     /// Increments by one on behalf of `process`; returns the unique
     /// receipt. Wait-free: one own-lane probe plus one fetch&add on the
     /// home shard (only `process` writes that lane, so the probed
-    /// length is stable across the two steps).
+    /// value is stable across the two steps).
     pub fn inc(&self, process: usize) -> ShardTicket {
         let shard = self.sharding.of_process(process);
         sl2_obs::count(crate::probes::shard_ops(shard));
         let reg = &self.shards[shard];
-        let mine = reg.probe_unary(&self.layout, process);
+        let (layout, encoding) = (&self.layout, self.encoding);
+        let mine = reg.read_with(|image| encoding.decode(layout, process, image));
         // Chaos: the probe-then-adjust window. A crash-stop between
         // the own-lane probe and the landing fetch&add leaves the op
         // pending forever — legal for survivors' linearizability (the
         // increment never landed), exercised by the recorder suite.
         sl2_chaos::point("sharded.inc.pre_add");
-        let delta = BigNat::pow2(self.layout.bit(process, mine as usize));
-        let seq = reg.fetch_add_with(&delta, |old| old.count_ones() as u64 + 1);
+        let (pos, neg) = encoding.adjustments(layout, process, mine, mine + 1);
+        let seq = reg.fetch_adjust_with(&pos, &neg, |old| encoding.sum(layout, old) + 1);
         ShardTicket { shard, seq }
     }
 
     /// Count of increments landed in one shard (a single probe —
     /// atomic at shard granularity).
     pub fn shard_count_of(&self, shard: usize) -> u64 {
-        self.shards[shard].read_with(|v| v.count_ones() as u64)
+        self.shards[shard].read_with(|image| self.encoding.sum(&self.layout, image))
     }
 
     /// Exact read: collects the per-shard counts until two consecutive
@@ -140,6 +157,11 @@ impl ShardedFetchInc {
     /// growth measure, summed over shards).
     pub fn register_bits(&self) -> usize {
         self.shards.iter().map(|s| s.bit_len()).sum()
+    }
+
+    /// True while every stripe is in `WideFaa`'s lock-free inline regime.
+    pub fn is_inline_lock_free(&self) -> bool {
+        self.shards.iter().all(|s| s.is_inline_lock_free())
     }
 }
 

@@ -28,7 +28,7 @@
 //!
 //! [`LaggingCounterSpec`]: sl2_spec::relaxed::LaggingCounterSpec
 
-use sl2_bignum::{BigNat, BinaryLayout, LaneEncoding, Layout};
+use sl2_bignum::{BigNat, LaneEncoding, Layout};
 use sl2_exec::machine::{Algorithm, OpMachine, Step};
 use sl2_exec::mem::{Cell, Loc, SimMemory};
 use sl2_primitives::Sharding;
@@ -160,15 +160,6 @@ impl ShardedMaxRegAlg {
     }
 }
 
-/// Decodes one lane of a shard image under `encoding` (shared by the
-/// write probe and the collect fold so the two cannot disagree).
-fn decode_lane(encoding: LaneEncoding, layout: &Layout, i: usize, image: &BigNat) -> u64 {
-    match encoding {
-        LaneEncoding::Unary => layout.decode_unary(i, image),
-        LaneEncoding::Binary => BinaryLayout::over(*layout).decode(i, image),
-    }
-}
-
 impl Algorithm for ShardedMaxRegAlg {
     type Spec = MaxRegisterSpec;
     type Machine = ShardedMaxRegMachine;
@@ -218,17 +209,9 @@ pub enum ShardedMaxRegMachine {
         /// How lane values are coded into lane bits.
         encoding: LaneEncoding,
     },
-    /// `writeMax` step 2 (unary lanes): one fetch&add setting the
-    /// missing lane bits.
+    /// `writeMax` step 2: one fetch&add of `pos − neg` raising the
+    /// lane (unary: `neg = 0`; binary: the differing digits).
     WriteAdd {
-        /// Home shard of the value.
-        reg: Loc,
-        /// The unary increment image.
-        inc: BigNat,
-    },
-    /// `writeMax` step 2 (binary lanes): one signed fetch&add rewriting
-    /// the differing lane digits — the §3.2 update shape.
-    WriteAdjust {
         /// Home shard of the value.
         reg: Loc,
         /// Lane bits to set.
@@ -268,32 +251,19 @@ impl OpMachine for ShardedMaxRegMachine {
                 encoding,
             } => {
                 let image = mem.wide_adjust(*reg, &BigNat::zero(), &BigNat::zero());
-                let prev = decode_lane(*encoding, layout, *process, &image);
+                let prev = encoding.decode(layout, *process, &image);
                 if *count <= prev {
                     return Step::Ready(MaxResp::Ok);
                 }
-                *self = match encoding {
-                    LaneEncoding::Unary => {
-                        let inc = layout.unary_increment(*process, prev, *count);
-                        ShardedMaxRegMachine::WriteAdd { reg: *reg, inc }
-                    }
-                    LaneEncoding::Binary => {
-                        let (pos, neg) =
-                            BinaryLayout::over(*layout).adjustments(*process, prev, *count);
-                        ShardedMaxRegMachine::WriteAdjust {
-                            reg: *reg,
-                            pos,
-                            neg,
-                        }
-                    }
+                let (pos, neg) = encoding.adjustments(layout, *process, prev, *count);
+                *self = ShardedMaxRegMachine::WriteAdd {
+                    reg: *reg,
+                    pos,
+                    neg,
                 };
                 Step::Pending
             }
-            ShardedMaxRegMachine::WriteAdd { reg, inc } => {
-                mem.wide_adjust(*reg, inc, &BigNat::zero());
-                Step::Ready(MaxResp::Ok)
-            }
-            ShardedMaxRegMachine::WriteAdjust { reg, pos, neg } => {
+            ShardedMaxRegMachine::WriteAdd { reg, pos, neg } => {
                 mem.wide_adjust(*reg, pos, neg);
                 Step::Ready(MaxResp::Ok)
             }
@@ -308,7 +278,7 @@ impl OpMachine for ShardedMaxRegMachine {
             } => {
                 let image = mem.wide_adjust(shards[*idx], &BigNat::zero(), &BigNat::zero());
                 let fold = (0..layout.processes())
-                    .map(|i| decode_lane(*encoding, layout, i, &image))
+                    .map(|i| encoding.decode(layout, i, &image))
                     .max()
                     .unwrap_or(0);
                 current.push(fold);
@@ -352,6 +322,7 @@ pub struct ShardedCounterAlg<S> {
     layout: Layout,
     sharding: Sharding,
     mode: WholeReadMode,
+    encoding: LaneEncoding,
     spec: S,
 }
 
@@ -360,7 +331,9 @@ where
     S: Spec<Op = CounterOp, Resp = CounterResp>,
 {
     /// Allocates `shards` wide registers for `n` processes; reads use
-    /// `mode` and claims are judged against `spec`.
+    /// `mode` and claims are judged against `spec`. Lanes count in
+    /// unary (the paper's form) unless re-coded with
+    /// [`ShardedCounterAlg::with_encoding`].
     pub fn with_spec(
         mem: &mut SimMemory,
         n: usize,
@@ -375,8 +348,16 @@ where
             layout: Layout::new(n),
             sharding: Sharding::new(shards),
             mode,
+            encoding: LaneEncoding::Unary,
             spec,
         }
+    }
+
+    /// Re-codes the lanes ([`LaneEncoding::Binary`] is the twin of the
+    /// shipped `ShardedFetchInc::new_binary`).
+    pub fn with_encoding(mut self, encoding: LaneEncoding) -> Self {
+        self.encoding = encoding;
+        self
     }
 }
 
@@ -437,10 +418,13 @@ where
             CounterOp::Inc => ShardedCounterMachine::IncProbe {
                 reg: self.shards[self.sharding.of_process(process)],
                 layout: self.layout,
+                encoding: self.encoding,
                 process,
             },
             CounterOp::Read => ShardedCounterMachine::Sum {
                 shards: self.shards.clone(),
+                layout: self.layout,
+                encoding: self.encoding,
                 mode: self.mode,
                 idx: 0,
                 current: Vec::new(),
@@ -459,20 +443,29 @@ pub enum ShardedCounterMachine {
         reg: Loc,
         /// Lane layout.
         layout: Layout,
+        /// How lane values are coded into lane bits.
+        encoding: LaneEncoding,
         /// Incrementing process.
         process: usize,
     },
-    /// `inc` step 2: one fetch&add setting the next own-lane bit.
+    /// `inc` step 2: one fetch&add of `pos − neg` raising the own lane
+    /// by one.
     IncAdd {
         /// Home shard of the process.
         reg: Loc,
-        /// The unary increment image.
-        delta: BigNat,
+        /// Lane bits to set.
+        pos: BigNat,
+        /// Lane bits to clear.
+        neg: BigNat,
     },
     /// `read`: collecting per-shard counts.
     Sum {
         /// All shards, in collect order.
         shards: Vec<Loc>,
+        /// Lane layout.
+        layout: Layout,
+        /// How lane values are coded into lane bits.
+        encoding: LaneEncoding,
         /// Stability discipline.
         mode: WholeReadMode,
         /// Next shard to probe.
@@ -492,27 +485,34 @@ impl OpMachine for ShardedCounterMachine {
             ShardedCounterMachine::IncProbe {
                 reg,
                 layout,
+                encoding,
                 process,
             } => {
                 let image = mem.wide_adjust(*reg, &BigNat::zero(), &BigNat::zero());
-                let mine = layout.decode_unary(*process, &image);
-                let delta = BigNat::pow2(layout.bit(*process, mine as usize));
-                *self = ShardedCounterMachine::IncAdd { reg: *reg, delta };
+                let mine = encoding.decode(layout, *process, &image);
+                let (pos, neg) = encoding.adjustments(layout, *process, mine, mine + 1);
+                *self = ShardedCounterMachine::IncAdd {
+                    reg: *reg,
+                    pos,
+                    neg,
+                };
                 Step::Pending
             }
-            ShardedCounterMachine::IncAdd { reg, delta } => {
-                mem.wide_adjust(*reg, delta, &BigNat::zero());
+            ShardedCounterMachine::IncAdd { reg, pos, neg } => {
+                mem.wide_adjust(*reg, pos, neg);
                 Step::Ready(CounterResp::Ok)
             }
             ShardedCounterMachine::Sum {
                 shards,
+                layout,
+                encoding,
                 mode,
                 idx,
                 current,
                 previous,
             } => {
                 let image = mem.wide_adjust(shards[*idx], &BigNat::zero(), &BigNat::zero());
-                current.push(image.count_ones() as u64);
+                current.push(encoding.sum(layout, &image));
                 *idx += 1;
                 if *idx < shards.len() {
                     return Step::Pending;

@@ -28,16 +28,14 @@
 //!
 //! *How* a shard stores its quotient counts is a codec choice
 //! ([`LaneEncoding`]): the paper's unary prefix code, or the log-width
-//! binary code of [`BinaryLayout`] ([`ShardedMaxRegister::new_binary`]),
+//! binary code of [`sl2_bignum::BinaryLayout`] ([`ShardedMaxRegister::new_binary`]),
 //! which shrinks a lane holding `c` from `c` bits to `⌈log₂(c+1)⌉` and
 //! thereby lifts the `64·S` inline-value ceiling entirely out of the
-//! practical range (experiment E31). Binary writes rewrite the
-//! differing digits with one signed `fetch&adjust` — the §3.2 update
-//! shape — instead of setting a run of unary bits; the probe, the
-//! single linearizing fetch&add, and the single-writer-per-lane
-//! argument are identical, and the checker twins in
-//! `sl2_sharded::machines` adjudicate both codecs on the same scenario
-//! families.
+//! practical range (experiment E31). Both go through the one shared
+//! codec, so the probe, the single linearizing (always positive)
+//! fetch&add and the single-writer-per-lane argument are identical,
+//! and the checker twins in `sl2_sharded::machines` adjudicate both
+//! codecs on the same scenario families.
 //!
 //! `read_max` folds the shard maxima and must therefore visit `S` base
 //! objects: it collects the per-shard folds until two consecutive
@@ -49,7 +47,7 @@
 //! `sl2_sharded::machines` + `check_strong` adjudicate it.
 
 use sl2_bignum::WideFaa;
-use sl2_bignum::{BinaryLayout, LaneEncoding, Layout};
+use sl2_bignum::{LaneEncoding, Layout};
 use sl2_core::algos::MaxRegister;
 use sl2_primitives::{CachePadded, Sharding};
 
@@ -88,13 +86,12 @@ impl ShardedMaxRegister {
     }
 
     /// Creates a max register whose shards store quotient counts in
-    /// *binary* ([`BinaryLayout`]): O(log v) lane bits instead of O(v),
+    /// *binary* ([`sl2_bignum::BinaryLayout`]): O(log v) lane bits instead of O(v),
     /// which lifts the old `64·S` inline-value ceiling to `2^(127/n)·S`
-    /// — effectively unbounded for realistic process counts. The write
-    /// discipline changes from set-only unary increments to §3.2-style
-    /// signed adjustments; the probe-then-single-fetch&add shape, and
-    /// with it the fixed write linearization point, is unchanged (the
-    /// checker twins adjudicate this; DESIGN.md §9).
+    /// — effectively unbounded for realistic process counts. The
+    /// probe-then-single-fetch&add shape, and with it the fixed write
+    /// linearization point, is unchanged (the checker twins adjudicate
+    /// this; DESIGN.md §9).
     pub fn new_binary(n: usize, shards: usize) -> Self {
         ShardedMaxRegister::with_encoding(n, shards, LaneEncoding::Binary)
     }
@@ -147,12 +144,9 @@ impl ShardedMaxRegister {
             .all(|s| s.read_with(|image| image.is_inline()))
     }
 
-    /// Decodes lane `i` of a shard image under the register's encoding.
-    fn decode_lane(&self, i: usize, image: &sl2_bignum::BigNat) -> u64 {
-        match self.encoding {
-            LaneEncoding::Unary => self.layout.decode_unary(i, image),
-            LaneEncoding::Binary => BinaryLayout::over(self.layout).decode(i, image),
-        }
+    /// True while every shard is in `WideFaa`'s lock-free inline regime.
+    pub fn is_inline_lock_free(&self) -> bool {
+        self.shards.iter().all(|s| s.is_inline_lock_free())
     }
 
     /// The fold of one shard: the largest per-lane quotient count
@@ -161,7 +155,7 @@ impl ShardedMaxRegister {
         self.shards[s].read_with(|image| {
             sl2_obs::record("sharded.probe_bits", image.bit_len() as u64);
             (0..self.layout.processes())
-                .map(|i| self.decode_lane(i, image))
+                .map(|i| self.encoding.decode(&self.layout, i, image))
                 .max()
                 .unwrap_or(0)
         })
@@ -184,36 +178,21 @@ impl MaxRegister for ShardedMaxRegister {
         let shard = &self.shards[self.sharding.of_value(v)];
         // Quotient encoding of v in its residue class.
         let count = v / shards + 1;
-        // §3.1/§3.2 against the home shard. Lane `process` of this
-        // shard is only ever written by `process` (for any value in the
-        // shard's residue class), so the probe-then-single-fetch&add is
+        // §3.1 against the home shard. Lane `process` of this shard is
+        // only ever written by `process` (for any value in the shard's
+        // residue class), so the probe-then-single-fetch&add is
         // regression-free under either lane encoding.
-        match self.encoding {
-            LaneEncoding::Unary => {
-                let prev = shard.probe_unary(&self.layout, process);
-                if count <= prev {
-                    return; // linearized at the probing fetch&add
-                }
-                // Chaos: crash-stop mid probe-then-adjust — the write
-                // is pending forever and must stay invisible to
-                // survivors' exact reads (lane untouched).
-                sl2_chaos::point("sharded.write.pre_add");
-                let inc = self.layout.unary_increment(process, prev, count);
-                shard.add(&inc);
-            }
-            LaneEncoding::Binary => {
-                let binary = BinaryLayout::over(self.layout);
-                let prev = shard.read_with(|image| binary.decode(process, image));
-                if count <= prev {
-                    return; // linearized at the probing fetch&add
-                }
-                sl2_chaos::point("sharded.write.pre_add");
-                // One signed adjustment rewrites the differing binary
-                // digits (§3.2's update shape).
-                let (pos, neg) = binary.adjustments(process, prev, count);
-                shard.adjust(&pos, &neg);
-            }
+        let (layout, encoding) = (&self.layout, self.encoding);
+        let prev = shard.read_with(|image| encoding.decode(layout, process, image));
+        if count <= prev {
+            return; // linearized at the probing fetch&add
         }
+        // Chaos: crash-stop mid probe-then-adjust — the write is
+        // pending forever and must stay invisible to survivors' exact
+        // reads (lane untouched).
+        sl2_chaos::point("sharded.write.pre_add");
+        let (pos, neg) = encoding.adjustments(layout, process, prev, count);
+        shard.adjust(&pos, &neg);
     }
 
     fn read_max(&self) -> u64 {

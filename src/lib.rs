@@ -191,7 +191,7 @@ pub mod prelude {
         MultiplicityQueueOrdering, OutOfOrderQueueOrdering, QueueOrdering, StackOrdering,
         TasConsensusShared,
     };
-    pub use sl2_bignum::{BigNat, Layout, WideFaa};
+    pub use sl2_bignum::{BigNat, LaneEncoding, Layout, WideFaa};
     pub use sl2_combine::{
         abandoned_counter_fan_in_scenario, abandoned_counter_lagging_scenario,
         cached_fan_in_lagging_scenario, cached_fan_in_max_scenario,

@@ -134,7 +134,7 @@ fn wide_faa_inline_ops_are_allocation_free() {
 #[test]
 fn lock_free_wide_faa_snapshot_reads_are_allocation_free() {
     // The PR-6 pin: while the value is inline, every read-shaped entry
-    // point — load, bit_len, probe_unary, read_with — is one DWCAS
+    // point — load, bit_len, read_with (bare or decoding) — is one DWCAS
     // snapshot of the cell and never touches the heap (the returned
     // BigNat is the inline representation). On x86_64 without
     // `force_spinlock` this is the lock-free path; under the feature
@@ -153,7 +153,7 @@ fn lock_free_wide_faa_snapshot_reads_are_allocation_free() {
         for _ in 0..1000 {
             let _v = r.load();
             let _bits = r.bit_len();
-            let _lane = r.probe_unary(&layout, 0);
+            let _lane = r.read_with(|v| layout.decode_unary(0, v));
             let _ones = r.read_with(|v| v.count_ones());
         }
     });
@@ -377,6 +377,50 @@ fn registry_steady_state_routing_is_allocation_free() {
     });
     assert_eq!(n, 0, "get_or_insert allocated on the hit path");
     assert_eq!(reg.len(), 16, "no phantom keys materialized");
+}
+
+#[test]
+fn resident_keys_stay_inline_and_allocation_free_on_every_backend() {
+    // The ISSUE-21 pin: `KeyObject` ships binary lanes, so a hot
+    // resident key never leaves `WideFaa`'s lock-free inline regime —
+    // with unary lanes the 128th `inc` migrated the register and every
+    // later op took the spinlock and allocated an O(count)-bit image.
+    use sl2_service::{Backend, KeyedCounter, KeyedMax, Registry};
+    for backend in [
+        Backend::Global,
+        Backend::Sharded { shards: 2 },
+        Backend::Combining { shards: 2 },
+    ] {
+        let reg: Registry<u64> = Registry::new(4, 2, backend);
+        let obj = reg.get_or_insert(&7);
+        obj.inc(0);
+        obj.write_max(0, 1);
+        let (n, (count, max)) = allocs_during(|| {
+            for i in 0..10_000usize {
+                obj.inc(i % 2);
+            }
+            obj.write_max(1, 1_000_000);
+            (obj.read_count(), obj.read_max())
+        });
+        assert_eq!(n, 0, "{backend:?}: a resident key allocated");
+        assert_eq!((count, max), (10_001, 1_000_000), "{backend:?}");
+        let counter_inline = match obj.counter() {
+            KeyedCounter::Global(c) => c.is_inline_lock_free(),
+            KeyedCounter::Sharded(c) => c.is_inline_lock_free(),
+            KeyedCounter::Combining(c) => c.inner().is_inline_lock_free(),
+        };
+        let max_inline = match obj.max() {
+            KeyedMax::Global(m) => m.is_inline_lock_free(),
+            KeyedMax::Sharded(m) => m.is_inline_lock_free(),
+            KeyedMax::Combining(m) => m.front().inner().is_inline_lock_free(),
+        };
+        // Under `force_spinlock` no register is ever lock-free.
+        assert_eq!(
+            counter_inline && max_inline,
+            WideFaa::backend_lock_free(),
+            "{backend:?}: a register migrated to the heap regime"
+        );
+    }
 }
 
 #[cfg(not(feature = "obs"))]

@@ -13,7 +13,10 @@
 //! twins (E31) — into `ScenarioCorpus` batches,
 //! runs them under one shared node budget, and asserts three drivers
 //! agree record for record: parallel memo-on (the CI configuration),
-//! serial memo-on, serial memo-off.
+//! serial memo-on, serial memo-off. The twins whose lanes go through
+//! the shared `LaneEncoding` codec are additionally run as *binary
+//! siblings* (the encoding `KeyObject` ships) and must explore exactly
+//! their unary records' graphs.
 //!
 //! When `SL2_CORPUS_JSON` is set, the parallel memo-on `CorpusReport`
 //! is written there as JSON lines — CI's corpus-smoke step uploads
@@ -253,29 +256,33 @@ fn drive<S, A, F>(
     }
 }
 
+/// `corpus` minus the records named in `skip`.
+fn without<S: Spec>(corpus: ScenarioCorpus<S>, skip: &[&str]) -> ScenarioCorpus<S> {
+    let mut kept = ScenarioCorpus::without_dedup();
+    for (name, scenario) in corpus.entries() {
+        if !skip.contains(&name.as_str()) {
+            kept.push(name.clone(), scenario.clone());
+        }
+    }
+    kept
+}
+
 /// Runs every corpus into `report` with the given memoization mode and
 /// driver.
 fn run_all(memoize: bool, driver: Driver, report: &mut CorpusReport) {
-    let opts = options(memoize);
-    drive(
-        &max_register_corpus(),
-        |mem| MaxRegAlg::new(mem, 3),
-        &opts,
-        driver,
-        report,
-    );
-    drive(&fetch_inc_corpus(), FetchIncAlg::new, &opts, driver, report);
-    drive(
-        &stack_corpus("agm"),
-        AgmStackAlg::new,
-        &opts,
-        driver,
-        report,
-    );
+    run_fixed(&options(memoize), driver, report);
+    run_recoded(LaneEncoding::Unary, &options(memoize), driver, &[], report);
+}
+
+/// The corpora whose twins have one lane encoding (or, for the sharded
+/// max register, already carry their own binary records).
+fn run_fixed(opts: &CorpusOptions, driver: Driver, report: &mut CorpusReport) {
+    drive(&fetch_inc_corpus(), FetchIncAlg::new, opts, driver, report);
+    drive(&stack_corpus("agm"), AgmStackAlg::new, opts, driver, report);
     drive(
         &stack_corpus("treiber"),
         |mem| StackVsTreiber(TreiberStackAlg::new(mem)),
-        &opts,
+        opts,
         driver,
         report,
     );
@@ -283,7 +290,7 @@ fn run_all(memoize: bool, driver: Driver, report: &mut CorpusReport) {
         drive(
             &sharded_corpus(shards),
             |mem| ShardedMaxRegAlg::new(mem, 3, shards),
-            &opts,
+            opts,
             driver,
             report,
         );
@@ -293,78 +300,11 @@ fn run_all(memoize: bool, driver: Driver, report: &mut CorpusReport) {
         drive(
             &sharded_binary_corpus(shards),
             |mem| ShardedMaxRegAlg::binary(mem, 3, shards),
-            &opts,
+            opts,
             driver,
             report,
         );
     }
-    drive(
-        &counter_corpus("counter_naive"),
-        |mem| ShardedCounterAlg::naive(mem, 3, 2),
-        &opts,
-        driver,
-        report,
-    );
-    drive(
-        &counter_corpus("counter_exact"),
-        |mem| ShardedCounterAlg::exact(mem, 3, 2),
-        &opts,
-        driver,
-        report,
-    );
-    // The PR-5 combining layer (E27): stable-read anchors certified,
-    // cached-read anchors refuted, at S ∈ {1, 2}.
-    for shards in [1usize, 2] {
-        for mode in [ReadMode::Stable, ReadMode::Cached] {
-            drive(
-                &combining_corpus(shards, mode),
-                |mem| CombiningMaxRegAlg::new(mem, 3, shards, mode),
-                &opts,
-                driver,
-                report,
-            );
-        }
-    }
-    drive(
-        &counter_corpus("combining_counter_stable"),
-        |mem| CombiningCounterAlg::stable(mem, 3, 1),
-        &opts,
-        driver,
-        report,
-    );
-    drive(
-        &counter_corpus("combining_counter_cached"),
-        |mem| CombiningCounterAlg::cached(mem, 3, 1),
-        &opts,
-        driver,
-        report,
-    );
-    // The ISSUE-9 service dispatch twin (E43): exact routing certifies
-    // (strong linearizability is local, and stays so with the shared
-    // enqueue/route steps interleaved); cached routing is refuted
-    // against the exact keyed spec and certified against the per-key
-    // k = 2 lagging spec — the §8 law one layer up.
-    drive(
-        &service_corpus("exact"),
-        |mem| KeyedDispatchAlg::new(mem, 3, &[1, 2], RouteMode::Exact),
-        &opts,
-        driver,
-        report,
-    );
-    drive(
-        &service_corpus("cached"),
-        |mem| KeyedDispatchAlg::new(mem, 3, &[1, 2], RouteMode::Cached),
-        &opts,
-        driver,
-        report,
-    );
-    drive(
-        &service_lagging_corpus(),
-        |mem| LaggingKeyedDispatchAlg::new(mem, 3, &[1, 2], 2),
-        &opts,
-        driver,
-        report,
-    );
     // The CAS queue (E11, queue side).
     let mut q = ScenarioCorpus::<QueueSpec>::new();
     q.push(
@@ -375,7 +315,93 @@ fn run_all(memoize: bool, driver: Driver, report: &mut CorpusReport) {
             vec![QueueOp::Deq, QueueOp::Deq],
         ]),
     );
-    drive(&q, CasQueueAlg::new, &opts, driver, report);
+    drive(&q, CasQueueAlg::new, opts, driver, report);
+}
+
+/// The corpora of the twins that take a [`LaneEncoding`]: `Unary` is
+/// the shipped record set, `Binary` its siblings under the same names
+/// (minus `skip`).
+fn run_recoded(
+    encoding: LaneEncoding,
+    opts: &CorpusOptions,
+    driver: Driver,
+    skip: &[&str],
+    report: &mut CorpusReport,
+) {
+    drive(
+        &without(max_register_corpus(), skip),
+        |mem| MaxRegAlg::with_encoding(mem, 3, encoding),
+        opts,
+        driver,
+        report,
+    );
+    drive(
+        &without(counter_corpus("counter_naive"), skip),
+        |mem| ShardedCounterAlg::naive(mem, 3, 2).with_encoding(encoding),
+        opts,
+        driver,
+        report,
+    );
+    drive(
+        &without(counter_corpus("counter_exact"), skip),
+        |mem| ShardedCounterAlg::exact(mem, 3, 2).with_encoding(encoding),
+        opts,
+        driver,
+        report,
+    );
+    // The PR-5 combining layer (E27): stable-read anchors certified,
+    // cached-read anchors refuted, at S ∈ {1, 2}.
+    for shards in [1usize, 2] {
+        for mode in [ReadMode::Stable, ReadMode::Cached] {
+            drive(
+                &without(combining_corpus(shards, mode), skip),
+                |mem| CombiningMaxRegAlg::new(mem, 3, shards, mode).with_encoding(encoding),
+                opts,
+                driver,
+                report,
+            );
+        }
+    }
+    drive(
+        &without(counter_corpus("combining_counter_stable"), skip),
+        |mem| CombiningCounterAlg::stable(mem, 3, 1).with_encoding(encoding),
+        opts,
+        driver,
+        report,
+    );
+    drive(
+        &without(counter_corpus("combining_counter_cached"), skip),
+        |mem| CombiningCounterAlg::cached(mem, 3, 1).with_encoding(encoding),
+        opts,
+        driver,
+        report,
+    );
+    // The ISSUE-9 service dispatch twin (E43): exact routing certifies
+    // (strong linearizability is local, and stays so with the shared
+    // enqueue/route steps interleaved); cached routing is refuted
+    // against the exact keyed spec and certified against the per-key
+    // k = 2 lagging spec — the §8 law one layer up.
+    drive(
+        &without(service_corpus("exact"), skip),
+        |mem| KeyedDispatchAlg::new(mem, 3, &[1, 2], RouteMode::Exact).with_encoding(encoding),
+        opts,
+        driver,
+        report,
+    );
+    drive(
+        &without(service_corpus("cached"), skip),
+        |mem| KeyedDispatchAlg::new(mem, 3, &[1, 2], RouteMode::Cached).with_encoding(encoding),
+        opts,
+        driver,
+        report,
+    );
+    drive(
+        &without(service_lagging_corpus(), skip),
+        |mem| LaggingKeyedDispatchAlg::new(mem, 3, &[1, 2], 2).with_encoding(encoding),
+        opts,
+        driver,
+        report,
+    );
 }
 
 /// `(name, certified?)` for every individually pinned record; the
@@ -593,6 +619,48 @@ fn corpus_recertifies_every_shipped_verdict() {
     if let Ok(path) = std::env::var("SL2_CORPUS_JSON") {
         std::fs::write(&path, on.to_json_lines())
             .unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
+    }
+}
+
+/// Records the binary-sibling tree pass leaves out: the two
+/// `ALLOWED_BOUNDED_OFF` anchors and the one other record that alone is
+/// most of a memo-off pass (the three the benchmark's tree phase skips).
+/// All three still compare memo-on.
+const SIBLING_TREE_SKIPS: &[&str] = &[
+    "combining_stable_s1/fan_in",
+    "combining_stable_s2/fan_in",
+    "combining_stable_s2/frontier_safe",
+];
+
+#[test]
+fn binary_siblings_explore_their_unary_records_graphs() {
+    // Lane states of the two encodings are in bijection (same probe,
+    // same single fetch&add, a different picture of the same lane
+    // value), so the checker must see the same graph: verdict, DAG
+    // nodes (memo on), tree nodes (memo off) and search shape equal
+    // record for record. Any difference is a bug in the codec or in a
+    // twin's use of it.
+    for (memoize, skip) in [(true, &[][..]), (false, SIBLING_TREE_SKIPS)] {
+        let opts = options(memoize);
+        let mut unary = CorpusReport::new(NODE_BUDGET);
+        run_recoded(LaneEncoding::Unary, &opts, Driver::Serial, skip, &mut unary);
+        let mut binary = CorpusReport::new(NODE_BUDGET);
+        run_recoded(
+            LaneEncoding::Binary,
+            &opts,
+            Driver::Serial,
+            skip,
+            &mut binary,
+        );
+        assert_eq!(unary.records.len(), binary.records.len());
+        assert_eq!(unary.count(CorpusVerdict::Bounded), 0, "memo={memoize}");
+        for (u, b) in unary.records.iter().zip(&binary.records) {
+            assert_eq!(u.name, b.name);
+            assert_eq!(u.verdict, b.verdict, "{} memo={memoize}", u.name);
+            assert_eq!(u.nodes, b.nodes, "{} memo={memoize}", u.name);
+            assert_eq!(u.stats, b.stats, "{} memo={memoize}", u.name);
+            assert_eq!(u.witness_steps, b.witness_steps, "{}", u.name);
+        }
     }
 }
 
