@@ -56,9 +56,9 @@
 use std::fmt::Debug;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use sl2_primitives::{BaseObject, CachePadded, ConsensusNumber, FetchAdd, Swap};
+use sl2_primitives::{BaseObject, ConsensusNumber, FetchAdd, Swap};
 
-use crate::slots::{CombinerLock, Lease, PublicationArray};
+use crate::slots::{CombinerLock, Lease, PublicationArray, Published};
 
 /// Consecutive identical `(lease, epoch)` observations a lost-election
 /// process must make before it may reclaim the combiner lock. Two is
@@ -137,7 +137,7 @@ impl Drop for Tenure<'_> {
             // A `false` return means the tenure was reclaimed by a
             // survivor that suspected this combiner dead; the
             // publication that already happened is monotone-safe, so
-            // forfeiting silently is correct (see `publish_fold`).
+            // forfeiting silently is correct (see `Published::publish`).
             let _ = self.lock.release(lease);
         }
     }
@@ -251,34 +251,41 @@ pub enum ApplyPath {
 #[derive(Debug)]
 pub struct Combiner<O> {
     inner: O,
+    /// Per-process lines: announcement slot plus abandonment evidence
+    /// (see [`Suspicion`]).
     slots: PublicationArray,
     lock: CombinerLock,
-    /// Published whole-object fold. A swap register written only by
-    /// the election winner, so publications are totally ordered by the
-    /// lock and the register needs no read-modify-write semantics —
-    /// except across a wrongful reclaim, where two publishers can
-    /// overlap and the monotone repair in `publish_fold` keeps the
-    /// register from regressing.
-    cache: CachePadded<Swap>,
-    /// Publication count (combiner batches completed so far).
-    epoch: CachePadded<FetchAdd>,
-    /// Per-process abandonment evidence (see [`Suspicion`]).
-    suspicion: Box<[CachePadded<Suspicion>]>,
+    /// Published whole-object fold and publication count (combiner
+    /// batches completed so far). The fold is a swap register written
+    /// only by the election winner, so publications are totally
+    /// ordered by the lock and the register needs no read-modify-write
+    /// semantics — except across a wrongful reclaim, where two
+    /// publishers can overlap and the monotone repair in
+    /// `Published::publish` keeps the register from regressing.
+    published: Published,
 }
 
 impl<O: Combinable> Combiner<O> {
     /// Wraps `inner`, allocating one announcement slot per process.
     pub fn new(inner: O) -> Self {
-        let n = inner.processes();
+        let slots = PublicationArray::new(inner.processes());
+        Combiner::over(inner, slots)
+    }
+
+    /// Wraps `inner` over caller-placed (fresh) per-process lines —
+    /// how a registry co-allocates them with this header
+    /// (`sl2_primitives::build_block`).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `slots` has one line per process of `inner`.
+    pub fn over(inner: O, slots: PublicationArray) -> Self {
+        assert_eq!(slots.len(), inner.processes(), "one slot per process");
         Combiner {
             inner,
-            slots: PublicationArray::new(n),
+            slots,
             lock: CombinerLock::new(),
-            cache: CachePadded::new(Swap::new(0)),
-            epoch: CachePadded::new(FetchAdd::new(0)),
-            suspicion: (0..n)
-                .map(|_| CachePadded::new(Suspicion::default()))
-                .collect(),
+            published: Published::default(),
         }
     }
 
@@ -295,7 +302,7 @@ impl<O: Combinable> Combiner<O> {
 
     /// Combiner batches published so far.
     pub fn epoch(&self) -> u64 {
-        self.epoch.read()
+        self.published.epoch.read()
     }
 
     /// Applies `op` on behalf of `process` through the front-end:
@@ -320,7 +327,8 @@ impl<O: Combinable> Combiner<O> {
             sl2_trace::event("combine.elect", 0);
             self.inner.apply(process, op);
             self.slots.withdraw(process);
-            if let Some(lease) = self.suspect_then_reclaim(process) {
+            let suspicion = self.slots.suspicion(process);
+            if let Some(lease) = observe_or_reclaim(&self.lock, &self.published.epoch, suspicion) {
                 // The holder was dead (its lease froze): recover.
                 // Publish from a fresh one-pass fold rather than a
                 // cache merge — the dead combiner may have applied
@@ -333,7 +341,9 @@ impl<O: Combinable> Combiner<O> {
             sl2_obs::count("combine.direct_path");
             return ApplyPath::Direct;
         };
-        self.clear_suspicion(process);
+        // Whatever this process was watching is moot now.
+        let strikes = &self.slots.suspicion(process).strikes;
+        strikes.store(0, Ordering::Relaxed);
         sl2_chaos::point("combine.won");
         sl2_obs::count("combine.election_won");
         sl2_trace::event("combine.elect", 1);
@@ -368,7 +378,7 @@ impl<O: Combinable> Combiner<O> {
         // Times the whole tenure (sweep + publish + release).
         let _tenure_timer = sl2_obs::time("combine.fold_batch");
         let publish_always = base.is_some();
-        let mut fold = base.unwrap_or_else(|| self.cache.read());
+        let mut fold = base.unwrap_or_else(|| self.published.read());
         let mut applied = 0;
         for i in 0..self.slots.len() {
             sl2_chaos::point("combine.mid_sweep");
@@ -383,40 +393,12 @@ impl<O: Combinable> Combiner<O> {
         sl2_trace::event("combine.fold", applied as u64);
         if publish_always || applied > 0 {
             sl2_chaos::point("combine.pre_publish");
-            self.publish_fold(fold);
+            self.published.publish(fold);
             sl2_trace::event("combine.publish", fold);
         }
         sl2_chaos::point("combine.pre_release");
         drop(tenure);
         applied
-    }
-
-    /// Publishes `fold` with the monotone repair: folds only grow, so
-    /// if the swap displaces a *larger* value, a concurrent publisher
-    /// (possible only across a wrongful reclaim of a stalled-but-live
-    /// combiner) got there with fresher data — put it back. The cache
-    /// never regresses either way, which is the soundness law the
-    /// cached-read specs rest on.
-    fn publish_fold(&self, fold: u64) {
-        let prev = self.cache.swap(fold);
-        if prev > fold {
-            self.cache.swap(prev);
-        }
-        self.epoch.fetch_add(1);
-    }
-
-    /// One lost-election observation of the holder (see
-    /// [`observe_or_reclaim`]): returns a fresh lease iff `process`'s
-    /// accumulated evidence proved the holder dead and the reclaim
-    /// landed.
-    fn suspect_then_reclaim(&self, process: usize) -> Option<Lease> {
-        observe_or_reclaim(&self.lock, &self.epoch, &self.suspicion[process])
-    }
-
-    /// Resets `process`'s abandonment evidence (after winning an
-    /// election: whatever it was watching is moot).
-    fn clear_suspicion(&self, process: usize) {
-        self.suspicion[process].strikes.store(0, Ordering::Relaxed);
     }
 
     /// The 1-load fast path: the last published whole-object fold.
@@ -426,7 +408,7 @@ impl<O: Combinable> Combiner<O> {
     /// (DESIGN.md §8 has the strong-linearizability adjudication).
     pub fn read_cached(&self) -> u64 {
         sl2_obs::count("combine.read_cached");
-        self.cache.read()
+        self.published.read()
     }
 
     /// The exact read: the inner object's stable fold (lock-free).
@@ -451,7 +433,7 @@ impl<O: Combinable> Combiner<O> {
             lock: &self.lock,
             lease: Some(lease),
         };
-        self.publish_fold(self.inner.fold_relaxed());
+        self.published.publish(self.inner.fold_relaxed());
         drop(tenure);
         true
     }

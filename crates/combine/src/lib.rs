@@ -77,4 +77,4 @@ pub use machines::{
     ReadMode, DEAD_LEASE, LEASE_BASE,
 };
 pub use objects::{CombiningCounter, CombiningMaxRegister, CombiningSnapshot};
-pub use slots::{CombinerLock, Lease, PubSlot, PublicationArray, SeqCache};
+pub use slots::{CombinerLock, Lease, ProcessLine, PubSlot, PublicationArray, SeqCache};

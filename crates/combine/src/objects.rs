@@ -11,11 +11,10 @@
 //! and the exact stable path as fallback; the cached read's
 //! strong-linearizability verdicts are in [`crate::machines`].
 
-use sl2_primitives::{CachePadded, FetchAdd, Swap};
 use sl2_sharded::{ShardedFetchInc, ShardedMaxRegister, ShardedSnapshot};
 
-use crate::combiner::{observe_or_reclaim, ApplyPath, Combinable, Combiner, Suspicion, Tenure};
-use crate::slots::{CombinerLock, SeqCache};
+use crate::combiner::{observe_or_reclaim, ApplyPath, Combinable, Combiner, Tenure};
+use crate::slots::{CombinerLock, PublicationArray, Published, SeqCache};
 
 // ---------------------------------------------------------------------
 // Max register
@@ -89,6 +88,13 @@ impl CombiningMaxRegister {
     pub fn new(inner: ShardedMaxRegister) -> Self {
         CombiningMaxRegister {
             front: Combiner::new(inner),
+        }
+    }
+
+    /// As [`CombiningMaxRegister::new`], see [`Combiner::over`].
+    pub fn over(inner: ShardedMaxRegister, slots: PublicationArray) -> Self {
+        CombiningMaxRegister {
+            front: Combiner::over(inner, slots),
         }
     }
 
@@ -171,27 +177,36 @@ impl sl2_core::algos::MaxRegister for CombiningMaxRegister {
 pub struct CombiningCounter {
     inner: ShardedFetchInc,
     lock: CombinerLock,
-    cache: CachePadded<Swap>,
-    epoch: CachePadded<FetchAdd>,
+    published: Published,
     /// Per-process abandonment evidence for the publication lock —
     /// the same lease/strike reclaim protocol as [`Combiner`]
     /// (DESIGN.md §10): a crash-stopped publisher must not disable
-    /// the cached read path forever.
-    suspicion: Box<[CachePadded<Suspicion>]>,
+    /// the cached read path forever. The same per-process lines as
+    /// the max register's, their slot halves unused (increments are
+    /// never announced).
+    lines: PublicationArray,
 }
 
 impl CombiningCounter {
     /// Wraps a sharded counter.
     pub fn new(inner: ShardedFetchInc) -> Self {
-        let n = inner.processes();
+        let lines = PublicationArray::new(inner.processes());
+        CombiningCounter::over(inner, lines)
+    }
+
+    /// As [`CombiningCounter::new`] over caller-placed (fresh)
+    /// per-process lines (see [`Combiner::over`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `lines` has one line per process of `inner`.
+    pub fn over(inner: ShardedFetchInc, lines: PublicationArray) -> Self {
+        assert_eq!(lines.len(), inner.processes(), "one line per process");
         CombiningCounter {
             inner,
             lock: CombinerLock::new(),
-            cache: CachePadded::new(Swap::new(0)),
-            epoch: CachePadded::new(FetchAdd::new(0)),
-            suspicion: (0..n)
-                .map(|_| CachePadded::new(Suspicion::default()))
-                .collect(),
+            published: Published::default(),
+            lines,
         }
     }
 
@@ -226,7 +241,7 @@ impl CombiningCounter {
     /// `sl2_spec::relaxed::LaggingCounterSpec`, refuted against the
     /// exact spec — DESIGN.md §8).
     pub fn read_cached(&self) -> u64 {
-        self.cache.read()
+        self.published.read()
     }
 
     /// The exact (stable-collect) read.
@@ -236,7 +251,7 @@ impl CombiningCounter {
 
     /// Publications so far.
     pub fn epoch(&self) -> u64 {
-        self.epoch.read()
+        self.published.epoch.read()
     }
 
     /// Opportunistically republishes the relaxed fold (one election
@@ -251,22 +266,20 @@ impl CombiningCounter {
     /// One publication attempt, with abandonment recovery when the
     /// caller has a process identity to accumulate suspicion under.
     /// The lease rides a `Tenure` guard (release-on-unwind), the
-    /// publication carries the monotone repair (folds only grow, so a
-    /// displaced larger value — possible only across a wrongful
-    /// reclaim of a stalled publisher — is put back).
+    /// publication carries `Published::publish`'s monotone repair.
     fn refresh_from(&self, process: Option<usize>) -> bool {
         let lease = match self.lock.try_acquire() {
             Some(lease) => {
                 if let Some(p) = process {
-                    self.suspicion[p]
-                        .strikes
-                        .store(0, std::sync::atomic::Ordering::Relaxed);
+                    let strikes = &self.lines.suspicion(p).strikes;
+                    strikes.store(0, std::sync::atomic::Ordering::Relaxed);
                 }
                 lease
             }
             None => {
                 let Some(p) = process else { return false };
-                match observe_or_reclaim(&self.lock, &self.epoch, &self.suspicion[p]) {
+                match observe_or_reclaim(&self.lock, &self.published.epoch, self.lines.suspicion(p))
+                {
                     Some(lease) => lease,
                     None => return false,
                 }
@@ -277,12 +290,7 @@ impl CombiningCounter {
             lease: Some(lease),
         };
         sl2_chaos::point("counter.pre_publish");
-        let fold = self.inner.read_relaxed();
-        let prev = self.cache.swap(fold);
-        if prev > fold {
-            self.cache.swap(prev);
-        }
-        self.epoch.fetch_add(1);
+        self.published.publish(self.inner.read_relaxed());
         sl2_chaos::point("counter.pre_release");
         drop(tenure);
         true

@@ -5,10 +5,9 @@
 //! [`crate::Combiner::consensus_ceiling`] asserts through the
 //! [`BaseObject`] wiring).
 //!
-//! A [`PubSlot`] is one cache-line-padded [`Swap`] register holding at
-//! most one announced operation, encoded as a non-zero word. The three
-//! verbs are all single swaps, so each is one atomic step in the
-//! paper's model:
+//! A [`PubSlot`] is one [`Swap`] register holding at most one
+//! announced operation, encoded as a non-zero word. The three verbs are
+//! all single swaps, so each is one atomic step in the paper's model:
 //!
 //! * [`PublicationArray::publish`] — the owner announces an operation;
 //! * [`PublicationArray::take`] — the combiner claims it (a read
@@ -27,12 +26,14 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use sl2_primitives::{BaseObject, CachePadded, ConsensusNumber, FetchAdd, Swap};
+use sl2_primitives::{BaseObject, CachePadded, ConsensusNumber, FetchAdd, Lines, Swap};
+
+use crate::combiner::Suspicion;
 
 /// Slot word meaning "no operation announced".
 const EMPTY: u64 = 0;
 
-/// One process's announcement slot: a cache-line-padded swap register.
+/// One process's announcement slot: a swap register.
 #[derive(Debug, Default)]
 pub struct PubSlot {
     cell: Swap,
@@ -54,8 +55,16 @@ impl BaseObject for PubSlot {
     const CONSENSUS_NUMBER: ConsensusNumber = ConsensusNumber::Two;
 }
 
+/// What process `p` writes, on one line: its announcement slot (which
+/// a claiming combiner also swaps) and its abandonment evidence.
+#[derive(Debug, Default)]
+pub struct ProcessLine {
+    slot: PubSlot,
+    suspicion: Suspicion,
+}
+
 /// The announcement slots of all `n` processes, one padded cache line
-/// each.
+/// per process (shared with that process's `Suspicion` cell).
 ///
 /// Operation words are offset by one internally so the all-zeros
 /// initial state reads as "nothing announced" — callers publish any
@@ -74,7 +83,7 @@ impl BaseObject for PubSlot {
 /// ```
 #[derive(Debug)]
 pub struct PublicationArray {
-    slots: Box<[CachePadded<PubSlot>]>,
+    lines: Lines<ProcessLine>,
 }
 
 impl PublicationArray {
@@ -84,21 +93,33 @@ impl PublicationArray {
     ///
     /// Panics if `n == 0`.
     pub fn new(n: usize) -> Self {
-        assert!(n > 0, "a publication array needs at least one slot");
-        PublicationArray {
-            slots: (0..n).map(|_| CachePadded::new(PubSlot::new())).collect(),
-        }
+        PublicationArray::over(Lines::new(n, |_| ProcessLine::default()))
+    }
+
+    /// As [`PublicationArray::new`] over caller-placed (fresh) lines,
+    /// one per process.
+    pub fn over(lines: Lines<ProcessLine>) -> Self {
+        assert!(
+            !lines.is_empty(),
+            "a publication array needs at least one slot"
+        );
+        PublicationArray { lines }
     }
 
     /// Number of slots (= processes).
     pub fn len(&self) -> usize {
-        self.slots.len()
+        self.lines.len()
+    }
+
+    /// `process`'s abandonment evidence.
+    pub(crate) fn suspicion(&self, process: usize) -> &Suspicion {
+        &self.lines[process].suspicion
     }
 
     /// Whether the array has no slots (never true — see
     /// [`PublicationArray::new`]).
     pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
+        self.lines.is_empty()
     }
 
     /// Announces `word` in `process`'s slot (one swap). Overwrites any
@@ -117,7 +138,7 @@ impl PublicationArray {
         let stored = word
             .checked_add(1)
             .expect("operation encoding must stay below u64::MAX");
-        self.slots[process].cell.swap(stored);
+        self.lines[process].slot.cell.swap(stored);
     }
 
     /// Claims the announcement in slot `i`, if any: a read (cheap for
@@ -127,10 +148,11 @@ impl PublicationArray {
     ///
     /// [`withdraw`]: PublicationArray::withdraw
     pub fn take(&self, i: usize) -> Option<u64> {
-        if !self.slots[i].is_occupied() {
+        let slot = &self.lines[i].slot;
+        if !slot.is_occupied() {
             return None;
         }
-        match self.slots[i].cell.swap(EMPTY) {
+        match slot.cell.swap(EMPTY) {
             EMPTY => None,
             stored => Some(stored - 1),
         }
@@ -141,7 +163,7 @@ impl PublicationArray {
     /// `false` means a combiner claimed it and will (re-)apply it,
     /// which idempotent operations absorb.
     pub fn withdraw(&self, process: usize) -> bool {
-        self.slots[process].cell.swap(EMPTY) != EMPTY
+        self.lines[process].slot.cell.swap(EMPTY) != EMPTY
     }
 }
 
@@ -227,9 +249,12 @@ impl Lease {
 /// assert!(lock.release(rescued));
 /// ```
 #[derive(Debug, Default)]
+#[repr(align(64))]
 pub struct CombinerLock {
-    cell: CachePadded<Swap>,
-    gen: CachePadded<FetchAdd>,
+    cell: Swap,
+    /// Written only on the way to swapping `cell`, so it rides `cell`'s
+    /// line.
+    gen: FetchAdd,
 }
 
 impl CombinerLock {
@@ -320,6 +345,43 @@ impl CombinerLock {
 impl BaseObject for CombinerLock {
     const CONSENSUS_NUMBER: ConsensusNumber = ConsensusNumber::Two;
 }
+
+/// The published single-word fold and its publication count: both
+/// written only by a publisher (under the election lock), back to back.
+#[derive(Debug, Default)]
+#[repr(align(64))]
+pub(crate) struct Published {
+    fold: Swap,
+    pub(crate) epoch: FetchAdd,
+}
+
+impl Published {
+    /// The last published fold (one read).
+    pub(crate) fn read(&self) -> u64 {
+        self.fold.read()
+    }
+
+    /// Publishes `fold` with the monotone repair, then counts the
+    /// publication: folds only grow, so if the swap displaces a
+    /// *larger* value, a concurrent publisher (possible only across a
+    /// wrongful reclaim of a stalled-but-live tenure) got there with
+    /// fresher data — put it back.
+    pub(crate) fn publish(&self, fold: u64) {
+        let prev = self.fold.swap(fold);
+        if prev > fold {
+            self.fold.swap(prev);
+        }
+        self.epoch.fetch_add(1);
+    }
+}
+
+// Lines are padded by writer, not by word (DESIGN.md §12); a later
+// field must not silently spill one.
+const _: () = {
+    assert!(size_of::<CombinerLock>() == 64 && align_of::<CombinerLock>() == 64);
+    assert!(size_of::<Published>() == 64 && align_of::<Published>() == 64);
+    assert!(size_of::<CachePadded<ProcessLine>>() == 64);
+};
 
 /// A versioned multi-word read cache (for folds wider than one word,
 /// e.g. snapshot views): a fetch&add version counter — odd while a
@@ -412,7 +474,7 @@ mod tests {
         assert!(!slots.is_empty());
         assert_eq!(slots.take(1), None, "initially empty");
         slots.publish(1, 0); // word 0 is a legal encoding
-        assert!(slots.slots[1].is_occupied());
+        assert!(slots.lines[1].slot.is_occupied());
         assert_eq!(slots.take(1), Some(0));
         assert!(!slots.withdraw(1), "take already claimed it");
         slots.publish(1, 41);

@@ -40,6 +40,7 @@
 mod arrays;
 mod consensus;
 pub mod labeled;
+mod lines;
 mod register;
 mod rmw;
 mod sharding;
@@ -47,6 +48,7 @@ mod tas;
 
 pub use arrays::ChunkedArray;
 pub use consensus::{BaseObject, ConsensusNumber};
+pub use lines::{block_layout, build_block, Carver, Lines};
 pub use register::{BoolRegister, Register};
 pub use rmw::{CompareAndSwap, FetchAdd, Swap};
 pub use sharding::{CachePadded, Sharding, MAX_SHARDS};

@@ -49,6 +49,9 @@
 pub mod dispatch;
 pub mod machines;
 pub mod registry;
+mod slab;
 
 pub use dispatch::{Request, Response, Service, ServiceOp};
-pub use registry::{Backend, KeyObject, KeyedCounter, KeyedMax, KeyedSnapshot, Registry};
+pub use registry::{
+    Backend, KeyObject, Keyed, KeyedCounter, KeyedMax, KeyedSnapshot, Registry, RegistryFull,
+};

@@ -25,21 +25,26 @@
 //!   of a resident key at zero allocations.
 //!
 //! Capacity is a constructor contract: the table holds at most the
-//! requested number of distinct keys (the probe sequence panics once
-//! the table is full) — a service fronting a bounded tenant universe
-//! sizes it up front, exactly like `ShardedFetchInc` fixes its process
-//! count.
+//! requested number of distinct keys ([`Registry::try_get_or_insert`]
+//! refuses the next one with [`RegistryFull`]; `get_or_insert` panics)
+//! — a service fronting a bounded tenant universe sizes it up front,
+//! exactly like `ShardedFetchInc` fixes its process count.
 
 use std::hash::{Hash, Hasher};
-use std::ptr;
+use std::marker::PhantomData;
+use std::ptr::{self, NonNull};
 use std::sync::atomic::{AtomicPtr, AtomicUsize, Ordering};
 
-use sl2_combine::{CombiningCounter, CombiningMaxRegister, CombiningSnapshot};
+use sl2_bignum::LaneEncoding;
+use sl2_combine::{CombiningCounter, CombiningMaxRegister, CombiningSnapshot, PublicationArray};
 use sl2_core::algos::fetch_inc::WideFetchInc;
 use sl2_core::algos::max_register::SlMaxRegister;
 use sl2_core::algos::snapshot::SlSnapshot;
 use sl2_core::algos::{MaxRegister, Snapshot};
+use sl2_primitives::{block_layout, build_block, Carver, Lines};
 use sl2_sharded::{ShardedFetchInc, ShardedMaxRegister, ShardedSnapshot};
+
+use crate::slab::Slab;
 
 /// Probe labels of the registry layer (see DESIGN.md §12). Static so
 /// the disarmed stubs stay zero-cost and the armed registry interns
@@ -83,73 +88,126 @@ pub type BackendPolicy<K> = dyn Fn(&K) -> Backend + Send + Sync;
 /// A key's lazily-materialized objects, all on the same backend.
 ///
 /// Sub-objects materialize independently (a key used only as a counter
-/// never allocates a max register); each goes `null → object` once by
-/// CAS, same discipline as the slot table.
+/// never allocates a max register, and reading one that no write has
+/// touched allocates nothing); each goes `null → object` once by CAS,
+/// same discipline as the slot table. A key costs what its backend
+/// needs: each object sits at its own concrete type in one block of
+/// the registry's arena, its per-shard and per-process cache lines
+/// trailing ([`build_block`]; the size table is in DESIGN.md §12).
 #[derive(Debug)]
 pub struct KeyObject {
     backend: Backend,
+    home: NonNull<Home>,
+    max: Lazy<SlMaxRegister, ShardedMaxRegister, CombiningMaxRegister>,
+    counter: Lazy<WideFetchInc, ShardedFetchInc, CombiningCounter>,
+    snapshot: Lazy<SlSnapshot, ShardedSnapshot, CombiningSnapshot>,
+}
+
+/// What every key of one registry shares.
+#[derive(Debug)]
+struct Home {
     processes: usize,
-    max: AtomicPtr<KeyedMax>,
-    counter: AtomicPtr<KeyedCounter>,
-    snapshot: AtomicPtr<KeyedSnapshot>,
+    /// Where the keys' object blocks live: insert-only and freed with
+    /// the registry, like the entries themselves.
+    blocks: Slab,
 }
 
-/// A per-key max register on one of the three backends, binary lanes
-/// on all of them (DESIGN.md §9): any `u64` operand, ≤ 64·n register
-/// bits.
-// One boxed allocation per key per object kind lives behind an
-// AtomicPtr for its whole lifetime, so sizing every box to the
-// largest (combining) variant is the cheap, simple choice.
-#[allow(clippy::large_enum_variant)]
+// SAFETY: `home` points at the owning registry's boxed `Home`, which
+// outlives every `&KeyObject` (both are only reachable through the
+// registry) and is itself `Sync`; the lazy cells are atomics over
+// `Sync` objects.
+unsafe impl Send for KeyObject {}
+// SAFETY: as above.
+unsafe impl Sync for KeyObject {}
+
+/// A borrowed view of one of a key's objects, at the concrete type its
+/// backend runs it on.
 #[derive(Debug)]
-pub enum KeyedMax {
-    /// Theorem-1 register.
-    Global(SlMaxRegister),
-    /// Value-sharded, stable-collect read.
-    Sharded(ShardedMaxRegister),
-    /// Combining front-end: exact stable read plus cached read.
-    Combining(CombiningMaxRegister),
+pub enum Keyed<'a, G, S, C> {
+    /// The single-register §3/§4 form.
+    Global(&'a G),
+    /// The sharded form: stable-collect exact reads.
+    Sharded(&'a S),
+    /// The combining front-end: exact reads plus the cached read.
+    Combining(&'a C),
 }
 
-/// A per-key counter on one of the three backends, binary lanes on all
-/// of them: lock-free inline up to `2^⌊127/n⌋ − 1` increments per lane.
-// One boxed allocation per key per object kind lives behind an
-// AtomicPtr for its whole lifetime, so sizing every box to the
-// largest (combining) variant is the cheap, simple choice.
-#[allow(clippy::large_enum_variant)]
+/// A key's max register — binary lanes on every backend (DESIGN.md
+/// §9): any `u64` operand, ≤ 64·n register bits.
+pub type KeyedMax<'a> = Keyed<'a, SlMaxRegister, ShardedMaxRegister, CombiningMaxRegister>;
+
+/// A key's counter — binary lanes on every backend: lock-free inline
+/// up to `2^⌊127/n⌋ − 1` increments per lane. The `Global` form is the
+/// §4.2 ticket dispenser (value = tickets − 1).
+pub type KeyedCounter<'a> = Keyed<'a, WideFetchInc, ShardedFetchInc, CombiningCounter>;
+
+/// A key's snapshot (Theorem 2, group-sharded, or with the combining
+/// front-end's published-view cached scan).
+pub type KeyedSnapshot<'a> = Keyed<'a, SlSnapshot, ShardedSnapshot, CombiningSnapshot>;
+
+/// One lazy cell of a key: null, or the head of an arena block holding
+/// a `G`, an `S` or a `C` — the key's backend says which.
 #[derive(Debug)]
-pub enum KeyedCounter {
-    /// §4.2 wait-free readable fetch&increment (value = tickets − 1).
-    Global(WideFetchInc),
-    /// Process-striped shards, stable-collect exact read.
-    Sharded(ShardedFetchInc),
-    /// Combining front-end: exact read plus cached read.
-    Combining(CombiningCounter),
+struct Lazy<G, S, C>(AtomicPtr<u8>, PhantomData<(G, S, C)>);
+
+impl<G, S, C> Lazy<G, S, C> {
+    fn new() -> Self {
+        Lazy(AtomicPtr::new(ptr::null_mut()), PhantomData)
+    }
+
+    /// The object, if a write has materialized it: one `Acquire` load,
+    /// no allocation.
+    fn get(&self, backend: Backend) -> Option<Keyed<'_, G, S, C>> {
+        let p = self.0.load(Ordering::Acquire);
+        // SAFETY: a non-null cell heads the block `KeyObject::materialize`
+        // published at this backend's type, alive until the key drops.
+        (!p.is_null()).then(|| unsafe {
+            match backend {
+                Backend::Global => Keyed::Global(&*p.cast()),
+                Backend::Sharded { .. } => Keyed::Sharded(&*p.cast()),
+                Backend::Combining { .. } => Keyed::Combining(&*p.cast()),
+            }
+        })
+    }
+
+    /// Drops the object, if any; its block goes with the arena.
+    ///
+    /// # Safety
+    ///
+    /// `backend` must be the owning key's, which must be going away.
+    unsafe fn drop_object(&mut self, backend: Backend) {
+        let p = *self.0.get_mut();
+        if !p.is_null() {
+            // SAFETY: as `get`, and `&mut self` rules out borrowers.
+            unsafe {
+                match backend {
+                    Backend::Global => ptr::drop_in_place(p.cast::<G>()),
+                    Backend::Sharded { .. } => ptr::drop_in_place(p.cast::<S>()),
+                    Backend::Combining { .. } => ptr::drop_in_place(p.cast::<C>()),
+                }
+            }
+        }
+    }
 }
 
-/// A per-key snapshot on one of the three backends.
-// One boxed allocation per key per object kind lives behind an
-// AtomicPtr for its whole lifetime, so sizing every box to the
-// largest (combining) variant is the cheap, simple choice.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug)]
-pub enum KeyedSnapshot {
-    /// Theorem-2 snapshot.
-    Global(SlSnapshot),
-    /// Group-sharded snapshot, stable whole scans.
-    Sharded(ShardedSnapshot),
-    /// Combining front-end with the published-view cached scan.
-    Combining(CombiningSnapshot),
+/// `n` fresh cells in the next lines of `block`.
+///
+/// # Safety
+///
+/// As [`Lines::carve`]: the result must go into `block`'s header.
+unsafe fn fresh_lines<T: Default>(block: &mut Carver, n: usize) -> Lines<T> {
+    // SAFETY: the caller's contract.
+    unsafe { Lines::carve(block, n, |_| T::default()) }
 }
 
 impl KeyObject {
-    fn new(backend: Backend, processes: usize) -> Self {
+    fn new(backend: Backend, home: NonNull<Home>) -> Self {
         KeyObject {
             backend,
-            processes,
-            max: AtomicPtr::new(ptr::null_mut()),
-            counter: AtomicPtr::new(ptr::null_mut()),
-            snapshot: AtomicPtr::new(ptr::null_mut()),
+            home,
+            max: Lazy::new(),
+            counter: Lazy::new(),
+            snapshot: Lazy::new(),
         }
     }
 
@@ -158,64 +216,110 @@ impl KeyObject {
         self.backend
     }
 
-    /// Lock-free lazy materialization: CAS-publish `make()`'s result
-    /// unless another thread already did (then free ours, use theirs).
-    fn lazy<T>(slot: &AtomicPtr<T>, make: impl FnOnce() -> T) -> &T {
-        let p = slot.load(Ordering::Acquire);
-        if !p.is_null() {
-            // Steady state: one Acquire load, no allocation.
-            return unsafe { &*p };
-        }
-        let fresh = Box::into_raw(Box::new(make()));
-        match slot.compare_exchange(ptr::null_mut(), fresh, Ordering::AcqRel, Ordering::Acquire) {
+    fn home(&self) -> &Home {
+        // SAFETY: the registry's boxed `Home` outlives `self` (see the
+        // `Send`/`Sync` impls).
+        unsafe { self.home.as_ref() }
+    }
+
+    /// Lock-free lazy materialization: CAS-publish an arena block
+    /// holding `build`'s object and its `lines` trailing cache lines
+    /// unless another thread already did (then drop ours, use theirs —
+    /// the loser's block stays in the arena, a race's worth of bytes).
+    #[cold]
+    fn materialize<T>(
+        &self,
+        cell: &AtomicPtr<u8>,
+        lines: usize,
+        build: impl FnOnce(&mut Carver) -> T,
+    ) -> &T {
+        let at = self.home().blocks.alloc(block_layout::<T>(lines));
+        // SAFETY: arena memory of exactly that layout, which outlives
+        // this key's objects (`Registry::drop` drops entries first).
+        let fresh = unsafe { build_block(at, lines, build) }.as_ptr();
+        let null = ptr::null_mut();
+        match cell.compare_exchange(null, fresh.cast(), Ordering::AcqRel, Ordering::Acquire) {
+            // SAFETY: published; alive until the key drops.
             Ok(_) => unsafe { &*fresh },
-            Err(winner) => {
-                // Lost the materialization race: adopt the winner.
-                drop(unsafe { Box::from_raw(fresh) });
-                unsafe { &*winner }
-            }
+            // SAFETY: `fresh` was never shared; the winner built the
+            // same `T` (one backend per key) and published it.
+            Err(winner) => unsafe {
+                ptr::drop_in_place(fresh);
+                &*winner.cast()
+            },
         }
     }
 
     /// The key's max register, materializing it on first touch.
-    pub fn max(&self) -> &KeyedMax {
-        Self::lazy(&self.max, || match self.backend {
-            Backend::Global => KeyedMax::Global(SlMaxRegister::new_binary(self.processes)),
-            Backend::Sharded { shards } => {
-                KeyedMax::Sharded(ShardedMaxRegister::new_binary(self.processes, shards))
+    pub fn max(&self) -> KeyedMax<'_> {
+        self.max.get(self.backend).unwrap_or_else(|| {
+            let (n, binary) = (self.home().processes, LaneEncoding::Binary);
+            let cell = &self.max.0;
+            // One trailing line per shard register, plus one per process
+            // under the combining front-end. SAFETY (the carves, here
+            // and in `counter`): the lines go into the header of the
+            // block `materialize` is building.
+            match self.backend {
+                Backend::Global => {
+                    Keyed::Global(self.materialize(cell, 0, |_| SlMaxRegister::new_binary(n)))
+                }
+                Backend::Sharded { shards } => {
+                    Keyed::Sharded(self.materialize(cell, shards, |b| {
+                        ShardedMaxRegister::over(unsafe { fresh_lines(b, shards) }, n, binary)
+                    }))
+                }
+                Backend::Combining { shards } => {
+                    Keyed::Combining(self.materialize(cell, shards + n, |b| unsafe {
+                        let inner = ShardedMaxRegister::over(fresh_lines(b, shards), n, binary);
+                        CombiningMaxRegister::over(inner, PublicationArray::over(fresh_lines(b, n)))
+                    }))
+                }
             }
-            Backend::Combining { shards } => KeyedMax::Combining(CombiningMaxRegister::new(
-                ShardedMaxRegister::new_binary(self.processes, shards),
-            )),
         })
     }
 
     /// The key's counter, materializing it on first touch.
-    pub fn counter(&self) -> &KeyedCounter {
-        Self::lazy(&self.counter, || match self.backend {
-            Backend::Global => KeyedCounter::Global(WideFetchInc::new_binary(self.processes)),
-            Backend::Sharded { shards } => {
-                KeyedCounter::Sharded(ShardedFetchInc::new_binary(self.processes, shards))
+    pub fn counter(&self) -> KeyedCounter<'_> {
+        self.counter.get(self.backend).unwrap_or_else(|| {
+            let (n, binary) = (self.home().processes, LaneEncoding::Binary);
+            let cell = &self.counter.0;
+            match self.backend {
+                Backend::Global => {
+                    Keyed::Global(self.materialize(cell, 0, |_| WideFetchInc::new_binary(n)))
+                }
+                Backend::Sharded { shards } => {
+                    Keyed::Sharded(self.materialize(cell, shards, |b| {
+                        ShardedFetchInc::over(unsafe { fresh_lines(b, shards) }, n, binary)
+                    }))
+                }
+                Backend::Combining { shards } => {
+                    Keyed::Combining(self.materialize(cell, shards + n, |b| unsafe {
+                        let inner = ShardedFetchInc::over(fresh_lines(b, shards), n, binary);
+                        CombiningCounter::over(inner, PublicationArray::over(fresh_lines(b, n)))
+                    }))
+                }
             }
-            Backend::Combining { shards } => KeyedCounter::Combining(CombiningCounter::new(
-                ShardedFetchInc::new_binary(self.processes, shards),
-            )),
         })
     }
 
     /// The key's snapshot, materializing it on first touch. Component
     /// count is the registry's process count (one component per
     /// serving lane, the Theorem-2 shape).
-    pub fn snapshot(&self) -> &KeyedSnapshot {
-        Self::lazy(&self.snapshot, || match self.backend {
-            Backend::Global => KeyedSnapshot::Global(SlSnapshot::new(self.processes)),
-            Backend::Sharded { shards } => KeyedSnapshot::Sharded(ShardedSnapshot::new(
-                self.processes,
-                self.processes.div_ceil(shards).max(1),
-            )),
-            Backend::Combining { shards } => KeyedSnapshot::Combining(CombiningSnapshot::new(
-                ShardedSnapshot::new(self.processes, self.processes.div_ceil(shards).max(1)),
-            )),
+    pub fn snapshot(&self) -> KeyedSnapshot<'_> {
+        self.snapshot.get(self.backend).unwrap_or_else(|| {
+            let (n, cell) = (self.home().processes, &self.snapshot.0);
+            let sharded = |shards: usize| ShardedSnapshot::new(n, n.div_ceil(shards).max(1));
+            match self.backend {
+                Backend::Global => Keyed::Global(self.materialize(cell, 0, |_| SlSnapshot::new(n))),
+                Backend::Sharded { shards } => {
+                    Keyed::Sharded(self.materialize(cell, 0, |_| sharded(shards)))
+                }
+                Backend::Combining { shards } => {
+                    Keyed::Combining(
+                        self.materialize(cell, 0, |_| CombiningSnapshot::new(sharded(shards))),
+                    )
+                }
+            }
         })
     }
 
@@ -229,11 +333,15 @@ impl KeyObject {
     }
 
     /// Exact `read_max(key)` (stable collect on the layered backends).
+    /// A register no write has materialized reads its initial 0 off
+    /// the null pointer: the load precedes the publishing CAS, hence
+    /// every write's fetch&add (DESIGN.md §12).
     pub fn read_max(&self) -> u64 {
-        match self.max() {
-            KeyedMax::Global(m) => m.read_max(),
-            KeyedMax::Sharded(m) => m.read_max(),
-            KeyedMax::Combining(m) => m.read_max(),
+        match self.max.get(self.backend) {
+            None => 0,
+            Some(KeyedMax::Global(m)) => m.read_max(),
+            Some(KeyedMax::Sharded(m)) => m.read_max(),
+            Some(KeyedMax::Combining(m)) => m.read_max(),
         }
     }
 
@@ -241,10 +349,11 @@ impl KeyObject {
     /// combining backend (k-lagging, DESIGN.md §8); falls back to the
     /// exact read on backends with no cache.
     pub fn read_max_cached(&self) -> u64 {
-        match self.max() {
-            KeyedMax::Global(m) => m.read_max(),
-            KeyedMax::Sharded(m) => m.read_max(),
-            KeyedMax::Combining(m) => m.read_cached(),
+        match self.max.get(self.backend) {
+            None => 0,
+            Some(KeyedMax::Global(m)) => m.read_max(),
+            Some(KeyedMax::Sharded(m)) => m.read_max(),
+            Some(KeyedMax::Combining(m)) => m.read_cached(),
         }
     }
 
@@ -261,23 +370,26 @@ impl KeyObject {
         }
     }
 
-    /// Exact `read_count(key)`.
+    /// Exact `read_count(key)`; 0 off the null pointer as
+    /// [`KeyObject::read_max`].
     pub fn read_count(&self) -> u64 {
-        match self.counter() {
+        match self.counter.get(self.backend) {
+            None => 0,
             // WideFetchInc is 1-based (a ticket dispenser); the
             // counter value is tickets handed out so far.
-            KeyedCounter::Global(c) => c.read() - 1,
-            KeyedCounter::Sharded(c) => c.read(),
-            KeyedCounter::Combining(c) => c.read_exact(),
+            Some(KeyedCounter::Global(c)) => c.read() - 1,
+            Some(KeyedCounter::Sharded(c)) => c.read(),
+            Some(KeyedCounter::Combining(c)) => c.read_exact(),
         }
     }
 
     /// Cached `read_count(key)` (combining backend; exact elsewhere).
     pub fn read_count_cached(&self) -> u64 {
-        match self.counter() {
-            KeyedCounter::Global(c) => c.read() - 1,
-            KeyedCounter::Sharded(c) => c.read_relaxed(),
-            KeyedCounter::Combining(c) => c.read_cached(),
+        match self.counter.get(self.backend) {
+            None => 0,
+            Some(KeyedCounter::Global(c)) => c.read() - 1,
+            Some(KeyedCounter::Sharded(c)) => c.read_relaxed(),
+            Some(KeyedCounter::Combining(c)) => c.read_cached(),
         }
     }
 
@@ -290,29 +402,25 @@ impl KeyObject {
         }
     }
 
-    /// Exact `scan(key)`.
+    /// Exact `scan(key)`; all zeros off the null pointer as
+    /// [`KeyObject::read_max`].
     pub fn scan(&self) -> Vec<u64> {
-        match self.snapshot() {
-            KeyedSnapshot::Global(s) => s.scan(),
-            KeyedSnapshot::Sharded(s) => s.scan(),
-            KeyedSnapshot::Combining(s) => s.scan(),
+        match self.snapshot.get(self.backend) {
+            None => vec![0; self.home().processes],
+            Some(KeyedSnapshot::Global(s)) => s.scan(),
+            Some(KeyedSnapshot::Sharded(s)) => s.scan(),
+            Some(KeyedSnapshot::Combining(s)) => s.scan(),
         }
     }
 }
 
 impl Drop for KeyObject {
     fn drop(&mut self) {
-        let m = self.max.load(Ordering::Acquire);
-        if !m.is_null() {
-            drop(unsafe { Box::from_raw(m) });
-        }
-        let c = self.counter.load(Ordering::Acquire);
-        if !c.is_null() {
-            drop(unsafe { Box::from_raw(c) });
-        }
-        let s = self.snapshot.load(Ordering::Acquire);
-        if !s.is_null() {
-            drop(unsafe { Box::from_raw(s) });
+        // SAFETY: this key's backend, and the key is going away.
+        unsafe {
+            self.max.drop_object(self.backend);
+            self.counter.drop_object(self.backend);
+            self.snapshot.drop_object(self.backend);
         }
     }
 }
@@ -329,9 +437,12 @@ struct Entry<K> {
 pub struct Registry<K> {
     slots: Box<[AtomicPtr<Entry<K>>]>,
     mask: usize,
+    capacity: usize,
     len: AtomicUsize,
-    processes: usize,
     policy: Box<BackendPolicy<K>>,
+    /// Boxed so keys can point at it wherever the registry moves;
+    /// `Drop` drops every entry's objects before this (their arena).
+    home: Box<Home>,
 }
 
 impl<K> std::fmt::Debug for Registry<K> {
@@ -339,7 +450,7 @@ impl<K> std::fmt::Debug for Registry<K> {
         f.debug_struct("Registry")
             .field("capacity", &self.capacity())
             .field("len", &self.len())
-            .field("processes", &self.processes)
+            .field("processes", &self.processes())
             .finish_non_exhaustive()
     }
 }
@@ -355,14 +466,21 @@ impl<K> Registry<K> {
         self.len() == 0
     }
 
-    /// Maximum number of distinct keys (the constructor contract).
+    /// Maximum number of distinct keys: the constructor's `capacity`,
+    /// exactly.
     pub fn capacity(&self) -> usize {
-        self.mask.div_ceil(2)
+        self.capacity
     }
 
     /// Serving-lane (process) count shared by every per-key object.
     pub fn processes(&self) -> usize {
-        self.processes
+        self.home.processes
+    }
+
+    /// Bytes of per-key object blocks taken from the registry's arena
+    /// so far, alignment gaps included (entries are boxed separately).
+    pub fn block_bytes(&self) -> usize {
+        self.home.blocks.claimed()
     }
 }
 
@@ -393,9 +511,13 @@ impl<K: Hash + Eq + Clone> Registry<K> {
                 .map(|_| AtomicPtr::new(ptr::null_mut()))
                 .collect(),
             mask: table - 1,
+            capacity,
             len: AtomicUsize::new(0),
-            processes,
             policy: Box::new(policy),
+            home: Box::new(Home {
+                processes,
+                blocks: Slab::new(),
+            }),
         }
     }
 
@@ -433,71 +555,87 @@ impl<K: Hash + Eq + Clone> Registry<K> {
     ///
     /// Panics when the table already holds `capacity` keys and `key`
     /// is new — capacity is a constructor contract, not a resize
-    /// trigger.
+    /// trigger. [`Registry::try_get_or_insert`] returns that case.
     pub fn get_or_insert(&self, key: &K) -> &KeyObject {
+        self.try_get_or_insert(key)
+            .unwrap_or_else(|full| panic!("{full}: size the registry for its key universe"))
+    }
+
+    /// As [`Registry::get_or_insert`], refusing a new key once the
+    /// table holds `capacity` of them instead of panicking.
+    pub fn try_get_or_insert(&self, key: &K) -> Result<&KeyObject, RegistryFull> {
         let mut i = self.hash(key);
-        let mut candidate: *mut Entry<K> = ptr::null_mut();
-        let mut probes = 0usize;
-        loop {
-            assert!(
-                probes <= self.mask,
-                "registry capacity exhausted ({} keys): size the registry for its key universe",
-                self.capacity()
-            );
+        let mut candidate: Option<Box<Entry<K>>> = None;
+        let full = RegistryFull {
+            capacity: self.capacity,
+        };
+        // Keys fill at most half the table, so a probe chain ends at
+        // this key or at a null slot long before it wraps — unless
+        // more racing inserters than the headroom half all passed the
+        // `len` check at once; the bound refuses that too.
+        for _ in 0..=self.mask {
             let slot = &self.slots[i & self.mask];
             let mut p = slot.load(Ordering::Acquire);
             if p.is_null() {
-                if self.len.load(Ordering::Acquire) >= self.capacity() {
-                    // Over the contract even though a slot is free —
-                    // keep probe chains bounded by refusing to fill
-                    // the headroom half of the table.
-                    if !candidate.is_null() {
-                        drop(unsafe { Box::from_raw(candidate) });
-                    }
-                    panic!(
-                        "registry capacity exhausted ({} keys): size the registry for its key universe",
-                        self.capacity()
-                    );
+                if self.len.load(Ordering::Acquire) >= self.capacity {
+                    // Dropping `candidate` frees a lost race's entry.
+                    return Err(full);
                 }
-                if candidate.is_null() {
-                    let backend = (self.policy)(key);
-                    candidate = Box::into_raw(Box::new(Entry {
+                let fresh = Box::into_raw(candidate.take().unwrap_or_else(|| {
+                    Box::new(Entry {
                         key: key.clone(),
-                        object: KeyObject::new(backend, self.processes),
-                    }));
-                }
+                        object: KeyObject::new((self.policy)(key), NonNull::from(&*self.home)),
+                    })
+                }));
                 sl2_chaos::point(probes::INSERT);
                 match slot.compare_exchange(
                     ptr::null_mut(),
-                    candidate,
+                    fresh,
                     Ordering::AcqRel,
                     Ordering::Acquire,
                 ) {
                     Ok(_) => {
                         self.len.fetch_add(1, Ordering::AcqRel);
                         sl2_obs::count(probes::INSERT);
-                        return &unsafe { &*candidate }.object;
+                        // SAFETY: published; entries live until `self` drops.
+                        return Ok(&unsafe { &*fresh }.object);
                     }
                     Err(winner) => {
                         // Someone landed in this slot first; inspect it
                         // like any occupied slot (it may be our key).
                         sl2_obs::count(probes::INSERT_LOST);
+                        // SAFETY: the CAS failed, so `fresh` is still ours.
+                        candidate = Some(unsafe { Box::from_raw(fresh) });
                         p = winner;
                     }
                 }
             }
+            // SAFETY: non-null slots hold published, never-freed entries.
             let entry = unsafe { &*p };
             if entry.key == *key {
-                if !candidate.is_null() {
-                    drop(unsafe { Box::from_raw(candidate) });
-                }
-                return &entry.object;
+                return Ok(&entry.object);
             }
             i = i.wrapping_add(1);
-            probes += 1;
         }
+        Err(full)
     }
 }
+
+/// [`Registry::try_get_or_insert`] met a new key with the table
+/// already holding its `capacity` distinct keys.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RegistryFull {
+    /// The capacity the registry was constructed with.
+    pub capacity: usize,
+}
+
+impl std::fmt::Display for RegistryFull {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "registry capacity exhausted ({} keys)", self.capacity)
+    }
+}
+
+impl std::error::Error for RegistryFull {}
 
 impl<K> Drop for Registry<K> {
     fn drop(&mut self) {
@@ -533,6 +671,31 @@ mod tests {
         assert_eq!(r.get_or_insert(&9).read_count(), 1);
         assert!(r.get(&11).is_none(), "reads must not materialize");
         assert_eq!(r.len(), 2);
+    }
+
+    #[test]
+    fn reads_of_untouched_objects_see_initial_values_without_materializing() {
+        for backend in [
+            Backend::Global,
+            Backend::Sharded { shards: 2 },
+            Backend::Combining { shards: 2 },
+        ] {
+            let r: Registry<u64> = Registry::new(4, 3, backend);
+            let obj = r.get_or_insert(&1);
+            assert_eq!(r.len(), 1, "key-level insertion is unchanged");
+            assert_eq!(
+                (obj.read_max(), obj.read_max_cached(), obj.read_count()),
+                (0, 0, 0)
+            );
+            assert_eq!(obj.read_count_cached(), 0);
+            assert_eq!(obj.scan(), vec![0; 3]);
+            let cells = [&obj.max.0, &obj.counter.0, &obj.snapshot.0];
+            assert!(cells.iter().all(|c| c.load(Ordering::Acquire).is_null()));
+            // A write still materializes, and only its own object.
+            obj.inc(2);
+            assert_eq!((obj.read_count(), obj.read_max()), (1, 0), "{backend:?}");
+            assert!(obj.max.get(backend).is_none(), "{backend:?}");
+        }
     }
 
     #[test]
@@ -620,11 +783,28 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "registry capacity exhausted")]
+    #[should_panic(expected = "registry capacity exhausted (4 keys)")]
     fn capacity_is_a_contract() {
         let r: Registry<u64> = Registry::new(4, 1, Backend::Global);
         for k in 0..64u64 {
             r.get_or_insert(&k);
         }
+    }
+
+    #[test]
+    fn capacity_is_the_requested_number_not_the_table_half() {
+        let r: Registry<u64> = Registry::new(3, 1, Backend::Global);
+        assert_eq!(r.capacity(), 3);
+        for k in 0..3u64 {
+            r.try_get_or_insert(&k).expect("within capacity");
+        }
+        let full = r.try_get_or_insert(&3).expect_err("the 4th key is refused");
+        assert_eq!(full, RegistryFull { capacity: 3 });
+        assert_eq!(full.to_string(), "registry capacity exhausted (3 keys)");
+        let _: &dyn std::error::Error = &full;
+        assert_eq!(r.len(), 3);
+        r.try_get_or_insert(&2)
+            .expect("resident keys still resolve");
+        assert!(r.get(&3).is_none());
     }
 }

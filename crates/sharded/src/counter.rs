@@ -35,7 +35,7 @@
 
 use sl2_bignum::WideFaa;
 use sl2_bignum::{LaneEncoding, Layout};
-use sl2_primitives::{CachePadded, Sharding};
+use sl2_primitives::{Lines, Sharding};
 
 /// A unique increment receipt: shard-dense, not globally ordered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -62,7 +62,7 @@ pub struct ShardTicket {
 /// ```
 #[derive(Debug)]
 pub struct ShardedFetchInc {
-    shards: Box<[CachePadded<WideFaa>]>,
+    shards: Lines<WideFaa>,
     layout: Layout,
     sharding: Sharding,
     encoding: LaneEncoding,
@@ -90,13 +90,17 @@ impl ShardedFetchInc {
     /// Creates a counter with an explicit lane encoding (panics as
     /// [`ShardedFetchInc::new`]).
     pub fn with_encoding(n: usize, shards: usize, encoding: LaneEncoding) -> Self {
-        let sharding = Sharding::new(shards);
+        ShardedFetchInc::over(Lines::new(shards, |_| WideFaa::new()), n, encoding)
+    }
+
+    /// As [`ShardedFetchInc::with_encoding`] over caller-placed stripe
+    /// registers, one stripe per line (fresh registers: the count
+    /// starts at 0) — see [`crate::ShardedMaxRegister::over`].
+    pub fn over(shards: Lines<WideFaa>, n: usize, encoding: LaneEncoding) -> Self {
         ShardedFetchInc {
-            shards: (0..shards)
-                .map(|_| CachePadded::new(WideFaa::new()))
-                .collect(),
+            sharding: Sharding::new(shards.len()),
+            shards,
             layout: Layout::new(n),
-            sharding,
             encoding,
         }
     }

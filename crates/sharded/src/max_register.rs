@@ -7,7 +7,7 @@
 //! write keeps a *fixed* linearization point on a single base object
 //! and stays wait-free in 1–2 steps. Contending writers only collide
 //! when their values share a residue class; each shard sits on its own
-//! cache line ([`CachePadded`]).
+//! cache line ([`sl2_primitives::Lines`]).
 //!
 //! # The quotient encoding
 //!
@@ -49,7 +49,7 @@
 use sl2_bignum::WideFaa;
 use sl2_bignum::{LaneEncoding, Layout};
 use sl2_core::algos::MaxRegister;
-use sl2_primitives::{CachePadded, Sharding};
+use sl2_primitives::{Lines, Sharding};
 
 /// A max register striped over `S` per-residue-class Theorem-1
 /// registers.
@@ -67,7 +67,7 @@ use sl2_primitives::{CachePadded, Sharding};
 /// ```
 #[derive(Debug)]
 pub struct ShardedMaxRegister {
-    shards: Box<[CachePadded<WideFaa>]>,
+    shards: Lines<WideFaa>,
     layout: Layout,
     sharding: Sharding,
     encoding: LaneEncoding,
@@ -103,13 +103,18 @@ impl ShardedMaxRegister {
     /// Panics if `n == 0`, `shards == 0`, or `shards` exceeds
     /// [`sl2_primitives::MAX_SHARDS`].
     pub fn with_encoding(n: usize, shards: usize, encoding: LaneEncoding) -> Self {
-        let sharding = Sharding::new(shards);
+        ShardedMaxRegister::over(Lines::new(shards, |_| WideFaa::new()), n, encoding)
+    }
+
+    /// As [`ShardedMaxRegister::with_encoding`] over caller-placed
+    /// shard registers, one shard per line (fresh registers: the
+    /// initial value is 0) — how a registry co-allocates a key's
+    /// shards with this header (`sl2_primitives::build_block`).
+    pub fn over(shards: Lines<WideFaa>, n: usize, encoding: LaneEncoding) -> Self {
         ShardedMaxRegister {
-            shards: (0..shards)
-                .map(|_| CachePadded::new(WideFaa::new()))
-                .collect(),
+            sharding: Sharding::new(shards.len()),
+            shards,
             layout: Layout::new(n),
-            sharding,
             encoding,
         }
     }

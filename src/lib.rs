@@ -239,8 +239,8 @@ pub mod prelude {
         same_key_fan_in_scenario, KeyedDispatchAlg, LaggingKeyedDispatchAlg, RouteMode,
     };
     pub use sl2_service::{
-        Backend, KeyObject, KeyedCounter, KeyedMax, KeyedSnapshot, Registry, Request, Response,
-        Service, ServiceOp,
+        Backend, KeyObject, KeyedCounter, KeyedMax, KeyedSnapshot, Registry, RegistryFull, Request,
+        Response, Service, ServiceOp,
     };
     pub use sl2_sharded::{
         fan_in_max_scenario, frontier_safe_max_scenario, RelaxedShardedCounter, ShardTicket,

@@ -26,10 +26,13 @@ use sl2_sharded::{ShardedFetchInc, ShardedMaxRegister, ShardedSnapshot};
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
+    static FREES: Cell<u64> = const { Cell::new(0) };
 }
 
 /// Forwards to the system allocator, counting allocations (and
-/// growth-reallocations) made by the current thread.
+/// growth-reallocations), the bytes they asked for, and frees made by
+/// the current thread.
 struct CountingAlloc;
 
 // SAFETY: delegates to `System`; the thread-local is const-initialized
@@ -38,10 +41,12 @@ struct CountingAlloc;
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.with(|c| c.set(c.get() + 1));
+        BYTES.with(|c| c.set(c.get() + layout.size() as u64));
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        FREES.with(|c| c.set(c.get() + 1));
         unsafe { System.dealloc(ptr, layout) }
     }
 
@@ -421,6 +426,105 @@ fn resident_keys_stay_inline_and_allocation_free_on_every_backend() {
             "{backend:?}: a register migrated to the heap regime"
         );
     }
+}
+
+/// The three backends at the benchmark's shape: `n = 2`, `shards = 2`.
+const BACKENDS: [sl2_service::Backend; 3] = [
+    sl2_service::Backend::Global,
+    sl2_service::Backend::Sharded { shards: 2 },
+    sl2_service::Backend::Combining { shards: 2 },
+];
+
+#[test]
+fn a_key_costs_what_its_backend_needs() {
+    // The ISSUE-22 pin. Materializing one key with `inc` + `write_max`
+    // used to request 760 / 1 016 / 1 400 bytes in 3 / 5 / 8
+    // allocations (every box sized and 64-aligned to the combining
+    // variant, two padded per-process arrays per object). Now it is one
+    // allocation — the 56-byte entry — plus the objects' blocks out of
+    // the registry's arena, at their own sizes: an 80-byte register
+    // each on `Global`; a header line and two shard lines on
+    // `Sharded`; header, lock, published, two shard and two process
+    // lines under the combining front-end.
+    use sl2_service::Registry;
+    for (backend, blocks) in BACKENDS.into_iter().zip([2 * 80, 2 * 192, 2 * 448]) {
+        let reg: Registry<u64> = Registry::new(4, 2, backend);
+        // The first key brings the arena's first chunk with it.
+        let first = reg.get_or_insert(&1);
+        first.inc(0);
+        first.write_max(1, 9);
+        let (before, bytes_before) = (reg.block_bytes(), BYTES.with(|c| c.get()));
+        let (n, _) = allocs_during(|| {
+            let obj = reg.get_or_insert(&2);
+            obj.inc(0);
+            obj.write_max(1, 9);
+        });
+        let requested = BYTES.with(|c| c.get()) - bytes_before;
+        assert_eq!(
+            (n, requested),
+            (1, 56),
+            "{backend:?}: the entry, nothing else"
+        );
+        assert_eq!(reg.block_bytes() - before, blocks, "{backend:?}");
+    }
+}
+
+#[test]
+fn reading_fresh_keys_allocates_their_entries_only() {
+    // Exact reads of a sub-object no write has touched answer from the
+    // null lazy pointer (DESIGN.md §12) — an audit pass over write-only
+    // or inc-only keys must not materialize their other half.
+    use sl2_service::Registry;
+    for backend in BACKENDS {
+        let reg: Registry<u64> = Registry::new(8, 2, backend);
+        let (n, sum) = allocs_during(|| {
+            (0..8u64)
+                .map(|k| {
+                    let obj = reg.get_or_insert(&k);
+                    obj.read_max()
+                        + obj.read_max_cached()
+                        + obj.read_count()
+                        + obj.read_count_cached()
+                })
+                .sum::<u64>()
+        });
+        assert_eq!((n, sum), (8, 0), "{backend:?}: one entry per key");
+        assert_eq!(
+            reg.block_bytes(),
+            0,
+            "{backend:?}: a read materialized an object"
+        );
+        let (n, view) = allocs_during(|| reg.get_or_insert(&0).scan());
+        assert_eq!(
+            (n, view),
+            (1, vec![0, 0]),
+            "{backend:?}: the output vector only"
+        );
+        assert_eq!(reg.len(), 8);
+    }
+}
+
+#[test]
+fn a_full_registry_refuses_with_a_typed_error_and_leaks_nothing() {
+    use sl2_service::{Backend, Registry, RegistryFull};
+    let (allocs, frees) = (ALLOCS.with(|c| c.get()), FREES.with(|c| c.get()));
+    {
+        let reg: Registry<u64> = Registry::new(4, 2, Backend::Combining { shards: 2 });
+        for k in 0..4u64 {
+            reg.try_get_or_insert(&k).expect("within capacity").inc(0);
+        }
+        assert_eq!(
+            reg.try_get_or_insert(&4).err(),
+            Some(RegistryFull { capacity: 4 })
+        );
+        assert_eq!(reg.try_get_or_insert(&3).expect("resident").read_count(), 1);
+        assert_eq!(reg.len(), 4);
+    }
+    assert_eq!(
+        ALLOCS.with(|c| c.get()) - allocs,
+        FREES.with(|c| c.get()) - frees,
+        "the refused insert (or the registry's drop) leaked an allocation"
+    );
 }
 
 #[cfg(not(feature = "obs"))]

@@ -198,6 +198,76 @@ fn combined_and_plain_sharded_max_registers_agree_on_mirrored_ops() {
 }
 
 #[test]
+fn packed_control_lines_keep_their_sizes() {
+    // ISSUE 22 packs the control words by writer — {lock cell, lease
+    // generation}, {published fold, epoch}, {process p's slot, p's
+    // suspicion} — one line each. A field added to any of them must
+    // not silently spill it into a second line (or a header into the
+    // lock's): these sizes are what the registry's per-key block is
+    // laid out from.
+    use std::mem::{align_of, size_of};
+    assert_eq!(
+        (size_of::<CombinerLock>(), align_of::<CombinerLock>()),
+        (64, 64),
+        "lock cell + generation: one line"
+    );
+    // Header line (inner object's header + the per-process array's),
+    // lock line, published line; shard and process lines trail.
+    assert_eq!(size_of::<CombiningMaxRegister>(), 3 * 64);
+    assert_eq!(size_of::<CombiningCounter>(), 3 * 64);
+    assert_eq!(align_of::<CombiningMaxRegister>(), 64);
+    assert!(size_of::<ShardedMaxRegister>() + size_of::<PublicationArray>() <= 64);
+    assert!(size_of::<ShardedFetchInc>() + size_of::<PublicationArray>() <= 64);
+}
+
+#[test]
+fn two_writers_on_a_packed_registry_key_agree_with_plain_objects() {
+    // The false-sharing guard's behavioural half: the same mirrored
+    // differential as above, but through a registry key — whose
+    // combining objects live in one arena block each, control words
+    // packed, shard and process lines carved behind the header — with
+    // exactly the two writers whose words now share lines.
+    let reg: Registry<u64> = Registry::new(4, 2, Backend::Combining { shards: 2 });
+    let obj = reg.get_or_insert(&7);
+    let plain = ShardedMaxRegister::new_binary(2, 2);
+    let issued = AtomicU64::new(0);
+    for round in 0..3u64 {
+        std::thread::scope(|s| {
+            for p in 0..2usize {
+                let (plain, issued) = (&plain, &issued);
+                s.spawn(move || {
+                    let deadline = Instant::now() + WINDOW / 4;
+                    let mut v = round * 1_000_000;
+                    while Instant::now() < deadline {
+                        v += 1 + p as u64;
+                        // Plain first, so it always covers the key.
+                        plain.write_max(p, v);
+                        obj.write_max(p, v);
+                        obj.inc(p);
+                        issued.fetch_add(1, Ordering::SeqCst);
+                        // No per-read monotonicity claim here: with
+                        // both writers preemptible mid-tenure, a
+                        // wrongful reclaim's two-swap repair is
+                        // observable in between (DESIGN.md §10) — at
+                        // the parent commit as much as on this layout.
+                        let cached = obj.read_max_cached();
+                        assert!(cached <= plain.read_max(), "cached fold ran ahead");
+                    }
+                });
+            }
+        });
+        assert_eq!(obj.read_max(), plain.read_max(), "round {round}");
+        assert_eq!(obj.read_count(), issued.load(Ordering::SeqCst));
+        assert!(obj.read_count_cached() <= obj.read_count());
+        let KeyedMax::Combining(m) = obj.max() else {
+            panic!("the key is on the combining backend");
+        };
+        m.refresh();
+        assert_eq!(obj.read_max_cached(), plain.read_max(), "round {round}");
+    }
+}
+
+#[test]
 fn abandoned_combiner_lock_degrades_boundedly_then_is_reclaimed() {
     // A combiner that crash-stops mid-tenure freezes its lease in the
     // lock and leaves its announcement behind. Survivors must (a) keep
