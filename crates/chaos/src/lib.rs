@@ -97,6 +97,10 @@ mod active {
     pub struct FaultRule {
         /// Chaos-point label the rule arms, e.g. `"combine.won"`.
         pub label: String,
+        /// Worker pool the rule is confined to (`None` = any thread,
+        /// pooled or not). Lane numbers repeat across pools, and tests
+        /// in one binary run their pools side by side.
+        pub pool: Option<u64>,
         /// Thread the rule targets (`None` = any enrolled thread).
         pub thread: Option<usize>,
         /// 1-based pass count at which the rule fires.
@@ -132,15 +136,35 @@ mod active {
         }
 
         /// Arms a targeted rule (builder style).
-        pub fn on(
+        pub fn on(self, label: &str, thread: Option<usize>, nth: u64, action: FaultAction) -> Self {
+            self.rule(label, None, thread, nth, action)
+        }
+
+        /// As [`FaultPlan::on`], confined to threads enrolled in worker
+        /// pool `pool` (`labeled::enroll_in`; a `Service`'s workers are,
+        /// under its `pool_id`).
+        pub fn on_pool(
+            self,
+            label: &str,
+            pool: u64,
+            thread: Option<usize>,
+            nth: u64,
+            action: FaultAction,
+        ) -> Self {
+            self.rule(label, Some(pool), thread, nth, action)
+        }
+
+        fn rule(
             mut self,
             label: &str,
+            pool: Option<u64>,
             thread: Option<usize>,
             nth: u64,
             action: FaultAction,
         ) -> Self {
             self.rules.push(FaultRule {
                 label: label.to_string(),
+                pool,
                 thread,
                 nth,
                 action,
@@ -310,8 +334,13 @@ mod active {
             *c += 1;
             *c
         });
+        let pool = labeled::enrolled_pool();
         for rule in &plan.rules {
-            if rule.label == label && rule.thread.is_none_or(|rt| rt == t) && rule.nth == n {
+            if rule.label == label
+                && rule.pool.is_none_or(|p| pool == Some(p))
+                && rule.thread.is_none_or(|rt| rt == t)
+                && rule.nth == n
+            {
                 perform(rule.action, label, t, plan.seed(), g);
             }
         }
@@ -378,6 +407,20 @@ mod active {
             let msg = err.downcast_ref::<String>().unwrap();
             assert!(msg.contains("seed=42"), "seed missing from: {msg}");
             assert!(msg.contains("p.label"), "label missing from: {msg}");
+        }
+
+        #[test]
+        fn pool_scoped_rule_skips_the_same_lane_of_another_pool() {
+            let _s = install(FaultPlan::new(3).on_pool("q", 8, Some(1), 1, FaultAction::Panic));
+            let pass = |pool| {
+                std::thread::spawn(move || {
+                    labeled::enroll_in(pool, 1);
+                    point("q");
+                })
+                .join()
+            };
+            assert!(pass(9).is_ok(), "lane 1 of another pool");
+            assert!(pass(8).is_err(), "lane 1 of the rule's pool");
         }
 
         #[test]

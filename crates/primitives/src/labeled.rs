@@ -10,7 +10,9 @@
 //!   it, so seeded decisions and lock-free interning tables agree on
 //!   what a label *is*;
 //! * a **thread identity** — [`enroll`]/[`enrolled`] for the explicit
-//!   logical ids chaos plans target, and [`slot`] for the
+//!   logical ids chaos plans target ([`enroll_in`]/[`enrolled_pool`]
+//!   when the id is a lane of one worker pool among several in the
+//!   process), and [`slot`] for the
 //!   always-available shard index obs counters hash by (enrolled id if
 //!   present, else a lazily auto-assigned per-thread id).
 //!
@@ -68,6 +70,7 @@ static NEXT_AUTO_SLOT: AtomicUsize = AtomicUsize::new(0);
 
 thread_local! {
     static ENROLLED: Cell<Option<usize>> = const { Cell::new(None) };
+    static POOL: Cell<Option<u64>> = const { Cell::new(None) };
     static AUTO_SLOT: Cell<Option<usize>> = const { Cell::new(None) };
 }
 
@@ -76,6 +79,21 @@ thread_local! {
 /// attribute to the same logical thread a fault plan would.
 pub fn enroll(t: usize) {
     ENROLLED.with(|c| c.set(Some(t)));
+    POOL.with(|c| c.set(None));
+}
+
+/// Enrolls the calling thread as lane `t` of worker pool `pool`. Lane
+/// numbers repeat across pools (every pool has a lane 0), so a chaos
+/// rule that means one pool's lane names the pool too.
+pub fn enroll_in(pool: u64, t: usize) {
+    ENROLLED.with(|c| c.set(Some(t)));
+    POOL.with(|c| c.set(Some(pool)));
+}
+
+/// The pool the calling thread was enrolled in by [`enroll_in`], if
+/// any.
+pub fn enrolled_pool() -> Option<u64> {
+    POOL.with(|c| c.get())
 }
 
 /// The calling thread's enrolled id, if [`enroll`] was called.
@@ -136,6 +154,14 @@ mod tests {
         enroll(97);
         assert_eq!(enrolled(), Some(97));
         assert_eq!(slot(), 97, "enrolled id wins");
+    }
+
+    #[test]
+    fn pool_enrollment_is_replaced_by_plain_enrollment() {
+        enroll_in(5, 2);
+        assert_eq!((enrolled_pool(), enrolled()), (Some(5), Some(2)));
+        enroll(3);
+        assert_eq!((enrolled_pool(), enrolled()), (None, Some(3)));
     }
 
     #[test]

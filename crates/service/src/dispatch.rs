@@ -28,8 +28,10 @@
 //!   (execution timer), `service.queue_depth` (enqueue-time depth
 //!   gauge, i.e. a high-watermark under the gauge's max semantics),
 //!   `service.dequeue` / `service.queue_depth.dequeue` (the drain
-//!   side of the same queue, so armed runs see both edges), and the
-//!   registry's `service.registry.*` counters;
+//!   side: jobs left in the worker's hand after it starts one — the
+//!   worker takes the queue a batch at a time, so armed runs see the
+//!   largest batch less one), and the registry's `service.registry.*`
+//!   counters;
 //! * trace spans: every submission mints one span id and marks it
 //!   `service.request` Begin (client side, pre-publish) with the
 //!   encoded request as payload. The id rides through the FIFO; the
@@ -45,12 +47,13 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use std::sync::{Condvar, Mutex};
 
 use sl2_obs::Histogram;
-use sl2_primitives::labeled::mix;
+use sl2_primitives::labeled::{self, mix};
+use sl2_primitives::CachePadded;
 use sl2_spec::keyed::KeyedMaxOp;
 use sl2_spec::max_register::MaxResp;
 
@@ -68,9 +71,8 @@ pub(crate) mod probes {
     pub const QUEUE_DEPTH: &str = "service.queue_depth";
     /// One request dequeued by its serving worker.
     pub const DEQUEUE: &str = "service.dequeue";
-    /// Queue depth observed just after a dequeue (gauge keeps the
-    /// max) — the drain edge of `QUEUE_DEPTH`, so armed runs see the
-    /// queue empty out instead of a ratcheting watermark.
+    /// Jobs left in the worker's hand just after it starts one (gauge
+    /// keeps the max) — the drain edge of `QUEUE_DEPTH`.
     pub const QUEUE_DEPTH_DEQUEUE: &str = "service.queue_depth.dequeue";
     /// Span label of one request through the service (trace).
     pub const REQUEST: &str = "service.request";
@@ -202,10 +204,10 @@ struct Completion {
 #[derive(Debug)]
 struct Job {
     req: Request,
-    /// When this request was scheduled to arrive (open-loop clock).
-    scheduled: Instant,
-    /// Record scheduled→completion latency into the worker histogram?
-    track: bool,
+    /// When this request was scheduled to arrive (open-loop clock);
+    /// `Some` records scheduled→completion latency into the worker
+    /// histogram.
+    scheduled: Option<Instant>,
     /// Blocking caller to notify, if any.
     done: Option<Arc<Completion>>,
     /// Trace span the request carries through the FIFO (0 disarmed).
@@ -216,20 +218,38 @@ struct Job {
     end_span: bool,
 }
 
-#[derive(Debug)]
+/// How long an idle worker polls its queue before it parks: about one
+/// park/wake pair on the hosts measured (DESIGN.md §12), so an active
+/// worker burns at most this much CPU per idle gap.
+const SPIN_BUDGET: Duration = Duration::from_micros(40);
+
+#[derive(Debug, Default)]
+struct QueueState {
+    jobs: VecDeque<Job>,
+    /// The worker is in `cv.wait` (set by it, cleared by whoever
+    /// notifies it, both under the lock — no wake-up can be lost).
+    parked: bool,
+}
+
+#[derive(Debug, Default)]
 struct WorkerQueue {
-    jobs: Mutex<VecDeque<Job>>,
+    state: Mutex<QueueState>,
     cv: Condvar,
+    /// Jobs ever pushed here. Written under the lock, so a load and a
+    /// store, not an RMW; the worker polls it, lock-free, against its
+    /// own completion count before it parks.
+    submitted: AtomicU64,
 }
 
 #[derive(Debug)]
 struct Shared {
     registry: Registry<u64>,
-    queues: Box<[WorkerQueue]>,
+    queues: Box<[CachePadded<WorkerQueue>]>,
     latency: Box<[Mutex<Histogram>]>,
     closing: AtomicBool,
-    submitted: AtomicU64,
-    completed: AtomicU64,
+    /// Jobs completed, per worker: one writer each, so a store, on a
+    /// line the submitters' side never writes.
+    completed: Box<[CachePadded<AtomicU64>]>,
 }
 
 impl Shared {
@@ -256,49 +276,84 @@ impl Shared {
         }
     }
 
+    /// Polls for a push beyond the `served` the worker has completed,
+    /// for at most [`SPIN_BUDGET`], yielding every 256 polls (threads
+    /// may outnumber cores, and a pure spin starves the submitters).
+    fn spin_for_work(&self, q: &WorkerQueue, served: u64) {
+        let started = Instant::now();
+        let mut polls = 0u32;
+        while q.submitted.load(Ordering::Acquire) == served && !self.closing.load(Ordering::Acquire)
+        {
+            polls += 1;
+            if polls % 256 != 0 {
+                std::hint::spin_loop();
+            } else if started.elapsed() >= SPIN_BUDGET {
+                return;
+            } else {
+                std::thread::yield_now();
+            }
+        }
+    }
+
     fn worker_loop(&self, worker: usize) {
+        let q = &*self.queues[worker];
+        // The batch in hand: swapped whole with the shared deque, so
+        // both keep their capacity and the lock is taken once per
+        // batch, not once per job.
+        let mut batch = VecDeque::new();
+        // Reply-and-wait: after answering a blocking `call` the worker
+        // parks at once — the caller is about to sleep on the reply
+        // anyway, and a spinning worker here is the bimodal regime.
+        let mut replied = false;
+        let mut served = 0u64;
         loop {
-            let (job, depth_after) = {
-                let q = &self.queues[worker];
-                let mut jobs = q.jobs.lock().unwrap();
-                loop {
-                    if let Some(job) = jobs.pop_front() {
-                        break (job, jobs.len());
-                    }
+            if !replied {
+                self.spin_for_work(q, served);
+            }
+            {
+                let mut state = q.state.lock().unwrap();
+                while state.jobs.is_empty() {
                     if self.closing.load(Ordering::Acquire) {
                         return;
                     }
-                    jobs = q.cv.wait(jobs).unwrap();
+                    state.parked = true;
+                    state = q.cv.wait(state).unwrap();
                 }
-            };
-            sl2_obs::count(probes::DEQUEUE);
-            sl2_obs::gauge(probes::QUEUE_DEPTH_DEQUEUE, depth_after as u64);
-            // The crash-stop seam: a chaos plan targeting this point
-            // parks the worker here with the job unexecuted — its
-            // queue goes dark while the rest of the pool keeps
-            // serving (tests/service_stress.rs). The request's span
-            // never sees an End edge: the bridge carries it as
-            // pending forever.
-            let _span = sl2_trace::enter_span(job.span);
-            sl2_chaos::point(probes::DISPATCH);
-            sl2_trace::event(probes::EXECUTE, job.req.trace_word());
-            let resp = {
-                let _dispatch_timer = sl2_obs::time(probes::DISPATCH);
-                self.execute(worker, &job.req)
-            };
-            sl2_trace::event(probes::RESPOND, resp.trace_word());
-            if job.end_span {
-                sl2_trace::span_end(probes::REQUEST, job.span, resp.trace_word());
+                std::mem::swap(&mut state.jobs, &mut batch);
             }
-            if job.track {
-                let ns = job.scheduled.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-                self.latency[worker].lock().unwrap().record(ns);
+            while let Some(job) = batch.pop_front() {
+                sl2_obs::count(probes::DEQUEUE);
+                sl2_obs::gauge(probes::QUEUE_DEPTH_DEQUEUE, batch.len() as u64);
+                // The crash-stop seam: a chaos plan targeting this
+                // point parks the worker here with the job unexecuted
+                // — its queue and the rest of the batch in hand go
+                // dark while the rest of the pool keeps serving
+                // (tests/service_stress.rs). The request's span never
+                // sees an End edge: the bridge carries it as pending
+                // forever.
+                let _span = sl2_trace::enter_span(job.span);
+                sl2_chaos::point(probes::DISPATCH);
+                sl2_trace::event(probes::EXECUTE, job.req.trace_word());
+                let resp = {
+                    let _dispatch_timer = sl2_obs::time(probes::DISPATCH);
+                    self.execute(worker, &job.req)
+                };
+                sl2_trace::event(probes::RESPOND, resp.trace_word());
+                if job.end_span {
+                    sl2_trace::span_end(probes::REQUEST, job.span, resp.trace_word());
+                }
+                if let Some(scheduled) = job.scheduled {
+                    let ns = scheduled.elapsed().as_nanos().min(u64::MAX as u128) as u64;
+                    self.latency[worker].lock().unwrap().record(ns);
+                }
+                replied = job.done.is_some();
+                if let Some(done) = job.done {
+                    *done.slot.lock().unwrap() = Some(resp);
+                    done.cv.notify_all();
+                }
+                served += 1;
+                self.completed[worker].store(served, Ordering::Release);
             }
-            if let Some(done) = job.done {
-                *done.slot.lock().unwrap() = Some(resp);
-                done.cv.notify_all();
-            }
-            self.completed.fetch_add(1, Ordering::AcqRel);
         }
     }
 }
@@ -308,7 +363,11 @@ impl Shared {
 pub struct Service {
     shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
+    pool_id: u64,
 }
+
+/// Mints [`Service::pool_id`]s.
+static NEXT_POOL: AtomicU64 = AtomicU64::new(0);
 
 impl Service {
     /// Starts a service with `workers` serving lanes over a registry
@@ -331,25 +390,22 @@ impl Service {
         assert!(workers > 0, "service needs at least one worker");
         let shared = Arc::new(Shared {
             registry: Registry::with_policy(capacity, workers, policy),
-            queues: (0..workers)
-                .map(|_| WorkerQueue {
-                    jobs: Mutex::new(VecDeque::new()),
-                    cv: Condvar::new(),
-                })
-                .collect(),
+            queues: (0..workers).map(|_| CachePadded::default()).collect(),
             latency: (0..workers).map(|_| Mutex::new(Histogram::new())).collect(),
             closing: AtomicBool::new(false),
-            submitted: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
+            completed: (0..workers).map(|_| CachePadded::default()).collect(),
         });
+        let pool_id = NEXT_POOL.fetch_add(1, Ordering::Relaxed);
         let workers = (0..workers)
             .map(|w| {
                 let shared = Arc::clone(&shared);
                 std::thread::spawn(move || {
                     // One mechanism under chaos + obs: the worker's
                     // logical id is its lane, so fault plans target
-                    // and metrics attribute the same thread.
-                    sl2_primitives::labeled::enroll(w);
+                    // and metrics attribute the same thread; the pool
+                    // keeps a plan aimed at one service's lane off the
+                    // same lane of the service in the test beside it.
+                    labeled::enroll_in(pool_id, w);
                     #[cfg(feature = "chaos")]
                     {
                         // Absorb a crash-stop unwind: the worker dies
@@ -362,7 +418,18 @@ impl Service {
                 })
             })
             .collect();
-        Service { shared, workers }
+        Service {
+            shared,
+            workers,
+            pool_id,
+        }
+    }
+
+    /// This service's process-unique pool id: its workers are enrolled
+    /// as `(pool_id, lane)`, which is what a pool-scoped chaos rule
+    /// (`FaultPlan::on_pool`) targets.
+    pub fn pool_id(&self) -> u64 {
+        self.pool_id
     }
 
     /// The worker (serving-lane) count.
@@ -395,15 +462,18 @@ impl Service {
         sl2_trace::span_begin(probes::REQUEST, job.span, job.req.trace_word());
         sl2_trace::event_in(probes::ENQUEUE, job.span, job.req.trace_word());
         sl2_trace::event_in(probes::ROUTE, job.span, w as u64);
-        let q = &self.shared.queues[w];
-        let depth = {
-            let mut jobs = q.jobs.lock().unwrap();
-            jobs.push_back(job);
-            jobs.len()
+        let q = &*self.shared.queues[w];
+        let (depth, wake) = {
+            let mut state = q.state.lock().unwrap();
+            state.jobs.push_back(job);
+            let pushed = q.submitted.load(Ordering::Relaxed) + 1;
+            q.submitted.store(pushed, Ordering::Release);
+            (state.jobs.len(), std::mem::take(&mut state.parked))
         };
         sl2_obs::gauge(probes::QUEUE_DEPTH, depth as u64);
-        self.shared.submitted.fetch_add(1, Ordering::AcqRel);
-        q.cv.notify_one();
+        if wake {
+            q.cv.notify_one();
+        }
     }
 
     /// Fire-and-forget submission stamped with its scheduled arrival
@@ -412,8 +482,7 @@ impl Service {
     pub fn submit_timed(&self, req: Request, scheduled: Instant) {
         self.push(Job {
             req,
-            scheduled,
-            track: true,
+            scheduled: Some(scheduled),
             done: None,
             span: sl2_trace::next_span(),
             end_span: true,
@@ -424,8 +493,7 @@ impl Service {
     pub fn submit(&self, req: Request) {
         self.push(Job {
             req,
-            scheduled: Instant::now(),
-            track: false,
+            scheduled: None,
             done: None,
             span: sl2_trace::next_span(),
             end_span: true,
@@ -443,8 +511,7 @@ impl Service {
         let span = sl2_trace::next_span();
         self.push(Job {
             req,
-            scheduled: Instant::now(),
-            track: false,
+            scheduled: None,
             done: Some(Arc::clone(&done)),
             span,
             // The caller marks End below, *after* it observed the
@@ -468,12 +535,14 @@ impl Service {
 
     /// Requests submitted so far.
     pub fn submitted(&self) -> u64 {
-        self.shared.submitted.load(Ordering::Acquire)
+        let queues = self.shared.queues.iter();
+        queues.map(|q| q.submitted.load(Ordering::Acquire)).sum()
     }
 
     /// Requests completed so far.
     pub fn completed(&self) -> u64 {
-        self.shared.completed.load(Ordering::Acquire)
+        let workers = self.shared.completed.iter();
+        workers.map(|c| c.load(Ordering::Acquire)).sum()
     }
 
     /// Waits until every submitted request has completed (spin +
@@ -508,6 +577,11 @@ impl Service {
         }
         self.shared.closing.store(true, Ordering::Release);
         for q in self.shared.queues.iter() {
+            // With the queue's lock held: a worker that read `closing`
+            // false under it is inside `cv.wait` by now, not on its
+            // way there, so this wake-up cannot be lost.
+            let mut state = q.state.lock().unwrap();
+            state.parked = false;
             q.cv.notify_all();
         }
         for h in self.workers.drain(..) {

@@ -385,6 +385,47 @@ fn registry_steady_state_routing_is_allocation_free() {
 }
 
 #[test]
+fn service_edge_allocations_are_pinned() {
+    // The ISSUE-23 pins for the dispatch edge, counted on the
+    // submitting thread. A fire-and-forget submit moves a `Job` into
+    // its worker's deque and nothing else, and the worker takes the
+    // queue by *swapping* deques, so both keep the capacity they grew
+    // to. With 4 in flight (a deque's first capacity step in std) both
+    // have taken that step once a fifth request is accepted: the first
+    // swap precedes the first completion, and every later push lands on
+    // the other deque until it is swapped back. A blocking call costs
+    // exactly its completion cell.
+    use sl2_service::{Backend, Request, Service, ServiceOp};
+    const WINDOW: u64 = 4;
+    let svc = Service::new(64, 1, Backend::Global);
+    let inc = |i: u64| Request {
+        key: i % 16,
+        op: ServiceOp::Inc,
+    };
+    let submit_windowed = |n: u64| {
+        let base = svc.submitted();
+        for i in 0..n {
+            while base + i - svc.completed() >= WINDOW {
+                std::thread::yield_now();
+            }
+            svc.submit_timed(inc(i), std::time::Instant::now());
+        }
+        svc.drain();
+    };
+    submit_windowed(1_024);
+    let (n, _) = allocs_during(|| submit_windowed(10_000));
+    assert_eq!(n, 0, "a warmed-up submit allocated");
+
+    let (n, _) = allocs_during(|| {
+        for i in 0..1_000 {
+            svc.call(inc(i));
+        }
+    });
+    assert_eq!(n, 1_000, "a blocking call allocates its completion cell");
+    assert_eq!(svc.latency_histogram().count(), 11_024);
+}
+
+#[test]
 fn resident_keys_stay_inline_and_allocation_free_on_every_backend() {
     // The ISSUE-21 pin: `KeyObject` ships binary lanes, so a hot
     // resident key never leaves `WideFaa`'s lock-free inline regime —
