@@ -78,14 +78,6 @@ impl OpKey {
     }
 }
 
-/// Lifecycle of a scenario operation during checking.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-enum OpStatus<R> {
-    NotInvoked,
-    Active,
-    Done(R),
-}
-
 /// Outcome of a strong-linearizability check (non-panicking API).
 #[derive(Debug, Clone)]
 pub enum Outcome {
@@ -256,10 +248,15 @@ impl Default for StrongOptions {
     }
 }
 
+/// The execution half of a search node. An operation's lifecycle is
+/// read off its process's cursor: below `invoked[p] - 1` complete, at
+/// it active iff `machines[p]` is set (else complete), above it not
+/// yet invoked — no per-operation record, so a step copies O(processes).
 struct ExecState<A: Algorithm> {
     mem: SimMemory,
     machines: Vec<Option<A::Machine>>,
-    status: Vec<Vec<OpStatus<<A::Spec as Spec>::Resp>>>,
+    /// How many of each process's operations have been invoked.
+    invoked: Vec<usize>,
 }
 
 impl<A: Algorithm> Clone for ExecState<A> {
@@ -267,7 +264,7 @@ impl<A: Algorithm> Clone for ExecState<A> {
         ExecState {
             mem: self.mem.clone(),
             machines: self.machines.clone(),
-            status: self.status.clone(),
+            invoked: self.invoked.clone(),
         }
     }
 }
@@ -277,35 +274,65 @@ impl<A: Algorithm> ExecState<A> {
         ExecState {
             mem,
             machines: (0..scenario.processes()).map(|_| None).collect(),
-            status: scenario
-                .ops
-                .iter()
-                .map(|l| l.iter().map(|_| OpStatus::NotInvoked).collect())
-                .collect(),
+            invoked: vec![0; scenario.processes()],
+        }
+    }
+}
+
+/// One linearized `(op, resp)` pair and the prefix before it: a
+/// persistent list, so extending a linearization shares the whole
+/// prefix instead of copying it.
+struct LinNode<S: Spec> {
+    op: OpKey,
+    resp: S::Resp,
+    prev: Option<Rc<LinNode<S>>>,
+}
+
+impl<S: Spec> Drop for LinNode<S> {
+    /// Unlinks the uniquely owned tail iteratively: prefix length is
+    /// bounded by heap, like search depth, not by the thread stack.
+    fn drop(&mut self) {
+        let mut next = self.prev.take();
+        while let Some(mut node) = next.and_then(Rc::into_inner) {
+            next = node.prev.take();
         }
     }
 }
 
 #[derive(Clone)]
 struct LinState<S: Spec> {
-    /// Ops already linearized, in linearization order, with their
-    /// (actual or assigned) responses.
-    assigned: Vec<(OpKey, S::Resp)>,
+    /// Ops already linearized with their (actual or assigned)
+    /// responses, newest first; [`LinState::assigned`] renders them in
+    /// linearization order.
+    last: Option<Rc<LinNode<S>>>,
+    len: usize,
+    /// Order-erased hash of the prefix's pairs (a wrapping sum), kept
+    /// incrementally.
+    set_hash: u64,
+    /// The prefix's pairs whose op is still running: linearized while
+    /// pending, response fixed ahead of the completion. At most one
+    /// per process — all a step ever asks the prefix about.
+    pending: Vec<(OpKey, S::Resp)>,
     /// Spec states consistent with the linearization prefix (deduped).
     states: Vec<S::State>,
 }
 
 impl<S: Spec> LinState<S> {
-    fn contains(&self, k: OpKey) -> bool {
-        self.assigned.iter().any(|(a, _)| *a == k)
-    }
-
-    fn resp_of(&self, k: OpKey) -> Option<&S::Resp> {
-        self.assigned.iter().find(|(a, _)| *a == k).map(|(_, r)| r)
+    /// The response fixed for `k` when it was linearized while pending.
+    fn pending_resp(&self, k: OpKey) -> Option<&S::Resp> {
+        self.pending.iter().find(|(a, _)| *a == k).map(|(_, r)| r)
     }
 
     /// Appends `(k, resp)` if spec-consistent; returns the new state.
-    fn extended(&self, spec: &S, k: OpKey, op: &S::Op, resp: &S::Resp) -> Option<Self> {
+    /// `running` says `k` has not completed yet.
+    fn extended(
+        &self,
+        spec: &S,
+        k: OpKey,
+        op: &S::Op,
+        resp: &S::Resp,
+        running: bool,
+    ) -> Option<Self> {
         let mut next_states = Vec::new();
         for s in &self.states {
             for succ in spec.accept(s, op, resp) {
@@ -317,12 +344,59 @@ impl<S: Spec> LinState<S> {
         if next_states.is_empty() {
             return None;
         }
-        let mut assigned = self.assigned.clone();
-        assigned.push((k, resp.clone()));
+        let mut pending = self.pending.clone();
+        if running {
+            pending.push((k, resp.clone()));
+        }
         Some(LinState {
-            assigned,
+            set_hash: self.set_hash.wrapping_add(hash_of(&(k, resp))),
+            last: Some(Rc::new(LinNode {
+                op: k,
+                resp: resp.clone(),
+                prev: self.last.clone(),
+            })),
+            len: self.len + 1,
+            pending,
             states: next_states,
         })
+    }
+
+    /// The same linearization once pending-linearized `k` has completed
+    /// with the response fixed for it.
+    fn completed(&self, k: OpKey) -> Self {
+        let mut next = self.clone();
+        next.pending.retain(|(a, _)| *a != k);
+        next
+    }
+
+    /// The prefix in linearization order.
+    fn assigned(&self) -> Vec<(OpKey, S::Resp)> {
+        let mut out = Vec::with_capacity(self.len);
+        let mut node = self.last.as_deref();
+        while let Some(n) = node {
+            out.push((n.op, n.resp.clone()));
+            node = n.prev.as_deref();
+        }
+        out.reverse();
+        out
+    }
+
+    /// Whether both prefixes hold the same *set* of `(op, resp)` pairs.
+    /// Materializes them only when length and set hash already agree —
+    /// in practice, on a memo hit.
+    fn same_assigned_set(&self, other: &Self) -> bool {
+        if self.len != other.len || self.set_hash != other.set_hash {
+            return false;
+        }
+        match (&self.last, &other.last) {
+            (Some(a), Some(b)) if !Rc::ptr_eq(a, b) => {
+                let (mut a, mut b) = (self.assigned(), other.assigned());
+                a.sort_by_key(|(k, _)| *k);
+                b.sort_by_key(|(k, _)| *k);
+                a == b
+            }
+            _ => true,
+        }
     }
 }
 
@@ -332,33 +406,30 @@ fn hash_of<T: Hash>(t: &T) -> u64 {
     h.finish()
 }
 
-/// Canonical memoization key: the full search state — execution state,
-/// sorted linearization prefix, deduped spec-state set — stored **by
-/// value** and compared by **equality**. Hashing only routes to a
-/// bucket; a collision costs a comparison, never a verdict. Two nodes
-/// merge iff their future behavior is literally identical: same base
-/// objects, same machine states, same op lifecycle, same set of
+/// Canonical memoization key: the full search state, **shared** with
+/// the frame that owns it and compared by **equality**. Hashing only
+/// routes to a bucket; a collision costs a comparison, never a verdict.
+/// Two nodes merge iff their future behavior is literally identical:
+/// same base objects, same machine states, same cursors, same set of
 /// linearized `(op, resp)` pairs, same spec-state set (the
 /// linearization *order* is deliberately erased — futures depend only
-/// on the set and the states it can reach).
+/// on the set and the states it can reach). DESIGN.md §7 has the
+/// argument that this is the pre-cursor key's partition exactly.
 struct StateKey<A: Algorithm> {
     exec: Rc<ExecState<A>>,
-    /// `lin.assigned`, sorted by [`OpKey`] (order-erased).
-    assigned: Vec<(OpKey, <A::Spec as Spec>::Resp)>,
-    /// `lin.states`, sorted by per-state hash for near-canonical order.
-    /// Hash ties between distinct states may order ambiguously; that
-    /// can only split one semantic state over two entries (a missed
-    /// merge), never conflate two states.
-    states: Vec<<A::Spec as Spec>::State>,
+    lin: Rc<LinState<A::Spec>>,
 }
 
 impl<A: Algorithm> PartialEq for StateKey<A> {
     fn eq(&self, other: &Self) -> bool {
-        self.exec.mem == other.exec.mem
+        let (a, b) = (&self.lin.states, &other.lin.states);
+        self.exec.invoked == other.exec.invoked
+            && self.lin.same_assigned_set(&other.lin)
+            // Both deduped: equal length and inclusion is set equality.
+            && a.len() == b.len()
+            && a.iter().all(|s| b.contains(s))
             && self.exec.machines == other.exec.machines
-            && self.exec.status == other.exec.status
-            && self.assigned == other.assigned
-            && self.states == other.states
+            && self.exec.mem == other.exec.mem
     }
 }
 
@@ -368,13 +439,12 @@ impl<A: Algorithm> Hash for StateKey<A> {
     fn hash<H: Hasher>(&self, h: &mut H) {
         self.exec.mem.hash(h);
         self.exec.machines.hash(h);
-        self.exec.status.hash(h);
-        self.assigned.hash(h);
-        // Order-independent fold over the spec-state set, so hash-tied
-        // states whose sort order differed still share a bucket (their
-        // keys then compare unequal — a missed merge, not a collision).
+        self.exec.invoked.hash(h);
+        self.lin.set_hash.hash(h);
+        // Order-independent fold over the spec-state set, matching the
+        // set comparison above.
         let mut acc: u64 = 0;
-        for s in &self.states {
+        for s in &self.lin.states {
             acc = acc.wrapping_add(hash_of(s));
         }
         acc.hash(h);
@@ -456,7 +526,10 @@ pub fn check_strong_outcome<A: Algorithm>(
     }
     let exec = Rc::new(ExecState::<A>::initial(scenario, mem));
     let lin = Rc::new(LinState::<A::Spec> {
-        assigned: Vec::new(),
+        last: None,
+        len: 0,
+        set_hash: 0,
+        pending: Vec::new(),
         states: vec![alg.spec().initial()],
     });
     let mut engine = Engine::new(alg, scenario, options);
@@ -510,7 +583,8 @@ pub fn validate_witness<A: Algorithm>(
         if !enabled.contains(&p) {
             return Err(format!("step {i}: process {p} is not enabled"));
         }
-        let (child, label, _) = step_child(alg, scenario, &exec, p);
+        let (child, completed) = step_child(alg, scenario, &exec, p);
+        let label = event_label(scenario, &exec, p, &completed);
         if *event != label {
             return Err(format!(
                 "step {i}: witness says {event:?} but replay produces {label:?}"
@@ -527,63 +601,80 @@ pub fn validate_witness<A: Algorithm>(
 
 fn enabled_of<A: Algorithm>(scenario: &Scenario<A::Spec>, exec: &ExecState<A>) -> Vec<usize> {
     (0..scenario.processes())
-        .filter(|&p| {
-            exec.machines[p].is_some()
-                || exec.status[p]
-                    .iter()
-                    .any(|s| matches!(s, OpStatus::NotInvoked))
-        })
+        .filter(|&p| exec.machines[p].is_some() || exec.invoked[p] < scenario.ops[p].len())
         .collect()
 }
 
+/// An operation a step just completed, with its actual response.
+type Completed<S> = Option<(OpKey, <S as Spec>::Resp)>;
+
 /// Executes one step of process `p` (invoking its next operation if
-/// idle). Returns the child state, an event label, and the completion
-/// `(op, resp)` if the step finished an operation.
-#[allow(clippy::type_complexity)]
+/// idle — the caller ensured one remains). Returns the child state and
+/// the completion if the step finished an operation. The one writer of
+/// the cursors.
 fn step_child<A: Algorithm>(
     alg: &A,
     scenario: &Scenario<A::Spec>,
     exec: &ExecState<A>,
     p: usize,
-) -> (
-    ExecState<A>,
-    String,
-    Option<(OpKey, <A::Spec as Spec>::Resp)>,
-) {
+) -> (ExecState<A>, Completed<A::Spec>) {
     let mut child = exec.clone();
-    let mut label;
-    let key;
-    if child.machines[p].is_none() {
-        let index = child.status[p]
-            .iter()
-            .position(|s| matches!(s, OpStatus::NotInvoked))
-            .expect("caller ensured an op remains");
-        let op = &scenario.ops[p][index];
-        key = OpKey { process: p, index };
-        child.status[p][index] = OpStatus::Active;
-        child.machines[p] = Some(alg.machine(p, op));
-        label = format!("p{p}: invoke {op:?}; step");
-    } else {
-        let index = child.status[p]
-            .iter()
-            .position(|s| matches!(s, OpStatus::Active))
-            .expect("an active machine implies an active op");
-        key = OpKey { process: p, index };
-        label = format!("p{p}: step");
-    }
-    let mut machine = child.machines[p].take().expect("set above");
+    let mut machine = child.machines[p].take().unwrap_or_else(|| {
+        child.invoked[p] += 1;
+        alg.machine(p, &scenario.ops[p][exec.invoked[p]])
+    });
     let completed = match machine.step(&mut child.mem) {
         Step::Pending => {
             child.machines[p] = Some(machine);
             None
         }
         Step::Ready(resp) => {
-            child.status[key.process][key.index] = OpStatus::Done(resp.clone());
-            label.push_str(&format!(" → {resp:?}"));
-            Some((key, resp))
+            let index = child.invoked[p] - 1;
+            Some((OpKey { process: p, index }, resp))
         }
     };
-    (child, label, completed)
+    (child, completed)
+}
+
+/// Renders the step `step_child(.., before, p)` took, for witnesses —
+/// the search itself never formats a label.
+fn event_label<A: Algorithm>(
+    scenario: &Scenario<A::Spec>,
+    before: &ExecState<A>,
+    p: usize,
+    completed: &Completed<A::Spec>,
+) -> String {
+    let mut label = match before.machines[p] {
+        None => format!(
+            "p{p}: invoke {:?}; step",
+            scenario.ops[p][before.invoked[p]]
+        ),
+        Some(_) => format!("p{p}: step"),
+    };
+    if let Some((_, resp)) = completed {
+        label.push_str(&format!(" → {resp:?}"));
+    }
+    label
+}
+
+/// How a step's completion meets the linearization so far: `Ok` with
+/// the linearization to extend and the op the extension is forced to
+/// include (a completion not linearized yet), or `Err` with a
+/// completion whose response contradicts the one fixed for it while it
+/// was pending.
+#[allow(clippy::type_complexity)]
+fn meet<S: Spec>(
+    lin: &Rc<LinState<S>>,
+    completed: Completed<S>,
+) -> Result<(Rc<LinState<S>>, Completed<S>), (OpKey, S::Resp)> {
+    let Some((k, r)) = completed else {
+        return Ok((Rc::clone(lin), None));
+    };
+    match lin.pending_resp(k) {
+        None => Ok((Rc::clone(lin), Some((k, r)))),
+        Some(fixed) if *fixed == r => Ok((Rc::new(lin.completed(k)), None)),
+        Some(_) => Err((k, r)),
+    }
 }
 
 /// Node budget exhausted: unwinds the engine without a verdict.
@@ -601,7 +692,7 @@ enum SpawnTask<A: Algorithm> {
     /// `feasible(exec, lin)` — the AND side.
     Feasible(Rc<ExecState<A>>, Rc<LinState<A::Spec>>),
     /// `extensions(child, lin, must)` — the OR side.
-    Ext(Rc<ExecState<A>>, Rc<LinState<A::Spec>>, Option<OpKey>),
+    Ext(Rc<ExecState<A>>, Rc<LinState<A::Spec>>, Completed<A::Spec>),
 }
 
 enum FrameKey<A: Algorithm> {
@@ -624,7 +715,9 @@ struct FeasibleFrame<A: Algorithm> {
 struct ExtFrame<A: Algorithm> {
     child: Rc<ExecState<A>>,
     lin: Rc<LinState<A::Spec>>,
-    must: Option<OpKey>,
+    /// The op the step just completed, until σ linearizes it — with
+    /// the response the cursors no longer record.
+    must: Completed<A::Spec>,
     tried_epsilon: bool,
     cands: Vec<OpKey>,
     cand_i: usize,
@@ -634,20 +727,22 @@ struct ExtFrame<A: Algorithm> {
 }
 
 impl<A: Algorithm> ExtFrame<A> {
-    fn new(child: Rc<ExecState<A>>, lin: Rc<LinState<A::Spec>>, must: Option<OpKey>) -> Self {
-        // Candidates: invoked, unlinearized ops.
-        let mut cands: Vec<OpKey> = Vec::new();
-        for (p, stats) in child.status.iter().enumerate() {
-            for (i, st) in stats.iter().enumerate() {
-                let k = OpKey {
-                    process: p,
-                    index: i,
+    fn new(child: Rc<ExecState<A>>, lin: Rc<LinState<A::Spec>>, must: Completed<A::Spec>) -> Self {
+        // Candidates: invoked, unlinearized ops. A completed op was
+        // forced into the extension of its completing step, so these
+        // are `must` and the running ops not linearized while pending:
+        // one per process at most, in process order.
+        let cands = (0..child.machines.len())
+            .filter_map(|process| {
+                let index = child.invoked[process].checked_sub(1)?;
+                let k = OpKey { process, index };
+                let open = match &must {
+                    Some((m, _)) if m.process == process => true,
+                    _ => child.machines[process].is_some() && lin.pending_resp(k).is_none(),
                 };
-                if !matches!(st, OpStatus::NotInvoked) && !lin.contains(k) {
-                    cands.push(k);
-                }
-            }
-        }
+                open.then_some(k)
+            })
+            .collect();
         ExtFrame {
             child,
             lin,
@@ -681,26 +776,37 @@ impl<A: Algorithm> ExtFrame<A> {
             if self.cand_i >= self.cands.len() {
                 return None;
             }
+            let k = self.cands[self.cand_i];
+            let op = &scenario.ops[k.process][k.index];
+            let actual = self.must.as_ref().filter(|(m, _)| *m == k);
             if !self.cand_loaded {
-                self.resp_opts = resp_options::<A>(
-                    spec,
-                    &self.child,
-                    &self.lin,
-                    scenario,
-                    self.cands[self.cand_i],
-                );
+                // Legal responses for linearizing `k` now: its actual
+                // response if it completed, else every response the
+                // spec admits from some consistent state.
+                self.resp_opts = match actual {
+                    Some((_, r)) => vec![r.clone()],
+                    None => {
+                        let mut opts = Vec::new();
+                        for s in &self.lin.states {
+                            for (_, r) in spec.step(s, op) {
+                                if !opts.contains(&r) {
+                                    opts.push(r);
+                                }
+                            }
+                        }
+                        opts
+                    }
+                };
                 self.resp_i = 0;
                 self.cand_loaded = true;
             }
-            let k = self.cands[self.cand_i];
-            let op = &scenario.ops[k.process][k.index];
             while self.resp_i < self.resp_opts.len() {
-                let resp = self.resp_opts[self.resp_i].clone();
+                let resp = &self.resp_opts[self.resp_i];
                 self.resp_i += 1;
-                if let Some(next_lin) = self.lin.extended(spec, k, op, &resp) {
-                    let still_must = match self.must {
-                        Some(m) if m == k => None,
-                        other => other,
+                if let Some(next_lin) = self.lin.extended(spec, k, op, resp, actual.is_none()) {
+                    let still_must = match actual {
+                        Some(_) => None,
+                        None => self.must.clone(),
                     };
                     return Some(SpawnTask::Ext(
                         Rc::clone(&self.child),
@@ -712,34 +818,6 @@ impl<A: Algorithm> ExtFrame<A> {
             self.cand_i += 1;
             self.cand_loaded = false;
         }
-    }
-}
-
-/// Legal responses for linearizing candidate `k` now: its actual
-/// response if it completed, else every response the spec admits from
-/// some consistent state.
-fn resp_options<A: Algorithm>(
-    spec: &A::Spec,
-    child: &ExecState<A>,
-    lin: &LinState<A::Spec>,
-    scenario: &Scenario<A::Spec>,
-    k: OpKey,
-) -> Vec<<A::Spec as Spec>::Resp> {
-    let op = &scenario.ops[k.process][k.index];
-    match &child.status[k.process][k.index] {
-        OpStatus::Done(r) => vec![r.clone()],
-        OpStatus::Active => {
-            let mut opts = Vec::new();
-            for s in &lin.states {
-                for (_, r) in spec.step(s, op) {
-                    if !opts.contains(&r) {
-                        opts.push(r);
-                    }
-                }
-            }
-            opts
-        }
-        OpStatus::NotInvoked => unreachable!("candidates are invoked ops"),
     }
 }
 
@@ -795,35 +873,6 @@ impl<'a, A: Algorithm> Engine<'a, A> {
         }
     }
 
-    fn state_key(&self, exec: &Rc<ExecState<A>>, lin: &LinState<A::Spec>) -> StateKey<A> {
-        let mut assigned = lin.assigned.clone();
-        assigned.sort_by_key(|(k, _)| *k);
-        let mut states = lin.states.clone();
-        states.sort_by_cached_key(hash_of);
-        StateKey {
-            exec: Rc::clone(exec),
-            assigned,
-            states,
-        }
-    }
-
-    /// The pre-PR-4 collision-prone key, kept for [`MemoMode::HashOnly`].
-    fn hash_key(&self, exec: &ExecState<A>, lin: &LinState<A::Spec>) -> u64 {
-        let mut h = DefaultHasher::new();
-        exec.mem.hash(&mut h);
-        exec.machines.hash(&mut h);
-        exec.status.hash(&mut h);
-        let mut assigned = lin.assigned.clone();
-        assigned.sort_by_key(|(k, _)| *k);
-        assigned.hash(&mut h);
-        let mut acc: u64 = 0;
-        for s in &lin.states {
-            acc = acc.wrapping_add(hash_of(s));
-        }
-        acc.hash(&mut h);
-        h.finish()
-    }
-
     /// Starts a `feasible` evaluation: resolves terminal and memoized
     /// states immediately, otherwise opens an AND frame.
     fn enter_feasible(
@@ -837,7 +886,10 @@ impl<'a, A: Algorithm> Engine<'a, A> {
         }
         let key = match &self.memo {
             Memo::Canonical(map) => {
-                let k = self.state_key(&exec, &lin);
+                let k = StateKey {
+                    exec: Rc::clone(&exec),
+                    lin: Rc::clone(&lin),
+                };
                 if let Some(&cached) = map.get(&k) {
                     self.stats.memo_hits += 1;
                     return Ok(Entered::Done(cached));
@@ -845,7 +897,11 @@ impl<'a, A: Algorithm> Engine<'a, A> {
                 Some(FrameKey::Canonical(k))
             }
             Memo::HashOnly(map) => {
-                let h = self.hash_key(&exec, &lin);
+                // The pre-PR-4 collision-prone key: the hash alone.
+                let h = hash_of(&StateKey {
+                    exec: Rc::clone(&exec),
+                    lin: Rc::clone(&lin),
+                });
                 if let Some(&cached) = map.get(&h) {
                     self.stats.memo_hits += 1;
                     return Ok(Entered::Done(cached));
@@ -926,28 +982,19 @@ impl<'a, A: Algorithm> Engine<'a, A> {
                         continue;
                     }
                     let p = f.enabled[f.next_child];
-                    let (child, _label, completed) =
-                        step_child(self.alg, self.scenario, &f.exec, p);
-                    let child = Rc::new(child);
-                    match completed {
-                        Some((k, r)) if f.lin.contains(k) => {
-                            // Already linearized as pending: the fixed
-                            // response must match what really happened.
-                            if f.lin.resp_of(k) == Some(&r) {
-                                spawn = Some(SpawnTask::Ext(child, Rc::clone(&f.lin), None));
-                            } else {
-                                let Some(Frame::Feasible(f)) = stack.pop() else {
-                                    unreachable!("matched above");
-                                };
-                                self.memo_store(f.key, false);
-                                result = Some(false);
-                            }
+                    let (child, completed) = step_child(self.alg, self.scenario, &f.exec, p);
+                    match meet(&f.lin, completed) {
+                        Ok((lin, must)) => {
+                            spawn = Some(SpawnTask::Ext(Rc::new(child), lin, must));
                         }
-                        Some((k, _)) => {
-                            spawn = Some(SpawnTask::Ext(child, Rc::clone(&f.lin), Some(k)));
-                        }
-                        None => {
-                            spawn = Some(SpawnTask::Ext(child, Rc::clone(&f.lin), None));
+                        Err(_) => {
+                            // Linearized while pending with a response
+                            // that is not what really happened.
+                            let Some(Frame::Feasible(f)) = stack.pop() else {
+                                unreachable!("matched above");
+                            };
+                            self.memo_store(f.key, false);
+                            result = Some(false);
                         }
                     }
                 }
@@ -1009,35 +1056,27 @@ impl<'a, A: Algorithm> Engine<'a, A> {
             let enabled = enabled_of(self.scenario, &exec);
             let mut descended = false;
             for &p in &enabled {
-                let (child, label, completed) = step_child(self.alg, self.scenario, &exec, p);
+                let (child, completed) = step_child(self.alg, self.scenario, &exec, p);
                 let child = Rc::new(child);
-                let (must, mismatch) = match &completed {
-                    Some((k, r)) if lin.contains(*k) => {
-                        if lin.resp_of(*k) == Some(r) {
-                            (None, false)
-                        } else {
-                            (None, true)
-                        }
+                let label = event_label(self.scenario, &exec, p, &completed);
+                let (met, must) = match meet(&lin, completed.clone()) {
+                    Ok(met) => met,
+                    Err((k, r)) => {
+                        path.push(label);
+                        schedule.push(p);
+                        return Witness {
+                            detail: format!(
+                                "after this step, op {k:?} completed with {r:?} but it was \
+                                 already linearized with {:?} — a prefix-closed L cannot \
+                                 revise the choice",
+                                lin.pending_resp(k)
+                            ),
+                            path,
+                            schedule,
+                        };
                     }
-                    Some((k, _)) => (Some(*k), false),
-                    None => (None, false),
                 };
-                if mismatch {
-                    let (k, r) = completed.expect("mismatch implies completion");
-                    path.push(label);
-                    schedule.push(p);
-                    return Witness {
-                        detail: format!(
-                            "after this step, op {k:?} completed with {r:?} but it was \
-                             already linearized with {:?} — a prefix-closed L cannot \
-                             revise the choice",
-                            lin.resp_of(k)
-                        ),
-                        path,
-                        schedule,
-                    };
-                }
-                match self.refute_ext(&child, &lin, must) {
+                match self.refute_ext(&child, &met, must) {
                     ExtProbe::Survives => continue,
                     ExtProbe::Descend(next_lin) => {
                         path.push(label);
@@ -1055,12 +1094,12 @@ impl<'a, A: Algorithm> Engine<'a, A> {
                                 "after this step, op {k:?} completed with {r:?} but no \
                                  linearization extension of {:?} can accommodate it \
                                  across all futures",
-                                lin.assigned
+                                lin.assigned()
                             ),
                             None => format!(
                                 "no linearization extension of {:?} survives all futures \
                                  of this step",
-                                lin.assigned
+                                lin.assigned()
                             ),
                         };
                         return Witness {
@@ -1100,7 +1139,7 @@ impl<'a, A: Algorithm> Engine<'a, A> {
         &mut self,
         child: &Rc<ExecState<A>>,
         lin: &Rc<LinState<A::Spec>>,
-        must: Option<OpKey>,
+        must: Completed<A::Spec>,
     ) -> ExtProbe<A::Spec> {
         let mut descend: Option<Rc<LinState<A::Spec>>> = None;
         if must.is_none() {
@@ -1172,31 +1211,17 @@ fn recurse<A: Algorithm>(
         return;
     }
     for p in enabled {
-        let mut child = exec.clone();
         let mut events = 0usize;
-        if child.machines[p].is_none() {
-            let index = child.status[p]
-                .iter()
-                .position(|s| matches!(s, OpStatus::NotInvoked))
-                .expect("op remains");
+        if exec.machines[p].is_none() {
+            let index = exec.invoked[p];
             let op = scenario.ops[p][index].clone();
-            child.status[p][index] = OpStatus::Active;
-            child.machines[p] = Some(alg.machine(p, &op));
             history.invoke(OpKey { process: p, index }.id(), p, op);
             events += 1;
         }
-        let index = child.status[p]
-            .iter()
-            .position(|s| matches!(s, OpStatus::Active))
-            .expect("active op");
-        let mut machine = child.machines[p].take().expect("active machine");
-        match machine.step(&mut child.mem) {
-            Step::Pending => child.machines[p] = Some(machine),
-            Step::Ready(resp) => {
-                child.status[p][index] = OpStatus::Done(resp.clone());
-                history.ret(OpKey { process: p, index }.id(), resp);
-                events += 1;
-            }
+        let (child, completed) = step_child(alg, scenario, exec, p);
+        if let Some((k, resp)) = completed {
+            history.ret(k.id(), resp);
+            events += 1;
         }
         recurse(alg, scenario, &child, history, count, limit, f);
         for _ in 0..events {
@@ -1453,24 +1478,28 @@ mod tests {
         // The pre-PR-4 OpId packing panicked on >1024 ops per process;
         // the widened packing takes a 1100-op solo tower in stride —
         // and the explicit-stack engine keeps depth off the thread
-        // stack.
-        let mut mem = SimMemory::new();
-        let alg = AtomicMax {
-            loc: mem.alloc(Cell::AMaxReg(0)),
-        };
-        let ops: Vec<MaxOp> = (0..1100)
-            .map(|i| {
-                if i % 5 == 4 {
-                    MaxOp::Read
-                } else {
-                    MaxOp::Write(i as u64)
-                }
-            })
-            .collect();
-        let scenario = Scenario::new(vec![ops]);
-        let out = check_strong_outcome(&alg, mem, &scenario, StrongOptions::with_limit(4_000_000));
-        assert!(out.is_certified(), "{:?}", out.outcome);
-        assert!(out.nodes >= 1100);
+        // stack. At 4096 ops the linearization prefix is as long: it
+        // is shared, not copied per node, and unlinked iteratively.
+        for height in [1100usize, 4096] {
+            let mut mem = SimMemory::new();
+            let alg = AtomicMax {
+                loc: mem.alloc(Cell::AMaxReg(0)),
+            };
+            let ops: Vec<MaxOp> = (0..height)
+                .map(|i| {
+                    if i % 5 == 4 {
+                        MaxOp::Read
+                    } else {
+                        MaxOp::Write(i as u64)
+                    }
+                })
+                .collect();
+            let scenario = Scenario::new(vec![ops]);
+            let out =
+                check_strong_outcome(&alg, mem, &scenario, StrongOptions::with_limit(4_000_000));
+            assert!(out.is_certified(), "{height}: {:?}", out.outcome);
+            assert!(out.nodes >= height);
+        }
     }
 
     // -----------------------------------------------------------------

@@ -568,6 +568,36 @@ fn a_full_registry_refuses_with_a_typed_error_and_leaks_nothing() {
     );
 }
 
+#[test]
+fn a_search_node_costs_the_same_at_any_scenario_length() {
+    // The ISSUE-24 pin, without a clock: the checker's search state is
+    // per-process cursors plus a shared linearization prefix, so what a
+    // node allocates does not depend on how many operations the
+    // scenario has. With a status matrix cloned per step and a prefix
+    // copied per extension, the 1100-op Theorem-1 tower paid several
+    // times more per node than the 64-op one.
+    use sl2::exec::strong::StrongOptions;
+    use sl2_spec::max_register::{MaxOp, MaxRegisterSpec};
+    let bytes_per_node = |height: usize, memoize: bool| {
+        let scenario = tower::<MaxRegisterSpec>(&[MaxOp::Write(2), MaxOp::Read], height, &[]);
+        let mut mem = SimMemory::new();
+        let alg = MaxRegAlg::new(&mut mem, 3);
+        let options = StrongOptions::with_limit(1_000_000).memoize(memoize);
+        let before = BYTES.with(|c| c.get());
+        let report = check_strong_with(&alg, mem, &scenario, options);
+        let bytes = BYTES.with(|c| c.get()) - before;
+        assert!(report.strongly_linearizable, "towers certify");
+        bytes as f64 / report.nodes as f64
+    };
+    for memoize in [false, true] {
+        let (short, tall) = (bytes_per_node(64, memoize), bytes_per_node(1100, memoize));
+        assert!(
+            tall <= 1.5 * short && short <= 1.5 * tall,
+            "memo={memoize}: {short:.0} B/node at height 64, {tall:.0} B/node at 1100"
+        );
+    }
+}
+
 #[cfg(not(feature = "obs"))]
 #[test]
 fn disarmed_obs_probes_are_free() {

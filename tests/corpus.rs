@@ -21,6 +21,19 @@
 //! When `SL2_CORPUS_JSON` is set, the parallel memo-on `CorpusReport`
 //! is written there as JSON lines — CI's corpus-smoke step uploads
 //! it, and `BENCH_PR5.json` commits a snapshot.
+//!
+//! `tests/data/corpus_shape.jsonl` pins the search itself, record by
+//! record: the deterministic fields of the memo-on report plus the
+//! memo-off node count (`"corpus":"shape"` lines), and every
+//! refutation's witness as printed (`"corpus":"witness"` lines). It
+//! was generated at the parent of PR 24, so an engine change that keeps
+//! it green explores the same graph and prints the same refutations.
+//! Each comparing test first writes what it computed to
+//! `$CARGO_TARGET_TMPDIR/corpus_shape.<kind>.jsonl`; after a deliberate
+//! corpus change, concatenating the two files (shape, then witness)
+//! is the new fixture.
+
+use std::cell::RefCell;
 
 use sl2::prelude::*;
 use sl2_core::baselines::agm_stack::AgmStackAlg;
@@ -230,11 +243,78 @@ impl Algorithm for StackVsTreiber {
 
 /// How a corpus batch is driven into the report.
 #[derive(Clone, Copy)]
-enum Driver {
+enum Driver<'a> {
     Serial,
     /// The CI configuration: `run_parallel_into` over this many
     /// workers.
     Parallel(usize),
+    /// No report: every record is checked directly, each refutation's
+    /// witness replayed and rendered as a fixture line.
+    Witnesses(&'a RefCell<Vec<String>>),
+}
+
+/// The pinned search shapes and witnesses (see the module docs).
+const SHAPE_FIXTURE: &str = include_str!("data/corpus_shape.jsonl");
+
+/// The top-level `(key, raw value)` pairs of one flat fixture line
+/// (values: numbers, `null`, strings, arrays of those).
+fn json_fields(line: &str) -> Vec<(&str, &str)> {
+    let body = line
+        .strip_prefix('{')
+        .and_then(|l| l.strip_suffix('}'))
+        .unwrap_or_else(|| panic!("not a JSON object: {line}"));
+    let (mut fields, mut start, mut depth) = (Vec::new(), 0, 0);
+    let (mut in_string, mut escaped) = (false, false);
+    for (i, c) in body.char_indices().chain([(body.len(), ',')]) {
+        match c {
+            _ if escaped => escaped = false,
+            '\\' if in_string => escaped = true,
+            '"' => in_string = !in_string,
+            '[' if !in_string => depth += 1,
+            ']' if !in_string => depth -= 1,
+            ',' if !in_string && depth == 0 => {
+                let (key, value) = body[start..i]
+                    .split_once(':')
+                    .unwrap_or_else(|| panic!("not a field: {}", &body[start..i]));
+                fields.push((key.trim_matches('"'), value));
+                start = i + 1;
+            }
+            _ => {}
+        }
+    }
+    fields
+}
+
+/// Compares `actual` against the fixture's lines of `kind`, naming the
+/// first record and field that differ.
+fn assert_matches_fixture(kind: &str, actual: &[String]) {
+    let written = format!("{}/corpus_shape.{kind}.jsonl", env!("CARGO_TARGET_TMPDIR"));
+    std::fs::write(&written, actual.join("\n") + "\n")
+        .unwrap_or_else(|e| panic!("cannot write {written}: {e}"));
+    let tag = format!("{{\"corpus\":\"{kind}\",");
+    let expected: Vec<&str> = SHAPE_FIXTURE
+        .lines()
+        .filter(|l| l.starts_with(&tag))
+        .collect();
+    for (want, got) in expected.iter().zip(actual) {
+        let (want, got) = (json_fields(want), json_fields(got));
+        let name = got[1].1;
+        assert_eq!(want[1].1, name, "{kind} record order (computed: {written})");
+        for (w, g) in want.iter().zip(&got) {
+            assert_eq!(
+                w, g,
+                "{kind} {name}: field {:?} differs from tests/data/corpus_shape.jsonl \
+                 (computed: {written})",
+                g.0
+            );
+        }
+        assert_eq!(want.len(), got.len(), "{kind} {name}: field count");
+    }
+    assert_eq!(
+        expected.len(),
+        actual.len(),
+        "{kind} line count (computed: {written})"
+    );
 }
 
 /// Drives one corpus under the chosen driver.
@@ -242,7 +322,7 @@ fn drive<S, A, F>(
     corpus: &ScenarioCorpus<S>,
     make: F,
     opts: &CorpusOptions,
-    driver: Driver,
+    driver: Driver<'_>,
     report: &mut CorpusReport,
 ) where
     S: Spec,
@@ -253,6 +333,27 @@ fn drive<S, A, F>(
     match driver {
         Driver::Serial => corpus.run_into(make, opts, report),
         Driver::Parallel(threads) => corpus.run_parallel_into(make, opts, threads, report),
+        Driver::Witnesses(lines) => {
+            for (name, scenario) in corpus.entries() {
+                let mut mem = SimMemory::new();
+                let alg = make(&mut mem);
+                let options = StrongOptions {
+                    node_limit: opts.per_scenario_limit,
+                    memo: opts.memo,
+                };
+                let out = check_strong_outcome(&alg, mem.clone(), scenario, options);
+                let Some(w) = out.witness() else { continue };
+                validate_witness(&alg, mem, scenario, w)
+                    .unwrap_or_else(|e| panic!("{name}: witness does not replay: {e}"));
+                // `Debug` of these strings and vectors is valid JSON
+                // (labels hold no control characters).
+                lines.borrow_mut().push(format!(
+                    "{{\"corpus\":\"witness\",\"name\":{name:?},\"schedule\":{:?},\
+                     \"path\":{:?},\"detail\":{:?}}}",
+                    w.schedule, w.path, w.detail,
+                ));
+            }
+        }
     }
 }
 
@@ -269,14 +370,14 @@ fn without<S: Spec>(corpus: ScenarioCorpus<S>, skip: &[&str]) -> ScenarioCorpus<
 
 /// Runs every corpus into `report` with the given memoization mode and
 /// driver.
-fn run_all(memoize: bool, driver: Driver, report: &mut CorpusReport) {
+fn run_all(memoize: bool, driver: Driver<'_>, report: &mut CorpusReport) {
     run_fixed(&options(memoize), driver, report);
     run_recoded(LaneEncoding::Unary, &options(memoize), driver, &[], report);
 }
 
 /// The corpora whose twins have one lane encoding (or, for the sharded
 /// max register, already carry their own binary records).
-fn run_fixed(opts: &CorpusOptions, driver: Driver, report: &mut CorpusReport) {
+fn run_fixed(opts: &CorpusOptions, driver: Driver<'_>, report: &mut CorpusReport) {
     drive(&fetch_inc_corpus(), FetchIncAlg::new, opts, driver, report);
     drive(&stack_corpus("agm"), AgmStackAlg::new, opts, driver, report);
     drive(
@@ -324,7 +425,7 @@ fn run_fixed(opts: &CorpusOptions, driver: Driver, report: &mut CorpusReport) {
 fn run_recoded(
     encoding: LaneEncoding,
     opts: &CorpusOptions,
-    driver: Driver,
+    driver: Driver<'_>,
     skip: &[&str],
     report: &mut CorpusReport,
 ) {
@@ -611,6 +712,34 @@ fn corpus_recertifies_every_shipped_verdict() {
         );
     }
 
+    // PR-24: the search shape is pinned per record, not in aggregate —
+    // the graph explored (memo on) and the tree (memo off) are the ones
+    // the fixture's generating commit explored.
+    let shape: Vec<String> = on
+        .records
+        .iter()
+        .zip(&off.records)
+        .map(|(a, b)| {
+            let off_nodes = match b.verdict {
+                CorpusVerdict::Bounded => "null".to_string(),
+                _ => b.nodes.to_string(),
+            };
+            format!(
+                "{{\"corpus\":\"shape\",\"name\":{:?},\"verdict\":\"{}\",\"nodes\":{},\
+                 \"memo_hits\":{},\"memo_misses\":{},\"max_depth\":{},\
+                 \"witness_steps\":{},\"off_nodes\":{off_nodes}}}",
+                a.name,
+                a.verdict.as_str(),
+                a.nodes,
+                a.stats.memo_hits,
+                a.stats.memo_misses,
+                a.stats.max_depth,
+                a.witness_steps,
+            )
+        })
+        .collect();
+    assert_matches_fixture("shape", &shape);
+
     // The S = 4 acceptance anchor certified within the shared budget.
     let anchor = on.get("sharded_s4/frontier_safe").expect("anchor present");
     assert!(anchor.nodes > 0 && anchor.nodes < on.node_budget);
@@ -683,6 +812,23 @@ fn corpus_budget_starvation_reports_bounded() {
     let report = max_register_corpus().run(|mem| MaxRegAlg::new(mem, 3), &options(true), 2);
     assert!(report.count(CorpusVerdict::Bounded) >= report.records.len() - 1);
     assert!(report.nodes_spent <= 3);
+}
+
+#[test]
+fn refuted_records_replay_and_print_what_the_fixture_pins() {
+    // Witness fidelity over the whole corpus: every refuted record's
+    // witness replays step for step, and its `schedule`/`path`/`detail`
+    // are byte-identical to the fixture's — a refutation reads the same
+    // whatever the engine's internal representation.
+    let lines = RefCell::new(Vec::new());
+    run_all(
+        true,
+        Driver::Witnesses(&lines),
+        &mut CorpusReport::new(NODE_BUDGET),
+    );
+    let lines = lines.into_inner();
+    assert_eq!(lines.len(), 16, "the corpus ships 16 refutations");
+    assert_matches_fixture("witness", &lines);
 }
 
 #[test]
