@@ -49,6 +49,23 @@ pub struct OpRecord<S: Spec> {
     pub returned: Option<(S::Resp, usize)>,
 }
 
+/// An operation as the linearizability checker reads it: borrowed from
+/// the events and linked to its process's next operation.
+pub(crate) struct TimedOp<'h, S: Spec> {
+    pub(crate) id: OpId,
+    pub(crate) op: &'h S::Op,
+    /// `None` while pending.
+    pub(crate) resp: Option<&'h S::Resp>,
+    /// How many operations were invoked before this one returned
+    /// (`usize::MAX` while pending): the `j`-th operation invoked
+    /// follows it in real time iff `j >= returned`.
+    pub(crate) returned: usize,
+    /// Dense process index, and the process's next operation
+    /// (`usize::MAX` if none).
+    pub(crate) slot: usize,
+    pub(crate) next: usize,
+}
+
 /// A finite history of invocation/response events.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct History<S: Spec> {
@@ -176,30 +193,71 @@ impl<S: Spec> History<S> {
             .collect()
     }
 
+    /// The operations in invocation order, each linked to its process's
+    /// next one, and each process's first operation: one walk over the
+    /// events with an open-operation slot per process. An ill-formed
+    /// history — a return with no open operation, an invocation by a
+    /// process that still has one open, a reused [`OpId`] — is an
+    /// error naming the offending event.
+    pub(crate) fn timeline(&self) -> Result<(Vec<TimedOp<'_, S>>, Vec<usize>), String> {
+        const NONE: usize = usize::MAX;
+        let mut ops: Vec<TimedOp<'_, S>> = Vec::with_capacity(self.events.len());
+        let mut ids = Vec::with_capacity(self.events.len());
+        // Per process: its id, first, last and open operation.
+        let mut procs: Vec<[usize; 4]> = Vec::new();
+        for (at, ev) in self.events.iter().enumerate() {
+            match ev {
+                Event::Invoke { id, process, op } => {
+                    let slot = procs.iter().position(|p| p[0] == *process);
+                    let slot = slot.unwrap_or_else(|| {
+                        procs.push([*process, NONE, NONE, NONE]);
+                        procs.len() - 1
+                    });
+                    let [_, first, last, open] = &mut procs[slot];
+                    if *open != NONE {
+                        let open = ops[*open].id;
+                        return Err(format!(
+                            "event {at} invokes {id:?} while process {process} has {open:?} open"
+                        ));
+                    }
+                    match *last {
+                        NONE => *first = ops.len(),
+                        l => ops[l].next = ops.len(),
+                    }
+                    (*last, *open) = (ops.len(), ops.len());
+                    ids.push((*id, at));
+                    let (id, resp, returned, next) = (*id, None, NONE, NONE);
+                    ops.push(TimedOp {
+                        id,
+                        op,
+                        resp,
+                        returned,
+                        slot,
+                        next,
+                    });
+                }
+                Event::Return { id, resp } => {
+                    let mut open = procs.iter_mut().map(|p| &mut p[3]);
+                    let Some(open) = open.find(|o| **o != NONE && ops[**o].id == *id) else {
+                        return Err(format!("event {at} returns {id:?}, which is not open"));
+                    };
+                    (ops[*open].resp, ops[*open].returned) = (Some(resp), ops.len());
+                    *open = NONE;
+                }
+            }
+        }
+        ids.sort_unstable();
+        if let Some(w) = ids.windows(2).find(|w| w[0].0 == w[1].0) {
+            return Err(format!("event {} reuses {:?}", w[1].1, w[1].0));
+        }
+        Ok((ops, procs.iter().map(|p| p[1]).collect()))
+    }
+
     /// Checks well-formedness: each process has at most one operation
     /// pending at a time, returns match prior invocations, no duplicate
     /// ids.
     pub fn is_well_formed(&self) -> bool {
-        let mut active: HashMap<usize, OpId> = HashMap::new();
-        let mut owner: HashMap<OpId, usize> = HashMap::new();
-        for ev in &self.events {
-            match ev {
-                Event::Invoke { id, process, .. } => {
-                    if owner.contains_key(id) || active.contains_key(process) {
-                        return false;
-                    }
-                    owner.insert(*id, *process);
-                    active.insert(*process, *id);
-                }
-                Event::Return { id, .. } => match owner.get(id) {
-                    Some(p) if active.get(p) == Some(id) => {
-                        active.remove(p);
-                    }
-                    _ => return false,
-                },
-            }
-        }
-        true
+        self.timeline().is_ok()
     }
 }
 

@@ -6,19 +6,26 @@
 //! real-time precedence order, and legal for the (possibly
 //! nondeterministic) sequential specification.
 //!
-//! The search enumerates linearization orders with memoization on
-//! `(set of linearized ops, specification state)`, the classic
-//! Wing–Gong style exploration.
+//! The search is the classic Wing–Gong exploration, memoized on `(set of
+//! linearized ops, specification state)`, at O(processes) per node
+//! (DESIGN.md §7 "The history checker"): the linearized set is a prefix
+//! per process, kept as one cursor each, and spec states are interned,
+//! so a memo key is `(cursors, state id)`.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
+use std::ops::Range;
 
 use sl2_spec::Spec;
 
-use crate::history::{History, OpId, OpRecord};
+use crate::history::{History, OpId, TimedOp};
 
 /// A linearization: operations in order with their responses
 /// (assigned responses for pending operations).
 pub type Linearization<S> = Vec<(OpId, <S as Spec>::Op, <S as Spec>::Resp)>;
+
+/// No op / not returned.
+const NONE: usize = usize::MAX;
 
 /// Searches for a linearization of `history` against `spec`.
 ///
@@ -26,50 +33,66 @@ pub type Linearization<S> = Vec<(OpId, <S as Spec>::Op, <S as Spec>::Resp)>;
 ///
 /// # Panics
 ///
-/// Panics if the history has more than 128 operations (the checker is
-/// meant for bounded scenarios).
+/// Panics, naming the event, if the history is ill-formed: a return
+/// with no open operation, an invocation by a process with one open, or
+/// a reused [`OpId`].
 pub fn linearize<S: Spec>(spec: &S, history: &History<S>) -> Option<Linearization<S>> {
-    let ops = history.ops();
-    assert!(ops.len() <= 128, "checker supports at most 128 operations");
-    debug_assert!(history.is_well_formed(), "ill-formed history");
-
-    // Precedence matrix: must[i] = bitmask of ops that must precede op i.
+    let (ops, heads) = history
+        .timeline()
+        .unwrap_or_else(|e| panic!("ill-formed history: {e}"));
     let n = ops.len();
-    let mut must = vec![0u128; n];
-    for (i, a) in ops.iter().enumerate() {
-        for (j, b) in ops.iter().enumerate() {
-            if i != j && history.precedes(a, b) {
-                must[j] |= 1u128 << i;
+    let mut s = Search {
+        spec,
+        ops,
+        key: heads.into_iter().chain([NONE]).collect(),
+        memo: HashSet::default(),
+        states: Vec::new(),
+        ids: HashMap::default(),
+        transitions: HashMap::with_capacity_and_hasher(n, FxBuild::default()),
+        outcomes: Vec::with_capacity(n),
+    };
+    // Complete ops still to place; pending ones may be dropped.
+    let mut left = s.ops.iter().filter(|o| o.resp.is_some()).count();
+    // Per node: state, op placed to reach it, next candidate to try
+    // (heads from that op on) and the outcomes left of the current one.
+    let mut frames = Vec::with_capacity(n + 1);
+    frames.push((s.intern(spec.initial()), NONE, 0, 0..0));
+    // (op, outcome) per linearized op.
+    let mut chosen: Vec<(usize, usize)> = Vec::with_capacity(n);
+    while left > 0 {
+        let (state, placed, from, outs) = frames.last_mut()?;
+        if let Some(k) = outs.next() {
+            let (op, next) = (*from - 1, s.outcomes[k].0);
+            left -= s.toggle(op, s.ops[op].next);
+            chosen.push((op, k));
+            if left == 0 || !s.failed(next) {
+                frames.push((next, op, 0, 0..0));
+            } else {
+                left += s.toggle(op, op);
+                chosen.pop();
+            }
+            continue;
+        }
+        // Outcomes spent: the next enabled head in invocation order, or
+        // the node fails. A node on the path is never reached again (each
+        // step places one more op), so recording it when it fails decides
+        // every revisit as recording it on entry would.
+        let op = s.enabled_from(*from);
+        if op != NONE {
+            (*from, *outs) = (op + 1, s.outcomes(*state, op));
+        } else {
+            let (state, placed) = (*state, *placed);
+            frames.pop();
+            s.fail(state);
+            if placed != NONE {
+                left += s.toggle(placed, placed);
+                chosen.pop();
             }
         }
     }
-    let complete_mask: u128 = ops
-        .iter()
-        .enumerate()
-        .filter(|(_, r)| r.returned.is_some())
-        .fold(0, |m, (i, _)| m | (1u128 << i));
-
-    let mut visited: HashSet<(u128, S::State)> = HashSet::new();
-    let mut chosen: Vec<(usize, S::Resp)> = Vec::new();
-    if dfs(
-        spec,
-        &ops,
-        &must,
-        complete_mask,
-        0,
-        spec.initial(),
-        &mut visited,
-        &mut chosen,
-    ) {
-        Some(
-            chosen
-                .iter()
-                .map(|(i, r)| (ops[*i].id, ops[*i].op.clone(), r.clone()))
-                .collect(),
-        )
-    } else {
-        None
-    }
+    let resp = |i: usize, k: usize| s.ops[i].resp.or(s.outcomes[k].1.as_ref()).cloned();
+    let entry = |&(i, k): &(usize, usize)| Some((s.ops[i].id, s.ops[i].op.clone(), resp(i, k)?));
+    chosen.iter().map(entry).collect()
 }
 
 /// Convenience: does a linearization exist?
@@ -77,75 +100,127 @@ pub fn is_linearizable<S: Spec>(spec: &S, history: &History<S>) -> bool {
     linearize(spec, history).is_some()
 }
 
-#[allow(clippy::too_many_arguments)]
-fn dfs<S: Spec>(
-    spec: &S,
-    ops: &[OpRecord<S>],
-    must: &[u128],
-    complete_mask: u128,
-    placed: u128,
-    state: S::State,
-    visited: &mut HashSet<(u128, S::State)>,
-    chosen: &mut Vec<(usize, S::Resp)>,
-) -> bool {
-    if complete_mask & !placed == 0 {
-        // All complete ops placed; pending ops may be dropped.
-        return true;
-    }
-    if !visited.insert((placed, state.clone())) {
-        return false;
-    }
-    for (i, rec) in ops.iter().enumerate() {
-        let bit = 1u128 << i;
-        if placed & bit != 0 {
-            continue;
-        }
-        // Every operation that must precede i has to be placed already.
-        if must[i] & !placed != 0 {
-            continue;
-        }
-        match &rec.returned {
-            Some((resp, _)) => {
-                for next in spec.accept(&state, &rec.op, resp) {
-                    chosen.push((i, resp.clone()));
-                    if dfs(
-                        spec,
-                        ops,
-                        must,
-                        complete_mask,
-                        placed | bit,
-                        next,
-                        visited,
-                        chosen,
-                    ) {
-                        return true;
-                    }
-                    chosen.pop();
-                }
-            }
-            None => {
-                // A pending op may linearize with any legal outcome.
-                for (next, resp) in spec.step(&state, &rec.op) {
-                    chosen.push((i, resp.clone()));
-                    if dfs(
-                        spec,
-                        ops,
-                        must,
-                        complete_mask,
-                        placed | bit,
-                        next,
-                        visited,
-                        chosen,
-                    ) {
-                        return true;
-                    }
-                    chosen.pop();
-                }
-            }
-        }
-    }
-    false
+/// A spec transition: state id, op, and response (`None` if pending).
+type Transition<'h, S> = (usize, &'h <S as Spec>::Op, Option<&'h <S as Spec>::Resp>);
+
+struct Search<'h, S: Spec> {
+    spec: &'h S,
+    /// In invocation order.
+    ops: Vec<TimedOp<'h, S>>,
+    /// Per process, its first op not linearized yet; then a state id.
+    key: Vec<usize>,
+    /// The `key`s of failed nodes.
+    memo: HashSet<Box<[usize]>, FxBuild>,
+    /// Interned spec states.
+    states: Vec<S::State>,
+    ids: HashMap<S::State, usize, FxBuild>,
+    /// Each transition's range of `outcomes`.
+    transitions: HashMap<Transition<'h, S>, Range<usize>, FxBuild>,
+    /// Successor state, and the response a pending op is assigned.
+    outcomes: Vec<(usize, Option<S::Resp>)>,
 }
+
+impl<S: Spec> Search<'_, S> {
+    /// Moves op `i`'s process cursor to `to` (`i` itself to undo
+    /// placing it); 1 if `i` is complete, else 0.
+    fn toggle(&mut self, i: usize, to: usize) -> usize {
+        self.key[self.ops[i].slot] = to;
+        usize::from(self.ops[i].resp.is_some())
+    }
+
+    /// The first enabled head from op `from` on, in invocation order. A
+    /// head is enabled iff no head returned before it was invoked, so
+    /// the earliest head return bounds them all: O(processes).
+    fn enabled_from(&self, from: usize) -> usize {
+        let heads = self.key[..self.key.len() - 1]
+            .iter()
+            .filter(|&&h| h != NONE);
+        let bound = heads.clone().map(|&h| self.ops[h].returned).min();
+        let enabled = heads.filter(|&&h| h >= from && Some(h) < bound).min();
+        enabled.copied().unwrap_or(NONE)
+    }
+
+    /// Whether node `(heads, state)` failed before.
+    fn failed(&mut self, state: usize) -> bool {
+        *self.key.last_mut().expect("state slot") = state;
+        self.memo.contains(self.key.as_slice())
+    }
+
+    /// Records that node `(heads, state)` failed.
+    fn fail(&mut self, state: usize) {
+        *self.key.last_mut().expect("state slot") = state;
+        self.memo.insert(self.key.as_slice().into());
+    }
+
+    /// The id of spec state `s`; a new one is cloned once, into the arena.
+    fn intern(&mut self, s: S::State) -> usize {
+        let states = &mut self.states;
+        *self.ids.entry(s).or_insert_with_key(|s| {
+            states.push(s.clone());
+            states.len() - 1
+        })
+    }
+
+    /// The outcomes of placing op `i` in `state`, asked of the spec
+    /// once per distinct `(state, op, response)`.
+    fn outcomes(&mut self, state: usize, i: usize) -> Range<usize> {
+        let TimedOp { op, resp, .. } = self.ops[i];
+        if let Some(range) = self.transitions.get(&(state, op, resp)) {
+            return range.clone();
+        }
+        let (spec, start) = (self.spec, self.outcomes.len());
+        match resp {
+            Some(r) => {
+                for next in spec.accept(&self.states[state], op, r) {
+                    let id = self.intern(next);
+                    self.outcomes.push((id, None));
+                }
+            }
+            // A pending op may linearize with any legal outcome.
+            None => {
+                for (next, r) in spec.step(&self.states[state], op) {
+                    let id = self.intern(next);
+                    self.outcomes.push((id, Some(r)));
+                }
+            }
+        }
+        let range = start..self.outcomes.len();
+        self.transitions.insert((state, op, resp), range.clone());
+        range
+    }
+}
+
+/// An FxHash-style multiply–rotate hasher for the search's own tables,
+/// whose keys are its indices, spec states and the history's ops. Every
+/// table compares keys by equality, so keys crafted to collide could
+/// slow a check but never change a verdict; SipHash's flood resistance
+/// is not worth its cost per node here.
+#[derive(Default)]
+struct Fx(u64);
+
+impl Hasher for Fx {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.write_u64(n as u64);
+    }
+}
+
+type FxBuild = BuildHasherDefault<Fx>;
 
 /// Checks that `lin` is itself a valid linearization of `history`
 /// (used to cross-validate checker output in tests).
@@ -305,5 +380,40 @@ mod tests {
     fn empty_history_is_linearizable() {
         let h: History<QueueSpec> = History::new();
         assert!(is_linearizable(&QueueSpec, &h));
+    }
+
+    // Per-process cursors rely on well-formedness, so an ill-formed
+    // history fails closed in every build, naming the event.
+
+    #[test]
+    #[should_panic(expected = "event 2 returns OpId(7), which is not open")]
+    fn a_return_with_no_open_op_panics() {
+        let mut h: History<MaxRegisterSpec> = History::new();
+        h.invoke(OpId(0), 0, MaxOp::Write(1));
+        h.ret(OpId(0), MaxResp::Ok);
+        h.ret(OpId(7), MaxResp::Ok);
+        linearize(&MaxRegisterSpec, &h);
+    }
+
+    #[test]
+    #[should_panic(expected = "event 1 invokes OpId(1) while process 0 has OpId(0) open")]
+    fn a_second_invoke_with_an_op_open_panics() {
+        let mut h: History<MaxRegisterSpec> = History::new();
+        h.invoke(OpId(0), 0, MaxOp::Read);
+        h.invoke(OpId(1), 0, MaxOp::Read);
+        linearize(&MaxRegisterSpec, &h);
+    }
+
+    #[test]
+    #[should_panic(expected = "event 3 reuses OpId(0)")]
+    fn a_duplicate_op_id_panics() {
+        let mut h: History<MaxRegisterSpec> = History::new();
+        h.invoke(OpId(0), 0, MaxOp::Write(1));
+        h.ret(OpId(0), MaxResp::Ok);
+        h.invoke(OpId(1), 1, MaxOp::Read);
+        h.invoke(OpId(0), 0, MaxOp::Read);
+        h.ret(OpId(1), MaxResp::Value(1));
+        h.ret(OpId(0), MaxResp::Value(1));
+        linearize(&MaxRegisterSpec, &h);
     }
 }

@@ -49,8 +49,9 @@ use crate::history::{History, OpId};
 use crate::lin::is_linearizable;
 
 /// Per-process operation-id stride: the `k`-th operation recorded by
-/// process `p` gets [`OpId`]`(p * OP_STRIDE + k)`. The linearizability
-/// checker caps histories at 128 operations, far below the stride.
+/// process `p` gets [`OpId`]`(p * OP_STRIDE + k)`, so ids stay distinct
+/// while each process records fewer than 2^20 operations (the merge
+/// asserts it); the linearizability checker has no length cap of its own.
 const OP_STRIDE: usize = 1 << 20;
 
 /// One logged event, before the merge.

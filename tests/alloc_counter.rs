@@ -598,6 +598,59 @@ fn a_search_node_costs_the_same_at_any_scenario_length() {
     }
 }
 
+/// The committed 60-op keyed history (`tests/data/keyed_history_60.txt`).
+fn keyed_history_60() -> History<sl2_spec::keyed::KeyedMaxSpec> {
+    use sl2::exec::history::OpId;
+    use sl2_spec::keyed::KeyedMaxOp::{Read, Write};
+    use sl2_spec::max_register::MaxResp;
+    fn num<T: std::str::FromStr>(field: &str) -> T {
+        field
+            .parse()
+            .unwrap_or_else(|_| panic!("bad field {field:?}"))
+    }
+    let mut h = History::new();
+    let lines = include_str!("data/keyed_history_60.txt").lines();
+    for line in lines.filter(|l| !l.starts_with('#')) {
+        match line.split_whitespace().collect::<Vec<_>>()[..] {
+            ["i", id, p, "w", key, v] => h.invoke(
+                OpId(num(id)),
+                num(p),
+                Write {
+                    key: num(key),
+                    v: num(v),
+                },
+            ),
+            ["i", id, p, "r", key] => h.invoke(OpId(num(id)), num(p), Read { key: num(key) }),
+            ["r", id, "ok"] => h.ret(OpId(num(id)), MaxResp::Ok),
+            ["r", id, v] => h.ret(OpId(num(id)), MaxResp::Value(num(v))),
+            _ => panic!("bad fixture line {line:?}"),
+        }
+    }
+    h
+}
+
+#[test]
+fn a_history_verdict_allocates_per_spec_transition_not_per_node() {
+    // Pinned without a clock: 289 allocations per `is_linearizable`
+    // call on this history with the bitmask search (296 in a debug
+    // build, which also ran `is_well_formed`), 139 now in either build.
+    // The bitmask search paid for the `HashMap` and records of
+    // `History::ops`, the precedence matrix, and at each of its 63
+    // nodes a memo copy of the `BTreeMap` spec state plus
+    // `Spec::accept`'s two `Vec`s and state clone. Now the memo key is
+    // `(cursors, state id)` and only failed nodes are recorded, so what
+    // is left is mostly `Spec::accept`, asked once per distinct
+    // `(state, op, response)`: 37 times here, over 6 interned states.
+    let h = keyed_history_60();
+    assert_eq!(h.len(), 120, "60 operations, all complete");
+    let spec = sl2_spec::keyed::KeyedMaxSpec;
+    assert!(is_linearizable(&spec, &h), "warm-up and verdict");
+    let (n, ok) = allocs_during(|| is_linearizable(&spec, &h));
+    assert!(ok);
+    assert_eq!(n, 139, "allocations per verdict");
+    assert!(2 * n <= 289, "at most half the bitmask search's 289");
+}
+
 #[cfg(not(feature = "obs"))]
 #[test]
 fn disarmed_obs_probes_are_free() {

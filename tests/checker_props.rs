@@ -97,6 +97,10 @@ proptest! {
         );
         let lin = linearize(&MaxRegisterSpec, &exec.history);
         prop_assert!(lin.is_some(), "history: {:?}", exec.history);
+        prop_assert_eq!(
+            &lin,
+            &reference_differential::reference_linearize(&MaxRegisterSpec, &exec.history)
+        );
         validate_linearization(&MaxRegisterSpec, &exec.history, &lin.expect("checked"))
             .map_err(TestCaseError::fail)?;
     }
@@ -565,5 +569,387 @@ mod relaxed_controls {
             !report.strongly_linearizable,
             "duplicates must violate the exact queue spec"
         );
+    }
+}
+
+// ---------------------------------------------------------------------
+// The reference differential: `linearize` against the bitmask
+// Wing–Gong search it replaced, kept below verbatim as the reference
+// implementation. On every input the two return the identical
+// `Option<Linearization>` — same order, same responses assigned to
+// pending ops — because the cursor search visits the same nodes in the
+// same order (DESIGN.md §7 "The history checker").
+// ---------------------------------------------------------------------
+
+mod reference_differential {
+    use super::*;
+    use rand::{Rng, SeedableRng};
+    use sl2_exec::history::{Event, OpRecord};
+    use sl2_exec::lin::Linearization;
+    use sl2_exec::sched;
+    use sl2_spec::keyed::{KeyedMaxOp, KeyedMaxSpec};
+    use sl2_spec::Spec;
+    use std::collections::HashSet;
+
+    /// Searches for a linearization of `history` against `spec`.
+    ///
+    /// Returns `Some(linearization)` if one exists, `None` otherwise.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the history has more than 128 operations (the checker is
+    /// meant for bounded scenarios).
+    pub fn reference_linearize<S: Spec>(
+        spec: &S,
+        history: &History<S>,
+    ) -> Option<Linearization<S>> {
+        let ops = history.ops();
+        assert!(ops.len() <= 128, "checker supports at most 128 operations");
+        debug_assert!(history.is_well_formed(), "ill-formed history");
+
+        // Precedence matrix: must[i] = bitmask of ops that must precede op i.
+        let n = ops.len();
+        let mut must = vec![0u128; n];
+        for (i, a) in ops.iter().enumerate() {
+            for (j, b) in ops.iter().enumerate() {
+                if i != j && history.precedes(a, b) {
+                    must[j] |= 1u128 << i;
+                }
+            }
+        }
+        let complete_mask: u128 = ops
+            .iter()
+            .enumerate()
+            .filter(|(_, r)| r.returned.is_some())
+            .fold(0, |m, (i, _)| m | (1u128 << i));
+
+        let mut visited: HashSet<(u128, S::State)> = HashSet::new();
+        let mut chosen: Vec<(usize, S::Resp)> = Vec::new();
+        if dfs(
+            spec,
+            &ops,
+            &must,
+            complete_mask,
+            0,
+            spec.initial(),
+            &mut visited,
+            &mut chosen,
+        ) {
+            Some(
+                chosen
+                    .iter()
+                    .map(|(i, r)| (ops[*i].id, ops[*i].op.clone(), r.clone()))
+                    .collect(),
+            )
+        } else {
+            None
+        }
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn dfs<S: Spec>(
+        spec: &S,
+        ops: &[OpRecord<S>],
+        must: &[u128],
+        complete_mask: u128,
+        placed: u128,
+        state: S::State,
+        visited: &mut HashSet<(u128, S::State)>,
+        chosen: &mut Vec<(usize, S::Resp)>,
+    ) -> bool {
+        if complete_mask & !placed == 0 {
+            // All complete ops placed; pending ops may be dropped.
+            return true;
+        }
+        if !visited.insert((placed, state.clone())) {
+            return false;
+        }
+        for (i, rec) in ops.iter().enumerate() {
+            let bit = 1u128 << i;
+            if placed & bit != 0 {
+                continue;
+            }
+            // Every operation that must precede i has to be placed already.
+            if must[i] & !placed != 0 {
+                continue;
+            }
+            match &rec.returned {
+                Some((resp, _)) => {
+                    for next in spec.accept(&state, &rec.op, resp) {
+                        chosen.push((i, resp.clone()));
+                        if dfs(
+                            spec,
+                            ops,
+                            must,
+                            complete_mask,
+                            placed | bit,
+                            next,
+                            visited,
+                            chosen,
+                        ) {
+                            return true;
+                        }
+                        chosen.pop();
+                    }
+                }
+                None => {
+                    // A pending op may linearize with any legal outcome.
+                    for (next, resp) in spec.step(&state, &rec.op) {
+                        chosen.push((i, resp.clone()));
+                        if dfs(
+                            spec,
+                            ops,
+                            must,
+                            complete_mask,
+                            placed | bit,
+                            next,
+                            visited,
+                            chosen,
+                        ) {
+                            return true;
+                        }
+                        chosen.pop();
+                    }
+                }
+            }
+        }
+        false
+    }
+
+    /// `linearize` and the reference agree exactly; returns the
+    /// linearization, validated.
+    pub fn agrees<S: Spec>(spec: &S, history: &History<S>) -> Option<Linearization<S>> {
+        let lin = linearize(spec, history);
+        assert_eq!(
+            lin,
+            reference_linearize(spec, history),
+            "history: {history:?}"
+        );
+        if let Some(lin) = &lin {
+            validate_linearization(spec, history, lin).expect("valid");
+        }
+        lin
+    }
+
+    /// Tallies what a differential exercised: verdicts of each kind, and
+    /// linearizations that took a pending op with an assigned response.
+    #[derive(Debug, Default)]
+    struct Coverage {
+        accepted: usize,
+        rejected: usize,
+        pending_placed: usize,
+    }
+
+    impl Coverage {
+        fn add<S: Spec>(&mut self, history: &History<S>, lin: Option<Linearization<S>>) {
+            let Some(lin) = lin else {
+                self.rejected += 1;
+                return;
+            };
+            self.accepted += 1;
+            let pending = history.pending_ops();
+            if lin
+                .iter()
+                .any(|(id, _, _)| pending.iter().any(|r| r.id == *id))
+            {
+                self.pending_placed += 1;
+            }
+        }
+    }
+
+    /// `history` with the return event at index `at` answering `resp`.
+    fn with_return<S: Spec>(history: &History<S>, at: usize, resp: S::Resp) -> History<S> {
+        let mut out = History::new();
+        for (j, e) in history.events().iter().enumerate() {
+            match e {
+                Event::Invoke { id, process, op } => out.invoke(*id, *process, op.clone()),
+                Event::Return { id, .. } if j == at => out.ret(*id, resp.clone()),
+                Event::Return { id, resp } => out.ret(*id, resp.clone()),
+            }
+        }
+        out
+    }
+
+    /// Indices of the return events whose response satisfies `pred`.
+    fn returns<S: Spec>(history: &History<S>, pred: impl Fn(&S::Resp) -> bool) -> Vec<usize> {
+        let events = history.events().iter().enumerate();
+        events
+            .filter(|(_, e)| matches!(e, Event::Return { resp, .. } if pred(resp)))
+            .map(|(at, _)| at)
+            .collect()
+    }
+
+    /// One seeded run of `alg` over `ops` under a random schedule, with
+    /// the processes in `crashes` halting after a few steps.
+    fn run<A: Algorithm>(
+        make: impl Fn(&mut SimMemory) -> A,
+        ops: Vec<Vec<<A::Spec as Spec>::Op>>,
+        seed: u64,
+        crashes: &[(usize, u64)],
+    ) -> History<A::Spec> {
+        let n = ops.len();
+        let plan = crashes
+            .iter()
+            .fold(CrashPlan::none(n), |plan, &(p, steps)| {
+                plan.crash_after(p, steps)
+            });
+        let mut mem = SimMemory::new();
+        let alg = make(&mut mem);
+        let scenario = Scenario::new(ops);
+        sched::run(&alg, mem, &scenario, &mut RandomSched::seeded(seed), &plan).history
+    }
+
+    /// A benchmark-shaped op list: 3 processes × `per` keyed ops over
+    /// keys {1, 2}, values 1..=8.
+    fn keyed_ops(rng: &mut rand::rngs::StdRng, per: usize) -> Vec<Vec<KeyedMaxOp>> {
+        let mut op = || {
+            let key = rng.gen_range(1..3u64);
+            match rng.gen_range(0..2u32) {
+                0 => KeyedMaxOp::Write {
+                    key,
+                    v: rng.gen_range(1..9u64),
+                },
+                _ => KeyedMaxOp::Read { key },
+            }
+        };
+        (0..3).map(|_| (0..per).map(|_| op()).collect()).collect()
+    }
+
+    fn keyed_twin(mem: &mut SimMemory) -> KeyedDispatchAlg {
+        KeyedDispatchAlg::new(mem, 3, &[1, 2], RouteMode::Exact)
+    }
+
+    /// A value no generated write carries.
+    const NEVER_WRITTEN: u64 = 9_999;
+
+    #[test]
+    fn benchmark_shaped_keyed_histories_match_the_reference() {
+        // The `checker` workload's `lin` phase: 3 × 20 ops of the
+        // dispatch twin, every other history with one read rewritten
+        // to a value nobody wrote.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(25);
+        let mut planted = 0;
+        for i in 0..2_000 {
+            let ops = keyed_ops(&mut rng, 20);
+            let mut history = run(keyed_twin, ops, rng.gen(), &[]);
+            let reads = returns(&history, |r| matches!(r, MaxResp::Value(_)));
+            let plant = i % 2 == 1 && !reads.is_empty();
+            if plant {
+                let at = reads[rng.gen_range(0..reads.len())];
+                history = with_return(&history, at, MaxResp::Value(NEVER_WRITTEN));
+                planted += 1;
+            }
+            let lin = agrees(&KeyedMaxSpec, &history);
+            assert_eq!(lin.is_some(), !plant, "history {i}");
+        }
+        assert!(planted >= 950, "{planted} planted");
+    }
+
+    /// Up to two crashes, each after 0..`max_steps` steps.
+    fn crashes(rng: &mut rand::rngs::StdRng, max_steps: u64) -> Vec<(usize, u64)> {
+        let n = rng.gen_range(0..3usize);
+        (0..n)
+            .map(|_| (rng.gen_range(0..3usize), rng.gen_range(0..max_steps)))
+            .collect()
+    }
+
+    #[test]
+    fn crash_pending_histories_match_the_reference() {
+        // Crash-stopped processes leave pending ops, which may be
+        // dropped or linearized with an assigned response; a corrupted
+        // read makes some of these histories non-linearizable.
+        let mut seen = Coverage::default();
+        for seed in 0..500 {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let crashes = crashes(&mut rng, 12);
+            let mut history = run(keyed_twin, keyed_ops(&mut rng, 6), seed, &crashes);
+            let reads = returns(&history, |r| matches!(r, MaxResp::Value(_)));
+            let corrupt = rng.gen_range(0..4u64);
+            if corrupt > 0 && !reads.is_empty() {
+                let at = reads[rng.gen_range(0..reads.len())];
+                history = with_return(&history, at, MaxResp::Value(corrupt));
+            }
+            seen.add(&history, agrees(&KeyedMaxSpec, &history));
+        }
+        assert!(
+            seen.rejected >= 100 && seen.accepted >= 100 && seen.pending_placed >= 40,
+            "{seen:?}"
+        );
+    }
+
+    #[test]
+    fn nondeterministic_spec_histories_match_the_reference() {
+        // The multiplicity queue (a dequeue may repeat the head) and
+        // the put/take set (a take may return any item), from their
+        // algorithms under random schedules and crashes, with one
+        // response rewritten in most runs.
+        use sl2_spec::fifo::{QueueOp, QueueResp};
+        use sl2_spec::put_take::{SetOp, SetResp};
+        let (mut queue, mut set) = (Coverage::default(), Coverage::default());
+        for seed in 0..300 {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let crashes = crashes(&mut rng, 16);
+            let rewrite = rng.gen_range(0..4u64);
+            let mut coin = || rng.gen_range(0..2u32) == 0;
+            let queue_ops: Vec<Vec<QueueOp>> = (0..3u64)
+                .map(|p| {
+                    (0..3u64)
+                        .map(|i| {
+                            if coin() {
+                                QueueOp::Enq(1 + (p + i) % 3)
+                            } else {
+                                QueueOp::Deq
+                            }
+                        })
+                        .collect()
+                })
+                .collect();
+            let mut history = run(|mem| MultQueueAlg::new(mem, 3), queue_ops, seed, &crashes);
+            let deqs = returns(&history, |r| *r != QueueResp::Ok);
+            if rewrite > 0 && !deqs.is_empty() {
+                let at = deqs[seed as usize % deqs.len()];
+                let resp = if rewrite == 3 {
+                    QueueResp::Empty
+                } else {
+                    QueueResp::Item(rewrite)
+                };
+                history = with_return(&history, at, resp);
+            }
+            let spec = sl2_spec::relaxed::MultiplicityQueueSpec;
+            queue.add(&history, agrees(&spec, &history));
+
+            let set_ops: Vec<Vec<SetOp>> = (0..3u64)
+                .map(|p| {
+                    (0..3u64)
+                        .map(|i| {
+                            if coin() {
+                                SetOp::Put(1 + (p + i) % 3)
+                            } else {
+                                SetOp::Take
+                            }
+                        })
+                        .collect()
+                })
+                .collect();
+            let mut history = run(SlSetAlg::new, set_ops, seed, &crashes);
+            let takes = returns(&history, |r| *r != SetResp::Ok);
+            if rewrite > 0 && !takes.is_empty() {
+                let at = takes[seed as usize % takes.len()];
+                let resp = if rewrite == 3 {
+                    SetResp::Empty
+                } else {
+                    SetResp::Item(rewrite)
+                };
+                history = with_return(&history, at, resp);
+            }
+            let spec = sl2_spec::put_take::PutTakeSetSpec;
+            set.add(&history, agrees(&spec, &history));
+        }
+        for seen in [&queue, &set] {
+            assert!(
+                seen.rejected >= 50 && seen.accepted >= 50 && seen.pending_placed >= 20,
+                "queue {queue:?}, set {set:?}"
+            );
+        }
     }
 }

@@ -171,3 +171,63 @@ fn recorded_staleness_matches_the_machine_verdicts() {
     );
     report.write_env();
 }
+
+#[test]
+fn production_length_histories_check_on_the_default_stack() {
+    // 3 threads × 5 000 ops on the shipped max register, recorded and
+    // checked on this test thread's default stack: the checker's search
+    // is an explicit stack over per-process cursors, with no bound on
+    // history length.
+    use sl2::exec::history::Event;
+    use sl2_spec::max_register::{MaxOp, MaxRegisterSpec, MaxResp};
+    const PER: u64 = 5_000;
+    let m = SlMaxRegister::new_binary(3);
+    let rec = Recorder::<MaxRegisterSpec>::new(3);
+    std::thread::scope(|s| {
+        for p in 0..3usize {
+            let (m, rec) = (&m, &rec);
+            s.spawn(move || {
+                for i in 0..PER {
+                    if i % 2 == 0 {
+                        // Every written value is ≡ p (mod 10), p < 3.
+                        let v = 10 * i + p as u64;
+                        rec.run_op(p, MaxOp::Write(v), || {
+                            m.write_max(p, v);
+                            MaxResp::Ok
+                        });
+                    } else {
+                        rec.run_op(p, MaxOp::Read, || MaxResp::Value(m.read_max()));
+                    }
+                }
+            });
+        }
+    });
+    let history = rec.into_history();
+    assert_eq!(history.len(), 2 * 3 * PER as usize);
+    let lin = linearize(&MaxRegisterSpec, &history).expect("the shipped register linearizes");
+    assert_eq!(lin.len(), 3 * PER as usize);
+
+    // The same history with one mid-run read answering a value nobody
+    // wrote (≡ 7 mod 10) is rejected.
+    let reads: Vec<usize> = (0..history.len())
+        .filter(|&at| {
+            matches!(
+                history.events()[at],
+                Event::Return {
+                    resp: MaxResp::Value(_),
+                    ..
+                }
+            )
+        })
+        .collect();
+    let planted = reads[reads.len() / 2];
+    let mut bad = History::new();
+    for (at, e) in history.events().iter().enumerate() {
+        match e {
+            Event::Invoke { id, process, op } => bad.invoke(*id, *process, *op),
+            Event::Return { id, .. } if at == planted => bad.ret(*id, MaxResp::Value(10 * PER + 7)),
+            Event::Return { id, resp } => bad.ret(*id, *resp),
+        }
+    }
+    assert!(!is_linearizable(&MaxRegisterSpec, &bad));
+}
