@@ -2,7 +2,7 @@
 //!
 //! These mirror the pseudocode of the step-machine forms in
 //! [`crate::machines`] but run on the hardware atomics of
-//! [`sl2_primitives`], for use from real threads (examples, benches).
+//! [`sl2_primitives`], for use from real threads (examples, stress tests).
 //!
 //! Two small traits keep the composition structure of the paper
 //! explicit: [`MaxRegister`] (Theorem 6 is generic in its max register

@@ -9,7 +9,7 @@
 //! two *concurrent* dequeues may return the same item; sequential
 //! dequeues never do. The step-machine form carries the checker verdicts
 //! (linearizable w.r.t. the relaxed specification; **not** strongly
-//! linearizable); this form exists for threads and benches.
+//! linearizable); this form exists for real threads.
 //!
 //! # Examples
 //!

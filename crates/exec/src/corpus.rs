@@ -106,8 +106,8 @@ impl CorpusRecord {
 
 /// Machine-readable result of one or more corpus runs sharing a node
 /// budget. Serialized as JSON lines by [`CorpusReport::to_json_lines`]
-/// (CI uploads it as the corpus-smoke artifact; `BENCH_PR4.json`
-/// commits a snapshot).
+/// (CI uploads it as the corpus-smoke artifact; EXPERIMENTS.md E24/E25
+/// record the numbers).
 #[derive(Debug, Clone)]
 pub struct CorpusReport {
     /// Global node budget shared by every scenario run into this

@@ -1,8 +1,8 @@
 //! The mergeable log₂-bucketed histogram underlying `obs::record` /
-//! `obs::time` and the bench harness's latency percentiles.
+//! `obs::time` and the service tier's latency percentiles.
 //!
-//! Always compiled (no feature gate): the bench harness records
-//! per-sample latencies into [`Histogram`]s whether or not the probe
+//! Always compiled (no feature gate): the service workers and the
+//! benchmark record latencies into [`Histogram`]s whether or not the probe
 //! layer is armed, and tests compare percentile extraction against
 //! sorted-vector references.
 

@@ -3,8 +3,8 @@
 //!
 //! The production objects — `WideFaa`, the sharded registers, the
 //! combining front-end — make step-count and contention claims (DWCAS
-//! retries, probe widths, combiner batch sizes) that the benches can
-//! only see as makespan medians. This crate is the seam that makes
+//! retries, probe widths, combiner batch sizes) that end-to-end timings
+//! can only see as medians. This crate is the seam that makes
 //! them observable, on the same terms as `sl2_chaos` (PR 7):
 //!
 //! * **Probes.** Hot paths are annotated with labeled hooks:
@@ -24,9 +24,9 @@
 //!   histograms bucket-merged with p50/p99/p999/max extraction), which
 //!   serializes to JSON lines and exports via `SL2_METRICS_JSON`.
 //!
-//! The [`Histogram`] type itself is *not* feature-gated: the bench
-//! harness (`sl2_bench`) records per-sample latencies into it directly
-//! so every bench group can report percentiles alongside medians.
+//! The [`Histogram`] type itself is *not* feature-gated: the service
+//! workers and the benchmark (`benchmark/`) record per-request
+//! latencies into it directly, so percentiles exist in default builds.
 //!
 //! # Example
 //!

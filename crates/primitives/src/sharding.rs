@@ -75,8 +75,8 @@ pub const MAX_SHARDS: usize = 256;
 /// The maps are plain residues, deliberately: the checker scenarios in
 /// DESIGN.md §6 reason about *which* shard each operation touches, and
 /// a mixing hash would make those scenarios unreadable without making
-/// the contention story better (the benches drive skew explicitly
-/// through their value streams instead).
+/// the contention story better (load generators drive skew explicitly
+/// through their key and value streams instead).
 ///
 /// # Examples
 ///

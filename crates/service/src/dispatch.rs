@@ -15,7 +15,7 @@
 //! into its own [`Histogram`] after executing. Queue wait is inside
 //! the measurement, so saturation shows up in p999 instead of being
 //! coordinated-omitted away (DESIGN.md §12; the generator half lives
-//! in `sl2_bench::open_loop`).
+//! in `benchmark/src/gen.rs`).
 //!
 //! Instrumentation (PR-7/PR-8/PR-10 pattern — empty inline stubs by
 //! default, armed under `chaos`/`obs`/`trace`):

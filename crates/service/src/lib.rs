@@ -22,9 +22,9 @@
 //!   refuted exact and certified `k`-lagging — DESIGN.md §8's law one
 //!   layer up, argued in §12.
 //!
-//! Open-loop load generation (arrival schedules, zipf key popularity)
-//! lives in `sl2_bench`; workers stamp scheduled→completion latency
-//! into the PR-8 [`sl2_obs::Histogram`], so the percentiles include
+//! Open-loop load generation (seeded Poisson arrivals, zipf keys)
+//! lives in `benchmark/src/gen.rs`; workers stamp scheduled→completion
+//! latency into the PR-8 [`sl2_obs::Histogram`], so the percentiles include
 //! queueing and coordinated omission does not flatter p999.
 //!
 //! ```

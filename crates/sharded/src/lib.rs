@@ -54,7 +54,7 @@ pub mod snapshot;
 /// Static label plumbing for the sl2_obs skew probes: obs counters key
 /// by `&'static str`, so per-shard op counts use a fixed label family
 /// (exact for the first 16 shards, one overflow bucket past that —
-/// enough to see skew at every shard count the benches run).
+/// enough to see skew at every shard count the tests and benchmark use).
 pub(crate) mod probes {
     const SHARD_OPS: [&str; 16] = [
         "sharded.shard.00.ops",

@@ -20,7 +20,7 @@
 //!
 //! When `SL2_CORPUS_JSON` is set, the parallel memo-on `CorpusReport`
 //! is written there as JSON lines — CI's corpus-smoke step uploads
-//! it, and `BENCH_PR5.json` commits a snapshot.
+//! it; the benchmark's `checker` workload times the same records.
 //!
 //! `tests/data/corpus_shape.jsonl` pins the search itself, record by
 //! record: the deterministic fields of the memo-on report plus the
@@ -744,7 +744,7 @@ fn corpus_recertifies_every_shipped_verdict() {
     let anchor = on.get("sharded_s4/frontier_safe").expect("anchor present");
     assert!(anchor.nodes > 0 && anchor.nodes < on.node_budget);
 
-    // Machine-readable artifact for CI / BENCH_PR5.json.
+    // Machine-readable artifact for CI's corpus re-certification step.
     if let Ok(path) = std::env::var("SL2_CORPUS_JSON") {
         std::fs::write(&path, on.to_json_lines())
             .unwrap_or_else(|e| panic!("cannot write {path}: {e}"));

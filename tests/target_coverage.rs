@@ -1,17 +1,19 @@
-//! Guards the build-system wiring itself: every example and bench
-//! source file must be a registered cargo target, so none of them can
-//! silently rot out of `cargo check --examples --tests --benches`.
+//! Guards the build-system wiring itself: the example, integration-test,
+//! workspace-member and vendored-shim sets are pinned, so a file added or
+//! dropped without updating the README and CI fails here instead of
+//! rotting, and the feature-gated instrumentation layers must stay gated.
 //!
-//! Examples are auto-discovered by cargo, so for them it is enough to
-//! pin the expected set; bench targets live in `crates/bench/benches/`
-//! but are registered on the root package by hand (see the workspace
-//! manifest), and an unregistered file there would never be compiled —
-//! exactly the rot this test exists to catch.
+//! Cargo auto-discovers both examples and test suites, so it is enough
+//! to pin the expected sets against what is on disk. Performance is
+//! judged by one referee, `BENCHMARK.json` plus `benchmark/`: CI must
+//! audit every workload it declares and leave it byte-identical, and
+//! nothing outside the historical records may point back at the bench
+//! stack it replaced.
 
 use std::collections::BTreeSet;
 use std::path::Path;
 
-/// The seven runnable examples the README and ISSUE promise.
+/// The seven runnable examples the README promises.
 const EXPECTED_EXAMPLES: &[&str] = &[
     "figure1",
     "quickstart",
@@ -30,7 +32,6 @@ const EXPECTED_EXAMPLES: &[&str] = &[
 const EXPECTED_TESTS: &[&str] = &[
     "agreement_e2e",
     "alloc_counter",
-    "bench_gate",
     "chaos_stress",
     "checker_props",
     "combine_stress",
@@ -47,8 +48,63 @@ const EXPECTED_TESTS: &[&str] = &[
     "trace",
 ];
 
+/// The root manifest's `[workspace] members`: the twelve crates and the
+/// three vendored shims. The benchmark is a package of its own.
+const EXPECTED_MEMBERS: &[&str] = &[
+    "crates/agreement",
+    "crates/bignum",
+    "crates/chaos",
+    "crates/combine",
+    "crates/core",
+    "crates/exec",
+    "crates/obs",
+    "crates/primitives",
+    "crates/service",
+    "crates/sharded",
+    "crates/spec",
+    "crates/trace",
+    "vendor/parking_lot",
+    "vendor/proptest",
+    "vendor/rand",
+];
+
+/// The offline shims under `vendor/`, one per external crate the tree
+/// uses (the root manifest's header names the same three).
+const EXPECTED_VENDOR: &[&str] = &["parking_lot", "proptest", "rand"];
+
+/// The workloads `BENCHMARK.json` declares, each of which CI audits.
+const EXPECTED_WORKLOADS: &[&str] = &[
+    "svc-open-50k",
+    "svc-pipe-256",
+    "svc-call",
+    "obj-direct",
+    "checker",
+];
+
 fn repo_root() -> &'static Path {
     Path::new(env!("CARGO_MANIFEST_DIR"))
+}
+
+fn read_repo_file(rel: &str) -> String {
+    std::fs::read_to_string(repo_root().join(rel))
+        .unwrap_or_else(|e| panic!("cannot read {rel}: {e}"))
+}
+
+/// Every file under `dir` (recursively) whose extension is in `exts`.
+fn files_with_extensions(dir: &Path, exts: &[&str], out: &mut Vec<std::path::PathBuf>) {
+    for entry in
+        std::fs::read_dir(dir).unwrap_or_else(|e| panic!("cannot read {}: {e}", dir.display()))
+    {
+        let path = entry.expect("dir entry").path();
+        if path.is_dir() {
+            files_with_extensions(&path, exts, out);
+        } else if path
+            .extension()
+            .is_some_and(|ext| exts.iter().any(|e| ext == *e))
+        {
+            out.push(path);
+        }
+    }
 }
 
 fn rust_file_stems(dir: &Path) -> BTreeSet<String> {
@@ -157,46 +213,153 @@ fn chaos_suite_stays_feature_gated() {
 }
 
 #[test]
-fn every_bench_file_is_a_registered_bench_target() {
-    let root = repo_root();
-    let bench_files = rust_file_stems(&root.join("crates/bench/benches"));
-    assert!(
-        !bench_files.is_empty(),
-        "crates/bench/benches/ vanished — bench targets lost"
+fn workspace_members_match_the_documented_set() {
+    let manifest = read_repo_file("Cargo.toml");
+    let start = manifest
+        .find("members = [")
+        .expect("root Cargo.toml lists workspace members");
+    let block = &manifest[start..];
+    let block = &block[..block.find(']').expect("members list is closed")];
+    let found: BTreeSet<String> = block
+        .lines()
+        .skip(1)
+        .map(|line| line.trim().trim_end_matches(',').trim_matches('"'))
+        .filter(|member| !member.is_empty())
+        .map(str::to_string)
+        .collect();
+    let expected: BTreeSet<String> = EXPECTED_MEMBERS.iter().map(|s| s.to_string()).collect();
+    assert_eq!(
+        found, expected,
+        "workspace members drifted from the documented set; update \
+         EXPECTED_MEMBERS, the README crate map and the Cargo.toml layering \
+         header together"
+    );
+}
+
+#[test]
+fn vendored_shims_match_the_documented_set() {
+    let found: BTreeSet<String> = std::fs::read_dir(repo_root().join("vendor"))
+        .expect("vendor/ readable")
+        .map(|entry| entry.expect("dir entry").path())
+        .filter(|p| p.is_dir())
+        .map(|p| {
+            p.file_name()
+                .expect("dir has a name")
+                .to_string_lossy()
+                .into_owned()
+        })
+        .collect();
+    let expected: BTreeSet<String> = EXPECTED_VENDOR.iter().map(|s| s.to_string()).collect();
+    assert_eq!(
+        found, expected,
+        "vendor/ drifted from the documented shims; update EXPECTED_VENDOR, \
+         the README vendor paragraph and the Cargo.toml header together"
+    );
+}
+
+#[test]
+fn no_manifest_registers_bench_targets() {
+    // `benchmark/` is the only performance harness, and it builds as a
+    // package of its own; a `[[bench]]` block or bench profile in the
+    // workspace would be a second, unrefereed one.
+    let mut manifests = vec![repo_root().join("Cargo.toml")];
+    for member in EXPECTED_MEMBERS {
+        manifests.push(repo_root().join(member).join("Cargo.toml"));
+    }
+    for path in manifests {
+        let manifest = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
+        for section in ["[[bench]]", "[profile.bench]"] {
+            assert!(
+                !manifest.lines().any(|line| line.trim() == section),
+                "{} declares {section}; performance claims go through benchmark/",
+                path.display()
+            );
+        }
+    }
+}
+
+#[test]
+fn ci_audits_every_benchmark_workload_and_leaves_the_referee_untouched() {
+    let manifest = read_repo_file("BENCHMARK.json");
+    for workload in EXPECTED_WORKLOADS {
+        assert!(
+            manifest.contains(&format!("{{\"name\": \"{workload}\", \"why\"")),
+            "BENCHMARK.json no longer declares the {workload} workload"
+        );
+    }
+    assert_eq!(
+        manifest.matches("\"why\":").count(),
+        EXPECTED_WORKLOADS.len(),
+        "BENCHMARK.json declares a workload EXPECTED_WORKLOADS does not name"
     );
 
-    // [[bench]] name = "..." entries in the root manifest, in order.
-    let manifest =
-        std::fs::read_to_string(root.join("Cargo.toml")).expect("root Cargo.toml readable");
-    let mut registered = BTreeSet::new();
-    let mut in_bench_section = false;
-    for line in manifest.lines() {
-        let line = line.trim();
-        if line.starts_with('[') {
-            in_bench_section = line == "[[bench]]";
-            continue;
-        }
-        if in_bench_section {
-            if let Some(rest) = line.strip_prefix("name") {
-                let name = rest
-                    .trim_start_matches(['=', ' ', '\t'])
-                    .trim_matches('"')
-                    .to_string();
-                registered.insert(name);
+    let ci = read_repo_file(".github/workflows/ci.yml");
+    let audited: BTreeSet<&str> = ci
+        .lines()
+        .filter_map(|line| line.trim().strip_prefix("for w in "))
+        .flat_map(|rest| rest.split(';').next().unwrap_or("").split_whitespace())
+        .collect();
+    let expected: BTreeSet<&str> = EXPECTED_WORKLOADS.iter().copied().collect();
+    assert_eq!(
+        audited, expected,
+        "CI's benchmark audit loop must run every workload BENCHMARK.json declares"
+    );
+    assert!(
+        ci.contains("git diff --exit-code -- benchmark BENCHMARK.json"),
+        "CI must fail when a build rewrites the frozen benchmark (its Cargo.lock)"
+    );
+    assert!(
+        ci.contains("jq -e . TRAJECTORY.jsonl"),
+        "CI must check that TRAJECTORY.jsonl stays valid JSON lines"
+    );
+}
+
+#[test]
+fn nothing_points_back_at_the_retired_bench_stack() {
+    // The per-target bench harness, its vendored shim, its gate and the
+    // per-PR snapshot files were replaced by `benchmark/`. Only the
+    // historical records (CHANGES.md, ROADMAP.md, EXPERIMENTS.md) and the
+    // frozen benchmark itself may still name them. The needles are split
+    // so this file does not match itself.
+    let needles = [
+        concat!("sl2_", "bench"),
+        concat!("BENCH_", "PR"),
+        concat!("SL2_", "BENCH"),
+        concat!("crite", "rion"),
+        concat!("cargo ", "bench"),
+    ];
+    let root = repo_root();
+    let mut files = Vec::new();
+    for dir in ["crates", "src", "tests", "examples", "vendor", ".github"] {
+        files_with_extensions(&root.join(dir), &["rs", "toml", "md", "yml"], &mut files);
+    }
+    for file in ["Cargo.toml", "README.md", "DESIGN.md"] {
+        files.push(root.join(file));
+    }
+
+    let mut hits = Vec::new();
+    for path in &files {
+        let text = std::fs::read_to_string(path)
+            .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
+        for (lineno, line) in text.lines().enumerate() {
+            for needle in needles {
+                // `sl2_benchmark`, the referee's binary, is not a hit.
+                let hit = line.match_indices(needle).any(|(at, _)| {
+                    !line[at + needle.len()..]
+                        .starts_with(|c: char| c.is_ascii_alphanumeric() || c == '_')
+                });
+                if hit {
+                    let rel = path.strip_prefix(root).unwrap_or(path);
+                    hits.push(format!("{}:{}: {needle}", rel.display(), lineno + 1));
+                }
             }
         }
     }
-
-    assert_eq!(
-        registered, bench_files,
-        "bench sources under crates/bench/benches/ and [[bench]] entries in the \
-         root Cargo.toml must stay in bijection, or `cargo bench --no-run` and \
-         `cargo check --benches` silently skip the missing ones"
-    );
-    assert_eq!(
-        registered.len(),
-        13,
-        "the suite documents thirteen bench targets; update the README and this \
-         test together if that changes"
+    assert!(
+        hits.is_empty(),
+        "stale pointers to the retired bench stack; point them at benchmark/ or \
+         the EXPERIMENTS.md row instead:\n{}",
+        hits.join("\n")
     );
 }
