@@ -24,6 +24,7 @@
 use std::collections::HashSet;
 
 use sl2_spec::Spec;
+use sl2_trace::json_escape;
 
 use crate::machine::Algorithm;
 use crate::mem::SimMemory;
@@ -184,17 +185,6 @@ impl CorpusReport {
         ));
         out
     }
-}
-
-pub(crate) fn json_escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => "\\\"".chars().collect::<Vec<_>>(),
-            '\\' => "\\\\".chars().collect(),
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
 }
 
 /// A named, deduplicated batch of scenarios over one specification.

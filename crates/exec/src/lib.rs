@@ -51,6 +51,7 @@ pub mod record;
 pub mod scenarios;
 pub mod sched;
 pub mod strong;
+mod table;
 
 pub use corpus::{CorpusOptions, CorpusRecord, CorpusReport, CorpusVerdict, ScenarioCorpus};
 pub use history::{History, OpId};

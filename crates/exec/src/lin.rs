@@ -9,16 +9,15 @@
 //! The search is the classic Wing–Gong exploration, memoized on `(set of
 //! linearized ops, specification state)`, at O(processes) per node
 //! (DESIGN.md §7 "The history checker"): the linearized set is a prefix
-//! per process, kept as one cursor each, and spec states are interned,
-//! so a memo key is `(cursors, state id)`.
+//! per process, kept as one cursor each, and spec states are ids in the
+//! check's `SpecTable`, so a memo key is `(cursors, state id)`.
 
-use std::collections::{HashMap, HashSet};
-use std::hash::{BuildHasherDefault, Hasher};
-use std::ops::Range;
+use std::collections::HashSet;
 
 use sl2_spec::Spec;
 
 use crate::history::{History, OpId, TimedOp};
+use crate::table::{FxBuild, SpecTable, StateId, INITIAL};
 
 /// A linearization: operations in order with their responses
 /// (assigned responses for pending operations).
@@ -42,27 +41,26 @@ pub fn linearize<S: Spec>(spec: &S, history: &History<S>) -> Option<Linearizatio
         .unwrap_or_else(|e| panic!("ill-formed history: {e}"));
     let n = ops.len();
     let mut s = Search {
-        spec,
         ops,
         key: heads.into_iter().chain([NONE]).collect(),
         memo: HashSet::default(),
-        states: Vec::new(),
-        ids: HashMap::default(),
-        transitions: HashMap::with_capacity_and_hasher(n, FxBuild::default()),
-        outcomes: Vec::with_capacity(n),
+        table: SpecTable::new(spec.clone(), n),
     };
     // Complete ops still to place; pending ones may be dropped.
     let mut left = s.ops.iter().filter(|o| o.resp.is_some()).count();
     // Per node: state, op placed to reach it, next candidate to try
     // (heads from that op on) and the outcomes left of the current one.
     let mut frames = Vec::with_capacity(n + 1);
-    frames.push((s.intern(spec.initial()), NONE, 0, 0..0));
+    frames.push((INITIAL, NONE, 0, 0..0));
     // (op, outcome) per linearized op.
     let mut chosen: Vec<(usize, usize)> = Vec::with_capacity(n);
     while left > 0 {
         let (state, placed, from, outs) = frames.last_mut()?;
-        if let Some(k) = outs.next() {
-            let (op, next) = (*from - 1, s.outcomes[k].0);
+        // `outs` are op `from - 1`'s outcomes; a complete op takes only
+        // those with its actual response.
+        let actual = usize::checked_sub(*from, 1).and_then(|i| s.ops[i].resp);
+        if let Some(k) = outs.find(|&k| actual.is_none_or(|r| r == s.table.outcome(k).1)) {
+            let (op, next) = (*from - 1, s.table.outcome(k).0);
             left -= s.toggle(op, s.ops[op].next);
             chosen.push((op, k));
             if left == 0 || !s.failed(next) {
@@ -79,7 +77,7 @@ pub fn linearize<S: Spec>(spec: &S, history: &History<S>) -> Option<Linearizatio
         // every revisit as recording it on entry would.
         let op = s.enabled_from(*from);
         if op != NONE {
-            (*from, *outs) = (op + 1, s.outcomes(*state, op));
+            (*from, *outs) = (op + 1, s.table.outcomes(*state, s.ops[op].op));
         } else {
             let (state, placed) = (*state, *placed);
             frames.pop();
@@ -90,9 +88,11 @@ pub fn linearize<S: Spec>(spec: &S, history: &History<S>) -> Option<Linearizatio
             }
         }
     }
-    let resp = |i: usize, k: usize| s.ops[i].resp.or(s.outcomes[k].1.as_ref()).cloned();
-    let entry = |&(i, k): &(usize, usize)| Some((s.ops[i].id, s.ops[i].op.clone(), resp(i, k)?));
-    chosen.iter().map(entry).collect()
+    let entry = |&(i, k): &(usize, usize)| {
+        let op = &s.ops[i];
+        (op.id, op.op.clone(), s.table.outcome(k).1.clone())
+    };
+    Some(chosen.iter().map(entry).collect())
 }
 
 /// Convenience: does a linearization exist?
@@ -100,24 +100,14 @@ pub fn is_linearizable<S: Spec>(spec: &S, history: &History<S>) -> bool {
     linearize(spec, history).is_some()
 }
 
-/// A spec transition: state id, op, and response (`None` if pending).
-type Transition<'h, S> = (usize, &'h <S as Spec>::Op, Option<&'h <S as Spec>::Resp>);
-
 struct Search<'h, S: Spec> {
-    spec: &'h S,
     /// In invocation order.
     ops: Vec<TimedOp<'h, S>>,
     /// Per process, its first op not linearized yet; then a state id.
     key: Vec<usize>,
     /// The `key`s of failed nodes.
     memo: HashSet<Box<[usize]>, FxBuild>,
-    /// Interned spec states.
-    states: Vec<S::State>,
-    ids: HashMap<S::State, usize, FxBuild>,
-    /// Each transition's range of `outcomes`.
-    transitions: HashMap<Transition<'h, S>, Range<usize>, FxBuild>,
-    /// Successor state, and the response a pending op is assigned.
-    outcomes: Vec<(usize, Option<S::Resp>)>,
+    table: SpecTable<'h, S>,
 }
 
 impl<S: Spec> Search<'_, S> {
@@ -141,86 +131,17 @@ impl<S: Spec> Search<'_, S> {
     }
 
     /// Whether node `(heads, state)` failed before.
-    fn failed(&mut self, state: usize) -> bool {
-        *self.key.last_mut().expect("state slot") = state;
+    fn failed(&mut self, state: StateId) -> bool {
+        *self.key.last_mut().expect("state slot") = state as usize;
         self.memo.contains(self.key.as_slice())
     }
 
     /// Records that node `(heads, state)` failed.
-    fn fail(&mut self, state: usize) {
-        *self.key.last_mut().expect("state slot") = state;
+    fn fail(&mut self, state: StateId) {
+        *self.key.last_mut().expect("state slot") = state as usize;
         self.memo.insert(self.key.as_slice().into());
     }
-
-    /// The id of spec state `s`; a new one is cloned once, into the arena.
-    fn intern(&mut self, s: S::State) -> usize {
-        let states = &mut self.states;
-        *self.ids.entry(s).or_insert_with_key(|s| {
-            states.push(s.clone());
-            states.len() - 1
-        })
-    }
-
-    /// The outcomes of placing op `i` in `state`, asked of the spec
-    /// once per distinct `(state, op, response)`.
-    fn outcomes(&mut self, state: usize, i: usize) -> Range<usize> {
-        let TimedOp { op, resp, .. } = self.ops[i];
-        if let Some(range) = self.transitions.get(&(state, op, resp)) {
-            return range.clone();
-        }
-        let (spec, start) = (self.spec, self.outcomes.len());
-        match resp {
-            Some(r) => {
-                for next in spec.accept(&self.states[state], op, r) {
-                    let id = self.intern(next);
-                    self.outcomes.push((id, None));
-                }
-            }
-            // A pending op may linearize with any legal outcome.
-            None => {
-                for (next, r) in spec.step(&self.states[state], op) {
-                    let id = self.intern(next);
-                    self.outcomes.push((id, Some(r)));
-                }
-            }
-        }
-        let range = start..self.outcomes.len();
-        self.transitions.insert((state, op, resp), range.clone());
-        range
-    }
 }
-
-/// An FxHash-style multiply–rotate hasher for the search's own tables,
-/// whose keys are its indices, spec states and the history's ops. Every
-/// table compares keys by equality, so keys crafted to collide could
-/// slow a check but never change a verdict; SipHash's flood resistance
-/// is not worth its cost per node here.
-#[derive(Default)]
-struct Fx(u64);
-
-impl Hasher for Fx {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut word = [0; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            self.write_u64(u64::from_le_bytes(word));
-        }
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
-
-    fn write_usize(&mut self, n: usize) {
-        self.write_u64(n as u64);
-    }
-}
-
-type FxBuild = BuildHasherDefault<Fx>;
 
 /// Checks that `lin` is itself a valid linearization of `history`
 /// (used to cross-validate checker output in tests).

@@ -43,8 +43,8 @@ use std::sync::Mutex;
 
 use sl2_spec::Spec;
 use sl2_trace::bridge::SpanRecord;
+use sl2_trace::json_escape;
 
-use crate::corpus::json_escape;
 use crate::history::{History, OpId};
 use crate::lin::is_linearizable;
 

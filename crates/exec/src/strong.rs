@@ -45,9 +45,8 @@
 //!   the set of specification states consistent with the chosen
 //!   linearization prefix.
 
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasher, Hash, Hasher};
 use std::rc::Rc;
 
 use sl2_spec::Spec;
@@ -56,6 +55,7 @@ use crate::history::{History, OpId};
 use crate::machine::{Algorithm, OpMachine, Step};
 use crate::mem::SimMemory;
 use crate::sched::Scenario;
+use crate::table::{FxBuild, SpecTable, StateId, INITIAL};
 
 /// Bits of an [`OpId`] carrying the per-process operation index; the
 /// process index occupies the bits above. 32 index bits on 64-bit
@@ -196,11 +196,6 @@ pub enum MemoMode {
     /// Sound memoization: canonical `StateKey`s stored by value and
     /// compared by equality. The default.
     Canonical,
-    /// The pre-PR-4 scheme: states keyed by a bare `u64` hash, so a
-    /// collision silently reuses another state's verdict. **Unsound**;
-    /// retained only so the collision regression test and the memo
-    /// ablation (EXPERIMENTS.md E24) can demonstrate the failure mode.
-    HashOnly,
     /// No memoization: the execution tree is re-explored at every join.
     /// Exponentially slower on racy scenarios; used by the soundness
     /// differential tests and the E16/E24 ablations.
@@ -313,8 +308,10 @@ struct LinState<S: Spec> {
     /// pending, response fixed ahead of the completion. At most one
     /// per process — all a step ever asks the prefix about.
     pending: Vec<(OpKey, S::Resp)>,
-    /// Spec states consistent with the linearization prefix (deduped).
-    states: Vec<S::State>,
+    /// Ids of the spec states consistent with the linearization prefix,
+    /// deduped, in first-seen order (the order the OR side tries
+    /// responses in).
+    states: Vec<StateId>,
 }
 
 impl<S: Spec> LinState<S> {
@@ -325,19 +322,20 @@ impl<S: Spec> LinState<S> {
 
     /// Appends `(k, resp)` if spec-consistent; returns the new state.
     /// `running` says `k` has not completed yet.
-    fn extended(
+    fn extended<'a>(
         &self,
-        spec: &S,
+        table: &mut SpecTable<'a, S>,
         k: OpKey,
-        op: &S::Op,
+        op: &'a S::Op,
         resp: &S::Resp,
         running: bool,
     ) -> Option<Self> {
         let mut next_states = Vec::new();
-        for s in &self.states {
-            for succ in spec.accept(s, op, resp) {
-                if !next_states.contains(&succ) {
-                    next_states.push(succ);
+        for &s in &self.states {
+            for o in table.outcomes(s, op) {
+                let (next, r) = table.outcome(o);
+                if r == resp && !next_states.contains(&next) {
+                    next_states.push(next);
                 }
             }
         }
@@ -349,7 +347,9 @@ impl<S: Spec> LinState<S> {
             pending.push((k, resp.clone()));
         }
         Some(LinState {
-            set_hash: self.set_hash.wrapping_add(hash_of(&(k, resp))),
+            set_hash: self
+                .set_hash
+                .wrapping_add(FxBuild::default().hash_one((k, resp))),
             last: Some(Rc::new(LinNode {
                 op: k,
                 resp: resp.clone(),
@@ -400,12 +400,6 @@ impl<S: Spec> LinState<S> {
     }
 }
 
-fn hash_of<T: Hash>(t: &T) -> u64 {
-    let mut h = DefaultHasher::new();
-    t.hash(&mut h);
-    h.finish()
-}
-
 /// Canonical memoization key: the full search state, **shared** with
 /// the frame that owns it and compared by **equality**. Hashing only
 /// routes to a bucket; a collision costs a comparison, never a verdict.
@@ -424,10 +418,10 @@ impl<A: Algorithm> PartialEq for StateKey<A> {
     fn eq(&self, other: &Self) -> bool {
         let (a, b) = (&self.lin.states, &other.lin.states);
         self.exec.invoked == other.exec.invoked
-            && self.lin.same_assigned_set(&other.lin)
             // Both deduped: equal length and inclusion is set equality.
             && a.len() == b.len()
             && a.iter().all(|s| b.contains(s))
+            && self.lin.same_assigned_set(&other.lin)
             && self.exec.machines == other.exec.machines
             && self.exec.mem == other.exec.mem
     }
@@ -441,13 +435,9 @@ impl<A: Algorithm> Hash for StateKey<A> {
         self.exec.machines.hash(h);
         self.exec.invoked.hash(h);
         self.lin.set_hash.hash(h);
-        // Order-independent fold over the spec-state set, matching the
-        // set comparison above.
-        let mut acc: u64 = 0;
-        for s in &self.lin.states {
-            acc = acc.wrapping_add(hash_of(s));
-        }
-        acc.hash(h);
+        // Order-independent, matching the set comparison above.
+        let ids: u64 = self.lin.states.iter().map(|&s| u64::from(s)).sum();
+        ids.hash(h);
     }
 }
 
@@ -530,32 +520,22 @@ pub fn check_strong_outcome<A: Algorithm>(
         len: 0,
         set_hash: 0,
         pending: Vec::new(),
-        states: vec![alg.spec().initial()],
+        states: vec![INITIAL],
     });
     let mut engine = Engine::new(alg, scenario, options);
-    match engine.run_task(SpawnTask::Feasible(Rc::clone(&exec), Rc::clone(&lin))) {
-        Err(BudgetExhausted) => StrongOutcome {
-            outcome: Outcome::Bounded,
-            nodes: engine.nodes,
-            stats: engine.stats,
-        },
-        Ok(true) => StrongOutcome {
-            outcome: Outcome::Certified,
-            nodes: engine.nodes,
-            stats: engine.stats,
-        },
-        Ok(false) => {
-            // Capture before witness extraction, which re-probes the
-            // engine and would otherwise pollute the accounting.
-            let nodes = engine.nodes;
-            let stats = engine.stats;
-            let witness = engine.extract_witness(&exec, &lin);
-            StrongOutcome {
-                outcome: Outcome::Refuted(witness),
-                nodes,
-                stats,
-            }
-        }
+    let verdict = engine.run_task(SpawnTask::Feasible(Rc::clone(&exec), Rc::clone(&lin)));
+    // Captured before witness extraction, which re-probes the engine
+    // and would otherwise pollute the accounting.
+    let (nodes, stats) = (engine.nodes, engine.stats);
+    let outcome = match verdict {
+        Err(BudgetExhausted) => Outcome::Bounded,
+        Ok(true) => Outcome::Certified,
+        Ok(false) => Outcome::Refuted(engine.extract_witness(&exec, &lin)),
+    };
+    StrongOutcome {
+        outcome,
+        nodes,
+        stats,
     }
 }
 
@@ -680,12 +660,6 @@ fn meet<S: Spec>(
 /// Node budget exhausted: unwinds the engine without a verdict.
 struct BudgetExhausted;
 
-enum Memo<A: Algorithm> {
-    Canonical(HashMap<StateKey<A>, bool>),
-    HashOnly(HashMap<u64, bool>),
-    Off,
-}
-
 /// A subproblem the engine can evaluate: the two mutually recursive
 /// procedures of the AND/OR search, reified.
 enum SpawnTask<A: Algorithm> {
@@ -695,16 +669,11 @@ enum SpawnTask<A: Algorithm> {
     Ext(Rc<ExecState<A>>, Rc<LinState<A::Spec>>, Completed<A::Spec>),
 }
 
-enum FrameKey<A: Algorithm> {
-    Canonical(StateKey<A>),
-    Hash(u64),
-}
-
 /// AND frame: every enabled step must admit a surviving extension.
 struct FeasibleFrame<A: Algorithm> {
     exec: Rc<ExecState<A>>,
     lin: Rc<LinState<A::Spec>>,
-    key: Option<FrameKey<A>>,
+    key: Option<StateKey<A>>,
     enabled: Vec<usize>,
     next_child: usize,
 }
@@ -758,10 +727,10 @@ impl<A: Algorithm> ExtFrame<A> {
 
     /// Produces the next alternative as a subtask, or `None` when the
     /// OR is exhausted (the frame then resolves to false).
-    fn next_alternative(
+    fn next_alternative<'a>(
         &mut self,
-        spec: &A::Spec,
-        scenario: &Scenario<A::Spec>,
+        table: &mut SpecTable<'a, A::Spec>,
+        scenario: &'a Scenario<A::Spec>,
     ) -> Option<SpawnTask<A>> {
         if !self.tried_epsilon {
             self.tried_epsilon = true;
@@ -787,10 +756,11 @@ impl<A: Algorithm> ExtFrame<A> {
                     Some((_, r)) => vec![r.clone()],
                     None => {
                         let mut opts = Vec::new();
-                        for s in &self.lin.states {
-                            for (_, r) in spec.step(s, op) {
-                                if !opts.contains(&r) {
-                                    opts.push(r);
+                        for &s in &self.lin.states {
+                            for o in table.outcomes(s, op) {
+                                let r = table.outcome(o).1;
+                                if !opts.contains(r) {
+                                    opts.push(r.clone());
                                 }
                             }
                         }
@@ -803,7 +773,7 @@ impl<A: Algorithm> ExtFrame<A> {
             while self.resp_i < self.resp_opts.len() {
                 let resp = &self.resp_opts[self.resp_i];
                 self.resp_i += 1;
-                if let Some(next_lin) = self.lin.extended(spec, k, op, resp, actual.is_none()) {
+                if let Some(next_lin) = self.lin.extended(table, k, op, resp, actual.is_none()) {
                     let still_must = match actual {
                         Some(_) => None,
                         None => self.must.clone(),
@@ -848,9 +818,10 @@ enum ExtProbe<S: Spec> {
 
 struct Engine<'a, A: Algorithm> {
     alg: &'a A,
-    spec: A::Spec,
+    table: SpecTable<'a, A::Spec>,
     scenario: &'a Scenario<A::Spec>,
-    memo: Memo<A>,
+    /// `None` with memoization off.
+    memo: Option<HashMap<StateKey<A>, bool>>,
     nodes: usize,
     node_limit: usize,
     stats: SearchStats,
@@ -860,13 +831,9 @@ impl<'a, A: Algorithm> Engine<'a, A> {
     fn new(alg: &'a A, scenario: &'a Scenario<A::Spec>, options: StrongOptions) -> Self {
         Engine {
             alg,
-            spec: alg.spec(),
+            table: SpecTable::new(alg.spec(), 0),
             scenario,
-            memo: match options.memo {
-                MemoMode::Canonical => Memo::Canonical(HashMap::new()),
-                MemoMode::HashOnly => Memo::HashOnly(HashMap::new()),
-                MemoMode::Off => Memo::Off,
-            },
+            memo: (options.memo == MemoMode::Canonical).then(HashMap::new),
             nodes: 0,
             node_limit: options.node_limit,
             stats: SearchStats::default(),
@@ -884,32 +851,16 @@ impl<'a, A: Algorithm> Engine<'a, A> {
         if enabled.is_empty() {
             return Ok(Entered::Done(true));
         }
-        let key = match &self.memo {
-            Memo::Canonical(map) => {
-                let k = StateKey {
-                    exec: Rc::clone(&exec),
-                    lin: Rc::clone(&lin),
-                };
-                if let Some(&cached) = map.get(&k) {
-                    self.stats.memo_hits += 1;
-                    return Ok(Entered::Done(cached));
-                }
-                Some(FrameKey::Canonical(k))
+        let key = self.memo.is_some().then(|| StateKey {
+            exec: Rc::clone(&exec),
+            lin: Rc::clone(&lin),
+        });
+        if let (Some(map), Some(k)) = (&self.memo, &key) {
+            if let Some(&cached) = map.get(k) {
+                self.stats.memo_hits += 1;
+                return Ok(Entered::Done(cached));
             }
-            Memo::HashOnly(map) => {
-                // The pre-PR-4 collision-prone key: the hash alone.
-                let h = hash_of(&StateKey {
-                    exec: Rc::clone(&exec),
-                    lin: Rc::clone(&lin),
-                });
-                if let Some(&cached) = map.get(&h) {
-                    self.stats.memo_hits += 1;
-                    return Ok(Entered::Done(cached));
-                }
-                Some(FrameKey::Hash(h))
-            }
-            Memo::Off => None,
-        };
+        }
         self.stats.memo_misses += 1;
         self.nodes += 1;
         if self.nodes > self.node_limit {
@@ -922,18 +873,6 @@ impl<'a, A: Algorithm> Engine<'a, A> {
             enabled,
             next_child: 0,
         }))
-    }
-
-    fn memo_store(&mut self, key: Option<FrameKey<A>>, verdict: bool) {
-        match (key, &mut self.memo) {
-            (Some(FrameKey::Canonical(k)), Memo::Canonical(map)) => {
-                map.insert(k, verdict);
-            }
-            (Some(FrameKey::Hash(h)), Memo::HashOnly(map)) => {
-                map.insert(h, verdict);
-            }
-            _ => {}
-        }
     }
 
     /// Evaluates one subproblem to a verdict with an explicit frame
@@ -961,41 +900,32 @@ impl<'a, A: Algorithm> Engine<'a, A> {
             };
             match top {
                 Frame::Feasible(f) => {
-                    if let Some(r) = result.take() {
-                        if !r {
-                            // AND fails: record and propagate.
-                            let Some(Frame::Feasible(f)) = stack.pop() else {
-                                unreachable!("matched above");
-                            };
-                            self.memo_store(f.key, false);
-                            result = Some(false);
-                            continue;
+                    let r = result.take();
+                    f.next_child += usize::from(r == Some(true));
+                    let verdict = if r == Some(false) {
+                        Some(false) // AND fails: record and propagate.
+                    } else if let Some(&p) = f.enabled.get(f.next_child) {
+                        let (child, completed) = step_child(self.alg, self.scenario, &f.exec, p);
+                        match meet(&f.lin, completed) {
+                            Ok((lin, must)) => {
+                                spawn = Some(SpawnTask::Ext(Rc::new(child), lin, must));
+                                None
+                            }
+                            // Linearized while pending with a response
+                            // that is not what really happened.
+                            Err(_) => Some(false),
                         }
-                        f.next_child += 1;
-                    }
-                    if f.next_child >= f.enabled.len() {
+                    } else {
+                        Some(true)
+                    };
+                    if let Some(v) = verdict {
                         let Some(Frame::Feasible(f)) = stack.pop() else {
                             unreachable!("matched above");
                         };
-                        self.memo_store(f.key, true);
-                        result = Some(true);
-                        continue;
-                    }
-                    let p = f.enabled[f.next_child];
-                    let (child, completed) = step_child(self.alg, self.scenario, &f.exec, p);
-                    match meet(&f.lin, completed) {
-                        Ok((lin, must)) => {
-                            spawn = Some(SpawnTask::Ext(Rc::new(child), lin, must));
+                        if let (Some(k), Some(map)) = (f.key, &mut self.memo) {
+                            map.insert(k, v);
                         }
-                        Err(_) => {
-                            // Linearized while pending with a response
-                            // that is not what really happened.
-                            let Some(Frame::Feasible(f)) = stack.pop() else {
-                                unreachable!("matched above");
-                            };
-                            self.memo_store(f.key, false);
-                            result = Some(false);
-                        }
+                        result = Some(v);
                     }
                 }
                 Frame::Ext(f) => {
@@ -1004,7 +934,7 @@ impl<'a, A: Algorithm> Engine<'a, A> {
                         result = Some(true);
                         continue;
                     }
-                    match f.next_alternative(&self.spec, self.scenario) {
+                    match f.next_alternative(&mut self.table, self.scenario) {
                         Some(task) => spawn = Some(task),
                         None => {
                             stack.pop();
@@ -1045,9 +975,7 @@ impl<'a, A: Algorithm> Engine<'a, A> {
         // exponentially; replay under a fresh canonical memo instead
         // (memoization does not change verdicts — the differential
         // suite pins that).
-        if matches!(self.memo, Memo::Off) {
-            self.memo = Memo::Canonical(HashMap::new());
-        }
+        self.memo.get_or_insert_with(HashMap::new);
         let mut path = Vec::new();
         let mut schedule = Vec::new();
         let mut exec = Rc::clone(exec0);
@@ -1119,12 +1047,10 @@ impl<'a, A: Algorithm> Engine<'a, A> {
             }
             if !descended {
                 // Every enabled branch probed feasible — possible only
-                // if a probe was inconsistent with the refutation
-                // (e.g. the unsound HashOnly memo); report honestly.
+                // if a probe was inconsistent with the refutation; report
+                // it rather than panic.
                 return Witness {
-                    detail: "witness incomplete: no failing branch found on replay \
-                             (memoization mode is not sound?)"
-                        .to_string(),
+                    detail: "witness incomplete: no failing branch found on replay".to_string(),
                     path,
                     schedule,
                 };
@@ -1152,7 +1078,7 @@ impl<'a, A: Algorithm> Engine<'a, A> {
         let mut frame = ExtFrame::new(Rc::clone(child), Rc::clone(lin), must);
         frame.tried_epsilon = true; // ε handled above
         loop {
-            let Some(task) = frame.next_alternative(&self.spec, self.scenario) else {
+            let Some(task) = frame.next_alternative(&mut self.table, self.scenario) else {
                 break;
             };
             let SpawnTask::Ext(c, next_lin, still_must) = task else {
@@ -1503,15 +1429,16 @@ mod tests {
     }
 
     // -----------------------------------------------------------------
-    // The PR-4 soundness regression: deliberately hash-colliding search
+    // The memo-soundness regression: deliberately hash-colliding spec
     // states. `Colliding`'s Hash impl is constant (legal — the Hash
     // contract only requires equal values to hash equally), so every
-    // spec-state set collides under the pre-PR-4 hash-only memo key.
-    // The last-writer spec checked against a max-register machine is
+    // state collides in the spec table's interner and every spec-state
+    // set would collide under a memo keyed by hash alone. The
+    // last-writer spec checked against a max-register machine is
     // genuinely NOT strongly linearizable (schedule Write(2) to
     // completion before Write(1) is invoked: L = [Write 2] is forced,
     // then [Write 2, Write 1] — but a later Read returns 2, the
-    // register's max, contradicting spec state 1). The hash-only memo
+    // register's max, contradicting spec state 1). A hash-keyed memo
     // conflates the {state 2} and {state 1} nodes at the converged
     // execution state and certifies; equality-checked keys refute.
     // -----------------------------------------------------------------
@@ -1581,32 +1508,9 @@ mod tests {
     }
 
     #[test]
-    fn hash_only_memo_misreferees_on_colliding_states() {
-        // The bug this PR fixes, pinned: under the pre-PR-4 hash-only
-        // memo the colliding spec-state sets conflate and the checker
-        // *certifies* a non-strongly-linearizable object.
-        let (mem, alg, scenario) = collider_scenario();
-        let out = check_strong_outcome(
-            &alg,
-            mem,
-            &scenario,
-            StrongOptions {
-                node_limit: 1_000_000,
-                memo: MemoMode::HashOnly,
-            },
-        );
-        assert!(
-            out.is_certified(),
-            "expected the hash-only memo to misreferee (did the exploration \
-             order change?): {:?}",
-            out.outcome
-        );
-    }
-
-    #[test]
     fn canonical_memo_is_immune_to_hash_collisions() {
-        // Equality-checked keys: same scenario, correct refutation —
-        // and agreeing with the memo-free ground truth.
+        // Equality-checked keys and an interner that compares states:
+        // correct refutation, agreeing with the memo-free ground truth.
         let (mem, alg, scenario) = collider_scenario();
         let canonical = check_strong_outcome(
             &alg,
@@ -1652,9 +1556,7 @@ mod tests {
 
     #[test]
     fn memo_modes_agree_on_sound_configurations() {
-        // Canonical and Off must always agree (HashOnly deliberately
-        // does not, on the collider). Both certification and
-        // refutation shapes.
+        // Canonical and Off must always agree.
         let mut mem = SimMemory::new();
         let alg = AtomicMax {
             loc: mem.alloc(Cell::AMaxReg(0)),
@@ -1672,5 +1574,75 @@ mod tests {
             );
             assert!(out.is_certified());
         }
+    }
+
+    /// The max-register spec, counting the calls a check makes into it.
+    #[derive(Debug, Clone, Default)]
+    struct CountingSpec {
+        steps: Rc<std::cell::Cell<usize>>,
+        accepts: Rc<std::cell::Cell<usize>>,
+    }
+
+    impl Spec for CountingSpec {
+        type State = u64;
+        type Op = MaxOp;
+        type Resp = MaxResp;
+
+        fn initial(&self) -> u64 {
+            MaxRegisterSpec.initial()
+        }
+
+        fn step(&self, s: &u64, op: &MaxOp) -> Vec<(u64, MaxResp)> {
+            self.steps.set(self.steps.get() + 1);
+            MaxRegisterSpec.step(s, op)
+        }
+
+        fn accept(&self, s: &u64, op: &MaxOp, resp: &MaxResp) -> Vec<u64> {
+            self.accepts.set(self.accepts.get() + 1);
+            MaxRegisterSpec.accept(s, op, resp)
+        }
+    }
+
+    /// [`AtomicMax`] judged against the [`CountingSpec`].
+    #[derive(Debug, Clone)]
+    struct CountedMax {
+        inner: AtomicMax,
+        spec: CountingSpec,
+    }
+
+    impl Algorithm for CountedMax {
+        type Spec = CountingSpec;
+        type Machine = AtomicMaxMachine;
+        fn spec(&self) -> CountingSpec {
+            self.spec.clone()
+        }
+        fn machine(&self, p: usize, op: &MaxOp) -> AtomicMaxMachine {
+            self.inner.machine(p, op)
+        }
+    }
+
+    #[test]
+    fn a_check_asks_the_spec_once_per_state_and_op() {
+        // The spec table's promise: `Spec::step` once per distinct
+        // `(state, op)` whatever the scenario's length, and never
+        // `Spec::accept`. The Write(2)/Read tower reaches states 0 and 2:
+        // three transitions.
+        let calls = |height: usize| {
+            let mut mem = SimMemory::new();
+            let alg = CountedMax {
+                inner: AtomicMax {
+                    loc: mem.alloc(Cell::AMaxReg(0)),
+                },
+                spec: CountingSpec::default(),
+            };
+            let ops = [MaxOp::Write(2), MaxOp::Read];
+            let scenario = Scenario::new(vec![ops.iter().copied().cycle().take(height).collect()]);
+            let out =
+                check_strong_outcome(&alg, mem, &scenario, StrongOptions::with_limit(1_000_000));
+            assert!(out.is_certified(), "{height}: {:?}", out.outcome);
+            (alg.spec.steps.get(), alg.spec.accepts.get())
+        };
+        let (short, tall) = (calls(64), calls(1100));
+        assert_eq!((short, tall), ((3, 0), (3, 0)), "(step, accept) calls");
     }
 }

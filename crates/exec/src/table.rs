@@ -1,0 +1,114 @@
+//! The spec table both referees own one of per check: spec states
+//! interned to ids (equal ids ⇔ equal states, so memo keys compare ids)
+//! and `Spec::step` asked once per `(state id, op)`. A completed op's
+//! successors are the outcomes with its actual response — exactly
+//! `Spec::accept`'s default body, so neither referee calls `accept`
+//! (DESIGN.md §7 "What a node still pays").
+
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+use std::ops::Range;
+
+use sl2_spec::Spec;
+
+/// A spec state's id: its index in the table's arena.
+pub(crate) type StateId = u32;
+
+/// The id of the spec's initial state in every table.
+pub(crate) const INITIAL: StateId = 0;
+
+/// Interned spec states and the cached outcomes of each transition.
+pub(crate) struct SpecTable<'a, S: Spec> {
+    spec: S,
+    /// Interned states, indexed by id.
+    states: Vec<S::State>,
+    ids: HashMap<S::State, StateId, FxBuild>,
+    /// Each `(state, op)` transition's range of `outcomes`.
+    steps: HashMap<(StateId, &'a S::Op), Range<usize>, FxBuild>,
+    /// Successor state and response, in the spec's order.
+    outcomes: Vec<(StateId, S::Resp)>,
+}
+
+impl<'a, S: Spec> SpecTable<'a, S> {
+    /// A table holding the initial state, with room for `capacity`
+    /// transitions.
+    pub(crate) fn new(spec: S, capacity: usize) -> Self {
+        let initial = spec.initial();
+        let mut table = SpecTable {
+            spec,
+            states: Vec::new(),
+            ids: HashMap::default(),
+            steps: HashMap::with_capacity_and_hasher(capacity, FxBuild::default()),
+            outcomes: Vec::with_capacity(capacity),
+        };
+        table.intern(initial);
+        table
+    }
+
+    /// The id of spec state `s`; a new one is cloned once, into the arena.
+    fn intern(&mut self, s: S::State) -> StateId {
+        let states = &mut self.states;
+        *self.ids.entry(s).or_insert_with_key(|s| {
+            states.push(s.clone());
+            StateId::try_from(states.len() - 1).expect("spec state ids fit in u32")
+        })
+    }
+
+    /// The outcomes of `op` in `state`, in the spec's order, as a range
+    /// of [`SpecTable::outcome`] indices; the spec is asked on first use.
+    pub(crate) fn outcomes(&mut self, state: StateId, op: &'a S::Op) -> Range<usize> {
+        if let Some(range) = self.steps.get(&(state, op)) {
+            return range.clone();
+        }
+        let start = self.outcomes.len();
+        for (next, resp) in self.spec.step(&self.states[state as usize], op) {
+            let id = self.intern(next);
+            self.outcomes.push((id, resp));
+        }
+        let range = start..self.outcomes.len();
+        self.steps.insert((state, op), range.clone());
+        range
+    }
+
+    /// Outcome `k`: the successor state and the response that reaches it.
+    pub(crate) fn outcome(&self, k: usize) -> (StateId, &S::Resp) {
+        let (next, resp) = &self.outcomes[k];
+        (*next, resp)
+    }
+}
+
+/// An FxHash-style multiply–rotate hasher for the referees' own tables,
+/// whose keys are indices, spec states and the checked ops. Every table
+/// compares keys by equality, so keys crafted to collide could slow a
+/// check but never change a verdict; SipHash's flood resistance is not
+/// worth its cost per node here.
+#[derive(Default)]
+pub(crate) struct Fx(u64);
+
+impl Hasher for Fx {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(n.into());
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.write_u64(n as u64);
+    }
+}
+
+pub(crate) type FxBuild = BuildHasherDefault<Fx>;

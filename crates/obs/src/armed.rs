@@ -13,18 +13,17 @@
 //!   [`labeled::slot`], so armed probes contend on instrumentation
 //!   lines only when more threads than shards collide.
 //! * **Allocation-free.** Labels are `&'static str` interned into
-//!   fixed open-addressed tables of `OnceLock` slots (FNV-1a probe
-//!   order, content-verified); all storage is static.
+//!   static [`LabelTable`]s (fixed open-addressed `OnceLock` slots,
+//!   FNV-1a probe order, content-verified).
 //!
 //! Totals only exist at snapshot time: [`snapshot`] folds the shards
 //! into a [`MetricsSnapshot`] (counters summed, gauges max-folded,
 //! histograms bucket-wise merged).
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
 use std::time::Instant;
 
-use sl2_primitives::labeled::{self, label_hash};
+use sl2_primitives::labeled::{self, LabelTable};
 use sl2_primitives::CachePadded;
 
 use crate::hist::{bucket_of, Histogram, BUCKETS};
@@ -36,55 +35,6 @@ pub const SHARDS: usize = 16;
 const COUNTER_SLOTS: usize = 128;
 const GAUGE_SLOTS: usize = 32;
 const HIST_SLOTS: usize = 32;
-
-/// Fixed-capacity open-addressed label interning table: FNV-1a hash
-/// picks the start slot, linear probing resolves collisions, each slot
-/// is a `OnceLock` so registration is a lock-free race with
-/// content-verified winners.
-struct LabelTable<const N: usize> {
-    slots: [OnceLock<&'static str>; N],
-}
-
-impl<const N: usize> LabelTable<N> {
-    const fn new() -> Self {
-        LabelTable {
-            slots: [const { OnceLock::new() }; N],
-        }
-    }
-
-    /// Index of `label`, interning it on first use.
-    fn index_of(&self, label: &'static str) -> usize {
-        debug_assert!(N.is_power_of_two());
-        let h = label_hash(label) as usize;
-        for i in 0..N {
-            let idx = (h + i) & (N - 1);
-            let slot = &self.slots[idx];
-            match slot.get() {
-                Some(&l) => {
-                    if l == label {
-                        return idx;
-                    }
-                    // Collision: probe onward.
-                }
-                None => {
-                    // Claim the empty slot; on a lost race, accept the
-                    // slot iff the winner registered the same label.
-                    if slot.set(label).is_ok() || *slot.get().expect("slot was set") == label {
-                        return idx;
-                    }
-                }
-            }
-        }
-        panic!("obs: label table full ({N} slots) — raise the capacity in sl2_obs");
-    }
-
-    fn labels(&self) -> impl Iterator<Item = (usize, &'static str)> + '_ {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.get().map(|&l| (i, l)))
-    }
-}
 
 struct CounterShard {
     cells: [AtomicU64; COUNTER_SLOTS],

@@ -2,6 +2,8 @@
 //! (`SL2_METRICS_JSON`), following the same shape discipline as the
 //! corpus and recorder reports.
 
+use sl2_primitives::labeled::json_escape;
+
 use crate::hist::Histogram;
 
 /// A merged, point-in-time view of every registered metric: counters
@@ -84,17 +86,6 @@ impl MetricsSnapshot {
                 .unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
         }
     }
-}
-
-fn json_escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => vec!['\\', '"'],
-            '\\' => vec!['\\', '\\'],
-            '\n' => vec!['\\', 'n'],
-            c => vec![c],
-        })
-        .collect()
 }
 
 #[cfg(test)]

@@ -1,28 +1,31 @@
 //! Shared label/thread-identity plumbing for the feature-gated
-//! instrumentation layers (`sl2_chaos` injection points and `sl2_obs`
-//! metrics probes).
+//! instrumentation layers (`sl2_chaos` injection points, `sl2_obs`
+//! metrics probes and `sl2_trace` events).
 //!
-//! Both layers annotate the same hot paths with `&str`-labeled hooks
-//! and need the same two pieces of infrastructure:
+//! The layers annotate the same hot paths with `&str`-labeled hooks
+//! and need the same pieces of infrastructure:
 //!
 //! * a **stable label identity** — [`label_hash`] (FNV-1a, identical
-//!   across runs and platforms) and the [`Labeled`] pair that caches
-//!   it, so seeded decisions and lock-free interning tables agree on
-//!   what a label *is*;
+//!   across runs and platforms) and the lock-free [`LabelTable`] that
+//!   interns labels by it, so seeded decisions and interning tables
+//!   agree on what a label *is*;
 //! * a **thread identity** — [`enroll`]/[`enrolled`] for the explicit
 //!   logical ids chaos plans target ([`enroll_in`]/[`enrolled_pool`]
 //!   when the id is a lane of one worker pool among several in the
 //!   process), and [`slot`] for the
 //!   always-available shard index obs counters hash by (enrolled id if
-//!   present, else a lazily auto-assigned per-thread id).
+//!   present, else a lazily auto-assigned per-thread id);
+//! * the **JSON-lines writer's escaping** — [`json_escape`], shared by
+//!   every report the workspace emits.
 //!
 //! Keeping this here — in the dependency-free crate at the bottom of
-//! the workspace graph — means the two consumers cannot drift: a chaos
+//! the workspace graph — means the consumers cannot drift: a chaos
 //! rule targeting thread 3 and an obs shard attributing thread 3 are
 //! talking about the same thread.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// FNV-1a hash of a label; stable across runs and platforms, so it is
 /// safe to bake into seeded decisions (chaos noise) and lock-free
@@ -46,24 +49,90 @@ pub fn mix(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// A label paired with its cached [`label_hash`] — the registration
-/// unit both instrumentation layers key by.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Labeled {
-    /// The label text (probe or injection-point name).
-    pub name: &'static str,
-    /// Its FNV-1a hash, computed once at registration.
-    pub hash: u64,
+/// Fixed-capacity open-addressed label interning table: [`label_hash`]
+/// picks the start slot, linear probing resolves collisions, and each
+/// slot is a `OnceLock`, so registration is a lock-free race with
+/// content-verified winners. `N` must be a power of two; all storage
+/// is inline, so a `static` table never allocates.
+#[derive(Debug)]
+pub struct LabelTable<const N: usize> {
+    slots: [OnceLock<&'static str>; N],
 }
 
-impl Labeled {
-    /// Registers `name`, caching its hash.
-    pub fn new(name: &'static str) -> Self {
-        Labeled {
-            name,
-            hash: label_hash(name),
+impl<const N: usize> LabelTable<N> {
+    /// An empty table.
+    pub const fn new() -> Self {
+        LabelTable {
+            slots: [const { OnceLock::new() }; N],
         }
     }
+
+    /// Index of `label`, interning it on first use.
+    ///
+    /// # Panics
+    ///
+    /// Panics if all `N` slots hold other labels.
+    pub fn index_of(&self, label: &'static str) -> usize {
+        debug_assert!(N.is_power_of_two());
+        let h = label_hash(label) as usize;
+        for i in 0..N {
+            let idx = (h + i) & (N - 1);
+            let slot = &self.slots[idx];
+            match slot.get() {
+                Some(&l) => {
+                    if l == label {
+                        return idx;
+                    }
+                    // Collision: probe onward.
+                }
+                None => {
+                    // Claim the empty slot; on a lost race, accept the
+                    // slot iff the winner registered the same label.
+                    if slot.set(label).is_ok() || *slot.get().expect("slot was set") == label {
+                        return idx;
+                    }
+                }
+            }
+        }
+        panic!("label table full ({N} slots) — raise its capacity");
+    }
+
+    /// The label interned at `idx`, if any.
+    pub fn label_at(&self, idx: usize) -> Option<&'static str> {
+        self.slots.get(idx).and_then(|s| s.get().copied())
+    }
+
+    /// Every interned label with its index, in index order.
+    pub fn labels(&self) -> impl Iterator<Item = (usize, &'static str)> + '_ {
+        self.slots
+            .iter()
+            .enumerate()
+            .filter_map(|(i, s)| s.get().map(|&l| (i, l)))
+    }
+}
+
+impl<const N: usize> Default for LabelTable<N> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+/// Minimal JSON string escaping: quotes, backslashes and every control
+/// character, so any label or name embeds in a JSON string literal.
+pub fn json_escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out
 }
 
 static NEXT_AUTO_SLOT: AtomicUsize = AtomicUsize::new(0);
@@ -141,10 +210,27 @@ mod tests {
     }
 
     #[test]
-    fn labeled_caches_the_hash() {
-        let l = Labeled::new("obs.test");
-        assert_eq!(l.hash, label_hash("obs.test"));
-        assert_eq!(l.name, "obs.test");
+    #[should_panic(expected = "label table full (2 slots)")]
+    fn label_table_interns_each_label_once_and_panics_when_full() {
+        let table: LabelTable<2> = LabelTable::new();
+        let a = table.index_of("obs.a");
+        assert_eq!(table.index_of("obs.a"), a, "re-registration finds the slot");
+        let b = table.index_of("obs.b"); // probes past a collision, if any
+        assert_eq!(
+            (table.label_at(b), table.label_at(2)),
+            (Some("obs.b"), None)
+        );
+        assert_eq!(table.labels().count(), 2);
+        table.index_of("obs.c");
+    }
+
+    #[test]
+    fn json_escape_covers_quotes_backslashes_and_control_bytes() {
+        assert_eq!(
+            json_escape("a\"b\\c\nd\te\u{1}f"),
+            "a\\\"b\\\\c\\nd\\te\\u0001f"
+        );
+        assert_eq!(json_escape("plain.label/7"), "plain.label/7");
     }
 
     #[test]

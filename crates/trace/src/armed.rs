@@ -6,8 +6,8 @@
 //! extended to events):
 //!
 //! * **Never perturb what it traces.** Emitting takes no locks and
-//!   allocates nothing: a label is interned into a fixed
-//!   open-addressed table (FNV-1a probe order, content-verified), a
+//!   allocates nothing: a label is interned into a static
+//!   [`LabelTable`] (the one obs uses), a
 //!   slot is claimed with one relaxed `fetch_add` on the ring head,
 //!   and the five event words are plain atomic stores. The only
 //!   cross-thread edge an emit creates is the global clock ticket —
@@ -27,9 +27,9 @@
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Once, OnceLock};
+use std::sync::Once;
 
-use sl2_primitives::labeled::{self, label_hash};
+use sl2_primitives::labeled::{self, LabelTable};
 use sl2_primitives::CachePadded;
 
 use crate::{EventKind, TraceEvent, TraceLog};
@@ -45,51 +45,6 @@ const LABEL_SLOTS: usize = 64;
 const KIND_BEGIN: u64 = 1;
 const KIND_END: u64 = 2;
 const KIND_INSTANT: u64 = 3;
-
-/// Fixed-capacity open-addressed label interning table — the same
-/// structure the obs registry uses (FNV-1a start slot, linear probing,
-/// `OnceLock` slots with content-verified claims).
-struct LabelTable<const N: usize> {
-    slots: [OnceLock<&'static str>; N],
-}
-
-impl<const N: usize> LabelTable<N> {
-    const fn new() -> Self {
-        LabelTable {
-            slots: [const { OnceLock::new() }; N],
-        }
-    }
-
-    /// Index of `label`, interning it on first use.
-    fn index_of(&self, label: &'static str) -> usize {
-        debug_assert!(N.is_power_of_two());
-        let h = label_hash(label) as usize;
-        for i in 0..N {
-            let idx = (h + i) & (N - 1);
-            let slot = &self.slots[idx];
-            match slot.get() {
-                Some(&l) => {
-                    if l == label {
-                        return idx;
-                    }
-                    // Collision: probe onward.
-                }
-                None => {
-                    // Claim the empty slot; on a lost race, accept the
-                    // slot iff the winner registered the same label.
-                    if slot.set(label).is_ok() || *slot.get().expect("slot was set") == label {
-                        return idx;
-                    }
-                }
-            }
-        }
-        panic!("trace: label table full ({N} slots) — raise the capacity in sl2_trace");
-    }
-
-    fn label_at(&self, idx: usize) -> Option<&'static str> {
-        self.slots.get(idx).and_then(|s| s.get().copied())
-    }
-}
 
 /// One in-ring event: five words, seqlock-published via `commit`.
 struct Slot {

@@ -66,6 +66,8 @@
 
 pub mod bridge;
 
+pub use sl2_primitives::labeled::json_escape;
+
 #[cfg(feature = "trace")]
 mod armed;
 
@@ -183,23 +185,6 @@ impl TraceLog {
                 .unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
         }
     }
-}
-
-/// Minimal JSON string escaping (quotes, backslashes, control bytes).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Mints a fresh nonzero span id. Disarmed: returns 0 (no span).

@@ -575,7 +575,8 @@ fn a_search_node_costs_the_same_at_any_scenario_length() {
     // node allocates does not depend on how many operations the
     // scenario has. With a status matrix cloned per step and a prefix
     // copied per extension, the 1100-op Theorem-1 tower paid several
-    // times more per node than the 64-op one.
+    // times more per node than the 64-op one. The caps sit below the
+    // ≥ 545 / 638 B a node cost while `LinState` cloned spec states.
     use sl2::exec::strong::StrongOptions;
     use sl2_spec::max_register::{MaxOp, MaxRegisterSpec};
     let bytes_per_node = |height: usize, memoize: bool| {
@@ -589,11 +590,15 @@ fn a_search_node_costs_the_same_at_any_scenario_length() {
         assert!(report.strongly_linearizable, "towers certify");
         bytes as f64 / report.nodes as f64
     };
-    for memoize in [false, true] {
+    for (memoize, cap) in [(false, 535.0), (true, 630.0)] {
         let (short, tall) = (bytes_per_node(64, memoize), bytes_per_node(1100, memoize));
         assert!(
             tall <= 1.5 * short && short <= 1.5 * tall,
             "memo={memoize}: {short:.0} B/node at height 64, {tall:.0} B/node at 1100"
+        );
+        assert!(
+            short.max(tall) <= cap,
+            "memo={memoize}: {short:.0} and {tall:.0} B/node, over the {cap} B cap"
         );
     }
 }
@@ -633,21 +638,21 @@ fn keyed_history_60() -> History<sl2_spec::keyed::KeyedMaxSpec> {
 fn a_history_verdict_allocates_per_spec_transition_not_per_node() {
     // Pinned without a clock: 289 allocations per `is_linearizable`
     // call on this history with the bitmask search (296 in a debug
-    // build, which also ran `is_well_formed`), 139 now in either build.
+    // build, which also ran `is_well_formed`), 96 now in either build.
     // The bitmask search paid for the `HashMap` and records of
     // `History::ops`, the precedence matrix, and at each of its 63
     // nodes a memo copy of the `BTreeMap` spec state plus
     // `Spec::accept`'s two `Vec`s and state clone. Now the memo key is
-    // `(cursors, state id)` and only failed nodes are recorded, so what
-    // is left is mostly `Spec::accept`, asked once per distinct
-    // `(state, op, response)`: 37 times here, over 6 interned states.
+    // `(cursors, state id)`, only failed nodes are recorded, and the
+    // spec table asks `Spec::step` once per `(state, op)` (139 when the
+    // search asked `Spec::accept` once per `(state, op, response)`).
     let h = keyed_history_60();
     assert_eq!(h.len(), 120, "60 operations, all complete");
     let spec = sl2_spec::keyed::KeyedMaxSpec;
     assert!(is_linearizable(&spec, &h), "warm-up and verdict");
     let (n, ok) = allocs_during(|| is_linearizable(&spec, &h));
     assert!(ok);
-    assert_eq!(n, 139, "allocations per verdict");
+    assert_eq!(n, 96, "allocations per verdict");
     assert!(2 * n <= 289, "at most half the bitmask search's 289");
 }
 

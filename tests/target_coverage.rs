@@ -363,3 +363,28 @@ fn nothing_points_back_at_the_retired_bench_stack() {
         hits.join("\n")
     );
 }
+
+#[test]
+fn shared_tables_are_defined_once() {
+    // One label interner and one JSON escaper (`sl2_primitives::labeled`)
+    // and one spec-state interner, the spec table both referees own. A
+    // second copy drifts from the first.
+    let mut files = Vec::new();
+    files_with_extensions(&repo_root().join("crates"), &["rs"], &mut files);
+    let read = |p| std::fs::read_to_string(p).expect("readable");
+    let sources: Vec<String> = files.iter().map(read).collect();
+    for needle in [
+        "struct LabelTable",
+        "fn json_escape(",
+        "struct SpecTable",
+        "fn intern(",
+    ] {
+        let defs: usize = sources.iter().map(|s| s.matches(needle).count()).sum();
+        assert_eq!(defs, 1, "`{needle}` must be defined once under crates/");
+    }
+    // The strong checker reaches the spec only through that table.
+    let strong = read_repo_file("crates/exec/src/strong.rs");
+    for call in ["spec.accept(", "spec.step("] {
+        assert!(!strong.contains(call), "strong.rs calls `{call}`");
+    }
+}
