@@ -39,6 +39,8 @@
 //! [`LaggingCounterSpec`]: sl2_spec::relaxed::LaggingCounterSpec
 //! [`LaggingMaxSpec`]: sl2_spec::relaxed::LaggingMaxSpec
 
+use std::rc::Rc;
+
 use sl2_bignum::{BigNat, LaneEncoding, Layout};
 use sl2_exec::machine::{Algorithm, OpMachine, Step};
 use sl2_exec::mem::{Cell, Loc, SimMemory};
@@ -80,13 +82,14 @@ fn stable_pass(
 /// The common base-object block of a combining algorithm: slots, lock,
 /// cache, inner shards. Opaque — it appears in machine states so the
 /// checker can clone/hash them, but its cells are only reachable
-/// through the protocol steps.
+/// through the protocol steps. The handle tables are shared, so a
+/// machine state copies two reference counts, not two tables.
 #[derive(Debug, Clone)]
 pub struct FrontCells {
-    slots: Vec<Loc>,
+    slots: Rc<[Loc]>,
     lock: Loc,
     cache: Loc,
-    shards: Vec<Loc>,
+    shards: Rc<[Loc]>,
     layout: Layout,
     sharding: Sharding,
     encoding: LaneEncoding,
@@ -395,7 +398,7 @@ impl WriteState {
 
     /// Advances the protocol by one memory operation.
     fn step(&mut self, mem: &mut SimMemory) -> Step<MaxResp> {
-        let cells = self.cells.clone();
+        let cells = &self.cells;
         match self.stage.clone() {
             WriteStage::Publish => {
                 mem.swap(cells.slots[self.process], self.payload + 1);

@@ -209,10 +209,10 @@ impl EdgeSpace {
     ///
     /// # Panics
     ///
-    /// Debug-asserts the edge does not close a cycle (callers check
-    /// [`EdgeSpace::reaches`] first).
+    /// Panics if the edge would close a cycle (callers check
+    /// [`EdgeSpace::reaches`] first), in every build.
     fn add_edge(&mut self, u: usize, v: usize) {
-        debug_assert!(!self.reaches(v, u), "edge would close a cycle");
+        assert!(!self.reaches(v, u), "edge would close a cycle");
         Self::set(&mut self.adj[u], v);
         // new reach set flowing into u's ancestors: reach[v] | {v}
         let mut delta = self.reach[v].clone();
@@ -453,7 +453,7 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "cycle")]
-    fn edge_space_rejects_cycles_in_debug() {
+    fn edge_space_rejects_cycles() {
         let mut space = EdgeSpace::new(2);
         space.add_edge(0, 1);
         space.add_edge(1, 0);

@@ -19,6 +19,27 @@
 //! invalidates strong linearizability. [`SimMemory`] is `Clone + Hash`:
 //! cloning gives Algorithm B (Lemma 12) its collect-and-simulate-locally
 //! step, and hashing powers checker memoization.
+//!
+//! # Copy-on-write
+//!
+//! `Clone`, `Eq` and `Hash` have value semantics, but the representation
+//! is shared. The standalone cells sit in one block (`Rc<[Cell]>`); each
+//! infinite array's materialized cells sit in a block of their own,
+//! behind one small shared table of arrays. A clone shares every block.
+//! A step that changes a cell first unshares the one block holding it
+//! (for an array cell, also the table); a step that leaves its cell as
+//! it was — a read, a failed CAS, a fetch&add of zero, a test&set of a
+//! set bit — copies nothing. Materializing an array index is a change
+//! (it grows that array's block and `flat_len`), even on a read. So the
+//! checker's clone per search step costs reference counts plus one copy
+//! of the block the step wrote, and Algorithm B's snapshot costs nothing
+//! until one side writes. Cells allocated between steps wait in a
+//! growable buffer and join the shared block at the next step, so
+//! building an algorithm's memory copies each cell once.
+
+use std::hash::{Hash, Hasher};
+use std::iter;
+use std::rc::Rc;
 
 use sl2_bignum::BigNat;
 
@@ -83,10 +104,17 @@ pub struct Loc(pub(crate) usize);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ArrayLoc(pub(crate) usize);
 
+/// Whether two shared blocks hold equal cells; clones share blocks, so
+/// the pointer answers first.
+fn same<T: ?Sized + PartialEq>(a: &Rc<T>, b: &Rc<T>) -> bool {
+    Rc::ptr_eq(a, b) || a == b
+}
+
+/// One infinite array: its template and its materialized prefix.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct ArrayCells {
     template: Cell,
-    cells: Vec<Cell>,
+    cells: Rc<[Cell]>,
 }
 
 /// Simulated shared memory: the base-object part of a configuration.
@@ -101,11 +129,41 @@ struct ArrayCells {
 /// assert_eq!(mem.tas(ts), 0); // first caller wins
 /// assert_eq!(mem.tas(ts), 1);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Default)]
 pub struct SimMemory {
-    cells: Vec<Cell>,
-    arrays: Vec<ArrayCells>,
+    /// Standalone cells, one block shared by every clone until one of
+    /// them writes.
+    cells: Rc<[Cell]>,
+    /// Standalone cells allocated since the last step, logically after
+    /// `cells`; the next step appends them to the block.
+    fresh: Vec<Cell>,
+    /// Infinite arrays, in allocation order.
+    arrays: Rc<[ArrayCells]>,
     steps: u64,
+}
+
+impl PartialEq for SimMemory {
+    fn eq(&self, other: &Self) -> bool {
+        self.steps == other.steps
+            && same(&self.arrays, &other.arrays)
+            && if self.fresh.is_empty() && other.fresh.is_empty() {
+                same(&self.cells, &other.cells)
+            } else {
+                self.standalone().eq(other.standalone())
+            }
+    }
+}
+
+impl Eq for SimMemory {}
+
+impl Hash for SimMemory {
+    fn hash<H: Hasher>(&self, h: &mut H) {
+        // One sequence, wherever its cells sit, as `Eq` compares it.
+        h.write_usize(self.cell_count());
+        self.standalone().for_each(|c| c.hash(h));
+        self.arrays.hash(h);
+        self.steps.hash(h);
+    }
 }
 
 impl SimMemory {
@@ -116,18 +174,19 @@ impl SimMemory {
 
     /// Allocates a standalone cell.
     pub fn alloc(&mut self, cell: Cell) -> Loc {
-        self.cells.push(cell);
-        Loc(self.cells.len() - 1)
+        self.fresh.push(cell);
+        Loc(self.cell_count() - 1)
     }
 
     /// Allocates an infinite array whose cells materialize (as copies of
     /// `template`) on first access. Observationally identical to the
     /// paper's infinite arrays: untouched cells hold the initial value.
     pub fn alloc_array(&mut self, template: Cell) -> ArrayLoc {
-        self.arrays.push(ArrayCells {
+        let array = ArrayCells {
             template,
-            cells: Vec::new(),
-        });
+            cells: Rc::new([]),
+        };
+        self.arrays = self.arrays.iter().cloned().chain([array]).collect();
         ArrayLoc(self.arrays.len() - 1)
     }
 
@@ -136,16 +195,77 @@ impl SimMemory {
         self.steps
     }
 
-    fn cell(&mut self, loc: Loc) -> &mut Cell {
-        &mut self.cells[loc.0]
+    /// Moves the cells allocated since the last step into the shared
+    /// block: one copy per batch of allocations, not one per cell.
+    pub(crate) fn freeze(&mut self) {
+        if !self.fresh.is_empty() {
+            self.cells = self
+                .cells
+                .iter()
+                .cloned()
+                .chain(self.fresh.drain(..))
+                .collect();
+        }
     }
 
-    fn array_cell(&mut self, a: ArrayLoc, i: usize) -> &mut Cell {
-        let arr = &mut self.arrays[a.0];
-        if arr.cells.len() <= i {
-            arr.cells.resize(i + 1, arr.template.clone());
+    /// Counts one base-object operation.
+    fn tick(&mut self) {
+        self.steps += 1;
+        self.freeze();
+    }
+
+    /// Every standalone cell, in allocation order.
+    fn standalone(&self) -> impl Iterator<Item = &Cell> {
+        self.cells.iter().chain(&self.fresh)
+    }
+
+    /// One step on standalone cell `loc`. On a shared block `op` runs on
+    /// a copy of the cell, and the block is unshared and written only if
+    /// the copy changed.
+    fn apply<R>(&mut self, loc: Loc, op: impl FnOnce(&mut Cell) -> R) -> R {
+        self.tick();
+        if let Some(cells) = Rc::get_mut(&mut self.cells) {
+            return op(&mut cells[loc.0]);
         }
-        &mut arr.cells[i]
+        let mut cell = self.cells[loc.0].clone();
+        let out = op(&mut cell);
+        if cell != self.cells[loc.0] {
+            Rc::make_mut(&mut self.cells)[loc.0] = cell;
+        }
+        out
+    }
+
+    /// Array `a`'s cell `i`, materializing the array up to `i` first.
+    fn array_get(&mut self, a: ArrayLoc, i: usize) -> &Cell {
+        if self.arrays[a.0].cells.len() <= i {
+            let arr = &mut Rc::make_mut(&mut self.arrays)[a.0];
+            let missing = i + 1 - arr.cells.len();
+            arr.cells = arr
+                .cells
+                .iter()
+                .cloned()
+                .chain(iter::repeat_n(arr.template.clone(), missing))
+                .collect();
+        }
+        &self.arrays[a.0].cells[i]
+    }
+
+    /// [`SimMemory::apply`] on array `a`'s cell `i`.
+    fn apply_at<R>(&mut self, a: ArrayLoc, i: usize, op: impl FnOnce(&mut Cell) -> R) -> R {
+        self.tick();
+        self.array_get(a, i);
+        if let Some(arrays) = Rc::get_mut(&mut self.arrays) {
+            if let Some(cells) = Rc::get_mut(&mut arrays[a.0].cells) {
+                return op(&mut cells[i]);
+            }
+        }
+        let mut cell = self.arrays[a.0].cells[i].clone();
+        let out = op(&mut cell);
+        if cell != self.arrays[a.0].cells[i] {
+            let arr = &mut Rc::make_mut(&mut self.arrays)[a.0];
+            Rc::make_mut(&mut arr.cells)[i] = cell;
+        }
+        out
     }
 
     // -- primitive operations (each is one atomic step) ---------------
@@ -153,14 +273,14 @@ impl SimMemory {
     /// Reads any cell as a word. Every base object is readable (Lemma
     /// 16); `ASnap` cells must use [`SimMemory::snap_scan`].
     pub fn read(&mut self, loc: Loc) -> Word {
-        self.steps += 1;
+        self.tick();
         self.cells[loc.0].as_word()
     }
 
     /// Reads an array cell as a word.
     pub fn read_at(&mut self, a: ArrayLoc, i: usize) -> Word {
-        self.steps += 1;
-        self.array_cell(a, i).as_word()
+        self.tick();
+        self.array_get(a, i).as_word()
     }
 
     /// Writes a `Reg` cell.
@@ -170,40 +290,30 @@ impl SimMemory {
     /// Panics if the cell is not a read/write register: the consensus
     /// hierarchy discipline is enforced at runtime.
     pub fn write(&mut self, loc: Loc, v: Word) {
-        self.steps += 1;
-        match self.cell(loc) {
-            Cell::Reg(cur) => *cur = v,
-            other => panic!("write on non-register cell {other:?}"),
-        }
+        self.apply(loc, |cell| write_reg(cell, v));
     }
 
     /// Writes a `Reg` cell inside an array.
     pub fn write_at(&mut self, a: ArrayLoc, i: usize, v: Word) {
-        self.steps += 1;
-        match self.array_cell(a, i) {
-            Cell::Reg(cur) => *cur = v,
-            other => panic!("write on non-register cell {other:?}"),
-        }
+        self.apply_at(a, i, |cell| write_reg(cell, v));
     }
 
     /// Fetch&add on a `Faa` cell; returns the previous value.
     pub fn faa(&mut self, loc: Loc, delta: Word) -> Word {
-        self.steps += 1;
-        match self.cell(loc) {
+        self.apply(loc, |cell| match cell {
             Cell::Faa(cur) => {
                 let old = *cur;
                 *cur = cur.wrapping_add(delta);
                 old
             }
             other => panic!("faa on non-fetch&add cell {other:?}"),
-        }
+        })
     }
 
     /// Wide fetch&add: applies `+pos − neg` to a `Wide` cell in one
     /// step, returning the previous value (§3's signed adjustment).
     pub fn wide_adjust(&mut self, loc: Loc, pos: &BigNat, neg: &BigNat) -> BigNat {
-        self.steps += 1;
-        match self.cell(loc) {
+        self.apply(loc, |cell| match cell {
             Cell::Wide(cur) => {
                 // One clone for the returned snapshot; the adjustment
                 // itself mutates in place (allocation-free while the
@@ -213,12 +323,12 @@ impl SimMemory {
                 old
             }
             other => panic!("wide_adjust on non-wide cell {other:?}"),
-        }
+        })
     }
 
     /// Reads a `Wide` cell (= `fetch&add(R, 0)`).
     pub fn wide_read(&mut self, loc: Loc) -> BigNat {
-        self.steps += 1;
+        self.tick();
         match &self.cells[loc.0] {
             Cell::Wide(cur) => cur.clone(),
             other => panic!("wide_read on non-wide cell {other:?}"),
@@ -227,93 +337,48 @@ impl SimMemory {
 
     /// Test&set on a `Tas` or `ARTas` cell; returns the previous bit.
     pub fn tas(&mut self, loc: Loc) -> u8 {
-        self.steps += 1;
-        match self.cell(loc) {
-            Cell::Tas(bit) | Cell::ARTas(bit) => {
-                let old = *bit as u8;
-                *bit = true;
-                old
-            }
-            other => panic!("tas on non-test&set cell {other:?}"),
-        }
+        self.apply(loc, test_and_set)
     }
 
     /// Test&set on an array cell.
     pub fn tas_at(&mut self, a: ArrayLoc, i: usize) -> u8 {
-        self.steps += 1;
-        match self.array_cell(a, i) {
-            Cell::Tas(bit) | Cell::ARTas(bit) => {
-                let old = *bit as u8;
-                *bit = true;
-                old
-            }
-            other => panic!("tas on non-test&set cell {other:?}"),
-        }
+        self.apply_at(a, i, test_and_set)
     }
 
     /// Swap on a `Swap` cell; returns the previous value.
     pub fn swap(&mut self, loc: Loc, v: Word) -> Word {
-        self.steps += 1;
-        match self.cell(loc) {
-            Cell::Swap(cur) => std::mem::replace(cur, v),
-            other => panic!("swap on non-swap cell {other:?}"),
-        }
+        self.apply(loc, |cell| swap_word(cell, v))
     }
 
     /// Swap on an array cell.
     pub fn swap_at(&mut self, a: ArrayLoc, i: usize, v: Word) -> Word {
-        self.steps += 1;
-        match self.array_cell(a, i) {
-            Cell::Swap(cur) => std::mem::replace(cur, v),
-            other => panic!("swap on non-swap cell {other:?}"),
-        }
+        self.apply_at(a, i, |cell| swap_word(cell, v))
     }
 
     /// Compare&swap on a `Cas` cell; returns the observed value (equal
     /// to `expect` iff the CAS succeeded).
     pub fn cas(&mut self, loc: Loc, expect: Word, new: Word) -> Word {
-        self.steps += 1;
-        match self.cell(loc) {
-            Cell::Cas(cur) => {
-                let old = *cur;
-                if old == expect {
-                    *cur = new;
-                }
-                old
-            }
-            other => panic!("cas on non-cas cell {other:?}"),
-        }
+        self.apply(loc, |cell| compare_and_swap(cell, expect, new))
     }
 
     /// Compare&swap on an array cell.
     pub fn cas_at(&mut self, a: ArrayLoc, i: usize, expect: Word, new: Word) -> Word {
-        self.steps += 1;
-        match self.array_cell(a, i) {
-            Cell::Cas(cur) => {
-                let old = *cur;
-                if old == expect {
-                    *cur = new;
-                }
-                old
-            }
-            other => panic!("cas on non-cas cell {other:?}"),
-        }
+        self.apply_at(a, i, |cell| compare_and_swap(cell, expect, new))
     }
 
     // -- atomic composite operations -----------------------------------
 
     /// `WriteMax` on an `AMaxReg` cell.
     pub fn max_write(&mut self, loc: Loc, v: Word) {
-        self.steps += 1;
-        match self.cell(loc) {
+        self.apply(loc, |cell| match cell {
             Cell::AMaxReg(cur) => *cur = (*cur).max(v),
             other => panic!("max_write on non-max-register cell {other:?}"),
-        }
+        })
     }
 
     /// `ReadMax` on an `AMaxReg` cell.
     pub fn max_read(&mut self, loc: Loc) -> Word {
-        self.steps += 1;
+        self.tick();
         match &self.cells[loc.0] {
             Cell::AMaxReg(cur) => *cur,
             other => panic!("max_read on non-max-register cell {other:?}"),
@@ -322,16 +387,15 @@ impl SimMemory {
 
     /// `update` of component `i` on an `ASnap` cell.
     pub fn snap_update(&mut self, loc: Loc, i: usize, v: Word) {
-        self.steps += 1;
-        match self.cell(loc) {
+        self.apply(loc, |cell| match cell {
             Cell::ASnap(view) => view[i] = v,
             other => panic!("snap_update on non-snapshot cell {other:?}"),
-        }
+        })
     }
 
     /// `scan` on an `ASnap` cell.
     pub fn snap_scan(&mut self, loc: Loc) -> Vec<Word> {
-        self.steps += 1;
+        self.tick();
         match &self.cells[loc.0] {
             Cell::ASnap(view) => view.clone(),
             other => panic!("snap_scan on non-snapshot cell {other:?}"),
@@ -341,40 +405,37 @@ impl SimMemory {
     /// `fetch&increment` on an `ARFai` cell; returns the pre-increment
     /// value.
     pub fn fai(&mut self, loc: Loc) -> Word {
-        self.steps += 1;
-        match self.cell(loc) {
+        self.apply(loc, |cell| match cell {
             Cell::ARFai(cur) => {
                 let old = *cur;
                 *cur += 1;
                 old
             }
             other => panic!("fai on non-fetch&inc cell {other:?}"),
-        }
+        })
     }
 
     /// `enq` on an `AQueue` cell.
     pub fn queue_enq(&mut self, loc: Loc, v: Word) {
-        self.steps += 1;
-        match self.cell(loc) {
+        self.apply(loc, |cell| match cell {
             Cell::AQueue { items, last } => {
                 items.push_back(v);
                 *last = None;
             }
             other => panic!("queue_enq on non-queue cell {other:?}"),
-        }
+        })
     }
 
     /// Exact `deq` on an `AQueue` cell; `None` means empty.
     pub fn queue_deq(&mut self, loc: Loc) -> Option<Word> {
-        self.steps += 1;
-        match self.cell(loc) {
+        self.apply(loc, |cell| match cell {
             Cell::AQueue { items, last } => {
                 let v = items.pop_front();
                 *last = v;
                 v
             }
             other => panic!("queue_deq on non-queue cell {other:?}"),
-        }
+        })
     }
 
     /// Out-of-order `deq` on an `AQueue` cell: removes and returns one
@@ -384,9 +445,7 @@ impl SimMemory {
     /// `None` means empty.
     pub fn queue_deq_within(&mut self, loc: Loc, k: usize, salt: u64) -> Option<Word> {
         use std::collections::hash_map::DefaultHasher;
-        use std::hash::{Hash, Hasher};
-        self.steps += 1;
-        match self.cell(loc) {
+        self.apply(loc, |cell| match cell {
             Cell::AQueue { items, last } => {
                 if items.is_empty() {
                     *last = None;
@@ -402,7 +461,7 @@ impl SimMemory {
                 v
             }
             other => panic!("queue_deq_within on non-queue cell {other:?}"),
-        }
+        })
     }
 
     /// Duplicating `deq` on an `AQueue` cell: returns the previous
@@ -410,8 +469,7 @@ impl SimMemory {
     /// otherwise behaves like [`SimMemory::queue_deq`]. This is the
     /// multiplicity relaxation's second outcome, taken greedily.
     pub fn queue_deq_dup(&mut self, loc: Loc) -> Option<Word> {
-        self.steps += 1;
-        match self.cell(loc) {
+        self.apply(loc, |cell| match cell {
             Cell::AQueue { items, last } => match *last {
                 Some(d) => Some(d),
                 None => {
@@ -421,13 +479,13 @@ impl SimMemory {
                 }
             },
             other => panic!("queue_deq_dup on non-queue cell {other:?}"),
-        }
+        })
     }
 
     /// Readable test&set array: read cell `i`.
     pub fn rtas_read_at(&mut self, a: ArrayLoc, i: usize) -> u8 {
-        self.steps += 1;
-        match self.array_cell(a, i) {
+        self.tick();
+        match self.array_get(a, i) {
             Cell::Tas(bit) | Cell::ARTas(bit) => *bit as u8,
             other => panic!("rtas_read on non-test&set cell {other:?}"),
         }
@@ -437,7 +495,7 @@ impl SimMemory {
 
     /// Number of standalone cells.
     pub fn cell_count(&self) -> usize {
-        self.cells.len()
+        self.cells.len() + self.fresh.len()
     }
 
     /// A copy of the memory with the step counter reset — the "states of
@@ -455,27 +513,20 @@ impl SimMemory {
     /// Flat indices `0..flat_len()` cover standalone cells then array
     /// cells in allocation order.
     pub fn collect_read(&mut self, flat: usize) -> Cell {
-        self.steps += 1;
-        self.flat_get(flat)
+        self.tick();
+        let mut rest = flat;
+        for block in iter::once(&self.cells).chain(self.arrays.iter().map(|a| &a.cells)) {
+            if rest < block.len() {
+                return block[rest].clone();
+            }
+            rest -= block.len();
+        }
+        panic!("flat index {flat} out of range");
     }
 
     /// Number of flat-indexable cells currently materialized.
     pub fn flat_len(&self) -> usize {
-        self.cells.len() + self.arrays.iter().map(|a| a.cells.len()).sum::<usize>()
-    }
-
-    fn flat_get(&self, flat: usize) -> Cell {
-        if flat < self.cells.len() {
-            return self.cells[flat].clone();
-        }
-        let mut rest = flat - self.cells.len();
-        for a in &self.arrays {
-            if rest < a.cells.len() {
-                return a.cells[rest].clone();
-            }
-            rest -= a.cells.len();
-        }
-        panic!("flat index {flat} out of range");
+        self.cell_count() + self.arrays.iter().map(|a| a.cells.len()).sum::<usize>()
     }
 
     /// Rebuilds a memory image from collected cell values, preserving
@@ -483,18 +534,64 @@ impl SimMemory {
     /// start state of Algorithm B's local simulation.
     pub fn rebuild_from_collect(&self, collected: &[Cell]) -> SimMemory {
         assert_eq!(collected.len(), self.flat_len(), "collect size mismatch");
-        let mut copy = self.clone();
-        copy.steps = 0;
-        let mut it = collected.iter().cloned();
-        for c in &mut copy.cells {
-            *c = it.next().expect("sized above");
+        let (standalone, mut rest) = collected.split_at(self.cell_count());
+        let arrays = self
+            .arrays
+            .iter()
+            .map(|a| {
+                let (cells, tail) = rest.split_at(a.cells.len());
+                rest = tail;
+                ArrayCells {
+                    template: a.template.clone(),
+                    cells: cells.into(),
+                }
+            })
+            .collect();
+        SimMemory {
+            cells: standalone.into(),
+            fresh: Vec::new(),
+            arrays,
+            steps: 0,
         }
-        for a in &mut copy.arrays {
-            for c in &mut a.cells {
-                *c = it.next().expect("sized above");
+    }
+}
+
+/// A register write.
+fn write_reg(cell: &mut Cell, v: Word) {
+    match cell {
+        Cell::Reg(cur) => *cur = v,
+        other => panic!("write on non-register cell {other:?}"),
+    }
+}
+
+/// A test&set: sets the bit, returns the previous one.
+fn test_and_set(cell: &mut Cell) -> u8 {
+    match cell {
+        Cell::Tas(bit) | Cell::ARTas(bit) => std::mem::replace(bit, true) as u8,
+        other => panic!("tas on non-test&set cell {other:?}"),
+    }
+}
+
+/// A swap: stores `v`, returns the previous word.
+fn swap_word(cell: &mut Cell, v: Word) -> Word {
+    match cell {
+        Cell::Swap(cur) => std::mem::replace(cur, v),
+        other => panic!("swap on non-swap cell {other:?}"),
+    }
+}
+
+/// A compare&swap: returns the observed word, storing `new` iff it was
+/// `expect`.
+fn compare_and_swap(cell: &mut Cell, expect: Word, new: Word) -> Word {
+    match cell {
+        Cell::Cas(cur) => {
+            let old = *cur;
+            if old == expect {
+                *cur = new;
             }
+            old
         }
-        copy
+        other => panic!("cas on non-cas cell {other:?}"),
     }
 }
 
@@ -589,13 +686,69 @@ mod tests {
 
     #[test]
     fn clone_is_a_deep_snapshot() {
+        use std::collections::VecDeque;
         let mut mem = SimMemory::new();
         let r = mem.alloc(Cell::Reg(1));
-        let snap = mem.snapshot_state();
+        let w = mem.alloc(Cell::Wide(BigNat::zero()));
+        let s = mem.alloc(Cell::ASnap(vec![0, 0]));
+        let q = mem.alloc(Cell::AQueue {
+            items: VecDeque::from([7]),
+            last: None,
+        });
+        let a = mem.alloc_array(Cell::Reg(0));
+        mem.write_at(a, 1, 5);
+        let mut snap = mem.snapshot_state();
+        let len = mem.flat_len();
+        // The original's writes, one per cell kind, stay out of the copy.
         mem.write(r, 2);
-        let mut snap = snap;
+        mem.wide_adjust(w, &BigNat::pow2(100), &BigNat::zero());
+        mem.snap_update(s, 1, 9);
+        mem.queue_enq(q, 8);
+        mem.write_at(a, 1, 6);
         assert_eq!(snap.read(r), 1);
+        assert!(snap.wide_read(w).is_zero());
+        assert_eq!(snap.snap_scan(s), vec![0, 0]);
+        assert_eq!(snap.read_at(a, 1), 5);
+        // And the copy's stay out of the original.
+        assert_eq!(snap.queue_deq(q), Some(7));
+        assert_eq!(snap.queue_deq(q), None);
+        snap.write_at(a, 0, 4);
         assert_eq!(mem.read(r), 2);
+        assert_eq!(mem.wide_read(w), BigNat::pow2(100));
+        assert_eq!(mem.snap_scan(s), vec![0, 9]);
+        assert_eq!(mem.read_at(a, 0), 0);
+        assert_eq!(mem.read_at(a, 1), 6);
+        assert_eq!(mem.queue_deq(q), Some(7));
+        assert_eq!(mem.queue_deq(q), Some(8));
+        // Materializing an index on a clone, even by a read, leaves the
+        // original's layout alone.
+        let mut copy = mem.clone();
+        assert_eq!(copy.read_at(a, 4), 0);
+        assert_eq!(copy.flat_len(), len + 3);
+        assert_eq!(mem.flat_len(), len);
+    }
+
+    #[test]
+    fn equality_and_hash_ignore_where_cells_sit() {
+        use std::collections::hash_map::DefaultHasher;
+        let hash = |m: &SimMemory| {
+            let mut h = DefaultHasher::new();
+            m.hash(&mut h);
+            h.finish()
+        };
+        let mut built = SimMemory::new();
+        built.alloc(Cell::Reg(3));
+        built.alloc(Cell::Faa(4));
+        let mut frozen = built.clone();
+        frozen.freeze();
+        assert_eq!(built, frozen);
+        assert_eq!(hash(&built), hash(&frozen));
+        // A step that changes nothing still counts as a step.
+        let mut stepped = frozen.clone();
+        stepped.faa(Loc(1), 0);
+        assert_ne!(stepped, frozen);
+        stepped.steps = 0;
+        assert_eq!(stepped, frozen);
     }
 
     #[test]

@@ -243,34 +243,55 @@ impl Default for StrongOptions {
     }
 }
 
-/// The execution half of a search node. An operation's lifecycle is
-/// read off its process's cursor: below `invoked[p] - 1` complete, at
-/// it active iff `machines[p]` is set (else complete), above it not
-/// yet invoked — no per-operation record, so a step copies O(processes).
-struct ExecState<A: Algorithm> {
-    mem: SimMemory,
-    machines: Vec<Option<A::Machine>>,
-    /// How many of each process's operations have been invoked.
-    invoked: Vec<usize>,
+/// One process's place in its operation list. An operation's lifecycle
+/// is read off it: below `invoked - 1` complete, at it active iff
+/// `machine` is set (else complete), above it not yet invoked — no
+/// per-operation record.
+#[derive(Clone, PartialEq, Eq, Hash)]
+struct Cursor<M> {
+    /// How many of the process's operations have been invoked.
+    invoked: usize,
+    /// The machine running operation `invoked - 1`, while it runs.
+    machine: Option<M>,
 }
 
-impl<A: Algorithm> Clone for ExecState<A> {
-    fn clone(&self) -> Self {
-        ExecState {
-            mem: self.mem.clone(),
-            machines: self.machines.clone(),
-            invoked: self.invoked.clone(),
-        }
-    }
+/// The execution half of a search node: copy-on-write memory and one
+/// block of cursors, so a step copies O(processes) plus the memory
+/// block it writes.
+#[derive(Clone)]
+struct ExecState<A: Algorithm> {
+    mem: SimMemory,
+    procs: Vec<Cursor<A::Machine>>,
 }
 
 impl<A: Algorithm> ExecState<A> {
-    fn initial(scenario: &Scenario<A::Spec>, mem: SimMemory) -> Self {
+    fn initial(scenario: &Scenario<A::Spec>, mut mem: SimMemory) -> Self {
+        mem.freeze();
+        let idle = Cursor {
+            invoked: 0,
+            machine: None,
+        };
         ExecState {
             mem,
-            machines: (0..scenario.processes()).map(|_| None).collect(),
-            invoked: vec![0; scenario.processes()],
+            procs: vec![idle; scenario.processes()],
         }
+    }
+
+    /// Whether process `p` can step: it has a running machine or an
+    /// operation left to invoke.
+    fn can_step(&self, scenario: &Scenario<A::Spec>, p: usize) -> bool {
+        let c = &self.procs[p];
+        c.machine.is_some() || c.invoked < scenario.ops[p].len()
+    }
+
+    /// The first process at or after `from` that can step.
+    fn next_enabled(&self, scenario: &Scenario<A::Spec>, from: usize) -> Option<usize> {
+        (from..self.procs.len()).find(|&p| self.can_step(scenario, p))
+    }
+
+    /// The processes that can step, in process order.
+    fn enabled<'s>(&'s self, scenario: &'s Scenario<A::Spec>) -> impl Iterator<Item = usize> + 's {
+        (0..self.procs.len()).filter(|&p| self.can_step(scenario, p))
     }
 }
 
@@ -417,12 +438,11 @@ struct StateKey<A: Algorithm> {
 impl<A: Algorithm> PartialEq for StateKey<A> {
     fn eq(&self, other: &Self) -> bool {
         let (a, b) = (&self.lin.states, &other.lin.states);
-        self.exec.invoked == other.exec.invoked
-            // Both deduped: equal length and inclusion is set equality.
-            && a.len() == b.len()
+        // Both deduped: equal length and inclusion is set equality.
+        a.len() == b.len()
             && a.iter().all(|s| b.contains(s))
             && self.lin.same_assigned_set(&other.lin)
-            && self.exec.machines == other.exec.machines
+            && self.exec.procs == other.exec.procs
             && self.exec.mem == other.exec.mem
     }
 }
@@ -432,8 +452,7 @@ impl<A: Algorithm> Eq for StateKey<A> {}
 impl<A: Algorithm> Hash for StateKey<A> {
     fn hash<H: Hasher>(&self, h: &mut H) {
         self.exec.mem.hash(h);
-        self.exec.machines.hash(h);
-        self.exec.invoked.hash(h);
+        self.exec.procs.hash(h);
         self.lin.set_hash.hash(h);
         // Order-independent, matching the set comparison above.
         let ids: u64 = self.lin.states.iter().map(|&s| u64::from(s)).sum();
@@ -559,8 +578,7 @@ pub fn validate_witness<A: Algorithm>(
     }
     let mut exec = ExecState::<A>::initial(scenario, mem);
     for (i, (&p, event)) in witness.schedule.iter().zip(&witness.path).enumerate() {
-        let enabled = enabled_of(scenario, &exec);
-        if !enabled.contains(&p) {
+        if !exec.enabled(scenario).any(|q| q == p) {
             return Err(format!("step {i}: process {p} is not enabled"));
         }
         let (child, completed) = step_child(alg, scenario, &exec, p);
@@ -579,12 +597,6 @@ pub fn validate_witness<A: Algorithm>(
 // The engine
 // ---------------------------------------------------------------------
 
-fn enabled_of<A: Algorithm>(scenario: &Scenario<A::Spec>, exec: &ExecState<A>) -> Vec<usize> {
-    (0..scenario.processes())
-        .filter(|&p| exec.machines[p].is_some() || exec.invoked[p] < scenario.ops[p].len())
-        .collect()
-}
-
 /// An operation a step just completed, with its actual response.
 type Completed<S> = Option<(OpKey, <S as Spec>::Resp)>;
 
@@ -599,19 +611,18 @@ fn step_child<A: Algorithm>(
     p: usize,
 ) -> (ExecState<A>, Completed<A::Spec>) {
     let mut child = exec.clone();
-    let mut machine = child.machines[p].take().unwrap_or_else(|| {
-        child.invoked[p] += 1;
-        alg.machine(p, &scenario.ops[p][exec.invoked[p]])
+    let cursor = &mut child.procs[p];
+    let mut machine = cursor.machine.take().unwrap_or_else(|| {
+        cursor.invoked += 1;
+        alg.machine(p, &scenario.ops[p][cursor.invoked - 1])
     });
+    let index = cursor.invoked - 1;
     let completed = match machine.step(&mut child.mem) {
         Step::Pending => {
-            child.machines[p] = Some(machine);
+            child.procs[p].machine = Some(machine);
             None
         }
-        Step::Ready(resp) => {
-            let index = child.invoked[p] - 1;
-            Some((OpKey { process: p, index }, resp))
-        }
+        Step::Ready(resp) => Some((OpKey { process: p, index }, resp)),
     };
     (child, completed)
 }
@@ -624,11 +635,9 @@ fn event_label<A: Algorithm>(
     p: usize,
     completed: &Completed<A::Spec>,
 ) -> String {
-    let mut label = match before.machines[p] {
-        None => format!(
-            "p{p}: invoke {:?}; step",
-            scenario.ops[p][before.invoked[p]]
-        ),
+    let cursor = &before.procs[p];
+    let mut label = match cursor.machine {
+        None => format!("p{p}: invoke {:?}; step", scenario.ops[p][cursor.invoked]),
         Some(_) => format!("p{p}: step"),
     };
     if let Some((_, resp)) = completed {
@@ -674,8 +683,9 @@ struct FeasibleFrame<A: Algorithm> {
     exec: Rc<ExecState<A>>,
     lin: Rc<LinState<A::Spec>>,
     key: Option<StateKey<A>>,
-    enabled: Vec<usize>,
-    next_child: usize,
+    /// The enabled process whose step is explored now; the AND runs
+    /// over enabled processes in process order.
+    next: usize,
 }
 
 /// OR frame: some linearization extension σ keeps the child feasible.
@@ -688,41 +698,46 @@ struct ExtFrame<A: Algorithm> {
     /// the response the cursors no longer record.
     must: Completed<A::Spec>,
     tried_epsilon: bool,
-    cands: Vec<OpKey>,
-    cand_i: usize,
-    cand_loaded: bool,
+    /// The candidate being tried, once its responses are loaded.
+    cand: Option<OpKey>,
+    /// Where the scan for the next candidate resumes.
+    next_process: usize,
+    /// A running candidate's response options (a completed one has
+    /// just its actual response, read off `must`).
     resp_opts: Vec<<A::Spec as Spec>::Resp>,
     resp_i: usize,
 }
 
 impl<A: Algorithm> ExtFrame<A> {
     fn new(child: Rc<ExecState<A>>, lin: Rc<LinState<A::Spec>>, must: Completed<A::Spec>) -> Self {
-        // Candidates: invoked, unlinearized ops. A completed op was
-        // forced into the extension of its completing step, so these
-        // are `must` and the running ops not linearized while pending:
-        // one per process at most, in process order.
-        let cands = (0..child.machines.len())
-            .filter_map(|process| {
-                let index = child.invoked[process].checked_sub(1)?;
-                let k = OpKey { process, index };
-                let open = match &must {
-                    Some((m, _)) if m.process == process => true,
-                    _ => child.machines[process].is_some() && lin.pending_resp(k).is_none(),
-                };
-                open.then_some(k)
-            })
-            .collect();
         ExtFrame {
             child,
             lin,
             must,
             tried_epsilon: false,
-            cands,
-            cand_i: 0,
-            cand_loaded: false,
+            cand: None,
+            next_process: 0,
             resp_opts: Vec::new(),
             resp_i: 0,
         }
+    }
+
+    /// Process `p`'s candidate, if it has one. Candidates are the
+    /// invoked, unlinearized ops. A completed op was forced into the
+    /// extension of its completing step, so these are `must` and the
+    /// running ops not linearized while pending: one per process at
+    /// most, tried in process order.
+    fn candidate(&self, p: usize) -> Option<OpKey> {
+        let cursor = &self.child.procs[p];
+        let k = OpKey {
+            process: p,
+            index: cursor.invoked.checked_sub(1)?,
+        };
+        let open = match &self.must {
+            Some((m, _)) if m.process == p => true,
+            _ => cursor.machine.is_some() && self.lin.pending_resp(k).is_none(),
+        };
+        open.then_some(k)
     }
 
     /// Produces the next alternative as a subtask, or `None` when the
@@ -742,36 +757,40 @@ impl<A: Algorithm> ExtFrame<A> {
             }
         }
         loop {
-            if self.cand_i >= self.cands.len() {
-                return None;
-            }
-            let k = self.cands[self.cand_i];
-            let op = &scenario.ops[k.process][k.index];
-            let actual = self.must.as_ref().filter(|(m, _)| *m == k);
-            if !self.cand_loaded {
-                // Legal responses for linearizing `k` now: its actual
-                // response if it completed, else every response the
-                // spec admits from some consistent state.
-                self.resp_opts = match actual {
-                    Some((_, r)) => vec![r.clone()],
-                    None => {
-                        let mut opts = Vec::new();
+            let k = match self.cand {
+                Some(k) => k,
+                None => {
+                    let k = (self.next_process..self.child.procs.len())
+                        .find_map(|p| self.candidate(p))?;
+                    self.next_process = k.process + 1;
+                    self.cand = Some(k);
+                    self.resp_i = 0;
+                    // Legal responses for linearizing a running `k` now:
+                    // every response the spec admits from some
+                    // consistent state.
+                    self.resp_opts.clear();
+                    if !matches!(&self.must, Some((m, _)) if *m == k) {
+                        let op = &scenario.ops[k.process][k.index];
                         for &s in &self.lin.states {
                             for o in table.outcomes(s, op) {
                                 let r = table.outcome(o).1;
-                                if !opts.contains(r) {
-                                    opts.push(r.clone());
+                                if !self.resp_opts.contains(r) {
+                                    self.resp_opts.push(r.clone());
                                 }
                             }
                         }
-                        opts
                     }
+                    k
+                }
+            };
+            let op = &scenario.ops[k.process][k.index];
+            let actual = self.must.as_ref().filter(|(m, _)| *m == k).map(|(_, r)| r);
+            loop {
+                let resp = match actual {
+                    Some(r) => (self.resp_i == 0).then_some(r),
+                    None => self.resp_opts.get(self.resp_i),
                 };
-                self.resp_i = 0;
-                self.cand_loaded = true;
-            }
-            while self.resp_i < self.resp_opts.len() {
-                let resp = &self.resp_opts[self.resp_i];
+                let Some(resp) = resp else { break };
                 self.resp_i += 1;
                 if let Some(next_lin) = self.lin.extended(table, k, op, resp, actual.is_none()) {
                     let still_must = match actual {
@@ -785,8 +804,7 @@ impl<A: Algorithm> ExtFrame<A> {
                     ));
                 }
             }
-            self.cand_i += 1;
-            self.cand_loaded = false;
+            self.cand = None;
         }
     }
 }
@@ -847,10 +865,9 @@ impl<'a, A: Algorithm> Engine<'a, A> {
         exec: Rc<ExecState<A>>,
         lin: Rc<LinState<A::Spec>>,
     ) -> Result<Entered<A>, BudgetExhausted> {
-        let enabled = enabled_of(self.scenario, &exec);
-        if enabled.is_empty() {
+        let Some(first) = exec.next_enabled(self.scenario, 0) else {
             return Ok(Entered::Done(true));
-        }
+        };
         let key = self.memo.is_some().then(|| StateKey {
             exec: Rc::clone(&exec),
             lin: Rc::clone(&lin),
@@ -870,8 +887,7 @@ impl<'a, A: Algorithm> Engine<'a, A> {
             exec,
             lin,
             key,
-            enabled,
-            next_child: 0,
+            next: first,
         }))
     }
 
@@ -901,10 +917,11 @@ impl<'a, A: Algorithm> Engine<'a, A> {
             match top {
                 Frame::Feasible(f) => {
                     let r = result.take();
-                    f.next_child += usize::from(r == Some(true));
+                    f.next += usize::from(r == Some(true));
                     let verdict = if r == Some(false) {
                         Some(false) // AND fails: record and propagate.
-                    } else if let Some(&p) = f.enabled.get(f.next_child) {
+                    } else if let Some(p) = f.exec.next_enabled(self.scenario, f.next) {
+                        f.next = p;
                         let (child, completed) = step_child(self.alg, self.scenario, &f.exec, p);
                         match meet(&f.lin, completed) {
                             Ok((lin, must)) => {
@@ -981,12 +998,12 @@ impl<'a, A: Algorithm> Engine<'a, A> {
         let mut exec = Rc::clone(exec0);
         let mut lin = Rc::clone(lin0);
         loop {
-            let enabled = enabled_of(self.scenario, &exec);
+            let parent = Rc::clone(&exec);
             let mut descended = false;
-            for &p in &enabled {
-                let (child, completed) = step_child(self.alg, self.scenario, &exec, p);
+            for p in parent.enabled(self.scenario) {
+                let (child, completed) = step_child(self.alg, self.scenario, &parent, p);
                 let child = Rc::new(child);
-                let label = event_label(self.scenario, &exec, p, &completed);
+                let label = event_label(self.scenario, &parent, p, &completed);
                 let (met, must) = match meet(&lin, completed.clone()) {
                     Ok(met) => met,
                     Err((k, r)) => {
@@ -1129,17 +1146,16 @@ fn recurse<A: Algorithm>(
     limit: usize,
     f: &mut dyn FnMut(&History<A::Spec>),
 ) {
-    let enabled = enabled_of(scenario, exec);
-    if enabled.is_empty() {
+    if exec.next_enabled(scenario, 0).is_none() {
         *count += 1;
         assert!(*count <= limit, "history enumeration exceeded {limit}");
         f(history);
         return;
     }
-    for p in enabled {
+    for p in exec.enabled(scenario) {
         let mut events = 0usize;
-        if exec.machines[p].is_none() {
-            let index = exec.invoked[p];
+        if exec.procs[p].machine.is_none() {
+            let index = exec.procs[p].invoked;
             let op = scenario.ops[p][index].clone();
             history.invoke(OpKey { process: p, index }.id(), p, op);
             events += 1;

@@ -3,7 +3,7 @@
 //! and `Spec::step` asked once per `(state id, op)`. A completed op's
 //! successors are the outcomes with its actual response — exactly
 //! `Spec::accept`'s default body, so neither referee calls `accept`
-//! (DESIGN.md §7 "What a node still pays").
+//! (DESIGN.md §7 "One spec table for both searches").
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};

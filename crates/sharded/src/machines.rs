@@ -28,6 +28,8 @@
 //!
 //! [`LaggingCounterSpec`]: sl2_spec::relaxed::LaggingCounterSpec
 
+use std::rc::Rc;
+
 use sl2_bignum::{BigNat, LaneEncoding, Layout};
 use sl2_exec::machine::{Algorithm, OpMachine, Step};
 use sl2_exec::mem::{Cell, Loc, SimMemory};
@@ -111,7 +113,7 @@ pub fn fan_in_max_scenario(_shards: usize) -> sl2_exec::sched::Scenario<MaxRegis
 /// ([`crate::ShardedMaxRegister`]'s checkable twin).
 #[derive(Debug, Clone)]
 pub struct ShardedMaxRegAlg {
-    shards: Vec<Loc>,
+    shards: Rc<[Loc]>,
     layout: Layout,
     sharding: Sharding,
     mode: WholeReadMode,
@@ -181,7 +183,7 @@ impl Algorithm for ShardedMaxRegAlg {
                 encoding: self.encoding,
             },
             MaxOp::Read => ShardedMaxRegMachine::Collect {
-                shards: self.shards.clone(),
+                shards: Rc::clone(&self.shards),
                 layout: self.layout,
                 mode: self.mode,
                 encoding: self.encoding,
@@ -222,7 +224,7 @@ pub enum ShardedMaxRegMachine {
     /// `readMax`: collecting the per-shard folds.
     Collect {
         /// All shards, in collect order.
-        shards: Vec<Loc>,
+        shards: Rc<[Loc]>,
         /// Lane layout.
         layout: Layout,
         /// Stability discipline.
@@ -318,7 +320,7 @@ impl OpMachine for ShardedMaxRegMachine {
 /// for the relaxed read.
 #[derive(Debug, Clone)]
 pub struct ShardedCounterAlg<S> {
-    shards: Vec<Loc>,
+    shards: Rc<[Loc]>,
     layout: Layout,
     sharding: Sharding,
     mode: WholeReadMode,
@@ -422,7 +424,7 @@ where
                 process,
             },
             CounterOp::Read => ShardedCounterMachine::Sum {
-                shards: self.shards.clone(),
+                shards: Rc::clone(&self.shards),
                 layout: self.layout,
                 encoding: self.encoding,
                 mode: self.mode,
@@ -461,7 +463,7 @@ pub enum ShardedCounterMachine {
     /// `read`: collecting per-shard counts.
     Sum {
         /// All shards, in collect order.
-        shards: Vec<Loc>,
+        shards: Rc<[Loc]>,
         /// Lane layout.
         layout: Layout,
         /// How lane values are coded into lane bits.
@@ -535,8 +537,8 @@ impl OpMachine for ShardedCounterMachine {
 /// ([`crate::ShardedSnapshot`]'s checkable twin).
 #[derive(Debug, Clone)]
 pub struct ShardedSnapshotAlg {
-    groups: Vec<Loc>,
-    layouts: Vec<Layout>,
+    groups: Rc<[Loc]>,
+    layouts: Rc<[Layout]>,
     n: usize,
     group_width: usize,
     mode: WholeReadMode,
@@ -586,8 +588,8 @@ impl Algorithm for ShardedSnapshotAlg {
                 }
             }
             SnapOp::Scan => ShardedSnapshotMachine::Scan {
-                groups: self.groups.clone(),
-                layouts: self.layouts.clone(),
+                groups: Rc::clone(&self.groups),
+                layouts: Rc::clone(&self.layouts),
                 mode: self.mode,
                 idx: 0,
                 current: Vec::new(),
@@ -623,9 +625,9 @@ pub enum ShardedSnapshotMachine {
     /// `scan`: collecting group views.
     Scan {
         /// All group registers, in collect order.
-        groups: Vec<Loc>,
+        groups: Rc<[Loc]>,
         /// Per-group lane layouts.
-        layouts: Vec<Layout>,
+        layouts: Rc<[Layout]>,
         /// Stability discipline.
         mode: WholeReadMode,
         /// Next group to probe.

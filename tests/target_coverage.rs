@@ -309,9 +309,27 @@ fn ci_audits_every_benchmark_workload_and_leaves_the_referee_untouched() {
         ci.contains("git diff --exit-code -- benchmark BENCHMARK.json"),
         "CI must fail when a build rewrites the frozen benchmark (its Cargo.lock)"
     );
+    let check = ci
+        .lines()
+        .find(|line| line.trim_start().starts_with("jq -s -e") && line.contains("TRAJECTORY.jsonl"))
+        .expect("CI must check every line of TRAJECTORY.jsonl (slurped, `jq -s -e`)");
+    for field in [
+        "pr",
+        "experiment",
+        "parent",
+        "workload",
+        "conditions",
+        "medians",
+    ] {
+        assert!(
+            check.contains(&format!("has(\"{field}\")")),
+            "CI's trajectory check must require `{field}` on every line"
+        );
+    }
     assert!(
-        ci.contains("jq -e . TRAJECTORY.jsonl"),
-        "CI must check that TRAJECTORY.jsonl stays valid JSON lines"
+        check.contains("all(.medians.parent, .medians.change;")
+            && check.contains("type == \"number\""),
+        "CI's trajectory check must require numeric parent and change medians"
     );
 }
 
