@@ -55,6 +55,23 @@
 #[inline(always)]
 pub fn point(_label: &str) {}
 
+/// Runs `f`, absorbing a crash-stop unwind. Disarmed no thread can
+/// crash-stop, so this is just `Some(f())`: callers wrap worker bodies
+/// unconditionally and need no feature gate of their own.
+#[cfg(not(feature = "chaos"))]
+#[inline(always)]
+pub fn catch_crash<R>(f: impl FnOnce() -> R) -> Option<R> {
+    Some(f())
+}
+
+/// Seed of the installed plan. Disarmed no plan can be installed, so
+/// this is always `None`.
+#[cfg(not(feature = "chaos"))]
+#[inline(always)]
+pub fn plan_seed() -> Option<u64> {
+    None
+}
+
 #[cfg(feature = "chaos")]
 pub use active::{
     active, catch_crash, crashed_count, install, plan_seed, point, release_crashed, set_thread,

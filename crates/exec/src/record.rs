@@ -139,7 +139,7 @@ impl<S: Spec> Recorder<S> {
     /// unanswered invocation (per-process operations are sequential);
     /// unanswered invocations come out as pending operations.
     pub fn into_history(self) -> History<S> {
-        let mut events: Vec<(u64, Option<Event<S>>)> = Vec::new();
+        let mut events: Vec<(u64, Event<S>)> = Vec::new();
         for (p, log) in self.logs.into_iter().enumerate() {
             let log = log.into_inner().unwrap_or_else(|e| e.into_inner());
             let mut next = 0usize;
@@ -152,24 +152,16 @@ impl<S: Spec> Recorder<S> {
                         let id = OpId(p * OP_STRIDE + next);
                         next += 1;
                         open = Some(id);
-                        events.push((stamp, Some(Event::Invoke { id, process: p, op })));
+                        events.push((stamp, Event::Invoke { id, process: p, op }));
                     }
                     Rec::Return(resp) => {
                         let id = open.take().expect("response without an invocation");
-                        events.push((stamp, Some(Event::Return { id, resp })));
+                        events.push((stamp, Event::Return { id, resp }));
                     }
                 }
             }
         }
-        events.sort_by_key(|(stamp, _)| *stamp);
-        let mut history = History::new();
-        for (_, ev) in &mut events {
-            match ev.take().expect("event taken twice") {
-                Event::Invoke { id, process, op } => history.invoke(id, process, op),
-                Event::Return { id, resp } => history.ret(id, resp),
-            }
-        }
-        history
+        merge(events)
     }
 }
 
@@ -179,6 +171,20 @@ impl<S: Spec> Recorder<S> {
 enum Event<S: Spec> {
     Invoke { id: OpId, process: usize, op: S::Op },
     Return { id: OpId, resp: S::Resp },
+}
+
+/// Replays stamped events into a [`History`] in stamp order: the one
+/// merge [`Recorder::into_history`] and [`history_from_spans`] share.
+fn merge<S: Spec>(mut events: Vec<(u64, Event<S>)>) -> History<S> {
+    events.sort_by_key(|(stamp, _)| *stamp);
+    let mut history = History::new();
+    for (_, ev) in events {
+        match ev {
+            Event::Invoke { id, process, op } => history.invoke(id, process, op),
+            Event::Return { id, resp } => history.ret(id, resp),
+        }
+    }
+    history
 }
 
 /// Builds a [`History`] from bridged trace spans
@@ -213,7 +219,7 @@ where
     let mut ordered: Vec<&SpanRecord> = spans.iter().collect();
     ordered.sort_by_key(|s| s.invoke_stamp);
     let mut next: std::collections::HashMap<usize, usize> = std::collections::HashMap::new();
-    let mut events: Vec<(u64, Option<Event<S>>)> = Vec::new();
+    let mut events: Vec<(u64, Event<S>)> = Vec::new();
     for s in ordered {
         let Some(op) = decode_op(s) else { continue };
         let k = next.entry(s.process).or_insert(0);
@@ -222,27 +228,19 @@ where
         *k += 1;
         events.push((
             s.invoke_stamp,
-            Some(Event::Invoke {
+            Event::Invoke {
                 id,
                 process: s.process,
                 op,
-            }),
+            },
         ));
         if let Some((stamp, word)) = s.response {
             if let Some(resp) = decode_resp(s, word) {
-                events.push((stamp, Some(Event::Return { id, resp })));
+                events.push((stamp, Event::Return { id, resp }));
             }
         }
     }
-    events.sort_by_key(|(stamp, _)| *stamp);
-    let mut history = History::new();
-    for (_, ev) in &mut events {
-        match ev.take().expect("event taken twice") {
-            Event::Invoke { id, process, op } => history.invoke(id, process, op),
-            Event::Return { id, resp } => history.ret(id, resp),
-        }
-    }
-    history
+    merge(events)
 }
 
 /// One adjudicated recorded run in a [`RecordReport`].

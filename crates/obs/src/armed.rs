@@ -1,4 +1,4 @@
-//! The armed probe implementation (`--features obs`): a fixed-capacity
+//! The armed probe implementation (feature `obs`): a fixed-capacity
 //! lock-free label registry over cache-padded per-thread shards of
 //! relaxed atomics.
 //!
@@ -28,9 +28,7 @@ use sl2_primitives::CachePadded;
 
 use crate::hist::{bucket_of, Histogram, BUCKETS};
 use crate::report::MetricsSnapshot;
-
-/// Number of cache-padded shards each metric is striped over.
-pub const SHARDS: usize = 16;
+use crate::SHARDS;
 
 const COUNTER_SLOTS: usize = 128;
 const GAUGE_SLOTS: usize = 32;
@@ -130,12 +128,6 @@ pub fn time(label: &'static str) -> Timer {
         label,
         start: Instant::now(),
     }
-}
-
-/// True: the probe layer is armed in this build.
-#[inline]
-pub fn armed() -> bool {
-    true
 }
 
 /// Zeroes every shard cell. Labels stay registered (the interning

@@ -34,7 +34,7 @@
 //! use sl2_obs as obs;
 //!
 //! // Disarmed by default: stubs compile to nothing, snapshots are
-//! // empty. Armed under `--features obs`, these populate the registry.
+//! // empty. Armed (the root's `--features armed`), these fill the registry.
 //! obs::count("doc.example.hits");
 //! obs::record("doc.example.size", 17);
 //! let t = obs::time("doc.example.span");
@@ -55,13 +55,18 @@ pub use report::MetricsSnapshot;
 mod armed;
 
 #[cfg(feature = "obs")]
-pub use armed::{add, armed, count, gauge, record, reset, snapshot, time, Timer, SHARDS};
+pub use armed::{add, count, gauge, record, reset, snapshot, time, Timer};
 
 /// Number of cache-padded shards each metric is striped over when the
-/// probe layer is armed (mirrored here so shard-aware callers compile
-/// in both configurations).
-#[cfg(not(feature = "obs"))]
+/// probe layer is armed (declared in every build, so shard-aware
+/// callers compile in both configurations).
 pub const SHARDS: usize = 16;
+
+/// Whether the probe layer is compiled into this build.
+#[inline(always)]
+pub fn armed() -> bool {
+    cfg!(feature = "obs")
+}
 
 /// Increments the counter under `label` by 1. Disarmed: empty stub.
 #[cfg(not(feature = "obs"))]
@@ -97,13 +102,6 @@ pub struct Timer(());
 #[inline(always)]
 pub fn time(_label: &'static str) -> Timer {
     Timer(())
-}
-
-/// False: the probe layer is compiled out of this build.
-#[cfg(not(feature = "obs"))]
-#[inline(always)]
-pub fn armed() -> bool {
-    false
 }
 
 /// Zeroes the registry. Disarmed: no-op.

@@ -406,15 +406,11 @@ impl Service {
                     // keeps a plan aimed at one service's lane off the
                     // same lane of the service in the test beside it.
                     labeled::enroll_in(pool_id, w);
-                    #[cfg(feature = "chaos")]
-                    {
-                        // Absorb a crash-stop unwind: the worker dies
-                        // silently (crash-stop semantics), it does not
-                        // poison the process with a panic.
-                        let _ = sl2_chaos::catch_crash(|| shared.worker_loop(w));
-                    }
-                    #[cfg(not(feature = "chaos"))]
-                    shared.worker_loop(w);
+                    // Absorb a crash-stop unwind: the worker dies
+                    // silently (crash-stop semantics), it does not
+                    // poison the process with a panic. Disarmed this is
+                    // an inlined `Some(worker_loop(w))`.
+                    let _ = sl2_chaos::catch_crash(|| shared.worker_loop(w));
                 })
             })
             .collect();

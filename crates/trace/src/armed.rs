@@ -1,4 +1,4 @@
-//! The armed trace implementation (`--features trace`): fixed-size
+//! The armed trace implementation (feature `trace`): fixed-size
 //! binary events in static cache-padded ring buffers, published
 //! seqlock-style so a post-mortem drain can detect torn slots.
 //!
@@ -32,13 +32,7 @@ use std::sync::Once;
 use sl2_primitives::labeled::{self, LabelTable};
 use sl2_primitives::CachePadded;
 
-use crate::{EventKind, TraceEvent, TraceLog};
-
-/// Number of static per-thread ring buffers events are striped over.
-pub const RINGS: usize = 16;
-
-/// Capacity of each ring, in events.
-pub const RING_CAP: usize = 1024;
+use crate::{EventKind, TraceEvent, TraceLog, RINGS, RING_CAP};
 
 const LABEL_SLOTS: usize = 64;
 
@@ -173,12 +167,6 @@ pub fn event_in(label: &'static str, span: u64, payload: u64) {
     emit(KIND_INSTANT, label, span, payload);
 }
 
-/// True: the trace layer is armed in this build.
-#[inline]
-pub fn armed() -> bool {
-    true
-}
-
 /// Nondestructive merge of every ring: the last `RING_CAP` committed
 /// events per ring, validated against their commit words (torn or
 /// in-flight slots are skipped), sorted by stamp. Exact at
@@ -261,17 +249,11 @@ pub fn dump_env(reason: &str) {
     drain().write_env(reason, &chaos_tag());
 }
 
-#[cfg(feature = "chaos")]
 fn chaos_tag() -> String {
     match sl2_chaos::plan_seed() {
         Some(seed) => format!("chaos[seed={seed}]"),
         None => String::new(),
     }
-}
-
-#[cfg(not(feature = "chaos"))]
-fn chaos_tag() -> String {
-    String::new()
 }
 
 #[cfg(test)]

@@ -50,7 +50,7 @@
 //! use sl2_trace as trace;
 //!
 //! // Disarmed by default: stubs compile to nothing and drains are
-//! // empty. Armed under `--features trace`, these fill the rings.
+//! // empty. Armed (the root's `--features armed`), these fill the rings.
 //! let span = trace::next_span();
 //! trace::span_begin("doc.example.request", span, 7);
 //! {
@@ -73,20 +73,24 @@ mod armed;
 
 #[cfg(feature = "trace")]
 pub use armed::{
-    armed, current_span, drain, dump_env, enter_span, event, event_in, install_flight_recorder,
-    next_span, reset, span_begin, span_end, SpanGuard, RINGS, RING_CAP,
+    current_span, drain, dump_env, enter_span, event, event_in, install_flight_recorder, next_span,
+    reset, span_begin, span_end, SpanGuard,
 };
 
 /// Number of static per-thread ring buffers events are striped over
-/// when the trace layer is armed (mirrored here so ring-aware callers
-/// compile in both configurations).
-#[cfg(not(feature = "trace"))]
+/// when the trace layer is armed (declared in every build, so
+/// ring-aware callers compile in both configurations).
 pub const RINGS: usize = 16;
 
 /// Capacity of each ring, in events: the "last N per lane" a flight
-/// dump can hold (mirrored for disarmed builds).
-#[cfg(not(feature = "trace"))]
+/// dump can hold.
 pub const RING_CAP: usize = 1024;
+
+/// Whether the trace layer is compiled into this build.
+#[inline(always)]
+pub fn armed() -> bool {
+    cfg!(feature = "trace")
+}
 
 /// What a trace event marks within its span.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -239,13 +243,6 @@ pub fn event(_label: &'static str, _payload: u64) {}
 #[cfg(not(feature = "trace"))]
 #[inline(always)]
 pub fn event_in(_label: &'static str, _span: u64, _payload: u64) {}
-
-/// False: the trace layer is compiled out of this build.
-#[cfg(not(feature = "trace"))]
-#[inline(always)]
-pub fn armed() -> bool {
-    false
-}
 
 /// Clears the rings and rewinds the clock and span counters.
 /// Disarmed: no-op.

@@ -43,13 +43,13 @@
 //!   staleness adjudicated by the checker (DESIGN.md §8).
 //! * [`sl2_obs`] — feature-gated observability: per-thread sharded
 //!   counters, gauges, and log₂ histograms behind labeled probes that
-//!   compile to nothing by default and arm under `--features obs`
+//!   compile to nothing by default and arm under `--features armed`
 //!   (DESIGN.md §11); `SL2_METRICS_JSON` exports snapshots as
 //!   JSON lines.
 //! * [`sl2_trace`] — feature-gated causal request tracing: fixed-size
 //!   binary events in per-thread lock-free rings (zero allocation
 //!   steady-state, empty stubs by default, armed under `--features
-//!   trace`), a crash-safe flight recorder that dumps the last events
+//!   armed`), a crash-safe flight recorder that dumps the last events
 //!   per thread on panic or chaos crash-stop
 //!   (`SL2_TRACE_JSON`), and the
 //!   [`bridge`](sl2_trace::bridge) that converts drained traces into

@@ -727,7 +727,42 @@ fn a_history_verdict_allocates_per_spec_transition_not_per_node() {
     assert!(2 * n <= 289, "at most half the bitmask search's 289");
 }
 
-#[cfg(not(feature = "obs"))]
+#[cfg(not(feature = "armed"))]
+#[test]
+fn disarmed_chaos_points_are_free() {
+    // The chaos counterpart of the obs and trace pins below: disarmed,
+    // `point` is an empty inline stub, `catch_crash` is `Some(f())` (the
+    // service wraps every worker body in it unconditionally), and no
+    // plan can be installed, so `plan_seed` is `None`.
+    let (n, caught) = allocs_during(|| {
+        for _ in 0..1_000 {
+            sl2_chaos::point("alloc.chaos.point");
+        }
+        sl2_chaos::catch_crash(|| 7u64)
+    });
+    assert_eq!(n, 0, "disarmed chaos points must not allocate");
+    assert_eq!(caught, Some(7));
+    assert_eq!(sl2_chaos::plan_seed(), None);
+}
+
+#[cfg(feature = "armed")]
+#[test]
+fn armed_chaos_point_without_a_plan_is_allocation_free() {
+    // No test in this binary installs a plan, so an armed point returns
+    // at its `active` check: before the enrollment lookup, the plan
+    // lock and the per-thread hit-count map (which allocates).
+    sl2_chaos::point("alloc.chaos.armed"); // first call builds the global
+    let (n, _) = allocs_during(|| {
+        for _ in 0..1_000 {
+            sl2_chaos::point("alloc.chaos.armed");
+        }
+    });
+    assert_eq!(n, 0, "an armed point with no plan must not allocate");
+    assert!(!sl2_chaos::active());
+    assert_eq!(sl2_chaos::plan_seed(), None);
+}
+
+#[cfg(not(feature = "armed"))]
 #[test]
 fn disarmed_obs_probes_are_free() {
     // The PR-8 pin: with the `obs` feature off, every probe flavor is
@@ -750,7 +785,7 @@ fn disarmed_obs_probes_are_free() {
     assert!(snap.is_empty());
 }
 
-#[cfg(not(feature = "trace"))]
+#[cfg(not(feature = "armed"))]
 #[test]
 fn disarmed_trace_points_are_free() {
     // The PR-10 pin: with the `trace` feature off, every trace entry
@@ -776,7 +811,7 @@ fn disarmed_trace_points_are_free() {
     assert!(log.is_empty());
 }
 
-#[cfg(feature = "trace")]
+#[cfg(feature = "armed")]
 #[test]
 fn armed_trace_emission_is_allocation_free() {
     // Armed emission is a seqlock publish into static per-thread rings
@@ -796,7 +831,7 @@ fn armed_trace_emission_is_allocation_free() {
     assert!(sl2::trace::armed());
 }
 
-#[cfg(feature = "obs")]
+#[cfg(feature = "armed")]
 #[test]
 fn armed_scalar_probes_are_allocation_free() {
     // Armed counters/gauges/histograms are relaxed atomics against

@@ -3,12 +3,12 @@
 //! driven through the `sl2_chaos` points compiled into the bignum /
 //! sharded / combine layers.
 //!
-//! Compiled only under `--features chaos` (CI runs it in release, in
+//! Compiled only under `--features armed` (CI runs it in release, in
 //! both the DWCAS and `force_spinlock` configurations). Every
 //! assertion message carries the plan seed: a failure is reproducible
 //! by re-running the test with that seed alone — injected faults are
 //! pure functions of `(seed, thread, label, per-thread hit count)`.
-#![cfg(feature = "chaos")]
+#![cfg(feature = "armed")]
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;

@@ -3,7 +3,7 @@
 //! The ungated half pins the parts that are live in every build: the
 //! log₂ histogram's percentile math against a sorted-vector reference,
 //! merge conservation, and the `SL2_METRICS_JSON` JSON-lines export.
-//! The `--features obs` half pins the armed registry: counter
+//! The `--features armed` half pins the armed registry: counter
 //! conservation across per-thread shards, gauge max-folding, timer
 //! drop-recording, and the hot-path probes actually firing from the
 //! production objects.
@@ -125,15 +125,15 @@ fn metrics_snapshot_serializes_json_lines() {
 
 #[test]
 fn the_armed_flag_matches_the_build() {
-    assert_eq!(obs::armed(), cfg!(feature = "obs"));
-    #[cfg(not(feature = "obs"))]
+    assert_eq!(obs::armed(), cfg!(feature = "armed"));
+    #[cfg(not(feature = "armed"))]
     assert!(
         obs::snapshot().is_empty(),
         "disarmed snapshots must stay empty"
     );
 }
 
-#[cfg(feature = "obs")]
+#[cfg(feature = "armed")]
 mod armed {
     use super::*;
     use std::sync::Barrier;
@@ -199,7 +199,7 @@ mod armed {
 
     #[test]
     fn registry_snapshot_exports_when_requested() {
-        // CI's obs leg sets SL2_METRICS_JSON on exactly this suite and
+        // CI's armed leg sets SL2_METRICS_JSON on exactly this suite and
         // uploads the result as metrics-report.jsonl; locally (var
         // unset) write_env is a no-op and only the serialization runs.
         obs::count("obs.e2e.export");

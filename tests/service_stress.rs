@@ -4,9 +4,10 @@
 //! a crash-stopped worker must only darken its own queues.
 //!
 //! The conservation tests run in every configuration; the crash-stop
-//! test needs `--features chaos` (CI runs it in the release chaos
-//! leg). Locality is the theory behind the assertions: strong
-//! linearizability is closed under disjoint composition, so per-key
+//! test needs `--features armed` (CI runs it in both release armed
+//! legs, then loops this suite 50 times under `armed`). Locality is
+//! the theory behind the assertions: strong linearizability is closed
+//! under disjoint composition, so per-key
 //! exactness across the pool is what the paper's guarantee *means* at
 //! service scale (DESIGN.md §12).
 
@@ -332,7 +333,7 @@ fn per_key_order_holds_across_batch_boundaries() {
 /// surviving workers stays fully live — locality under failure. The
 /// victim crashes at the head of a batch it holds in hand, and the
 /// whole batch is stranded with it: no job of it applied, none half.
-#[cfg(feature = "chaos")]
+#[cfg(feature = "armed")]
 #[test]
 fn crash_stopped_worker_leaves_other_keys_live() {
     use sl2_chaos::{crashed_count, install, release_crashed, FaultAction, FaultPlan};

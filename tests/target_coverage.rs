@@ -26,8 +26,8 @@ const EXPECTED_EXAMPLES: &[&str] = &[
 
 /// The root integration-test suites, as wired into CI. Cargo
 /// auto-discovers these, so a stray file still *compiles* — what rots
-/// is the CI wiring around the special ones: `chaos_stress` is empty
-/// without `--features chaos`, and `corpus` / `recorder` only emit
+/// is the CI wiring around the special ones: `chaos_stress` and `trace`
+/// are empty without `--features armed`, and `corpus` / `recorder` only emit
 /// their JSON artifacts when CI exports the matching env var.
 const EXPECTED_TESTS: &[&str] = &[
     "agreement_e2e",
@@ -143,73 +143,139 @@ fn integration_test_suites_match_the_documented_set() {
     );
 }
 
+/// The feature names a manifest's `[features]` table declares, or
+/// `None` if it has no such table.
+fn declared_features(manifest: &str) -> Option<BTreeSet<String>> {
+    let mut lines = manifest
+        .lines()
+        .skip_while(|line| line.trim() != "[features]");
+    lines.next()?;
+    Some(
+        lines
+            .take_while(|line| !line.starts_with('['))
+            .filter(|line| line.starts_with(|c: char| c.is_ascii_alphabetic()))
+            .filter_map(|line| line.split_once('='))
+            .map(|(name, _)| name.trim().to_string())
+            .collect(),
+    )
+}
+
+#[test]
+fn instrumentation_arms_through_one_feature() {
+    // chaos, obs and trace arm together under the root's `armed`, which
+    // turns on one feature in each of the three leaf crates; Cargo's
+    // feature unification arms every call site above them. A forwarding
+    // feature in a middle crate would bring back configurations CI does
+    // not run, so only these manifests may declare features at all.
+    let set =
+        |names: &[&str]| -> BTreeSet<String> { names.iter().map(|n| n.to_string()).collect() };
+    let allowed = [
+        ("", set(&["force_spinlock", "armed"])),
+        ("crates/bignum", set(&["force_spinlock"])),
+        ("crates/chaos", set(&["chaos"])),
+        ("crates/obs", set(&["obs"])),
+        ("crates/trace", set(&["trace"])),
+    ];
+    for member in std::iter::once("").chain(EXPECTED_MEMBERS.iter().copied()) {
+        let path = Path::new(member).join("Cargo.toml");
+        let found = declared_features(&read_repo_file(&path.to_string_lossy()));
+        let expected = allowed
+            .iter()
+            .find(|(m, _)| *m == member)
+            .map(|(_, f)| f.clone());
+        assert_eq!(
+            found,
+            expected,
+            "{} declares the wrong features; arm instrumentation through the \
+             root's `armed` only",
+            path.display()
+        );
+    }
+
+    // CI runs every root configuration, each over the whole workspace:
+    // a root-only `cargo test` skips the armed crates' own unit tests.
+    let ci = read_repo_file(".github/workflows/ci.yml");
+    let configurations: BTreeSet<Vec<&str>> = ci
+        .lines()
+        .filter_map(|line| line.split_once("cargo test ").map(|(_, args)| args))
+        .filter(|args| args.split_whitespace().any(|w| w == "--workspace"))
+        .map(|args| {
+            let features = args.split_once("--features ").map(|(_, rest)| rest);
+            let mut features: Vec<&str> = features
+                .and_then(|rest| rest.split_whitespace().next())
+                .map_or(vec![], |f| f.split(',').collect());
+            features.sort_unstable();
+            features
+        })
+        .collect();
+    for expected in [
+        vec![],
+        vec!["force_spinlock"],
+        vec!["armed"],
+        vec!["armed", "force_spinlock"],
+    ] {
+        assert!(
+            configurations.contains(&expected),
+            "CI runs no `cargo test --workspace` with features {expected:?}"
+        );
+    }
+}
+
+/// Panics unless `file` still contains every one of `needles`.
+fn assert_keeps(file: &str, needles: &[&str]) {
+    let src = read_repo_file(file);
+    for needle in needles {
+        assert!(src.contains(needle), "{file} lost `{needle}`");
+    }
+}
+
 #[test]
 fn obs_probe_layer_stays_feature_gated() {
-    // The PR-8 counterpart of the chaos gate: the armed registry must
-    // only compile under `--features obs`, and the disarmed stubs must
-    // remain `#[inline(always)]` empty bodies — that pair is what
-    // licenses probes in the §3 hot paths (DESIGN.md §11). CI has
-    // dedicated `obs` and `obs,chaos` legs.
-    let src = std::fs::read_to_string(repo_root().join("crates/obs/src/lib.rs"))
-        .expect("obs lib.rs readable");
-    assert!(
-        src.contains("#[cfg(feature = \"obs\")]\nmod armed;"),
-        "crates/obs lost the feature gate on its armed registry"
-    );
-    assert!(
-        src.contains("pub fn count(_label: &'static str) {}"),
-        "the disarmed count stub must stay an empty body"
-    );
-    assert!(
-        src.contains("pub struct Timer(());"),
-        "the disarmed Timer must stay a ZST"
+    // The armed registry compiles only under `armed`, and the disarmed
+    // stubs stay empty `#[inline(always)]` bodies and ZSTs — that pair
+    // is what licenses probes in the §3 hot paths (DESIGN.md §11).
+    assert_keeps(
+        "crates/obs/src/lib.rs",
+        &[
+            "#[cfg(feature = \"obs\")]\nmod armed;",
+            "pub fn count(_label: &'static str) {}",
+            "pub struct Timer(());",
+        ],
     );
 }
 
 #[test]
 fn trace_layer_stays_feature_gated() {
-    // The PR-10 member of the disarmed-instrumentation triad: the
-    // armed rings must only compile under `--features trace`, the
-    // disarmed entry points must remain empty `#[inline(always)]`
-    // bodies (tests/alloc_counter.rs pins them allocation-free), and
-    // the trace suite itself must never run in a default build. CI has
-    // dedicated `trace` and `trace,chaos` legs.
-    let root = repo_root();
-    let lib = std::fs::read_to_string(root.join("crates/trace/src/lib.rs"))
-        .expect("trace lib.rs readable");
-    assert!(
-        lib.contains("#[cfg(feature = \"trace\")]\nmod armed;"),
-        "crates/trace lost the feature gate on its armed rings"
+    // The armed rings compile only under `armed`, the disarmed entry
+    // points stay empty bodies (tests/alloc_counter.rs pins them
+    // allocation-free), and the trace suite never runs in a default
+    // build.
+    assert_keeps(
+        "crates/trace/src/lib.rs",
+        &[
+            "#[cfg(feature = \"trace\")]\nmod armed;",
+            "pub fn event(_label: &'static str, _payload: u64) {}",
+            "pub struct SpanGuard(());",
+        ],
     );
-    assert!(
-        lib.contains("pub fn event(_label: &'static str, _payload: u64) {}"),
-        "the disarmed event stub must stay an empty body"
-    );
-    assert!(
-        lib.contains("pub struct SpanGuard(());"),
-        "the disarmed SpanGuard must stay a ZST"
-    );
-    let suite =
-        std::fs::read_to_string(root.join("tests/trace.rs")).expect("tests/trace.rs readable");
-    assert!(
-        suite.contains("#![cfg(feature = \"trace\")]"),
-        "tests/trace.rs lost its trace feature gate"
-    );
+    assert_keeps("tests/trace.rs", &["#![cfg(feature = \"armed\")]"]);
 }
 
 #[test]
 fn chaos_suite_stays_feature_gated() {
-    // The chaos adversaries must never arm in a default build: the
-    // whole suite hangs off `#![cfg(feature = "chaos")]`, and CI has a
-    // dedicated leg passing the feature. If the gate disappears, the
-    // default test run would depend on chaos points that are compiled
-    // to no-op stubs — every injection silently does nothing.
-    let src = std::fs::read_to_string(repo_root().join("tests/chaos_stress.rs"))
-        .expect("chaos_stress.rs readable");
-    assert!(
-        src.contains("#![cfg(feature = \"chaos\")]"),
-        "tests/chaos_stress.rs lost its chaos feature gate"
+    // The chaos adversaries never arm in a default build: the injection
+    // engine compiles only under `armed`, `point` stays an empty stub,
+    // and the whole suite hangs off the same feature. Without the suite
+    // gate, a default run would lean on chaos points compiled to no-ops,
+    // and every injection would silently do nothing.
+    assert_keeps(
+        "crates/chaos/src/lib.rs",
+        &[
+            "#[cfg(feature = \"chaos\")]\nmod active",
+            "pub fn point(_label: &str) {}",
+        ],
     );
+    assert_keeps("tests/chaos_stress.rs", &["#![cfg(feature = \"armed\")]"]);
 }
 
 #[test]

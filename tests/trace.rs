@@ -7,7 +7,7 @@
 //! clock, and the span counter are process-global, and the chaos
 //! session is exclusive.
 
-#![cfg(feature = "trace")]
+#![cfg(feature = "armed")]
 
 use std::sync::{Mutex, MutexGuard};
 
@@ -64,7 +64,7 @@ fn full_ring_overwrites_oldest_first_with_no_torn_events() {
     trace::reset();
 }
 
-#[cfg(feature = "chaos")]
+/// The faulted runs: `armed` arms chaos together with the rings.
 mod chaos_armed {
     use super::*;
     use sl2_chaos::{
@@ -184,8 +184,8 @@ mod chaos_armed {
         );
 
         // The dump is tagged with the live plan's seed — what CI keys
-        // replay triage on — and in the trace,chaos CI leg
-        // `SL2_TRACE_JSON` persists it as the black-box artifact.
+        // replay triage on — and in the armed CI leg `SL2_TRACE_JSON`
+        // persists it as the black-box artifact.
         let tag = format!("chaos[seed={}]", plan_seed().expect("plan installed"));
         let dump = log.to_json_lines("crash_stop", &tag);
         assert!(dump.contains(&format!("chaos[seed={seed}]")));
