@@ -245,15 +245,17 @@ impl LaneEncoding {
         }
     }
 
-    /// The `(posAdj, negAdj)` of the one `fetch&add` that raises lane
-    /// `i` from `old` to `new ≥ old`. Unary lanes only set bits
-    /// (`negAdj = 0`); a raised binary lane's top differing digit is a
-    /// set digit, so `posAdj > negAdj` and the delta is positive under
-    /// either encoding.
+    /// The `(posAdj, negAdj)` of the one `fetch&add` that moves lane `i`
+    /// from `old` to `new`. Unary lanes only rise (`new ≥ old`) and only
+    /// set bits (`negAdj = 0`). A binary lane may also fall, as a
+    /// snapshot component does; when it rises, its top differing digit
+    /// is a set digit, so `posAdj > negAdj`.
     pub fn adjustments(self, layout: &Layout, i: usize, old: u64, new: u64) -> (BigNat, BigNat) {
-        debug_assert!(old <= new, "monotone lanes are only ever raised");
         match self {
-            LaneEncoding::Unary => (layout.unary_increment(i, old, new), BigNat::zero()),
+            LaneEncoding::Unary => {
+                debug_assert!(old <= new, "unary lanes are only ever raised");
+                (layout.unary_increment(i, old, new), BigNat::zero())
+            }
             LaneEncoding::Binary => BinaryLayout::over(*layout).adjustments(i, old, new),
         }
     }

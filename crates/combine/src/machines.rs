@@ -41,7 +41,8 @@
 
 use std::rc::Rc;
 
-use sl2_bignum::{BigNat, LaneEncoding, Layout};
+use sl2_bignum::{BigNat, LaneEncoding};
+use sl2_exec::lanes::{Collect, LaneWrite, Lanes, Reduce, Target, WholeReadMode};
 use sl2_exec::machine::{Algorithm, OpMachine, Step};
 use sl2_exec::mem::{Cell, Loc, SimMemory};
 use sl2_primitives::Sharding;
@@ -62,37 +63,19 @@ pub enum ReadMode {
     Stable,
 }
 
-/// Shared stable-collect bookkeeping (the sharded machines'
-/// discipline): returns the finished pass once two consecutive passes
-/// agree, else rewinds for another pass.
-fn stable_pass(
-    done: Vec<u64>,
-    previous: &mut Option<Vec<u64>>,
-    idx: &mut usize,
-) -> Option<Vec<u64>> {
-    if previous.as_ref() == Some(&done) {
-        Some(done)
-    } else {
-        *previous = Some(done);
-        *idx = 0;
-        None
-    }
-}
-
 /// The common base-object block of a combining algorithm: slots, lock,
 /// cache, inner shards. Opaque — it appears in machine states so the
 /// checker can clone/hash them, but its cells are only reachable
 /// through the protocol steps. The handle tables are shared, so a
 /// machine state copies two reference counts, not two tables.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct FrontCells {
     slots: Rc<[Loc]>,
     lock: Loc,
     cache: Loc,
     shards: Rc<[Loc]>,
-    layout: Layout,
+    lanes: Lanes,
     sharding: Sharding,
-    encoding: LaneEncoding,
 }
 
 impl FrontCells {
@@ -104,47 +87,19 @@ impl FrontCells {
             shards: (0..shards)
                 .map(|_| mem.alloc(Cell::Wide(BigNat::zero())))
                 .collect(),
-            layout: Layout::new(n),
+            lanes: Lanes::new(n, LaneEncoding::Unary),
             sharding: Sharding::new(shards),
-            encoding: LaneEncoding::Unary,
         }
     }
 
-    /// Decodes lane `i` of an inner shard image.
-    fn lane(&self, i: usize, image: &BigNat) -> u64 {
-        self.encoding.decode(&self.layout, i, image)
-    }
-
-    /// The `(pos, neg)` raising lane `i` of an inner shard.
-    fn raise(&self, i: usize, old: u64, new: u64) -> (BigNat, BigNat) {
-        self.encoding.adjustments(&self.layout, i, old, new)
-    }
-
-    /// Home shard and quotient count of a max-register value.
-    fn ensure_of(&self, value: u64) -> (Loc, u64) {
-        let shard = self.shards[self.sharding.of_value(value)];
-        let count = value / self.sharding.shards() as u64 + 1;
-        (shard, count)
-    }
-}
-
-impl PartialEq for FrontCells {
-    fn eq(&self, other: &Self) -> bool {
-        self.slots == other.slots
-            && self.lock == other.lock
-            && self.cache == other.cache
-            && self.shards == other.shards
-    }
-}
-
-impl Eq for FrontCells {}
-
-impl std::hash::Hash for FrontCells {
-    fn hash<H: std::hash::Hasher>(&self, h: &mut H) {
-        self.slots.hash(h);
-        self.lock.hash(h);
-        self.cache.hash(h);
-        self.shards.hash(h);
+    /// The inner stable collect, reducing each shard with `reduce`.
+    fn collect(&self, reduce: Reduce) -> Collect {
+        Collect::new(
+            Rc::clone(&self.shards),
+            self.lanes,
+            reduce,
+            WholeReadMode::Stable,
+        )
     }
 }
 
@@ -257,7 +212,7 @@ impl<S> CombiningMaxRegAlg<S> {
     /// Re-codes the inner lanes ([`LaneEncoding::Binary`] is the twin
     /// of the shipped `ShardedMaxRegister::new_binary` inner register).
     pub fn with_encoding(mut self, encoding: LaneEncoding) -> Self {
-        self.cells.encoding = encoding;
+        self.cells.lanes.encoding = encoding;
         self
     }
 }
@@ -288,10 +243,8 @@ where
                     cache: self.cells.cache,
                 },
                 ReadMode::Stable => CombiningMaxRegMachine::Collect {
-                    cells: self.cells.clone(),
-                    idx: 0,
-                    current: Vec::new(),
-                    previous: None,
+                    sharding: self.cells.sharding,
+                    collect: self.cells.collect(Reduce::Fold),
                 },
             },
         }
@@ -317,26 +270,14 @@ pub enum WriteStage {
     },
     /// Combiner applying a claimed value through its **own** lane (the
     /// re-attribution that keeps helping single-writer — see
-    /// [`crate::Combinable`]): the ensure probe.
-    ApplyProbe {
-        /// Sweep cursor (for the continuation).
-        i: usize,
-        /// The claimed value.
-        value: u64,
-    },
-    /// Combiner applying a claimed value: the fetch&add of `pos − neg`
-    /// raising the own lane.
-    ApplyAdd {
+    /// [`crate::Combinable`]): the ensure probe, then the fetch&add.
+    Apply {
         /// Sweep cursor (for the continuation).
         i: usize,
         /// The claimed value (merged into the fold once landed).
         value: u64,
-        /// Home shard of the claimed value.
-        shard: Loc,
-        /// Lane bits to set.
-        pos: BigNat,
-        /// Lane bits to clear.
-        neg: BigNat,
+        /// The lane write.
+        write: LaneWrite,
     },
     /// Combiner reading the published fold before the sweep (the merge
     /// base; production reads it under the lock for the same reason —
@@ -346,17 +287,8 @@ pub enum WriteStage {
     PublishCache,
     /// Combiner releasing the election lock.
     Unlock,
-    /// Election lost: the ensure probe of the direct path.
-    DirectProbe,
-    /// Election lost: the direct fetch&add.
-    DirectAdd {
-        /// Home shard of the own value.
-        shard: Loc,
-        /// Lane bits to set.
-        pos: BigNat,
-        /// Lane bits to clear.
-        neg: BigNat,
-    },
+    /// Election lost: the direct path's ensure probe and fetch&add.
+    Direct(LaneWrite),
     /// Election lost: retiring the own announcement.
     Withdraw,
 }
@@ -382,6 +314,18 @@ pub struct WriteState {
 }
 
 impl WriteState {
+    /// The own-lane write that lands `value` (the quotient encoding of
+    /// the inner sharded register).
+    fn write_of(&self, value: u64) -> LaneWrite {
+        let (home, count) = self.cells.sharding.to_quotient(value);
+        LaneWrite::new(
+            self.cells.shards[home],
+            self.cells.lanes,
+            self.process,
+            Target::AtLeast(count),
+        )
+    }
+
     /// Sweep continuation after finishing slot `i`: the next slot, or
     /// publication once the sweep is done.
     fn after_slot(&self, i: usize) -> WriteStage {
@@ -409,7 +353,7 @@ impl WriteState {
                 if mem.swap(cells.lock, 1) == 0 {
                     self.stage = WriteStage::ReadCache;
                 } else {
-                    self.stage = WriteStage::DirectProbe;
+                    self.stage = WriteStage::Direct(self.write_of(self.payload));
                 }
                 Step::Pending
             }
@@ -430,47 +374,29 @@ impl WriteState {
                 match mem.swap(cells.slots[i], 0) {
                     0 => self.stage = self.after_slot(i), // withdraw raced the claim
                     stored => {
-                        self.stage = WriteStage::ApplyProbe {
+                        self.stage = WriteStage::Apply {
                             i,
                             value: stored - 1,
+                            write: self.write_of(stored - 1),
                         }
                     }
                 }
                 Step::Pending
             }
-            WriteStage::ApplyProbe { i, value } => {
-                let (shard, count) = cells.ensure_of(value);
-                let image = mem.wide_adjust(shard, &BigNat::zero(), &BigNat::zero());
-                let prev = cells.lane(self.process, &image);
-                if count <= prev {
-                    // Already landed (this lane covers it): merged into
-                    // the fold all the same — it is a landed value.
+            WriteStage::Apply {
+                i,
+                value,
+                mut write,
+            } => {
+                if write.step(mem) == Step::Pending {
+                    self.stage = WriteStage::Apply { i, value, write };
+                } else {
+                    // Landed, or already covered by this lane: merged
+                    // into the fold either way — it is a landed value.
                     self.fold = self.fold.max(value);
                     self.applied = true;
                     self.stage = self.after_slot(i);
-                } else {
-                    let (pos, neg) = cells.raise(self.process, prev, count);
-                    self.stage = WriteStage::ApplyAdd {
-                        i,
-                        value,
-                        shard,
-                        pos,
-                        neg,
-                    };
                 }
-                Step::Pending
-            }
-            WriteStage::ApplyAdd {
-                i,
-                value,
-                shard,
-                pos,
-                neg,
-            } => {
-                mem.wide_adjust(shard, &pos, &neg);
-                self.fold = self.fold.max(value);
-                self.applied = true;
-                self.stage = self.after_slot(i);
                 Step::Pending
             }
             WriteStage::PublishCache => {
@@ -482,21 +408,11 @@ impl WriteState {
                 mem.swap(cells.lock, 0);
                 Step::Ready(MaxResp::Ok)
             }
-            WriteStage::DirectProbe => {
-                let (shard, count) = cells.ensure_of(self.payload);
-                let image = mem.wide_adjust(shard, &BigNat::zero(), &BigNat::zero());
-                let prev = cells.lane(self.process, &image);
-                if count <= prev {
-                    self.stage = WriteStage::Withdraw;
-                } else {
-                    let (pos, neg) = cells.raise(self.process, prev, count);
-                    self.stage = WriteStage::DirectAdd { shard, pos, neg };
-                }
-                Step::Pending
-            }
-            WriteStage::DirectAdd { shard, pos, neg } => {
-                mem.wide_adjust(shard, &pos, &neg);
-                self.stage = WriteStage::Withdraw;
+            WriteStage::Direct(mut write) => {
+                self.stage = match write.step(mem) {
+                    Step::Pending => WriteStage::Direct(write),
+                    Step::Ready(()) => WriteStage::Withdraw,
+                };
                 Step::Pending
             }
             WriteStage::Withdraw => {
@@ -520,14 +436,10 @@ pub enum CombiningMaxRegMachine {
     /// `readMax`, stable mode: the sharded stable collect (quotient
     /// decode), bypassing the cache.
     Collect {
-        /// The front-end's base objects.
-        cells: FrontCells,
-        /// Next shard to probe.
-        idx: usize,
-        /// Folds collected so far in this pass.
-        current: Vec<u64>,
-        /// The previous complete pass.
-        previous: Option<Vec<u64>>,
+        /// The quotient map.
+        sharding: Sharding,
+        /// The collect.
+        collect: Collect,
     },
 }
 
@@ -540,38 +452,9 @@ impl OpMachine for CombiningMaxRegMachine {
             CombiningMaxRegMachine::CachedLoad { cache } => {
                 Step::Ready(MaxResp::Value(mem.read(*cache)))
             }
-            CombiningMaxRegMachine::Collect {
-                cells,
-                idx,
-                current,
-                previous,
-            } => {
-                let image = mem.wide_adjust(cells.shards[*idx], &BigNat::zero(), &BigNat::zero());
-                let fold = (0..cells.layout.processes())
-                    .map(|i| cells.lane(i, &image))
-                    .max()
-                    .unwrap_or(0);
-                current.push(fold);
-                *idx += 1;
-                if *idx < cells.shards.len() {
-                    return Step::Pending;
-                }
-                let done = std::mem::take(current);
-                let s_count = cells.sharding.shards() as u64;
-                match stable_pass(done, previous, idx) {
-                    Some(done) => {
-                        let max = done
-                            .iter()
-                            .enumerate()
-                            .filter(|(_, &c)| c > 0)
-                            .map(|(s, &c)| (c - 1) * s_count + s as u64)
-                            .max()
-                            .unwrap_or(0);
-                        Step::Ready(MaxResp::Value(max))
-                    }
-                    None => Step::Pending,
-                }
-            }
+            CombiningMaxRegMachine::Collect { sharding, collect } => collect
+                .step(mem)
+                .map(|pass| MaxResp::Value(sharding.max_from_quotients(&pass))),
         }
     }
 }
@@ -632,7 +515,7 @@ where
     /// Re-codes the inner lanes ([`LaneEncoding::Binary`] is the twin
     /// of the shipped `ShardedFetchInc::new_binary` inner counter).
     pub fn with_encoding(mut self, encoding: LaneEncoding) -> Self {
-        self.cells.encoding = encoding;
+        self.cells.lanes.encoding = encoding;
         self
     }
 
@@ -710,21 +593,22 @@ where
 
     fn machine(&self, process: usize, op: &CounterOp) -> CombiningCounterMachine {
         match op {
-            CounterOp::Inc => CombiningCounterMachine::IncProbe {
+            CounterOp::Inc => CombiningCounterMachine::Inc {
                 cells: self.cells.clone(),
                 process,
                 recovery: self.recovery,
+                write: LaneWrite::new(
+                    self.cells.shards[self.cells.sharding.of_process(process)],
+                    self.cells.lanes,
+                    process,
+                    Target::Increment,
+                ),
             },
             CounterOp::Read => match self.mode {
                 ReadMode::Cached => CombiningCounterMachine::CachedLoad {
                     cache: self.cells.cache,
                 },
-                ReadMode::Stable => CombiningCounterMachine::Sum {
-                    cells: self.cells.clone(),
-                    idx: 0,
-                    current: Vec::new(),
-                    previous: None,
-                },
+                ReadMode::Stable => CombiningCounterMachine::Sum(self.cells.collect(Reduce::Sum)),
             },
         }
     }
@@ -734,30 +618,16 @@ where
 /// striped increment, then one election attempt to republish the fold.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum CombiningCounterMachine {
-    /// `inc` step 1: probe the own lane on the home shard.
-    IncProbe {
-        /// The front-end's base objects.
-        cells: FrontCells,
-        /// Incrementing process.
-        process: usize,
-        /// Whether the election runs the lease-reclaim protocol.
-        recovery: bool,
-    },
-    /// `inc` step 2: one fetch&add of `pos − neg` raising the own lane
-    /// by one.
-    IncAdd {
+    /// `inc` steps 1–2: raise the own lane of the home shard by one.
+    Inc {
         /// The front-end's base objects.
         cells: FrontCells,
         /// Incrementing process (names the recovery lease).
         process: usize,
         /// Whether the election runs the lease-reclaim protocol.
         recovery: bool,
-        /// Home shard of the process.
-        shard: Loc,
-        /// Lane bits to set.
-        pos: BigNat,
-        /// Lane bits to clear.
-        neg: BigNat,
+        /// The lane write.
+        write: LaneWrite,
     },
     /// `inc` step 3: the election — lost completes the operation,
     /// won proceeds to publish. Under recovery the process swaps its
@@ -808,16 +678,7 @@ pub enum CombiningCounterMachine {
         cache: Loc,
     },
     /// `read`, stable mode: the sharded stable-collect sum.
-    Sum {
-        /// The front-end's base objects.
-        cells: FrontCells,
-        /// Next shard to probe.
-        idx: usize,
-        /// Counts collected so far in this pass.
-        current: Vec<u64>,
-        /// The previous complete pass.
-        previous: Option<Vec<u64>>,
-    },
+    Sum(Collect),
 }
 
 impl OpMachine for CombiningCounterMachine {
@@ -825,39 +686,19 @@ impl OpMachine for CombiningCounterMachine {
 
     fn step(&mut self, mem: &mut SimMemory) -> Step<CounterResp> {
         match self {
-            CombiningCounterMachine::IncProbe {
+            CombiningCounterMachine::Inc {
                 cells,
                 process,
                 recovery,
+                write,
             } => {
-                let shard = cells.shards[cells.sharding.of_process(*process)];
-                let image = mem.wide_adjust(shard, &BigNat::zero(), &BigNat::zero());
-                let mine = cells.lane(*process, &image);
-                let (pos, neg) = cells.raise(*process, mine, mine + 1);
-                *self = CombiningCounterMachine::IncAdd {
-                    cells: cells.clone(),
-                    process: *process,
-                    recovery: *recovery,
-                    shard,
-                    pos,
-                    neg,
-                };
-                Step::Pending
-            }
-            CombiningCounterMachine::IncAdd {
-                cells,
-                process,
-                recovery,
-                shard,
-                pos,
-                neg,
-            } => {
-                mem.wide_adjust(*shard, pos, neg);
-                *self = CombiningCounterMachine::TryLock {
-                    cells: cells.clone(),
-                    process: *process,
-                    recovery: *recovery,
-                };
+                if write.step(mem) == Step::Ready(()) {
+                    *self = CombiningCounterMachine::TryLock {
+                        cells: cells.clone(),
+                        process: *process,
+                        recovery: *recovery,
+                    };
+                }
                 Step::Pending
             }
             CombiningCounterMachine::TryLock {
@@ -909,7 +750,7 @@ impl OpMachine for CombiningCounterMachine {
             }
             CombiningCounterMachine::Fold { cells, s, acc } => {
                 let image = mem.wide_adjust(cells.shards[*s], &BigNat::zero(), &BigNat::zero());
-                let acc = *acc + cells.encoding.sum(&cells.layout, &image);
+                let acc = *acc + cells.lanes.sum(&image);
                 if *s + 1 < cells.shards.len() {
                     *self = CombiningCounterMachine::Fold {
                         cells: cells.clone(),
@@ -938,24 +779,9 @@ impl OpMachine for CombiningCounterMachine {
             CombiningCounterMachine::CachedLoad { cache } => {
                 Step::Ready(CounterResp::Value(mem.read(*cache)))
             }
-            CombiningCounterMachine::Sum {
-                cells,
-                idx,
-                current,
-                previous,
-            } => {
-                let image = mem.wide_adjust(cells.shards[*idx], &BigNat::zero(), &BigNat::zero());
-                current.push(cells.encoding.sum(&cells.layout, &image));
-                *idx += 1;
-                if *idx < cells.shards.len() {
-                    return Step::Pending;
-                }
-                let done = std::mem::take(current);
-                match stable_pass(done, previous, idx) {
-                    Some(done) => Step::Ready(CounterResp::Value(done.iter().sum())),
-                    None => Step::Pending,
-                }
-            }
+            CombiningCounterMachine::Sum(c) => c
+                .step(mem)
+                .map(|pass| CounterResp::Value(pass.iter().sum())),
         }
     }
 }

@@ -23,7 +23,8 @@
 //! lane states are in bijection and the checker explores the same
 //! graph (`tests/corpus.rs` pins equal node counts).
 
-use sl2_bignum::{BigNat, LaneEncoding, Layout};
+use sl2_bignum::{BigNat, LaneEncoding};
+use sl2_exec::lanes::{LaneWrite, Lanes, Target};
 use sl2_exec::machine::{Algorithm, OpMachine, Step};
 use sl2_exec::mem::{Cell, Loc, SimMemory};
 use sl2_spec::max_register::{MaxOp, MaxRegisterSpec, MaxResp};
@@ -32,8 +33,7 @@ use sl2_spec::max_register::{MaxOp, MaxRegisterSpec, MaxResp};
 #[derive(Debug, Clone)]
 pub struct MaxRegAlg {
     reg: Loc,
-    layout: Layout,
-    encoding: LaneEncoding,
+    lanes: Lanes,
 }
 
 impl MaxRegAlg {
@@ -47,8 +47,7 @@ impl MaxRegAlg {
     pub fn with_encoding(mem: &mut SimMemory, n: usize, encoding: LaneEncoding) -> Self {
         MaxRegAlg {
             reg: mem.alloc(Cell::Wide(BigNat::zero())),
-            layout: Layout::new(n),
-            encoding,
+            lanes: Lanes::new(n, encoding),
         }
     }
 }
@@ -63,17 +62,15 @@ impl Algorithm for MaxRegAlg {
 
     fn machine(&self, process: usize, op: &MaxOp) -> MaxRegMachine {
         match *op {
-            MaxOp::Write(v) => MaxRegMachine::WriteProbe {
-                reg: self.reg,
-                layout: self.layout,
-                encoding: self.encoding,
+            MaxOp::Write(v) => MaxRegMachine::Write(LaneWrite::new(
+                self.reg,
+                self.lanes,
                 process,
-                v,
-            },
+                Target::AtLeast(v),
+            )),
             MaxOp::Read => MaxRegMachine::Read {
                 reg: self.reg,
-                layout: self.layout,
-                encoding: self.encoding,
+                lanes: self.lanes,
             },
         }
     }
@@ -82,38 +79,17 @@ impl Algorithm for MaxRegAlg {
 /// Step machine for §3.1 operations.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum MaxRegMachine {
-    /// `WriteMax` step 1: read `R` (via `fetch&add(R,0)`) to recover the
-    /// process's previous maximum.
-    WriteProbe {
-        /// The shared wide register.
-        reg: Loc,
-        /// Lane layout.
-        layout: Layout,
-        /// How lane values are coded into lane bits.
-        encoding: LaneEncoding,
-        /// Writing process.
-        process: usize,
-        /// Value being written.
-        v: u64,
-    },
-    /// `WriteMax` step 2: raise the lane from `prev` to `v` by one
-    /// fetch&add of `pos − neg` (unary: `neg = 0`).
-    WriteAdd {
-        /// The shared wide register.
-        reg: Loc,
-        /// Lane bits to set.
-        pos: BigNat,
-        /// Lane bits to clear.
-        neg: BigNat,
-    },
+    /// `WriteMax`: probe the own lane, then raise it to `v` with one
+    /// fetch&add. A probe that finds the lane at `v` or above is the
+    /// linearization point (paper: "not needed for correctness, but it
+    /// simplifies the linearization proof").
+    Write(LaneWrite),
     /// `ReadMax`: one `fetch&add(R,0)`.
     Read {
         /// The shared wide register.
         reg: Loc,
-        /// Lane layout.
-        layout: Layout,
-        /// How lane values are coded into lane bits.
-        encoding: LaneEncoding,
+        /// Its lanes.
+        lanes: Lanes,
     },
 }
 
@@ -122,44 +98,10 @@ impl OpMachine for MaxRegMachine {
 
     fn step(&mut self, mem: &mut SimMemory) -> Step<MaxResp> {
         match self {
-            MaxRegMachine::WriteProbe {
-                reg,
-                layout,
-                encoding,
-                process,
-                v,
-            } => {
-                let snapshot = mem.wide_adjust(*reg, &BigNat::zero(), &BigNat::zero());
-                let prev = encoding.decode(layout, *process, &snapshot);
-                if *v <= prev {
-                    // The probing fetch&add(R,0) is the linearization
-                    // point (paper: "not needed for correctness, but it
-                    // simplifies the linearization proof").
-                    return Step::Ready(MaxResp::Ok);
-                }
-                let (pos, neg) = encoding.adjustments(layout, *process, prev, *v);
-                *self = MaxRegMachine::WriteAdd {
-                    reg: *reg,
-                    pos,
-                    neg,
-                };
-                Step::Pending
-            }
-            MaxRegMachine::WriteAdd { reg, pos, neg } => {
-                mem.wide_adjust(*reg, pos, neg);
-                Step::Ready(MaxResp::Ok)
-            }
-            MaxRegMachine::Read {
-                reg,
-                layout,
-                encoding,
-            } => {
-                let snapshot = mem.wide_adjust(*reg, &BigNat::zero(), &BigNat::zero());
-                let max = (0..layout.processes())
-                    .map(|i| encoding.decode(layout, i, &snapshot))
-                    .max()
-                    .unwrap_or(0);
-                Step::Ready(MaxResp::Value(max))
+            MaxRegMachine::Write(w) => w.step(mem).map(|()| MaxResp::Ok),
+            MaxRegMachine::Read { reg, lanes } => {
+                let image = mem.wide_adjust(*reg, &BigNat::zero(), &BigNat::zero());
+                Step::Ready(MaxResp::Value(lanes.fold(&image)))
             }
         }
     }

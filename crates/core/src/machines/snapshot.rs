@@ -13,7 +13,8 @@
 //! cache; lane `i` is only written by process `i`, so the decoded value
 //! equals `prevVal` exactly.
 
-use sl2_bignum::{BigNat, Layout};
+use sl2_bignum::{BigNat, LaneEncoding};
+use sl2_exec::lanes::{LaneWrite, Lanes, Target};
 use sl2_exec::machine::{Algorithm, OpMachine, Step};
 use sl2_exec::mem::{Cell, Loc, SimMemory};
 use sl2_spec::snapshot::{SnapOp, SnapResp, SnapshotSpec};
@@ -22,7 +23,7 @@ use sl2_spec::snapshot::{SnapOp, SnapResp, SnapshotSpec};
 #[derive(Debug, Clone)]
 pub struct SnapshotAlg {
     reg: Loc,
-    layout: Layout,
+    lanes: Lanes,
 }
 
 impl SnapshotAlg {
@@ -30,7 +31,7 @@ impl SnapshotAlg {
     pub fn new(mem: &mut SimMemory, n: usize) -> Self {
         SnapshotAlg {
             reg: mem.alloc(Cell::Wide(BigNat::zero())),
-            layout: Layout::new(n),
+            lanes: Lanes::new(n, LaneEncoding::Binary),
         }
     }
 }
@@ -40,7 +41,7 @@ impl Algorithm for SnapshotAlg {
     type Machine = SnapshotMachine;
 
     fn spec(&self) -> SnapshotSpec {
-        SnapshotSpec::new(self.layout.processes())
+        SnapshotSpec::new(self.lanes.layout.processes())
     }
 
     fn machine(&self, process: usize, op: &SnapOp) -> SnapshotMachine {
@@ -50,16 +51,16 @@ impl Algorithm for SnapshotAlg {
                     *i, process,
                     "single-writer snapshot: process {process} cannot update component {i}"
                 );
-                SnapshotMachine::UpdateProbe {
-                    reg: self.reg,
-                    layout: self.layout,
+                SnapshotMachine::Update(LaneWrite::new(
+                    self.reg,
+                    self.lanes,
                     process,
-                    v: *v,
-                }
+                    Target::Exactly(*v),
+                ))
             }
             SnapOp::Scan => SnapshotMachine::Scan {
                 reg: self.reg,
-                layout: self.layout,
+                lanes: self.lanes,
             },
         }
     }
@@ -68,32 +69,17 @@ impl Algorithm for SnapshotAlg {
 /// Step machine for §3.2 operations.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum SnapshotMachine {
-    /// `update` step 1: read `R` to recover `prevVal`.
-    UpdateProbe {
-        /// The shared wide register.
-        reg: Loc,
-        /// Lane layout.
-        layout: Layout,
-        /// Updating process (= component).
-        process: usize,
-        /// New component value.
-        v: u64,
-    },
-    /// `update` step 2: `fetch&add(R, posAdj − negAdj)`.
-    UpdateAdjust {
-        /// The shared wide register.
-        reg: Loc,
-        /// Lane bits to set.
-        pos: BigNat,
-        /// Lane bits to clear.
-        neg: BigNat,
-    },
+    /// `update`: probe the own lane for `prevVal`, then
+    /// `fetch&add(R, posAdj − negAdj)`. A probe that finds the value
+    /// already there is the linearization point (paper, step 1 of
+    /// update).
+    Update(LaneWrite),
     /// `scan`: one `fetch&add(R, 0)`.
     Scan {
         /// The shared wide register.
         reg: Loc,
-        /// Lane layout.
-        layout: Layout,
+        /// Its lanes, one per component.
+        lanes: Lanes,
     },
 }
 
@@ -102,40 +88,10 @@ impl OpMachine for SnapshotMachine {
 
     fn step(&mut self, mem: &mut SimMemory) -> Step<SnapResp> {
         match self {
-            SnapshotMachine::UpdateProbe {
-                reg,
-                layout,
-                process,
-                v,
-            } => {
+            SnapshotMachine::Update(w) => w.step(mem).map(|()| SnapResp::Ok),
+            SnapshotMachine::Scan { reg, lanes } => {
                 let image = mem.wide_adjust(*reg, &BigNat::zero(), &BigNat::zero());
-                let prev = layout.decode(*process, &image);
-                let new = BigNat::from(*v);
-                if prev == new {
-                    // Same value: the fetch&add(R,0) just taken is the
-                    // linearization point (paper, step 1 of update).
-                    return Step::Ready(SnapResp::Ok);
-                }
-                let (pos, neg) = layout.adjustments(*process, &prev, &new);
-                *self = SnapshotMachine::UpdateAdjust {
-                    reg: *reg,
-                    pos,
-                    neg,
-                };
-                Step::Pending
-            }
-            SnapshotMachine::UpdateAdjust { reg, pos, neg } => {
-                mem.wide_adjust(*reg, pos, neg);
-                Step::Ready(SnapResp::Ok)
-            }
-            SnapshotMachine::Scan { reg, layout } => {
-                let image = mem.wide_adjust(*reg, &BigNat::zero(), &BigNat::zero());
-                let view = layout
-                    .decode_all(&image)
-                    .iter()
-                    .map(|b| b.to_u64().expect("component fits u64"))
-                    .collect();
-                Step::Ready(SnapResp::View(view))
+                Step::Ready(SnapResp::View(lanes.view(&image)))
             }
         }
     }

@@ -341,38 +341,9 @@ impl<S: Spec> ScenarioCorpus<S> {
     {
         for (name, scenario) in &self.entries {
             let limit = options.per_scenario_limit.min(report.remaining());
-            let (verdict, nodes, witness_steps, stats) = if limit == 0 {
-                (CorpusVerdict::Bounded, 0, 0, SearchStats::default())
-            } else {
-                let mut mem = SimMemory::new();
-                let alg = make(&mut mem);
-                let out = check_strong_outcome(
-                    &alg,
-                    mem,
-                    scenario,
-                    StrongOptions {
-                        node_limit: limit,
-                        memo: options.memo,
-                    },
-                );
-                match out.outcome {
-                    Outcome::Certified => (CorpusVerdict::Certified, out.nodes, 0, out.stats),
-                    Outcome::Refuted(w) => {
-                        (CorpusVerdict::Refuted, out.nodes, w.path.len(), out.stats)
-                    }
-                    Outcome::Bounded => (CorpusVerdict::Bounded, out.nodes, 0, out.stats),
-                }
-            };
-            report.nodes_spent += nodes;
-            report.records.push(CorpusRecord {
-                name: name.clone(),
-                processes: scenario.processes(),
-                total_ops: scenario.total_ops(),
-                verdict,
-                nodes,
-                witness_steps,
-                stats,
-            });
+            let rec = check_record(name, scenario, &make, options.memo, limit);
+            report.nodes_spent += rec.nodes;
+            report.records.push(rec);
         }
         report.deduped += self.deduped;
     }
@@ -448,40 +419,9 @@ impl<S: Spec> ScenarioCorpus<S> {
                         limit = options.per_scenario_limit.min(r);
                         Some(r - limit)
                     });
-                    let (verdict, nodes, witness_steps, stats) = if limit == 0 {
-                        (CorpusVerdict::Bounded, 0, 0, SearchStats::default())
-                    } else {
-                        let mut mem = SimMemory::new();
-                        let alg = make(&mut mem);
-                        let out = check_strong_outcome(
-                            &alg,
-                            mem,
-                            scenario,
-                            StrongOptions {
-                                node_limit: limit,
-                                memo: options.memo,
-                            },
-                        );
-                        match out.outcome {
-                            Outcome::Certified => {
-                                (CorpusVerdict::Certified, out.nodes, 0, out.stats)
-                            }
-                            Outcome::Refuted(w) => {
-                                (CorpusVerdict::Refuted, out.nodes, w.path.len(), out.stats)
-                            }
-                            Outcome::Bounded => (CorpusVerdict::Bounded, out.nodes, 0, out.stats),
-                        }
-                    };
-                    remaining.fetch_add(limit.saturating_sub(nodes), Ordering::SeqCst);
-                    *slots[i].lock().expect("record slot never poisoned") = Some(CorpusRecord {
-                        name: name.clone(),
-                        processes: scenario.processes(),
-                        total_ops: scenario.total_ops(),
-                        verdict,
-                        nodes,
-                        witness_steps,
-                        stats,
-                    });
+                    let rec = check_record(name, scenario, make, options.memo, limit);
+                    remaining.fetch_add(limit.saturating_sub(rec.nodes), Ordering::SeqCst);
+                    *slots[i].lock().expect("record slot never poisoned") = Some(rec);
                 });
             }
         });
@@ -540,6 +480,47 @@ fn tuples<T: Clone>(alphabet: &[T], len: usize) -> Vec<Vec<T>> {
             .collect();
     }
     out
+}
+
+/// Checks one scenario with a fresh algorithm in fresh memory under
+/// `limit` nodes and records the outcome; a zero limit records
+/// `Bounded` without a check.
+fn check_record<A, F>(
+    name: &str,
+    scenario: &Scenario<A::Spec>,
+    make: &F,
+    memo: MemoMode,
+    limit: usize,
+) -> CorpusRecord
+where
+    A: Algorithm,
+    F: Fn(&mut SimMemory) -> A,
+{
+    let (verdict, nodes, witness_steps, stats) = if limit == 0 {
+        (CorpusVerdict::Bounded, 0, 0, SearchStats::default())
+    } else {
+        let mut mem = SimMemory::new();
+        let alg = make(&mut mem);
+        let options = StrongOptions {
+            node_limit: limit,
+            memo,
+        };
+        let out = check_strong_outcome(&alg, mem, scenario, options);
+        match out.outcome {
+            Outcome::Certified => (CorpusVerdict::Certified, out.nodes, 0, out.stats),
+            Outcome::Refuted(w) => (CorpusVerdict::Refuted, out.nodes, w.path.len(), out.stats),
+            Outcome::Bounded => (CorpusVerdict::Bounded, out.nodes, 0, out.stats),
+        }
+    };
+    CorpusRecord {
+        name: name.to_string(),
+        processes: scenario.processes(),
+        total_ops: scenario.total_ops(),
+        verdict,
+        nodes,
+        witness_steps,
+        stats,
+    }
 }
 
 #[cfg(test)]

@@ -11,6 +11,9 @@
 //! * [`machine`] — [`machine::OpMachine`] step machines (one shared
 //!   memory operation per step) and the [`machine::Algorithm`] factory
 //!   trait implemented by every construction in `sl2-core`.
+//! * [`lanes`] — the twin steps the §3 fetch&add twins share: one lane
+//!   write ([`lanes::LaneWrite`]) and one shard collect
+//!   ([`lanes::Collect`]).
 //! * [`sched`] — schedulers (round-robin, seeded-random, scripted,
 //!   crash plans) and the execution [`sched::run`]ner producing
 //!   [`history::History`]s.
@@ -44,6 +47,7 @@
 
 pub mod corpus;
 pub mod history;
+pub mod lanes;
 pub mod lin;
 pub mod machine;
 pub mod mem;

@@ -38,6 +38,14 @@ impl<R> Step<R> {
             Step::Ready(r) => Some(r),
         }
     }
+
+    /// Maps a ready response, keeping `Pending` as it is.
+    pub fn map<T>(self, f: impl FnOnce(R) -> T) -> Step<T> {
+        match self {
+            Step::Pending => Step::Pending,
+            Step::Ready(r) => Step::Ready(f(r)),
+        }
+    }
 }
 
 /// A single high-level operation in execution: a local state machine

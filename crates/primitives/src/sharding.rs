@@ -122,6 +122,34 @@ impl Sharding {
         p % self.shards
     }
 
+    /// The quotient encoding of a value-sharded max register: `v` lives
+    /// in shard `v mod S` as the count `⌊v/S⌋ + 1`, so count 0 means
+    /// "never written". The count overflows only for `v = u64::MAX` at
+    /// one shard.
+    pub fn to_quotient(&self, v: u64) -> (usize, u64) {
+        (self.of_value(v), v / self.shards as u64 + 1)
+    }
+
+    /// Inverse of [`Sharding::to_quotient`]: the value count `c` stands
+    /// for in shard `s`, `(c − 1)·S + s`, and 0 for count 0.
+    pub fn from_quotient(&self, s: usize, count: u64) -> u64 {
+        match count {
+            0 => 0,
+            c => (c - 1) * self.shards as u64 + s as u64,
+        }
+    }
+
+    /// The largest value a collect of per-shard counts stands for (0
+    /// if no shard was written).
+    pub fn max_from_quotients(&self, counts: &[u64]) -> u64 {
+        counts
+            .iter()
+            .enumerate()
+            .map(|(s, &c)| self.from_quotient(s, c))
+            .max()
+            .unwrap_or(0)
+    }
+
     /// Probes every shard with `probe` until two consecutive collects
     /// agree, returning the stable collect (entries past
     /// `self.shards()` are zero). This is the shared read discipline of
@@ -181,6 +209,26 @@ mod tests {
             assert!(s.of_process(p) < 3);
         }
         assert_eq!(Sharding::new(1).of_value(u64::MAX), 0);
+    }
+
+    #[test]
+    fn quotient_round_trips_at_every_shard_count() {
+        for shards in [1usize, 2, 3, 4, MAX_SHARDS] {
+            let s = Sharding::new(shards);
+            let top = if shards == 1 { u64::MAX - 1 } else { u64::MAX };
+            for v in [0, 1, 2, 7, 1000, top - 1, top] {
+                let (shard, count) = s.to_quotient(v);
+                assert_eq!(shard, s.of_value(v));
+                assert!(count > 0, "a written value has a nonzero count");
+                assert_eq!(s.from_quotient(shard, count), v, "S={shards} v={v}");
+            }
+            for shard in 0..shards {
+                assert_eq!(s.from_quotient(shard, 0), 0, "count 0 is never written");
+            }
+        }
+        assert_eq!(Sharding::new(4).to_quotient(u64::MAX), (3, 1 << 62));
+        assert_eq!(Sharding::new(2).max_from_quotients(&[3, 4]), 7);
+        assert_eq!(Sharding::new(2).max_from_quotients(&[0, 0]), 0);
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! in `benchmark/src/gen.rs`).
 //!
 //! Instrumentation (PR-7/PR-8/PR-10 pattern — empty inline stubs by
-//! default, armed under `chaos`/`obs`/`trace`):
+//! default, armed by the root feature `armed`):
 //!
 //! * chaos points `service.enqueue` (submitter side, pre-publish) and
 //!   `service.dispatch` (worker side, pre-execute) — a crash-stopped

@@ -37,7 +37,8 @@
 //! [`KeyedDispatchAlg::new`] models the paper's unary lanes,
 //! `with_encoding(LaneEncoding::Binary)` the lanes `KeyObject` ships.
 
-use sl2_bignum::{BigNat, LaneEncoding, Layout};
+use sl2_bignum::{BigNat, LaneEncoding};
+use sl2_exec::lanes::{LaneWrite, Lanes, Target};
 use sl2_exec::machine::{Algorithm, OpMachine, Step};
 use sl2_exec::mem::{Cell, Loc, SimMemory};
 use sl2_spec::keyed::{KeyedMaxOp, KeyedMaxSpec, LaggingKeyedMaxSpec};
@@ -70,28 +71,6 @@ pub struct KeyedDispatchAlg {
     mode: RouteMode,
 }
 
-/// A key register's lane geometry and value code, carried by every
-/// machine state that decodes or raises a lane.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Lanes {
-    layout: Layout,
-    encoding: LaneEncoding,
-}
-
-impl Lanes {
-    fn decode(&self, i: usize, image: &BigNat) -> u64 {
-        self.encoding.decode(&self.layout, i, image)
-    }
-
-    /// The key's fold: the largest lane value.
-    fn fold(&self, image: &BigNat) -> u64 {
-        (0..self.layout.processes())
-            .map(|i| self.decode(i, image))
-            .max()
-            .unwrap_or(0)
-    }
-}
-
 impl KeyedDispatchAlg {
     /// Allocates the dispatch cells and one Theorem-1 register (plus
     /// cache) per key, for `n` processes (unary lanes).
@@ -109,10 +88,7 @@ impl KeyedDispatchAlg {
                     )
                 })
                 .collect(),
-            lanes: Lanes {
-                layout: Layout::new(n),
-                encoding: LaneEncoding::Unary,
-            },
+            lanes: Lanes::new(n, LaneEncoding::Unary),
             mode,
         }
     }
@@ -148,12 +124,10 @@ impl Algorithm for KeyedDispatchAlg {
                     depth: self.depth,
                     route: self.route,
                     next: PostRoute::Write {
-                        reg,
                         cache,
                         lanes: self.lanes,
-                        process,
-                        v,
                         publish: self.mode == RouteMode::Cached,
+                        write: LaneWrite::new(reg, self.lanes, process, Target::AtLeast(v)),
                     },
                 }
             }
@@ -180,18 +154,14 @@ impl Algorithm for KeyedDispatchAlg {
 pub enum PostRoute {
     /// Execute a write on the key's register (§3 probe-then-add).
     Write {
-        /// The key's register.
-        reg: Loc,
         /// The key's published-fold cache.
         cache: Loc,
         /// Lane layout and encoding.
         lanes: Lanes,
-        /// Writing process.
-        process: usize,
-        /// Value being folded in.
-        v: u64,
         /// Whether a batch leader republishes (cached mode).
         publish: bool,
+        /// The lane write.
+        write: LaneWrite,
     },
     /// Execute an exact read: one wide read of the key's register.
     ReadExact {
@@ -228,35 +198,17 @@ pub enum KeyedDispatchMachine {
         /// The execute phase.
         next: PostRoute,
     },
-    /// Write step 3: probe the own lane of the key's register.
-    WriteProbe {
-        /// The key's register.
-        reg: Loc,
+    /// Write steps 3–4: probe the own lane of the key's register, then
+    /// land the lane-raising `pos − neg`.
+    Write {
         /// The key's cache.
         cache: Loc,
         /// Lane layout and encoding.
         lanes: Lanes,
-        /// Writing process.
-        process: usize,
-        /// Value being folded in.
-        v: u64,
-        /// Leader flag (publishes after landing, cached mode only).
+        /// Leader flag (publishes after the write, cached mode only).
         leader: bool,
-    },
-    /// Write step 4: land the lane-raising `pos − neg`.
-    WriteAdd {
-        /// The key's register.
-        reg: Loc,
-        /// The key's cache.
-        cache: Loc,
-        /// Lane layout and encoding.
-        lanes: Lanes,
-        /// Lane bits to set.
-        pos: BigNat,
-        /// Lane bits to clear.
-        neg: BigNat,
-        /// Leader flag.
-        leader: bool,
+        /// The lane write.
+        write: LaneWrite,
     },
     /// Leader's publish, step 5: read the key's fold back.
     PublishRead {
@@ -314,19 +266,15 @@ impl OpMachine for KeyedDispatchMachine {
                 let _table = mem.read(*route);
                 *self = match next.clone() {
                     PostRoute::Write {
-                        reg,
                         cache,
                         lanes,
-                        process,
-                        v,
                         publish,
-                    } => KeyedDispatchMachine::WriteProbe {
-                        reg,
+                        write,
+                    } => KeyedDispatchMachine::Write {
                         cache,
                         lanes,
-                        process,
-                        v,
                         leader: publish && *ticket == 0,
+                        write,
                     },
                     PostRoute::ReadExact { reg, lanes } => {
                         KeyedDispatchMachine::ReadExact { reg, lanes }
@@ -335,61 +283,27 @@ impl OpMachine for KeyedDispatchMachine {
                 };
                 Step::Pending
             }
-            KeyedDispatchMachine::WriteProbe {
-                reg,
+            KeyedDispatchMachine::Write {
                 cache,
                 lanes,
-                process,
-                v,
                 leader,
+                write,
             } => {
-                let image = mem.wide_adjust(*reg, &BigNat::zero(), &BigNat::zero());
-                let prev = lanes.decode(*process, &image);
-                if *v <= prev {
-                    if *leader {
-                        // Nothing to land, but the leader still owes
-                        // the batch its publication.
-                        *self = KeyedDispatchMachine::PublishRead {
-                            reg: *reg,
-                            cache: *cache,
-                            lanes: *lanes,
-                        };
-                        return Step::Pending;
-                    }
-                    return Step::Ready(MaxResp::Ok);
-                }
-                let (pos, neg) = lanes
-                    .encoding
-                    .adjustments(&lanes.layout, *process, prev, *v);
-                *self = KeyedDispatchMachine::WriteAdd {
-                    reg: *reg,
-                    cache: *cache,
-                    lanes: *lanes,
-                    pos,
-                    neg,
-                    leader: *leader,
-                };
-                Step::Pending
-            }
-            KeyedDispatchMachine::WriteAdd {
-                reg,
-                cache,
-                lanes,
-                pos,
-                neg,
-                leader,
-            } => {
-                mem.wide_adjust(*reg, pos, neg);
-                if *leader {
-                    *self = KeyedDispatchMachine::PublishRead {
-                        reg: *reg,
-                        cache: *cache,
-                        lanes: *lanes,
-                    };
+                if write.step(mem) == Step::Pending {
                     return Step::Pending;
                 }
-                // The no-waiters direct path: completes unpublished.
-                Step::Ready(MaxResp::Ok)
+                if !*leader {
+                    // The no-waiters direct path: completes unpublished.
+                    return Step::Ready(MaxResp::Ok);
+                }
+                // Landed or not, the leader owes the batch its
+                // publication.
+                *self = KeyedDispatchMachine::PublishRead {
+                    reg: write.reg(),
+                    cache: *cache,
+                    lanes: *lanes,
+                };
+                Step::Pending
             }
             KeyedDispatchMachine::PublishRead { reg, cache, lanes } => {
                 let image = mem.wide_adjust(*reg, &BigNat::zero(), &BigNat::zero());

@@ -30,7 +30,8 @@
 
 use std::rc::Rc;
 
-use sl2_bignum::{BigNat, LaneEncoding, Layout};
+use sl2_bignum::{BigNat, LaneEncoding};
+use sl2_exec::lanes::{Collect, LaneWrite, Lanes, Reduce, Target};
 use sl2_exec::machine::{Algorithm, OpMachine, Step};
 use sl2_exec::mem::{Cell, Loc, SimMemory};
 use sl2_primitives::Sharding;
@@ -39,39 +40,13 @@ use sl2_spec::max_register::{MaxOp, MaxRegisterSpec, MaxResp};
 use sl2_spec::snapshot::{SnapOp, SnapResp, SnapshotSpec};
 use sl2_spec::Spec;
 
-/// How a whole-object read visits the shards.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum WholeReadMode {
-    /// Collect until two consecutive collects agree (the production
-    /// discipline: exact, lock-free).
-    Stable,
-    /// One pass, no stability check (wait-free; exact only at shard
-    /// granularity).
-    Naive,
-}
+pub use sl2_exec::lanes::WholeReadMode;
 
-/// Shared end-of-pass bookkeeping for the collect arms: returns the
-/// finished collect when the read may complete (naive mode, or stable
-/// mode with two agreeing passes); otherwise stores the pass as the
-/// new comparison point, rewinds `idx`, and returns `None`.
-fn finish_pass(
-    mode: WholeReadMode,
-    done: Vec<u64>,
-    previous: &mut Option<Vec<u64>>,
-    idx: &mut usize,
-) -> Option<Vec<u64>> {
-    match mode {
-        WholeReadMode::Naive => Some(done),
-        WholeReadMode::Stable => {
-            if previous.as_ref() == Some(&done) {
-                Some(done)
-            } else {
-                *previous = Some(done);
-                *idx = 0;
-                None
-            }
-        }
-    }
+/// `shards` fresh wide registers.
+fn alloc_shards(mem: &mut SimMemory, shards: usize) -> Rc<[Loc]> {
+    (0..shards)
+        .map(|_| mem.alloc(Cell::Wide(BigNat::zero())))
+        .collect()
 }
 
 // ---------------------------------------------------------------------
@@ -114,10 +89,9 @@ pub fn fan_in_max_scenario(_shards: usize) -> sl2_exec::sched::Scenario<MaxRegis
 #[derive(Debug, Clone)]
 pub struct ShardedMaxRegAlg {
     shards: Rc<[Loc]>,
-    layout: Layout,
+    lanes: Lanes,
     sharding: Sharding,
     mode: WholeReadMode,
-    encoding: LaneEncoding,
 }
 
 impl ShardedMaxRegAlg {
@@ -151,13 +125,10 @@ impl ShardedMaxRegAlg {
         encoding: LaneEncoding,
     ) -> Self {
         ShardedMaxRegAlg {
-            shards: (0..shards)
-                .map(|_| mem.alloc(Cell::Wide(BigNat::zero())))
-                .collect(),
-            layout: Layout::new(n),
+            shards: alloc_shards(mem, shards),
+            lanes: Lanes::new(n, encoding),
             sharding: Sharding::new(shards),
             mode,
-            encoding,
         }
     }
 }
@@ -172,24 +143,19 @@ impl Algorithm for ShardedMaxRegAlg {
 
     fn machine(&self, process: usize, op: &MaxOp) -> ShardedMaxRegMachine {
         match *op {
-            MaxOp::Write(v) => ShardedMaxRegMachine::WriteProbe {
-                reg: self.shards[self.sharding.of_value(v)],
-                layout: self.layout,
-                process,
-                // The quotient encoding of the production form: shard
-                // `v mod S` stores `⌊v/S⌋ + 1` (in unary or binary lane
-                // digits, per the encoding).
-                count: v / self.sharding.shards() as u64 + 1,
-                encoding: self.encoding,
-            },
-            MaxOp::Read => ShardedMaxRegMachine::Collect {
-                shards: Rc::clone(&self.shards),
-                layout: self.layout,
-                mode: self.mode,
-                encoding: self.encoding,
-                idx: 0,
-                current: Vec::new(),
-                previous: None,
+            MaxOp::Write(v) => {
+                // The quotient encoding of the production form.
+                let (home, count) = self.sharding.to_quotient(v);
+                ShardedMaxRegMachine::Write(LaneWrite::new(
+                    self.shards[home],
+                    self.lanes,
+                    process,
+                    Target::AtLeast(count),
+                ))
+            }
+            MaxOp::Read => ShardedMaxRegMachine::Read {
+                sharding: self.sharding,
+                collect: Collect::new(Rc::clone(&self.shards), self.lanes, Reduce::Fold, self.mode),
             },
         }
     }
@@ -198,45 +164,16 @@ impl Algorithm for ShardedMaxRegAlg {
 /// Step machine for the sharded max register.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum ShardedMaxRegMachine {
-    /// `writeMax` step 1: probe the own lane of the home shard.
-    WriteProbe {
-        /// Home shard of the value.
-        reg: Loc,
-        /// Lane layout (shared by every shard).
-        layout: Layout,
-        /// Writing process.
-        process: usize,
-        /// Quotient count of the value being written (`⌊v/S⌋ + 1`).
-        count: u64,
-        /// How lane values are coded into lane bits.
-        encoding: LaneEncoding,
-    },
-    /// `writeMax` step 2: one fetch&add of `pos − neg` raising the
-    /// lane (unary: `neg = 0`; binary: the differing digits).
-    WriteAdd {
-        /// Home shard of the value.
-        reg: Loc,
-        /// Lane bits to set.
-        pos: BigNat,
-        /// Lane bits to clear.
-        neg: BigNat,
-    },
-    /// `readMax`: collecting the per-shard folds.
-    Collect {
-        /// All shards, in collect order.
-        shards: Rc<[Loc]>,
-        /// Lane layout.
-        layout: Layout,
-        /// Stability discipline.
-        mode: WholeReadMode,
-        /// How lane values are coded into lane bits.
-        encoding: LaneEncoding,
-        /// Next shard to probe.
-        idx: usize,
-        /// Folds collected so far in this pass.
-        current: Vec<u64>,
-        /// The previous complete pass (stable mode only).
-        previous: Option<Vec<u64>>,
+    /// `writeMax`: raise the own lane of the home shard to the value's
+    /// quotient count.
+    Write(LaneWrite),
+    /// `readMax`: collecting the per-shard folds, then decoding the
+    /// largest quotient count.
+    Read {
+        /// The quotient map.
+        sharding: Sharding,
+        /// The collect.
+        collect: Collect,
     },
 }
 
@@ -245,67 +182,10 @@ impl OpMachine for ShardedMaxRegMachine {
 
     fn step(&mut self, mem: &mut SimMemory) -> Step<MaxResp> {
         match self {
-            ShardedMaxRegMachine::WriteProbe {
-                reg,
-                layout,
-                process,
-                count,
-                encoding,
-            } => {
-                let image = mem.wide_adjust(*reg, &BigNat::zero(), &BigNat::zero());
-                let prev = encoding.decode(layout, *process, &image);
-                if *count <= prev {
-                    return Step::Ready(MaxResp::Ok);
-                }
-                let (pos, neg) = encoding.adjustments(layout, *process, prev, *count);
-                *self = ShardedMaxRegMachine::WriteAdd {
-                    reg: *reg,
-                    pos,
-                    neg,
-                };
-                Step::Pending
-            }
-            ShardedMaxRegMachine::WriteAdd { reg, pos, neg } => {
-                mem.wide_adjust(*reg, pos, neg);
-                Step::Ready(MaxResp::Ok)
-            }
-            ShardedMaxRegMachine::Collect {
-                shards,
-                layout,
-                mode,
-                encoding,
-                idx,
-                current,
-                previous,
-            } => {
-                let image = mem.wide_adjust(shards[*idx], &BigNat::zero(), &BigNat::zero());
-                let fold = (0..layout.processes())
-                    .map(|i| encoding.decode(layout, i, &image))
-                    .max()
-                    .unwrap_or(0);
-                current.push(fold);
-                *idx += 1;
-                if *idx < shards.len() {
-                    return Step::Pending;
-                }
-                let done = std::mem::take(current);
-                let s_count = shards.len() as u64;
-                match finish_pass(*mode, done, previous, idx) {
-                    Some(done) => {
-                        // Quotient decode: shard s's count c stands for
-                        // the value (c − 1)·S + s (0 = never written).
-                        let max = done
-                            .iter()
-                            .enumerate()
-                            .filter(|(_, &c)| c > 0)
-                            .map(|(s, &c)| (c - 1) * s_count + s as u64)
-                            .max()
-                            .unwrap_or(0);
-                        Step::Ready(MaxResp::Value(max))
-                    }
-                    None => Step::Pending,
-                }
-            }
+            ShardedMaxRegMachine::Write(w) => w.step(mem).map(|()| MaxResp::Ok),
+            ShardedMaxRegMachine::Read { sharding, collect } => collect
+                .step(mem)
+                .map(|pass| MaxResp::Value(sharding.max_from_quotients(&pass))),
         }
     }
 }
@@ -321,10 +201,9 @@ impl OpMachine for ShardedMaxRegMachine {
 #[derive(Debug, Clone)]
 pub struct ShardedCounterAlg<S> {
     shards: Rc<[Loc]>,
-    layout: Layout,
+    lanes: Lanes,
     sharding: Sharding,
     mode: WholeReadMode,
-    encoding: LaneEncoding,
     spec: S,
 }
 
@@ -344,13 +223,10 @@ where
         spec: S,
     ) -> Self {
         ShardedCounterAlg {
-            shards: (0..shards)
-                .map(|_| mem.alloc(Cell::Wide(BigNat::zero())))
-                .collect(),
-            layout: Layout::new(n),
+            shards: alloc_shards(mem, shards),
+            lanes: Lanes::new(n, LaneEncoding::Unary),
             sharding: Sharding::new(shards),
             mode,
-            encoding: LaneEncoding::Unary,
             spec,
         }
     }
@@ -358,7 +234,7 @@ where
     /// Re-codes the lanes ([`LaneEncoding::Binary`] is the twin of the
     /// shipped `ShardedFetchInc::new_binary`).
     pub fn with_encoding(mut self, encoding: LaneEncoding) -> Self {
-        self.encoding = encoding;
+        self.lanes.encoding = encoding;
         self
     }
 }
@@ -417,21 +293,18 @@ where
 
     fn machine(&self, process: usize, op: &CounterOp) -> ShardedCounterMachine {
         match op {
-            CounterOp::Inc => ShardedCounterMachine::IncProbe {
-                reg: self.shards[self.sharding.of_process(process)],
-                layout: self.layout,
-                encoding: self.encoding,
+            CounterOp::Inc => ShardedCounterMachine::Inc(LaneWrite::new(
+                self.shards[self.sharding.of_process(process)],
+                self.lanes,
                 process,
-            },
-            CounterOp::Read => ShardedCounterMachine::Sum {
-                shards: Rc::clone(&self.shards),
-                layout: self.layout,
-                encoding: self.encoding,
-                mode: self.mode,
-                idx: 0,
-                current: Vec::new(),
-                previous: None,
-            },
+                Target::Increment,
+            )),
+            CounterOp::Read => ShardedCounterMachine::Sum(Collect::new(
+                Rc::clone(&self.shards),
+                self.lanes,
+                Reduce::Sum,
+                self.mode,
+            )),
         }
     }
 }
@@ -439,44 +312,10 @@ where
 /// Step machine for the sharded counter.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum ShardedCounterMachine {
-    /// `inc` step 1: probe the own lane length on the home shard.
-    IncProbe {
-        /// Home shard of the process.
-        reg: Loc,
-        /// Lane layout.
-        layout: Layout,
-        /// How lane values are coded into lane bits.
-        encoding: LaneEncoding,
-        /// Incrementing process.
-        process: usize,
-    },
-    /// `inc` step 2: one fetch&add of `pos − neg` raising the own lane
-    /// by one.
-    IncAdd {
-        /// Home shard of the process.
-        reg: Loc,
-        /// Lane bits to set.
-        pos: BigNat,
-        /// Lane bits to clear.
-        neg: BigNat,
-    },
+    /// `inc`: raise the own lane of the home shard by one.
+    Inc(LaneWrite),
     /// `read`: collecting per-shard counts.
-    Sum {
-        /// All shards, in collect order.
-        shards: Rc<[Loc]>,
-        /// Lane layout.
-        layout: Layout,
-        /// How lane values are coded into lane bits.
-        encoding: LaneEncoding,
-        /// Stability discipline.
-        mode: WholeReadMode,
-        /// Next shard to probe.
-        idx: usize,
-        /// Counts collected so far in this pass.
-        current: Vec<u64>,
-        /// The previous complete pass (stable mode only).
-        previous: Option<Vec<u64>>,
-    },
+    Sum(Collect),
 }
 
 impl OpMachine for ShardedCounterMachine {
@@ -484,47 +323,10 @@ impl OpMachine for ShardedCounterMachine {
 
     fn step(&mut self, mem: &mut SimMemory) -> Step<CounterResp> {
         match self {
-            ShardedCounterMachine::IncProbe {
-                reg,
-                layout,
-                encoding,
-                process,
-            } => {
-                let image = mem.wide_adjust(*reg, &BigNat::zero(), &BigNat::zero());
-                let mine = encoding.decode(layout, *process, &image);
-                let (pos, neg) = encoding.adjustments(layout, *process, mine, mine + 1);
-                *self = ShardedCounterMachine::IncAdd {
-                    reg: *reg,
-                    pos,
-                    neg,
-                };
-                Step::Pending
-            }
-            ShardedCounterMachine::IncAdd { reg, pos, neg } => {
-                mem.wide_adjust(*reg, pos, neg);
-                Step::Ready(CounterResp::Ok)
-            }
-            ShardedCounterMachine::Sum {
-                shards,
-                layout,
-                encoding,
-                mode,
-                idx,
-                current,
-                previous,
-            } => {
-                let image = mem.wide_adjust(shards[*idx], &BigNat::zero(), &BigNat::zero());
-                current.push(encoding.sum(layout, &image));
-                *idx += 1;
-                if *idx < shards.len() {
-                    return Step::Pending;
-                }
-                let done = std::mem::take(current);
-                match finish_pass(*mode, done, previous, idx) {
-                    Some(done) => Step::Ready(CounterResp::Value(done.iter().sum())),
-                    None => Step::Pending,
-                }
-            }
+            ShardedCounterMachine::Inc(w) => w.step(mem).map(|()| CounterResp::Ok),
+            ShardedCounterMachine::Sum(c) => c
+                .step(mem)
+                .map(|pass| CounterResp::Value(pass.iter().sum())),
         }
     }
 }
@@ -538,7 +340,6 @@ impl OpMachine for ShardedCounterMachine {
 #[derive(Debug, Clone)]
 pub struct ShardedSnapshotAlg {
     groups: Rc<[Loc]>,
-    layouts: Rc<[Layout]>,
     n: usize,
     group_width: usize,
     mode: WholeReadMode,
@@ -546,17 +347,12 @@ pub struct ShardedSnapshotAlg {
 
 impl ShardedSnapshotAlg {
     /// Allocates one wide register per lane group of `group_width`
-    /// components; whole-object scans use `mode`.
+    /// components (the last group may be narrower, as in
+    /// [`crate::ShardedSnapshot`]); whole-object scans use `mode`.
     pub fn new(mem: &mut SimMemory, n: usize, group_width: usize, mode: WholeReadMode) -> Self {
         assert!(n > 0 && group_width > 0, "empty snapshot or group");
-        let group_count = n.div_ceil(group_width);
         ShardedSnapshotAlg {
-            groups: (0..group_count)
-                .map(|_| mem.alloc(Cell::Wide(BigNat::zero())))
-                .collect(),
-            layouts: (0..group_count)
-                .map(|k| Layout::new(group_width.min(n - k * group_width)))
-                .collect(),
+            groups: alloc_shards(mem, n.div_ceil(group_width)),
             n,
             group_width,
             mode,
@@ -579,22 +375,21 @@ impl Algorithm for ShardedSnapshotAlg {
                     *i, process,
                     "single-writer snapshot: process {process} cannot update component {i}"
                 );
-                let k = i / self.group_width;
-                ShardedSnapshotMachine::UpdateProbe {
-                    reg: self.groups[k],
-                    layout: self.layouts[k],
-                    local: i - k * self.group_width,
-                    v: *v,
-                }
+                let (k, local) = (i / self.group_width, i % self.group_width);
+                let width = self.group_width.min(self.n - k * self.group_width);
+                ShardedSnapshotMachine::Update(LaneWrite::new(
+                    self.groups[k],
+                    Lanes::new(width, LaneEncoding::Binary),
+                    local,
+                    Target::Exactly(*v),
+                ))
             }
-            SnapOp::Scan => ShardedSnapshotMachine::Scan {
-                groups: Rc::clone(&self.groups),
-                layouts: Rc::clone(&self.layouts),
-                mode: self.mode,
-                idx: 0,
-                current: Vec::new(),
-                previous: None,
-            },
+            SnapOp::Scan => ShardedSnapshotMachine::Scan(Collect::new(
+                Rc::clone(&self.groups),
+                Lanes::new(self.group_width, LaneEncoding::Binary),
+                Reduce::View(self.n),
+                self.mode,
+            )),
         }
     }
 }
@@ -602,41 +397,10 @@ impl Algorithm for ShardedSnapshotAlg {
 /// Step machine for the sharded snapshot.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum ShardedSnapshotMachine {
-    /// `update` step 1: probe the own lane of the owning group.
-    UpdateProbe {
-        /// Owning group's register.
-        reg: Loc,
-        /// The group's lane layout.
-        layout: Layout,
-        /// Component index within the group.
-        local: usize,
-        /// New component value.
-        v: u64,
-    },
-    /// `update` step 2: one signed fetch&add rewriting the lane.
-    UpdateAdjust {
-        /// Owning group's register.
-        reg: Loc,
-        /// Lane bits to set.
-        pos: BigNat,
-        /// Lane bits to clear.
-        neg: BigNat,
-    },
+    /// `update`: rewrite the own lane of the owning group.
+    Update(LaneWrite),
     /// `scan`: collecting group views.
-    Scan {
-        /// All group registers, in collect order.
-        groups: Rc<[Loc]>,
-        /// Per-group lane layouts.
-        layouts: Rc<[Layout]>,
-        /// Stability discipline.
-        mode: WholeReadMode,
-        /// Next group to probe.
-        idx: usize,
-        /// Concatenated view collected so far in this pass.
-        current: Vec<u64>,
-        /// The previous complete pass (stable mode only).
-        previous: Option<Vec<u64>>,
-    },
+    Scan(Collect),
 }
 
 impl OpMachine for ShardedSnapshotMachine {
@@ -644,53 +408,8 @@ impl OpMachine for ShardedSnapshotMachine {
 
     fn step(&mut self, mem: &mut SimMemory) -> Step<SnapResp> {
         match self {
-            ShardedSnapshotMachine::UpdateProbe {
-                reg,
-                layout,
-                local,
-                v,
-            } => {
-                let image = mem.wide_adjust(*reg, &BigNat::zero(), &BigNat::zero());
-                let prev = layout.decode(*local, &image);
-                let new = BigNat::from(*v);
-                if prev == new {
-                    return Step::Ready(SnapResp::Ok);
-                }
-                let (pos, neg) = layout.adjustments(*local, &prev, &new);
-                *self = ShardedSnapshotMachine::UpdateAdjust {
-                    reg: *reg,
-                    pos,
-                    neg,
-                };
-                Step::Pending
-            }
-            ShardedSnapshotMachine::UpdateAdjust { reg, pos, neg } => {
-                mem.wide_adjust(*reg, pos, neg);
-                Step::Ready(SnapResp::Ok)
-            }
-            ShardedSnapshotMachine::Scan {
-                groups,
-                layouts,
-                mode,
-                idx,
-                current,
-                previous,
-            } => {
-                let image = mem.wide_adjust(groups[*idx], &BigNat::zero(), &BigNat::zero());
-                let view = layouts[*idx]
-                    .decode_all_u64(&image)
-                    .expect("component fits u64");
-                current.extend(view);
-                *idx += 1;
-                if *idx < groups.len() {
-                    return Step::Pending;
-                }
-                let done = std::mem::take(current);
-                match finish_pass(*mode, done, previous, idx) {
-                    Some(done) => Step::Ready(SnapResp::View(done)),
-                    None => Step::Pending,
-                }
-            }
+            ShardedSnapshotMachine::Update(w) => w.step(mem).map(|()| SnapResp::Ok),
+            ShardedSnapshotMachine::Scan(c) => c.step(mem).map(SnapResp::View),
         }
     }
 }

@@ -165,24 +165,14 @@ impl ShardedMaxRegister {
                 .unwrap_or(0)
         })
     }
-
-    /// Decodes a shard fold back into the value it stands for.
-    fn fold_value(&self, s: usize, count: u64) -> u64 {
-        if count == 0 {
-            0
-        } else {
-            (count - 1) * self.sharding.shards() as u64 + s as u64
-        }
-    }
 }
 
 impl MaxRegister for ShardedMaxRegister {
     fn write_max(&self, process: usize, v: u64) {
-        let shards = self.sharding.shards() as u64;
-        sl2_obs::count(crate::probes::shard_ops(self.sharding.of_value(v)));
-        let shard = &self.shards[self.sharding.of_value(v)];
         // Quotient encoding of v in its residue class.
-        let count = v / shards + 1;
+        let (home, count) = self.sharding.to_quotient(v);
+        sl2_obs::count(crate::probes::shard_ops(home));
+        let shard = &self.shards[home];
         // §3.1 against the home shard. Lane `process` of this shard is
         // only ever written by `process` (for any value in the shard's
         // residue class), so the probe-then-single-fetch&add is
@@ -205,10 +195,8 @@ impl MaxRegister for ShardedMaxRegister {
         // `Sharding::stable_collect`): the returned fold is the exact
         // maximum at one instant inside the read.
         let stable = self.sharding.stable_collect(|i| self.shard_fold(i));
-        (0..self.sharding.shards())
-            .map(|i| self.fold_value(i, stable[i]))
-            .max()
-            .unwrap_or(0)
+        self.sharding
+            .max_from_quotients(&stable[..self.sharding.shards()])
     }
 }
 
@@ -223,7 +211,7 @@ impl ShardedMaxRegister {
     /// source.
     pub fn read_max_relaxed(&self) -> u64 {
         (0..self.sharding.shards())
-            .map(|s| self.fold_value(s, self.shard_fold(s)))
+            .map(|s| self.sharding.from_quotient(s, self.shard_fold(s)))
             .max()
             .unwrap_or(0)
     }
@@ -291,11 +279,11 @@ mod tests {
         let m = ShardedMaxRegister::new(2, 2);
         m.write_max(0, 4); // even shard: count = 4/2 + 1
         assert_eq!(m.shard_fold(0), 3);
-        assert_eq!(m.fold_value(0, 3), 4);
+        assert_eq!(m.sharding.from_quotient(0, 3), 4);
         assert_eq!(m.shard_fold(1), 0, "odd shard untouched");
         m.write_max(1, 7); // odd shard: count = 7/2 + 1
         assert_eq!(m.shard_fold(1), 4);
-        assert_eq!(m.fold_value(1, 4), 7);
+        assert_eq!(m.sharding.from_quotient(1, 4), 7);
         assert_eq!(m.read_max(), 7);
     }
 

@@ -31,7 +31,10 @@
 //! Each comparing test first writes what it computed to
 //! `$CARGO_TARGET_TMPDIR/corpus_shape.<kind>.jsonl`; after a deliberate
 //! corpus change, concatenating the two files (shape, then witness)
-//! is the new fixture.
+//! is the new fixture. `tests/data/twin_shape.jsonl` pins the twins the
+//! corpus does not run in the same shape lines (written to
+//! `$CARGO_TARGET_TMPDIR/twin_shape.shape.jsonl`); it was generated
+//! before the twins moved onto the shared steps of `sl2_exec::lanes`.
 
 use std::cell::RefCell;
 
@@ -43,10 +46,11 @@ use sl2_service::machines::{
     cross_key_lagging_scenario, cross_key_scenario, same_key_fan_in_lagging_scenario,
     same_key_fan_in_scenario, KeyedDispatchAlg, LaggingKeyedDispatchAlg, RouteMode,
 };
-use sl2_spec::counters::{CounterOp, CounterSpec, FetchIncOp, FetchIncSpec};
+use sl2_spec::counters::{CounterOp, FetchIncOp, FetchIncSpec};
 use sl2_spec::fifo::{QueueOp, QueueSpec, StackOp, StackSpec};
 use sl2_spec::keyed::{KeyedMaxSpec, LaggingKeyedMaxSpec};
 use sl2_spec::max_register::{MaxOp, MaxRegisterSpec};
+use sl2_spec::snapshot::SnapOp;
 
 /// Global node budget shared by the whole re-certification pass; the
 /// memo-on run spends well under a million nodes, so this is headroom,
@@ -168,11 +172,11 @@ fn sharded_binary_corpus(shards: usize) -> ScenarioCorpus<MaxRegisterSpec> {
 /// The sharded counter adjudication (E21), named per read mode. Home
 /// shards depend on process indices, so these corpora keep
 /// process-permuted members (`without_dedup`).
-fn counter_corpus(prefix: &str) -> ScenarioCorpus<CounterSpec> {
+fn counter_corpus<S: Spec<Op = CounterOp>>(prefix: &str) -> ScenarioCorpus<S> {
     let mut corpus = ScenarioCorpus::without_dedup();
     corpus.push(
         format!("{prefix}/fan_in"),
-        fan_in::<CounterSpec>(vec![CounterOp::Inc, CounterOp::Inc], vec![CounterOp::Read]),
+        fan_in::<S>(vec![CounterOp::Inc, CounterOp::Inc], vec![CounterOp::Read]),
     );
     corpus.push(
         format!("{prefix}/inc_read_pair"),
@@ -201,6 +205,13 @@ fn combining_corpus(shards: usize, mode: ReadMode) -> ScenarioCorpus<MaxRegister
         format!("combining_{tag}_s{shards}/fan_in"),
         cached_fan_in_max_scenario(),
     );
+    corpus
+}
+
+/// A corpus of one record.
+fn one<S: Spec>(name: &str, scenario: Scenario<S>) -> ScenarioCorpus<S> {
+    let mut corpus = ScenarioCorpus::without_dedup();
+    corpus.push(name, scenario);
     corpus
 }
 
@@ -253,8 +264,15 @@ enum Driver<'a> {
     Witnesses(&'a RefCell<Vec<String>>),
 }
 
+/// A pinned fixture under `tests/data/`: its file stem and its text.
+type Fixture = (&'static str, &'static str);
+
 /// The pinned search shapes and witnesses (see the module docs).
-const SHAPE_FIXTURE: &str = include_str!("data/corpus_shape.jsonl");
+const SHAPE_FIXTURE: Fixture = ("corpus_shape", include_str!("data/corpus_shape.jsonl"));
+
+/// The pinned search shapes of the twins the corpus does not run
+/// (see [`twins_outside_the_corpus_keep_their_search_shape`]).
+const TWIN_FIXTURE: Fixture = ("twin_shape", include_str!("data/twin_shape.jsonl"));
 
 /// The top-level `(key, raw value)` pairs of one flat fixture line
 /// (values: numbers, `null`, strings, arrays of those).
@@ -287,15 +305,12 @@ fn json_fields(line: &str) -> Vec<(&str, &str)> {
 
 /// Compares `actual` against the fixture's lines of `kind`, naming the
 /// first record and field that differ.
-fn assert_matches_fixture(kind: &str, actual: &[String]) {
-    let written = format!("{}/corpus_shape.{kind}.jsonl", env!("CARGO_TARGET_TMPDIR"));
+fn assert_matches_fixture((stem, text): Fixture, kind: &str, actual: &[String]) {
+    let written = format!("{}/{stem}.{kind}.jsonl", env!("CARGO_TARGET_TMPDIR"));
     std::fs::write(&written, actual.join("\n") + "\n")
         .unwrap_or_else(|e| panic!("cannot write {written}: {e}"));
     let tag = format!("{{\"corpus\":\"{kind}\",");
-    let expected: Vec<&str> = SHAPE_FIXTURE
-        .lines()
-        .filter(|l| l.starts_with(&tag))
-        .collect();
+    let expected: Vec<&str> = text.lines().filter(|l| l.starts_with(&tag)).collect();
     for (want, got) in expected.iter().zip(actual) {
         let (want, got) = (json_fields(want), json_fields(got));
         let name = got[1].1;
@@ -303,7 +318,7 @@ fn assert_matches_fixture(kind: &str, actual: &[String]) {
         for (w, g) in want.iter().zip(&got) {
             assert_eq!(
                 w, g,
-                "{kind} {name}: field {:?} differs from tests/data/corpus_shape.jsonl \
+                "{kind} {name}: field {:?} differs from tests/data/{stem}.jsonl \
                  (computed: {written})",
                 g.0
             );
@@ -366,6 +381,173 @@ fn without<S: Spec>(corpus: ScenarioCorpus<S>, skip: &[&str]) -> ScenarioCorpus<
         }
     }
     kept
+}
+
+/// One `"corpus":"shape"` fixture line per record: the deterministic
+/// fields of the memo-on record plus the memo-off node count.
+fn shape_lines(on: &CorpusReport, off: &CorpusReport) -> Vec<String> {
+    on.records
+        .iter()
+        .zip(&off.records)
+        .map(|(a, b)| {
+            let off_nodes = match b.verdict {
+                CorpusVerdict::Bounded => "null".to_string(),
+                _ => b.nodes.to_string(),
+            };
+            format!(
+                "{{\"corpus\":\"shape\",\"name\":{:?},\"verdict\":\"{}\",\"nodes\":{},\
+                 \"memo_hits\":{},\"memo_misses\":{},\"max_depth\":{},\
+                 \"witness_steps\":{},\"off_nodes\":{off_nodes}}}",
+                a.name,
+                a.verdict.as_str(),
+                a.nodes,
+                a.stats.memo_hits,
+                a.stats.memo_misses,
+                a.stats.max_depth,
+                a.witness_steps,
+            )
+        })
+        .collect()
+}
+
+/// The twins the corpus does not run, each on the scenarios its unit
+/// tests use.
+fn run_twins(memoize: bool, report: &mut CorpusReport) {
+    let (opts, serial) = (options(memoize), Driver::Serial);
+    let update = |i: usize, v: u64| SnapOp::Update { i, v };
+    let race = Scenario::new(vec![
+        vec![update(0, 2), update(0, 1)],
+        vec![SnapOp::Scan, SnapOp::Scan],
+    ]);
+    let three = Scenario::new(vec![
+        vec![update(0, 1)],
+        vec![update(1, 2)],
+        vec![SnapOp::Scan, SnapOp::Scan],
+    ]);
+    let group_local = Scenario::new(vec![vec![update(0, 3), SnapOp::Scan], vec![update(1, 7)]]);
+    let torn_cut = Scenario::new(vec![
+        vec![update(0, 1)],
+        vec![SnapOp::Scan],
+        vec![update(2, 7)],
+    ]);
+    drive(
+        &one("snapshot/update_scan_race", race),
+        |mem| SnapshotAlg::new(mem, 2),
+        &opts,
+        serial,
+        report,
+    );
+    drive(
+        &one("snapshot/three_processes", three),
+        |mem| SnapshotAlg::new(mem, 3),
+        &opts,
+        serial,
+        report,
+    );
+    for (tag, mode) in [
+        ("stable", WholeReadMode::Stable),
+        ("naive", WholeReadMode::Naive),
+    ] {
+        drive(
+            &one(
+                &format!("sharded_snapshot_{tag}/group_local"),
+                group_local.clone(),
+            ),
+            |mem| ShardedSnapshotAlg::new(mem, 4, 2, mode),
+            &opts,
+            serial,
+            report,
+        );
+        drive(
+            &one(
+                &format!("sharded_snapshot_{tag}/torn_cut"),
+                torn_cut.clone(),
+            ),
+            |mem| ShardedSnapshotAlg::new(mem, 3, 2, mode),
+            &opts,
+            serial,
+            report,
+        );
+    }
+    for (tag, encoding) in [
+        ("counter_relaxed", LaneEncoding::Unary),
+        ("counter_relaxed_binary", LaneEncoding::Binary),
+    ] {
+        drive(
+            &counter_corpus(tag),
+            |mem| ShardedCounterAlg::relaxed(mem, 3, 2, 2).with_encoding(encoding),
+            &opts,
+            serial,
+            report,
+        );
+    }
+    drive(
+        &one(
+            "combining_max_relaxed/fan_in",
+            cached_fan_in_lagging_scenario(),
+        ),
+        |mem| CombiningMaxRegAlg::relaxed(mem, 3, 1, ReadMode::Cached, 2),
+        &opts,
+        serial,
+        report,
+    );
+    drive(
+        &counter_corpus("combining_counter_relaxed"),
+        |mem| CombiningCounterAlg::relaxed(mem, 3, 1, 2),
+        &opts,
+        serial,
+        report,
+    );
+    for recovery in [false, true] {
+        let tag = if recovery {
+            "abandoned_recovery"
+        } else {
+            "abandoned"
+        };
+        drive(
+            &counter_corpus(&format!("{tag}_lagging")),
+            |mem| {
+                let alg = CombiningCounterAlg::relaxed(mem, 3, 1, 2).abandon_lock(mem);
+                if recovery {
+                    alg.with_recovery()
+                } else {
+                    alg
+                }
+            },
+            &opts,
+            serial,
+            report,
+        );
+        drive(
+            &counter_corpus(&format!("{tag}_exact")),
+            |mem| {
+                let alg = CombiningCounterAlg::cached(mem, 3, 1).abandon_lock(mem);
+                if recovery {
+                    alg.with_recovery()
+                } else {
+                    alg
+                }
+            },
+            &opts,
+            serial,
+            report,
+        );
+    }
+    let binary = LaneEncoding::Binary;
+    drive(
+        &service_corpus("exact_binary"),
+        |mem| KeyedDispatchAlg::new(mem, 3, &[1, 2], RouteMode::Exact).with_encoding(binary),
+        &opts,
+        serial,
+        report,
+    );
+    drive(
+        &service_corpus("cached_binary"),
+        |mem| KeyedDispatchAlg::new(mem, 3, &[1, 2], RouteMode::Cached).with_encoding(binary),
+        &opts,
+        serial,
+        report,
+    );
 }
 
 /// Runs every corpus into `report` with the given memoization mode and
@@ -715,30 +897,7 @@ fn corpus_recertifies_every_shipped_verdict() {
     // PR-24: the search shape is pinned per record, not in aggregate —
     // the graph explored (memo on) and the tree (memo off) are the ones
     // the fixture's generating commit explored.
-    let shape: Vec<String> = on
-        .records
-        .iter()
-        .zip(&off.records)
-        .map(|(a, b)| {
-            let off_nodes = match b.verdict {
-                CorpusVerdict::Bounded => "null".to_string(),
-                _ => b.nodes.to_string(),
-            };
-            format!(
-                "{{\"corpus\":\"shape\",\"name\":{:?},\"verdict\":\"{}\",\"nodes\":{},\
-                 \"memo_hits\":{},\"memo_misses\":{},\"max_depth\":{},\
-                 \"witness_steps\":{},\"off_nodes\":{off_nodes}}}",
-                a.name,
-                a.verdict.as_str(),
-                a.nodes,
-                a.stats.memo_hits,
-                a.stats.memo_misses,
-                a.stats.max_depth,
-                a.witness_steps,
-            )
-        })
-        .collect();
-    assert_matches_fixture("shape", &shape);
+    assert_matches_fixture(SHAPE_FIXTURE, "shape", &shape_lines(&on, &off));
 
     // The S = 4 acceptance anchor certified within the shared budget.
     let anchor = on.get("sharded_s4/frontier_safe").expect("anchor present");
@@ -794,6 +953,20 @@ fn binary_siblings_explore_their_unary_records_graphs() {
 }
 
 #[test]
+fn twins_outside_the_corpus_keep_their_search_shape() {
+    // The corpus fixture pins only the twins the corpus runs. The rest —
+    // the snapshots, the relaxed counters, the abandoned-lock front-ends
+    // and the binary dispatch twin — are pinned here the same way, memo
+    // on and memo off, so a twin refactor must build the same trees.
+    let mut on = CorpusReport::new(NODE_BUDGET);
+    run_twins(true, &mut on);
+    let mut off = CorpusReport::new(OFF_NODE_BUDGET);
+    run_twins(false, &mut off);
+    assert_eq!(on.count(CorpusVerdict::Bounded), 0, "{:?}", on.records);
+    assert_matches_fixture(TWIN_FIXTURE, "shape", &shape_lines(&on, &off));
+}
+
+#[test]
 fn corpus_dedup_collapses_isomorphic_members() {
     // The fan-in families generate process-permuted duplicates; dedup
     // must collapse them and the report must surface the count.
@@ -828,7 +1001,7 @@ fn refuted_records_replay_and_print_what_the_fixture_pins() {
     );
     let lines = lines.into_inner();
     assert_eq!(lines.len(), 16, "the corpus ships 16 refutations");
-    assert_matches_fixture("witness", &lines);
+    assert_matches_fixture(SHAPE_FIXTURE, "witness", &lines);
 }
 
 #[test]

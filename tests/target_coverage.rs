@@ -472,3 +472,58 @@ fn shared_tables_are_defined_once() {
         assert!(!strong.contains(call), "strong.rs calls `{call}`");
     }
 }
+
+#[test]
+fn twins_move_lanes_only_through_the_shared_lane_write() {
+    // `sl2_exec::lanes::LaneWrite` is the one twin step that moves a
+    // lane. In the twin crates a wide fetch&add may only read, so every
+    // `wide_adjust(` there passes zero adjustments; a hand-copied
+    // probe-then-add fails here.
+    let root = repo_root();
+    let mut files = Vec::new();
+    for krate in ["core", "sharded", "combine", "service"] {
+        files_with_extensions(
+            &root.join("crates").join(krate).join("src"),
+            &["rs"],
+            &mut files,
+        );
+    }
+    let needle = "wide_adjust(";
+    let (mut calls, mut writes) = (0, Vec::new());
+    for path in &files {
+        let text = std::fs::read_to_string(path).expect("readable");
+        for (at, _) in text.match_indices(needle) {
+            // The argument list up to the matching `)`, whitespace
+            // dropped, split at top-level commas.
+            let (mut depth, mut args, mut arg) = (1, Vec::new(), String::new());
+            for c in text[at + needle.len()..].chars() {
+                match c {
+                    '(' => depth += 1,
+                    ')' if depth == 1 => break,
+                    ')' => depth -= 1,
+                    ',' if depth == 1 => {
+                        args.push(std::mem::take(&mut arg));
+                        continue;
+                    }
+                    c if c.is_whitespace() => continue,
+                    _ => {}
+                }
+                arg.push(c);
+            }
+            args.push(arg);
+            args.retain(|a| !a.is_empty());
+            calls += 1;
+            if args[1..] != ["&BigNat::zero()", "&BigNat::zero()"] {
+                let line = text[..at].lines().count();
+                let rel = path.strip_prefix(root).unwrap_or(path);
+                writes.push(format!("{}:{line}: {}", rel.display(), args.join(", ")));
+            }
+        }
+    }
+    assert!(calls > 0, "no twin reads a wide register?");
+    assert!(
+        writes.is_empty(),
+        "twins move lanes by hand; build the write from sl2_exec::lanes::LaneWrite:\n{}",
+        writes.join("\n")
+    );
+}
