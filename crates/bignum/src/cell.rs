@@ -13,6 +13,10 @@
 //! same API and the same single-instant atomicity guarantees, just
 //! without lock-freedom.
 //!
+//! A read writes nothing: where the vendor documents an aligned 16-byte
+//! load as atomic it is one `vmovdqa`, and only other DWCAS parts pay a
+//! `cmpxchg16b` to read (DESIGN.md §9).
+//!
 //! The consensus-number story (DESIGN.md §2, §9) is unchanged by the
 //! stronger primitive: the spinlock this replaces was itself built on
 //! `AtomicBool::compare_exchange`, and CAS reduces to consensus-number-2
@@ -24,32 +28,7 @@
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicBool, Ordering};
 
-/// Whether the DWCAS (`cmpxchg16b`) path is compiled in *and* supported
-/// by the running CPU. Constant-false on non-x86_64 targets and under
-/// the `force_spinlock` feature; detected once and cached otherwise.
-#[inline]
-pub(crate) fn dwcas_available() -> bool {
-    #[cfg(all(target_arch = "x86_64", not(feature = "force_spinlock")))]
-    {
-        // 0 = unprobed, 1 = unavailable, 2 = available. Racing probes
-        // are harmless: CPUID is idempotent and every thread stores the
-        // same verdict.
-        static STATE: std::sync::atomic::AtomicU8 = std::sync::atomic::AtomicU8::new(0);
-        match STATE.load(Ordering::Relaxed) {
-            2 => true,
-            1 => false,
-            _ => {
-                let ok = is_x86_feature_detected!("cmpxchg16b");
-                STATE.store(if ok { 2 } else { 1 }, Ordering::Relaxed);
-                ok
-            }
-        }
-    }
-    #[cfg(not(all(target_arch = "x86_64", not(feature = "force_spinlock"))))]
-    {
-        false
-    }
-}
+use crate::cpu;
 
 /// One `lock cmpxchg16b` on `dst`: if the 16 bytes equal `expected`,
 /// store `new`; either way return the value observed (equal to
@@ -68,12 +47,15 @@ pub(crate) fn dwcas_available() -> bool {
 /// # Safety
 ///
 /// `dst` must be 16-byte aligned, valid for reads and writes, and the
-/// CPU must support `cmpxchg16b` (see [`dwcas_available`]).
+/// CPU must support `cmpxchg16b` (see `cpu::dwcas`).
 #[cfg(all(target_arch = "x86_64", not(feature = "force_spinlock")))]
 #[inline]
 unsafe fn cmpxchg16b(dst: *mut u128, expected: u128, new: u128) -> u128 {
     let mut lo = expected as u64;
     let mut hi = (expected >> 64) as u64;
+    // SAFETY: the caller guarantees alignment, validity and the
+    // instruction; `rbx` is restored before the block ends and every
+    // other register the sequence touches is named as an operand.
     unsafe {
         core::arch::asm!(
             "xchg rsi, rbx",
@@ -88,6 +70,36 @@ unsafe fn cmpxchg16b(dst: *mut u128, expected: u128, new: u128) -> u128 {
         );
     }
     (lo as u128) | ((hi as u128) << 64)
+}
+
+/// One aligned 16-byte `vmovdqa` load of `src`: single-copy atomic on
+/// the parts `cpu::atomic_load128` admits, and sequentially consistent
+/// against a cell whose every store is a `lock cmpxchg16b` (x86 loads
+/// are never reordered with older loads or with those locked stores).
+/// No `readonly`/`pure` option: the block is a compiler barrier, as an
+/// atomic load must be.
+///
+/// # Safety
+///
+/// `src` must be 16-byte aligned and valid for reads, and the CPU must
+/// guarantee the load's atomicity (see `cpu::atomic_load128`).
+#[cfg(all(target_arch = "x86_64", not(feature = "force_spinlock")))]
+#[inline]
+unsafe fn vmovdqa(src: *const u128) -> u128 {
+    let out: core::arch::x86_64::__m128i;
+    // SAFETY: the caller guarantees alignment and validity; the block
+    // reads 16 bytes and writes only its output register.
+    unsafe {
+        core::arch::asm!(
+            "vmovdqa {out}, xmmword ptr [{src}]",
+            src = in(reg) src,
+            out = out(xmm_reg) out,
+            options(nostack, preserves_flags),
+        );
+    }
+    // SAFETY: `__m128i` and `u128` are both 16 plain bytes, and x86 is
+    // little-endian, so lane order matches the integer's.
+    unsafe { core::mem::transmute::<core::arch::x86_64::__m128i, u128>(out) }
 }
 
 /// A 16-byte-aligned atomic `u128`.
@@ -113,11 +125,12 @@ pub struct Atomic128 {
     lock: RawSpin,
 }
 
-// SAFETY: all access to `value` is either a `lock cmpxchg16b` (atomic
-// at hardware level; `lock` is a full fence) or guarded by the internal
-// spinlock — the two are never mixed, because `dwcas_available()` is
-// constant for the life of the process.
+// SAFETY: all access to `value` is either a `lock cmpxchg16b` or an
+// atomic `vmovdqa` load (both atomic at hardware level) or guarded by
+// the internal spinlock — the two regimes are never mixed, because
+// `cpu::dwcas()` is constant for the life of the process.
 unsafe impl Send for Atomic128 {}
+// SAFETY: as for `Send` — every shared access is atomic or locked.
 unsafe impl Sync for Atomic128 {}
 
 impl Atomic128 {
@@ -133,7 +146,7 @@ impl Atomic128 {
     /// the DWCAS instruction rather than the spinlock fallback.
     #[inline]
     pub fn is_lock_free() -> bool {
-        dwcas_available()
+        cpu::dwcas()
     }
 
     /// A relaxed, possibly-torn read of the two halves — only useful as
@@ -150,6 +163,7 @@ impl Atomic128 {
         // never race with the concurrent `cmpxchg16b` stores in the
         // sense of the memory model (both are atomic accesses).
         let lo = unsafe { &*p }.load(Ordering::Relaxed);
+        // SAFETY: as above, for the high half.
         let hi = unsafe { &*p.add(1) }.load(Ordering::Relaxed);
         (lo as u128) | ((hi as u128) << 64)
     }
@@ -164,14 +178,33 @@ impl Atomic128 {
 
     /// Atomically reads the current value.
     ///
-    /// On the DWCAS path this is a single `cmpxchg16b` seeded with a
-    /// relaxed guess: if the guess matches, the (idempotent) store
-    /// confirms it atomically; if not, the instruction *returns* the
-    /// untorn current value. Either way the result is the cell's value
-    /// at one instant.
+    /// Where the vendor documents an aligned 16-byte load as atomic
+    /// (AVX parts from Intel and AMD; see `cpu::atomic_load128`) this
+    /// is one `vmovdqa`: a plain read that leaves the cache line
+    /// shared, the way the 64-bit `FetchAdd::read` is one `mov`. On
+    /// other DWCAS parts it is one seeded `cmpxchg16b`; under the
+    /// spinlock it takes the lock. Either way the result is the cell's
+    /// value at one instant.
     #[inline]
     pub fn load(&self) -> u128 {
-        if dwcas_available() {
+        if cpu::atomic_load128() {
+            #[cfg(all(target_arch = "x86_64", not(feature = "force_spinlock")))]
+            // SAFETY: alignment by repr; atomicity just checked, and it
+            // implies DWCAS, so no spinlock ever writes this cell.
+            return unsafe { vmovdqa(self.value.get()) };
+        }
+        self.load_locked()
+    }
+
+    /// The read for CPUs without an atomic 16-byte load: one
+    /// `cmpxchg16b` seeded with a relaxed guess. If the guess matches,
+    /// the (idempotent) store confirms it atomically; if not, the
+    /// instruction *returns* the untorn current value. It takes the
+    /// line exclusively, like any locked instruction. Under the
+    /// spinlock it takes the lock.
+    #[inline]
+    pub(crate) fn load_locked(&self) -> u128 {
+        if cpu::dwcas() {
             #[cfg(all(target_arch = "x86_64", not(feature = "force_spinlock")))]
             {
                 let guess = self.guess();
@@ -189,7 +222,7 @@ impl Atomic128 {
     /// happened, `Err` (the actual value) if not.
     #[inline]
     pub fn compare_exchange(&self, current: u128, new: u128) -> Result<u128, u128> {
-        if dwcas_available() {
+        if cpu::dwcas() {
             #[cfg(all(target_arch = "x86_64", not(feature = "force_spinlock")))]
             {
                 // SAFETY: alignment by repr; availability just checked.
@@ -218,7 +251,7 @@ impl Atomic128 {
     /// `f` panics the cell is left unchanged.
     #[inline]
     pub fn fetch_update(&self, mut f: impl FnMut(u128) -> u128) -> u128 {
-        if dwcas_available() {
+        if cpu::dwcas() {
             let mut cur = self.load();
             loop {
                 match self.compare_exchange(cur, f(cur)) {
@@ -248,7 +281,7 @@ impl Atomic128 {
     /// value it is shown.
     #[inline]
     pub fn fetch_add(&self, delta: u128) -> u128 {
-        if dwcas_available() {
+        if cpu::dwcas() {
             let mut cur = self.guess();
             loop {
                 match self.compare_exchange(cur, cur.wrapping_add(delta)) {

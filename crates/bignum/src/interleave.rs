@@ -8,8 +8,15 @@
 //!
 //! [`Layout`] converts between a process-local value and its lane image,
 //! and decodes a whole register into per-process values.
+//!
+//! The `u64` entry points — [`Layout::decode_u64`],
+//! [`Layout::decode_all_u64`], [`BinaryLayout`] and the binary arm of
+//! [`LaneEncoding`] — run on a word kernel: a lane's bits in one limb
+//! sit under one mask, so a limb is gathered with one `pext` (or
+//! scattered with one `pdep`) and no lane bit ever needs a division by
+//! `n` to find its place.
 
-use crate::{BigNat, LIMB_BITS};
+use crate::{cpu, BigNat, LIMB_BITS};
 
 /// The interleaved lane layout for `n` processes.
 ///
@@ -91,17 +98,7 @@ impl Layout {
     /// values are `u64` at the API boundary).
     pub fn decode_u64(&self, i: usize, register: &BigNat) -> Option<u64> {
         assert!(i < self.n, "process index {i} out of range (n={})", self.n);
-        let mut out = 0u64;
-        for g in register.one_bits() {
-            if g % self.n == i {
-                let k = g / self.n;
-                if k >= 64 {
-                    return None;
-                }
-                out |= 1u64 << k;
-            }
-        }
-        Some(out)
+        gather(Kernel::detect(), register.limbs(), self.n, i)
     }
 
     /// Decodes the whole register into one local value per process —
@@ -114,17 +111,15 @@ impl Layout {
         out
     }
 
-    /// Decodes the whole register into one `u64` per process in a
-    /// single pass with no per-lane `BigNat`s; `None` if any lane needs
-    /// more than 64 bits. One output vector is the only allocation.
+    /// Decodes the whole register into one `u64` per process, one
+    /// gather per lane and limb, with no per-lane `BigNat`s; `None` if
+    /// any lane needs more than 64 bits. One output vector is the only
+    /// allocation.
     pub fn decode_all_u64(&self, register: &BigNat) -> Option<Vec<u64>> {
+        let kernel = Kernel::detect();
         let mut out = vec![0u64; self.n];
-        for g in register.one_bits() {
-            let k = g / self.n;
-            if k >= 64 {
-                return None;
-            }
-            out[g % self.n] |= 1u64 << k;
+        for (i, lane) in out.iter_mut().enumerate() {
+            *lane = gather(kernel, register.limbs(), self.n, i)?;
         }
         Some(out)
     }
@@ -264,10 +259,14 @@ impl LaneEncoding {
     pub fn sum(self, layout: &Layout, image: &BigNat) -> u64 {
         match self {
             LaneEncoding::Unary => image.count_ones() as u64,
-            LaneEncoding::Binary => image
-                .one_bits()
-                .map(|g| 1u64 << (g / layout.processes()))
-                .sum(),
+            LaneEncoding::Binary => {
+                let (kernel, n) = (Kernel::detect(), layout.processes());
+                (0..n)
+                    .map(|i| {
+                        gather(kernel, image.limbs(), n, i).expect("binary lane exceeds 64 bits")
+                    })
+                    .sum()
+            }
         }
     }
 }
@@ -341,14 +340,28 @@ impl BinaryLayout {
     /// The lane image of process `i` holding value `v`: local binary
     /// bit `k` of `v` becomes global bit `k*n + i`.
     pub fn encode(&self, i: usize, v: u64) -> BigNat {
-        let mut out = BigNat::zero();
-        let mut rest = v;
-        while rest != 0 {
-            let k = rest.trailing_zeros() as usize;
-            rest &= rest - 1;
-            out.set_bit(self.inner.bit(i, k), true);
+        self.encode_with(Kernel::detect(), i, v)
+    }
+
+    fn encode_with(&self, kernel: Kernel, i: usize, v: u64) -> BigNat {
+        let n = self.processes();
+        assert!(i < n, "process index {i} out of range (n={n})");
+        if v == 0 {
+            return BigNat::zero();
         }
-        out
+        let top = (Self::bits_for(v) as usize - 1) * n + i;
+        if top < LIMB_BITS {
+            // One limb: the first step of `LaneLimbs`, taken directly.
+            BigNat::from(kernel.expand(v, STRIDE[n.min(LIMB_BITS)] << i))
+        } else if top < 2 * LIMB_BITS {
+            let mut limbs = [0u64; 2];
+            scatter(kernel, v, n, i, &mut limbs);
+            BigNat::from(limbs[0] as u128 | (limbs[1] as u128) << LIMB_BITS)
+        } else {
+            let mut limbs = vec![0u64; top / LIMB_BITS + 1];
+            scatter(kernel, v, n, i, &mut limbs);
+            BigNat::from_limb_vec(limbs)
+        }
     }
 
     /// Decodes process `i`'s binary lane from a borrowed register
@@ -371,26 +384,303 @@ impl BinaryLayout {
     /// `u64`s — no intermediate `BigNat`s, no allocation while the
     /// adjustments stay inline.
     pub fn adjustments(&self, i: usize, old: u64, new: u64) -> (BigNat, BigNat) {
-        let mut pos = BigNat::zero();
-        let mut neg = BigNat::zero();
-        let mut diff = old ^ new;
-        while diff != 0 {
-            let k = diff.trailing_zeros() as usize;
-            diff &= diff - 1;
-            let bit = self.inner.bit(i, k);
-            if (new >> k) & 1 == 1 {
-                pos.set_bit(bit, true);
-            } else {
-                neg.set_bit(bit, true);
-            }
+        let (diff, kernel) = (old ^ new, Kernel::detect());
+        (
+            self.encode_with(kernel, i, diff & new),
+            self.encode_with(kernel, i, diff & old),
+        )
+    }
+}
+
+/// `STRIDE[n]`: bits `0, n, 2n, …` of one limb (bit 0 alone once
+/// `n ≥ 64`). A lane's bits in any limb are this mask shifted up by
+/// the offset of the lane's lowest bit there.
+const STRIDE: [u64; LIMB_BITS + 1] = {
+    let mut table = [1u64; LIMB_BITS + 1];
+    let mut n = 1;
+    while n < LIMB_BITS {
+        let mut b = n;
+        while b < LIMB_BITS {
+            table[n] |= 1 << b;
+            b += n;
         }
-        (pos, neg)
+        n += 1;
+    }
+    table
+};
+
+/// One lane, limb by limb: each item is the mask of the lane's bits in
+/// the next limb and the lane index of the lowest of them. Endless; zip
+/// it with the limbs.
+struct LaneLimbs {
+    stride: u64,
+    n: usize,
+    /// Lowest lane bit at or past the current limb, relative to it.
+    offset: usize,
+    /// Lane index of that bit.
+    k: usize,
+}
+
+impl LaneLimbs {
+    fn new(n: usize, i: usize) -> Self {
+        LaneLimbs {
+            stride: STRIDE[n.min(LIMB_BITS)],
+            n,
+            offset: i,
+            k: 0,
+        }
+    }
+}
+
+impl Iterator for LaneLimbs {
+    type Item = (u64, usize);
+
+    #[inline]
+    fn next(&mut self) -> Option<(u64, usize)> {
+        if self.offset >= LIMB_BITS {
+            // Only when `n > 64`: this limb holds none of the lane.
+            self.offset -= LIMB_BITS;
+            return Some((0, self.k));
+        }
+        let mask = self.stride << self.offset;
+        let first = self.k;
+        let count = mask.count_ones() as usize;
+        self.k += count;
+        self.offset = self.offset + count * self.n - LIMB_BITS;
+        Some((mask, first))
+    }
+}
+
+/// How a limb's lane bits are gathered and scattered: BMI2's
+/// `pext`/`pdep` where the CPU runs them in hardware, and a portable
+/// loop over set bits everywhere else.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Kernel {
+    Bmi2,
+    Portable,
+}
+
+impl Kernel {
+    #[inline]
+    fn detect() -> Self {
+        if cpu::fast_bmi2() {
+            Kernel::Bmi2
+        } else {
+            Kernel::Portable
+        }
+    }
+
+    /// The bits of `w` under `mask`, packed at the bottom (`pext`).
+    #[inline(always)]
+    fn compress(self, w: u64, mask: u64) -> u64 {
+        #[cfg(target_arch = "x86_64")]
+        if self == Kernel::Bmi2 {
+            let out: u64;
+            // SAFETY: `Bmi2` is chosen only where CPUID reports BMI2,
+            // and the instruction touches nothing but its registers.
+            unsafe {
+                core::arch::asm!(
+                    "pext {out}, {w}, {mask}",
+                    w = in(reg) w,
+                    mask = in(reg) mask,
+                    out = lateout(reg) out,
+                    options(pure, nomem, nostack, preserves_flags),
+                );
+            }
+            return out;
+        }
+        // Each set bit lands at its rank among the mask's bits.
+        let (mut bits, mut out) = (w & mask, 0);
+        while bits != 0 {
+            let low = bits & bits.wrapping_neg();
+            out |= 1 << (mask & (low - 1)).count_ones();
+            bits ^= low;
+        }
+        out
+    }
+
+    /// The low bits of `x` spread onto `mask`'s bits, lowest first
+    /// (`pdep`).
+    #[inline(always)]
+    fn expand(self, x: u64, mask: u64) -> u64 {
+        #[cfg(target_arch = "x86_64")]
+        if self == Kernel::Bmi2 {
+            let out: u64;
+            // SAFETY: as in `compress`.
+            unsafe {
+                core::arch::asm!(
+                    "pdep {out}, {x}, {mask}",
+                    x = in(reg) x,
+                    mask = in(reg) mask,
+                    out = lateout(reg) out,
+                    options(pure, nomem, nostack, preserves_flags),
+                );
+            }
+            return out;
+        }
+        let (mut x, mut mask, mut out) = (x, mask, 0);
+        while x != 0 && mask != 0 {
+            let low = mask & mask.wrapping_neg();
+            if x & 1 != 0 {
+                out |= low;
+            }
+            x >>= 1;
+            mask ^= low;
+        }
+        out
+    }
+}
+
+/// Lane `i` of `n` in `limbs`, one kernel call per limb; `None` if a
+/// set lane bit lies at lane index 64 or above.
+#[inline]
+fn gather(kernel: Kernel, limbs: &[u64], n: usize, i: usize) -> Option<u64> {
+    let mut out = 0u64;
+    for (&w, (mask, k)) in limbs.iter().zip(LaneLimbs::new(n, i)) {
+        let bits = kernel.compress(w, mask);
+        if bits != 0 {
+            if k + (u64::BITS - bits.leading_zeros()) as usize > 64 {
+                return None;
+            }
+            out |= bits << k;
+        }
+    }
+    Some(out)
+}
+
+/// Writes lane `i` of `n` holding `v` over `out`, one kernel call per
+/// limb.
+#[inline]
+fn scatter(kernel: Kernel, v: u64, n: usize, i: usize, out: &mut [u64]) {
+    for (limb, (mask, k)) in out.iter_mut().zip(LaneLimbs::new(n, i)) {
+        *limb = kernel.expand(v.checked_shr(k as u32).unwrap_or(0), mask);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The lane counts the differential tests sweep.
+    const NS: [usize; 8] = [1, 2, 3, 4, 5, 7, 8, 16];
+
+    /// The portable kernel, called directly on every host, and
+    /// whichever the CPU selects (BMI2 where it runs in hardware).
+    fn kernels() -> [Kernel; 2] {
+        [Kernel::Portable, Kernel::detect()]
+    }
+
+    /// A lane value: the named edges, or random at a random width.
+    fn lane_value() -> impl Strategy<Value = u64> {
+        prop_oneof![
+            Just(0u64),
+            Just(1u64),
+            Just(1u64 << 63),
+            Just(u64::MAX),
+            (any::<u64>(), 0u64..64).prop_map(|(v, shift)| v >> shift),
+        ]
+    }
+
+    /// A register image: inline (≤ 2 limbs), topped exactly at bit 127
+    /// or 128, or heap (3–6 limbs), with dense or sparse limbs.
+    fn image() -> impl Strategy<Value = BigNat> {
+        let limbs = |len: std::ops::Range<usize>| {
+            (prop::collection::vec(any::<u64>(), len), any::<u64>()).prop_map(
+                |(mut limbs, thin)| {
+                    if thin % 2 == 0 {
+                        for w in &mut limbs {
+                            *w &= w.rotate_left(17) & w.rotate_left(41);
+                        }
+                    }
+                    limbs
+                },
+            )
+        };
+        let build = |limbs: Vec<u64>| BigNat::from_limb_vec(limbs);
+        prop_oneof![
+            limbs(0..3).prop_map(build),
+            limbs(2..3).prop_map(move |mut l| {
+                l[1] = (l[1] & (u64::MAX >> 1)) | 1 << 63;
+                build(l)
+            }),
+            limbs(2..3).prop_map(move |mut l| {
+                l.push(1);
+                build(l)
+            }),
+            limbs(3..7).prop_map(build),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn word_kernel_decodes_like_the_bit_oracle(image in image(), pick in any::<u64>()) {
+            let n = NS[pick as usize % NS.len()];
+            let layout = Layout::new(n);
+            for i in 0..n {
+                let want = layout.decode(i, &image).to_u64();
+                for kernel in kernels() {
+                    prop_assert_eq!(gather(kernel, image.limbs(), n, i), want, "{:?} n={} lane {}", kernel, n, i);
+                }
+                prop_assert_eq!(layout.decode_u64(i, &image), want);
+            }
+            let all: Option<Vec<u64>> = (0..n).map(|i| layout.decode(i, &image).to_u64()).collect();
+            prop_assert_eq!(layout.decode_all_u64(&image), all);
+        }
+
+        #[test]
+        fn word_kernel_encodes_like_the_bit_oracle(
+            pick in any::<u64>(),
+            lanes in prop::collection::vec(lane_value(), 16..17),
+            old in lane_value(),
+        ) {
+            let n = NS[pick as usize % NS.len()];
+            let (layout, binary) = (Layout::new(n), BinaryLayout::new(n));
+            let mut image = BigNat::zero();
+            for (i, &v) in lanes.iter().take(n).enumerate() {
+                let want = layout.encode(i, &BigNat::from(v));
+                for kernel in kernels() {
+                    prop_assert_eq!(&binary.encode_with(kernel, i, v), &want, "{:?} n={} lane {}", kernel, n, i);
+                }
+                prop_assert_eq!(
+                    binary.adjustments(i, old, v),
+                    layout.adjustments(i, &BigNat::from(old), &BigNat::from(v))
+                );
+                image += &want;
+            }
+            let values = &lanes[..n];
+            for (i, &v) in values.iter().enumerate() {
+                prop_assert_eq!(binary.decode(i, &image), v);
+            }
+            if let Some(total) = values.iter().try_fold(0u64, |acc, &v| acc.checked_add(v)) {
+                prop_assert_eq!(LaneEncoding::Binary.sum(&layout, &image), total);
+            }
+        }
+    }
+
+    #[test]
+    fn word_kernel_matches_the_oracle_at_every_lane_top() {
+        // Every (n, lane, top lane bit), so the top global bit crosses
+        // 127/128 — the inline/heap boundary — wherever it can. Past 64
+        // lanes some limbs hold none of a lane's bits.
+        for n in NS.into_iter().chain([65, 130]) {
+            let layout = Layout::new(n);
+            for i in 0..n {
+                for k in 0..64 {
+                    for v in [1u64 << k, u64::MAX >> (63 - k)] {
+                        let want = layout.encode(i, &BigNat::from(v));
+                        for kernel in kernels() {
+                            let got = BinaryLayout::new(n).encode_with(kernel, i, v);
+                            assert_eq!(got, want, "{kernel:?} n={n} lane {i} v={v:#x}");
+                            assert_eq!(gather(kernel, want.limbs(), n, i), Some(v));
+                        }
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn encode_decode_roundtrip_every_process() {

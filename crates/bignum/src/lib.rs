@@ -35,8 +35,10 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 mod cell;
+mod cpu;
 mod faa128;
 mod interleave;
 mod nat;

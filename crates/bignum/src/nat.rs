@@ -396,7 +396,7 @@ impl BigNat {
     }
 
     /// Builds the canonical representation from little-endian limbs.
-    fn from_limb_vec(limbs: Vec<u64>) -> Self {
+    pub(crate) fn from_limb_vec(limbs: Vec<u64>) -> Self {
         let mut n = BigNat {
             repr: Repr::Heap(limbs),
         };

@@ -15,11 +15,13 @@
 //!
 //! * **Inline (lock-free).** On x86_64 with `cmpxchg16b` (runtime
 //!   detected), values below 2^127 live directly in an [`Atomic128`]
-//!   and every operation is a DWCAS retry loop: read the cell, compute
+//!   and every write is a DWCAS retry loop: read the cell, compute
 //!   the new value, `cmpxchg16b` it in. The successful CAS is the
 //!   single linearization point; no lock is ever touched, so a stalled
 //!   thread cannot block others (lock-freedom: some CAS wins every
-//!   round). Reads are one `cmpxchg16b` seeded with a relaxed guess.
+//!   round). A read is one atomic 16-byte load ([`Atomic128::load`]:
+//!   `vmovdqa` on AVX parts from Intel and AMD, a seeded `cmpxchg16b`
+//!   elsewhere) and linearizes there; it writes nothing.
 //! * **Heap (locked).** Bit 127 of the cell is the **migration tag**.
 //!   When an add would carry into it (or a heap-sized operand arrives),
 //!   the operation takes the spinlock, CASes the tag into the cell, and
@@ -91,6 +93,7 @@ pub struct WideFaa {
 // the lock acquire/release edges order all heap access. The inline
 // regime touches only the atomic cell.
 unsafe impl Send for WideFaa {}
+// SAFETY: as for `Send` — shared access is the atomic cell or the lock.
 unsafe impl Sync for WideFaa {}
 
 impl Default for WideFaa {
@@ -365,28 +368,21 @@ impl WideFaa {
     /// point the §3 production algorithms use for `readMax`/`scan`/
     /// recovery probes.
     ///
-    /// While the register is inline this is **lock-free**: one
-    /// `cmpxchg16b` captures an untorn snapshot and `f` runs on a
-    /// stack-built borrow with no lock held (ISSUE 6's small fix — the
-    /// old design took the spinlock even for reads). On the migrated
-    /// path `f` runs under the lock; keep it to short decode work.
+    /// While the register is inline this is **wait-free**: one atomic
+    /// load of the cell ([`Atomic128::load`]) captures an untorn
+    /// snapshot, and `f` runs on a stack-built borrow with no lock
+    /// held. A `fetch&add` of zero changes nothing, so a read is all it
+    /// needs to be. On the migrated path `f` runs under the lock; keep
+    /// it to short decode work.
     #[inline]
     pub fn read_with<R>(&self, f: impl FnOnce(&BigNat) -> R) -> R {
         if Atomic128::is_lock_free() {
-            // A tagged guess routes straight to the lock (the hi half
-            // is loaded atomically and migration is one-way — see
-            // `fetch_adjust_with`); otherwise the guess seeds one DWCAS
-            // that captures the untorn snapshot, re-checking the tag
-            // that may have landed since.
-            let guess = self.cell.guess();
-            sl2_chaos::point("wfaa.read.pre_cas");
-            if !is_tagged(guess) {
-                let cur = match self.cell.compare_exchange(guess, guess) {
-                    Ok(v) | Err(v) => v,
-                };
-                if !is_tagged(cur) {
-                    return f(&BigNat::from(cur));
-                }
+            // A tagged value routes to the lock: migration is one-way,
+            // so the heap slot is current once the tag is seen.
+            sl2_chaos::point("wfaa.read.pre_load");
+            let cur = self.cell.load();
+            if !is_tagged(cur) {
+                return f(&BigNat::from(cur));
             }
         }
         self.slow_locked(|v| f(v))
@@ -684,6 +680,53 @@ mod tests {
                 .map(|b| 1usize << (b - t * 40))
                 .sum();
             assert_eq!(lane, 500, "thread {t} lane");
+        }
+    }
+
+    #[test]
+    fn no_read_is_torn_while_a_writer_flips_both_halves() {
+        // Every flip changes both 64-bit halves, so a torn read is a
+        // value outside the pair. The register's pair stays below the
+        // migration tag (u128::MAX would carry it).
+        const READS: usize = 1_000_000;
+        let rounds = [
+            ((0, u128::MAX), (0, (1u128 << 127) - 1)),
+            ((u64::MAX as u128, 1 << 64), (u64::MAX as u128, 1 << 64)),
+        ];
+        for (cell_pair, reg_pair) in rounds {
+            let cell = Atomic128::new(cell_pair.0);
+            let reg = WideFaa::with_value(BigNat::from(reg_pair.0));
+            let up = BigNat::from(reg_pair.1 - reg_pair.0);
+            let stop = std::sync::atomic::AtomicBool::new(false);
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    while !stop.load(std::sync::atomic::Ordering::Relaxed) {
+                        let _ = cell.compare_exchange(cell_pair.0, cell_pair.1);
+                        let _ = cell.compare_exchange(cell_pair.1, cell_pair.0);
+                        reg.add(&up);
+                        reg.adjust(&BigNat::zero(), &up);
+                    }
+                });
+                let readers: Vec<_> = (0..4)
+                    .map(|_| {
+                        s.spawn(|| {
+                            for j in 0..READS {
+                                let (v, (a, b)) = match j % 3 {
+                                    0 => (cell.load(), cell_pair),
+                                    1 => (reg.read_with(|v| v.to_u128().unwrap()), reg_pair),
+                                    _ => (cell.load_locked(), cell_pair),
+                                };
+                                assert!(v == a || v == b, "torn read {v:#x} (read {})", j % 3);
+                            }
+                        })
+                    })
+                    .collect();
+                let joined: Vec<_> = readers.into_iter().map(|r| r.join()).collect();
+                stop.store(true, std::sync::atomic::Ordering::Relaxed);
+                for r in joined {
+                    r.unwrap();
+                }
+            });
         }
     }
 

@@ -10,6 +10,7 @@
 //! production forms and the checker step machines provably agree on
 //! which shard an operation touches.
 
+use std::mem::MaybeUninit;
 use std::ops::{Deref, DerefMut};
 
 /// Pads and aligns `T` to a 64-byte cache line so adjacent array
@@ -60,13 +61,13 @@ impl<T> DerefMut for CachePadded<T> {
 
 /// Upper bound on shard counts accepted by [`Sharding`].
 ///
-/// The sharded read paths keep their collect buffers on the stack
-/// (`[u64; MAX_SHARDS]`) so folds stay allocation-free; 256 shards
-/// costs 4 KiB of stack per collect — still trivial — and leaves
-/// headroom past any core count this repo targets. (The bound was 64
-/// before PR 6; the binary lane encoding made wide shard fans cheap
-/// enough to be worth allowing, since shard width no longer grows
-/// linearly in the stored values.)
+/// The sharded read paths keep their collect buffer on the stack (one
+/// uninitialized `[u64; MAX_SHARDS]`, of which a collect touches only
+/// its own shards) so folds stay allocation-free; 256 shards reserve
+/// 2 KiB of stack per collect and leave headroom past any core count
+/// this repo targets. (The bound was 64 until the binary lane encoding
+/// made wide shard fans cheap enough to be worth allowing, since shard
+/// width no longer grows linearly in the stored values.)
 pub const MAX_SHARDS: usize = 256;
 
 /// Shard-index arithmetic shared by `sl2_sharded`'s production forms
@@ -151,28 +152,38 @@ impl Sharding {
     }
 
     /// Probes every shard with `probe` until two consecutive collects
-    /// agree, returning the stable collect (entries past
-    /// `self.shards()` are zero). This is the shared read discipline of
+    /// agree, then hands `read` the stable collect — exactly
+    /// `self.shards()` entries. This is the shared read discipline of
     /// the sharded objects: shard projections are monotone, so equal
     /// collects pin each shard to its observed value over an interval
     /// common to all of them — the stable collect is an exact cut.
     /// Lock-free (a retry implies a concurrent write completed) and
-    /// allocation-free: the buffers live on the stack, which is what
-    /// [`MAX_SHARDS`] exists to bound.
-    pub fn stable_collect(&self, mut probe: impl FnMut(usize) -> u64) -> [u64; MAX_SHARDS] {
-        let s = self.shards;
-        let mut prev = [0u64; MAX_SHARDS];
-        let mut have_prev = false;
+    /// allocation-free: one stack buffer, which is what [`MAX_SHARDS`]
+    /// exists to bound, is filled once and then compared and
+    /// overwritten in place, pass by pass.
+    pub fn stable_collect<R>(
+        &self,
+        mut probe: impl FnMut(usize) -> u64,
+        read: impl FnOnce(&[u64]) -> R,
+    ) -> R {
+        let mut buf = [MaybeUninit::<u64>::uninit(); MAX_SHARDS];
+        let first = &mut buf[..self.shards];
+        for (i, slot) in first.iter_mut().enumerate() {
+            slot.write(probe(i));
+        }
+        // SAFETY: the loop above initialized every one of the slots,
+        // and `MaybeUninit<u64>` has `u64`'s layout.
+        let collect = unsafe { &mut *(first as *mut [MaybeUninit<u64>] as *mut [u64]) };
         loop {
-            let mut cur = [0u64; MAX_SHARDS];
-            for (i, slot) in cur.iter_mut().enumerate().take(s) {
-                *slot = probe(i);
+            let mut moved = false;
+            for (i, slot) in collect.iter_mut().enumerate() {
+                let v = probe(i);
+                moved |= *slot != v;
+                *slot = v;
             }
-            if have_prev && prev[..s] == cur[..s] {
-                return cur;
+            if !moved {
+                return read(collect);
             }
-            prev = cur;
-            have_prev = true;
         }
     }
 }
@@ -244,16 +255,21 @@ mod tests {
         // consecutive collects agree.
         let s = Sharding::new(3);
         let mut calls = 0;
-        let stable = s.stable_collect(|i| {
-            calls += 1;
-            if calls <= 2 {
-                0 // first pass sees shards 0 and 1 before the "write"
-            } else {
-                (i as u64) + 10
-            }
-        });
-        assert_eq!(&stable[..3], &[10, 11, 12]);
-        assert_eq!(stable[3..], [0u64; MAX_SHARDS - 3]);
-        assert!(calls >= 9, "at least three full passes: {calls}");
+        let stable = s.stable_collect(
+            |i| {
+                calls += 1;
+                if calls <= 2 {
+                    0 // first pass sees shards 0 and 1 before the "write"
+                } else {
+                    (i as u64) + 10
+                }
+            },
+            <[u64]>::to_vec,
+        );
+        assert_eq!(stable, [10, 11, 12], "exactly the shards, last pass");
+        assert_eq!(
+            calls, 9,
+            "three full passes: the second differs from the first"
+        );
     }
 }

@@ -145,8 +145,8 @@ impl ShardedFetchInc {
     /// collects agree (see `Sharding::stable_collect`), then sums.
     /// Lock-free; a retry implies a concurrent increment landed.
     pub fn read(&self) -> u64 {
-        let stable = self.sharding.stable_collect(|i| self.shard_count_of(i));
-        stable[..self.sharding.shards()].iter().sum()
+        self.sharding
+            .stable_collect(|i| self.shard_count_of(i), |counts| counts.iter().sum())
     }
 
     /// One-pass sum with no stability check — the wait-free but only

@@ -194,9 +194,10 @@ impl MaxRegister for ShardedMaxRegister {
         // Stable collect of the per-shard folds (see
         // `Sharding::stable_collect`): the returned fold is the exact
         // maximum at one instant inside the read.
-        let stable = self.sharding.stable_collect(|i| self.shard_fold(i));
-        self.sharding
-            .max_from_quotients(&stable[..self.sharding.shards()])
+        self.sharding.stable_collect(
+            |i| self.shard_fold(i),
+            |folds| self.sharding.max_from_quotients(folds),
+        )
     }
 }
 
