@@ -67,8 +67,8 @@ use crate::slots::{CombinerLock, Lease, PublicationArray, Published};
 /// sightings of one lease with no publication in between never happen
 /// while the holder makes progress); it is deliberately small so
 /// recovery is prompt — a merely *stalled* holder suspected wrongly is
-/// survived by the release validation and the monotone publication
-/// repair (DESIGN.md §10).
+/// survived by the release validation and the publication repair
+/// (DESIGN.md §10), which is not yet monotone (ROADMAP item 1).
 pub(crate) const RECLAIM_STRIKES: u64 = 2;
 
 /// Per-process abandonment evidence: the last `(lease, epoch)` pair
@@ -260,8 +260,11 @@ pub struct Combiner<O> {
     /// only by the election winner, so publications are totally
     /// ordered by the lock and the register needs no read-modify-write
     /// semantics — except across a wrongful reclaim, where two
-    /// publishers can overlap and the monotone repair in
-    /// `Published::publish` keeps the register from regressing.
+    /// publishers can overlap. `Published::publish` then swaps back a
+    /// larger displaced fold, but the register can still regress: a
+    /// read between its two swaps sees the smaller fold, and a third
+    /// publisher's fold swapped in between is overwritten (ROADMAP
+    /// item 1).
     published: Published,
 }
 
@@ -402,10 +405,12 @@ impl<O: Combinable> Combiner<O> {
     }
 
     /// The 1-load fast path: the last published whole-object fold.
-    /// Wait-free, one shared read; monotone across calls and never
-    /// ahead of the exact value — but it may trail operations that
-    /// completed on the direct path since the last publication
-    /// (DESIGN.md §8 has the strong-linearizability adjudication).
+    /// Wait-free, one shared read; monotone across calls while one
+    /// tenure publishes at a time (a wrongful reclaim can regress it,
+    /// ROADMAP item 1) and never ahead of the exact value — but it may
+    /// trail operations that completed on the direct path since the
+    /// last publication (DESIGN.md §8 has the strong-linearizability
+    /// adjudication).
     pub fn read_cached(&self) -> u64 {
         sl2_obs::count("combine.read_cached");
         self.published.read()

@@ -266,7 +266,8 @@ impl CombiningCounter {
     /// One publication attempt, with abandonment recovery when the
     /// caller has a process identity to accumulate suspicion under.
     /// The lease rides a `Tenure` guard (release-on-unwind), the
-    /// publication carries `Published::publish`'s monotone repair.
+    /// publication carries `Published::publish`'s two-swap repair
+    /// (not yet monotone, ROADMAP item 1).
     fn refresh_from(&self, process: Option<usize>) -> bool {
         let lease = match self.lock.try_acquire() {
             Some(lease) => {

@@ -361,11 +361,14 @@ impl Published {
         self.fold.read()
     }
 
-    /// Publishes `fold` with the monotone repair, then counts the
-    /// publication: folds only grow, so if the swap displaces a
-    /// *larger* value, a concurrent publisher (possible only across a
-    /// wrongful reclaim of a stalled-but-live tenure) got there with
-    /// fresher data — put it back.
+    /// Publishes `fold`, then counts the publication. Folds only grow,
+    /// so if the swap displaces a *larger* value, a concurrent
+    /// publisher (possible only across a wrongful reclaim of a
+    /// stalled-but-live tenure) got there with fresher data, and the
+    /// second swap puts it back. The repair is not monotone: a read
+    /// between the two swaps sees the smaller fold, and a third
+    /// publisher's fold swapped in between them is overwritten until
+    /// the next publication (ROADMAP item 1).
     pub(crate) fn publish(&self, fold: u64) {
         let prev = self.fold.swap(fold);
         if prev > fold {

@@ -3,8 +3,6 @@
 //! * [`agm_stack`] — Afek–Gafni–Morrison stack \[2\]: wait-free
 //!   linearizable from fetch&add + swap, **not** strongly linearizable
 //!   (Attiya–Enea \[9\]; reproduced by the checker here).
-//! * [`afek_snapshot`] — Afek et al. snapshot \[1\]: the original
-//!   motivating example of \[16\].
 //! * [`treiber_stack`], [`cas_queue`] — the compare&swap (consensus
 //!   number ∞) route to strong linearizability the paper contrasts
 //!   against.
@@ -14,9 +12,13 @@
 //! * [`multiword_faa`] — the §6 Discussion's open problem probed: the
 //!   naive wide-from-narrow fetch&add carry chain, refuted (not even
 //!   linearizable) by the checker.
+//! * [`aac_max_register`] — the Aspnes–Attiya–Censor bounded max
+//!   register \[6\], Theorem 1's comparison: wait-free and
+//!   linearizable from registers, refuted strongly linearizable.
+//!
+//! Each one's verdict is a pinned record in `sl2::records`.
 
 pub mod aac_max_register;
-pub mod afek_snapshot;
 pub mod agm_stack;
 pub mod cas_queue;
 pub mod multiplicity;

@@ -13,9 +13,9 @@
 //!
 //! [`baselines`] holds the comparison implementations: the objects the
 //! paper cites as linearizable but **not** strongly linearizable (the
-//! Afek–Attiya–Dolev–Gafni–Merritt–Shavit snapshot \[1\], the
-//! Afek–Gafni–Morrison stack \[2\]) and the compare&swap route the paper
-//! contrasts against (Treiber stack, CAS queue).
+//! Afek–Gafni–Morrison stack \[2\], the Aspnes–Attiya–Censor max
+//! register \[6\]) and the compare&swap route the paper contrasts
+//! against (Treiber stack, CAS queue).
 //!
 //! Construction inventory (paper item → module):
 //!
@@ -36,7 +36,6 @@
 #![warn(missing_debug_implementations)]
 
 pub mod algos;
-pub mod arena;
 pub mod baselines;
 pub mod graph;
 pub mod machines;

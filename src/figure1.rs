@@ -1,40 +1,21 @@
 //! Experiment E1: regenerate **Figure 1** of the paper as a
 //! machine-checked table.
 //!
-//! Figure 1 summarizes the paper's constructions: which objects are
-//! implementable from which primitives, with solid arrows for
-//! wait-free and dashed arrows for lock-free implementations. Here
-//! every positive edge is *verified* — the implementation is run
-//! through the strong-linearizability checker on bounded scenarios and
-//! its progress bound is measured — and the central negative result
-//! (no lock-free strongly-linearizable stack/queue from
-//! consensus-number-2 primitives, Theorem 17) is *witnessed* by the
-//! checker refuting the AGM stack while passing the CAS-based stack on
-//! the same scenario.
+//! Figure 1 maps which objects have strongly-linearizable
+//! implementations from which primitives (solid arrows wait-free,
+//! dashed lock-free). Each edge names a family of pinned records
+//! ([`crate::records`]): a positive edge is *verified* when every
+//! record of its family is certified; Theorem 17's negative is
+//! *witnessed* when any is refuted. Steps per operation are measured
+//! over ten random schedules per record.
 
-use sl2_core::baselines::agm_stack::AgmStackAlg;
-use sl2_core::baselines::cas_queue::CasQueueAlg;
-use sl2_core::baselines::multiplicity::MultQueueAlg;
-use sl2_core::baselines::treiber_stack::TreiberStackAlg;
-use sl2_core::machines::fetch_inc::FetchIncAlg;
-use sl2_core::machines::fetch_inc_composed::FetchIncComposedAlg;
-use sl2_core::machines::max_register::MaxRegAlg;
-use sl2_core::machines::multishot_ts::MultiShotTasAlg;
-use sl2_core::machines::readable_ts::ReadableTasAlg;
-use sl2_core::machines::rw_max_register::RwMaxRegAlg;
-use sl2_core::machines::simple::SimpleAlg;
-use sl2_core::machines::sl_set::SlSetAlg;
-use sl2_core::machines::snapshot::SnapshotAlg;
-use sl2_exec::machine::Algorithm;
-use sl2_exec::sched::{run, CrashPlan, RandomSched, Scenario};
-use sl2_exec::strong::check_strong;
-use sl2_exec::SimMemory;
-use sl2_spec::counters::{CounterOp, CounterSpec, FetchIncOp};
-use sl2_spec::fifo::{QueueOp, StackOp};
-use sl2_spec::max_register::MaxOp;
-use sl2_spec::put_take::SetOp;
-use sl2_spec::snapshot::SnapOp;
-use sl2_spec::tas::TasOp;
+use std::collections::HashMap;
+
+use sl2_exec::sched::{run, CrashPlan, RandomSched};
+use sl2_exec::{Algorithm, CorpusOptions, CorpusReport, CorpusVerdict, ScenarioCorpus, SimMemory};
+use sl2_spec::Spec;
+
+use crate::records::{self, Driver, Only};
 
 /// Progress property of an edge, as drawn in Figure 1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,27 +26,9 @@ pub enum Progress {
     LockFree,
 }
 
-/// Verdict for one edge of the figure.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Verdict {
-    /// Strong linearizability verified on all scenarios; the measured
-    /// per-operation step bound is attached for wait-free edges.
-    VerifiedSl {
-        /// States explored by the checker, summed over scenarios.
-        checker_nodes: usize,
-        /// Largest per-operation step count observed (progress bound).
-        max_op_steps: u64,
-    },
-    /// The checker refuted strong linearizability (negative results).
-    RefutedSl {
-        /// The failing schedule reported by the checker.
-        witness: String,
-    },
-}
-
-/// One row of the regenerated figure.
-#[derive(Debug, Clone)]
-pub struct EdgeReport {
+/// One edge of the figure and the records that referee it.
+#[derive(Debug)]
+pub struct Edge {
     /// Short identifier (theorem / corollary).
     pub claim: &'static str,
     /// Base objects (arrow tail).
@@ -77,6 +40,63 @@ pub struct EdgeReport {
     /// Whether the paper asserts the edge exists (`true`) or proves it
     /// cannot (`false`).
     pub positive: bool,
+    /// Name prefix of the edge's record family.
+    pub family: &'static str,
+}
+
+#[rustfmt::skip]
+const fn edge(claim: &'static str, from: &'static str, to: &'static str, progress: Progress, positive: bool, family: &'static str) -> Edge {
+    Edge { claim, from, to, progress, positive, family }
+}
+
+/// The figure's edges, in table order. Theorem 17 covers the
+/// relaxations too (\[11\]'s queue and stack with multiplicity), and the
+/// compare&swap stack and queue are the consensus-number-∞ contrast
+/// of \[16, 24\].
+#[rustfmt::skip]
+pub const EDGES: [Edge; 13] = {
+    use Progress::{LockFree as Lf, WaitFree as Wf};
+    [
+        edge("Thm 1", "fetch&add", "max register", Wf, true, "thm1/"),
+        edge("Thm 2", "fetch&add", "snapshot", Wf, true, "snapshot/"),
+        edge("Thm 3", "snapshot", "simple types (counter)", Wf, true, "fig1/thm3/"),
+        edge("Thm 5", "test&set", "readable test&set", Wf, true, "fig1/thm5/"),
+        edge("Thm 6 / Cor 7", "readable test&set + max register", "multi-shot test&set", Wf, true, "fig1/thm6/"),
+        edge("Cor 8 ([18,27])", "read/write registers", "max register (lock-free)", Lf, true, "fig1/cor8/"),
+        edge("Thm 9", "readable test&set", "fetch&increment", Lf, true, "thm9/"),
+        edge("Thm 9 ∘ Thm 5", "test&set (raw, inlined)", "fetch&increment", Lf, true, "fig1/thm9_5/"),
+        edge("Thm 10", "test&set + fetch&increment", "set (put/take)", Lf, true, "fig1/thm10/"),
+        edge("Thm 17 (AGM [2])", "fetch&add + swap", "stack", Lf, false, "agm/"),
+        edge("Thm 17 ([11])", "read/write registers", "queue w/ multiplicity", Wf, false, "fig1/thm17_mult/"),
+        edge("[24] contrast", "compare&swap", "stack (Treiber)", Lf, true, "treiber/"),
+        edge("[24] contrast", "compare&swap", "queue", Lf, true, "cas_queue/"),
+    ]
+};
+
+/// Verdict for one edge of the figure.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Verdict {
+    /// Every record of the family certified.
+    VerifiedSl {
+        /// States the checker explored, summed over the family.
+        checker_nodes: usize,
+        /// Largest per-operation step count observed (progress bound).
+        max_op_steps: u64,
+    },
+    /// A record of the family was refuted (negative results).
+    RefutedSl {
+        /// The first refuted record.
+        record: String,
+        /// Steps in its refutation witness.
+        witness_steps: usize,
+    },
+}
+
+/// One row of the regenerated figure.
+#[derive(Debug, Clone)]
+pub struct EdgeReport {
+    /// The edge.
+    pub edge: &'static Edge,
     /// What the checker found.
     pub verdict: Verdict,
 }
@@ -85,352 +105,91 @@ impl EdgeReport {
     /// Whether the machine-checked verdict agrees with the paper.
     pub fn matches_paper(&self) -> bool {
         matches!(
-            (&self.verdict, self.positive),
+            (&self.verdict, self.edge.positive),
             (Verdict::VerifiedSl { .. }, true) | (Verdict::RefutedSl { .. }, false)
         )
     }
 }
 
-fn verify<A: Algorithm>(
-    make: impl Fn(&mut SimMemory) -> A,
-    scenarios: Vec<Scenario<A::Spec>>,
-    node_limit: usize,
-) -> Verdict {
-    let mut nodes = 0;
-    let mut max_steps = 0;
-    for scenario in scenarios {
-        let mut mem = SimMemory::new();
-        let alg = make(&mut mem);
-        // Progress measurement over random schedules.
-        for seed in 0..10 {
-            let exec = run(
-                &alg,
-                mem.clone(),
-                &scenario,
-                &mut RandomSched::seeded(seed),
-                &CrashPlan::none(scenario.processes()),
-            );
-            max_steps = max_steps.max(exec.max_op_steps());
+/// Checks each record memo-on into `report` and records its largest
+/// per-operation step count over schedule seeds 0–9.
+struct Checked {
+    report: CorpusReport,
+    steps: HashMap<String, u64>,
+}
+
+impl Driver for Checked {
+    fn drive<A, F>(&mut self, corpus: &ScenarioCorpus<A::Spec>, make: F)
+    where
+        A: Algorithm,
+        <A::Spec as Spec>::Op: Sync,
+        F: Fn(&mut SimMemory) -> A + Sync,
+    {
+        corpus.run_into(&make, &CorpusOptions::default(), &mut self.report);
+        for (name, scenario) in corpus.entries() {
+            let mut mem = SimMemory::new();
+            let alg = make(&mut mem);
+            let crashes = CrashPlan::none(scenario.processes());
+            let steps = (0..10)
+                .map(|seed| {
+                    let mut sched = RandomSched::seeded(seed);
+                    run(&alg, mem.clone(), scenario, &mut sched, &crashes).max_op_steps()
+                })
+                .max();
+            self.steps.insert(name.clone(), steps.unwrap_or(0));
         }
-        let report = check_strong(&alg, mem, &scenario, node_limit);
-        match report.witness {
-            Some(w) if !report.strongly_linearizable => {
-                return Verdict::RefutedSl {
-                    witness: format!("{}; {}", w.path.join(" → "), w.detail),
-                };
-            }
-            _ => nodes += report.nodes,
-        }
-    }
-    Verdict::VerifiedSl {
-        checker_nodes: nodes,
-        max_op_steps: max_steps,
     }
 }
 
-/// Runs the full Figure 1 evaluation. With `quick`, smaller scenario
-/// suites are used (a few seconds); otherwise larger ones.
-pub fn evaluate(quick: bool) -> Vec<EdgeReport> {
-    let mut rows = Vec::new();
-    let limit = if quick { 4_000_000 } else { 32_000_000 };
-
-    // Theorem 1: fetch&add → max register (wait-free).
-    rows.push(EdgeReport {
-        claim: "Thm 1",
-        from: "fetch&add",
-        to: "max register",
-        progress: Progress::WaitFree,
-        positive: true,
-        verdict: verify(
-            |mem| MaxRegAlg::new(mem, 3),
-            vec![
-                Scenario::new(vec![
-                    vec![MaxOp::Write(2)],
-                    vec![MaxOp::Write(5)],
-                    vec![MaxOp::Read, MaxOp::Read],
-                ]),
-                Scenario::new(vec![
-                    vec![MaxOp::Write(3), MaxOp::Read],
-                    vec![MaxOp::Write(1), MaxOp::Write(4)],
-                    vec![],
-                ]),
-            ],
-            limit,
-        ),
-    });
-
-    // Theorem 2: fetch&add → atomic snapshot (wait-free).
-    rows.push(EdgeReport {
-        claim: "Thm 2",
-        from: "fetch&add",
-        to: "snapshot",
-        progress: Progress::WaitFree,
-        positive: true,
-        verdict: verify(
-            |mem| SnapshotAlg::new(mem, 2),
-            vec![
-                Scenario::new(vec![
-                    vec![SnapOp::Update { i: 0, v: 2 }, SnapOp::Update { i: 0, v: 1 }],
-                    vec![SnapOp::Scan, SnapOp::Scan],
-                ]),
-                Scenario::new(vec![
-                    vec![SnapOp::Update { i: 0, v: 7 }, SnapOp::Scan],
-                    vec![SnapOp::Update { i: 1, v: 3 }, SnapOp::Scan],
-                ]),
-            ],
-            limit,
-        ),
-    });
-
-    // Theorem 3: snapshot → simple types (wait-free); counter instance.
-    rows.push(EdgeReport {
-        claim: "Thm 3",
-        from: "snapshot",
-        to: "simple types (counter)",
-        progress: Progress::WaitFree,
-        positive: true,
-        verdict: verify(
-            |mem| SimpleAlg::new(mem, 2, CounterSpec),
-            vec![
-                Scenario::new(vec![
-                    vec![CounterOp::Inc, CounterOp::Read],
-                    vec![CounterOp::Inc],
-                ]),
-                Scenario::new(vec![
-                    vec![CounterOp::Inc, CounterOp::Inc],
-                    vec![CounterOp::Read, CounterOp::Read],
-                ]),
-            ],
-            limit,
-        ),
-    });
-
-    // Theorem 5: test&set → readable test&set (wait-free).
-    rows.push(EdgeReport {
-        claim: "Thm 5",
-        from: "test&set",
-        to: "readable test&set",
-        progress: Progress::WaitFree,
-        positive: true,
-        verdict: verify(
-            ReadableTasAlg::new,
-            vec![
-                Scenario::new(vec![
-                    vec![TasOp::TestAndSet],
-                    vec![TasOp::TestAndSet],
-                    vec![TasOp::Read, TasOp::Read],
-                ]),
-                Scenario::new(vec![
-                    vec![TasOp::TestAndSet, TasOp::Read],
-                    vec![TasOp::Read, TasOp::TestAndSet],
-                ]),
-            ],
-            limit,
-        ),
-    });
-
-    // Theorem 6 / Corollary 7: readable test&set + max register →
-    // readable multi-shot test&set (wait-free).
-    rows.push(EdgeReport {
-        claim: "Thm 6 / Cor 7",
-        from: "readable test&set + max register",
-        to: "multi-shot test&set",
-        progress: Progress::WaitFree,
-        positive: true,
-        verdict: verify(
-            MultiShotTasAlg::new,
-            vec![
-                Scenario::new(vec![
-                    vec![TasOp::TestAndSet, TasOp::Reset],
-                    vec![TasOp::TestAndSet],
-                ]),
-                Scenario::new(vec![
-                    vec![TasOp::TestAndSet],
-                    vec![TasOp::Reset],
-                    vec![TasOp::Read, TasOp::Read],
-                ]),
-            ],
-            limit,
-        ),
-    });
-
-    // Corollary 8 ingredient: registers → max register (lock-free).
-    rows.push(EdgeReport {
-        claim: "Cor 8 ([18,27])",
-        from: "read/write registers",
-        to: "max register (lock-free)",
-        progress: Progress::LockFree,
-        positive: true,
-        verdict: verify(
-            |mem| RwMaxRegAlg::new(mem, 2),
-            vec![Scenario::new(vec![
-                vec![MaxOp::Write(2), MaxOp::Read],
-                vec![MaxOp::Write(5)],
-            ])],
-            limit,
-        ),
-    });
-
-    // Theorem 9: test&set → readable fetch&increment (lock-free).
-    rows.push(EdgeReport {
-        claim: "Thm 9",
-        from: "readable test&set",
-        to: "fetch&increment",
-        progress: Progress::LockFree,
-        positive: true,
-        verdict: verify(
-            FetchIncAlg::new,
-            vec![
-                Scenario::new(vec![
-                    vec![FetchIncOp::FetchInc],
-                    vec![FetchIncOp::FetchInc],
-                    vec![FetchIncOp::Read],
-                ]),
-                Scenario::new(vec![
-                    vec![FetchIncOp::FetchInc, FetchIncOp::FetchInc],
-                    vec![FetchIncOp::Read, FetchIncOp::FetchInc],
-                ]),
-            ],
-            limit,
-        ),
-    });
-
-    // Theorem 9 ∘ Theorem 5, composed in one machine: plain test&set →
-    // fetch&increment with the readable test&set base objects inlined
-    // (the executable form of composability, [9, Thm 10]).
-    rows.push(EdgeReport {
-        claim: "Thm 9 ∘ Thm 5",
-        from: "test&set (raw, inlined)",
-        to: "fetch&increment",
-        progress: Progress::LockFree,
-        positive: true,
-        verdict: verify(
-            FetchIncComposedAlg::new,
-            vec![
-                Scenario::new(vec![
-                    vec![FetchIncOp::FetchInc],
-                    vec![FetchIncOp::FetchInc],
-                    vec![FetchIncOp::Read],
-                ]),
-                Scenario::new(vec![
-                    vec![FetchIncOp::FetchInc, FetchIncOp::FetchInc],
-                    vec![FetchIncOp::Read, FetchIncOp::FetchInc],
-                ]),
-            ],
-            limit,
-        ),
-    });
-
-    // Theorem 10: test&set (+ fetch&inc) → set (lock-free).
-    rows.push(EdgeReport {
-        claim: "Thm 10",
-        from: "test&set + fetch&increment",
-        to: "set (put/take)",
-        progress: Progress::LockFree,
-        positive: true,
-        verdict: verify(
-            SlSetAlg::new,
-            vec![
-                Scenario::new(vec![vec![SetOp::Put(1)], vec![SetOp::Take]]),
-                Scenario::new(vec![vec![SetOp::Put(5), SetOp::Take], vec![SetOp::Take]]),
-            ],
-            limit,
-        ),
-    });
-
-    // Theorem 17 (negative): fetch&add + swap ↛ stack. The AGM stack
-    // is the best-known candidate, and the checker refutes it.
-    rows.push(EdgeReport {
-        claim: "Thm 17 (AGM [2])",
-        from: "fetch&add + swap",
-        to: "stack",
-        progress: Progress::LockFree,
-        positive: false,
-        verdict: verify(
-            AgmStackAlg::new,
-            vec![Scenario::new(vec![
-                vec![StackOp::Push(1)],
-                vec![StackOp::Push(2)],
-                vec![StackOp::Pop, StackOp::Pop],
-            ])],
-            if quick { 8_000_000 } else { 32_000_000 },
-        ),
-    });
-
-    // Theorem 17 also covers the relaxations: the read/write queue
-    // with multiplicity ([11] style) is wait-free and linearizable
-    // w.r.t. its relaxed spec, yet the checker refutes strong
-    // linearizability (racing collect-based timestamps).
-    rows.push(EdgeReport {
-        claim: "Thm 17 ([11])",
-        from: "read/write registers",
-        to: "queue w/ multiplicity",
-        progress: Progress::WaitFree,
-        positive: false,
-        verdict: verify(
-            |mem| MultQueueAlg::new(mem, 3),
-            vec![Scenario::new(vec![
-                vec![QueueOp::Enq(1)],
-                vec![QueueOp::Enq(2)],
-                vec![QueueOp::Deq, QueueOp::Deq],
-            ])],
-            if quick { 12_000_000 } else { 48_000_000 },
-        ),
-    });
-
-    // Contrast: compare&swap → stack / queue ARE strongly
-    // linearizable (the consensus-number-∞ route of [16, 24]).
-    rows.push(EdgeReport {
-        claim: "[24] contrast",
-        from: "compare&swap",
-        to: "stack (Treiber)",
-        progress: Progress::LockFree,
-        positive: true,
-        verdict: verify(
-            TreiberStackAlg::new,
-            vec![Scenario::new(vec![
-                vec![StackOp::Push(1)],
-                vec![StackOp::Push(2)],
-                vec![StackOp::Pop, StackOp::Pop],
-            ])],
-            if quick { 16_000_000 } else { 64_000_000 },
-        ),
-    });
-    rows.push(EdgeReport {
-        claim: "[24] contrast",
-        from: "compare&swap",
-        to: "queue",
-        progress: Progress::LockFree,
-        positive: true,
-        verdict: verify(
-            CasQueueAlg::new,
-            vec![Scenario::new(vec![
-                vec![QueueOp::Enq(1)],
-                vec![QueueOp::Enq(2)],
-                vec![QueueOp::Deq, QueueOp::Deq],
-            ])],
-            if quick { 8_000_000 } else { 32_000_000 },
-        ),
-    });
-
-    rows
+/// Runs the Figure 1 evaluation: checks every edge's record family.
+///
+/// # Panics
+///
+/// Panics if a family is empty or one of its records lands `Bounded`
+/// (a verdict needs every record decided).
+pub fn evaluate() -> Vec<EdgeReport> {
+    let mut driver = Only {
+        keep: |name: &str| EDGES.iter().any(|e| name.starts_with(e.family)),
+        inner: Checked {
+            report: CorpusReport::new(usize::MAX),
+            steps: HashMap::new(),
+        },
+    };
+    records::all(&mut driver);
+    let Checked { report, steps } = driver.inner;
+    let verdict = |edge: &'static Edge| {
+        let family: Vec<_> = (report.records.iter())
+            .filter(|r| r.name.starts_with(edge.family))
+            .collect();
+        assert!(!family.is_empty(), "{}: no records", edge.family);
+        for r in &family {
+            assert_ne!(r.verdict, CorpusVerdict::Bounded, "{}: undecided", r.name);
+        }
+        let verdict = match family.iter().find(|r| r.verdict == CorpusVerdict::Refuted) {
+            Some(r) => Verdict::RefutedSl {
+                record: r.name.clone(),
+                witness_steps: r.witness_steps,
+            },
+            None => Verdict::VerifiedSl {
+                checker_nodes: family.iter().map(|r| r.nodes).sum(),
+                max_op_steps: family.iter().map(|r| steps[&r.name]).max().unwrap_or(0),
+            },
+        };
+        EdgeReport { edge, verdict }
+    };
+    EDGES.iter().map(verdict).collect()
 }
 
-/// Formats the evaluation as the figure's table.
+/// Formats the evaluation as the figure's table, each column as wide
+/// as its widest cell.
 pub fn render(rows: &[EdgeReport]) -> String {
-    let mut out = String::new();
-    out.push_str(
-        "claim           | from                              | to                         | arrow     | paper | checker\n",
-    );
-    out.push_str(
-        "----------------+-----------------------------------+----------------------------+-----------+-------+--------\n",
-    );
+    let mut table = vec![["claim", "from", "to", "arrow", "paper", "checker"].map(String::from)];
     for r in rows {
-        let arrow = match r.progress {
+        let arrow = match r.edge.progress {
             Progress::WaitFree => "wait-free",
             Progress::LockFree => "lock-free",
         };
-        let paper = if r.positive { "SL" } else { "not SL" };
+        let paper = if r.edge.positive { "SL" } else { "not SL" };
         let checker = match &r.verdict {
             Verdict::VerifiedSl {
                 checker_nodes,
@@ -438,10 +197,25 @@ pub fn render(rows: &[EdgeReport]) -> String {
             } => format!("SL ✓ ({checker_nodes} states, ≤{max_op_steps} steps/op)"),
             Verdict::RefutedSl { .. } => "not SL ✗ (witness found)".to_owned(),
         };
-        out.push_str(&format!(
-            "{:<15} | {:<33} | {:<26} | {:<9} | {:<5} | {}\n",
-            r.claim, r.from, r.to, arrow, paper, checker
-        ));
+        let e = r.edge;
+        table.push([e.claim, e.from, e.to, arrow, paper, &checker].map(String::from));
+    }
+    let mut widths = [0; 6];
+    for row in &table {
+        for (w, cell) in widths.iter_mut().zip(row) {
+            *w = cell.chars().count().max(*w);
+        }
+    }
+    let line = |cells: Vec<String>, sep: &str| cells.join(sep).trim_end().to_owned() + "\n";
+    let pad = |row: &[String; 6]| {
+        (row.iter().zip(widths))
+            .map(|(c, w)| format!("{c:<w$}"))
+            .collect()
+    };
+    let mut out = line(pad(&table[0]), " | ");
+    out += &line(widths.iter().map(|w| "-".repeat(*w)).collect(), "-+-");
+    for row in &table[1..] {
+        out += &line(pad(row), " | ");
     }
     out
 }

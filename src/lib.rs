@@ -27,7 +27,7 @@
 //!   execution trees).
 //! * [`sl2_core`] — every construction from the paper, in checkable
 //!   step-machine form *and* production real-atomics form, plus the
-//!   baselines (AGM stack, Afek et al. snapshot, Treiber stack, CAS
+//!   baselines (AGM stack, AAC max register, Treiber stack, CAS
 //!   queue).
 //! * [`sl2_agreement`] — Section 5: k-ordering objects (Definition
 //!   11), Algorithm B (Lemma 12), test&set consensus; the executable
@@ -171,6 +171,7 @@
 #![warn(missing_docs)]
 
 pub mod figure1;
+pub mod records;
 
 pub use sl2_agreement as agreement;
 pub use sl2_bignum as bignum;

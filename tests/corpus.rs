@@ -1,59 +1,49 @@
-//! Experiments E23/E28: the batch corpus re-certification, now under
-//! the parallel driver.
+//! Experiments E23/E28/E57: the batch re-certification of every pinned
+//! record, under the parallel driver.
 //!
-//! Every semantic claim this repo has shipped flows through
-//! `check_strong`; PR 4 replaced its collision-prone memo with
-//! equality-checked canonical keys, so every claim must be re-proved
-//! under the fixed referee. This suite assembles the shipped verdicts
-//! — the Theorem-1/9 certificate families (E2, E7, E18), the
-//! AGM/Treiber/CAS boundary (E11), the sharded frontier adjudication
-//! at S ∈ {1, 2, 4} (E20–E21), the PR-5 combining adjudication
-//! (E27: stable-read scenarios certified, cached-read scenarios
-//! refuted with replayable witnesses), and the PR-6 binary-encoding
-//! twins (E31) — into `ScenarioCorpus` batches,
-//! runs them under one shared node budget, and asserts three drivers
-//! agree record for record: parallel memo-on (the CI configuration),
-//! serial memo-on, serial memo-off. The twins whose lanes go through
-//! the shared `LaneEncoding` codec are additionally run as *binary
-//! siblings* (the encoding `KeyObject` ships) and must explore exactly
-//! their unary records' graphs.
+//! Every semantic claim this repo ships is a record in one list,
+//! `sl2::records::all` — the Theorem-1/9 certificate families (E2, E7,
+//! E18), the AGM/Treiber/CAS boundary (E11), the sharded frontier
+//! adjudication at S ∈ {1, 2, 4} (E20–E21), the combining adjudication
+//! (E27), the binary-encoding twins (E31), the service dispatch twin
+//! (E43), the other twins (snapshots, relaxed counters, abandoned-lock
+//! fronts, binary dispatch), the Figure-1 scenarios those families lack
+//! and the edges no family above covers (`fig1/…`), and the AAC and
+//! multiword fetch&add baselines. This suite drives that list three ways and
+//! asserts they agree record for record: parallel memo-on (the CI
+//! configuration), serial memo-on, and parallel memo-off. The twins whose
+//! lanes go through the shared `LaneEncoding` codec are additionally
+//! run as *binary siblings* (the encoding `KeyObject` ships) and must
+//! explore exactly their unary records' graphs. `examples/figure1`
+//! renders Figure 1 from the same list.
 //!
 //! When `SL2_CORPUS_JSON` is set, the parallel memo-on `CorpusReport`
-//! is written there as JSON lines — CI's corpus-smoke step uploads
-//! it; the benchmark's `checker` workload times the same records.
+//! is written there as JSON lines — CI's corpus step uploads it and
+//! diffs its shape against the fixture; the benchmark's `checker`
+//! workload times its own copy of the first 64 records.
 //!
-//! `tests/data/corpus_shape.jsonl` pins the search itself, record by
-//! record: the deterministic fields of the memo-on report plus the
-//! memo-off node count (`"corpus":"shape"` lines), and every
-//! refutation's witness as printed (`"corpus":"witness"` lines). It
-//! was generated at the parent of PR 24, so an engine change that keeps
-//! it green explores the same graph and prints the same refutations.
-//! Each comparing test first writes what it computed to
+//! `tests/data/corpus_shape.jsonl` is the one fixture. It pins the
+//! search itself, record by record: the deterministic fields of the
+//! memo-on report plus the memo-off node count (`"corpus":"shape"`
+//! lines, in list order), and every refutation's witness as printed
+//! (`"corpus":"witness"` lines). Its first 64 shape and 16 witness
+//! lines were generated before the E50 engine rewrite, and the twins'
+//! 25 shape lines before the twins moved onto the shared steps of
+//! `sl2_exec::lanes`, so an engine change that keeps it green explores
+//! the same graphs and prints the same refutations. Each comparing
+//! test first writes what it computed to
 //! `$CARGO_TARGET_TMPDIR/corpus_shape.<kind>.jsonl`; after a deliberate
-//! corpus change, concatenating the two files (shape, then witness)
-//! is the new fixture. `tests/data/twin_shape.jsonl` pins the twins the
-//! corpus does not run in the same shape lines (written to
-//! `$CARGO_TARGET_TMPDIR/twin_shape.shape.jsonl`); it was generated
-//! before the twins moved onto the shared steps of `sl2_exec::lanes`.
-
-use std::cell::RefCell;
+//! change to the list, concatenating the two files (shape, then
+//! witness) is the new fixture.
 
 use sl2::prelude::*;
+use sl2::records::{self, Only, Parallel, Serial, Witnesses};
 use sl2_core::baselines::agm_stack::AgmStackAlg;
-use sl2_core::baselines::cas_queue::CasQueueAlg;
-use sl2_core::baselines::treiber_stack::TreiberStackAlg;
-use sl2_service::machines::{
-    cross_key_lagging_scenario, cross_key_scenario, same_key_fan_in_lagging_scenario,
-    same_key_fan_in_scenario, KeyedDispatchAlg, LaggingKeyedDispatchAlg, RouteMode,
-};
-use sl2_spec::counters::{CounterOp, FetchIncOp, FetchIncSpec};
-use sl2_spec::fifo::{QueueOp, QueueSpec, StackOp, StackSpec};
-use sl2_spec::keyed::{KeyedMaxSpec, LaggingKeyedMaxSpec};
-use sl2_spec::max_register::{MaxOp, MaxRegisterSpec};
-use sl2_spec::snapshot::SnapOp;
+use sl2_spec::fifo::StackOp;
 
-/// Global node budget shared by the whole re-certification pass; the
-/// memo-on run spends well under a million nodes, so this is headroom,
+/// Global node budget of each re-certification pass; the memo-on pass
+/// spends well under a million nodes and the memo-off pass ~22M (16M of
+/// them in the two `ALLOWED_BOUNDED_OFF` anchors), so this is headroom,
 /// not a cliff — but a runaway scenario surfaces as a `Bounded` record
 /// instead of an eaten CI hour. Sized ≥ `corpus_threads() × the 8M
 /// per-scenario limit`: the parallel driver *reserves* each scenario's
@@ -74,11 +64,6 @@ const NODE_BUDGET: usize = 256_000_000;
 /// genuine disagreement from hiding behind budget exhaustion.
 const ALLOWED_BOUNDED_OFF: &[&str] = &["combining_stable_s1/fan_in", "combining_stable_s2/fan_in"];
 
-/// Global node budget for the memo-off pass: the exempted combining
-/// anchors burn their full per-scenario caps before landing `Bounded`,
-/// so the differential pass needs headroom the memo-on pass does not.
-const OFF_NODE_BUDGET: usize = 64_000_000;
-
 fn options(memoize: bool) -> CorpusOptions {
     CorpusOptions {
         per_scenario_limit: 8_000_000,
@@ -90,189 +75,8 @@ fn options(memoize: bool) -> CorpusOptions {
     }
 }
 
-/// Theorem 1 max register: symmetric, fan-in, and tower families —
-/// every member certified (E2/E18). The 1100-op tower crosses the old
-/// 1024-ops-per-process packing limit on purpose.
-fn max_register_corpus() -> ScenarioCorpus<MaxRegisterSpec> {
-    let alphabet = [MaxOp::Write(1), MaxOp::Write(3), MaxOp::Read];
-    let mut corpus = ScenarioCorpus::new();
-    corpus.symmetric_family("thm1", &[2], &alphabet, 2);
-    corpus.fan_in_family("thm1", &alphabet, 2, &[MaxOp::Read]);
-    corpus.tower_family(
-        "thm1",
-        &[MaxOp::Write(2), MaxOp::Read],
-        &[4, 6],
-        &[vec![MaxOp::Write(5)]],
-    );
-    corpus.tower_family("thm1", &[MaxOp::Write(2), MaxOp::Read], &[1100], &[]);
-    corpus
-}
-
-/// Theorem 9 fetch&increment: the E7/E18 mixes — every member
-/// certified.
-fn fetch_inc_corpus() -> ScenarioCorpus<FetchIncSpec> {
-    let alphabet = [FetchIncOp::FetchInc, FetchIncOp::Read];
-    let mut corpus = ScenarioCorpus::new();
-    corpus.symmetric_family("thm9", &[2], &alphabet, 2);
-    corpus.fan_in_family("thm9", &alphabet, 2, &[FetchIncOp::Read]);
-    corpus
-}
-
-/// The E11 stack scenarios, named per algorithm under test so the AGM
-/// and Treiber runs keep distinct records.
-fn stack_corpus(prefix: &str) -> ScenarioCorpus<StackSpec> {
-    let mut corpus = ScenarioCorpus::new();
-    corpus.push(
-        format!("{prefix}/witness_scenario"),
-        Scenario::new(vec![
-            vec![StackOp::Push(1)],
-            vec![StackOp::Push(2)],
-            vec![StackOp::Pop, StackOp::Pop],
-        ]),
-    );
-    corpus.push(
-        format!("{prefix}/single_pusher"),
-        Scenario::new(vec![
-            vec![StackOp::Push(1)],
-            vec![StackOp::Pop, StackOp::Pop],
-        ]),
-    );
-    corpus
-}
-
-/// Sharded max register at one shard count: the two §6 anchors.
-fn sharded_corpus(shards: usize) -> ScenarioCorpus<MaxRegisterSpec> {
-    let mut corpus = ScenarioCorpus::new();
-    corpus.push(
-        format!("sharded_s{shards}/frontier_safe"),
-        frontier_safe_max_scenario(shards),
-    );
-    corpus.push(
-        format!("sharded_s{shards}/fan_in"),
-        fan_in_max_scenario(shards),
-    );
-    corpus
-}
-
-/// The same §6 anchors through the binary lane encoding (E31): the
-/// verdict table must be encoding-independent.
-fn sharded_binary_corpus(shards: usize) -> ScenarioCorpus<MaxRegisterSpec> {
-    let mut corpus = ScenarioCorpus::new();
-    corpus.push(
-        format!("sharded_binary_s{shards}/frontier_safe"),
-        frontier_safe_max_scenario(shards),
-    );
-    corpus.push(
-        format!("sharded_binary_s{shards}/fan_in"),
-        fan_in_max_scenario(shards),
-    );
-    corpus
-}
-
-/// The sharded counter adjudication (E21), named per read mode. Home
-/// shards depend on process indices, so these corpora keep
-/// process-permuted members (`without_dedup`).
-fn counter_corpus<S: Spec<Op = CounterOp>>(prefix: &str) -> ScenarioCorpus<S> {
-    let mut corpus = ScenarioCorpus::without_dedup();
-    corpus.push(
-        format!("{prefix}/fan_in"),
-        fan_in::<S>(vec![CounterOp::Inc, CounterOp::Inc], vec![CounterOp::Read]),
-    );
-    corpus.push(
-        format!("{prefix}/inc_read_pair"),
-        Scenario::new(vec![
-            vec![CounterOp::Inc, CounterOp::Read],
-            vec![CounterOp::Inc],
-        ]),
-    );
-    corpus
-}
-
-/// The PR-5 combining max-register adjudication at one shard count
-/// (E27): the frontier-safe and fan-in anchors, routed through the
-/// combining front-end, named per read mode.
-fn combining_corpus(shards: usize, mode: ReadMode) -> ScenarioCorpus<MaxRegisterSpec> {
-    let tag = match mode {
-        ReadMode::Cached => "cached",
-        ReadMode::Stable => "stable",
-    };
-    let mut corpus = ScenarioCorpus::new();
-    corpus.push(
-        format!("combining_{tag}_s{shards}/frontier_safe"),
-        combining_frontier_safe_scenario(shards),
-    );
-    corpus.push(
-        format!("combining_{tag}_s{shards}/fan_in"),
-        cached_fan_in_max_scenario(),
-    );
-    corpus
-}
-
-/// A corpus of one record.
-fn one<S: Spec>(name: &str, scenario: Scenario<S>) -> ScenarioCorpus<S> {
-    let mut corpus = ScenarioCorpus::without_dedup();
-    corpus.push(name, scenario);
-    corpus
-}
-
-/// The ISSUE-9 service dispatch twin (E43): the canonical cross-key /
-/// same-key anchors against the exact keyed spec, named per route
-/// mode.
-fn service_corpus(tag: &str) -> ScenarioCorpus<KeyedMaxSpec> {
-    let mut corpus = ScenarioCorpus::new();
-    corpus.push(format!("service_{tag}/cross_key"), cross_key_scenario());
-    corpus.push(format!("service_{tag}/fan_in"), same_key_fan_in_scenario());
-    corpus
-}
-
-/// The cached twin under the per-key lagging spec (window k = 2).
-fn service_lagging_corpus() -> ScenarioCorpus<LaggingKeyedMaxSpec> {
-    let mut corpus = ScenarioCorpus::new();
-    corpus.push("service_lagging_k2/cross_key", cross_key_lagging_scenario());
-    corpus.push(
-        "service_lagging_k2/fan_in",
-        same_key_fan_in_lagging_scenario(),
-    );
-    corpus
-}
-
-/// Treiber answers the *same* stack scenarios as AGM; a newtype keeps
-/// the two runs' algorithms apart.
-#[derive(Debug, Clone)]
-struct StackVsTreiber(TreiberStackAlg);
-
-impl Algorithm for StackVsTreiber {
-    type Spec = StackSpec;
-    type Machine = <TreiberStackAlg as Algorithm>::Machine;
-    fn spec(&self) -> StackSpec {
-        StackSpec
-    }
-    fn machine(&self, p: usize, op: &StackOp) -> Self::Machine {
-        self.0.machine(p, op)
-    }
-}
-
-/// How a corpus batch is driven into the report.
-#[derive(Clone, Copy)]
-enum Driver<'a> {
-    Serial,
-    /// The CI configuration: `run_parallel_into` over this many
-    /// workers.
-    Parallel(usize),
-    /// No report: every record is checked directly, each refutation's
-    /// witness replayed and rendered as a fixture line.
-    Witnesses(&'a RefCell<Vec<String>>),
-}
-
-/// A pinned fixture under `tests/data/`: its file stem and its text.
-type Fixture = (&'static str, &'static str);
-
 /// The pinned search shapes and witnesses (see the module docs).
-const SHAPE_FIXTURE: Fixture = ("corpus_shape", include_str!("data/corpus_shape.jsonl"));
-
-/// The pinned search shapes of the twins the corpus does not run
-/// (see [`twins_outside_the_corpus_keep_their_search_shape`]).
-const TWIN_FIXTURE: Fixture = ("twin_shape", include_str!("data/twin_shape.jsonl"));
+const SHAPE_FIXTURE: &str = include_str!("data/corpus_shape.jsonl");
 
 /// The top-level `(key, raw value)` pairs of one flat fixture line
 /// (values: numbers, `null`, strings, arrays of those).
@@ -305,12 +109,15 @@ fn json_fields(line: &str) -> Vec<(&str, &str)> {
 
 /// Compares `actual` against the fixture's lines of `kind`, naming the
 /// first record and field that differ.
-fn assert_matches_fixture((stem, text): Fixture, kind: &str, actual: &[String]) {
-    let written = format!("{}/{stem}.{kind}.jsonl", env!("CARGO_TARGET_TMPDIR"));
+fn assert_matches_fixture(kind: &str, actual: &[String]) {
+    let written = format!("{}/corpus_shape.{kind}.jsonl", env!("CARGO_TARGET_TMPDIR"));
     std::fs::write(&written, actual.join("\n") + "\n")
         .unwrap_or_else(|e| panic!("cannot write {written}: {e}"));
     let tag = format!("{{\"corpus\":\"{kind}\",");
-    let expected: Vec<&str> = text.lines().filter(|l| l.starts_with(&tag)).collect();
+    let expected: Vec<&str> = SHAPE_FIXTURE
+        .lines()
+        .filter(|l| l.starts_with(&tag))
+        .collect();
     for (want, got) in expected.iter().zip(actual) {
         let (want, got) = (json_fields(want), json_fields(got));
         let name = got[1].1;
@@ -318,7 +125,7 @@ fn assert_matches_fixture((stem, text): Fixture, kind: &str, actual: &[String]) 
         for (w, g) in want.iter().zip(&got) {
             assert_eq!(
                 w, g,
-                "{kind} {name}: field {:?} differs from tests/data/{stem}.jsonl \
+                "{kind} {name}: field {:?} differs from tests/data/corpus_shape.jsonl \
                  (computed: {written})",
                 g.0
             );
@@ -330,57 +137,6 @@ fn assert_matches_fixture((stem, text): Fixture, kind: &str, actual: &[String]) 
         actual.len(),
         "{kind} line count (computed: {written})"
     );
-}
-
-/// Drives one corpus under the chosen driver.
-fn drive<S, A, F>(
-    corpus: &ScenarioCorpus<S>,
-    make: F,
-    opts: &CorpusOptions,
-    driver: Driver<'_>,
-    report: &mut CorpusReport,
-) where
-    S: Spec,
-    S::Op: Sync,
-    A: Algorithm<Spec = S>,
-    F: Fn(&mut SimMemory) -> A + Sync,
-{
-    match driver {
-        Driver::Serial => corpus.run_into(make, opts, report),
-        Driver::Parallel(threads) => corpus.run_parallel_into(make, opts, threads, report),
-        Driver::Witnesses(lines) => {
-            for (name, scenario) in corpus.entries() {
-                let mut mem = SimMemory::new();
-                let alg = make(&mut mem);
-                let options = StrongOptions {
-                    node_limit: opts.per_scenario_limit,
-                    memo: opts.memo,
-                };
-                let out = check_strong_outcome(&alg, mem.clone(), scenario, options);
-                let Some(w) = out.witness() else { continue };
-                validate_witness(&alg, mem, scenario, w)
-                    .unwrap_or_else(|e| panic!("{name}: witness does not replay: {e}"));
-                // `Debug` of these strings and vectors is valid JSON
-                // (labels hold no control characters).
-                lines.borrow_mut().push(format!(
-                    "{{\"corpus\":\"witness\",\"name\":{name:?},\"schedule\":{:?},\
-                     \"path\":{:?},\"detail\":{:?}}}",
-                    w.schedule, w.path, w.detail,
-                ));
-            }
-        }
-    }
-}
-
-/// `corpus` minus the records named in `skip`.
-fn without<S: Spec>(corpus: ScenarioCorpus<S>, skip: &[&str]) -> ScenarioCorpus<S> {
-    let mut kept = ScenarioCorpus::without_dedup();
-    for (name, scenario) in corpus.entries() {
-        if !skip.contains(&name.as_str()) {
-            kept.push(name.clone(), scenario.clone());
-        }
-    }
-    kept
 }
 
 /// One `"corpus":"shape"` fixture line per record: the deterministic
@@ -410,285 +166,9 @@ fn shape_lines(on: &CorpusReport, off: &CorpusReport) -> Vec<String> {
         .collect()
 }
 
-/// The twins the corpus does not run, each on the scenarios its unit
-/// tests use.
-fn run_twins(memoize: bool, report: &mut CorpusReport) {
-    let (opts, serial) = (options(memoize), Driver::Serial);
-    let update = |i: usize, v: u64| SnapOp::Update { i, v };
-    let race = Scenario::new(vec![
-        vec![update(0, 2), update(0, 1)],
-        vec![SnapOp::Scan, SnapOp::Scan],
-    ]);
-    let three = Scenario::new(vec![
-        vec![update(0, 1)],
-        vec![update(1, 2)],
-        vec![SnapOp::Scan, SnapOp::Scan],
-    ]);
-    let group_local = Scenario::new(vec![vec![update(0, 3), SnapOp::Scan], vec![update(1, 7)]]);
-    let torn_cut = Scenario::new(vec![
-        vec![update(0, 1)],
-        vec![SnapOp::Scan],
-        vec![update(2, 7)],
-    ]);
-    drive(
-        &one("snapshot/update_scan_race", race),
-        |mem| SnapshotAlg::new(mem, 2),
-        &opts,
-        serial,
-        report,
-    );
-    drive(
-        &one("snapshot/three_processes", three),
-        |mem| SnapshotAlg::new(mem, 3),
-        &opts,
-        serial,
-        report,
-    );
-    for (tag, mode) in [
-        ("stable", WholeReadMode::Stable),
-        ("naive", WholeReadMode::Naive),
-    ] {
-        drive(
-            &one(
-                &format!("sharded_snapshot_{tag}/group_local"),
-                group_local.clone(),
-            ),
-            |mem| ShardedSnapshotAlg::new(mem, 4, 2, mode),
-            &opts,
-            serial,
-            report,
-        );
-        drive(
-            &one(
-                &format!("sharded_snapshot_{tag}/torn_cut"),
-                torn_cut.clone(),
-            ),
-            |mem| ShardedSnapshotAlg::new(mem, 3, 2, mode),
-            &opts,
-            serial,
-            report,
-        );
-    }
-    for (tag, encoding) in [
-        ("counter_relaxed", LaneEncoding::Unary),
-        ("counter_relaxed_binary", LaneEncoding::Binary),
-    ] {
-        drive(
-            &counter_corpus(tag),
-            |mem| ShardedCounterAlg::relaxed(mem, 3, 2, 2).with_encoding(encoding),
-            &opts,
-            serial,
-            report,
-        );
-    }
-    drive(
-        &one(
-            "combining_max_relaxed/fan_in",
-            cached_fan_in_lagging_scenario(),
-        ),
-        |mem| CombiningMaxRegAlg::relaxed(mem, 3, 1, ReadMode::Cached, 2),
-        &opts,
-        serial,
-        report,
-    );
-    drive(
-        &counter_corpus("combining_counter_relaxed"),
-        |mem| CombiningCounterAlg::relaxed(mem, 3, 1, 2),
-        &opts,
-        serial,
-        report,
-    );
-    for recovery in [false, true] {
-        let tag = if recovery {
-            "abandoned_recovery"
-        } else {
-            "abandoned"
-        };
-        drive(
-            &counter_corpus(&format!("{tag}_lagging")),
-            |mem| {
-                let alg = CombiningCounterAlg::relaxed(mem, 3, 1, 2).abandon_lock(mem);
-                if recovery {
-                    alg.with_recovery()
-                } else {
-                    alg
-                }
-            },
-            &opts,
-            serial,
-            report,
-        );
-        drive(
-            &counter_corpus(&format!("{tag}_exact")),
-            |mem| {
-                let alg = CombiningCounterAlg::cached(mem, 3, 1).abandon_lock(mem);
-                if recovery {
-                    alg.with_recovery()
-                } else {
-                    alg
-                }
-            },
-            &opts,
-            serial,
-            report,
-        );
-    }
-    let binary = LaneEncoding::Binary;
-    drive(
-        &service_corpus("exact_binary"),
-        |mem| KeyedDispatchAlg::new(mem, 3, &[1, 2], RouteMode::Exact).with_encoding(binary),
-        &opts,
-        serial,
-        report,
-    );
-    drive(
-        &service_corpus("cached_binary"),
-        |mem| KeyedDispatchAlg::new(mem, 3, &[1, 2], RouteMode::Cached).with_encoding(binary),
-        &opts,
-        serial,
-        report,
-    );
-}
-
-/// Runs every corpus into `report` with the given memoization mode and
-/// driver.
-fn run_all(memoize: bool, driver: Driver<'_>, report: &mut CorpusReport) {
-    run_fixed(&options(memoize), driver, report);
-    run_recoded(LaneEncoding::Unary, &options(memoize), driver, &[], report);
-}
-
-/// The corpora whose twins have one lane encoding (or, for the sharded
-/// max register, already carry their own binary records).
-fn run_fixed(opts: &CorpusOptions, driver: Driver<'_>, report: &mut CorpusReport) {
-    drive(&fetch_inc_corpus(), FetchIncAlg::new, opts, driver, report);
-    drive(&stack_corpus("agm"), AgmStackAlg::new, opts, driver, report);
-    drive(
-        &stack_corpus("treiber"),
-        |mem| StackVsTreiber(TreiberStackAlg::new(mem)),
-        opts,
-        driver,
-        report,
-    );
-    for shards in [1usize, 2, 4] {
-        drive(
-            &sharded_corpus(shards),
-            |mem| ShardedMaxRegAlg::new(mem, 3, shards),
-            opts,
-            driver,
-            report,
-        );
-    }
-    // The PR-6 binary lane encoding (E31): same anchors, same verdicts.
-    for shards in [1usize, 2, 4] {
-        drive(
-            &sharded_binary_corpus(shards),
-            |mem| ShardedMaxRegAlg::binary(mem, 3, shards),
-            opts,
-            driver,
-            report,
-        );
-    }
-    // The CAS queue (E11, queue side).
-    let mut q = ScenarioCorpus::<QueueSpec>::new();
-    q.push(
-        "cas_queue/witness_scenario",
-        Scenario::new(vec![
-            vec![QueueOp::Enq(1)],
-            vec![QueueOp::Enq(2)],
-            vec![QueueOp::Deq, QueueOp::Deq],
-        ]),
-    );
-    drive(&q, CasQueueAlg::new, opts, driver, report);
-}
-
-/// The corpora of the twins that take a [`LaneEncoding`]: `Unary` is
-/// the shipped record set, `Binary` its siblings under the same names
-/// (minus `skip`).
-fn run_recoded(
-    encoding: LaneEncoding,
-    opts: &CorpusOptions,
-    driver: Driver<'_>,
-    skip: &[&str],
-    report: &mut CorpusReport,
-) {
-    drive(
-        &without(max_register_corpus(), skip),
-        |mem| MaxRegAlg::with_encoding(mem, 3, encoding),
-        opts,
-        driver,
-        report,
-    );
-    drive(
-        &without(counter_corpus("counter_naive"), skip),
-        |mem| ShardedCounterAlg::naive(mem, 3, 2).with_encoding(encoding),
-        opts,
-        driver,
-        report,
-    );
-    drive(
-        &without(counter_corpus("counter_exact"), skip),
-        |mem| ShardedCounterAlg::exact(mem, 3, 2).with_encoding(encoding),
-        opts,
-        driver,
-        report,
-    );
-    // The PR-5 combining layer (E27): stable-read anchors certified,
-    // cached-read anchors refuted, at S ∈ {1, 2}.
-    for shards in [1usize, 2] {
-        for mode in [ReadMode::Stable, ReadMode::Cached] {
-            drive(
-                &without(combining_corpus(shards, mode), skip),
-                |mem| CombiningMaxRegAlg::new(mem, 3, shards, mode).with_encoding(encoding),
-                opts,
-                driver,
-                report,
-            );
-        }
-    }
-    drive(
-        &without(counter_corpus("combining_counter_stable"), skip),
-        |mem| CombiningCounterAlg::stable(mem, 3, 1).with_encoding(encoding),
-        opts,
-        driver,
-        report,
-    );
-    drive(
-        &without(counter_corpus("combining_counter_cached"), skip),
-        |mem| CombiningCounterAlg::cached(mem, 3, 1).with_encoding(encoding),
-        opts,
-        driver,
-        report,
-    );
-    // The ISSUE-9 service dispatch twin (E43): exact routing certifies
-    // (strong linearizability is local, and stays so with the shared
-    // enqueue/route steps interleaved); cached routing is refuted
-    // against the exact keyed spec and certified against the per-key
-    // k = 2 lagging spec — the §8 law one layer up.
-    drive(
-        &without(service_corpus("exact"), skip),
-        |mem| KeyedDispatchAlg::new(mem, 3, &[1, 2], RouteMode::Exact).with_encoding(encoding),
-        opts,
-        driver,
-        report,
-    );
-    drive(
-        &without(service_corpus("cached"), skip),
-        |mem| KeyedDispatchAlg::new(mem, 3, &[1, 2], RouteMode::Cached).with_encoding(encoding),
-        opts,
-        driver,
-        report,
-    );
-    drive(
-        &without(service_lagging_corpus(), skip),
-        |mem| LaggingKeyedDispatchAlg::new(mem, 3, &[1, 2], 2).with_encoding(encoding),
-        opts,
-        driver,
-        report,
-    );
-}
-
 /// `(name, certified?)` for every individually pinned record; the
-/// `thm1/` and `thm9/` families are additionally blanket-asserted
+/// `thm1/` and `thm9/` families and the positive Figure-1 families
+/// (`fig1/` outside Theorem 17) are additionally blanket-asserted
 /// certified.
 fn pinned_verdicts() -> Vec<(&'static str, bool)> {
     vec![
@@ -760,7 +240,26 @@ fn pinned_verdicts() -> Vec<(&'static str, bool)> {
         ("service_cached/fan_in", false),
         ("service_lagging_k2/cross_key", true),
         ("service_lagging_k2/fan_in", true),
+        // E57: Theorem 17 on the relaxations — [11]'s queue and stack
+        // with multiplicity are refuted.
+        ("fig1/thm17_mult/queue", false),
+        ("fig1/thm17_mult/stack", false),
+        // E57: the AAC max register [6], Theorem 1's comparison: a third
+        // process observes the trie race, two cannot. The naive
+        // multiword fetch&add (§6's open problem) is not even
+        // linearizable inside its carry window.
+        ("aac/witness_scenario", false),
+        ("aac/two_process", true),
+        ("multiword_faa/carry_window", false),
     ]
+}
+
+/// A serial driver over a fresh report.
+fn serial(memoize: bool) -> Serial {
+    Serial {
+        opts: options(memoize),
+        report: CorpusReport::new(NODE_BUDGET),
+    }
 }
 
 /// Worker count for the parallel driver in this suite (and in CI's
@@ -773,14 +272,19 @@ fn corpus_threads() -> usize {
 
 #[test]
 fn corpus_recertifies_every_shipped_verdict() {
-    // The CI configuration: the parallel driver, memo on.
-    let mut on = CorpusReport::new(NODE_BUDGET);
-    run_all(true, Driver::Parallel(corpus_threads()), &mut on);
-    // The two serial controls: memo on and memo off.
-    let mut serial = CorpusReport::new(NODE_BUDGET);
-    run_all(true, Driver::Serial, &mut serial);
-    let mut off = CorpusReport::new(OFF_NODE_BUDGET);
-    run_all(false, Driver::Serial, &mut off);
+    // The CI configuration: the parallel driver, memo on; then the
+    // serial memo-on control, and the memo-off control, which is most
+    // of this suite's time, on the parallel driver too.
+    let parallel = |memoize: bool| Parallel {
+        opts: options(memoize),
+        threads: corpus_threads(),
+        report: CorpusReport::new(NODE_BUDGET),
+    };
+    let (mut on, mut serial_on, mut off) = (parallel(true), serial(true), parallel(false));
+    records::all(&mut on);
+    records::all(&mut serial_on);
+    records::all(&mut off);
+    let (on, serial, off) = (on.report, serial_on.report, off.report);
 
     // Parallel and serial drivers agree record-for-record (the budget
     // is headroom, not a constraint, so worker scheduling cannot show
@@ -837,9 +341,11 @@ fn corpus_recertifies_every_shipped_verdict() {
     }
 
     // Blanket family expectations: every Theorem-1 / Theorem-9 family
-    // member is certified.
+    // member and every positive Figure-1 record is certified.
     for rec in &on.records {
-        if rec.name.starts_with("thm1/") || rec.name.starts_with("thm9/") {
+        let fig1_positive =
+            rec.name.starts_with("fig1/") && !rec.name.starts_with("fig1/thm17_mult/");
+        if rec.name.starts_with("thm1/") || rec.name.starts_with("thm9/") || fig1_positive {
             assert_eq!(
                 rec.verdict,
                 CorpusVerdict::Certified,
@@ -897,7 +403,7 @@ fn corpus_recertifies_every_shipped_verdict() {
     // PR-24: the search shape is pinned per record, not in aggregate —
     // the graph explored (memo on) and the tree (memo off) are the ones
     // the fixture's generating commit explored.
-    assert_matches_fixture(SHAPE_FIXTURE, "shape", &shape_lines(&on, &off));
+    assert_matches_fixture("shape", &shape_lines(&on, &off));
 
     // The S = 4 acceptance anchor certified within the shared budget.
     let anchor = on.get("sharded_s4/frontier_safe").expect("anchor present");
@@ -929,17 +435,15 @@ fn binary_siblings_explore_their_unary_records_graphs() {
     // record for record. Any difference is a bug in the codec or in a
     // twin's use of it.
     for (memoize, skip) in [(true, &[][..]), (false, SIBLING_TREE_SKIPS)] {
-        let opts = options(memoize);
-        let mut unary = CorpusReport::new(NODE_BUDGET);
-        run_recoded(LaneEncoding::Unary, &opts, Driver::Serial, skip, &mut unary);
-        let mut binary = CorpusReport::new(NODE_BUDGET);
-        run_recoded(
-            LaneEncoding::Binary,
-            &opts,
-            Driver::Serial,
-            skip,
-            &mut binary,
-        );
+        let run = |encoding| {
+            let mut driver = Only {
+                keep: |name: &str| !skip.contains(&name),
+                inner: serial(memoize),
+            };
+            records::recoded(&mut driver, encoding);
+            driver.inner.report
+        };
+        let (unary, binary) = (run(LaneEncoding::Unary), run(LaneEncoding::Binary));
         assert_eq!(unary.records.len(), binary.records.len());
         assert_eq!(unary.count(CorpusVerdict::Bounded), 0, "memo={memoize}");
         for (u, b) in unary.records.iter().zip(&binary.records) {
@@ -953,24 +457,10 @@ fn binary_siblings_explore_their_unary_records_graphs() {
 }
 
 #[test]
-fn twins_outside_the_corpus_keep_their_search_shape() {
-    // The corpus fixture pins only the twins the corpus runs. The rest —
-    // the snapshots, the relaxed counters, the abandoned-lock front-ends
-    // and the binary dispatch twin — are pinned here the same way, memo
-    // on and memo off, so a twin refactor must build the same trees.
-    let mut on = CorpusReport::new(NODE_BUDGET);
-    run_twins(true, &mut on);
-    let mut off = CorpusReport::new(OFF_NODE_BUDGET);
-    run_twins(false, &mut off);
-    assert_eq!(on.count(CorpusVerdict::Bounded), 0, "{:?}", on.records);
-    assert_matches_fixture(TWIN_FIXTURE, "shape", &shape_lines(&on, &off));
-}
-
-#[test]
 fn corpus_dedup_collapses_isomorphic_members() {
     // The fan-in families generate process-permuted duplicates; dedup
     // must collapse them and the report must surface the count.
-    let corpus = max_register_corpus();
+    let corpus = records::max_register_corpus();
     assert!(corpus.deduped() > 0, "families produce no duplicates?");
     let report = corpus.run(|mem| MaxRegAlg::new(mem, 3), &options(true), NODE_BUDGET);
     assert_eq!(report.deduped, corpus.deduped());
@@ -982,7 +472,8 @@ fn corpus_budget_starvation_reports_bounded() {
     // Budget exhaustion is a recorded outcome, not a panic: with a
     // near-zero shared budget every scenario lands Bounded (the first
     // may sneak a node in).
-    let report = max_register_corpus().run(|mem| MaxRegAlg::new(mem, 3), &options(true), 2);
+    let report =
+        records::max_register_corpus().run(|mem| MaxRegAlg::new(mem, 3), &options(true), 2);
     assert!(report.count(CorpusVerdict::Bounded) >= report.records.len() - 1);
     assert!(report.nodes_spent <= 3);
 }
@@ -993,15 +484,13 @@ fn refuted_records_replay_and_print_what_the_fixture_pins() {
     // witness replays step for step, and its `schedule`/`path`/`detail`
     // are byte-identical to the fixture's — a refutation reads the same
     // whatever the engine's internal representation.
-    let lines = RefCell::new(Vec::new());
-    run_all(
-        true,
-        Driver::Witnesses(&lines),
-        &mut CorpusReport::new(NODE_BUDGET),
-    );
-    let lines = lines.into_inner();
-    assert_eq!(lines.len(), 16, "the corpus ships 16 refutations");
-    assert_matches_fixture(SHAPE_FIXTURE, "witness", &lines);
+    let mut witnesses = Witnesses {
+        opts: options(true),
+        lines: Vec::new(),
+    };
+    records::all(&mut witnesses);
+    assert_eq!(witnesses.lines.len(), 28, "the list pins 28 refutations");
+    assert_matches_fixture("witness", &witnesses.lines);
 }
 
 #[test]

@@ -1,7 +1,8 @@
 //! Guards the build-system wiring itself: the example, integration-test,
 //! workspace-member and vendored-shim sets are pinned, so a file added or
 //! dropped without updating the README and CI fails here instead of
-//! rotting, and the feature-gated instrumentation layers must stay gated.
+//! rotting, the feature-gated instrumentation layers must stay gated, and
+//! every step-machine twin must have a pinned record.
 //!
 //! Cargo auto-discovers both examples and test suites, so it is enough
 //! to pin the expected sets against what is on disk. Performance is
@@ -525,5 +526,64 @@ fn twins_move_lanes_only_through_the_shared_lane_write() {
         writes.is_empty(),
         "twins move lanes by hand; build the write from sl2_exec::lanes::LaneWrite:\n{}",
         writes.join("\n")
+    );
+}
+
+#[test]
+fn every_twin_has_a_pinned_record() {
+    // Each `pub struct …Alg` step-machine factory in the twin crates
+    // is built by some record of `sl2::records`, the one list the corpus
+    // suite pins and Figure 1 renders from, so no twin's verdict lives
+    // only in a unit test. `UniversalAlg` is the one exemption: its
+    // execution tree is infinite, and its livelock witness is a unit
+    // test of its own.
+    let root = repo_root();
+    let mut files = Vec::new();
+    for krate in ["core", "sharded", "combine", "service"] {
+        files_with_extensions(
+            &root.join("crates").join(krate).join("src"),
+            &["rs"],
+            &mut files,
+        );
+    }
+    let records = read_repo_file("src/records.rs");
+    // A call `Name::…` on a code line, whole name only: `MaxRegAlg::`
+    // inside `ShardedMaxRegAlg::`, or in a comment, builds nothing.
+    let builds = |name: &str| {
+        let call = format!("{name}::");
+        let mut code = records
+            .lines()
+            .filter(|l| !l.trim_start().starts_with("//"));
+        code.any(|line| {
+            line.match_indices(&call)
+                .any(|(at, _)| !line[..at].ends_with(|c: char| c.is_alphanumeric() || c == '_'))
+        })
+    };
+    let (mut twins, mut missing) = (0, Vec::new());
+    for path in &files {
+        let text = std::fs::read_to_string(path).expect("readable");
+        for line in text.lines() {
+            let Some(rest) = line.trim_start().strip_prefix("pub struct ") else {
+                continue;
+            };
+            let name: String = rest
+                .chars()
+                .take_while(|c| c.is_ascii_alphanumeric() || *c == '_')
+                .collect();
+            if !name.ends_with("Alg") || name == "UniversalAlg" {
+                continue;
+            }
+            twins += 1;
+            if !builds(&name) {
+                let rel = path.strip_prefix(root).unwrap_or(path);
+                missing.push(format!("{}: {name}", rel.display()));
+            }
+        }
+    }
+    assert!(twins > 0, "no step-machine factories found?");
+    assert!(
+        missing.is_empty(),
+        "twins no record in src/records.rs builds; pin a record for each:\n{}",
+        missing.join("\n")
     );
 }
