@@ -1,14 +1,16 @@
-//! [`Combiner`]: the generic flat-combining front-end.
-//!
-//! Khanchandani & Wattenhofer ("Is Compare-and-Swap Really
-//! Necessary?") observe that combining — one process applying many
-//! processes' operations in a batch — needs nothing above consensus
-//! number 2. This module is that observation as a production object:
+//! [`Combiner`]: the generic flat-combining front-end, built from
 //! announcement slots ([`crate::PublicationArray`], swap), a combiner
-//! election ([`crate::CombinerLock`], swap), a fetch&add epoch
-//! counter, and a single-word published fold — no compare&swap
-//! anywhere, which [`Combiner::consensus_ceiling`] asserts through the
-//! [`BaseObject`] constants.
+//! election ([`crate::CombinerLock`], swap), a fetch&add epoch counter
+//! and a single-word published fold — no compare&swap anywhere, which
+//! [`Combiner::consensus_ceiling`] asserts through the [`BaseObject`]
+//! constants.
+//!
+//! One front-end serves both §3 objects that combine: the max register
+//! (`Combiner<ShardedMaxRegister>`, announced writes combine, see
+//! [`Combinable`]) and the counter (`Combiner<ShardedFetchInc>`, only
+//! the publication combines, see [`Foldable`]). Every tenure, whichever
+//! object and caller, runs one election, holds one `Tenure` guard and
+//! ends in one publication routine.
 //!
 //! # The protocol, and why it never blocks
 //!
@@ -38,19 +40,10 @@
 //! then write different lanes with the same monotone intent, and the
 //! fold absorbs the duplicate.
 //!
-//! # The cached read, honestly
+//! [`Combiner::read_cached`] is one load of the published fold, the
+//! fast path the read-heavy regime wants (E26); what it honestly
+//! meets is in its docs and in [`crate::machines`].
 //!
-//! [`Combiner::read_cached`] is one load of the published fold: the
-//! fast path the read-heavy regime wants (E26). The fold is exact *as
-//! of its publication* and monotone across publications, but direct-
-//! path operations complete without republishing — so a cached read
-//! may trail completed operations. Against the exact specification the
-//! checker **refutes** the cached read (a replayable [`Witness`]);
-//! what it meets strongly is the `sl2_spec::relaxed` window
-//! specification, exactly the `LaggingCounterSpec` pattern — DESIGN.md
-//! §8 walks the adjudication, [`crate::machines`] pins it.
-//!
-//! [`Witness`]: sl2_exec::Witness
 //! [`PublicationArray::take`]: crate::PublicationArray::take
 
 use std::fmt::Debug;
@@ -58,7 +51,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use sl2_primitives::{BaseObject, ConsensusNumber, FetchAdd, Swap};
 
-use crate::slots::{CombinerLock, Lease, PublicationArray, Published};
+use crate::slots::{CombinerLock, Lease, PublicationArray, Published, Tenure};
 
 /// Consecutive identical `(lease, epoch)` observations a lost-election
 /// process must make before it may reclaim the combiner lock. Two is
@@ -80,101 +73,55 @@ pub(crate) const RECLAIM_STRIKES: u64 = 2;
 pub(crate) struct Suspicion {
     lease: AtomicU64,
     epoch: AtomicU64,
-    pub(crate) strikes: AtomicU64,
+    strikes: AtomicU64,
 }
 
-/// One lost-election observation of the holder's `(lease, epoch)`:
-/// updates `cell`'s strike counter and attempts the reclaim once the
-/// pair has stayed frozen for [`RECLAIM_STRIKES`] consecutive
-/// observations. Unique leases make the evidence sound under
-/// crash-stop: a live tenure either releases (lease changes or
-/// clears) or publishes (epoch advances), and a new tenure always
-/// mints a fresh lease — only a dead holder freezes the pair.
-pub(crate) fn observe_or_reclaim(
-    lock: &CombinerLock,
-    epoch: &FetchAdd,
-    cell: &Suspicion,
-) -> Option<Lease> {
-    let lease = lock.holder();
-    if lease == 0 {
-        cell.strikes.store(0, Ordering::Relaxed);
-        return None;
-    }
-    let epoch = epoch.read();
-    if cell.lease.load(Ordering::Relaxed) == lease && cell.epoch.load(Ordering::Relaxed) == epoch {
-        let strikes = cell.strikes.load(Ordering::Relaxed) + 1;
-        cell.strikes.store(strikes, Ordering::Relaxed);
-        sl2_obs::count("combine.lease_strike");
-        if strikes >= RECLAIM_STRIKES {
-            cell.strikes.store(0, Ordering::Relaxed);
-            let reclaimed = lock.reclaim(lease);
-            if reclaimed.is_some() {
-                sl2_obs::count("combine.lease_reclaim");
-            }
-            return reclaimed;
-        }
-    } else {
-        cell.lease.store(lease, Ordering::Relaxed);
-        cell.epoch.store(epoch, Ordering::Relaxed);
-        cell.strikes.store(0, Ordering::Relaxed);
-    }
-    None
-}
-
-/// A held combiner tenure that releases on drop, so a panic inside
-/// the sweep (or anywhere else in the critical section) unwinds
-/// through the release instead of abandoning the lock. A crash-stop
-/// never unwinds, so abandonment — the case the lease/reclaim
-/// machinery exists for — is exactly the non-drop path.
-pub(crate) struct Tenure<'a> {
-    pub(crate) lock: &'a CombinerLock,
-    pub(crate) lease: Option<Lease>,
-}
-
-impl Drop for Tenure<'_> {
-    fn drop(&mut self) {
-        if let Some(lease) = self.lease.take() {
-            // A `false` return means the tenure was reclaimed by a
-            // survivor that suspected this combiner dead; the
-            // publication that already happened is monotone-safe, so
-            // forfeiting silently is correct (see `Published::publish`).
-            let _ = self.lock.release(lease);
-        }
-    }
-}
-
-/// An inner object the combining front-end can drive.
+/// An inner object whose whole-object value the front-end can fold and
+/// publish — all a [`Combiner`] needs. Its operations run on the inner
+/// object itself; what the front-end combines is the publication of a
+/// fresh fold ([`Combiner::refresh`]). Objects whose operations can
+/// also be announced and combined implement [`Combinable`] on top.
 ///
-/// Implementations must satisfy two laws the protocol leans on:
+/// Folds must be sound: [`Foldable::fold_relaxed`] must never exceed
+/// the landed whole-object value and must be monotone across calls
+/// (the published cache inherits both), while [`Foldable::fold_exact`]
+/// is the stable exact read.
+pub trait Foldable {
+    /// Number of processes sharing the object (= per-process lines).
+    fn processes(&self) -> usize;
+
+    /// One-pass whole-object fold: wait-free, monotone, never ahead of
+    /// the landed value. This is what [`Combiner::refresh`] publishes.
+    fn fold_relaxed(&self) -> u64;
+
+    /// Exact whole-object fold (stable collect; lock-free).
+    fn fold_exact(&self) -> u64;
+}
+
+/// A [`Foldable`] inner object whose operations can be announced and
+/// combined ([`Combiner::apply`]).
 ///
-/// * **applier-attributed operations** — `apply(applier, op)` runs the
-///   operation through `applier`'s *own* lanes, whoever originally
-///   announced it. The §3 constructions are only sound under their
-///   single-writer-per-lane discipline (a probing `fetch&add` is
-///   regression-free only because the probed lane cannot move under
-///   its one writer), so a helper must never write the announcer's
-///   lane — it re-attributes the operation to itself. That demands
-///   operations whose *meaning* is lane-independent: a max-register
-///   write is (the fold takes the maximum over all lanes, so any lane
-///   can carry the value), a counter increment is **not** (units are
-///   owner-attributed; a helper landing "owner's unit" in its own lane
-///   double-counts when the owner also applies). This is why the
-///   counter front-end combines only publication, never application —
-///   DESIGN.md §8 states the taxonomy.
-/// * **sound folds** — [`Combinable::fold_relaxed`] must never exceed
-///   the landed whole-object value and must be monotone across calls
-///   (the published cache inherits both), while
-///   [`Combinable::fold_exact`] is the stable exact read.
+/// Implementations must satisfy the law the protocol leans on,
+/// **applier-attributed operations**: `apply(applier, op)` runs the
+/// operation through `applier`'s *own* lanes, whoever originally
+/// announced it. The §3 constructions are only sound under their
+/// single-writer-per-lane discipline (a probing `fetch&add` is
+/// regression-free only because the probed lane cannot move under its
+/// one writer), so a helper must never write the announcer's lane — it
+/// re-attributes the operation to itself. That demands operations whose
+/// *meaning* is lane-independent: a max-register write is (the fold
+/// takes the maximum over all lanes, so any lane can carry the value),
+/// a counter increment is **not** (units are owner-attributed; a helper
+/// landing "owner's unit" in its own lane double-counts when the owner
+/// also applies). This is why the counter is only [`Foldable`], so
+/// `apply` cannot be called on it — DESIGN.md §8 states the taxonomy.
 ///
 /// Applier attribution also makes re-application harmless: owner and
 /// helper racing on one announcement write *different* lanes with the
 /// same monotone intent, and the fold absorbs the duplicate.
-pub trait Combinable {
+pub trait Combinable: Foldable {
     /// The announced operation.
     type Op: Copy + Debug;
-
-    /// Number of processes sharing the object (= announcement slots).
-    fn processes(&self) -> usize;
 
     /// Injective encoding of an operation into a word below
     /// `u64::MAX` (the slot reserves one encoding).
@@ -194,18 +141,11 @@ pub trait Combinable {
     /// Must be **idempotent** (an operation already covered by `prev`
     /// leaves it unchanged — that is what lets batch publication
     /// compose with the fold-based [`Combiner::refresh`]; a sum has no
-    /// such merge, which is one more reason the counter front-end
-    /// combines publication only) and must keep the two fold laws:
-    /// `fold_batch(prev, op) ≥ prev`, and `≤` the landed fold whenever
-    /// `prev` is and `op` has been applied.
+    /// such merge, one more reason the counter is only [`Foldable`])
+    /// and must keep the two fold laws: `fold_batch(prev, op) ≥ prev`,
+    /// and `≤` the landed fold whenever `prev` is and `op` has been
+    /// applied.
     fn fold_batch(prev: u64, op: Self::Op) -> u64;
-
-    /// One-pass whole-object fold: wait-free, monotone, never ahead of
-    /// the landed value. This is what [`Combiner::refresh`] publishes.
-    fn fold_relaxed(&self) -> u64;
-
-    /// Exact whole-object fold (stable collect; lock-free).
-    fn fold_exact(&self) -> u64;
 }
 
 /// Which route an operation took through the front-end.
@@ -234,42 +174,51 @@ pub enum ApplyPath {
     },
 }
 
-/// Flat-combining front-end over a [`Combinable`] inner object.
+/// The outcome of [`Combiner`]'s one election.
+enum Election {
+    /// The lock was free.
+    Won(Lease),
+    /// The lock was held, and its lease had stayed frozen long enough
+    /// for this caller to take it over.
+    Reclaimed(Lease),
+    /// The lock was held by a live (or not yet suspected) holder.
+    Lost,
+}
+
+/// Flat-combining front-end over a [`Foldable`] inner object.
 ///
 /// # Examples
 ///
 /// ```
-/// use sl2_combine::{Combinable, CombiningMaxRegister};
-/// use sl2_sharded::ShardedMaxRegister;
+/// use sl2_combine::{CombiningCounter, CombiningMaxRegister};
+/// use sl2_sharded::{ShardedFetchInc, ShardedMaxRegister};
 /// use sl2_core::algos::MaxRegister;
 ///
 /// let m = CombiningMaxRegister::new(ShardedMaxRegister::new(2, 4));
 /// m.write_max(0, 9);
 /// assert_eq!(m.read_cached(), 9, "the write combined and published");
 /// assert_eq!(m.read_max(), 9);
+///
+/// let c = CombiningCounter::new(ShardedFetchInc::new(2, 2));
+/// c.inc(1);
+/// assert_eq!(c.read_cached(), 1, "the increment won and published");
 /// ```
 #[derive(Debug)]
 pub struct Combiner<O> {
     inner: O,
     /// Per-process lines: announcement slot plus abandonment evidence
-    /// (see [`Suspicion`]).
+    /// (see [`Suspicion`]). An inner object that is only [`Foldable`]
+    /// never announces, so only the evidence halves are used.
     slots: PublicationArray,
     lock: CombinerLock,
-    /// Published whole-object fold and publication count (combiner
-    /// batches completed so far). The fold is a swap register written
-    /// only by the election winner, so publications are totally
-    /// ordered by the lock and the register needs no read-modify-write
-    /// semantics — except across a wrongful reclaim, where two
-    /// publishers can overlap. `Published::publish` then swaps back a
-    /// larger displaced fold, but the register can still regress: a
-    /// read between its two swaps sees the smaller fold, and a third
-    /// publisher's fold swapped in between is overwritten (ROADMAP
-    /// item 1).
+    /// Published whole-object fold and publication count, written only
+    /// by the publication routine under the election lock (two tenures
+    /// overlap only across a wrongful reclaim: see `Published::publish`).
     published: Published,
 }
 
-impl<O: Combinable> Combiner<O> {
-    /// Wraps `inner`, allocating one announcement slot per process.
+impl<O: Foldable> Combiner<O> {
+    /// Wraps `inner`, allocating one per-process line per process.
     pub fn new(inner: O) -> Self {
         let slots = PublicationArray::new(inner.processes());
         Combiner::over(inner, slots)
@@ -303,105 +252,9 @@ impl<O: Combinable> Combiner<O> {
         self.slots.len()
     }
 
-    /// Combiner batches published so far.
+    /// Publications so far.
     pub fn epoch(&self) -> u64 {
         self.published.epoch.read()
-    }
-
-    /// Applies `op` on behalf of `process` through the front-end:
-    /// announce, run the election, then combine or go direct (see the
-    /// module docs). Wait-free either way. A loser additionally
-    /// watches the holder's lease for abandonment and — after
-    /// `RECLAIM_STRIKES` frozen observations — reclaims the lock
-    /// and resumes combining ([`ApplyPath::Reclaimed`]).
-    pub fn apply(&self, process: usize, op: O::Op) -> ApplyPath {
-        self.slots.publish(process, O::encode(op));
-        sl2_chaos::point("combine.announced");
-        // Trace instants attribute to the ambient request span (the
-        // serving worker re-entered it), so a traced service run can
-        // say *which request's* election this was: payload 0 = lost,
-        // 1 = won, 2 = reclaimed a dead holder's lock.
-        sl2_trace::event("combine.announce", process as u64);
-        let Some(lease) = self.lock.try_acquire() else {
-            // Lost the election: the plain wait-free path, then retire
-            // the announcement (a combiner that already claimed it
-            // re-applies harmlessly — `apply` is idempotent).
-            sl2_obs::count("combine.election_lost");
-            sl2_trace::event("combine.elect", 0);
-            self.inner.apply(process, op);
-            self.slots.withdraw(process);
-            let suspicion = self.slots.suspicion(process);
-            if let Some(lease) = observe_or_reclaim(&self.lock, &self.published.epoch, suspicion) {
-                // The holder was dead (its lease froze): recover.
-                // Publish from a fresh one-pass fold rather than a
-                // cache merge — the dead combiner may have applied
-                // claimed operations without reaching its
-                // publication, and the fold re-covers them.
-                sl2_trace::event("combine.elect", 2);
-                let applied = self.combine(process, lease, Some(self.inner.fold_relaxed()));
-                return ApplyPath::Reclaimed { applied };
-            }
-            sl2_obs::count("combine.direct_path");
-            return ApplyPath::Direct;
-        };
-        // Whatever this process was watching is moot now.
-        let strikes = &self.slots.suspicion(process).strikes;
-        strikes.store(0, Ordering::Relaxed);
-        sl2_chaos::point("combine.won");
-        sl2_obs::count("combine.election_won");
-        sl2_trace::event("combine.elect", 1);
-        // Won: read the published fold, sweep (each claim applied
-        // through this process's own lanes — see the Combinable docs)
-        // while merging every applied operation into the fold, then
-        // publish and release. Publication is a merge, not an inner
-        // fold: every merged operation has landed (applies precede the
-        // publication), the previous published value never regresses
-        // (fold_batch only grows its accumulator), and — because
-        // fold_batch is idempotent — an operation the cache already
-        // covers changes nothing. The shard probes a one-pass fold
-        // would cost are exactly the contended lines the read-heavy
-        // regime is trying to avoid (E26).
-        let applied = self.combine(process, lease, None);
-        ApplyPath::Combined { applied }
-    }
-
-    /// One combiner tenure: sweep every slot, apply the claims through
-    /// `applier`'s lanes, publish, release. `base` is the fold to
-    /// start from — `None` merges onto the published cache (the normal
-    /// tenure, which skips publication when the sweep came up empty);
-    /// `Some(fold)` publishes unconditionally from that fold (the
-    /// recovery tenure). The lease is held by a `Tenure` guard, so
-    /// a panic anywhere in here releases on unwind; only a crash-stop
-    /// abandons the lock.
-    fn combine(&self, applier: usize, lease: Lease, base: Option<u64>) -> usize {
-        let tenure = Tenure {
-            lock: &self.lock,
-            lease: Some(lease),
-        };
-        // Times the whole tenure (sweep + publish + release).
-        let _tenure_timer = sl2_obs::time("combine.fold_batch");
-        let publish_always = base.is_some();
-        let mut fold = base.unwrap_or_else(|| self.published.read());
-        let mut applied = 0;
-        for i in 0..self.slots.len() {
-            sl2_chaos::point("combine.mid_sweep");
-            if let Some(word) = self.slots.take(i) {
-                let op = O::decode(word);
-                self.inner.apply(applier, op);
-                fold = O::fold_batch(fold, op);
-                applied += 1;
-            }
-        }
-        sl2_obs::record("combine.batch_size", applied as u64);
-        sl2_trace::event("combine.fold", applied as u64);
-        if publish_always || applied > 0 {
-            sl2_chaos::point("combine.pre_publish");
-            self.published.publish(fold);
-            sl2_trace::event("combine.publish", fold);
-        }
-        sl2_chaos::point("combine.pre_release");
-        drop(tenure);
-        applied
     }
 
     /// The 1-load fast path: the last published whole-object fold.
@@ -409,8 +262,9 @@ impl<O: Combinable> Combiner<O> {
     /// tenure publishes at a time (a wrongful reclaim can regress it,
     /// ROADMAP item 1) and never ahead of the exact value — but it may
     /// trail operations that completed on the direct path since the
-    /// last publication (DESIGN.md §8 has the strong-linearizability
-    /// adjudication).
+    /// last publication. So the checker refutes it against the exact
+    /// specifications (a replayable witness) and certifies it against
+    /// the `sl2_spec::relaxed` lagging windows (DESIGN.md §8).
     pub fn read_cached(&self) -> u64 {
         sl2_obs::count("combine.read_cached");
         self.published.read()
@@ -425,22 +279,95 @@ impl<O: Combinable> Combiner<O> {
     /// Opportunistically republishes a fresh fold (one election
     /// attempt; a held lock means a combiner is about to publish
     /// anyway). Read-heavy callers can use this to bound cache lag at
-    /// quiescence. Returns whether a publication happened.
+    /// quiescence. Returns whether a publication happened. The caller
+    /// is anonymous, so it never reclaims a frozen lease.
     ///
     /// No sweep: announcements never *need* service (owners always
     /// apply their own operations — the protocol has no waiters), so a
     /// refresher only folds and publishes.
     pub fn refresh(&self) -> bool {
-        let Some(lease) = self.lock.try_acquire() else {
+        self.republish(None)
+    }
+
+    /// One publication attempt outside a sweep: the election, then a
+    /// fresh one-pass fold published under the tenure. `process` is
+    /// the caller's identity: with one, a lost election counts toward
+    /// reclaiming a frozen lease; anonymous callers never reclaim.
+    pub(crate) fn republish(&self, process: Option<usize>) -> bool {
+        let (Election::Won(lease) | Election::Reclaimed(lease)) = self.elect(process, || {}) else {
             return false;
         };
-        let tenure = Tenure {
-            lock: &self.lock,
-            lease: Some(lease),
-        };
-        self.published.publish(self.inner.fold_relaxed());
-        drop(tenure);
+        let tenure = self.lock.hold(lease);
+        let fold = self.inner.fold_relaxed();
+        self.release(tenure, Some(fold));
         true
+    }
+
+    /// The one election. A win resets the caller's strikes. A loss
+    /// first runs `lost` (the caller's direct path), and only then —
+    /// for a caller with an identity — observes the holder's lease,
+    /// reclaiming it once it has stayed frozen for [`RECLAIM_STRIKES`]
+    /// consecutive sightings. Suspicion needs an identity to accumulate
+    /// under, so a cluster of anonymous readers cannot stampede the
+    /// lock.
+    fn elect(&self, process: Option<usize>, lost: impl FnOnce()) -> Election {
+        if let Some(lease) = self.lock.try_acquire() {
+            // Whatever this process was watching is moot now.
+            if let Some(p) = process {
+                self.slots.suspicion(p).strikes.store(0, Ordering::Relaxed);
+            }
+            return Election::Won(lease);
+        }
+        lost();
+        let Some(cell) = process.map(|p| self.slots.suspicion(p)) else {
+            return Election::Lost;
+        };
+        // One sighting of the holder's `(lease, epoch)`. Unique leases
+        // make the evidence sound under crash-stop: a live tenure
+        // either releases (lease changes or clears) or publishes (epoch
+        // advances), and a new tenure always mints a fresh lease — only
+        // a dead holder freezes the pair.
+        let lease = self.lock.holder();
+        if lease == 0 {
+            cell.strikes.store(0, Ordering::Relaxed);
+            return Election::Lost;
+        }
+        let epoch = self.published.epoch.read();
+        if cell.lease.load(Ordering::Relaxed) != lease
+            || cell.epoch.load(Ordering::Relaxed) != epoch
+        {
+            cell.lease.store(lease, Ordering::Relaxed);
+            cell.epoch.store(epoch, Ordering::Relaxed);
+            cell.strikes.store(0, Ordering::Relaxed);
+            return Election::Lost;
+        }
+        let strikes = cell.strikes.load(Ordering::Relaxed) + 1;
+        cell.strikes.store(strikes, Ordering::Relaxed);
+        sl2_obs::count("combine.lease_strike");
+        if strikes < RECLAIM_STRIKES {
+            return Election::Lost;
+        }
+        cell.strikes.store(0, Ordering::Relaxed);
+        match self.lock.reclaim(lease) {
+            Some(lease) => {
+                sl2_obs::count("combine.lease_reclaim");
+                Election::Reclaimed(lease)
+            }
+            None => Election::Lost,
+        }
+    }
+
+    /// The one publication routine: publishes `fold`, if any, and ends
+    /// the tenure. Every write of the cache — a combining sweep's, a
+    /// refresh's, a counter increment's — comes through here.
+    fn release(&self, tenure: Tenure<'_>, fold: Option<u64>) {
+        if let Some(fold) = fold {
+            sl2_chaos::point("combine.pre_publish");
+            self.published.publish(fold);
+            sl2_trace::event("combine.publish", fold);
+        }
+        sl2_chaos::point("combine.pre_release");
+        drop(tenure);
     }
 
     /// The election lock — exposed for fault-injection tests and
@@ -459,9 +386,9 @@ impl<O: Combinable> Combiner<O> {
 
     /// The highest consensus number among the front-end's own base
     /// objects — [`ConsensusNumber::Two`], by construction: slots and
-    /// lock are swap, the epoch is fetch&add, the cache is a
-    /// single-writer swap register. The test suite asserts this stays
-    /// put (the paper's budget; cf. Khanchandani & Wattenhofer).
+    /// lock are swap, the epoch is fetch&add, the cache is a swap
+    /// register. The test suite asserts this stays put (the paper's
+    /// budget; cf. Khanchandani & Wattenhofer).
     pub fn consensus_ceiling(&self) -> ConsensusNumber {
         use crate::slots::{PubSlot, SeqCache};
         let parts = [
@@ -473,5 +400,90 @@ impl<O: Combinable> Combiner<O> {
             sl2_bignum::WideFaa::CONSENSUS_NUMBER,
         ];
         parts.into_iter().max().expect("the part list is non-empty")
+    }
+}
+
+impl<O: Combinable> Combiner<O> {
+    /// Applies `op` on behalf of `process` through the front-end:
+    /// announce, run the election, then combine or go direct (see the
+    /// module docs). Wait-free either way. A loser additionally
+    /// watches the holder's lease for abandonment and — after
+    /// `RECLAIM_STRIKES` frozen observations — reclaims the lock
+    /// and resumes combining ([`ApplyPath::Reclaimed`]).
+    pub fn apply(&self, process: usize, op: O::Op) -> ApplyPath {
+        self.slots.publish(process, O::encode(op));
+        sl2_chaos::point("combine.announced");
+        // Trace instants attribute to the ambient request span (the
+        // serving worker re-entered it), so a traced service run can
+        // say *which request's* election this was: payload 0 = lost,
+        // 1 = won, 2 = reclaimed a dead holder's lock.
+        sl2_trace::event("combine.announce", process as u64);
+        let elected = self.elect(Some(process), || {
+            // Lost the election: the plain wait-free path, then retire
+            // the announcement (a combiner that already claimed it
+            // re-applies harmlessly — `apply` is idempotent).
+            sl2_obs::count("combine.election_lost");
+            sl2_trace::event("combine.elect", 0);
+            self.inner.apply(process, op);
+            self.slots.withdraw(process);
+        });
+        match elected {
+            Election::Won(lease) => {
+                sl2_chaos::point("combine.won");
+                sl2_obs::count("combine.election_won");
+                sl2_trace::event("combine.elect", 1);
+                // Publication is a merge onto the published fold, not
+                // an inner fold: every merged operation has landed,
+                // the previous published value never regresses
+                // (fold_batch only grows its accumulator), and an
+                // operation the cache already covers changes nothing.
+                // The shard probes a one-pass fold would cost are the
+                // contended lines the read-heavy regime avoids (E26).
+                let applied = self.combine(process, lease, None);
+                ApplyPath::Combined { applied }
+            }
+            Election::Reclaimed(lease) => {
+                // The holder was dead (its lease froze): recover.
+                // Publish from a fresh one-pass fold rather than a
+                // cache merge — the dead combiner may have applied
+                // claimed operations without reaching its
+                // publication, and the fold re-covers them.
+                sl2_trace::event("combine.elect", 2);
+                let applied = self.combine(process, lease, Some(self.inner.fold_relaxed()));
+                ApplyPath::Reclaimed { applied }
+            }
+            Election::Lost => {
+                sl2_obs::count("combine.direct_path");
+                ApplyPath::Direct
+            }
+        }
+    }
+
+    /// One combining tenure: sweep every slot, apply the claims through
+    /// `applier`'s lanes, then publish and release. `base` is the fold
+    /// to start from — `None` merges onto the published cache (the
+    /// normal tenure, which skips publication when the sweep came up
+    /// empty); `Some(fold)` publishes unconditionally from that fold
+    /// (the recovery tenure).
+    fn combine(&self, applier: usize, lease: Lease, base: Option<u64>) -> usize {
+        let tenure = self.lock.hold(lease);
+        // Times the whole tenure (sweep + publish + release).
+        let _tenure_timer = sl2_obs::time("combine.fold_batch");
+        let publish_always = base.is_some();
+        let mut fold = base.unwrap_or_else(|| self.published.read());
+        let mut applied = 0;
+        for i in 0..self.slots.len() {
+            sl2_chaos::point("combine.mid_sweep");
+            if let Some(word) = self.slots.take(i) {
+                let op = O::decode(word);
+                self.inner.apply(applier, op);
+                fold = O::fold_batch(fold, op);
+                applied += 1;
+            }
+        }
+        sl2_obs::record("combine.batch_size", applied as u64);
+        sl2_trace::event("combine.fold", applied as u64);
+        self.release(tenure, (publish_always || applied > 0).then_some(fold));
+        applied
     }
 }

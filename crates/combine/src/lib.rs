@@ -26,8 +26,9 @@
 //!   no blocked states — and neither do the checker twins in
 //!   [`machines`].
 //! * **the cached read is honest about what it is** — exact as of its
-//!   publication, monotone, never ahead, but stale against direct-path
-//!   completions. Combining is a *helping* pattern, exactly the
+//!   publication, never ahead, monotone while one tenure publishes at a
+//!   time (ROADMAP item 1), but stale against direct-path completions.
+//!   Combining is a *helping* pattern, exactly the
 //!   structure the "Difficulty of Consistent Refereeing" impossibility
 //!   line warns can break strong linearizability — so the cached read
 //!   is adjudicated, not assumed: `check_strong` refutes it against
@@ -69,7 +70,7 @@ pub mod machines;
 pub mod objects;
 pub mod slots;
 
-pub use combiner::{ApplyPath, Combinable, Combiner};
+pub use combiner::{ApplyPath, Combinable, Combiner, Foldable};
 pub use machines::{
     abandoned_counter_fan_in_scenario, abandoned_counter_lagging_scenario,
     cached_fan_in_lagging_scenario, cached_fan_in_max_scenario, combining_frontier_safe_scenario,

@@ -1,11 +1,14 @@
 //! Step-machine forms of the combining front-end, for the
 //! strong-linearizability checker.
 //!
-//! These are the referee's copy of [`crate::Combiner`] and
-//! [`crate::CombiningCounter`]: the same announce → elect →
-//! (combine | direct) protocol, with every base object a [`SimMemory`]
-//! cell (`Swap` slots, `Swap` lock, `Swap` cache, `Wide` inner shards)
-//! and every protocol action one [`OpMachine::step`]. The whole point
+//! These are the referee's copy of [`crate::Combiner`] over its two
+//! inner objects: the same announce → elect → (combine | direct)
+//! protocol for the max register, and increment → elect → publish for
+//! the counter, with every base object a [`SimMemory`] cell (`Swap`
+//! slots, `Swap` lock, `Swap` cache, `Wide` inner shards) and every
+//! protocol action one [`OpMachine::step`]. As in production, both
+//! twins share one election step ([`Elect`]) and one publish-then-unlock
+//! step ([`Release`]), and their reads one [`Read`]. The whole point
 //! of the front-end — a 1-load cached read — is also its semantic
 //! risk: combining is a *helping* pattern, exactly the structure the
 //! "Difficulty of Consistent Refereeing" line warns can break strong
@@ -30,6 +33,20 @@
 //! The machines deliberately skip the production epoch counter (it is
 //! observability, not semantics — no read path consults it) to keep
 //! the checker's state space tight.
+//!
+//! The publish step models production's two-swap repair
+//! (`Published::publish`): a publication that displaces a larger fold
+//! swaps it straight back. No pinned record reaches that second swap,
+//! because none runs two publishers at once: the anonymous lock admits
+//! one holder, and the recovery election's restore-on-clobber never
+//! lets a second process win while the first holds the lock. What the
+//! twins still do not model (ROADMAP item 1(a)):
+//!
+//! * the validated `release` — a twin unlocks with a plain swap of 0;
+//! * strike-based reclaim of a stalled but live holder — the recovery
+//!   twin takes over only the planted [`DEAD_LEASE`];
+//! * any record with two publishers at once, and so the windows of the
+//!   two-swap repair.
 //!
 //! Inner lanes go through the shared [`LaneEncoding`] codec: the
 //! constructors model the paper's unary lanes, and `with_encoding`
@@ -92,14 +109,122 @@ impl FrontCells {
         }
     }
 
-    /// The inner stable collect, reducing each shard with `reduce`.
-    fn collect(&self, reduce: Reduce) -> Collect {
-        Collect::new(
-            Rc::clone(&self.shards),
-            self.lanes,
-            reduce,
-            WholeReadMode::Stable,
-        )
+    /// A pass over the inner shards, reducing each with `reduce`.
+    fn collect(&self, reduce: Reduce, mode: WholeReadMode) -> Collect {
+        Collect::new(Rc::clone(&self.shards), self.lanes, reduce, mode)
+    }
+
+    /// A whole-object read in `mode` (the stable collect reduces each
+    /// shard with `reduce`).
+    fn read(&self, mode: ReadMode, reduce: Reduce) -> Read {
+        match mode {
+            ReadMode::Cached => Read::Cached(self.cache),
+            ReadMode::Stable => Read::Stable {
+                sharding: self.sharding,
+                collect: self.collect(reduce, WholeReadMode::Stable),
+            },
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// The shared steps: election, publish-then-unlock, whole-object read
+// ---------------------------------------------------------------------
+
+/// The election: one swap of the anonymous lock word `1` (a non-zero
+/// answer loses), or under recovery of the lease [`LEASE_BASE`]` + p`,
+/// which wins on `0` or [`DEAD_LEASE`] (a takeover) and puts any other,
+/// live lease back with a second swap before losing (restore-on-clobber
+/// — production's read-first acquire shrinks but cannot close this
+/// window).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Elect {
+    /// Swap the own lock word in.
+    Swap,
+    /// Lost against a live lease: swap it back.
+    Restore(u64),
+}
+
+impl Elect {
+    /// One memory operation; ready with whether the election was won.
+    fn step(&mut self, mem: &mut SimMemory, lock: Loc, lease: Option<u64>) -> Step<bool> {
+        match (*self, lease) {
+            (Elect::Swap, None) => Step::Ready(mem.swap(lock, 1) == 0),
+            (Elect::Swap, Some(lease)) => match mem.swap(lock, lease) {
+                0 | DEAD_LEASE => Step::Ready(true),
+                prev => {
+                    *self = Elect::Restore(prev);
+                    Step::Pending
+                }
+            },
+            (Elect::Restore(prev), _) => {
+                mem.swap(lock, prev);
+                Step::Ready(false)
+            }
+        }
+    }
+}
+
+/// The end of a won tenure: publish a fold into the cache register,
+/// then unlock — production's `Combiner` publication routine. The
+/// publish is `Published::publish`'s two-swap repair: a displaced fold
+/// larger than the published one is swapped straight back.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Release {
+    /// Swap the fold into the cache register.
+    Publish(u64),
+    /// The publish displaced this larger fold: swap it back.
+    Repair(u64),
+    /// Swap the lock word out.
+    Unlock,
+}
+
+impl Release {
+    /// One memory operation; ready once the lock is released.
+    fn step(&mut self, mem: &mut SimMemory, cells: &FrontCells) -> Step<()> {
+        *self = match *self {
+            Release::Publish(fold) => match mem.swap(cells.cache, fold) {
+                prev if prev > fold => Release::Repair(prev),
+                _ => Release::Unlock,
+            },
+            Release::Repair(prev) => {
+                mem.swap(cells.cache, prev);
+                Release::Unlock
+            }
+            Release::Unlock => {
+                mem.swap(cells.lock, 0);
+                return Step::Ready(());
+            }
+        };
+        Step::Pending
+    }
+}
+
+/// A whole-object read through the front-end.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub enum Read {
+    /// [`ReadMode::Cached`]: one load of the cache register.
+    Cached(Loc),
+    /// [`ReadMode::Stable`]: the inner stable collect, bypassing the
+    /// cache.
+    Stable {
+        /// The quotient map (what a max register's pass decodes with).
+        sharding: Sharding,
+        /// The collect.
+        collect: Collect,
+    },
+}
+
+impl Read {
+    /// One memory operation; ready with the value, a finished stable
+    /// pass reduced by `finish`.
+    fn step(&mut self, mem: &mut SimMemory, finish: fn(Sharding, &[u64]) -> u64) -> Step<u64> {
+        match self {
+            Read::Cached(cache) => Step::Ready(mem.read(*cache)),
+            Read::Stable { sharding, collect } => {
+                collect.step(mem).map(|pass| finish(*sharding, &pass))
+            }
+        }
     }
 }
 
@@ -238,15 +363,7 @@ where
                 applied: false,
                 stage: WriteStage::Publish,
             }),
-            MaxOp::Read => match self.mode {
-                ReadMode::Cached => CombiningMaxRegMachine::CachedLoad {
-                    cache: self.cells.cache,
-                },
-                ReadMode::Stable => CombiningMaxRegMachine::Collect {
-                    sharding: self.cells.sharding,
-                    collect: self.cells.collect(Reduce::Fold),
-                },
-            },
+            MaxOp::Read => CombiningMaxRegMachine::Read(self.cells.read(self.mode, Reduce::Fold)),
         }
     }
 }
@@ -256,18 +373,12 @@ where
 pub enum WriteStage {
     /// Announce: swap `payload + 1` into the own slot.
     Publish,
-    /// Run the election: swap 1 into the lock.
-    TryLock,
-    /// Combiner sweep, peeking slot `i` (a read).
-    SweepPeek {
-        /// Slot under the sweep cursor.
-        i: usize,
-    },
-    /// Combiner sweep, claiming occupied slot `i` (a swap-out).
-    SweepTake {
-        /// Slot under the sweep cursor.
-        i: usize,
-    },
+    /// The shared election, with the anonymous lock word.
+    Elect(Elect),
+    /// Combiner sweep, peeking slot `.0` (a read).
+    SweepPeek(usize),
+    /// Combiner sweep, claiming occupied slot `.0` (a swap-out).
+    SweepTake(usize),
     /// Combiner applying a claimed value through its **own** lane (the
     /// re-attribution that keeps helping single-writer — see
     /// [`crate::Combinable`]): the ensure probe, then the fetch&add.
@@ -283,10 +394,8 @@ pub enum WriteStage {
     /// base; production reads it under the lock for the same reason —
     /// publication must never regress the cache).
     ReadCache,
-    /// Combiner publishing the merged fold into the cache register.
-    PublishCache,
-    /// Combiner releasing the election lock.
-    Unlock,
+    /// The shared publish-then-unlock (an empty sweep only unlocks).
+    Release(Release),
     /// Election lost: the direct path's ensure probe and fetch&add.
     Direct(LaneWrite),
     /// Election lost: retiring the own announcement.
@@ -330,96 +439,73 @@ impl WriteState {
     /// publication once the sweep is done.
     fn after_slot(&self, i: usize) -> WriteStage {
         if i + 1 < self.cells.slots.len() {
-            WriteStage::SweepPeek { i: i + 1 }
+            WriteStage::SweepPeek(i + 1)
         } else if self.applied {
-            WriteStage::PublishCache
+            WriteStage::Release(Release::Publish(self.fold))
         } else {
             // Empty sweep (a previous combiner already claimed this
             // op): nothing to publish.
-            WriteStage::Unlock
+            WriteStage::Release(Release::Unlock)
         }
     }
 
     /// Advances the protocol by one memory operation.
     fn step(&mut self, mem: &mut SimMemory) -> Step<MaxResp> {
         let cells = &self.cells;
-        match self.stage.clone() {
+        self.stage = match self.stage.clone() {
             WriteStage::Publish => {
                 mem.swap(cells.slots[self.process], self.payload + 1);
-                self.stage = WriteStage::TryLock;
-                Step::Pending
+                WriteStage::Elect(Elect::Swap)
             }
-            WriteStage::TryLock => {
-                if mem.swap(cells.lock, 1) == 0 {
-                    self.stage = WriteStage::ReadCache;
-                } else {
-                    self.stage = WriteStage::Direct(self.write_of(self.payload));
-                }
-                Step::Pending
-            }
+            WriteStage::Elect(mut elect) => match elect.step(mem, cells.lock, None) {
+                Step::Pending => WriteStage::Elect(elect),
+                Step::Ready(true) => WriteStage::ReadCache,
+                Step::Ready(false) => WriteStage::Direct(self.write_of(self.payload)),
+            },
             WriteStage::ReadCache => {
                 self.fold = mem.read(cells.cache);
-                self.stage = WriteStage::SweepPeek { i: 0 };
-                Step::Pending
+                WriteStage::SweepPeek(0)
             }
-            WriteStage::SweepPeek { i } => {
-                if mem.read(cells.slots[i]) == 0 {
-                    self.stage = self.after_slot(i);
-                } else {
-                    self.stage = WriteStage::SweepTake { i };
-                }
-                Step::Pending
-            }
-            WriteStage::SweepTake { i } => {
-                match mem.swap(cells.slots[i], 0) {
-                    0 => self.stage = self.after_slot(i), // withdraw raced the claim
-                    stored => {
-                        self.stage = WriteStage::Apply {
-                            i,
-                            value: stored - 1,
-                            write: self.write_of(stored - 1),
-                        }
-                    }
-                }
-                Step::Pending
-            }
+            WriteStage::SweepPeek(i) => match mem.read(cells.slots[i]) {
+                0 => self.after_slot(i),
+                _ => WriteStage::SweepTake(i),
+            },
+            WriteStage::SweepTake(i) => match mem.swap(cells.slots[i], 0) {
+                0 => self.after_slot(i), // withdraw raced the claim
+                stored => WriteStage::Apply {
+                    i,
+                    value: stored - 1,
+                    write: self.write_of(stored - 1),
+                },
+            },
             WriteStage::Apply {
                 i,
                 value,
                 mut write,
-            } => {
-                if write.step(mem) == Step::Pending {
-                    self.stage = WriteStage::Apply { i, value, write };
-                } else {
+            } => match write.step(mem) {
+                Step::Pending => WriteStage::Apply { i, value, write },
+                Step::Ready(()) => {
                     // Landed, or already covered by this lane: merged
                     // into the fold either way — it is a landed value.
                     self.fold = self.fold.max(value);
                     self.applied = true;
-                    self.stage = self.after_slot(i);
+                    self.after_slot(i)
                 }
-                Step::Pending
-            }
-            WriteStage::PublishCache => {
-                mem.swap(cells.cache, self.fold);
-                self.stage = WriteStage::Unlock;
-                Step::Pending
-            }
-            WriteStage::Unlock => {
-                mem.swap(cells.lock, 0);
-                Step::Ready(MaxResp::Ok)
-            }
-            WriteStage::Direct(mut write) => {
-                self.stage = match write.step(mem) {
-                    Step::Pending => WriteStage::Direct(write),
-                    Step::Ready(()) => WriteStage::Withdraw,
-                };
-                Step::Pending
-            }
+            },
+            WriteStage::Release(mut release) => match release.step(mem, cells) {
+                Step::Pending => WriteStage::Release(release),
+                Step::Ready(()) => return Step::Ready(MaxResp::Ok),
+            },
+            WriteStage::Direct(mut write) => match write.step(mem) {
+                Step::Pending => WriteStage::Direct(write),
+                Step::Ready(()) => WriteStage::Withdraw,
+            },
             WriteStage::Withdraw => {
                 mem.swap(cells.slots[self.process], 0);
-                Step::Ready(MaxResp::Ok)
+                return Step::Ready(MaxResp::Ok);
             }
-        }
+        };
+        Step::Pending
     }
 }
 
@@ -428,19 +514,8 @@ impl WriteState {
 pub enum CombiningMaxRegMachine {
     /// `writeMax` through the front-end.
     Write(WriteState),
-    /// `readMax`, cached mode: one load of the cache register.
-    CachedLoad {
-        /// The cache register.
-        cache: Loc,
-    },
-    /// `readMax`, stable mode: the sharded stable collect (quotient
-    /// decode), bypassing the cache.
-    Collect {
-        /// The quotient map.
-        sharding: Sharding,
-        /// The collect.
-        collect: Collect,
-    },
+    /// `readMax`: the shared read (the stable pass decodes quotients).
+    Read(Read),
 }
 
 impl OpMachine for CombiningMaxRegMachine {
@@ -449,12 +524,9 @@ impl OpMachine for CombiningMaxRegMachine {
     fn step(&mut self, mem: &mut SimMemory) -> Step<MaxResp> {
         match self {
             CombiningMaxRegMachine::Write(w) => w.step(mem),
-            CombiningMaxRegMachine::CachedLoad { cache } => {
-                Step::Ready(MaxResp::Value(mem.read(*cache)))
-            }
-            CombiningMaxRegMachine::Collect { sharding, collect } => collect
-                .step(mem)
-                .map(|pass| MaxResp::Value(sharding.max_from_quotients(&pass))),
+            CombiningMaxRegMachine::Read(read) => read
+                .step(mem, |sharding, pass| sharding.max_from_quotients(pass))
+                .map(MaxResp::Value),
         }
     }
 }
@@ -521,18 +593,20 @@ where
 
     /// Starts the front-end in the crash aftermath: the election lock
     /// already holds [`DEAD_LEASE`], as if a combiner crash-stopped
-    /// between winning and releasing. The crash itself is the
+    /// between winning and releasing — the planting *is* one anonymous
+    /// election that never releases. The crash itself is the
     /// adversary's prefix, not a step in the tree — `check_strong`
     /// cannot explore an operation that never returns, so the dead
     /// tenure is initial state and every in-tree operation still
     /// terminates (the wait-freedom claim survives the fault).
     pub fn abandon_lock(self, mem: &mut SimMemory) -> Self {
-        mem.swap(self.cells.lock, DEAD_LEASE);
+        let won = Elect::Swap.step(mem, self.cells.lock, None);
+        assert_eq!(won, Step::Ready(true), "the lock starts free");
         self
     }
 
     /// Arms the lease-reclaim election (the
-    /// [`crate::CombinerLock::reclaim`] model): `TryLock` swaps the
+    /// [`crate::CombinerLock::reclaim`] model): the election swaps the
     /// process's unique lease instead of the anonymous 1, treats a
     /// [`DEAD_LEASE`] answer as a takeover, and restores a live
     /// holder's lease before completing lost.
@@ -542,41 +616,23 @@ where
     }
 }
 
-impl CombiningCounterAlg<sl2_spec::counters::CounterSpec> {
+impl CombiningCounterAlg<CounterSpec> {
     /// Cached 1-load reads judged against the exact counter — the
     /// refutation target.
     pub fn cached(mem: &mut SimMemory, n: usize, shards: usize) -> Self {
-        Self::with_spec(
-            mem,
-            n,
-            shards,
-            ReadMode::Cached,
-            sl2_spec::counters::CounterSpec,
-        )
+        Self::with_spec(mem, n, shards, ReadMode::Cached, CounterSpec)
     }
 
     /// Stable collect reads judged against the exact counter.
     pub fn stable(mem: &mut SimMemory, n: usize, shards: usize) -> Self {
-        Self::with_spec(
-            mem,
-            n,
-            shards,
-            ReadMode::Stable,
-            sl2_spec::counters::CounterSpec,
-        )
+        Self::with_spec(mem, n, shards, ReadMode::Stable, CounterSpec)
     }
 }
 
-impl CombiningCounterAlg<sl2_spec::relaxed::LaggingCounterSpec> {
+impl CombiningCounterAlg<LaggingCounterSpec> {
     /// Cached reads judged against the honest k-lagging specification.
     pub fn relaxed(mem: &mut SimMemory, n: usize, shards: usize, k: u64) -> Self {
-        Self::with_spec(
-            mem,
-            n,
-            shards,
-            ReadMode::Cached,
-            sl2_spec::relaxed::LaggingCounterSpec { k },
-        )
+        Self::with_spec(mem, n, shards, ReadMode::Cached, LaggingCounterSpec { k })
     }
 }
 
@@ -593,92 +649,82 @@ where
 
     fn machine(&self, process: usize, op: &CounterOp) -> CombiningCounterMachine {
         match op {
-            CounterOp::Inc => CombiningCounterMachine::Inc {
+            CounterOp::Inc => CombiningCounterMachine::Inc(IncState {
                 cells: self.cells.clone(),
-                process,
-                recovery: self.recovery,
-                write: LaneWrite::new(
+                lease: self.recovery.then_some(LEASE_BASE + process as u64),
+                stage: IncStage::Write(LaneWrite::new(
                     self.cells.shards[self.cells.sharding.of_process(process)],
                     self.cells.lanes,
                     process,
                     Target::Increment,
-                ),
-            },
-            CounterOp::Read => match self.mode {
-                ReadMode::Cached => CombiningCounterMachine::CachedLoad {
-                    cache: self.cells.cache,
-                },
-                ReadMode::Stable => CombiningCounterMachine::Sum(self.cells.collect(Reduce::Sum)),
-            },
+                )),
+            }),
+            CounterOp::Read => {
+                CombiningCounterMachine::Read(self.cells.read(self.mode, Reduce::Sum))
+            }
         }
     }
 }
 
-/// Step machine for the publication-combining counter: the plain
-/// striped increment, then one election attempt to republish the fold.
+/// Step machine for the publication-combining counter.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum CombiningCounterMachine {
-    /// `inc` steps 1–2: raise the own lane of the home shard by one.
-    Inc {
-        /// The front-end's base objects.
-        cells: FrontCells,
-        /// Incrementing process (names the recovery lease).
-        process: usize,
-        /// Whether the election runs the lease-reclaim protocol.
-        recovery: bool,
-        /// The lane write.
-        write: LaneWrite,
-    },
-    /// `inc` step 3: the election — lost completes the operation,
-    /// won proceeds to publish. Under recovery the process swaps its
-    /// unique lease ([`LEASE_BASE`]` + process`); a [`DEAD_LEASE`]
-    /// answer is a takeover of the crashed tenure.
-    TryLock {
-        /// The front-end's base objects.
-        cells: FrontCells,
-        /// Incrementing process (names the recovery lease).
-        process: usize,
-        /// Whether the election runs the lease-reclaim protocol.
-        recovery: bool,
-    },
-    /// Recovery election lost against a *live* lease: put the holder's
-    /// lease back (the model's restore-on-clobber — production's
-    /// read-first acquire shrinks but cannot close this window), then
-    /// complete unpublished.
-    RestoreLock {
-        /// The front-end's base objects.
-        cells: FrontCells,
-        /// The clobbered holder's lease, to restore.
-        prev: u64,
-    },
-    /// Election won: one-pass fold over the stripes, shard `s` next.
-    Fold {
-        /// The front-end's base objects.
-        cells: FrontCells,
-        /// Shard under the fold cursor.
-        s: usize,
-        /// Sum accumulated so far.
-        acc: u64,
-    },
-    /// Election won: publishing the fold into the cache register.
-    PublishCache {
-        /// The front-end's base objects.
-        cells: FrontCells,
-        /// The fold to publish.
-        fold: u64,
-    },
-    /// Election won: releasing the lock (completes the operation).
-    Unlock {
-        /// The front-end's base objects.
-        cells: FrontCells,
-    },
-    /// `read`, cached mode: one load of the cache register.
-    CachedLoad {
-        /// The cache register.
-        cache: Loc,
-    },
-    /// `read`, stable mode: the sharded stable-collect sum.
-    Sum(Collect),
+    /// `inc` through the front-end.
+    Inc(IncState),
+    /// `read`: the shared read (the stable pass sums).
+    Read(Read),
+}
+
+/// One publication-combining increment in flight: the plain striped
+/// increment, then one election attempt to republish the fold.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct IncState {
+    /// The front-end's base objects.
+    cells: FrontCells,
+    /// The recovery lease ([`LEASE_BASE`]` + process`), if armed.
+    lease: Option<u64>,
+    /// Protocol position.
+    stage: IncStage,
+}
+
+/// Where a combining increment currently is in the protocol.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub enum IncStage {
+    /// Raise the own lane of the home shard by one.
+    Write(LaneWrite),
+    /// The shared election: lost completes the increment unpublished
+    /// (the staleness the cached read pays), won folds.
+    Elect(Elect),
+    /// Election won: one naive pass over the stripes.
+    Fold(Collect),
+    /// The shared publish-then-unlock.
+    Release(Release),
+}
+
+impl IncState {
+    /// Advances the protocol by one memory operation.
+    fn step(&mut self, mem: &mut SimMemory) -> Step<CounterResp> {
+        let cells = &self.cells;
+        let next = match &mut self.stage {
+            IncStage::Write(write) => write.step(mem).map(|()| IncStage::Elect(Elect::Swap)),
+            IncStage::Elect(elect) => match elect.step(mem, cells.lock, self.lease) {
+                Step::Ready(false) => return Step::Ready(CounterResp::Ok),
+                won => {
+                    won.map(|_| IncStage::Fold(cells.collect(Reduce::Sum, WholeReadMode::Naive)))
+                }
+            },
+            IncStage::Fold(collect) => collect
+                .step(mem)
+                .map(|pass| IncStage::Release(Release::Publish(pass.iter().sum()))),
+            IncStage::Release(release) => {
+                return release.step(mem, cells).map(|()| CounterResp::Ok)
+            }
+        };
+        if let Step::Ready(stage) = next {
+            self.stage = stage;
+        }
+        Step::Pending
+    }
 }
 
 impl OpMachine for CombiningCounterMachine {
@@ -686,102 +732,10 @@ impl OpMachine for CombiningCounterMachine {
 
     fn step(&mut self, mem: &mut SimMemory) -> Step<CounterResp> {
         match self {
-            CombiningCounterMachine::Inc {
-                cells,
-                process,
-                recovery,
-                write,
-            } => {
-                if write.step(mem) == Step::Ready(()) {
-                    *self = CombiningCounterMachine::TryLock {
-                        cells: cells.clone(),
-                        process: *process,
-                        recovery: *recovery,
-                    };
-                }
-                Step::Pending
-            }
-            CombiningCounterMachine::TryLock {
-                cells,
-                process,
-                recovery,
-            } => {
-                if !*recovery {
-                    if mem.swap(cells.lock, 1) == 0 {
-                        *self = CombiningCounterMachine::Fold {
-                            cells: cells.clone(),
-                            s: 0,
-                            acc: 0,
-                        };
-                        Step::Pending
-                    } else {
-                        // Lost: the increment has already landed —
-                        // complete unpublished (the staleness the
-                        // cached read pays).
-                        Step::Ready(CounterResp::Ok)
-                    }
-                } else {
-                    let lease = LEASE_BASE + *process as u64;
-                    match mem.swap(cells.lock, lease) {
-                        // Free, or the frozen tenure of a crashed
-                        // combiner: this process's lease is now in the
-                        // cell, the tenure is its own.
-                        0 | DEAD_LEASE => {
-                            *self = CombiningCounterMachine::Fold {
-                                cells: cells.clone(),
-                                s: 0,
-                                acc: 0,
-                            };
-                            Step::Pending
-                        }
-                        prev => {
-                            *self = CombiningCounterMachine::RestoreLock {
-                                cells: cells.clone(),
-                                prev,
-                            };
-                            Step::Pending
-                        }
-                    }
-                }
-            }
-            CombiningCounterMachine::RestoreLock { cells, prev } => {
-                mem.swap(cells.lock, *prev);
-                Step::Ready(CounterResp::Ok)
-            }
-            CombiningCounterMachine::Fold { cells, s, acc } => {
-                let image = mem.wide_adjust(cells.shards[*s], &BigNat::zero(), &BigNat::zero());
-                let acc = *acc + cells.lanes.sum(&image);
-                if *s + 1 < cells.shards.len() {
-                    *self = CombiningCounterMachine::Fold {
-                        cells: cells.clone(),
-                        s: *s + 1,
-                        acc,
-                    };
-                } else {
-                    *self = CombiningCounterMachine::PublishCache {
-                        cells: cells.clone(),
-                        fold: acc,
-                    };
-                }
-                Step::Pending
-            }
-            CombiningCounterMachine::PublishCache { cells, fold } => {
-                mem.swap(cells.cache, *fold);
-                *self = CombiningCounterMachine::Unlock {
-                    cells: cells.clone(),
-                };
-                Step::Pending
-            }
-            CombiningCounterMachine::Unlock { cells } => {
-                mem.swap(cells.lock, 0);
-                Step::Ready(CounterResp::Ok)
-            }
-            CombiningCounterMachine::CachedLoad { cache } => {
-                Step::Ready(CounterResp::Value(mem.read(*cache)))
-            }
-            CombiningCounterMachine::Sum(c) => c
-                .step(mem)
-                .map(|pass| CounterResp::Value(pass.iter().sum())),
+            CombiningCounterMachine::Inc(inc) => inc.step(mem),
+            CombiningCounterMachine::Read(read) => read
+                .step(mem, |_, pass| pass.iter().sum())
+                .map(CounterResp::Value),
         }
     }
 }
@@ -839,6 +793,21 @@ mod tests {
         let (r, steps) = run_solo(&mut alg.machine(1, &CounterOp::Read), &mut mem);
         assert_eq!(r, CounterResp::Value(1));
         assert_eq!(steps, 1, "cached read is one load");
+    }
+
+    #[test]
+    fn a_publication_that_displaces_a_larger_fold_swaps_it_back() {
+        // Production's two-swap repair, solo: a larger fold planted in
+        // the cache (what an overlapping publisher leaves) costs the
+        // publication one extra swap and survives it.
+        let mut mem = SimMemory::new();
+        let alg = CombiningCounterAlg::cached(&mut mem, 2, 2);
+        mem.swap(alg.cells.cache, 5);
+        let (r, steps) = run_solo(&mut alg.machine(0, &CounterOp::Inc), &mut mem);
+        assert_eq!(r, CounterResp::Ok);
+        assert_eq!(steps, 8, "the 7 steps of a solo inc, plus the repair");
+        assert_eq!(mem.read(alg.cells.cache), 5, "the larger fold is back");
+        assert_eq!(mem.read(alg.cells.lock), 0, "and the tenure released");
     }
 
     // -- checker verdicts (the DESIGN.md §8 table) ---------------------

@@ -7,25 +7,39 @@
 //! | [`CombiningCounter`] | publication only | increments are owner-attributed units; non-blocking delegation cannot be exactly-once at consensus number 2 |
 //! | [`CombiningSnapshot`] | the read cache only | updates overwrite — not even monotone, so stale help could regress a component |
 //!
-//! All three share the 1-load (or optimistic multi-word) cached read
-//! and the exact stable path as fallback; the cached read's
-//! strong-linearizability verdicts are in [`crate::machines`].
+//! The first two are one type, [`Combiner`], over a [`Combinable`]
+//! and a [`Foldable`] inner object; the snapshot keeps its own type,
+//! because its cache is multi-word. All three share the 1-load (or
+//! optimistic multi-word) cached read and the exact stable path as
+//! fallback; the cached read's strong-linearizability verdicts are in
+//! [`crate::machines`].
 
 use sl2_sharded::{ShardedFetchInc, ShardedMaxRegister, ShardedSnapshot};
 
-use crate::combiner::{observe_or_reclaim, ApplyPath, Combinable, Combiner, Tenure};
-use crate::slots::{CombinerLock, PublicationArray, Published, SeqCache};
+use crate::combiner::{Combinable, Combiner, Foldable};
+use crate::slots::{CombinerLock, SeqCache};
 
 // ---------------------------------------------------------------------
 // Max register
 // ---------------------------------------------------------------------
 
-impl Combinable for ShardedMaxRegister {
-    type Op = u64;
-
+impl Foldable for ShardedMaxRegister {
     fn processes(&self) -> usize {
         ShardedMaxRegister::processes(self)
     }
+
+    fn fold_relaxed(&self) -> u64 {
+        self.read_max_relaxed()
+    }
+
+    fn fold_exact(&self) -> u64 {
+        use sl2_core::algos::MaxRegister;
+        self.read_max()
+    }
+}
+
+impl Combinable for ShardedMaxRegister {
+    type Op = u64;
 
     fn encode(op: u64) -> u64 {
         op
@@ -50,21 +64,14 @@ impl Combinable for ShardedMaxRegister {
         // inputs are not.
         prev.max(op)
     }
-
-    fn fold_relaxed(&self) -> u64 {
-        self.read_max_relaxed()
-    }
-
-    fn fold_exact(&self) -> u64 {
-        use sl2_core::algos::MaxRegister;
-        self.read_max()
-    }
 }
 
 /// A [`ShardedMaxRegister`] behind the combining front-end: writes are
-/// announced and batched (or applied directly on a lost election),
-/// reads choose between the 1-load cached fold and the exact stable
-/// fold.
+/// announced and batched (or applied directly on a lost election;
+/// [`Combiner::apply`] reports the route), reads choose between the
+/// 1-load cached fold ([`Combiner::read_cached`], which strongly meets
+/// `sl2_spec::relaxed::LaggingMaxSpec` and is refuted against the exact
+/// spec) and the exact stable fold.
 ///
 /// # Examples
 ///
@@ -78,66 +85,18 @@ impl Combinable for ShardedMaxRegister {
 /// assert_eq!(m.read_cached(), 17);
 /// assert_eq!(m.read_max(), 17);
 /// ```
-#[derive(Debug)]
-pub struct CombiningMaxRegister {
-    front: Combiner<ShardedMaxRegister>,
-}
+pub type CombiningMaxRegister = Combiner<ShardedMaxRegister>;
 
-impl CombiningMaxRegister {
-    /// Wraps a sharded max register.
-    pub fn new(inner: ShardedMaxRegister) -> Self {
-        CombiningMaxRegister {
-            front: Combiner::new(inner),
-        }
-    }
-
-    /// As [`CombiningMaxRegister::new`], see [`Combiner::over`].
-    pub fn over(inner: ShardedMaxRegister, slots: PublicationArray) -> Self {
-        CombiningMaxRegister {
-            front: Combiner::over(inner, slots),
-        }
-    }
-
-    /// The front-end (election, epochs, consensus ceiling).
-    pub fn front(&self) -> &Combiner<ShardedMaxRegister> {
-        &self.front
-    }
-
-    /// The 1-load cached read: the last published fold. Monotone and
-    /// never ahead of the exact maximum; may trail direct-path writes
-    /// (strongly meets `sl2_spec::relaxed::LaggingMaxSpec`, refuted
-    /// against the exact spec — DESIGN.md §8).
-    pub fn read_cached(&self) -> u64 {
-        self.front.read_cached()
-    }
-
-    /// Combiner batches published so far.
-    pub fn epoch(&self) -> u64 {
-        self.front.epoch()
-    }
-
-    /// Opportunistically republishes the fold (see
-    /// [`Combiner::refresh`]).
-    pub fn refresh(&self) -> bool {
-        self.front.refresh()
-    }
-
-    /// Writes through the front-end, reporting the route taken.
-    pub fn write_max_traced(&self, process: usize, v: u64) -> ApplyPath {
-        self.front.apply(process, v)
-    }
-}
-
-impl sl2_core::algos::MaxRegister for CombiningMaxRegister {
+impl sl2_core::algos::MaxRegister for Combiner<ShardedMaxRegister> {
     fn write_max(&self, process: usize, v: u64) {
-        self.front.apply(process, v);
+        self.apply(process, v);
     }
 
     /// The exact (stable-collect) read — the trait's contract is the
     /// exact specification, so the cached fold is a separate entry
     /// point.
     fn read_max(&self) -> u64 {
-        self.front.read_stable()
+        self.read_stable()
     }
 }
 
@@ -145,19 +104,30 @@ impl sl2_core::algos::MaxRegister for CombiningMaxRegister {
 // Counter
 // ---------------------------------------------------------------------
 
+impl Foldable for ShardedFetchInc {
+    fn processes(&self) -> usize {
+        ShardedFetchInc::processes(self)
+    }
+
+    fn fold_relaxed(&self) -> u64 {
+        self.read_relaxed()
+    }
+
+    fn fold_exact(&self) -> u64 {
+        self.read()
+    }
+}
+
 /// A [`ShardedFetchInc`] behind a *publication-combining* front-end.
 ///
-/// Increments always land on the plain wait-free striped path — a
-/// counter unit is attributed to its owner's lane, and within the
-/// consensus-number-2 budget a non-blocking helper cannot take over
-/// an owner-attributed unit exactly-once (the owner would have to
-/// wait on the helper, which is the blocking flat combining this crate
-/// refuses). What the election combines is the *publication*: the
-/// incrementing process that wins the lock performs one relaxed fold
-/// and publishes it, so read-heavy callers still get the 1-load cached
-/// read; losers complete unpublished, which is precisely the staleness
-/// the checker adjudicates (refuted against the exact counter,
-/// certified against `LaggingCounterSpec` — DESIGN.md §8).
+/// Increments always land on the plain wait-free striped path: a unit
+/// is owner-attributed, so no helper may apply it and the counter is
+/// only [`Foldable`] (DESIGN.md §8). What the election combines is the
+/// *publication*: the incrementing process that wins the lock publishes
+/// one relaxed fold, so read-heavy callers still get the 1-load cached
+/// read. Losers complete unpublished, the staleness the checker
+/// adjudicates (refuted against the exact counter, certified against
+/// [`LaggingCounterSpec`]).
 ///
 /// [`LaggingCounterSpec`]: sl2_spec::relaxed::LaggingCounterSpec
 ///
@@ -173,61 +143,17 @@ impl sl2_core::algos::MaxRegister for CombiningMaxRegister {
 /// assert_eq!(c.read_exact(), 2);
 /// assert!(c.read_cached() <= 2, "cache never runs ahead");
 /// ```
-#[derive(Debug)]
-pub struct CombiningCounter {
-    inner: ShardedFetchInc,
-    lock: CombinerLock,
-    published: Published,
-    /// Per-process abandonment evidence for the publication lock —
-    /// the same lease/strike reclaim protocol as [`Combiner`]
-    /// (DESIGN.md §10): a crash-stopped publisher must not disable
-    /// the cached read path forever. The same per-process lines as
-    /// the max register's, their slot halves unused (increments are
-    /// never announced).
-    lines: PublicationArray,
-}
+pub type CombiningCounter = Combiner<ShardedFetchInc>;
 
-impl CombiningCounter {
-    /// Wraps a sharded counter.
-    pub fn new(inner: ShardedFetchInc) -> Self {
-        let lines = PublicationArray::new(inner.processes());
-        CombiningCounter::over(inner, lines)
-    }
-
-    /// As [`CombiningCounter::new`] over caller-placed (fresh)
-    /// per-process lines (see [`Combiner::over`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `lines` has one line per process of `inner`.
-    pub fn over(inner: ShardedFetchInc, lines: PublicationArray) -> Self {
-        assert_eq!(lines.len(), inner.processes(), "one line per process");
-        CombiningCounter {
-            inner,
-            lock: CombinerLock::new(),
-            published: Published::default(),
-            lines,
-        }
-    }
-
-    /// The wrapped sharded counter.
-    pub fn inner(&self) -> &ShardedFetchInc {
-        &self.inner
-    }
-
-    /// The publication lock — exposed for fault-injection tests and
-    /// diagnostics (e.g. abandoning a tenure on purpose to exercise
-    /// the reclaim path). Production callers never need this.
-    pub fn lock(&self) -> &CombinerLock {
-        &self.lock
-    }
-
+impl Combiner<ShardedFetchInc> {
     /// Increments by one on behalf of `process` (always the wait-free
-    /// striped path), then tries the election to republish the fold.
-    /// Returns whether this increment published.
+    /// striped path), then runs the publication [`Combiner::refresh`]
+    /// runs, under `process`'s identity: unlike an anonymous refresh,
+    /// it may reclaim a frozen lease. Returns whether this increment
+    /// published.
     pub fn inc_traced(&self, process: usize) -> bool {
-        self.inner.inc(process);
-        self.refresh_from(Some(process))
+        self.inner().inc(process);
+        self.republish(Some(process))
     }
 
     /// Increments by one on behalf of `process`.
@@ -235,66 +161,9 @@ impl CombiningCounter {
         self.inc_traced(process);
     }
 
-    /// The 1-load cached read: the last published count. Monotone and
-    /// never ahead of the exact count; may lag increments whose
-    /// election lost (strongly meets
-    /// `sl2_spec::relaxed::LaggingCounterSpec`, refuted against the
-    /// exact spec — DESIGN.md §8).
-    pub fn read_cached(&self) -> u64 {
-        self.published.read()
-    }
-
     /// The exact (stable-collect) read.
     pub fn read_exact(&self) -> u64 {
-        self.inner.read()
-    }
-
-    /// Publications so far.
-    pub fn epoch(&self) -> u64 {
-        self.published.epoch.read()
-    }
-
-    /// Opportunistically republishes the relaxed fold (one election
-    /// attempt). The fold is one pass over monotone stripes: never
-    /// ahead of the landed count, monotone across publications.
-    /// Anonymous callers (no process identity) never reclaim; the
-    /// per-process path behind [`CombiningCounter::inc_traced`] does.
-    pub fn refresh(&self) -> bool {
-        self.refresh_from(None)
-    }
-
-    /// One publication attempt, with abandonment recovery when the
-    /// caller has a process identity to accumulate suspicion under.
-    /// The lease rides a `Tenure` guard (release-on-unwind), the
-    /// publication carries `Published::publish`'s two-swap repair
-    /// (not yet monotone, ROADMAP item 1).
-    fn refresh_from(&self, process: Option<usize>) -> bool {
-        let lease = match self.lock.try_acquire() {
-            Some(lease) => {
-                if let Some(p) = process {
-                    let strikes = &self.lines.suspicion(p).strikes;
-                    strikes.store(0, std::sync::atomic::Ordering::Relaxed);
-                }
-                lease
-            }
-            None => {
-                let Some(p) = process else { return false };
-                match observe_or_reclaim(&self.lock, &self.published.epoch, self.lines.suspicion(p))
-                {
-                    Some(lease) => lease,
-                    None => return false,
-                }
-            }
-        };
-        let tenure = Tenure {
-            lock: &self.lock,
-            lease: Some(lease),
-        };
-        sl2_chaos::point("counter.pre_publish");
-        self.published.publish(self.inner.read_relaxed());
-        sl2_chaos::point("counter.pre_release");
-        drop(tenure);
-        true
+        self.inner().read()
     }
 }
 
@@ -362,18 +231,22 @@ impl CombiningSnapshot {
     /// the [`SeqCache`] odd/even protocol is only sound under writer
     /// exclusivity, and a wrongful reclaim of a stalled publisher
     /// could overlap two publications into a torn-but-version-stable
-    /// view. A crash-stopped snapshot publisher therefore degrades
-    /// every later cached scan to the miss path (the exact stable
-    /// scan) — safe, and the documented §10 trade.
+    /// view. A crash-stopped snapshot publisher therefore freezes the
+    /// cache where it stopped. Dead between the two version bumps, or
+    /// before the first publication, it leaves every later cached scan
+    /// a miss (the exact stable scan). Dead anywhere else — at
+    /// `snapshot.pre_publish` after an earlier publication, say — it
+    /// leaves an even version, and every later cached scan hits the
+    /// last published view, stale forever; [`Snapshot::scan`] stays
+    /// exact. That is the documented §10 trade.
+    ///
+    /// [`Snapshot::scan`]: sl2_core::algos::Snapshot::scan
     pub fn refresh(&self) -> bool {
         use sl2_core::algos::Snapshot;
         let Some(lease) = self.lock.try_acquire() else {
             return false;
         };
-        let tenure = Tenure {
-            lock: &self.lock,
-            lease: Some(lease),
-        };
+        let tenure = self.lock.hold(lease);
         let view = self.inner.scan();
         sl2_chaos::point("snapshot.pre_publish");
         self.cache.publish(&view);
@@ -435,7 +308,7 @@ mod tests {
         let m = CombiningMaxRegister::new(ShardedMaxRegister::new(2, 2));
         assert_eq!(m.read_cached(), 0);
         assert_eq!(m.epoch(), 0);
-        let path = m.write_max_traced(0, 9);
+        let path = m.apply(0, 9);
         assert_eq!(path, ApplyPath::Combined { applied: 1 });
         assert_eq!(m.epoch(), 1);
         assert_eq!(m.read_cached(), 9, "uncontended writes publish");
@@ -519,7 +392,7 @@ mod tests {
         assert_eq!(m.read_max(), 300_000);
         assert_eq!(m.read_cached(), 300_000);
         assert!(
-            m.front().inner().shards_inline(),
+            m.inner().shards_inline(),
             "binary lanes keep 300 000 inline at S = 4"
         );
     }
@@ -621,15 +494,26 @@ mod tests {
 
     #[test]
     fn the_whole_front_end_stays_at_consensus_number_two() {
-        use sl2_primitives::BaseObject;
         let m = CombiningMaxRegister::new(ShardedMaxRegister::new(2, 2));
-        assert_eq!(m.front().consensus_ceiling(), ConsensusNumber::Two);
-        // The counter front is the same parts minus the slots: lock
-        // (swap), cache (swap), epoch (fetch&add), striped WideFaa.
+        assert_eq!(m.consensus_ceiling(), ConsensusNumber::Two);
+        // The counter is the same front-end over striped WideFaa.
         let c = CombiningCounter::new(ShardedFetchInc::new(2, 2));
-        assert_eq!(c.lock.consensus_number(), ConsensusNumber::Two);
-        assert!(sl2_primitives::Swap::CONSENSUS_NUMBER <= ConsensusNumber::Two);
-        assert!(sl2_primitives::FetchAdd::CONSENSUS_NUMBER <= ConsensusNumber::Two);
-        assert!(sl2_bignum::WideFaa::CONSENSUS_NUMBER <= ConsensusNumber::Two);
+        assert_eq!(c.consensus_ceiling(), ConsensusNumber::Two);
+    }
+
+    #[test]
+    fn abandoned_snapshot_lock_freezes_a_stale_hit_not_a_miss() {
+        // A publisher that crash-stops holding the lock after an
+        // earlier publication (at `snapshot.pre_publish`, say) leaves
+        // the version even: later cached scans hit the old view.
+        let s = CombiningSnapshot::new(ShardedSnapshot::new(4, 2));
+        s.update(0, 3);
+        assert!(s.refresh());
+        let dead = s.lock.try_acquire().expect("fresh lock is free");
+        drop(dead); // crash-stop: the lease is never released
+        s.update(1, 5);
+        assert!(!s.refresh(), "no reclaim: the dead holder keeps the lock");
+        assert_eq!(s.scan_cached(), vec![3, 0, 0, 0], "a hit, stale forever");
+        assert_eq!(s.scan(), vec![3, 5, 0, 0], "the stable scan stays exact");
     }
 }

@@ -16,13 +16,11 @@
 //! * [`PublicationArray::withdraw`] — the owner retires its
 //!   announcement after applying the operation directly.
 //!
-//! Claim and withdraw race by design: the swap's atomicity means the
-//! operation word is handed to exactly one of them, and the combining
-//! protocol only ever announces *ensure-style idempotent* operations
-//! (see [`crate::Combinable`]), so the loser applying a stale copy is
-//! harmless. That idempotence is what lets the front-end stay
-//! non-blocking — an announcer that loses the combiner election never
-//! waits for help; it applies directly and withdraws.
+//! Claim and withdraw race by design: the swap hands the operation word
+//! to exactly one of them, and only ensure-style idempotent operations
+//! are announced ([`crate::Combinable`]), so a stale copy applied by the
+//! loser is harmless — which is what lets a lost election apply directly
+//! instead of waiting for help.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -40,11 +38,6 @@ pub struct PubSlot {
 }
 
 impl PubSlot {
-    /// An empty slot.
-    pub fn new() -> Self {
-        PubSlot::default()
-    }
-
     /// Whether an operation is currently announced (one read).
     pub fn is_occupied(&self) -> bool {
         self.cell.read() != EMPTY
@@ -218,10 +211,11 @@ impl Lease {
 ///
 /// Under crash-stop faults the suspicion evidence is conclusive once
 /// the suspect is really dead, so reclaim never steals from a live
-/// combiner. A merely *stalled* combiner can be suspected wrongly —
-/// the release validation plus the monotone publication repair in
-/// [`crate::Combiner`] keep that safe (DESIGN.md §10 spells out the
-/// model boundary).
+/// combiner. A merely *stalled* combiner can be suspected wrongly: the
+/// release validation keeps the lock consistent, but the published
+/// cache stays monotone only while one tenure publishes at a time —
+/// a resurrected publisher overlapping its rescuer can regress it
+/// (ROADMAP item 1; DESIGN.md §10 spells out the model boundary).
 ///
 /// # Examples
 ///
@@ -277,13 +271,18 @@ impl CombinerLock {
         if self.cell.read() != 0 {
             return None;
         }
+        self.swap_in(0)
+    }
+
+    /// Swaps a fresh lease in and keeps it if the cell held `expected`
+    /// or was free; any other word is a live holder's lease, handed
+    /// straight back (restore-on-clobber) before failing.
+    fn swap_in(&self, expected: u64) -> Option<Lease> {
         let id = self.fresh_id();
         match self.cell.swap(id) {
-            0 => Some(Lease { id }),
-            prev => {
-                // Lost a same-instant race: hand the winner's lease
-                // back and fail.
-                self.cell.swap(prev);
+            prev if prev == expected || prev == 0 => Some(Lease { id }),
+            live => {
+                self.cell.swap(live);
                 None
             }
         }
@@ -293,8 +292,9 @@ impl CombinerLock {
     /// cell still held this lease); `false` means the tenure had been
     /// reclaimed by a survivor that suspected this combiner dead — the
     /// reclaimer's lease is restored and the caller must treat its
-    /// tenure as forfeited (its publication already happened and is
-    /// monotone-safe; see [`crate::Combiner`]).
+    /// tenure as forfeited (its publication already happened; it kept
+    /// the cache monotone only if it did not overlap the rescuer's,
+    /// ROADMAP item 1).
     pub fn release(&self, lease: Lease) -> bool {
         match self.cell.swap(0) {
             id if id == lease.id => true,
@@ -317,17 +317,7 @@ impl CombinerLock {
         if suspected == 0 || self.cell.read() != suspected {
             return None;
         }
-        let id = self.fresh_id();
-        match self.cell.swap(id) {
-            prev if prev == suspected => Some(Lease { id }),
-            // Freed between the read and the swap: we hold a
-            // legitimately acquired free lock.
-            0 => Some(Lease { id }),
-            live => {
-                self.cell.swap(live);
-                None
-            }
-        }
+        self.swap_in(suspected)
     }
 
     /// The lease word currently in the cell (0 = free). One read —
@@ -339,6 +329,33 @@ impl CombinerLock {
     /// Whether some combiner currently holds the lock (one read).
     pub fn is_held(&self) -> bool {
         self.holder() != 0
+    }
+
+    /// Guards `lease` for one tenure: the one way a [`Tenure`] is made.
+    pub(crate) fn hold(&self, lease: Lease) -> Tenure<'_> {
+        Tenure {
+            lock: self,
+            lease: Some(lease),
+        }
+    }
+}
+
+/// A held combiner tenure that releases on drop, so a panic inside the
+/// critical section unwinds through the release instead of abandoning
+/// the lock. A crash-stop never unwinds, so abandonment — the case the
+/// lease/reclaim machinery exists for — is exactly the non-drop path.
+pub(crate) struct Tenure<'a> {
+    lock: &'a CombinerLock,
+    lease: Option<Lease>,
+}
+
+impl Drop for Tenure<'_> {
+    fn drop(&mut self) {
+        if let Some(lease) = self.lease.take() {
+            // `false`: a survivor reclaimed the tenure; forfeit (see
+            // `CombinerLock::release`).
+            let _ = self.lock.release(lease);
+        }
     }
 }
 
@@ -368,7 +385,9 @@ impl Published {
     /// second swap puts it back. The repair is not monotone: a read
     /// between the two swaps sees the smaller fold, and a third
     /// publisher's fold swapped in between them is overwritten until
-    /// the next publication (ROADMAP item 1).
+    /// the next publication (ROADMAP item 1). The one caller is
+    /// `Combiner`'s publication routine; the step-machine twins model
+    /// both swaps.
     pub(crate) fn publish(&self, fold: u64) {
         let prev = self.fold.swap(fold);
         if prev > fold {
@@ -411,19 +430,9 @@ impl SeqCache {
         }
     }
 
-    /// Number of cached words.
-    pub fn width(&self) -> usize {
-        self.words.len()
-    }
-
     /// Publication count so far.
     pub fn epoch(&self) -> u64 {
         self.version.read() / 2
-    }
-
-    /// Whether the cache has ever been published.
-    pub fn is_published(&self) -> bool {
-        self.version.read() >= 2
     }
 
     /// Publishes `view` (combiner-only, under the election lock):
@@ -602,12 +611,10 @@ mod tests {
     #[test]
     fn seq_cache_round_trips_and_reports_unpublished() {
         let cache = SeqCache::new(3);
-        assert_eq!(cache.width(), 3);
         let mut out = [0u64; 3];
         assert!(!cache.read_into(&mut out), "nothing published yet");
-        assert!(!cache.is_published());
+        assert_eq!(cache.epoch(), 0, "never published");
         cache.publish(&[4, 5, 6]);
-        assert!(cache.is_published());
         assert_eq!(cache.epoch(), 1);
         assert!(cache.read_into(&mut out));
         assert_eq!(out, [4, 5, 6]);
@@ -659,7 +666,7 @@ mod tests {
 
     #[test]
     fn every_piece_sits_at_consensus_number_two() {
-        assert_eq!(PubSlot::new().consensus_number(), ConsensusNumber::Two);
+        assert_eq!(PubSlot::default().consensus_number(), ConsensusNumber::Two);
         assert_eq!(CombinerLock::new().consensus_number(), ConsensusNumber::Two);
         assert_eq!(SeqCache::new(1).consensus_number(), ConsensusNumber::Two);
     }

@@ -163,7 +163,7 @@ mod tests {
     use sl2_exec::machine::run_solo;
     use sl2_exec::sched::{run, CrashPlan, FixedSchedule, Scenario};
     use sl2_exec::strong::check_strong;
-    use sl2_exec::{for_each_history, is_linearizable};
+    use sl2_exec::{for_each_history, is_linearizable, validate_witness};
 
     #[test]
     fn solo_carries_correctly() {
@@ -221,22 +221,28 @@ mod tests {
 
     #[test]
     fn checker_refutes_the_candidate_mechanically() {
-        // The same violation found without hand-crafting the schedule:
-        // some history of the bounded scenario is non-linearizable, so
-        // the strong checker refutes a fortiori.
+        // The same violation found without hand-crafting the schedule,
+        // from the initial state the spec starts in (the
+        // `multiword_faa/carry_window` record): some histories
+        // linearize and some do not, so the count can fail either way,
+        // and the strong checker refutes with a witness that replays.
         let mut mem = SimMemory::new();
         let alg = MultiwordFaaAlg::new(&mut mem);
-        run_solo(&mut alg.machine(0, &FaaOp::Add(3)), &mut mem);
-        let scenario = Scenario::new(vec![vec![FaaOp::Add(2)], vec![FaaOp::Read, FaaOp::Read]]);
-        let mut bad = 0usize;
+        let scenario = Scenario::new(vec![vec![FaaOp::Add(3), FaaOp::Add(2)], vec![FaaOp::Read]]);
+        let (mut good, mut bad) = (0usize, 0usize);
         for_each_history(&alg, mem.clone(), &scenario, 1_000_000, &mut |h| {
-            if !is_linearizable(&FaaSpec, h) {
+            if is_linearizable(&FaaSpec, h) {
+                good += 1;
+            } else {
                 bad += 1;
             }
         });
+        assert!(good > 0, "the carry-free histories must linearize");
         assert!(bad > 0, "the torn-carry history must be enumerated");
-        let report = check_strong(&alg, mem, &scenario, 4_000_000);
+        let report = check_strong(&alg, mem.clone(), &scenario, 4_000_000);
         assert!(!report.strongly_linearizable);
+        let witness = report.witness.expect("refutation carries a witness");
+        validate_witness(&alg, mem, &scenario, &witness).expect("witness must replay");
     }
 
     #[test]

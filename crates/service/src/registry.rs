@@ -732,7 +732,7 @@ mod tests {
             let bits = match obj.max() {
                 KeyedMax::Global(m) => m.register_bits(),
                 KeyedMax::Sharded(m) => m.register_bits(),
-                KeyedMax::Combining(m) => m.front().inner().register_bits(),
+                KeyedMax::Combining(m) => m.inner().register_bits(),
             };
             let registers = if backend == Backend::Global { 1 } else { 2 };
             assert!(bits <= 64 * n * registers, "{backend:?}: {bits} bits");

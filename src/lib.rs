@@ -198,7 +198,7 @@ pub mod prelude {
         cached_fan_in_lagging_scenario, cached_fan_in_max_scenario,
         combining_frontier_safe_scenario, ApplyPath, Combinable, Combiner, CombinerLock,
         CombiningCounter, CombiningCounterAlg, CombiningMaxRegAlg, CombiningMaxRegister,
-        CombiningSnapshot, Lease, PubSlot, PublicationArray, ReadMode, SeqCache,
+        CombiningSnapshot, Foldable, Lease, PubSlot, PublicationArray, ReadMode, SeqCache,
     };
     pub use sl2_core::algos::fetch_inc::SlFetchInc;
     pub use sl2_core::algos::max_register::SlMaxRegister;

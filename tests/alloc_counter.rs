@@ -458,7 +458,7 @@ fn resident_keys_stay_inline_and_allocation_free_on_every_backend() {
         let max_inline = match obj.max() {
             KeyedMax::Global(m) => m.is_inline_lock_free(),
             KeyedMax::Sharded(m) => m.is_inline_lock_free(),
-            KeyedMax::Combining(m) => m.front().inner().is_inline_lock_free(),
+            KeyedMax::Combining(m) => m.inner().is_inline_lock_free(),
         };
         // Under `force_spinlock` no register is ever lock-free.
         assert_eq!(

@@ -44,7 +44,7 @@ fn crash_stopped_combiner_is_reclaimed_and_survivors_finish() {
             set_thread(0);
             // Wins the uncontended election, starts sweeping, parks.
             let r = catch_crash(|| {
-                m.write_max_traced(0, 5);
+                m.apply(0, 5);
             });
             assert!(
                 r.is_none(),
@@ -66,7 +66,7 @@ fn crash_stopped_combiner_is_reclaimed_and_survivors_finish() {
                     for i in 1..=200u64 {
                         let v = 1_000 * p as u64 + i;
                         high.fetch_max(v, Ordering::SeqCst);
-                        match m.write_max_traced(p, v) {
+                        match m.apply(p, v) {
                             ApplyPath::Reclaimed { .. } => {
                                 reclaimed.store(true, Ordering::SeqCst);
                             }
@@ -250,7 +250,7 @@ fn seeded_noise_matrix_preserves_the_counter_invariants() {
     // reproduce from the seed alone.
     for seed in MATRIX_SEEDS {
         let _session = install(FaultPlan::noisy(seed, 30).on(
-            "counter.pre_publish",
+            "combine.pre_publish",
             None,
             1,
             FaultAction::Stall(2_000),

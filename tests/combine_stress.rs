@@ -280,15 +280,20 @@ fn abandoned_combiner_lock_degrades_boundedly_then_is_reclaimed() {
     // election, and stops forever (a dropped `Lease` is the frozen
     // tenure a crash-stop leaves — release is explicit, Lease has no
     // Drop, exactly as no unwind runs through a parked thread).
-    m.front().slots().publish(3, 77);
-    let dead = m.front().lock().try_acquire().expect("fresh lock is free");
+    m.slots().publish(3, 77);
+    let dead = m.lock().try_acquire().expect("fresh lock is free");
     let frozen = dead.id();
     drop(dead);
-    assert_eq!(m.front().lock().holder(), frozen);
+    assert_eq!(m.lock().holder(), frozen);
+
+    for _ in 0..8 {
+        assert!(!m.refresh(), "anonymous refresh must not reclaim");
+    }
+    assert_eq!(m.lock().holder(), frozen, "suspicion needs an identity");
 
     // Two frozen sightings: direct-path completions, cache stalls.
-    assert_eq!(m.write_max_traced(0, 10), ApplyPath::Direct);
-    assert_eq!(m.write_max_traced(0, 20), ApplyPath::Direct);
+    assert_eq!(m.apply(0, 10), ApplyPath::Direct);
+    assert_eq!(m.apply(0, 20), ApplyPath::Direct);
     assert_eq!(m.read_cached(), 0, "no publisher: the cache lags, bounded");
     assert_eq!(
         m.read_max(),
@@ -297,13 +302,13 @@ fn abandoned_combiner_lock_degrades_boundedly_then_is_reclaimed() {
     );
 
     // Third sighting: reclaim, recovery sweep, republication.
-    match m.write_max_traced(0, 30) {
+    match m.apply(0, 30) {
         ApplyPath::Reclaimed { applied } => {
             assert_eq!(applied, 1, "the abandoned announcement swept exactly once");
         }
         other => panic!("expected a reclaim on the third frozen sighting, got {other:?}"),
     }
-    assert_eq!(m.front().lock().holder(), 0, "recovered tenure released");
+    assert_eq!(m.lock().holder(), 0, "recovered tenure released");
     assert_eq!(
         m.read_max(),
         77,
@@ -312,10 +317,7 @@ fn abandoned_combiner_lock_degrades_boundedly_then_is_reclaimed() {
     assert_eq!(m.read_cached(), 77, "recovery republished the full fold");
 
     // Ordinary combining resumes.
-    assert!(matches!(
-        m.write_max_traced(1, 99),
-        ApplyPath::Combined { .. }
-    ));
+    assert!(matches!(m.apply(1, 99), ApplyPath::Combined { .. }));
     assert_eq!(m.read_cached(), 99);
 }
 

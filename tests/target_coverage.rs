@@ -530,6 +530,72 @@ fn twins_move_lanes_only_through_the_shared_lane_write() {
 }
 
 #[test]
+fn combining_tenures_share_one_guard_one_publication_and_one_twin_step() {
+    // Every combining tenure, in production and in the twins, goes
+    // through one constructor, one publication and one pair of shared
+    // twin steps, so a change to the publish protocol lands in one
+    // place on each side.
+    let root = repo_root();
+    let mut files = Vec::new();
+    files_with_extensions(&root.join("crates/combine/src"), &["rs"], &mut files);
+    let code = |path: &Path| {
+        let text = std::fs::read_to_string(path).expect("readable");
+        let end = text.find("#[cfg(test)]").unwrap_or(text.len());
+        text[..end].to_string()
+    };
+    let sites = |needle: &str| -> Vec<String> {
+        let mut out = Vec::new();
+        for path in &files {
+            let text = code(path);
+            for (at, _) in text.match_indices(needle) {
+                let line = text[..at].lines().count();
+                let rel = path.strip_prefix(root).unwrap_or(path);
+                out.push(format!("{}:{line}", rel.display()));
+            }
+        }
+        out
+    };
+    let tenures = sites("Tenure {");
+    assert_eq!(tenures.len(), 1, "one `Tenure` constructor: {tenures:?}");
+    let publishes = sites("published.publish(");
+    assert_eq!(publishes.len(), 1, "one publication routine: {publishes:?}");
+
+    // In the twins, a swap of the lock or cache cell belongs to the
+    // shared election (`impl Elect`) or publish-then-unlock
+    // (`impl Release`) step.
+    let machines = code(&root.join("crates/combine/src/machines.rs"));
+    let span = |header: &str| {
+        let start = machines
+            .find(header)
+            .unwrap_or_else(|| panic!("{header} is gone"));
+        let end = start + machines[start..].find("\n}\n").expect("impl block ends");
+        start..end
+    };
+    let shared = [span("impl Elect {"), span("impl Release {")];
+    let (mut swaps, mut stray) = (0, Vec::new());
+    for (at, _) in machines.match_indices("mem.swap(") {
+        let args = &machines[at + "mem.swap(".len()..];
+        let cell = args[..args.find(',').expect("two arguments")].trim();
+        if !(cell.ends_with("lock") || cell.ends_with("cache")) {
+            continue;
+        }
+        swaps += 1;
+        if !shared.iter().any(|s| s.contains(&at)) {
+            stray.push(format!(
+                "machines.rs:{}: {cell}",
+                machines[..at].lines().count()
+            ));
+        }
+    }
+    assert!(swaps > 0, "no twin swaps the lock or the cache?");
+    assert!(
+        stray.is_empty(),
+        "twins swap the lock or cache by hand; use the shared `Elect` or `Release` step:\n{}",
+        stray.join("\n")
+    );
+}
+
+#[test]
 fn every_twin_has_a_pinned_record() {
     // Each `pub struct …Alg` step-machine factory in the twin crates
     // is built by some record of `sl2::records`, the one list the corpus

@@ -283,7 +283,7 @@ fn e44_bridged_service_histories_match_the_dispatch_twin_verdicts() {
         let KeyedMax::Combining(m) = obj.max() else {
             panic!("combining backend materializes a combining max");
         };
-        let held = m.front().lock().try_acquire().expect("fresh lock is free");
+        let held = m.lock().try_acquire().expect("fresh lock is free");
 
         assert_eq!(
             svc.call(Request {
@@ -302,7 +302,7 @@ fn e44_bridged_service_histories_match_the_dispatch_twin_verdicts() {
             "publication is locked out, so the cached read trails"
         );
 
-        assert!(m.front().lock().release(held));
+        assert!(m.lock().release(held));
         svc.shutdown();
     }
     let spans = request_spans(&trace::drain(), "service.request");
