@@ -1,4 +1,4 @@
-//! Interleaved-bit layout shared by the Section 3 constructions.
+//! Interleaved lanes: the one lane codec of the Section 3 constructions.
 //!
 //! A single wide register `R` packs one unbounded bit-string per process:
 //! with `n` processes, process `i` owns bits `i, n+i, 2n+i, ...` of `R`
@@ -6,33 +6,31 @@
 //! recoverable fetch&add of Nahum et al. \[26\]. Lane `k`-th bit of process
 //! `i` lives at global bit `k*n + i`.
 //!
-//! [`Layout`] converts between a process-local value and its lane image,
-//! and decodes a whole register into per-process values.
+//! [`Layout`] is that geometry. [`Lanes`] is the codec — a layout and a
+//! [`LaneEncoding`] — that every production object and every checker
+//! twin reads and moves its lanes through, and [`Target`] is the probe
+//! rule of a lane write.
 //!
-//! The `u64` entry points — [`Layout::decode_u64`],
-//! [`Layout::decode_all_u64`], [`BinaryLayout`] and the binary arm of
-//! [`LaneEncoding`] — run on a word kernel: a lane's bits in one limb
+//! Both encodings run on word kernels and decode from a borrowed
+//! register image without allocating. A binary lane's bits in one limb
 //! sit under one mask, so a limb is gathered with one `pext` (or
 //! scattered with one `pdep`) and no lane bit ever needs a division by
-//! `n` to find its place.
+//! `n` to find its place; a unary lane is counted with one masked
+//! popcount per limb.
 
 use crate::{cpu, BigNat, LIMB_BITS};
 
-/// The interleaved lane layout for `n` processes.
+/// The interleaved lane geometry for `n` processes.
 ///
 /// # Examples
 ///
 /// ```
-/// use sl2_bignum::{BigNat, Layout};
+/// use sl2_bignum::Layout;
 ///
 /// let layout = Layout::new(3);
-/// // Process 1 encodes local value 0b101 into its lane.
-/// let lane = layout.encode(1, &BigNat::from(0b101u64));
-/// // Global bits 0*3+1 = 1 and 2*3+1 = 7 are set.
-/// assert_eq!(lane.one_bits().collect::<Vec<_>>(), vec![1, 7]);
-/// assert_eq!(layout.decode(1, &lane), BigNat::from(0b101u64));
-/// // Other lanes are untouched.
-/// assert!(layout.decode(0, &lane).is_zero());
+/// assert_eq!(layout.processes(), 3);
+/// // Lane bit 2 of process 1 is global bit 2*3 + 1.
+/// assert_eq!(layout.bit(1, 2), 7);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Layout {
@@ -64,145 +62,6 @@ impl Layout {
         assert!(i < self.n, "process index {i} out of range (n={})", self.n);
         k * self.n + i
     }
-
-    /// Spreads a process-local value into its lane image: local bit `k`
-    /// becomes global bit `k*n + i`.
-    pub fn encode(&self, i: usize, local: &BigNat) -> BigNat {
-        let mut out = BigNat::zero();
-        for k in local.one_bits() {
-            out.set_bit(self.bit(i, k), true);
-        }
-        out
-    }
-
-    /// Extracts process `i`'s local value from a register image.
-    ///
-    /// Works on a *borrowed* image (e.g. inside
-    /// [`crate::WideFaa::read_with`]); the result stays in `BigNat`'s
-    /// inline representation — and therefore allocates nothing — while
-    /// the lane value fits in 128 bits.
-    pub fn decode(&self, i: usize, register: &BigNat) -> BigNat {
-        assert!(i < self.n, "process index {i} out of range (n={})", self.n);
-        let mut out = BigNat::zero();
-        for g in register.one_bits() {
-            if g % self.n == i {
-                out.set_bit(g / self.n, true);
-            }
-        }
-        out
-    }
-
-    /// Extracts process `i`'s local value directly into a `u64`, with
-    /// no intermediate `BigNat`; `None` if the lane value needs more
-    /// than 64 bits. This is the decode the §3.2 `scan` uses (component
-    /// values are `u64` at the API boundary).
-    pub fn decode_u64(&self, i: usize, register: &BigNat) -> Option<u64> {
-        assert!(i < self.n, "process index {i} out of range (n={})", self.n);
-        gather(Kernel::detect(), register.limbs(), self.n, i)
-    }
-
-    /// Decodes the whole register into one local value per process —
-    /// the "view" reconstruction used by `scan`/`ReadMax`.
-    pub fn decode_all(&self, register: &BigNat) -> Vec<BigNat> {
-        let mut out = vec![BigNat::zero(); self.n];
-        for g in register.one_bits() {
-            out[g % self.n].set_bit(g / self.n, true);
-        }
-        out
-    }
-
-    /// Decodes the whole register into one `u64` per process, one
-    /// gather per lane and limb, with no per-lane `BigNat`s; `None` if
-    /// any lane needs more than 64 bits. One output vector is the only
-    /// allocation.
-    pub fn decode_all_u64(&self, register: &BigNat) -> Option<Vec<u64>> {
-        let kernel = Kernel::detect();
-        let mut out = vec![0u64; self.n];
-        for (i, lane) in out.iter_mut().enumerate() {
-            *lane = gather(kernel, register.limbs(), self.n, i)?;
-        }
-        Some(out)
-    }
-
-    /// The fetch&add adjustments that move process `i`'s lane from
-    /// `old` to `new`: `(posAdj, negAdj)` such that applying
-    /// `+posAdj − negAdj` to the register rewrites exactly the differing
-    /// lane bits (§3.2, step 2 of `update`).
-    pub fn adjustments(&self, i: usize, old: &BigNat, new: &BigNat) -> (BigNat, BigNat) {
-        let mut pos = BigNat::zero();
-        let mut neg = BigNat::zero();
-        let top = old.bit_len().max(new.bit_len());
-        for k in 0..top {
-            match (old.bit(k), new.bit(k)) {
-                (false, true) => pos.set_bit(self.bit(i, k), true),
-                (true, false) => neg.set_bit(self.bit(i, k), true),
-                _ => {}
-            }
-        }
-        (pos, neg)
-    }
-
-    /// The unary increment used by the §3.1 max register: the image of
-    /// setting lane bits `from+1 ..= to` (1-indexed values held in unary;
-    /// lane bit `v-1` set means "value at least v").
-    pub fn unary_increment(&self, i: usize, from: u64, to: u64) -> BigNat {
-        let mut out = BigNat::zero();
-        for v in (from + 1)..=to {
-            out.set_bit(self.bit(i, (v - 1) as usize), true);
-        }
-        out
-    }
-
-    /// Decodes the unary lane of process `i` into the value it encodes
-    /// (the count of set lane bits; the lane is always a prefix of
-    /// ones). Counts directly off the borrowed register image — no
-    /// intermediate lane extraction, no allocation at any width — one
-    /// masked popcount per limb rather than a modulo per set bit, so a
-    /// dense unary register decodes at ~`64/n` steps per limb.
-    pub fn decode_unary(&self, i: usize, register: &BigNat) -> u64 {
-        assert!(i < self.n, "process index {i} out of range (n={})", self.n);
-        let n = self.n;
-        if n == 1 {
-            return register.count_ones() as u64;
-        }
-        if LIMB_BITS % n == 0 {
-            // The lane pattern repeats every limb: one constant mask,
-            // one popcount per limb.
-            let mut mask = 0u64;
-            let mut b = i;
-            while b < LIMB_BITS {
-                mask |= 1u64 << b;
-                b += n;
-            }
-            return register
-                .limbs()
-                .iter()
-                .map(|w| (w & mask).count_ones() as usize)
-                .sum::<usize>() as u64;
-        }
-        let mut count = 0usize;
-        let mut next = i; // global index of the lane's next bit
-        for (j, &w) in register.limbs().iter().enumerate() {
-            let limb_start = j * LIMB_BITS;
-            let limb_end = limb_start + LIMB_BITS;
-            if next >= limb_end {
-                continue;
-            }
-            if w == 0 {
-                // Skip the zero limb; land `next` on the first lane bit
-                // at or past the limb boundary.
-                next += (limb_end - next).div_ceil(n) * n;
-                continue;
-            }
-            let mut mask = 0u64;
-            while next < limb_end {
-                mask |= 1u64 << (next - limb_start);
-                next += n;
-            }
-            count += (w & mask).count_ones() as usize;
-        }
-        count as u64
-    }
 }
 
 /// Which per-lane value encoding a register uses.
@@ -221,174 +80,214 @@ pub enum LaneEncoding {
     #[default]
     Unary,
     /// Positional (binary) code: lane bit `k` carries weight `2^k` —
-    /// O(log v) bits per lane. Writes rewrite the differing bits in
-    /// one signed adjustment (clears are allowed, as in §3.2), so the
-    /// *decoded lane value* is monotone whenever its single writer only
-    /// increases it, even though the bit image is not.
+    /// O(log v) bits per lane, so `n` lanes holding values up to `V`
+    /// need `n·⌈log₂(V+1)⌉` register bits instead of `n·V`. Writes
+    /// rewrite the differing bits in one signed adjustment (clears are
+    /// allowed, as in §3.2), so the *decoded lane value* is monotone
+    /// whenever its single writer only increases it, even though the
+    /// bit image is not.
     Binary,
 }
 
-/// The lane codec every single-writer monotone lane user shares (max
-/// registers, counters, and their checker twins): one arm per encoding,
-/// so an object picks its register width by picking a variant.
-impl LaneEncoding {
-    /// Decodes lane `i` of a borrowed register image (allocation-free).
-    pub fn decode(self, layout: &Layout, i: usize, image: &BigNat) -> u64 {
-        match self {
-            LaneEncoding::Unary => layout.decode_unary(i, image),
-            LaneEncoding::Binary => BinaryLayout::over(*layout).decode(i, image),
+/// A wide register's lanes: which bits belong to which lane, and how a
+/// lane value is coded into them.
+///
+/// # Examples
+///
+/// ```
+/// use sl2_bignum::{LaneEncoding, Lanes, Target, WideFaa};
+///
+/// // Three processes share one register; process 2 writes 6.
+/// let lanes = Lanes::new(3, LaneEncoding::Binary);
+/// let reg = WideFaa::new();
+/// let prev = reg.read_with(|image| lanes.decode(2, image));
+/// let new = Target::Exactly(6).next(prev).expect("the lane moves");
+/// let (pos, neg) = lanes.adjustments(2, prev, new);
+/// reg.adjust(&pos, &neg);
+/// // 6 = 0b110: lane bits 1 and 2 of process 2 → global bits 5 and 8.
+/// assert_eq!(reg.load().one_bits().collect::<Vec<_>>(), vec![5, 8]);
+/// assert_eq!(reg.read_with(|image| lanes.view(image)), vec![0, 0, 6]);
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Lanes {
+    /// Which register bits belong to which lane.
+    pub layout: Layout,
+    /// How a lane value is coded into its lane bits.
+    pub encoding: LaneEncoding,
+}
+
+impl Lanes {
+    /// `n` lanes coded with `encoding`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n == 0`.
+    pub fn new(n: usize, encoding: LaneEncoding) -> Self {
+        Lanes {
+            layout: Layout::new(n),
+            encoding,
+        }
+    }
+
+    /// The value of lane `i` in a borrowed register image.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= n`, or if a binary lane needs more than 64 bits —
+    /// impossible for registers written through this codec, whose lane
+    /// values are `u64`.
+    pub fn decode(&self, i: usize, image: &BigNat) -> u64 {
+        let n = self.layout.processes();
+        assert!(i < n, "process index {i} out of range (n={n})");
+        match self.encoding {
+            LaneEncoding::Unary => decode_unary(image.limbs(), n, i),
+            LaneEncoding::Binary => {
+                gather(Kernel::detect(), image.limbs(), n, i).expect("binary lane exceeds 64 bits")
+            }
         }
     }
 
     /// The `(posAdj, negAdj)` of the one `fetch&add` that moves lane `i`
     /// from `old` to `new`. Unary lanes only rise (`new ≥ old`) and only
     /// set bits (`negAdj = 0`). A binary lane may also fall, as a
-    /// snapshot component does; when it rises, its top differing digit
-    /// is a set digit, so `posAdj > negAdj`.
-    pub fn adjustments(self, layout: &Layout, i: usize, old: u64, new: u64) -> (BigNat, BigNat) {
-        match self {
+    /// snapshot component does: the adjustments set exactly the digits
+    /// that rise and clear exactly the digits that drop, built from the
+    /// XOR of the two values with no intermediate `BigNat`s.
+    pub fn adjustments(&self, i: usize, old: u64, new: u64) -> (BigNat, BigNat) {
+        let n = self.layout.processes();
+        match self.encoding {
             LaneEncoding::Unary => {
                 debug_assert!(old <= new, "unary lanes are only ever raised");
-                (layout.unary_increment(i, old, new), BigNat::zero())
+                (unary_increment(self.layout, i, old, new), BigNat::zero())
             }
-            LaneEncoding::Binary => BinaryLayout::over(*layout).adjustments(i, old, new),
-        }
-    }
-
-    /// Sum of all lane values in a register image — the counter fold.
-    pub fn sum(self, layout: &Layout, image: &BigNat) -> u64 {
-        match self {
-            LaneEncoding::Unary => image.count_ones() as u64,
             LaneEncoding::Binary => {
-                let (kernel, n) = (Kernel::detect(), layout.processes());
-                (0..n)
-                    .map(|i| {
-                        gather(kernel, image.limbs(), n, i).expect("binary lane exceeds 64 bits")
-                    })
-                    .sum()
+                let (diff, kernel) = (old ^ new, Kernel::detect());
+                (
+                    encode(kernel, n, i, diff & new),
+                    encode(kernel, n, i, diff & old),
+                )
             }
         }
     }
+
+    /// The sum of all lane values (a counter's read).
+    pub fn sum(&self, image: &BigNat) -> u64 {
+        match self.encoding {
+            LaneEncoding::Unary => image.count_ones() as u64,
+            LaneEncoding::Binary => self.values(image).sum(),
+        }
+    }
+
+    /// The largest lane value (a max register's read).
+    pub fn fold(&self, image: &BigNat) -> u64 {
+        self.values(image).max().unwrap_or(0)
+    }
+
+    /// Every lane value, in lane order (a snapshot's scan). The output
+    /// vector is the only allocation.
+    pub fn view(&self, image: &BigNat) -> Vec<u64> {
+        self.values(image).collect()
+    }
+
+    fn values<'a>(&'a self, image: &'a BigNat) -> impl Iterator<Item = u64> + 'a {
+        (0..self.layout.processes()).map(move |i| self.decode(i, image))
+    }
 }
 
-/// Log-width companion of [`Layout`]: the same interleaved lanes, with
-/// each lane holding its value in *binary* rather than unary.
-///
-/// A lane value `v` occupies `⌈log₂(v+1)⌉` lane bits instead of `v`,
-/// so a register of `n` lanes holding values up to `V` needs
-/// `n·⌈log₂(V+1)⌉` bits instead of `n·V` — this is what lifts the
-/// sharded quotient encoding's 64·S inline-value ceiling (ROADMAP item
-/// 5): with 4 shards and 4 lanes, values into the hundreds of
-/// thousands still fit a 128-bit register.
-///
-/// The price is the update discipline: moving a lane from `old` to
-/// `new` clears the bits that drop and sets the bits that rise, as one
-/// atomic `+pos − neg` adjustment ([`crate::WideFaa::fetch_adjust`]) —
-/// exactly the §3.2 snapshot update shape, and sound for the same
-/// reason (each lane has a single writer, so the probe that computed
-/// `old` cannot be invalidated by another writer of the same lane).
-///
-/// # Examples
-///
-/// ```
-/// use sl2_bignum::{BigNat, BinaryLayout};
-///
-/// let layout = BinaryLayout::new(3);
-/// let image = layout.encode(1, 6);
-/// assert_eq!(layout.decode(1, &image), 6);
-/// // 6 = 0b110: lane bits 1 and 2 of process 1 → global bits 4 and 7.
-/// assert_eq!(image.one_bits().collect::<Vec<_>>(), vec![4, 7]);
-/// ```
+/// Where a lane write moves its lane: the probe rule every §3 write
+/// shares, in production and in the checker twins.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct BinaryLayout {
-    inner: Layout,
+pub enum Target {
+    /// Up to `v`; a lane already at `v` or above stays (max registers).
+    AtLeast(u64),
+    /// Up by one (counters).
+    Increment,
+    /// To exactly `v`, up or down; a lane at `v` stays (snapshots).
+    Exactly(u64),
 }
 
-impl BinaryLayout {
-    /// Creates a binary-lane layout for `n` processes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0`.
-    pub fn new(n: usize) -> Self {
-        BinaryLayout {
-            inner: Layout::new(n),
+impl Target {
+    /// The value a write moves a lane at `cur` to, or `None` when the
+    /// lane stays: then the `fetch&add(R, 0)` probe that read `cur` is
+    /// the write's linearization point and no add follows.
+    pub fn next(self, cur: u64) -> Option<u64> {
+        match self {
+            Target::AtLeast(v) if v <= cur => None,
+            Target::Exactly(v) if v == cur => None,
+            Target::AtLeast(v) | Target::Exactly(v) => Some(v),
+            Target::Increment => Some(cur + 1),
         }
     }
+}
 
-    /// Wraps an existing interleaving: same lane geometry, binary
-    /// values.
-    pub fn over(layout: Layout) -> Self {
-        BinaryLayout { inner: layout }
+/// The unary lane `i` of `n` in `limbs`: the count of its set bits (the
+/// lane is always a prefix of ones), one masked popcount per limb
+/// rather than a modulo per set bit, so a dense unary register decodes
+/// at ~`64/n` steps per limb.
+fn decode_unary(limbs: &[u64], n: usize, i: usize) -> u64 {
+    if n == 1 {
+        return limbs.iter().map(|w| w.count_ones() as u64).sum();
     }
-
-    /// Number of processes.
-    pub fn processes(&self) -> usize {
-        self.inner.processes()
+    if LIMB_BITS % n == 0 {
+        // The lane pattern repeats every limb: one constant mask, one
+        // popcount per limb.
+        let mask = STRIDE[n] << i;
+        return limbs.iter().map(|w| (w & mask).count_ones() as u64).sum();
     }
-
-    /// The underlying lane interleaving (shared with the unary codec).
-    pub fn interleaving(&self) -> Layout {
-        self.inner
-    }
-
-    /// Lane bits needed to hold `v` in binary.
-    pub const fn bits_for(v: u64) -> u32 {
-        u64::BITS - v.leading_zeros()
-    }
-
-    /// The lane image of process `i` holding value `v`: local binary
-    /// bit `k` of `v` becomes global bit `k*n + i`.
-    pub fn encode(&self, i: usize, v: u64) -> BigNat {
-        self.encode_with(Kernel::detect(), i, v)
-    }
-
-    fn encode_with(&self, kernel: Kernel, i: usize, v: u64) -> BigNat {
-        let n = self.processes();
-        assert!(i < n, "process index {i} out of range (n={n})");
-        if v == 0 {
-            return BigNat::zero();
+    let mut count = 0usize;
+    let mut next = i; // global index of the lane's next bit
+    for (j, &w) in limbs.iter().enumerate() {
+        let limb_start = j * LIMB_BITS;
+        let limb_end = limb_start + LIMB_BITS;
+        if next >= limb_end {
+            continue;
         }
-        let top = (Self::bits_for(v) as usize - 1) * n + i;
-        if top < LIMB_BITS {
-            // One limb: the first step of `LaneLimbs`, taken directly.
-            BigNat::from(kernel.expand(v, STRIDE[n.min(LIMB_BITS)] << i))
-        } else if top < 2 * LIMB_BITS {
-            let mut limbs = [0u64; 2];
-            scatter(kernel, v, n, i, &mut limbs);
-            BigNat::from(limbs[0] as u128 | (limbs[1] as u128) << LIMB_BITS)
-        } else {
-            let mut limbs = vec![0u64; top / LIMB_BITS + 1];
-            scatter(kernel, v, n, i, &mut limbs);
-            BigNat::from_limb_vec(limbs)
+        if w == 0 {
+            // Skip the zero limb; land `next` on the first lane bit at
+            // or past the limb boundary.
+            next += (limb_end - next).div_ceil(n) * n;
+            continue;
         }
+        let mut mask = 0u64;
+        while next < limb_end {
+            mask |= 1u64 << (next - limb_start);
+            next += n;
+        }
+        count += (w & mask).count_ones() as usize;
     }
+    count as u64
+}
 
-    /// Decodes process `i`'s binary lane from a borrowed register
-    /// image. Allocation-free at every register width.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lane value needs more than 64 bits — impossible
-    /// for registers written through this codec, whose lane values are
-    /// `u64` at the API boundary.
-    pub fn decode(&self, i: usize, register: &BigNat) -> u64 {
-        self.inner
-            .decode_u64(i, register)
-            .expect("binary lane exceeds 64 bits")
+/// The unary increment of the §3.1 max register: the image of setting
+/// lane bits `from+1 ..= to` of process `i` (lane bit `v-1` set means
+/// "value at least v").
+fn unary_increment(layout: Layout, i: usize, from: u64, to: u64) -> BigNat {
+    let mut out = BigNat::zero();
+    for v in (from + 1)..=to {
+        out.set_bit(layout.bit(i, (v - 1) as usize), true);
     }
+    out
+}
 
-    /// The fetch&add adjustments that move process `i`'s lane from
-    /// `old` to `new`: `(posAdj, negAdj)` rewriting exactly the
-    /// differing binary digits. Built directly from the XOR of the two
-    /// `u64`s — no intermediate `BigNat`s, no allocation while the
-    /// adjustments stay inline.
-    pub fn adjustments(&self, i: usize, old: u64, new: u64) -> (BigNat, BigNat) {
-        let (diff, kernel) = (old ^ new, Kernel::detect());
-        (
-            self.encode_with(kernel, i, diff & new),
-            self.encode_with(kernel, i, diff & old),
-        )
+/// The binary lane image of process `i` of `n` holding `v`: local bit
+/// `k` of `v` becomes global bit `k*n + i`.
+fn encode(kernel: Kernel, n: usize, i: usize, v: u64) -> BigNat {
+    assert!(i < n, "process index {i} out of range (n={n})");
+    if v == 0 {
+        return BigNat::zero();
+    }
+    let top = (u64::BITS - 1 - v.leading_zeros()) as usize * n + i;
+    if top < LIMB_BITS {
+        // One limb: the first step of `LaneLimbs`, taken directly.
+        BigNat::from(kernel.expand(v, STRIDE[n.min(LIMB_BITS)] << i))
+    } else if top < 2 * LIMB_BITS {
+        let mut limbs = [0u64; 2];
+        scatter(kernel, v, n, i, &mut limbs);
+        BigNat::from(limbs[0] as u128 | (limbs[1] as u128) << LIMB_BITS)
+    } else {
+        let mut limbs = vec![0u64; top / LIMB_BITS + 1];
+        scatter(kernel, v, n, i, &mut limbs);
+        BigNat::from_limb_vec(limbs)
     }
 }
 
@@ -562,6 +461,49 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// The bit-at-a-time reference the word kernels are checked
+    /// against: `BigNat` lane values, one global bit at a time.
+    impl Layout {
+        /// Spreads a process-local value into its lane image: local bit
+        /// `k` becomes global bit `k*n + i`.
+        fn encode(&self, i: usize, local: &BigNat) -> BigNat {
+            let mut out = BigNat::zero();
+            for k in local.one_bits() {
+                out.set_bit(self.bit(i, k), true);
+            }
+            out
+        }
+
+        /// Extracts process `i`'s local value from a register image.
+        fn decode(&self, i: usize, register: &BigNat) -> BigNat {
+            self.decode_all(register).swap_remove(i)
+        }
+
+        /// Decodes the whole register into one local value per process.
+        fn decode_all(&self, register: &BigNat) -> Vec<BigNat> {
+            let mut out = vec![BigNat::zero(); self.n];
+            for g in register.one_bits() {
+                out[g % self.n].set_bit(g / self.n, true);
+            }
+            out
+        }
+
+        /// The `(posAdj, negAdj)` that rewrite exactly the lane bits
+        /// where `old` and `new` differ (§3.2, step 2 of `update`).
+        fn adjustments(&self, i: usize, old: &BigNat, new: &BigNat) -> (BigNat, BigNat) {
+            let mut pos = BigNat::zero();
+            let mut neg = BigNat::zero();
+            for k in 0..old.bit_len().max(new.bit_len()) {
+                match (old.bit(k), new.bit(k)) {
+                    (false, true) => pos.set_bit(self.bit(i, k), true),
+                    (true, false) => neg.set_bit(self.bit(i, k), true),
+                    _ => {}
+                }
+            }
+            (pos, neg)
+        }
+    }
+
     /// The lane counts the differential tests sweep.
     const NS: [usize; 8] = [1, 2, 3, 4, 5, 7, 8, 16];
 
@@ -569,6 +511,14 @@ mod tests {
     /// whichever the CPU selects (BMI2 where it runs in hardware).
     fn kernels() -> [Kernel; 2] {
         [Kernel::Portable, Kernel::detect()]
+    }
+
+    fn binary(n: usize) -> Lanes {
+        Lanes::new(n, LaneEncoding::Binary)
+    }
+
+    fn unary(n: usize) -> Lanes {
+        Lanes::new(n, LaneEncoding::Unary)
     }
 
     /// A lane value: the named edges, or random at a random width.
@@ -619,44 +569,80 @@ mod tests {
         fn word_kernel_decodes_like_the_bit_oracle(image in image(), pick in any::<u64>()) {
             let n = NS[pick as usize % NS.len()];
             let layout = Layout::new(n);
-            for i in 0..n {
-                let want = layout.decode(i, &image).to_u64();
+            let oracle = layout.decode_all(&image);
+            for (i, lane) in oracle.iter().enumerate() {
+                let want = lane.to_u64();
                 for kernel in kernels() {
                     prop_assert_eq!(gather(kernel, image.limbs(), n, i), want, "{:?} n={} lane {}", kernel, n, i);
                 }
-                prop_assert_eq!(layout.decode_u64(i, &image), want);
+                if let Some(want) = want {
+                    prop_assert_eq!(binary(n).decode(i, &image), want);
+                }
+                prop_assert_eq!(unary(n).decode(i, &image), lane.count_ones() as u64);
             }
-            let all: Option<Vec<u64>> = (0..n).map(|i| layout.decode(i, &image).to_u64()).collect();
-            prop_assert_eq!(layout.decode_all_u64(&image), all);
+            let all: Option<Vec<u64>> = oracle.iter().map(BigNat::to_u64).collect();
+            if let Some(all) = all {
+                prop_assert_eq!(binary(n).view(&image), all);
+            }
         }
 
         #[test]
         fn word_kernel_encodes_like_the_bit_oracle(
             pick in any::<u64>(),
-            lanes in prop::collection::vec(lane_value(), 16..17),
+            values in prop::collection::vec(lane_value(), 16..17),
             old in lane_value(),
         ) {
             let n = NS[pick as usize % NS.len()];
-            let (layout, binary) = (Layout::new(n), BinaryLayout::new(n));
+            let (layout, lanes) = (Layout::new(n), binary(n));
             let mut image = BigNat::zero();
-            for (i, &v) in lanes.iter().take(n).enumerate() {
+            for (i, &v) in values.iter().take(n).enumerate() {
                 let want = layout.encode(i, &BigNat::from(v));
                 for kernel in kernels() {
-                    prop_assert_eq!(&binary.encode_with(kernel, i, v), &want, "{:?} n={} lane {}", kernel, n, i);
+                    prop_assert_eq!(&encode(kernel, n, i, v), &want, "{:?} n={} lane {}", kernel, n, i);
                 }
                 prop_assert_eq!(
-                    binary.adjustments(i, old, v),
+                    lanes.adjustments(i, old, v),
                     layout.adjustments(i, &BigNat::from(old), &BigNat::from(v))
                 );
                 image += &want;
             }
-            let values = &lanes[..n];
-            for (i, &v) in values.iter().enumerate() {
-                prop_assert_eq!(binary.decode(i, &image), v);
-            }
+            let values = &values[..n];
+            prop_assert_eq!(lanes.view(&image), values.to_vec());
             if let Some(total) = values.iter().try_fold(0u64, |acc, &v| acc.checked_add(v)) {
-                prop_assert_eq!(LaneEncoding::Binary.sum(&layout, &image), total);
+                prop_assert_eq!(lanes.sum(&image), total);
             }
+        }
+
+        #[test]
+        fn lane_roundtrip(pick in any::<u64>(), i in 0usize..16, v in image()) {
+            let n = NS[pick as usize % NS.len()];
+            let (layout, i) = (Layout::new(n), i % n);
+            prop_assert_eq!(layout.decode(i, &layout.encode(i, &v)), v);
+        }
+
+        #[test]
+        fn lanes_never_collide(n in 2usize..6, v in image(), w in image()) {
+            let layout = Layout::new(n);
+            let sum = &layout.encode(0, &v) + &layout.encode(1, &w);
+            prop_assert_eq!(layout.decode(0, &sum), v);
+            prop_assert_eq!(layout.decode(1, &sum), w);
+        }
+
+        #[test]
+        fn adjustments_move_lane(n in 1usize..5, i in 0usize..5, old in image(), new in image()) {
+            let (layout, i) = (Layout::new(n), i % n);
+            let (pos, neg) = layout.adjustments(i, &old, &new);
+            let reg = layout.encode(i, &old).apply_adjustment(&pos, &neg);
+            prop_assert_eq!(layout.decode(i, &reg), new);
+        }
+
+        #[test]
+        fn decode_all_consistent(n in 1usize..5, v in image()) {
+            let layout = Layout::new(n);
+            let all = layout.decode_all(&layout.encode(n - 1, &v));
+            prop_assert_eq!(all.len(), n);
+            prop_assert_eq!(&all[n - 1], &v);
+            prop_assert!(all[..n - 1].iter().all(BigNat::is_zero));
         }
     }
 
@@ -672,7 +658,7 @@ mod tests {
                     for v in [1u64 << k, u64::MAX >> (63 - k)] {
                         let want = layout.encode(i, &BigNat::from(v));
                         for kernel in kernels() {
-                            let got = BinaryLayout::new(n).encode_with(kernel, i, v);
+                            let got = encode(kernel, n, i, v);
                             assert_eq!(got, want, "{kernel:?} n={n} lane {i} v={v:#x}");
                             assert_eq!(gather(kernel, want.limbs(), n, i), Some(v));
                         }
@@ -742,84 +728,83 @@ mod tests {
 
     #[test]
     fn unary_increment_encodes_prefix() {
-        let layout = Layout::new(2);
+        let lanes = unary(2);
         // process 1 raises its unary value from 2 to 5: sets lane bits 2,3,4
-        let inc = layout.unary_increment(1, 2, 5);
-        let reg = inc.clone();
-        assert_eq!(layout.decode_unary(1, &reg), 3); // bits 2..4 only
-        let full = &layout.unary_increment(1, 0, 2) + &inc;
-        assert_eq!(layout.decode_unary(1, &full), 5);
+        let (inc, neg) = lanes.adjustments(1, 2, 5);
+        assert!(neg.is_zero(), "unary lanes only set bits");
+        assert_eq!(lanes.decode(1, &inc), 3); // bits 2..4 only
+        let full = &lanes.adjustments(1, 0, 2).0 + &inc;
+        assert_eq!(lanes.decode(1, &full), 5);
     }
 
     #[test]
     fn unary_increment_noop_when_not_larger() {
-        let layout = Layout::new(2);
-        assert!(layout.unary_increment(0, 3, 3).is_zero());
+        assert!(unary_increment(Layout::new(2), 0, 3, 3).is_zero());
     }
 
     #[test]
     #[should_panic(expected = "out of range")]
     fn decode_rejects_bad_process() {
-        Layout::new(2).decode(2, &BigNat::zero());
+        binary(2).decode(2, &BigNat::zero());
     }
 
     #[test]
-    fn decode_u64_matches_decode() {
+    fn binary_decode_matches_the_oracle() {
         let layout = Layout::new(3);
         let reg = &layout.encode(0, &BigNat::from(0b1101u64))
             + &layout.encode(2, &BigNat::from(u64::MAX));
         for i in 0..3 {
             assert_eq!(
-                layout.decode_u64(i, &reg),
+                Some(binary(3).decode(i, &reg)),
                 layout.decode(i, &reg).to_u64(),
                 "lane {i}"
             );
         }
         // A lane needing 65 bits is rejected, not truncated.
         let wide = layout.encode(1, &BigNat::pow2(64));
-        assert_eq!(layout.decode_u64(1, &wide), None);
+        assert_eq!(gather(Kernel::detect(), wide.limbs(), 3, 1), None);
         assert_eq!(layout.decode(1, &wide).to_u64(), None);
     }
 
     #[test]
-    fn decode_all_u64_matches_decode_all() {
+    fn binary_view_matches_the_oracle() {
         let layout = Layout::new(4);
         let mut reg = BigNat::zero();
         for (i, v) in [(0usize, 7u64), (1, 0), (2, u64::MAX), (3, 0b1010)] {
             reg = &reg + &layout.encode(i, &BigNat::from(v));
         }
-        let fast = layout.decode_all_u64(&reg).expect("all lanes fit");
         let slow: Vec<u64> = layout
             .decode_all(&reg)
             .iter()
             .map(|b| b.to_u64().expect("fits"))
             .collect();
-        assert_eq!(fast, slow);
-        assert_eq!(
-            layout.decode_all_u64(&layout.encode(0, &BigNat::pow2(64))),
-            None
-        );
+        assert_eq!(binary(4).view(&reg), slow);
+    }
+
+    #[test]
+    #[should_panic(expected = "binary lane exceeds 64 bits")]
+    fn binary_view_rejects_a_lane_past_64_bits() {
+        binary(4).view(&Layout::new(4).encode(0, &BigNat::pow2(64)));
     }
 
     #[test]
     fn decode_unary_counts_without_extraction() {
-        let layout = Layout::new(3);
-        let reg = &layout.unary_increment(0, 0, 5) + &layout.unary_increment(2, 0, 9);
-        assert_eq!(layout.decode_unary(0, &reg), 5);
-        assert_eq!(layout.decode_unary(1, &reg), 0);
-        assert_eq!(layout.decode_unary(2, &reg), 9);
+        let lanes = unary(3);
+        let reg = &lanes.adjustments(0, 0, 5).0 + &lanes.adjustments(2, 0, 9).0;
+        assert_eq!(lanes.view(&reg), vec![5, 0, 9]);
+        assert_eq!((lanes.fold(&reg), lanes.sum(&reg)), (9, 14));
     }
 
     #[test]
     fn binary_encode_decode_roundtrip_every_process() {
-        let layout = BinaryLayout::new(5);
+        let lanes = binary(5);
         for v in [0u64, 1, 6, 1000, u64::MAX] {
             for i in 0..5 {
-                let image = layout.encode(i, v);
-                assert_eq!(layout.decode(i, &image), v, "lane {i} value {v}");
+                let (image, _) = lanes.adjustments(i, 0, v);
+                assert_eq!(lanes.decode(i, &image), v, "lane {i} value {v}");
                 for j in 0..5 {
                     if j != i {
-                        assert_eq!(layout.decode(j, &image), 0);
+                        assert_eq!(lanes.decode(j, &image), 0);
                     }
                 }
             }
@@ -828,57 +813,59 @@ mod tests {
 
     #[test]
     fn binary_adjustments_rewrite_exactly_the_difference() {
-        let layout = BinaryLayout::new(4);
+        let lanes = binary(4);
         // Lane 2 moves 12 → 6 while lane 0 holds noise; only lane 2's
         // differing digits change.
-        let (pos, neg) = layout.adjustments(2, 12, 6);
-        let reg = &layout.encode(2, 12) + &layout.encode(0, 7);
+        let (pos, neg) = lanes.adjustments(2, 12, 6);
+        let reg = &lanes.adjustments(2, 0, 12).0 + &lanes.adjustments(0, 0, 7).0;
         let reg2 = reg.apply_adjustment(&pos, &neg);
-        assert_eq!(layout.decode(2, &reg2), 6);
-        assert_eq!(layout.decode(0, &reg2), 7);
-        // And they agree with the BigNat-valued unary-layout codec.
-        let (p2, n2) =
-            layout
-                .interleaving()
-                .adjustments(2, &BigNat::from(12u64), &BigNat::from(6u64));
+        assert_eq!(lanes.view(&reg2), vec![7, 0, 6, 0]);
+        // And they agree with the BigNat-valued oracle.
+        let (p2, n2) = lanes
+            .layout
+            .adjustments(2, &BigNat::from(12u64), &BigNat::from(6u64));
         assert_eq!((pos, neg), (p2, n2));
     }
 
     #[test]
     fn binary_adjustments_for_equal_values_are_zero() {
-        let layout = BinaryLayout::new(2);
-        let (pos, neg) = layout.adjustments(1, 42, 42);
+        let (pos, neg) = binary(2).adjustments(1, 42, 42);
         assert!(pos.is_zero() && neg.is_zero());
     }
 
     #[test]
     fn binary_lanes_are_log_width() {
         // The whole point: n lanes at value v cost n·⌈log₂(v+1)⌉ bits,
-        // not n·v. 4 lanes at 100 000 fit a 128-bit register.
+        // not n·v. 4 lanes at 100 000 (17 bits each) fit a 128-bit
+        // register.
         let n = 4;
-        let layout = BinaryLayout::new(n);
+        let lanes = binary(n);
         let mut reg = BigNat::zero();
         for i in 0..n {
-            reg = &reg + &layout.encode(i, 100_000);
+            reg = &reg + &lanes.adjustments(i, 0, 100_000).0;
         }
         assert!(reg.is_inline(), "binary register must stay inline");
-        assert_eq!(
-            reg.bit_len(),
-            (BinaryLayout::bits_for(100_000) as usize - 1) * n + n
-        );
-        // The unary codec would need 4 × 100 000 bits for the same view.
-        assert_eq!(BinaryLayout::bits_for(100_000), 17);
+        assert_eq!(reg.bit_len(), (17 - 1) * n + n);
+        assert_eq!(lanes.sum(&reg), 400_000);
     }
 
     #[test]
-    fn binary_layout_shares_the_lane_geometry() {
-        let layout = BinaryLayout::new(3);
-        assert_eq!(layout.processes(), 3);
-        assert_eq!(BinaryLayout::over(Layout::new(3)), layout);
-        // Same interleave as the unary layout: global bit of lane bit k.
-        assert_eq!(layout.interleaving().bit(1, 2), 7);
-        assert_eq!(BinaryLayout::bits_for(0), 0);
-        assert_eq!(BinaryLayout::bits_for(1), 1);
-        assert_eq!(BinaryLayout::bits_for(u64::MAX), 64);
+    fn both_encodings_share_the_lane_geometry() {
+        let (u, b) = (unary(3), binary(3));
+        assert_eq!((u.layout, u.layout.processes()), (b.layout, 3));
+        // Global bit of lane bit k: the first unary unit and the binary
+        // digit of weight 1 of process 1 are both bit 1.
+        assert_eq!(u.adjustments(1, 0, 1), b.adjustments(1, 0, 1));
+        assert_eq!(b.layout.bit(1, 2), 7);
+    }
+
+    #[test]
+    fn a_target_moves_the_lane_or_leaves_the_probe_as_the_write() {
+        assert_eq!(Target::AtLeast(3).next(2), Some(3));
+        assert_eq!(Target::AtLeast(3).next(3), None);
+        assert_eq!(Target::AtLeast(3).next(4), None);
+        assert_eq!(Target::Exactly(3).next(4), Some(3));
+        assert_eq!(Target::Exactly(3).next(3), None);
+        assert_eq!(Target::Increment.next(3), Some(4));
     }
 }

@@ -11,9 +11,10 @@
 //! * [`BigNat`] — the unbounded natural numbers those registers hold,
 //!   with a two-limb inline representation that keeps every value below
 //!   `2^128` off the heap (the common case for realistic `n` × values);
-//! * [`Layout`] — the interleaved lane codec (encode/decode/adjustments),
-//!   whose decode entry points work on borrowed register images with no
-//!   intermediate allocations;
+//! * [`Lanes`] — the one interleaved lane codec: a [`Layout`] (the
+//!   geometry) and a [`LaneEncoding`] (unary or binary), whose decodes
+//!   and folds work on borrowed register images with no intermediate
+//!   allocations, and [`Target`], the probe rule of a lane write;
 //! * [`WideFaa`] — an atomic wide fetch&add register (a documented
 //!   substitution for the paper's unbounded hardware register; see
 //!   DESIGN.md §2) whose critical sections mutate in place and whose
@@ -22,15 +23,14 @@
 //! # Example
 //!
 //! ```
-//! use sl2_bignum::{BigNat, Layout, WideFaa};
+//! use sl2_bignum::{LaneEncoding, Lanes, WideFaa};
 //!
 //! // Three processes share one register; process 2 publishes value 0b11.
-//! let layout = Layout::new(3);
+//! let lanes = Lanes::new(3, LaneEncoding::Binary);
 //! let reg = WideFaa::new();
-//! let (pos, neg) = layout.adjustments(2, &BigNat::zero(), &BigNat::from(0b11u64));
+//! let (pos, neg) = lanes.adjustments(2, 0, 0b11);
 //! reg.fetch_adjust(&pos, &neg);
-//! let view = layout.decode_all(&reg.load());
-//! assert_eq!(view[2], BigNat::from(0b11u64));
+//! assert_eq!(reg.read_with(|image| lanes.view(image)), vec![0, 0, 0b11]);
 //! ```
 
 #![warn(missing_docs)]
@@ -46,6 +46,6 @@ mod wide;
 
 pub use cell::Atomic128;
 pub use faa128::FetchAdd128;
-pub use interleave::{BinaryLayout, LaneEncoding, Layout};
+pub use interleave::{LaneEncoding, Lanes, Layout, Target};
 pub use nat::{BigNat, LIMB_BITS};
 pub use wide::WideFaa;

@@ -407,7 +407,7 @@ impl WideFaa {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Layout;
+    use crate::{LaneEncoding, Lanes};
     use std::sync::Arc;
 
     #[test]
@@ -546,15 +546,15 @@ mod tests {
         // registers on identical values step for step.
         let a = WideFaa::new();
         let b = WideFaa::with_value_spinlocked(BigNat::zero());
-        let layout = Layout::new(4);
+        let lanes = Lanes::new(4, LaneEncoding::Unary);
         for step in 0..200u64 {
             let p = (step % 4) as usize;
-            let old = layout.decode_unary(p, &a.load());
-            let inc = layout.unary_increment(p, old, old + 1);
+            let old = lanes.decode(p, &a.load());
+            let (inc, _) = lanes.adjustments(p, old, old + 1);
             a.add(&inc);
             b.add(&inc);
             assert_eq!(a.load(), b.load(), "diverged at step {step}");
-            let lane = |r: &WideFaa| r.read_with(|v| layout.decode_unary(p, v));
+            let lane = |r: &WideFaa| r.read_with(|v| lanes.decode(p, v));
             assert_eq!(lane(&a), lane(&b));
         }
     }

@@ -11,7 +11,7 @@
 
 use std::sync::Arc;
 
-use sl2_bignum::{BigNat, Layout, WideFaa};
+use sl2_bignum::{BigNat, LaneEncoding, Lanes, WideFaa};
 
 /// xorshift64* — deterministic per-seed op streams with no external RNG
 /// crate.
@@ -89,18 +89,17 @@ fn contended_adjusts_migrate_without_losing_lane_bits() {
     // own lane value up and down with fetch_adjust while a heap-sized
     // add from thread 0 forces migration mid-race. Single-writer lanes
     // mean the final per-lane values are deterministic.
-    let layout = Layout::new(4);
+    let lanes = Lanes::new(4, LaneEncoding::Binary);
     let r = Arc::new(WideFaa::new());
     std::thread::scope(|s| {
         for t in 0..4usize {
             let r = Arc::clone(&r);
             s.spawn(move || {
-                let mut lane = BigNat::zero();
+                let mut lane = 0u64;
                 for step in 1..=200u64 {
                     // Deterministic walk: mostly up, every 5th step dips.
                     let next = if step % 5 == 0 { step - 1 } else { step };
-                    let next = BigNat::from(next);
-                    let (pos, neg) = layout.adjustments(t, &lane, &next);
+                    let (pos, neg) = lanes.adjustments(t, lane, next);
                     r.adjust(&pos, &neg);
                     lane = next;
                     if t == 0 && step == 100 {
@@ -132,7 +131,7 @@ fn seeded_threaded_workload_is_bit_identical_to_the_spinlocked_twin() {
     // caller's lane), so the final image is schedule-independent — any
     // divergence is a lost or torn update in one of the two
     // implementations.
-    let layout = Layout::new(8);
+    let lanes = Lanes::new(8, LaneEncoding::Binary);
     let run = |reg: &Arc<WideFaa>| {
         std::thread::scope(|s| {
             for t in 0..8usize {
@@ -145,24 +144,21 @@ fn seeded_threaded_workload_is_bit_identical_to_the_spinlocked_twin() {
                             0 | 1 => {
                                 // Grow the lane (unary-ish add).
                                 let next = lane + 1 + rng.next() % 3;
-                                let (pos, neg) =
-                                    layout.adjustments(t, &BigNat::from(lane), &BigNat::from(next));
+                                let (pos, neg) = lanes.adjustments(t, lane, next);
                                 reg.adjust(&pos, &neg);
                                 lane = next;
                             }
                             2 => {
                                 // Rewrite the lane downward.
                                 let next = lane / 2;
-                                let (pos, neg) =
-                                    layout.adjustments(t, &BigNat::from(lane), &BigNat::from(next));
+                                let (pos, neg) = lanes.adjustments(t, lane, next);
                                 reg.adjust(&pos, &neg);
                                 lane = next;
                             }
                             _ => {
                                 // Probe; the decoded own-lane value must
                                 // match the thread's local shadow.
-                                let got = reg
-                                    .read_with(|v| layout.decode_u64(t, v).expect("lane fits u64"));
+                                let got = reg.read_with(|v| lanes.decode(t, v));
                                 assert_eq!(got, lane, "thread {t} lane probe");
                             }
                         }
@@ -178,13 +174,7 @@ fn seeded_threaded_workload_is_bit_identical_to_the_spinlocked_twin() {
     let a = run(&lock_free);
     let b = run(&spinlocked);
     assert_eq!(a, b, "lock-free and spinlocked runs diverged");
-    for t in 0..8 {
-        assert_eq!(
-            layout.decode_u64(t, &a),
-            layout.decode_u64(t, &b),
-            "lane {t}"
-        );
-    }
+    assert_eq!(lanes.view(&a), lanes.view(&b));
 }
 
 #[test]

@@ -1,7 +1,9 @@
-//! Property tests for `BigNat` arithmetic laws and the interleaved codec.
+//! Property tests for `BigNat` arithmetic laws and the unary lane decode.
+//! The `BigNat`-valued lane properties test the bit-at-a-time oracle,
+//! which lives beside the word kernels in `src/interleave.rs`.
 
 use proptest::prelude::*;
-use sl2_bignum::{BigNat, Layout};
+use sl2_bignum::{BigNat, LaneEncoding, Lanes};
 
 /// Strategy producing arbitrary `BigNat`s up to a few hundred bits.
 fn big_nat() -> impl Strategy<Value = BigNat> {
@@ -82,45 +84,6 @@ proptest! {
             r.set_bit(b, true);
         }
         prop_assert_eq!(r, a.clone());
-    }
-
-    #[test]
-    fn lane_roundtrip(n in 1usize..6, i in 0usize..6, v in big_nat()) {
-        let i = i % n;
-        let layout = Layout::new(n);
-        prop_assert_eq!(layout.decode(i, &layout.encode(i, &v)), v.clone());
-    }
-
-    #[test]
-    fn lanes_never_collide(n in 2usize..6, v in big_nat(), w in big_nat()) {
-        let layout = Layout::new(n);
-        let a = layout.encode(0, &v);
-        let b = layout.encode(1, &w);
-        let sum = &a + &b;
-        prop_assert_eq!(layout.decode(0, &sum), v.clone());
-        prop_assert_eq!(layout.decode(1, &sum), w.clone());
-    }
-
-    #[test]
-    fn adjustments_move_lane(n in 1usize..5, i in 0usize..5, old in big_nat(), new in big_nat()) {
-        let i = i % n;
-        let layout = Layout::new(n);
-        let (pos, neg) = layout.adjustments(i, &old, &new);
-        let reg = layout.encode(i, &old);
-        let reg2 = reg.apply_adjustment(&pos, &neg);
-        prop_assert_eq!(layout.decode(i, &reg2), new.clone());
-    }
-
-    #[test]
-    fn decode_all_consistent(n in 1usize..5, v in big_nat()) {
-        let layout = Layout::new(n);
-        let reg = layout.encode(n - 1, &v);
-        let all = layout.decode_all(&reg);
-        prop_assert_eq!(all.len(), n);
-        prop_assert_eq!(all[n - 1].clone(), v.clone());
-        for lane in &all[..n - 1] {
-            prop_assert!(lane.is_zero());
-        }
     }
 }
 
@@ -309,8 +272,8 @@ proptest! {
         // obvious per-set-bit definition on arbitrary (non-prefix)
         // registers, across the inline/heap boundary.
         let i = i % n;
-        let layout = Layout::new(n);
+        let lanes = Lanes::new(n, LaneEncoding::Unary);
         let naive = v.one_bits().filter(|g| g % n == i).count() as u64;
-        prop_assert_eq!(layout.decode_unary(i, &v), naive);
+        prop_assert_eq!(lanes.decode(i, &v), naive);
     }
 }

@@ -53,7 +53,7 @@
 /// yield, panic, or crash-stop the calling thread.
 #[cfg(not(feature = "chaos"))]
 #[inline(always)]
-pub fn point(_label: &str) {}
+pub fn point(_label: &'static str) {}
 
 /// Runs `f`, absorbing a crash-stop unwind. Disarmed no thread can
 /// crash-stop, so this is just `Some(f())`: callers wrap worker bodies
@@ -81,14 +81,13 @@ pub use active::{
 #[cfg(feature = "chaos")]
 mod active {
     use std::cell::RefCell;
-    use std::collections::HashMap;
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
     use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, RwLock};
 
     // Label hashing and thread enrollment live in the dependency-free
     // crate at the bottom of the workspace graph, shared with the
     // sl2_obs probes (one identity, two consumers).
-    use sl2_primitives::labeled::{self, label_hash, mix};
+    use sl2_primitives::labeled::{self, label_hash, mix, LabelTable};
 
     /// What a matched rule does to the calling thread.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -236,8 +235,16 @@ mod active {
         })
     }
 
+    /// Distinct chaos-point labels one process may pass.
+    const LABEL_SLOTS: usize = 128;
+
+    /// The labels points have passed, interned once per process.
+    static LABELS: LabelTable<LABEL_SLOTS> = LabelTable::new();
+
     thread_local! {
-        static HITS: RefCell<HashMap<String, u64>> = RefCell::new(HashMap::new());
+        /// Per-thread hit counts, indexed by the label's slot in
+        /// [`LABELS`]: a fixed array, so counting a hit never allocates.
+        static HITS: RefCell<[u64; LABEL_SLOTS]> = const { RefCell::new([0; LABEL_SLOTS]) };
     }
 
     /// Exclusive handle on the installed plan. Dropping it uninstalls
@@ -276,7 +283,7 @@ mod active {
     /// same id) and resets its per-label hit counters.
     pub fn set_thread(t: usize) {
         labeled::enroll(t);
-        HITS.with(|h| h.borrow_mut().clear());
+        HITS.with(|h| h.borrow_mut().fill(0));
     }
 
     /// True while a plan is installed.
@@ -330,7 +337,7 @@ mod active {
     /// The armed injection point. No-op unless a plan is installed
     /// *and* the calling thread is enrolled via [`set_thread`].
     #[inline]
-    pub fn point(label: &str) {
+    pub fn point(label: &'static str) {
         let g = global();
         if !g.active.load(Ordering::Acquire) {
             return;
@@ -345,9 +352,9 @@ mod active {
                 None => return,
             }
         };
+        let idx = LABELS.index_of(label);
         let n = HITS.with(|h| {
-            let mut h = h.borrow_mut();
-            let c = h.entry(label.to_string()).or_insert(0);
+            let c = &mut h.borrow_mut()[idx];
             *c += 1;
             *c
         });

@@ -13,8 +13,7 @@
 //! Theorem 9 scan's Θ(k) test&sets — at the price of needing a
 //! fetch&add base object rather than plain test&set.
 
-use sl2_bignum::WideFaa;
-use sl2_bignum::{LaneEncoding, Layout};
+use sl2_bignum::{LaneEncoding, Lanes, WideFaa};
 use sl2_primitives::ChunkedArray;
 
 use super::readable_ts::SlReadableTas;
@@ -96,8 +95,7 @@ impl SlFetchInc {
 #[derive(Debug)]
 pub struct WideFetchInc {
     reg: WideFaa,
-    layout: Layout,
-    encoding: LaneEncoding,
+    lanes: Lanes,
 }
 
 impl WideFetchInc {
@@ -117,28 +115,25 @@ impl WideFetchInc {
     pub fn with_encoding(n: usize, encoding: LaneEncoding) -> Self {
         WideFetchInc {
             reg: WideFaa::new(),
-            layout: Layout::new(n),
-            encoding,
+            lanes: Lanes::new(n, encoding),
         }
     }
 
     /// `fetch&increment()` by process `process`: returns the ticket.
     pub fn fetch_inc(&self, process: usize) -> u64 {
-        let (layout, encoding) = (&self.layout, self.encoding);
         // Only this process writes its lane, so the own-lane value is
         // stable between the probe and the add.
         let mine = self
             .reg
-            .read_with(|image| encoding.decode(layout, process, image));
-        let (pos, neg) = encoding.adjustments(layout, process, mine, mine + 1);
+            .read_with(|image| self.lanes.decode(process, image));
+        let (pos, neg) = self.lanes.adjustments(process, mine, mine + 1);
         self.reg
-            .fetch_adjust_with(&pos, &neg, |old| encoding.sum(layout, old) + 1)
+            .fetch_adjust_with(&pos, &neg, |old| self.lanes.sum(old) + 1)
     }
 
     /// `read()`: the current value (1 + total increments so far).
     pub fn read(&self) -> u64 {
-        self.reg
-            .read_with(|image| self.encoding.sum(&self.layout, image) + 1)
+        self.reg.read_with(|image| self.lanes.sum(image) + 1)
     }
 
     /// True while the register is in `WideFaa`'s lock-free inline regime.

@@ -13,8 +13,7 @@
 //! compare&swap retry loop whose successful CAS fixes the
 //! linearization point.
 
-use sl2_bignum::WideFaa;
-use sl2_bignum::{LaneEncoding, Layout};
+use sl2_bignum::{LaneEncoding, Lanes, Target, WideFaa};
 use sl2_primitives::CompareAndSwap;
 
 use super::MaxRegister;
@@ -35,8 +34,7 @@ use super::MaxRegister;
 #[derive(Debug)]
 pub struct SlMaxRegister {
     reg: WideFaa,
-    layout: Layout,
-    encoding: LaneEncoding,
+    lanes: Lanes,
 }
 
 impl SlMaxRegister {
@@ -56,8 +54,7 @@ impl SlMaxRegister {
     pub fn with_encoding(n: usize, encoding: LaneEncoding) -> Self {
         SlMaxRegister {
             reg: WideFaa::new(),
-            layout: Layout::new(n),
-            encoding,
+            lanes: Lanes::new(n, encoding),
         }
     }
 
@@ -80,26 +77,20 @@ impl MaxRegister for SlMaxRegister {
         // probe decodes from the register's atomic snapshot (one DWCAS
         // read while the value is inline, a locked view once it has
         // spilled) — no copy of the whole register is materialized.
-        let (layout, encoding) = (&self.layout, self.encoding);
         let prev = self
             .reg
-            .read_with(|image| encoding.decode(layout, process, image));
-        if v <= prev {
+            .read_with(|image| self.lanes.decode(process, image));
+        let Some(new) = Target::AtLeast(v).next(prev) else {
             return; // the probing fetch&add was the linearization point
-        }
+        };
         // Step 2: raise the lane to v in one fetch&add (the write-only
         // form: the previous value is not needed).
-        let (pos, neg) = encoding.adjustments(layout, process, prev, v);
+        let (pos, neg) = self.lanes.adjustments(process, prev, new);
         self.reg.adjust(&pos, &neg);
     }
 
     fn read_max(&self) -> u64 {
-        self.reg.read_with(|image| {
-            (0..self.layout.processes())
-                .map(|i| self.encoding.decode(&self.layout, i, image))
-                .max()
-                .unwrap_or(0)
-        })
+        self.reg.read_with(|image| self.lanes.fold(image))
     }
 }
 
@@ -205,6 +196,41 @@ mod tests {
         binary.write_max(0, u64::MAX);
         assert_eq!(binary.read_max(), u64::MAX);
         assert!(binary.register_bits() <= 64 * 3);
+    }
+
+    #[test]
+    fn production_and_twin_write_the_same_register_image() {
+        // Every n ≤ 4, writer p and values v, w ≤ 12: p writes v, then w
+        // (up, down or the same), then the next process writes v. The
+        // production register and the twin's memory hold the same bits
+        // after every op, in both encodings.
+        use crate::machines::max_register::MaxRegAlg;
+        use sl2_exec::machine::{run_solo, Algorithm};
+        use sl2_exec::mem::{Cell, SimMemory};
+        use sl2_spec::max_register::MaxOp;
+        for encoding in [LaneEncoding::Unary, LaneEncoding::Binary] {
+            for n in 1..=4 {
+                for (p, v, w) in (0..n)
+                    .flat_map(|p| (0..=12).flat_map(move |v| (0..=12).map(move |w| (p, v, w))))
+                {
+                    let m = SlMaxRegister::with_encoding(n, encoding);
+                    let mut mem = SimMemory::new();
+                    let twin = MaxRegAlg::with_encoding(&mut mem, n, encoding);
+                    for (q, x) in [(p, v), (p, w), ((p + 1) % n, v)] {
+                        m.write_max(q, x);
+                        run_solo(&mut twin.machine(q, &MaxOp::Write(x)), &mut mem);
+                        let Cell::Wide(image) = mem.collect_read(0) else {
+                            panic!("the twin's register is not wide");
+                        };
+                        assert_eq!(
+                            m.reg.load(),
+                            image,
+                            "{encoding:?} n={n} {p}:{v}, {p}:{w}, then {q}:{x}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

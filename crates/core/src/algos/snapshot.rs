@@ -3,8 +3,7 @@
 //! double-collect baseline used by the snapshot benchmarks (E3).
 
 use parking_lot::Mutex;
-use sl2_bignum::WideFaa;
-use sl2_bignum::{BigNat, Layout};
+use sl2_bignum::{LaneEncoding, Lanes, Target, WideFaa};
 use sl2_primitives::Register;
 
 use super::Snapshot;
@@ -27,7 +26,7 @@ use super::Snapshot;
 #[derive(Debug)]
 pub struct SlSnapshot {
     reg: WideFaa,
-    layout: Layout,
+    lanes: Lanes,
 }
 
 impl SlSnapshot {
@@ -35,7 +34,7 @@ impl SlSnapshot {
     pub fn new(n: usize) -> Self {
         SlSnapshot {
             reg: WideFaa::new(),
-            layout: Layout::new(n),
+            lanes: Lanes::new(n, LaneEncoding::Binary),
         }
     }
 
@@ -47,30 +46,26 @@ impl SlSnapshot {
 
 impl Snapshot for SlSnapshot {
     fn components(&self) -> usize {
-        self.layout.processes()
+        self.lanes.layout.processes()
     }
 
     fn update(&self, i: usize, v: u64) {
         // Step 1: recover prevVal from the own lane via a borrowed
-        // fetch&add(R, 0) probe — decoded under the register lock, and
-        // allocation-free while the lane stays inline.
-        let prev = self.reg.read_with(|image| self.layout.decode(i, image));
-        let new = BigNat::from(v);
-        if prev == new {
+        // fetch&add(R, 0) probe, allocation-free at every width.
+        let prev = self.reg.read_with(|image| self.lanes.decode(i, image));
+        let Some(new) = Target::Exactly(v).next(prev) else {
             return; // linearized at the probing fetch&add
-        }
+        };
         // Step 2: one signed fetch&add rewrites exactly the lane (the
         // write-only form: the previous value is not needed).
-        let (pos, neg) = self.layout.adjustments(i, &prev, &new);
+        let (pos, neg) = self.lanes.adjustments(i, prev, new);
         self.reg.adjust(&pos, &neg);
     }
 
     fn scan(&self) -> Vec<u64> {
         // Single-pass borrowed decode: one u64 vector out, no per-lane
         // BigNat extraction.
-        self.reg
-            .read_with(|image| self.layout.decode_all_u64(image))
-            .expect("component fits u64")
+        self.reg.read_with(|image| self.lanes.view(image))
     }
 }
 
@@ -193,6 +188,37 @@ mod tests {
                 }
             });
         });
+    }
+
+    #[test]
+    fn production_and_twin_write_the_same_register_image() {
+        // Every n ≤ 4, component p and values v, w ≤ 12: p moves to v,
+        // then to w (up, down or the same), then the next component
+        // moves to v. The production register and the twin's memory hold
+        // the same bits after every update, and scan the same view.
+        use crate::machines::snapshot::SnapshotAlg;
+        use sl2_exec::machine::{run_solo, Algorithm};
+        use sl2_exec::mem::{Cell, SimMemory};
+        use sl2_spec::snapshot::{SnapOp, SnapResp};
+        for n in 1..=4 {
+            for (p, v, w) in
+                (0..n).flat_map(|p| (0..=12).flat_map(move |v| (0..=12).map(move |w| (p, v, w))))
+            {
+                let s = SlSnapshot::new(n);
+                let mut mem = SimMemory::new();
+                let twin = SnapshotAlg::new(&mut mem, n);
+                for (i, x) in [(p, v), (p, w), ((p + 1) % n, v)] {
+                    s.update(i, x);
+                    run_solo(&mut twin.machine(i, &SnapOp::Update { i, v: x }), &mut mem);
+                    let Cell::Wide(image) = mem.collect_read(0) else {
+                        panic!("the twin's register is not wide");
+                    };
+                    assert_eq!(s.reg.load(), image, "n={n} {p}:{v}, {p}:{w}, then {i}:{x}");
+                }
+                let (view, _) = run_solo(&mut twin.machine(0, &SnapOp::Scan), &mut mem);
+                assert_eq!(SnapResp::View(s.scan()), view);
+            }
+        }
     }
 
     #[test]

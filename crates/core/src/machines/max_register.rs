@@ -23,8 +23,8 @@
 //! lane states are in bijection and the checker explores the same
 //! graph (`tests/corpus.rs` pins equal node counts).
 
-use sl2_bignum::{BigNat, LaneEncoding};
-use sl2_exec::lanes::{LaneWrite, Lanes, Target};
+use sl2_bignum::{BigNat, LaneEncoding, Lanes, Target};
+use sl2_exec::lanes::LaneWrite;
 use sl2_exec::machine::{Algorithm, OpMachine, Step};
 use sl2_exec::mem::{Cell, Loc, SimMemory};
 use sl2_spec::max_register::{MaxOp, MaxRegisterSpec, MaxResp};

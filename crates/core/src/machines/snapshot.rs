@@ -13,8 +13,8 @@
 //! cache; lane `i` is only written by process `i`, so the decoded value
 //! equals `prevVal` exactly.
 
-use sl2_bignum::{BigNat, LaneEncoding};
-use sl2_exec::lanes::{LaneWrite, Lanes, Target};
+use sl2_bignum::{BigNat, LaneEncoding, Lanes, Target};
+use sl2_exec::lanes::LaneWrite;
 use sl2_exec::machine::{Algorithm, OpMachine, Step};
 use sl2_exec::mem::{Cell, Loc, SimMemory};
 use sl2_spec::snapshot::{SnapOp, SnapResp, SnapshotSpec};

@@ -7,7 +7,9 @@
 //! [`LaneWrite`] is that pair of steps. A sharded object reads the whole
 //! object by probing one register per shard, in naive mode once and in
 //! stable mode until two passes agree; [`Collect`] is that loop. Each
-//! `step` makes exactly one [`SimMemory`] call.
+//! `step` makes exactly one [`SimMemory`] call. The codec and the probe
+//! rule are not the twins' own: [`Lanes`] and [`Target::next`] come from
+//! `sl2_bignum`, and the production objects call the same two.
 //!
 //! A state carries what its next step needs and nothing more: an
 //! [`LaneWrite::Add`] forgets the value it moves the lane to, so two
@@ -19,70 +21,10 @@
 
 use std::rc::Rc;
 
-use sl2_bignum::{BigNat, LaneEncoding, Layout};
+use sl2_bignum::{BigNat, Lanes, Target};
 
 use crate::machine::Step;
 use crate::mem::{Loc, SimMemory};
-
-/// A wide register's lane geometry and value code.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Lanes {
-    /// Which register bits belong to which lane.
-    pub layout: Layout,
-    /// How a lane value is coded into its lane bits.
-    pub encoding: LaneEncoding,
-}
-
-impl Lanes {
-    /// `n` lanes coded with `encoding`.
-    pub fn new(n: usize, encoding: LaneEncoding) -> Self {
-        Lanes {
-            layout: Layout::new(n),
-            encoding,
-        }
-    }
-
-    /// The value of lane `i` in `image`.
-    pub fn decode(&self, i: usize, image: &BigNat) -> u64 {
-        self.encoding.decode(&self.layout, i, image)
-    }
-
-    /// The `(posAdj, negAdj)` that move lane `i` from `old` to `new`.
-    pub fn adjustments(&self, i: usize, old: u64, new: u64) -> (BigNat, BigNat) {
-        self.encoding.adjustments(&self.layout, i, old, new)
-    }
-
-    /// The sum of all lane values (a counter's read).
-    pub fn sum(&self, image: &BigNat) -> u64 {
-        self.encoding.sum(&self.layout, image)
-    }
-
-    /// The largest lane value (a max register's read).
-    pub fn fold(&self, image: &BigNat) -> u64 {
-        (0..self.layout.processes())
-            .map(|i| self.decode(i, image))
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Every lane value, in lane order (a snapshot's scan).
-    pub fn view(&self, image: &BigNat) -> Vec<u64> {
-        (0..self.layout.processes())
-            .map(|i| self.decode(i, image))
-            .collect()
-    }
-}
-
-/// Where a [`LaneWrite`] moves its lane.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Target {
-    /// Up to `v`; a lane already at `v` or above stays (max registers).
-    AtLeast(u64),
-    /// Up by one (counters).
-    Increment,
-    /// To exactly `v`, up or down; a lane at `v` stays (snapshots).
-    Exactly(u64),
-}
 
 /// One lane write: probe the register, then move the own lane with one
 /// signed fetch&add. The lane has a single writer, so the probed value
@@ -143,11 +85,8 @@ impl LaneWrite {
             } => {
                 let image = mem.wide_adjust(*reg, &BigNat::zero(), &BigNat::zero());
                 let prev = lanes.decode(*lane, &image);
-                let new = match *target {
-                    Target::AtLeast(v) if v <= prev => return Step::Ready(()),
-                    Target::Exactly(v) if v == prev => return Step::Ready(()),
-                    Target::AtLeast(v) | Target::Exactly(v) => v,
-                    Target::Increment => prev + 1,
+                let Some(new) = target.next(prev) else {
+                    return Step::Ready(());
                 };
                 let (pos, neg) = lanes.adjustments(*lane, prev, new);
                 *self = LaneWrite::Add {
@@ -251,6 +190,7 @@ impl Collect {
 mod tests {
     use super::*;
     use crate::mem::Cell;
+    use sl2_bignum::LaneEncoding;
 
     fn wide(mem: &mut SimMemory) -> Loc {
         mem.alloc(Cell::Wide(BigNat::zero()))

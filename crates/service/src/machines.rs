@@ -37,8 +37,8 @@
 //! [`KeyedDispatchAlg::new`] models the paper's unary lanes,
 //! `with_encoding(LaneEncoding::Binary)` the lanes `KeyObject` ships.
 
-use sl2_bignum::{BigNat, LaneEncoding};
-use sl2_exec::lanes::{LaneWrite, Lanes, Target};
+use sl2_bignum::{BigNat, LaneEncoding, Lanes, Target};
+use sl2_exec::lanes::LaneWrite;
 use sl2_exec::machine::{Algorithm, OpMachine, Step};
 use sl2_exec::mem::{Cell, Loc, SimMemory};
 use sl2_spec::keyed::{KeyedMaxOp, KeyedMaxSpec, LaggingKeyedMaxSpec};

@@ -33,8 +33,7 @@
 //!
 //! [`WideFetchInc`]: sl2_core::algos::fetch_inc::WideFetchInc
 
-use sl2_bignum::WideFaa;
-use sl2_bignum::{LaneEncoding, Layout};
+use sl2_bignum::{LaneEncoding, Lanes, WideFaa};
 use sl2_primitives::{Lines, Sharding};
 
 /// A unique increment receipt: shard-dense, not globally ordered.
@@ -63,9 +62,8 @@ pub struct ShardTicket {
 #[derive(Debug)]
 pub struct ShardedFetchInc {
     shards: Lines<WideFaa>,
-    layout: Layout,
+    lanes: Lanes,
     sharding: Sharding,
-    encoding: LaneEncoding,
 }
 
 impl ShardedFetchInc {
@@ -100,8 +98,7 @@ impl ShardedFetchInc {
         ShardedFetchInc {
             sharding: Sharding::new(shards.len()),
             shards,
-            layout: Layout::new(n),
-            encoding,
+            lanes: Lanes::new(n, encoding),
         }
     }
 
@@ -112,7 +109,7 @@ impl ShardedFetchInc {
 
     /// Number of processes sharing the counter.
     pub fn processes(&self) -> usize {
-        self.layout.processes()
+        self.lanes.layout.processes()
     }
 
     /// Increments by one on behalf of `process`; returns the unique
@@ -123,22 +120,21 @@ impl ShardedFetchInc {
         let shard = self.sharding.of_process(process);
         sl2_obs::count(crate::probes::shard_ops(shard));
         let reg = &self.shards[shard];
-        let (layout, encoding) = (&self.layout, self.encoding);
-        let mine = reg.read_with(|image| encoding.decode(layout, process, image));
+        let mine = reg.read_with(|image| self.lanes.decode(process, image));
         // Chaos: the probe-then-adjust window. A crash-stop between
         // the own-lane probe and the landing fetch&add leaves the op
         // pending forever — legal for survivors' linearizability (the
         // increment never landed), exercised by the recorder suite.
         sl2_chaos::point("sharded.inc.pre_add");
-        let (pos, neg) = encoding.adjustments(layout, process, mine, mine + 1);
-        let seq = reg.fetch_adjust_with(&pos, &neg, |old| encoding.sum(layout, old) + 1);
+        let (pos, neg) = self.lanes.adjustments(process, mine, mine + 1);
+        let seq = reg.fetch_adjust_with(&pos, &neg, |old| self.lanes.sum(old) + 1);
         ShardTicket { shard, seq }
     }
 
     /// Count of increments landed in one shard (a single probe —
     /// atomic at shard granularity).
     pub fn shard_count_of(&self, shard: usize) -> u64 {
-        self.shards[shard].read_with(|image| self.encoding.sum(&self.layout, image))
+        self.shards[shard].read_with(|image| self.lanes.sum(image))
     }
 
     /// Exact read: collects the per-shard counts until two consecutive

@@ -30,8 +30,8 @@
 
 use std::rc::Rc;
 
-use sl2_bignum::{BigNat, LaneEncoding};
-use sl2_exec::lanes::{Collect, LaneWrite, Lanes, Reduce, Target};
+use sl2_bignum::{BigNat, LaneEncoding, Lanes, Target};
+use sl2_exec::lanes::{Collect, LaneWrite, Reduce};
 use sl2_exec::machine::{Algorithm, OpMachine, Step};
 use sl2_exec::mem::{Cell, Loc, SimMemory};
 use sl2_primitives::Sharding;

@@ -28,14 +28,15 @@
 //!
 //! *How* a shard stores its quotient counts is a codec choice
 //! ([`LaneEncoding`]): the paper's unary prefix code, or the log-width
-//! binary code of [`sl2_bignum::BinaryLayout`] ([`ShardedMaxRegister::new_binary`]),
+//! binary code ([`LaneEncoding::Binary`], [`ShardedMaxRegister::new_binary`]),
 //! which shrinks a lane holding `c` from `c` bits to `⌈log₂(c+1)⌉` and
 //! thereby lifts the `64·S` inline-value ceiling entirely out of the
 //! practical range (experiment E31). Both go through the one shared
-//! codec, so the probe, the single linearizing (always positive)
-//! fetch&add and the single-writer-per-lane argument are identical,
-//! and the checker twins in `sl2_sharded::machines` adjudicate both
-//! codecs on the same scenario families.
+//! codec ([`Lanes`]) and probe rule ([`Target`]), so the probe, the
+//! single linearizing (always positive) fetch&add and the
+//! single-writer-per-lane argument are identical, and the checker twins
+//! in `sl2_sharded::machines` adjudicate both codecs on the same
+//! scenario families.
 //!
 //! `read_max` folds the shard maxima and must therefore visit `S` base
 //! objects: it collects the per-shard folds until two consecutive
@@ -46,8 +47,7 @@
 //! collect frontier. DESIGN.md §6 states the boundary precisely;
 //! `sl2_sharded::machines` + `check_strong` adjudicate it.
 
-use sl2_bignum::WideFaa;
-use sl2_bignum::{LaneEncoding, Layout};
+use sl2_bignum::{LaneEncoding, Lanes, Target, WideFaa};
 use sl2_core::algos::MaxRegister;
 use sl2_primitives::{Lines, Sharding};
 
@@ -68,9 +68,8 @@ use sl2_primitives::{Lines, Sharding};
 #[derive(Debug)]
 pub struct ShardedMaxRegister {
     shards: Lines<WideFaa>,
-    layout: Layout,
+    lanes: Lanes,
     sharding: Sharding,
-    encoding: LaneEncoding,
 }
 
 impl ShardedMaxRegister {
@@ -86,7 +85,7 @@ impl ShardedMaxRegister {
     }
 
     /// Creates a max register whose shards store quotient counts in
-    /// *binary* ([`sl2_bignum::BinaryLayout`]): O(log v) lane bits instead of O(v),
+    /// *binary* ([`LaneEncoding::Binary`]): O(log v) lane bits instead of O(v),
     /// which lifts the old `64·S` inline-value ceiling to `2^(127/n)·S`
     /// — effectively unbounded for realistic process counts. The
     /// probe-then-single-fetch&add shape, and with it the fixed write
@@ -114,8 +113,7 @@ impl ShardedMaxRegister {
         ShardedMaxRegister {
             sharding: Sharding::new(shards.len()),
             shards,
-            layout: Layout::new(n),
-            encoding,
+            lanes: Lanes::new(n, encoding),
         }
     }
 
@@ -126,12 +124,12 @@ impl ShardedMaxRegister {
 
     /// Number of processes sharing the register.
     pub fn processes(&self) -> usize {
-        self.layout.processes()
+        self.lanes.layout.processes()
     }
 
     /// The lane encoding the shards store quotient counts in.
     pub fn encoding(&self) -> LaneEncoding {
-        self.encoding
+        self.lanes.encoding
     }
 
     /// Total width of the backing registers in bits (experiment E12's
@@ -159,10 +157,7 @@ impl ShardedMaxRegister {
     fn shard_fold(&self, s: usize) -> u64 {
         self.shards[s].read_with(|image| {
             sl2_obs::record("sharded.probe_bits", image.bit_len() as u64);
-            (0..self.layout.processes())
-                .map(|i| self.encoding.decode(&self.layout, i, image))
-                .max()
-                .unwrap_or(0)
+            self.lanes.fold(image)
         })
     }
 }
@@ -177,16 +172,15 @@ impl MaxRegister for ShardedMaxRegister {
         // only ever written by `process` (for any value in the shard's
         // residue class), so the probe-then-single-fetch&add is
         // regression-free under either lane encoding.
-        let (layout, encoding) = (&self.layout, self.encoding);
-        let prev = shard.read_with(|image| encoding.decode(layout, process, image));
-        if count <= prev {
+        let prev = shard.read_with(|image| self.lanes.decode(process, image));
+        let Some(count) = Target::AtLeast(count).next(prev) else {
             return; // linearized at the probing fetch&add
-        }
+        };
         // Chaos: crash-stop mid probe-then-adjust — the write is
         // pending forever and must stay invisible to survivors' exact
         // reads (lane untouched).
         sl2_chaos::point("sharded.write.pre_add");
-        let (pos, neg) = encoding.adjustments(layout, process, prev, count);
+        let (pos, neg) = self.lanes.adjustments(process, prev, count);
         shard.adjust(&pos, &neg);
     }
 

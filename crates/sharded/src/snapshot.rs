@@ -2,8 +2,8 @@
 //! one Theorem-2 register per group, production form.
 //!
 //! With `n` components and group width `g`, group `k` owns components
-//! `k·g .. min((k+1)·g, n)` in one [`WideFaa`] with its own
-//! [`Layout`]. `update` runs the exact §3.2 algorithm against the
+//! `k·g .. min((k+1)·g, n)` in one [`WideFaa`] with its own binary
+//! [`Lanes`]. `update` runs the exact §3.2 algorithm against the
 //! owning group — wait-free, 1–2 steps, fixed linearization point —
 //! and updaters in different groups never touch the same cache line.
 //!
@@ -24,8 +24,7 @@
 //!   (the sharded-counter witness of `tests/non_sl_witnesses.rs` is
 //!   this effect on a 1-bit-per-shard object).
 
-use sl2_bignum::WideFaa;
-use sl2_bignum::{BigNat, Layout};
+use sl2_bignum::{LaneEncoding, Lanes, Target, WideFaa};
 use sl2_core::algos::Snapshot;
 use sl2_primitives::{CachePadded, Sharding};
 
@@ -47,7 +46,7 @@ use sl2_primitives::{CachePadded, Sharding};
 #[derive(Debug)]
 pub struct ShardedSnapshot {
     groups: Box<[CachePadded<WideFaa>]>,
-    layouts: Vec<Layout>,
+    lanes: Vec<Lanes>,
     n: usize,
     group_width: usize,
 }
@@ -66,17 +65,13 @@ impl ShardedSnapshot {
         let group_count = n.div_ceil(group_width);
         // Validates the group count against the shard cap.
         let _ = Sharding::new(group_count);
-        let layouts: Vec<Layout> = (0..group_count)
-            .map(|k| {
-                let width = group_width.min(n - k * group_width);
-                Layout::new(width)
-            })
-            .collect();
         ShardedSnapshot {
             groups: (0..group_count)
                 .map(|_| CachePadded::new(WideFaa::new()))
                 .collect(),
-            layouts,
+            lanes: (0..group_count)
+                .map(|k| Lanes::new(group_width.min(n - k * group_width), LaneEncoding::Binary))
+                .collect(),
             n,
             group_width,
         }
@@ -96,9 +91,7 @@ impl ShardedSnapshot {
     /// Atomic scan of one lane group: a single `fetch&add(R, 0)` on the
     /// group's register, exactly Theorem 2 at group granularity.
     pub fn scan_group(&self, k: usize) -> Vec<u64> {
-        self.groups[k]
-            .read_with(|image| self.layouts[k].decode_all_u64(image))
-            .expect("component fits u64")
+        self.groups[k].read_with(|image| self.lanes[k].view(image))
     }
 
     /// Whole-object view with no stability check: one pass over the
@@ -127,16 +120,14 @@ impl Snapshot for ShardedSnapshot {
     fn update(&self, i: usize, v: u64) {
         let k = self.group_of(i);
         let local = i - k * self.group_width;
-        let group = &self.groups[k];
-        let layout = &self.layouts[k];
+        let (group, lanes) = (&self.groups[k], &self.lanes[k]);
         // §3.2 against the owning group: probe the own lane, then one
         // signed fetch&add rewriting exactly that lane.
-        let prev = group.read_with(|image| layout.decode(local, image));
-        let new = BigNat::from(v);
-        if prev == new {
+        let prev = group.read_with(|image| lanes.decode(local, image));
+        let Some(new) = Target::Exactly(v).next(prev) else {
             return; // linearized at the probing fetch&add
-        }
-        let (pos, neg) = layout.adjustments(local, &prev, &new);
+        };
+        let (pos, neg) = lanes.adjustments(local, prev, new);
         group.adjust(&pos, &neg);
     }
 
@@ -199,6 +190,44 @@ mod tests {
             assert_eq!(sharded.scan(), global.scan());
         }
         assert_eq!(sharded.group_count(), 1);
+    }
+
+    #[test]
+    fn production_and_twin_write_the_same_register_images() {
+        // Every n ≤ 4, group width, component p and values v, w ≤ 12: p
+        // moves to v, then to w (up, down or the same), then the next
+        // component moves to v. Every group register of the production
+        // object and of the twin's memory hold the same bits after every
+        // update.
+        use crate::machines::{ShardedSnapshotAlg, WholeReadMode};
+        use sl2_exec::machine::{run_solo, Algorithm};
+        use sl2_exec::mem::{Cell, SimMemory};
+        use sl2_spec::snapshot::SnapOp;
+        for n in 1..=4 {
+            for width in 1..=n {
+                for (p, v, w) in (0..n)
+                    .flat_map(|p| (0..=12).flat_map(move |v| (0..=12).map(move |w| (p, v, w))))
+                {
+                    let s = ShardedSnapshot::new(n, width);
+                    let mut mem = SimMemory::new();
+                    let twin = ShardedSnapshotAlg::new(&mut mem, n, width, WholeReadMode::Stable);
+                    for (i, x) in [(p, v), (p, w), ((p + 1) % n, v)] {
+                        s.update(i, x);
+                        run_solo(&mut twin.machine(i, &SnapOp::Update { i, v: x }), &mut mem);
+                        for k in 0..s.group_count() {
+                            let Cell::Wide(image) = mem.collect_read(k) else {
+                                panic!("the twin's group register is not wide");
+                            };
+                            assert_eq!(
+                                s.groups[k].load(),
+                                image,
+                                "n={n} width={width} group {k}: {p}:{v}, {p}:{w}, then {i}:{x}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -18,15 +18,19 @@
 //!   A full ring overwrites oldest-first: the rings are a black box
 //!   holding the *last* `RING_CAP` events per lane, not a log.
 //! * **Torn-proof reads.** Each slot carries a commit word written
-//!   `0 → fields → claim+1` (release-published). [`drain`] accepts a
-//!   slot only if the commit word reads `claim+1` both before and
-//!   after the field loads, so an in-flight or wrapped-over slot is
-//!   skipped, never decoded torn. Drains are exact at quiescence
-//!   (workers joined or parked); during live writes they are a
-//!   best-effort snapshot — exactly what a flight recorder wants.
+//!   `0 → fields → claim+1`: the invalidating store is followed by a
+//!   release fence, so no field store moves above it, and the commit
+//!   store is a release. [`drain`] accepts a slot only if the commit
+//!   word reads `claim+1` both before and after the field loads, with
+//!   an acquire fence before the second read, so no field load moves
+//!   below it; an in-flight or wrapped-over slot is skipped, never
+//!   decoded torn. Drains are exact at quiescence (workers joined or
+//!   parked); during live writes they are a best-effort snapshot —
+//!   exactly what a flight recorder wants. Lost evidence is counted:
+//!   [`TraceLog::overwritten`] and [`TraceLog::torn`].
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::sync::Once;
 
 use sl2_primitives::labeled::{self, LabelTable};
@@ -134,7 +138,11 @@ fn emit(kind: u64, label: &'static str, span: u64, payload: u64) {
     // Seqlock-style publish: invalidate, store fields, commit. A
     // drain racing this write sees commit ≠ claim+1 on one side of
     // its field loads and skips the slot instead of decoding it torn.
-    slot.commit.store(0, Ordering::Release);
+    // A release store of 0 would not keep the relaxed field stores
+    // after it; the fence does (it pairs with the acquire fence in
+    // `drain`).
+    slot.commit.store(0, Ordering::Relaxed);
+    fence(Ordering::Release);
     slot.meta
         .store(kind | (idx << 8) | (thread << 32), Ordering::Relaxed);
     slot.span.store(span, Ordering::Relaxed);
@@ -169,24 +177,30 @@ pub fn event_in(label: &'static str, span: u64, payload: u64) {
 
 /// Nondestructive merge of every ring: the last `RING_CAP` committed
 /// events per ring, validated against their commit words (torn or
-/// in-flight slots are skipped), sorted by stamp. Exact at
+/// in-flight slots are skipped and counted), sorted by stamp. Exact at
 /// quiescence; a best-effort snapshot while writers are live.
 pub fn drain() -> TraceLog {
-    let mut events = Vec::new();
+    let mut log = TraceLog::default();
     for ring in RING_BUFFERS.iter() {
         let head = ring.head.load(Ordering::Acquire);
         let start = head.saturating_sub(RING_CAP as u64);
+        log.overwritten += start;
         for claim in start..head {
             let slot = &ring.slots[(claim as usize) % RING_CAP];
             if slot.commit.load(Ordering::Acquire) != claim + 1 {
-                continue; // in-flight, or wrapped past us
+                log.torn += 1; // in-flight, or wrapped past us
+                continue;
             }
             let meta = slot.meta.load(Ordering::Relaxed);
             let span = slot.span.load(Ordering::Relaxed);
             let stamp = slot.stamp.load(Ordering::Relaxed);
             let payload = slot.payload.load(Ordering::Relaxed);
-            if slot.commit.load(Ordering::Acquire) != claim + 1 {
-                continue; // overwritten mid-read: drop, never tear
+            // Keeps the field loads above the re-check (pairs with the
+            // release fence in `emit`).
+            fence(Ordering::Acquire);
+            if slot.commit.load(Ordering::Relaxed) != claim + 1 {
+                log.torn += 1; // overwritten mid-read: drop, never tear
+                continue;
             }
             let kind = match meta & 0xff {
                 KIND_BEGIN => EventKind::Begin,
@@ -196,7 +210,7 @@ pub fn drain() -> TraceLog {
             let label = LABELS
                 .label_at(((meta >> 8) & 0xff_ffff) as usize)
                 .unwrap_or("?");
-            events.push(TraceEvent {
+            log.events.push(TraceEvent {
                 kind,
                 label,
                 thread: (meta >> 32) as usize,
@@ -206,8 +220,8 @@ pub fn drain() -> TraceLog {
             });
         }
     }
-    events.sort_by_key(|e| e.stamp);
-    TraceLog { events }
+    log.events.sort_by_key(|e| e.stamp);
+    log
 }
 
 /// Clears every ring and rewinds the clock and span mints, so a

@@ -130,6 +130,7 @@ mod tests {
                 ev(EventKind::End, "svc.req", 7, 1, 3, 11),
                 ev(EventKind::End, "svc.req", 3, 2, 4, 21),
             ],
+            ..TraceLog::default()
         };
         let spans = request_spans(&log, "svc.req");
         assert_eq!(spans.len(), 2);
@@ -148,6 +149,7 @@ mod tests {
                 ev(EventKind::Begin, "svc.req", 0, 5, 0, 1),
                 ev(EventKind::End, "svc.req", 0, 99, 1, 2), // begin overwritten
             ],
+            ..TraceLog::default()
         };
         let spans = request_spans(&log, "svc.req");
         assert_eq!(spans.len(), 1);

@@ -139,6 +139,12 @@ pub struct TraceEvent {
 pub struct TraceLog {
     /// Events in stamp order (stamps are unique global tickets).
     pub events: Vec<TraceEvent>,
+    /// Events that were claimed but had already rotated out of their
+    /// ring when it was drained (a full ring overwrites oldest-first).
+    pub overwritten: u64,
+    /// Slots the drain skipped because their commit word did not match
+    /// the expected generation: in flight, or overwritten mid-read.
+    pub torn: u64,
 }
 
 impl TraceLog {
@@ -153,17 +159,21 @@ impl TraceLog {
     }
 
     /// Serializes the log as JSON lines: a header object carrying the
-    /// dump `reason` and chaos `tag` (empty when no plan is
-    /// installed), then one object per event in stamp order. Two runs
+    /// dump `reason`, the chaos `tag` (empty when no plan is installed)
+    /// and the lost-evidence counts, then one object per event in stamp
+    /// order. Two runs
     /// of the same seeded schedule produce byte-identical output —
     /// the determinism `tests/trace.rs` pins.
     pub fn to_json_lines(&self, reason: &str, tag: &str) -> String {
         let mut out = String::new();
         out.push_str(&format!(
-            "{{\"trace\":\"dump\",\"reason\":\"{}\",\"tag\":\"{}\",\"events\":{}}}\n",
+            "{{\"trace\":\"dump\",\"reason\":\"{}\",\"tag\":\"{}\",\"events\":{},\
+             \"overwritten\":{},\"torn\":{}}}\n",
             json_escape(reason),
             json_escape(tag),
             self.events.len(),
+            self.overwritten,
+            self.torn,
         ));
         for e in &self.events {
             out.push_str(&format!(

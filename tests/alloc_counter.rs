@@ -153,12 +153,12 @@ fn lock_free_wide_faa_snapshot_reads_are_allocation_free() {
             "2^120 must sit on the lock-free inline path"
         );
     }
-    let layout = sl2_bignum::Layout::new(4);
+    let lanes = sl2_bignum::Lanes::new(4, LaneEncoding::Unary);
     let (n, _) = allocs_during(|| {
         for _ in 0..1000 {
             let _v = r.load();
             let _bits = r.bit_len();
-            let _lane = r.read_with(|v| layout.decode_unary(0, v));
+            let _lane = r.read_with(|v| lanes.decode(0, v));
             let _ones = r.read_with(|v| v.count_ones());
         }
     });
@@ -745,12 +745,18 @@ fn disarmed_chaos_points_are_free() {
     assert_eq!(sl2_chaos::plan_seed(), None);
 }
 
+/// The chaos plan is process-global: the armed chaos pins hold this
+/// lock, so the pin without a plan never sees the other pin's plan.
+#[cfg(feature = "armed")]
+static CHAOS_PLAN: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 #[cfg(feature = "armed")]
 #[test]
 fn armed_chaos_point_without_a_plan_is_allocation_free() {
-    // No test in this binary installs a plan, so an armed point returns
-    // at its `active` check: before the enrollment lookup, the plan
-    // lock and the per-thread hit-count map (which allocates).
+    // Without a plan an armed point returns at its `active` check:
+    // before the enrollment lookup, the plan lock and the per-thread
+    // hit counts.
+    let _plan = CHAOS_PLAN.lock().unwrap_or_else(|e| e.into_inner());
     sl2_chaos::point("alloc.chaos.armed"); // first call builds the global
     let (n, _) = allocs_during(|| {
         for _ in 0..1_000 {
@@ -760,6 +766,32 @@ fn armed_chaos_point_without_a_plan_is_allocation_free() {
     assert_eq!(n, 0, "an armed point with no plan must not allocate");
     assert!(!sl2_chaos::active());
     assert_eq!(sl2_chaos::plan_seed(), None);
+}
+
+#[cfg(feature = "armed")]
+#[test]
+fn armed_chaos_point_under_a_plan_is_allocation_free() {
+    // With a plan installed and the thread enrolled, a point counts its
+    // hit and checks the rules on every pass. The only rule names
+    // another label, so no pass fires, and counting a hit must not
+    // allocate: an allocation would perturb the schedules chaos tests
+    // exist to control.
+    let _plan = CHAOS_PLAN.lock().unwrap_or_else(|e| e.into_inner());
+    let plan = sl2_chaos::FaultPlan::new(7).on(
+        "alloc.chaos.elsewhere",
+        None,
+        1,
+        sl2_chaos::FaultAction::Panic,
+    );
+    let _session = sl2_chaos::install(plan);
+    sl2_chaos::set_thread(0);
+    sl2_chaos::point("alloc.chaos.planned"); // warm: interns the label
+    let (n, _) = allocs_during(|| {
+        for _ in 0..1_000 {
+            sl2_chaos::point("alloc.chaos.planned");
+        }
+    });
+    assert_eq!(n, 0, "an armed point under a plan must not allocate");
 }
 
 #[cfg(not(feature = "armed"))]

@@ -273,7 +273,7 @@ fn chaos_suite_stays_feature_gated() {
         "crates/chaos/src/lib.rs",
         &[
             "#[cfg(feature = \"chaos\")]\nmod active",
-            "pub fn point(_label: &str) {}",
+            "pub fn point(_label: &'static str) {}",
         ],
     );
     assert_keeps("tests/chaos_stress.rs", &["#![cfg(feature = \"armed\")]"]);
@@ -463,9 +463,26 @@ fn shared_tables_are_defined_once() {
         "fn json_escape(",
         "struct SpecTable",
         "fn intern(",
+        "struct Lanes",
+        "enum Target",
     ] {
         let defs: usize = sources.iter().map(|s| s.matches(needle).count()).sum();
         assert_eq!(defs, 1, "`{needle}` must be defined once under crates/");
+    }
+    // One lane codec (`sl2_bignum::Lanes`): the §3 production objects
+    // build `Lanes`, never a bare `Layout` beside their own encoding.
+    let mut production = Vec::new();
+    for dir in ["crates/core/src/algos", "crates/sharded/src"] {
+        files_with_extensions(&repo_root().join(dir), &["rs"], &mut production);
+    }
+    production.retain(|p| !p.ends_with("machines.rs"));
+    for path in &production {
+        let text = read(path);
+        let named = text
+            .split(|c: char| !(c.is_alphanumeric() || c == '_'))
+            .any(|word| word == "Layout");
+        let rel = path.strip_prefix(repo_root()).unwrap_or(path);
+        assert!(!named, "{} names `Layout`; build `Lanes`", rel.display());
     }
     // The strong checker reaches the spec only through that table.
     let strong = read_repo_file("crates/exec/src/strong.rs");

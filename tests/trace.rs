@@ -61,6 +61,11 @@ fn full_ring_overwrites_oldest_first_with_no_torn_events() {
         ours.windows(2).all(|w| w[0].stamp < w[1].stamp),
         "stamps are unique global tickets, drained in order"
     );
+    assert_eq!(log.overwritten, extra, "every evicted event is counted");
+    assert_eq!(log.torn, 0, "a quiescent drain skips no slot");
+    let header = log.to_json_lines("wrap", "");
+    let header = header.lines().next().expect("a header line");
+    assert!(header.contains(&format!("\"overwritten\":{extra},\"torn\":0")));
     trace::reset();
 }
 
