@@ -39,13 +39,11 @@
 
 mod cell;
 mod cpu;
-mod faa128;
 mod interleave;
 mod nat;
 mod wide;
 
 pub use cell::Atomic128;
-pub use faa128::FetchAdd128;
 pub use interleave::{LaneEncoding, Lanes, Layout, Target};
 pub use nat::{BigNat, LIMB_BITS};
 pub use wide::WideFaa;

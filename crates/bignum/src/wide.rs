@@ -50,6 +50,8 @@
 
 use std::cell::UnsafeCell;
 
+use sl2_primitives::{BaseObject, ConsensusNumber};
+
 use crate::cell::RawSpin;
 use crate::{Atomic128, BigNat};
 
@@ -169,7 +171,7 @@ impl WideFaa {
         // Chaos: a panic here unwinds through `_guard`, whose Drop
         // releases the lock — the unwind-safety the regression tests
         // pin. A crash-stop here deadlocks this register (heap regime
-        // serializes on the lock; ROADMAP item 5, DESIGN.md §10).
+        // serializes on the lock; ROADMAP item 9, DESIGN.md §10).
         sl2_chaos::point("wfaa.spin.critical");
         debug_assert!(is_tagged(self.cell.load()), "slow path on inline value");
         // SAFETY: the spinlock guarantees exclusive access for the
@@ -402,6 +404,15 @@ impl WideFaa {
     pub fn bit_len(&self) -> usize {
         self.read_with(|v| v.bit_len())
     }
+}
+
+// Fetch&add on an unbounded value sits where the fixed-width
+// fetch&adds do in the hierarchy (the paper's point is precisely that
+// this level-2 object suffices for the §3 towers). The annotation
+// lives here, not in `sl2_primitives::rmw`, so the crate graph keeps
+// `sl2_primitives` at the bottom.
+impl BaseObject for WideFaa {
+    const CONSENSUS_NUMBER: ConsensusNumber = ConsensusNumber::Two;
 }
 
 #[cfg(test)]
@@ -736,5 +747,10 @@ mod tests {
         assert_eq!(r.bit_len(), 0);
         r.fetch_add(&BigNat::pow2(1234));
         assert_eq!(r.bit_len(), 1235);
+    }
+
+    #[test]
+    fn wide_registers_sit_at_level_two() {
+        assert_eq!(WideFaa::new().consensus_number(), ConsensusNumber::Two);
     }
 }

@@ -821,10 +821,10 @@ mod tests {
             let mut mem = SimMemory::new();
             let alg = CombiningMaxRegAlg::new(&mut mem, 3, shards, ReadMode::Cached);
             let scenario = cached_fan_in_max_scenario();
-            let report = check_strong(&alg, mem.clone(), &scenario, 8_000_000);
-            assert!(!report.strongly_linearizable, "S={shards}");
-            let witness = report.witness.expect("refutation carries a witness");
-            validate_witness(&alg, mem, &scenario, &witness)
+            let out = check_strong(&alg, mem.clone(), &scenario, 8_000_000);
+            assert!(out.is_refuted(), "S={shards}");
+            let witness = out.witness().expect("refutation carries a witness");
+            validate_witness(&alg, mem, &scenario, witness)
                 .unwrap_or_else(|e| panic!("S={shards}: {e}"));
         }
     }
@@ -835,8 +835,8 @@ mod tests {
         // window (k = 2 writers): certified.
         let mut mem = SimMemory::new();
         let alg = CombiningMaxRegAlg::relaxed(&mut mem, 3, 1, ReadMode::Cached, 2);
-        let report = check_strong(&alg, mem, &cached_fan_in_lagging_scenario(), 8_000_000);
-        assert!(report.strongly_linearizable, "{:?}", report.witness);
+        let out = check_strong(&alg, mem, &cached_fan_in_lagging_scenario(), 8_000_000);
+        assert!(out.is_certified(), "{:?}", out.outcome);
     }
 
     #[test]
@@ -844,16 +844,16 @@ mod tests {
         for shards in [1usize, 2] {
             let mut mem = SimMemory::new();
             let alg = CombiningMaxRegAlg::new(&mut mem, 2, shards, ReadMode::Stable);
-            let report = check_strong(
+            let out = check_strong(
                 &alg,
                 mem,
                 &combining_frontier_safe_scenario(shards),
                 8_000_000,
             );
             assert!(
-                report.strongly_linearizable,
+                out.is_certified(),
                 "frontier-safe S={shards}: {:?}",
-                report.witness
+                out.outcome
             );
         }
     }
@@ -864,16 +864,16 @@ mod tests {
         // write path neither heals nor worsens the collect frontier.
         let mut mem = SimMemory::new();
         let alg = CombiningMaxRegAlg::new(&mut mem, 3, 1, ReadMode::Stable);
-        let report = check_strong(&alg, mem, &cached_fan_in_max_scenario(), 16_000_000);
-        assert!(report.strongly_linearizable, "{:?}", report.witness);
+        let out = check_strong(&alg, mem, &cached_fan_in_max_scenario(), 16_000_000);
+        assert!(out.is_certified(), "{:?}", out.outcome);
 
         let mut mem = SimMemory::new();
         let alg = CombiningMaxRegAlg::new(&mut mem, 3, 2, ReadMode::Stable);
         let scenario = cached_fan_in_max_scenario();
-        let report = check_strong(&alg, mem.clone(), &scenario, 16_000_000);
-        assert!(!report.strongly_linearizable);
-        let witness = report.witness.expect("refutation carries a witness");
-        validate_witness(&alg, mem, &scenario, &witness).expect("fan-in witness must replay");
+        let out = check_strong(&alg, mem.clone(), &scenario, 16_000_000);
+        assert!(out.is_refuted());
+        let witness = out.witness().expect("refutation carries a witness");
+        validate_witness(&alg, mem, &scenario, witness).expect("fan-in witness must replay");
     }
 
     #[test]
@@ -890,10 +890,10 @@ mod tests {
             vec![CounterOp::Inc, CounterOp::Read],
             vec![CounterOp::Inc],
         ]);
-        let report = check_strong(&alg, mem.clone(), &scenario, 8_000_000);
-        assert!(!report.strongly_linearizable);
-        let witness = report.witness.expect("refutation carries a witness");
-        validate_witness(&alg, mem, &scenario, &witness).expect("witness must replay");
+        let out = check_strong(&alg, mem.clone(), &scenario, 8_000_000);
+        assert!(out.is_refuted());
+        let witness = out.witness().expect("refutation carries a witness");
+        validate_witness(&alg, mem, &scenario, witness).expect("witness must replay");
     }
 
     #[test]
@@ -902,9 +902,8 @@ mod tests {
         let alg = CombiningCounterAlg::cached(&mut mem, 3, 1);
         let scenario =
             fan_in::<CounterSpec>(vec![CounterOp::Inc, CounterOp::Inc], vec![CounterOp::Read]);
-        let report = check_strong(&alg, mem, &scenario, 8_000_000);
-        assert!(!report.strongly_linearizable);
-        assert!(report.witness.is_some());
+        let out = check_strong(&alg, mem, &scenario, 8_000_000);
+        assert!(out.is_refuted());
     }
 
     #[test]
@@ -917,8 +916,8 @@ mod tests {
             vec![CounterOp::Inc, CounterOp::Inc],
             vec![CounterOp::Read],
         );
-        let report = check_strong(&alg, mem, &scenario, 8_000_000);
-        assert!(report.strongly_linearizable, "{:?}", report.witness);
+        let out = check_strong(&alg, mem, &scenario, 8_000_000);
+        assert!(out.is_certified(), "{:?}", out.outcome);
     }
 
     #[test]
@@ -933,15 +932,15 @@ mod tests {
             vec![CounterOp::Inc, CounterOp::Read],
             vec![CounterOp::Inc],
         ]);
-        let report = check_strong(&alg, mem, &scenario, 8_000_000);
-        assert!(report.strongly_linearizable, "{:?}", report.witness);
+        let out = check_strong(&alg, mem, &scenario, 8_000_000);
+        assert!(out.is_certified(), "{:?}", out.outcome);
 
         let mut mem = SimMemory::new();
         let alg = CombiningCounterAlg::stable(&mut mem, 3, 1);
         let scenario =
             fan_in::<CounterSpec>(vec![CounterOp::Inc, CounterOp::Inc], vec![CounterOp::Read]);
-        let report = check_strong(&alg, mem, &scenario, 8_000_000);
-        assert!(report.strongly_linearizable, "{:?}", report.witness);
+        let out = check_strong(&alg, mem, &scenario, 8_000_000);
+        assert!(out.is_certified(), "{:?}", out.outcome);
     }
 
     #[test]
@@ -1008,8 +1007,8 @@ mod tests {
         let mut mem = SimMemory::new();
         let alg = CombiningCounterAlg::relaxed(&mut mem, 3, 1, 2).abandon_lock(&mut mem);
         let scenario = abandoned_counter_lagging_scenario();
-        let report = check_strong(&alg, mem.clone(), &scenario, 8_000_000);
-        assert!(report.strongly_linearizable, "{:?}", report.witness);
+        let out = check_strong(&alg, mem.clone(), &scenario, 8_000_000);
+        assert!(out.is_certified(), "{:?}", out.outcome);
         for_each_history(&alg, mem, &scenario, 4_000_000, &mut |h| {
             for rec in h.complete_ops() {
                 if rec.op == CounterOp::Read {
@@ -1022,10 +1021,10 @@ mod tests {
         let mut mem = SimMemory::new();
         let alg = CombiningCounterAlg::cached(&mut mem, 3, 1).abandon_lock(&mut mem);
         let scenario = abandoned_counter_fan_in_scenario();
-        let report = check_strong(&alg, mem.clone(), &scenario, 8_000_000);
-        assert!(!report.strongly_linearizable);
-        let witness = report.witness.expect("refutation carries a witness");
-        validate_witness(&alg, mem, &scenario, &witness).expect("witness must replay");
+        let out = check_strong(&alg, mem.clone(), &scenario, 8_000_000);
+        assert!(out.is_refuted());
+        let witness = out.witness().expect("refutation carries a witness");
+        validate_witness(&alg, mem, &scenario, witness).expect("witness must replay");
     }
 
     #[test]
@@ -1041,8 +1040,8 @@ mod tests {
             .abandon_lock(&mut mem)
             .with_recovery();
         let scenario = abandoned_counter_lagging_scenario();
-        let report = check_strong(&alg, mem.clone(), &scenario, 8_000_000);
-        assert!(report.strongly_linearizable, "{:?}", report.witness);
+        let out = check_strong(&alg, mem.clone(), &scenario, 8_000_000);
+        assert!(out.is_certified(), "{:?}", out.outcome);
         let mut best = 0u64;
         for_each_history(&alg, mem, &scenario, 4_000_000, &mut |h| {
             for rec in h.complete_ops() {
@@ -1060,12 +1059,9 @@ mod tests {
             .abandon_lock(&mut mem)
             .with_recovery();
         let scenario = abandoned_counter_fan_in_scenario();
-        let report = check_strong(&alg, mem.clone(), &scenario, 8_000_000);
-        assert!(
-            !report.strongly_linearizable,
-            "recovery does not buy exactness"
-        );
-        let witness = report.witness.expect("refutation carries a witness");
-        validate_witness(&alg, mem, &scenario, &witness).expect("witness must replay");
+        let out = check_strong(&alg, mem.clone(), &scenario, 8_000_000);
+        assert!(out.is_refuted(), "recovery does not buy exactness");
+        let witness = out.witness().expect("refutation carries a witness");
+        validate_witness(&alg, mem, &scenario, witness).expect("witness must replay");
     }
 }

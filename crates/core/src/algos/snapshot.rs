@@ -1,10 +1,7 @@
 //! §3.2 — wait-free strongly-linearizable atomic snapshot from
-//! fetch&add (Theorem 2), production form, plus the read/write
-//! double-collect baseline used by the snapshot benchmarks (E3).
+//! fetch&add (Theorem 2), production form.
 
-use parking_lot::Mutex;
 use sl2_bignum::{LaneEncoding, Lanes, Target, WideFaa};
-use sl2_primitives::Register;
 
 use super::Snapshot;
 
@@ -66,65 +63,6 @@ impl Snapshot for SlSnapshot {
         // Single-pass borrowed decode: one u64 vector out, no per-lane
         // BigNat extraction.
         self.reg.read_with(|image| self.lanes.view(image))
-    }
-}
-
-/// Baseline: snapshot from single-writer read/write registers with a
-/// double-collect `scan` — linearizable, lock-free scans, **not**
-/// strongly linearizable in its full wait-free form \[1, 16\]. Used as
-/// the consensus-number-1 comparison point in E3.
-#[derive(Debug)]
-pub struct DoubleCollectSnapshot {
-    // (value, seq) pairs; seq disambiguates A-B-A on values.
-    cells: Vec<(Register, Register)>,
-    // Writers are single-threaded per component in the paper's model;
-    // the lock documents and enforces that discipline per component.
-    write_guards: Vec<Mutex<()>>,
-}
-
-impl DoubleCollectSnapshot {
-    /// Creates an `n`-component snapshot.
-    pub fn new(n: usize) -> Self {
-        DoubleCollectSnapshot {
-            cells: (0..n)
-                .map(|_| (Register::new(0), Register::new(0)))
-                .collect(),
-            write_guards: (0..n).map(|_| Mutex::new(())).collect(),
-        }
-    }
-
-    fn collect(&self) -> Vec<(u64, u64)> {
-        self.cells
-            .iter()
-            .map(|(v, s)| (v.read(), s.read()))
-            .collect()
-    }
-}
-
-impl Snapshot for DoubleCollectSnapshot {
-    fn components(&self) -> usize {
-        self.cells.len()
-    }
-
-    fn update(&self, i: usize, v: u64) {
-        let _guard = self.write_guards[i].lock();
-        let (val, seq) = &self.cells[i];
-        let next = seq.read() + 1;
-        // Write value then seq: a reader seeing the new seq sees the
-        // new value (SeqCst ordering on both).
-        val.write(v);
-        seq.write(next);
-    }
-
-    fn scan(&self) -> Vec<u64> {
-        let mut prev = self.collect();
-        loop {
-            let cur = self.collect();
-            if prev == cur {
-                return cur.into_iter().map(|(v, _)| v).collect();
-            }
-            prev = cur;
-        }
     }
 }
 
@@ -219,38 +157,5 @@ mod tests {
                 assert_eq!(SnapResp::View(s.scan()), view);
             }
         }
-    }
-
-    #[test]
-    fn double_collect_sequential_semantics() {
-        let s = DoubleCollectSnapshot::new(2);
-        s.update(0, 4);
-        s.update(1, 6);
-        s.update(0, 2);
-        assert_eq!(s.scan(), vec![2, 6]);
-    }
-
-    #[test]
-    fn double_collect_concurrent_smoke() {
-        let s = Arc::new(DoubleCollectSnapshot::new(3));
-        std::thread::scope(|sc| {
-            for p in 0..3 {
-                let s = Arc::clone(&s);
-                sc.spawn(move || {
-                    for v in 1..=200u64 {
-                        s.update(p, v);
-                    }
-                });
-            }
-            let s = Arc::clone(&s);
-            sc.spawn(move || {
-                for _ in 0..50 {
-                    let view = s.scan();
-                    assert_eq!(view.len(), 3);
-                    assert!(view.iter().all(|&v| v <= 200));
-                }
-            });
-        });
-        assert_eq!(s.scan(), vec![200, 200, 200]);
     }
 }

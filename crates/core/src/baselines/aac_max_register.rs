@@ -340,12 +340,11 @@ mod tests {
         // impossible.
         let mut mem = SimMemory::new();
         let alg = AacMaxRegAlg::new(&mut mem, 2);
-        let report = check_strong(&alg, mem, &witness_scenario(), 16_000_000);
+        let out = check_strong(&alg, mem, &witness_scenario(), 16_000_000);
         assert!(
-            !report.strongly_linearizable,
+            out.is_refuted(),
             "plain AAC must NOT be strongly linearizable"
         );
-        assert!(report.witness.is_some());
     }
 
     #[test]
@@ -358,8 +357,8 @@ mod tests {
             vec![MaxOp::Write(2), MaxOp::Read],
             vec![MaxOp::Write(3), MaxOp::Read],
         ]);
-        let report = check_strong(&alg, mem, &scenario, 16_000_000);
-        assert!(report.strongly_linearizable, "{:?}", report.witness);
+        let out = check_strong(&alg, mem, &scenario, 16_000_000);
+        assert!(out.is_certified(), "{:?}", out.outcome);
     }
 
     #[test]
@@ -376,11 +375,11 @@ mod tests {
                     let mut mem = SimMemory::new();
                     let alg = AacMaxRegAlg::new(&mut mem, 2);
                     let scenario = Scenario::new(vec![vec![*a, *b], vec![*c]]);
-                    let report = check_strong(&alg, mem, &scenario, 16_000_000);
+                    let out = check_strong(&alg, mem, &scenario, 16_000_000);
                     assert!(
-                        report.strongly_linearizable,
+                        out.is_certified(),
                         "scenario [[{a:?},{b:?}],[{c:?}]]: {:?}",
-                        report.witness
+                        out.outcome
                     );
                 }
             }

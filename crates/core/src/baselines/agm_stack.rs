@@ -221,12 +221,9 @@ mod tests {
         // without knowing the future.
         let mut mem = SimMemory::new();
         let alg = AgmStackAlg::new(&mut mem);
-        let report = check_strong(&alg, mem, &witness_scenario(), 8_000_000);
-        assert!(
-            !report.strongly_linearizable,
-            "AGM must NOT be strongly linearizable"
-        );
-        let w = report.witness.expect("failure must carry a witness");
+        let out = check_strong(&alg, mem, &witness_scenario(), 8_000_000);
+        assert!(out.is_refuted(), "AGM must NOT be strongly linearizable");
+        let w = out.witness().expect("failure must carry a witness");
         assert!(!w.path.is_empty());
     }
 }

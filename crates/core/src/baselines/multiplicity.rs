@@ -732,12 +732,11 @@ mod tests {
             vec![QueueOp::Enq(2)],
             vec![QueueOp::Deq, QueueOp::Deq],
         ]);
-        let report = check_strong(&alg, mem, &scenario, 12_000_000);
+        let out = check_strong(&alg, mem, &scenario, 12_000_000);
         assert!(
-            !report.strongly_linearizable,
+            out.is_refuted(),
             "multiplicity queue must not be strongly linearizable"
         );
-        assert!(report.witness.is_some());
     }
 
     #[test]
@@ -749,12 +748,11 @@ mod tests {
             vec![StackOp::Push(2)],
             vec![StackOp::Pop, StackOp::Pop],
         ]);
-        let report = check_strong(&alg, mem, &scenario, 12_000_000);
+        let out = check_strong(&alg, mem, &scenario, 12_000_000);
         assert!(
-            !report.strongly_linearizable,
+            out.is_refuted(),
             "multiplicity stack must not be strongly linearizable"
         );
-        assert!(report.witness.is_some());
     }
 
     #[test]
@@ -767,11 +765,11 @@ mod tests {
             vec![QueueOp::Enq(1), QueueOp::Enq(2)],
             vec![QueueOp::Deq],
         ]);
-        let report = check_strong(&alg, mem, &scenario, 12_000_000);
+        let out = check_strong(&alg, mem, &scenario, 12_000_000);
         assert!(
-            report.strongly_linearizable,
+            out.is_certified(),
             "no race ⇒ prefix-closed linearization exists: {:?}",
-            report.witness
+            out.outcome
         );
     }
 }

@@ -239,10 +239,10 @@ mod tests {
         });
         assert!(good > 0, "the carry-free histories must linearize");
         assert!(bad > 0, "the torn-carry history must be enumerated");
-        let report = check_strong(&alg, mem.clone(), &scenario, 4_000_000);
-        assert!(!report.strongly_linearizable);
-        let witness = report.witness.expect("refutation carries a witness");
-        validate_witness(&alg, mem, &scenario, &witness).expect("witness must replay");
+        let out = check_strong(&alg, mem.clone(), &scenario, 4_000_000);
+        assert!(out.is_refuted());
+        let witness = out.witness().expect("refutation carries a witness");
+        validate_witness(&alg, mem, &scenario, witness).expect("witness must replay");
     }
 
     #[test]
@@ -282,7 +282,7 @@ mod tests {
             vec![FaaOp::Add(2)],
             vec![FaaOp::Read],
         ]);
-        let report = check_strong(&alg, mem, &scenario, 4_000_000);
-        assert!(report.strongly_linearizable, "{:?}", report.witness);
+        let out = check_strong(&alg, mem, &scenario, 4_000_000);
+        assert!(out.is_certified(), "{:?}", out.outcome);
     }
 }

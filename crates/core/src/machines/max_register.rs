@@ -178,8 +178,8 @@ mod tests {
             vec![MaxOp::Write(5)],
             vec![MaxOp::Read, MaxOp::Read],
         ]);
-        let report = check_strong(&alg, mem, &scenario, 4_000_000);
-        assert!(report.strongly_linearizable, "{:?}", report.witness);
+        let out = check_strong(&alg, mem, &scenario, 4_000_000);
+        assert!(out.is_certified(), "{:?}", out.outcome);
     }
 
     #[test]
@@ -190,8 +190,8 @@ mod tests {
             vec![MaxOp::Write(3), MaxOp::Read],
             vec![MaxOp::Write(1), MaxOp::Read],
         ]);
-        let report = check_strong(&alg, mem, &scenario, 4_000_000);
-        assert!(report.strongly_linearizable, "{:?}", report.witness);
+        let out = check_strong(&alg, mem, &scenario, 4_000_000);
+        assert!(out.is_certified(), "{:?}", out.outcome);
     }
 
     #[test]

@@ -235,8 +235,8 @@ mod tests {
             vec![TasOp::TestAndSet, TasOp::Reset],
             vec![TasOp::TestAndSet],
         ]);
-        let report = check_strong(&alg, mem, &scenario, 4_000_000);
-        assert!(report.strongly_linearizable, "{:?}", report.witness);
+        let out = check_strong(&alg, mem, &scenario, 4_000_000);
+        assert!(out.is_certified(), "{:?}", out.outcome);
     }
 
     #[test]
@@ -248,8 +248,8 @@ mod tests {
             vec![TasOp::Reset],
             vec![TasOp::Read, TasOp::Read],
         ]);
-        let report = check_strong(&alg, mem, &scenario, 6_000_000);
-        assert!(report.strongly_linearizable, "{:?}", report.witness);
+        let out = check_strong(&alg, mem, &scenario, 6_000_000);
+        assert!(out.is_certified(), "{:?}", out.outcome);
     }
 
     #[test]

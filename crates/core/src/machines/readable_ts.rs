@@ -173,8 +173,8 @@ mod tests {
             vec![TasOp::TestAndSet],
             vec![TasOp::Read, TasOp::Read],
         ]);
-        let report = check_strong(&alg, mem, &scenario, 4_000_000);
-        assert!(report.strongly_linearizable, "{:?}", report.witness);
+        let out = check_strong(&alg, mem, &scenario, 4_000_000);
+        assert!(out.is_certified(), "{:?}", out.outcome);
     }
 
     #[test]
@@ -185,8 +185,8 @@ mod tests {
             vec![TasOp::TestAndSet, TasOp::Read],
             vec![TasOp::Read, TasOp::TestAndSet],
         ]);
-        let report = check_strong(&alg, mem, &scenario, 4_000_000);
-        assert!(report.strongly_linearizable, "{:?}", report.witness);
+        let out = check_strong(&alg, mem, &scenario, 4_000_000);
+        assert!(out.is_certified(), "{:?}", out.outcome);
     }
 
     #[test]

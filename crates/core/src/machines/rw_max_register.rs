@@ -203,8 +203,8 @@ mod tests {
             vec![MaxOp::Write(2), MaxOp::Read],
             vec![MaxOp::Write(5)],
         ]);
-        let report = check_strong(&alg, mem, &scenario, 8_000_000);
-        assert!(report.strongly_linearizable, "{:?}", report.witness);
+        let out = check_strong(&alg, mem, &scenario, 8_000_000);
+        assert!(out.is_certified(), "{:?}", out.outcome);
     }
 
     #[test]

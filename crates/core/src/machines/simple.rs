@@ -232,8 +232,8 @@ mod tests {
             vec![IntCounterOp::Dec],
             vec![IntCounterOp::Read],
         ]);
-        let report = check_strong(&alg, mem, &scenario, 8_000_000);
-        assert!(report.strongly_linearizable, "{:?}", report.witness);
+        let out = check_strong(&alg, mem, &scenario, 8_000_000);
+        assert!(out.is_certified(), "{:?}", out.outcome);
     }
 
     #[test]
@@ -307,8 +307,8 @@ mod tests {
             vec![CounterOp::Inc, CounterOp::Read],
             vec![CounterOp::Inc],
         ]);
-        let report = check_strong(&alg, mem, &scenario, 8_000_000);
-        assert!(report.strongly_linearizable, "{:?}", report.witness);
+        let out = check_strong(&alg, mem, &scenario, 8_000_000);
+        assert!(out.is_certified(), "{:?}", out.outcome);
     }
 
     #[test]
@@ -320,8 +320,8 @@ mod tests {
             vec![MaxOp::Write(5)],
             vec![MaxOp::Read],
         ]);
-        let report = check_strong(&alg, mem, &scenario, 8_000_000);
-        assert!(report.strongly_linearizable, "{:?}", report.witness);
+        let out = check_strong(&alg, mem, &scenario, 8_000_000);
+        assert!(out.is_certified(), "{:?}", out.outcome);
     }
 
     #[test]

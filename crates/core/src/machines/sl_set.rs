@@ -385,8 +385,8 @@ mod tests {
         let mut mem = SimMemory::new();
         let alg = SlSetAlg::new(&mut mem);
         let scenario = Scenario::new(vec![vec![SetOp::Put(1)], vec![SetOp::Take]]);
-        let report = check_strong(&alg, mem, &scenario, 6_000_000);
-        assert!(report.strongly_linearizable, "{:?}", report.witness);
+        let out = check_strong(&alg, mem, &scenario, 6_000_000);
+        assert!(out.is_certified(), "{:?}", out.outcome);
     }
 
     #[test]
@@ -396,8 +396,8 @@ mod tests {
         let mut mem = SimMemory::new();
         let alg = SlSetAlg::new(&mut mem);
         let scenario = Scenario::new(vec![vec![SetOp::Put(5), SetOp::Take], vec![SetOp::Take]]);
-        let report = check_strong(&alg, mem, &scenario, 6_000_000);
-        assert!(report.strongly_linearizable, "{:?}", report.witness);
+        let out = check_strong(&alg, mem, &scenario, 6_000_000);
+        assert!(out.is_certified(), "{:?}", out.outcome);
     }
 
     #[test]

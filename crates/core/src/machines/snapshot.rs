@@ -199,8 +199,8 @@ mod tests {
             vec![SnapOp::Update { i: 0, v: 2 }, SnapOp::Update { i: 0, v: 1 }],
             vec![SnapOp::Scan, SnapOp::Scan],
         ]);
-        let report = check_strong(&alg, mem, &scenario, 4_000_000);
-        assert!(report.strongly_linearizable, "{:?}", report.witness);
+        let out = check_strong(&alg, mem, &scenario, 4_000_000);
+        assert!(out.is_certified(), "{:?}", out.outcome);
     }
 
     #[test]
@@ -212,7 +212,7 @@ mod tests {
             vec![SnapOp::Update { i: 1, v: 2 }],
             vec![SnapOp::Scan, SnapOp::Scan],
         ]);
-        let report = check_strong(&alg, mem, &scenario, 4_000_000);
-        assert!(report.strongly_linearizable, "{:?}", report.witness);
+        let out = check_strong(&alg, mem, &scenario, 4_000_000);
+        assert!(out.is_certified(), "{:?}", out.outcome);
     }
 }

@@ -30,7 +30,7 @@ use crate::machine::Algorithm;
 use crate::mem::SimMemory;
 use crate::scenarios::{fan_in, symmetric, tower};
 use crate::sched::Scenario;
-use crate::strong::{check_strong_outcome, MemoMode, Outcome, SearchStats, StrongOptions};
+use crate::strong::{check_strong, MemoMode, Outcome, SearchStats, StrongOptions};
 
 /// Tuning knobs for a corpus run.
 #[derive(Debug, Clone, Copy)]
@@ -505,7 +505,7 @@ where
             node_limit: limit,
             memo,
         };
-        let out = check_strong_outcome(&alg, mem, scenario, options);
+        let out = check_strong(&alg, mem, scenario, options);
         match out.outcome {
             Outcome::Certified => (CorpusVerdict::Certified, out.nodes, 0, out.stats),
             Outcome::Refuted(w) => (CorpusVerdict::Refuted, out.nodes, w.path.len(), out.stats),

@@ -66,6 +66,6 @@ pub use record::{history_from_spans, RecordReport, RecordRun, Recorder};
 pub use scenarios::{fan_in, symmetric, tower};
 pub use sched::{BurstSched, CrashPlan, Execution, RandomSched, RoundRobin, Scenario, Scheduler};
 pub use strong::{
-    check_strong, check_strong_outcome, check_strong_with, for_each_history, validate_witness,
-    MemoMode, Outcome, SearchStats, StrongOptions, StrongOutcome, StrongReport, Witness,
+    check_strong, for_each_history, validate_witness, MemoMode, Outcome, SearchStats,
+    StrongOptions, StrongOutcome, Witness,
 };

@@ -78,7 +78,7 @@ impl OpKey {
     }
 }
 
-/// Outcome of a strong-linearizability check (non-panicking API).
+/// Outcome of a strong-linearizability check.
 #[derive(Debug, Clone)]
 pub enum Outcome {
     /// A prefix-closed linearization function exists on the scenario's
@@ -124,7 +124,7 @@ impl SearchStats {
     }
 }
 
-/// Result of [`check_strong_outcome`]: the verdict plus search-size
+/// Result of [`check_strong`]: the verdict plus search-size
 /// accounting.
 #[derive(Debug, Clone)]
 pub struct StrongOutcome {
@@ -161,20 +161,6 @@ impl StrongOutcome {
     }
 }
 
-/// Outcome of a strong-linearizability check (legacy panicking API;
-/// prefer [`check_strong_outcome`] / [`StrongOutcome`] in new code).
-#[derive(Debug, Clone)]
-pub struct StrongReport {
-    /// Whether a prefix-closed linearization function exists on the
-    /// scenario's execution tree.
-    pub strongly_linearizable: bool,
-    /// Number of distinct search states explored.
-    pub nodes: usize,
-    /// A failing branch, when not strongly linearizable (always `None`
-    /// on success).
-    pub witness: Option<Witness>,
-}
-
 /// A branch of the execution tree on which every linearization prefix
 /// dies: the schedule (events from the root to the dying step) and a
 /// human-readable explanation. `schedule[i]` is the process taking
@@ -202,12 +188,11 @@ pub enum MemoMode {
     Off,
 }
 
-/// Tuning knobs for [`check_strong_with`] / [`check_strong_outcome`].
+/// Tuning knobs for [`check_strong`].
 #[derive(Debug, Clone, Copy)]
 pub struct StrongOptions {
-    /// Bound on distinct search states. [`check_strong_outcome`]
-    /// returns [`Outcome::Bounded`] when exceeded (the legacy wrappers
-    /// panic, as they always did).
+    /// Bound on distinct search states. [`check_strong`] returns
+    /// [`Outcome::Bounded`] when exceeded.
     pub node_limit: usize,
     /// Memoization mode (see [`MemoMode`]).
     pub memo: MemoMode,
@@ -231,6 +216,13 @@ impl StrongOptions {
             MemoMode::Off
         };
         self
+    }
+}
+
+/// A bare node limit: [`StrongOptions::with_limit`].
+impl From<usize> for StrongOptions {
+    fn from(node_limit: usize) -> Self {
+        StrongOptions::with_limit(node_limit)
     }
 }
 
@@ -460,69 +452,21 @@ impl<A: Algorithm> Hash for StateKey<A> {
     }
 }
 
-/// Checks strong linearizability of `alg` on `scenario` (legacy
-/// wrapper over [`check_strong_outcome`]; prefer that in new code —
-/// this one panics where the outcome API reports
-/// [`Outcome::Bounded`]).
+/// Checks strong linearizability of `alg` on `scenario` — the one
+/// entry point. The verdict has three outcomes and the caller must
+/// read the one it expects: [`StrongOutcome::is_certified`],
+/// [`StrongOutcome::is_refuted`] (with [`StrongOutcome::witness`]), or
+/// [`Outcome::Bounded`] when the node budget runs out.
 ///
 /// `mem` must be the memory in which the algorithm allocated its base
 /// objects (i.e. the state right after `A::new(&mut mem, ...)`).
-///
-/// # Panics
-///
-/// Panics if the scenario needs more than `node_limit` search states —
-/// raise the limit or shrink the scenario.
+/// `options` is a [`StrongOptions`], or a bare `usize` node limit with
+/// canonical memoization.
 pub fn check_strong<A: Algorithm>(
     alg: &A,
     mem: SimMemory,
     scenario: &Scenario<A::Spec>,
-    node_limit: usize,
-) -> StrongReport {
-    check_strong_with(alg, mem, scenario, StrongOptions::with_limit(node_limit))
-}
-
-/// [`check_strong`] with explicit [`StrongOptions`] (legacy wrapper;
-/// prefer [`check_strong_outcome`]).
-///
-/// # Panics
-///
-/// As [`check_strong`].
-pub fn check_strong_with<A: Algorithm>(
-    alg: &A,
-    mem: SimMemory,
-    scenario: &Scenario<A::Spec>,
-    options: StrongOptions,
-) -> StrongReport {
-    let out = check_strong_outcome(alg, mem, scenario, options);
-    match out.outcome {
-        Outcome::Certified => StrongReport {
-            strongly_linearizable: true,
-            nodes: out.nodes,
-            witness: None,
-        },
-        Outcome::Refuted(w) => StrongReport {
-            strongly_linearizable: false,
-            nodes: out.nodes,
-            witness: Some(w),
-        },
-        Outcome::Bounded => panic!(
-            "strong-linearizability search exceeded {} states",
-            options.node_limit
-        ),
-    }
-}
-
-/// Checks strong linearizability of `alg` on `scenario`, reporting
-/// [`Outcome::Bounded`] instead of panicking when the node budget runs
-/// out.
-///
-/// `mem` must be the memory in which the algorithm allocated its base
-/// objects (i.e. the state right after `A::new(&mut mem, ...)`).
-pub fn check_strong_outcome<A: Algorithm>(
-    alg: &A,
-    mem: SimMemory,
-    scenario: &Scenario<A::Spec>,
-    options: StrongOptions,
+    options: impl Into<StrongOptions>,
 ) -> StrongOutcome {
     // Operation indices must fit the OpId packing; a scenario past it
     // is reported as out of engine bounds, not panicked on.
@@ -541,7 +485,7 @@ pub fn check_strong_outcome<A: Algorithm>(
         pending: Vec::new(),
         states: vec![INITIAL],
     });
-    let mut engine = Engine::new(alg, scenario, options);
+    let mut engine = Engine::new(alg, scenario, options.into());
     let verdict = engine.run_task(SpawnTask::Feasible(Rc::clone(&exec), Rc::clone(&lin)));
     // Captured before witness extraction, which re-probes the engine
     // and would otherwise pollute the accounting.
@@ -1276,13 +1220,9 @@ mod tests {
             vec![MaxOp::Write(5)],
             vec![MaxOp::Read],
         ]);
-        let report = check_strong(&alg, mem, &scenario, 2_000_000);
-        assert!(report.strongly_linearizable, "{:?}", report.witness);
-        assert!(report.nodes > 0);
-        assert!(
-            report.witness.is_none(),
-            "certification must not carry a leftover exploratory witness"
-        );
+        let out = check_strong(&alg, mem, &scenario, 2_000_000);
+        assert!(out.is_certified(), "{:?}", out.outcome);
+        assert!(out.nodes > 0);
     }
 
     #[test]
@@ -1296,12 +1236,12 @@ mod tests {
             vec![CounterOp::Inc],
             vec![CounterOp::Read],
         ]);
-        let report = check_strong(&alg, mem.clone(), &scenario, 2_000_000);
-        assert!(!report.strongly_linearizable);
-        let w = report.witness.expect("witness on failure");
+        let out = check_strong(&alg, mem.clone(), &scenario, 2_000_000);
+        assert!(out.is_refuted());
+        let w = out.witness().expect("witness on failure");
         assert!(!w.path.is_empty());
         assert_eq!(w.path.len(), w.schedule.len());
-        validate_witness(&alg, mem, &scenario, &w).expect("witness must replay");
+        validate_witness(&alg, mem, &scenario, w).expect("witness must replay");
     }
 
     #[test]
@@ -1355,19 +1295,14 @@ mod tests {
             vec![MaxOp::Write(5)],
             vec![MaxOp::Read],
         ]);
-        let dag = check_strong_with(
-            &alg,
-            mem.clone(),
-            &scenario,
-            StrongOptions::with_limit(4_000_000),
-        );
-        let tree = check_strong_with(
+        let dag = check_strong(&alg, mem.clone(), &scenario, 4_000_000);
+        let tree = check_strong(
             &alg,
             mem,
             &scenario,
             StrongOptions::with_limit(4_000_000).memoize(false),
         );
-        assert!(dag.strongly_linearizable && tree.strongly_linearizable);
+        assert!(dag.is_certified() && tree.is_certified());
         assert!(
             tree.nodes > dag.nodes,
             "tree {} vs dag {}",
@@ -1384,19 +1319,14 @@ mod tests {
             vec![CounterOp::Inc],
             vec![CounterOp::Read],
         ]);
-        let dag = check_strong_with(
-            &alg,
-            mem.clone(),
-            &scenario,
-            StrongOptions::with_limit(4_000_000),
-        );
-        let tree = check_strong_with(
+        let dag = check_strong(&alg, mem.clone(), &scenario, 4_000_000);
+        let tree = check_strong(
             &alg,
             mem,
             &scenario,
             StrongOptions::with_limit(4_000_000).memoize(false),
         );
-        assert!(!dag.strongly_linearizable && !tree.strongly_linearizable);
+        assert!(dag.is_refuted() && tree.is_refuted());
     }
 
     #[test]
@@ -1410,7 +1340,7 @@ mod tests {
             vec![CounterOp::Inc],
             vec![CounterOp::Read],
         ]);
-        let out = check_strong_outcome(&alg, mem, &scenario, StrongOptions::with_limit(3));
+        let out = check_strong(&alg, mem, &scenario, 3);
         assert!(out.is_bounded(), "{:?}", out.outcome);
         assert!(out.nodes >= 3);
     }
@@ -1437,8 +1367,7 @@ mod tests {
                 })
                 .collect();
             let scenario = Scenario::new(vec![ops]);
-            let out =
-                check_strong_outcome(&alg, mem, &scenario, StrongOptions::with_limit(4_000_000));
+            let out = check_strong(&alg, mem, &scenario, 4_000_000);
             assert!(out.is_certified(), "{height}: {:?}", out.outcome);
             assert!(out.nodes >= height);
         }
@@ -1528,14 +1457,9 @@ mod tests {
         // Equality-checked keys and an interner that compares states:
         // correct refutation, agreeing with the memo-free ground truth.
         let (mem, alg, scenario) = collider_scenario();
-        let canonical = check_strong_outcome(
-            &alg,
-            mem.clone(),
-            &scenario,
-            StrongOptions::with_limit(1_000_000),
-        );
+        let canonical = check_strong(&alg, mem.clone(), &scenario, 1_000_000);
         assert!(canonical.is_refuted(), "{:?}", canonical.outcome);
-        let tree = check_strong_outcome(
+        let tree = check_strong(
             &alg,
             mem.clone(),
             &scenario,
@@ -1554,12 +1478,7 @@ mod tests {
         // was reused; the replayed witness always reaches the step
         // whose completion no linearization extension survives.
         let (mem, alg, scenario) = collider_scenario();
-        let out = check_strong_outcome(
-            &alg,
-            mem.clone(),
-            &scenario,
-            StrongOptions::with_limit(1_000_000),
-        );
+        let out = check_strong(&alg, mem.clone(), &scenario, 1_000_000);
         let w = out.witness().expect("refuted");
         assert_eq!(w.path.len(), 3, "complete branch: {:?}", w.path);
         assert!(
@@ -1582,7 +1501,7 @@ mod tests {
             vec![MaxOp::Write(5)],
         ]);
         for memoize in [true, false] {
-            let out = check_strong_outcome(
+            let out = check_strong(
                 &alg,
                 mem.clone(),
                 &scenario,
@@ -1653,8 +1572,7 @@ mod tests {
             };
             let ops = [MaxOp::Write(2), MaxOp::Read];
             let scenario = Scenario::new(vec![ops.iter().copied().cycle().take(height).collect()]);
-            let out =
-                check_strong_outcome(&alg, mem, &scenario, StrongOptions::with_limit(1_000_000));
+            let out = check_strong(&alg, mem, &scenario, 1_000_000);
             assert!(out.is_certified(), "{height}: {:?}", out.outcome);
             (alg.spec.steps.get(), alg.spec.accepts.get())
         };

@@ -8,7 +8,7 @@
 //! | level | objects here |
 //! |-------|--------------|
 //! | 1     | [`Register`], [`BoolRegister`] |
-//! | 2     | [`TestAndSet`], [`ReadableTestAndSet`], [`TwoProcessTestAndSet`], [`FetchAdd`], [`Swap`] (plus the wide registers `sl2_bignum::{FetchAdd128, WideFaa}`, annotated from their own crate) |
+//! | 2     | [`TestAndSet`], [`ReadableTestAndSet`], [`TwoProcessTestAndSet`], [`FetchAdd`], [`Swap`] (plus the wide register `sl2_bignum::WideFaa`, annotated from its own crate) |
 //! | ∞     | [`CompareAndSwap`] |
 //!
 //! All operations are sequentially consistent (`Ordering::SeqCst`): the

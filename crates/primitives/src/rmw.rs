@@ -115,7 +115,7 @@ impl BaseObject for CompareAndSwap {
     const CONSENSUS_NUMBER: ConsensusNumber = ConsensusNumber::Infinite;
 }
 
-// The wide registers (`sl2_bignum::FetchAdd128` / `WideFaa`) carry the
+// The wide register (`sl2_bignum::WideFaa`) carries the
 // same annotation from their own crate — `sl2_bignum` depends on this
 // one for the vocabulary, keeping the crate graph a DAG with the
 // primitives at the bottom.

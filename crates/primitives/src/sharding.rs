@@ -125,16 +125,20 @@ impl Sharding {
 
     /// The quotient encoding of a value-sharded max register: `v` lives
     /// in shard `v mod S` as the count `⌊v/S⌋ + 1`, so count 0 means
-    /// "never written". The count overflows only for `v = u64::MAX` at
-    /// one shard.
+    /// "never written". At one shard the map is the identity: a written
+    /// 0 and a never-written register both read 0, so there is nothing
+    /// for the `+ 1` to tell apart, and every `u64` keeps its count.
     pub fn to_quotient(&self, v: u64) -> (usize, u64) {
-        (self.of_value(v), v / self.shards as u64 + 1)
+        let lift = u64::from(self.shards > 1);
+        (self.of_value(v), v / self.shards as u64 + lift)
     }
 
     /// Inverse of [`Sharding::to_quotient`]: the value count `c` stands
-    /// for in shard `s`, `(c − 1)·S + s`, and 0 for count 0.
+    /// for in shard `s`, `(c − 1)·S + s`, and 0 for count 0 (at one
+    /// shard, `c` itself).
     pub fn from_quotient(&self, s: usize, count: u64) -> u64 {
         match count {
+            c if self.shards == 1 => c,
             0 => 0,
             c => (c - 1) * self.shards as u64 + s as u64,
         }
@@ -226,11 +230,12 @@ mod tests {
     fn quotient_round_trips_at_every_shard_count() {
         for shards in [1usize, 2, 3, 4, MAX_SHARDS] {
             let s = Sharding::new(shards);
-            let top = if shards == 1 { u64::MAX - 1 } else { u64::MAX };
-            for v in [0, 1, 2, 7, 1000, top - 1, top] {
+            for v in [0, 1, 2, 7, 1000, u64::MAX - 1, u64::MAX] {
                 let (shard, count) = s.to_quotient(v);
                 assert_eq!(shard, s.of_value(v));
-                assert!(count > 0, "a written value has a nonzero count");
+                // Past one shard a written value has a nonzero count; at
+                // one shard the count is the value.
+                assert_eq!(count > 0, shards > 1 || v > 0, "S={shards} v={v}");
                 assert_eq!(s.from_quotient(shard, count), v, "S={shards} v={v}");
             }
             for shard in 0..shards {
@@ -238,6 +243,7 @@ mod tests {
             }
         }
         assert_eq!(Sharding::new(4).to_quotient(u64::MAX), (3, 1 << 62));
+        assert_eq!(Sharding::new(1).to_quotient(u64::MAX), (0, u64::MAX));
         assert_eq!(Sharding::new(2).max_from_quotients(&[3, 4]), 7);
         assert_eq!(Sharding::new(2).max_from_quotients(&[0, 0]), 0);
     }

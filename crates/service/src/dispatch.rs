@@ -194,7 +194,11 @@ impl Response {
     }
 }
 
-/// Completion cell for the blocking [`Service::call`] path.
+/// Completion cell for the blocking [`Service::call`] path. Each
+/// calling thread owns one and reuses it: a thread has at most one call
+/// in flight, and a call returns only after taking its response, so the
+/// slot is empty whenever a call starts. (A worker's late `notify_all`
+/// for the previous call is a spurious wake-up the wait loop absorbs.)
 #[derive(Debug, Default)]
 struct Completion {
     slot: Mutex<Option<Response>>,
@@ -503,7 +507,11 @@ impl Service {
     /// callers under chaos use keys they know route to live workers
     /// (crash-stop is a *stopping* failure, DESIGN.md §10).
     pub fn call(&self, req: Request) -> Response {
-        let done = Arc::new(Completion::default());
+        thread_local! {
+            static CELL: Arc<Completion> = Arc::new(Completion::default());
+        }
+        let done = CELL.with(Arc::clone);
+        debug_assert!(done.slot.lock().unwrap().is_none());
         let span = sl2_trace::next_span();
         self.push(Job {
             req,

@@ -477,11 +477,11 @@ mod tests {
         for scenario in [cross_key_scenario(), same_key_fan_in_scenario()] {
             let mut mem = SimMemory::new();
             let alg = KeyedDispatchAlg::new(&mut mem, 3, &[1, 2], RouteMode::Exact);
-            let report = check_strong(&alg, mem, &scenario, 16_000_000);
+            let out = check_strong(&alg, mem, &scenario, 16_000_000);
             assert!(
-                report.strongly_linearizable,
+                out.is_certified(),
                 "exact dispatch must certify ({} nodes)",
-                report.nodes
+                out.nodes
             );
         }
     }
@@ -490,9 +490,9 @@ mod tests {
     fn cached_mode_is_refuted_on_the_same_key_fan_in() {
         let mut mem = SimMemory::new();
         let alg = KeyedDispatchAlg::new(&mut mem, 3, &[1, 2], RouteMode::Cached);
-        let report = check_strong(&alg, mem, &same_key_fan_in_scenario(), 16_000_000);
+        let out = check_strong(&alg, mem, &same_key_fan_in_scenario(), 16_000_000);
         assert!(
-            !report.strongly_linearizable,
+            out.is_refuted(),
             "cached dispatch must be refuted against the exact keyed spec"
         );
     }
@@ -501,9 +501,9 @@ mod tests {
     fn cached_mode_certifies_the_lagging_window() {
         let mut mem = SimMemory::new();
         let alg = LaggingKeyedDispatchAlg::new(&mut mem, 3, &[1, 2], 2);
-        let report = check_strong(&alg, mem, &same_key_fan_in_lagging_scenario(), 16_000_000);
+        let out = check_strong(&alg, mem, &same_key_fan_in_lagging_scenario(), 16_000_000);
         assert!(
-            report.strongly_linearizable,
+            out.is_certified(),
             "cached dispatch must certify against the k=2 lagging keyed spec"
         );
     }

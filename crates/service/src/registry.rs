@@ -133,7 +133,10 @@ pub enum Keyed<'a, G, S, C> {
 }
 
 /// A key's max register — binary lanes on every backend (DESIGN.md
-/// §9): any `u64` operand, ≤ 64·n register bits.
+/// §9): any `u64` operand but one, ≤ 64·n register bits. The exception:
+/// a `Combining` key panics on `write_max(_, u64::MAX)` at every shard
+/// count, because its publication slot stores the operation word plus
+/// one (ROADMAP item 1).
 pub type KeyedMax<'a> = Keyed<'a, SlMaxRegister, ShardedMaxRegister, CombiningMaxRegister>;
 
 /// A key's counter — binary lanes on every backend: lock-free inline

@@ -491,8 +491,8 @@ mod tests {
             vec![MaxOp::Write(2), MaxOp::Read],
             vec![MaxOp::Write(5)],
         ]);
-        let report = check_strong(&alg, mem, &scenario, 8_000_000);
-        assert!(report.strongly_linearizable, "{:?}", report.witness);
+        let out = check_strong(&alg, mem, &scenario, 8_000_000);
+        assert!(out.is_certified(), "{:?}", out.outcome);
     }
 
     #[test]
@@ -503,8 +503,8 @@ mod tests {
         let alg = ShardedMaxRegAlg::new(&mut mem, 3, 2);
         let scenario =
             fan_in::<MaxRegisterSpec>(vec![MaxOp::Write(4), MaxOp::Write(2)], vec![MaxOp::Read]);
-        let report = check_strong(&alg, mem, &scenario, 16_000_000);
-        assert!(report.strongly_linearizable, "{:?}", report.witness);
+        let out = check_strong(&alg, mem, &scenario, 16_000_000);
+        assert!(out.is_certified(), "{:?}", out.outcome);
     }
 
     #[test]
@@ -515,8 +515,8 @@ mod tests {
             vec![CounterOp::Inc, CounterOp::Read],
             vec![CounterOp::Inc],
         ]);
-        let report = check_strong(&alg, mem, &scenario, 16_000_000);
-        assert!(report.strongly_linearizable, "{:?}", report.witness);
+        let out = check_strong(&alg, mem, &scenario, 16_000_000);
+        assert!(out.is_certified(), "{:?}", out.outcome);
     }
 
     #[test]
@@ -535,9 +535,8 @@ mod tests {
         for_each_history(&alg, mem.clone(), &scenario, 4_000_000, &mut |h| {
             assert!(is_linearizable(&CounterSpec, h), "history: {h:?}");
         });
-        let report = check_strong(&alg, mem, &scenario, 16_000_000);
-        assert!(!report.strongly_linearizable);
-        assert!(report.witness.is_some());
+        let out = check_strong(&alg, mem, &scenario, 16_000_000);
+        assert!(out.is_refuted());
     }
 
     #[test]
@@ -550,8 +549,8 @@ mod tests {
             vec![CounterOp::Inc, CounterOp::Inc],
             vec![CounterOp::Read],
         );
-        let report = check_strong(&alg, mem, &scenario, 16_000_000);
-        assert!(report.strongly_linearizable, "{:?}", report.witness);
+        let out = check_strong(&alg, mem, &scenario, 16_000_000);
+        assert!(out.is_certified(), "{:?}", out.outcome);
     }
 
     #[test]
@@ -576,8 +575,8 @@ mod tests {
             }
         });
         assert!(bad > 0, "the torn cut must surface in some history");
-        let report = check_strong(&alg, mem, &scenario, 16_000_000);
-        assert!(!report.strongly_linearizable);
+        let out = check_strong(&alg, mem, &scenario, 16_000_000);
+        assert!(out.is_refuted());
     }
 
     #[test]
@@ -590,8 +589,8 @@ mod tests {
             vec![SnapOp::Update { i: 0, v: 3 }, SnapOp::Scan],
             vec![SnapOp::Update { i: 1, v: 7 }],
         ]);
-        let report = check_strong(&alg, mem, &scenario, 16_000_000);
-        assert!(report.strongly_linearizable, "{:?}", report.witness);
+        let out = check_strong(&alg, mem, &scenario, 16_000_000);
+        assert!(out.is_certified(), "{:?}", out.outcome);
     }
 
     // -- S = 4 re-certification points (E23 corpus anchors) ------------
@@ -605,8 +604,8 @@ mod tests {
         // collect.
         let mut mem = SimMemory::new();
         let alg = ShardedMaxRegAlg::new(&mut mem, 2, 4);
-        let report = check_strong(&alg, mem, &frontier_safe_max_scenario(4), 16_000_000);
-        assert!(report.strongly_linearizable, "{:?}", report.witness);
+        let out = check_strong(&alg, mem, &frontier_safe_max_scenario(4), 16_000_000);
+        assert!(out.is_certified(), "{:?}", out.outcome);
     }
 
     #[test]
@@ -618,10 +617,10 @@ mod tests {
         let mut mem = SimMemory::new();
         let alg = ShardedMaxRegAlg::new(&mut mem, 3, 4);
         let scenario = fan_in_max_scenario(4);
-        let report = check_strong(&alg, mem.clone(), &scenario, 64_000_000);
-        assert!(!report.strongly_linearizable);
-        let witness = report.witness.expect("refutation carries a witness");
-        sl2_exec::validate_witness(&alg, mem, &scenario, &witness)
+        let out = check_strong(&alg, mem.clone(), &scenario, 64_000_000);
+        assert!(out.is_refuted());
+        let witness = out.witness().expect("refutation carries a witness");
+        sl2_exec::validate_witness(&alg, mem, &scenario, witness)
             .expect("fan-in witness must replay");
     }
 
@@ -632,21 +631,18 @@ mod tests {
         for shards in [1usize, 2, 4] {
             let mut mem = SimMemory::new();
             let alg = ShardedMaxRegAlg::new(&mut mem, 2, shards);
-            let report = check_strong(&alg, mem, &frontier_safe_max_scenario(shards), 16_000_000);
+            let out = check_strong(&alg, mem, &frontier_safe_max_scenario(shards), 16_000_000);
             assert!(
-                report.strongly_linearizable,
+                out.is_certified(),
                 "frontier-safe S={shards}: {:?}",
-                report.witness
+                out.outcome
             );
 
             let mut mem = SimMemory::new();
             let alg = ShardedMaxRegAlg::new(&mut mem, 3, shards);
-            let report = check_strong(&alg, mem, &fan_in_max_scenario(shards), 64_000_000);
-            assert_eq!(
-                report.strongly_linearizable,
-                shards == 1,
-                "fan-in S={shards}"
-            );
+            let out = check_strong(&alg, mem, &fan_in_max_scenario(shards), 64_000_000);
+            assert!(!out.is_bounded(), "fan-in S={shards}");
+            assert_eq!(out.is_certified(), shards == 1, "fan-in S={shards}");
         }
     }
 
@@ -684,21 +680,18 @@ mod tests {
         for shards in [1usize, 2, 4] {
             let mut mem = SimMemory::new();
             let alg = ShardedMaxRegAlg::binary(&mut mem, 2, shards);
-            let report = check_strong(&alg, mem, &frontier_safe_max_scenario(shards), 16_000_000);
+            let out = check_strong(&alg, mem, &frontier_safe_max_scenario(shards), 16_000_000);
             assert!(
-                report.strongly_linearizable,
+                out.is_certified(),
                 "binary frontier-safe S={shards}: {:?}",
-                report.witness
+                out.outcome
             );
 
             let mut mem = SimMemory::new();
             let alg = ShardedMaxRegAlg::binary(&mut mem, 3, shards);
-            let report = check_strong(&alg, mem, &fan_in_max_scenario(shards), 64_000_000);
-            assert_eq!(
-                report.strongly_linearizable,
-                shards == 1,
-                "binary fan-in S={shards}"
-            );
+            let out = check_strong(&alg, mem, &fan_in_max_scenario(shards), 64_000_000);
+            assert!(!out.is_bounded(), "binary fan-in S={shards}");
+            assert_eq!(out.is_certified(), shards == 1, "binary fan-in S={shards}");
         }
     }
 
@@ -709,10 +702,10 @@ mod tests {
         let mut mem = SimMemory::new();
         let alg = ShardedMaxRegAlg::binary(&mut mem, 3, 4);
         let scenario = fan_in_max_scenario(4);
-        let report = check_strong(&alg, mem.clone(), &scenario, 64_000_000);
-        assert!(!report.strongly_linearizable);
-        let witness = report.witness.expect("refutation carries a witness");
-        sl2_exec::validate_witness(&alg, mem, &scenario, &witness)
+        let out = check_strong(&alg, mem.clone(), &scenario, 64_000_000);
+        assert!(out.is_refuted());
+        let witness = out.witness().expect("refutation carries a witness");
+        sl2_exec::validate_witness(&alg, mem, &scenario, witness)
             .expect("binary fan-in witness must replay");
     }
 

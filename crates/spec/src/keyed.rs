@@ -6,7 +6,7 @@
 //! sequential object — a map from keys to object states — and these
 //! specs make that composition explicit so the modelled dispatch twin
 //! (`sl2_service::machines`) can flow through the same
-//! `check_strong_outcome`/corpus machinery as the single-object
+//! `check_strong`/corpus machinery as the single-object
 //! algorithms.
 //!
 //! Two polarities, mirroring the single-object pair:

@@ -53,12 +53,12 @@ fn main() {
         vec![QueueOp::Enq(2)],
         vec![QueueOp::Deq, QueueOp::Deq],
     ]);
-    let report = check_strong(&alg, mem, &scenario, 12_000_000);
-    assert!(!report.strongly_linearizable);
-    let witness = report.witness.expect("refutation carries a witness");
+    let out = check_strong(&alg, mem, &scenario, 12_000_000);
+    assert!(out.is_refuted());
+    let witness = out.witness().expect("refutation carries a witness");
     println!(
         "\nstrong linearizability: REFUTED in {} search states (as Theorem 17 demands)",
-        report.nodes
+        out.nodes
     );
     println!("witness schedule prefix:");
     for line in witness.path.iter().take(8) {

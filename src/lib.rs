@@ -164,8 +164,8 @@
 //!     vec![MaxOp::Write(3), MaxOp::Read],
 //!     vec![MaxOp::Write(5)],
 //! ]);
-//! let report = check_strong(&alg, mem, &scenario, 1_000_000);
-//! assert!(report.strongly_linearizable);
+//! let out = check_strong(&alg, mem, &scenario, 1_000_000);
+//! assert!(out.is_certified());
 //! ```
 
 #![warn(missing_docs)]
@@ -223,12 +223,11 @@ pub mod prelude {
     pub use sl2_core::machines::snapshot::SnapshotAlg;
     pub use sl2_core::universal::{CodedOp, PaxosRace, UniversalAlg};
     pub use sl2_exec::{
-        check_strong, check_strong_outcome, check_strong_with, fan_in, for_each_history,
-        history_from_spans, is_linearizable, linearize, symmetric, tower, validate_witness,
-        Algorithm, BurstSched, CorpusOptions, CorpusRecord, CorpusReport, CorpusVerdict, CrashPlan,
-        History, MemoMode, OpMachine, Outcome, RandomSched, RecordReport, Recorder, RoundRobin,
-        Scenario, ScenarioCorpus, SearchStats, SimMemory, Step, StrongOptions, StrongOutcome,
-        Witness,
+        check_strong, fan_in, for_each_history, history_from_spans, is_linearizable, linearize,
+        symmetric, tower, validate_witness, Algorithm, BurstSched, CorpusOptions, CorpusRecord,
+        CorpusReport, CorpusVerdict, CrashPlan, History, MemoMode, OpMachine, Outcome, RandomSched,
+        RecordReport, Recorder, RoundRobin, Scenario, ScenarioCorpus, SearchStats, SimMemory, Step,
+        StrongOptions, StrongOutcome, Witness,
     };
     pub use sl2_obs::{Histogram, MetricsSnapshot};
     pub use sl2_primitives::{

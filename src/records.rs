@@ -39,8 +39,8 @@ use sl2_core::machines::simple::SimpleAlg;
 use sl2_core::machines::sl_set::SlSetAlg;
 use sl2_core::machines::snapshot::SnapshotAlg;
 use sl2_exec::{
-    check_strong_outcome, fan_in, validate_witness, Algorithm, CorpusOptions, CorpusReport,
-    Scenario, ScenarioCorpus, SimMemory, StrongOptions,
+    check_strong, fan_in, validate_witness, Algorithm, CorpusOptions, CorpusReport, Scenario,
+    ScenarioCorpus, SimMemory, StrongOptions,
 };
 use sl2_service::machines::{
     cross_key_lagging_scenario, cross_key_scenario, same_key_fan_in_lagging_scenario,
@@ -144,7 +144,7 @@ impl Driver for Witnesses {
         for (name, scenario) in corpus.entries() {
             let mut mem = SimMemory::new();
             let alg = make(&mut mem);
-            let out = check_strong_outcome(&alg, mem.clone(), scenario, options);
+            let out = check_strong(&alg, mem.clone(), scenario, options);
             let Some(w) = out.witness() else { continue };
             validate_witness(&alg, mem, scenario, w)
                 .unwrap_or_else(|e| panic!("{name}: witness does not replay: {e}"));

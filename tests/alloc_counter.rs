@@ -393,8 +393,9 @@ fn service_edge_allocations_are_pinned() {
     // to. With 4 in flight (a deque's first capacity step in std) both
     // have taken that step once a fifth request is accepted: the first
     // swap precedes the first completion, and every later push lands on
-    // the other deque until it is swapped back. A blocking call costs
-    // exactly its completion cell.
+    // the other deque until it is swapped back. A blocking call
+    // allocates nothing once its thread's completion cell exists: the
+    // first call on a thread makes the cell, every later one reuses it.
     use sl2_service::{Backend, Request, Service, ServiceOp};
     const WINDOW: u64 = 4;
     let svc = Service::new(64, 1, Backend::Global);
@@ -416,12 +417,14 @@ fn service_edge_allocations_are_pinned() {
     let (n, _) = allocs_during(|| submit_windowed(10_000));
     assert_eq!(n, 0, "a warmed-up submit allocated");
 
+    let (n, _) = allocs_during(|| svc.call(inc(0)));
+    assert_eq!(n, 1, "a thread's first call allocates its completion cell");
     let (n, _) = allocs_during(|| {
-        for i in 0..1_000 {
+        for i in 1..1_000 {
             svc.call(inc(i));
         }
     });
-    assert_eq!(n, 1_000, "a blocking call allocates its completion cell");
+    assert_eq!(n, 0, "a blocking call after the first allocated");
     assert_eq!(svc.latency_histogram().count(), 11_024);
 }
 
@@ -586,10 +589,10 @@ fn a_search_node_costs_the_same_at_any_scenario_length() {
         let alg = MaxRegAlg::new(&mut mem, 3);
         let options = StrongOptions::with_limit(1_000_000).memoize(memoize);
         let before = BYTES.with(|c| c.get());
-        let report = check_strong_with(&alg, mem, &scenario, options);
+        let out = check_strong(&alg, mem, &scenario, options);
         let bytes = BYTES.with(|c| c.get()) - before;
-        assert!(report.strongly_linearizable, "towers certify");
-        bytes as f64 / report.nodes as f64
+        assert!(out.is_certified(), "towers certify");
+        bytes as f64 / out.nodes as f64
     };
     for (memoize, cap) in [(false, 360.0), (true, 460.0)] {
         let (short, tall) = (bytes_per_node(64, memoize), bytes_per_node(1100, memoize));
@@ -612,9 +615,9 @@ fn allocs_per_tree_node<A: Algorithm>(
 ) -> f64 {
     use sl2::exec::strong::StrongOptions;
     let options = StrongOptions::with_limit(8_000_000).memoize(false);
-    let (n, report) = allocs_during(|| check_strong_with(alg, mem, scenario, options));
-    assert!(report.strongly_linearizable, "{:?}", report.witness);
-    n as f64 / report.nodes as f64
+    let (n, out) = allocs_during(|| check_strong(alg, mem, scenario, options));
+    assert!(out.is_certified(), "{:?}", out.outcome);
+    n as f64 / out.nodes as f64
 }
 
 #[test]

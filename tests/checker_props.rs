@@ -68,8 +68,8 @@ proptest! {
         let mut mem = SimMemory::new();
         let alg = AtomicMax { loc: mem.alloc(Cell::AMaxReg(0)) };
         let scenario = Scenario::new(ops);
-        let report = check_strong(&alg, mem, &scenario, 8_000_000);
-        prop_assert!(report.strongly_linearizable, "{:?}", report.witness);
+        let out = check_strong(&alg, mem, &scenario, 8_000_000);
+        prop_assert!(out.is_certified(), "{:?}", out.outcome);
     }
 
     /// Soundness: every history the Theorem 1 machine produces under a
@@ -199,8 +199,8 @@ fn checker_witness_replays_to_a_real_execution() {
         vec![StackOp::Push(2)],
         vec![StackOp::Pop, StackOp::Pop],
     ]);
-    let report = check_strong(&alg, mem, &scenario, 16_000_000);
-    let witness = report.witness.expect("AGM refuted");
+    let out = check_strong(&alg, mem, &scenario, 16_000_000);
+    let witness = out.witness().expect("AGM refuted");
     for event in &witness.path {
         assert!(
             event.starts_with("p0") || event.starts_with("p1") || event.starts_with("p2"),
@@ -236,8 +236,8 @@ fn op_ids_in_enumerated_histories_are_canonical() {
 mod memo_differential {
     use super::*;
     use sl2_exec::{
-        check_strong_outcome, validate_witness, CorpusOptions, CorpusReport, CorpusVerdict,
-        MemoMode, ScenarioCorpus, StrongOptions,
+        check_strong, validate_witness, CorpusOptions, CorpusReport, CorpusVerdict, MemoMode,
+        ScenarioCorpus, StrongOptions,
     };
 
     /// Non-atomic counter increment (read; write): the refutation-rich
@@ -356,7 +356,7 @@ mod memo_differential {
                     for memoize in [true, false] {
                         let mut mem = SimMemory::new();
                         let alg = make(&mut mem);
-                        let out = check_strong_outcome(
+                        let out = check_strong(
                             &alg,
                             mem.clone(),
                             scenario,
@@ -405,12 +405,13 @@ mod memo_differential {
             for memoize in [true, false] {
                 let mut mem = SimMemory::new();
                 let alg = racy_counter(&mut mem);
-                let out = check_strong_outcome(
+                let out = check_strong(
                     &alg,
                     mem.clone(),
                     &scenario,
                     StrongOptions::with_limit(4_000_000).memoize(memoize),
                 );
+                prop_assert!(!out.is_bounded(), "{:?}", out.outcome);
                 if let Some(w) = out.witness() {
                     validate_witness(&alg, mem, &scenario, w)
                         .map_err(TestCaseError::fail)?;
@@ -517,12 +518,8 @@ mod relaxed_controls {
     fn exact_atomic_queue_is_sl_wrt_multiplicity_spec() {
         for scenario in scenarios() {
             let (mem, alg) = fresh(false);
-            let report = check_strong(&alg, mem, &scenario, 4_000_000);
-            assert!(
-                report.strongly_linearizable,
-                "{scenario:?}: {:?}",
-                report.witness
-            );
+            let out = check_strong(&alg, mem, &scenario, 4_000_000);
+            assert!(out.is_certified(), "{scenario:?}: {:?}", out.outcome);
         }
     }
 
@@ -530,12 +527,8 @@ mod relaxed_controls {
     fn greedily_duplicating_atomic_queue_is_sl_wrt_multiplicity_spec() {
         for scenario in scenarios() {
             let (mem, alg) = fresh(true);
-            let report = check_strong(&alg, mem, &scenario, 4_000_000);
-            assert!(
-                report.strongly_linearizable,
-                "{scenario:?}: {:?}",
-                report.witness
-            );
+            let out = check_strong(&alg, mem, &scenario, 4_000_000);
+            assert!(out.is_certified(), "{scenario:?}: {:?}", out.outcome);
         }
     }
 
@@ -564,9 +557,9 @@ mod relaxed_controls {
             vec![QueueOp::Enq(1), QueueOp::Enq(2)],
             vec![QueueOp::Deq, QueueOp::Deq],
         ]);
-        let report = check_strong(&DupVsExact(alg), mem, &scenario, 4_000_000);
+        let out = check_strong(&DupVsExact(alg), mem, &scenario, 4_000_000);
         assert!(
-            !report.strongly_linearizable,
+            out.is_refuted(),
             "duplicates must violate the exact queue spec"
         );
     }

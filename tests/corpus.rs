@@ -502,12 +502,7 @@ fn combining_cached_refutation_witness_replays() {
         let scenario = cached_fan_in_max_scenario();
         let mut mem = SimMemory::new();
         let alg = CombiningMaxRegAlg::new(&mut mem, 3, shards, ReadMode::Cached);
-        let out = check_strong_outcome(
-            &alg,
-            mem.clone(),
-            &scenario,
-            StrongOptions::with_limit(8_000_000),
-        );
+        let out = check_strong(&alg, mem.clone(), &scenario, 8_000_000);
         let w = out.witness().expect("cached read refuted");
         validate_witness(&alg, mem, &scenario, w).unwrap_or_else(|e| panic!("S={shards}: {e}"));
     }
@@ -523,7 +518,7 @@ fn service_cached_refutation_witness_replays() {
         let scenario = same_key_fan_in_scenario();
         let mut mem = SimMemory::new();
         let alg = KeyedDispatchAlg::new(&mut mem, 3, &[1, 2], RouteMode::Cached);
-        let out = check_strong_outcome(
+        let out = check_strong(
             &alg,
             mem.clone(),
             &scenario,
@@ -542,7 +537,7 @@ fn service_exact_certification_replays_memo_off() {
         let scenario = cross_key_scenario();
         let mut mem = SimMemory::new();
         let alg = KeyedDispatchAlg::new(&mut mem, 3, &[1, 2], RouteMode::Exact);
-        let out = check_strong_outcome(
+        let out = check_strong(
             &alg,
             mem,
             &scenario,
@@ -562,12 +557,7 @@ fn refutation_witnesses_replay_against_their_scenarios() {
         let scenario = fan_in_max_scenario(shards);
         let mut mem = SimMemory::new();
         let alg = ShardedMaxRegAlg::new(&mut mem, 3, shards);
-        let out = check_strong_outcome(
-            &alg,
-            mem.clone(),
-            &scenario,
-            StrongOptions::with_limit(8_000_000),
-        );
+        let out = check_strong(&alg, mem.clone(), &scenario, 8_000_000);
         let w = out.witness().expect("fan-in refuted");
         validate_witness(&alg, mem, &scenario, w).unwrap_or_else(|e| panic!("S={shards}: {e}"));
     }
@@ -578,12 +568,7 @@ fn refutation_witnesses_replay_against_their_scenarios() {
         vec![StackOp::Push(2)],
         vec![StackOp::Pop, StackOp::Pop],
     ]);
-    let out = check_strong_outcome(
-        &alg,
-        mem.clone(),
-        &scenario,
-        StrongOptions::with_limit(8_000_000),
-    );
+    let out = check_strong(&alg, mem.clone(), &scenario, 8_000_000);
     let w = out.witness().expect("AGM refuted");
     validate_witness(&alg, mem, &scenario, w).expect("AGM witness must replay");
 }

@@ -42,9 +42,9 @@ fn agm_stack_every_history_linearizable_but_not_strongly() {
     assert!(histories > 100, "the scenario has real interleaving depth");
 
     // ...yet no prefix-closed linearization function exists.
-    let report = check_strong(&alg, mem, &witness_scenario(), 16_000_000);
-    assert!(!report.strongly_linearizable);
-    let witness = report.witness.expect("refutation carries a witness");
+    let out = check_strong(&alg, mem, &witness_scenario(), 16_000_000);
+    assert!(out.is_refuted());
+    let witness = out.witness().expect("refutation carries a witness");
     // The witness pins the failure to the push/push/pop race.
     assert!(
         witness.path.iter().any(|e| e.contains("Push")),
@@ -57,11 +57,11 @@ fn agm_stack_every_history_linearizable_but_not_strongly() {
 fn treiber_stack_passes_the_same_scenario() {
     let mut mem = SimMemory::new();
     let alg = TreiberStackAlg::new(&mut mem);
-    let report = check_strong(&alg, mem, &witness_scenario(), 32_000_000);
+    let out = check_strong(&alg, mem, &witness_scenario(), 32_000_000);
     assert!(
-        report.strongly_linearizable,
+        out.is_certified(),
         "Treiber (CAS) must pass: {:?}",
-        report.witness
+        out.outcome
     );
 }
 
@@ -74,12 +74,8 @@ fn cas_queue_passes_the_queue_shaped_scenario() {
         vec![QueueOp::Enq(2)],
         vec![QueueOp::Deq, QueueOp::Deq],
     ]);
-    let report = check_strong(&alg, mem, &scenario, 16_000_000);
-    assert!(
-        report.strongly_linearizable,
-        "CAS queue must pass: {:?}",
-        report.witness
-    );
+    let out = check_strong(&alg, mem, &scenario, 16_000_000);
+    assert!(out.is_certified(), "CAS queue must pass: {:?}", out.outcome);
 }
 
 #[test]
@@ -93,8 +89,8 @@ fn agm_witness_is_robust_to_scenario_variations() {
         vec![StackOp::Push(2)],
         vec![StackOp::Pop, StackOp::Pop],
     ]);
-    let report = check_strong(&alg, mem, &scenario, 32_000_000);
-    assert!(!report.strongly_linearizable);
+    let out = check_strong(&alg, mem, &scenario, 32_000_000);
+    assert!(out.is_refuted());
 }
 
 // ---------------------------------------------------------------------
@@ -121,9 +117,9 @@ fn naive_sum_read_sharded_counter_yields_a_witness() {
             "sum sweeps stay linearizable per history: {h:?}"
         );
     });
-    let report = check_strong(&alg, mem, &scenario, 16_000_000);
-    assert!(!report.strongly_linearizable);
-    let witness = report.witness.expect("refutation carries a witness");
+    let out = check_strong(&alg, mem, &scenario, 16_000_000);
+    assert!(out.is_refuted());
+    let witness = out.witness().expect("refutation carries a witness");
     assert!(!witness.path.is_empty());
 }
 
@@ -138,8 +134,8 @@ fn exact_sharded_counter_passes_where_the_naive_read_fails() {
         vec![CounterOp::Inc, CounterOp::Read],
         vec![CounterOp::Inc],
     ]);
-    let report = check_strong(&alg, mem, &scenario, 16_000_000);
-    assert!(report.strongly_linearizable, "{:?}", report.witness);
+    let out = check_strong(&alg, mem, &scenario, 16_000_000);
+    assert!(out.is_certified(), "{:?}", out.outcome);
 }
 
 #[test]
@@ -155,9 +151,9 @@ fn sharded_max_register_fan_in_breaks_even_the_stable_read() {
     let alg = ShardedMaxRegAlg::new(&mut mem, 3, 2);
     let scenario =
         fan_in::<MaxRegisterSpec>(vec![MaxOp::Write(2), MaxOp::Write(5)], vec![MaxOp::Read]);
-    let report = check_strong(&alg, mem, &scenario, 32_000_000);
-    assert!(!report.strongly_linearizable);
-    let witness = report.witness.expect("refutation carries a witness");
+    let out = check_strong(&alg, mem, &scenario, 32_000_000);
+    assert!(out.is_refuted());
+    let witness = out.witness().expect("refutation carries a witness");
     assert!(
         witness.path.iter().any(|e| e.contains("Write")),
         "witness path: {:?}",
@@ -175,8 +171,8 @@ fn sharded_max_register_same_scenario_single_shard_passes() {
     let alg = ShardedMaxRegAlg::new(&mut mem, 3, 1);
     let scenario =
         fan_in::<MaxRegisterSpec>(vec![MaxOp::Write(2), MaxOp::Write(5)], vec![MaxOp::Read]);
-    let report = check_strong(&alg, mem, &scenario, 32_000_000);
-    assert!(report.strongly_linearizable, "{:?}", report.witness);
+    let out = check_strong(&alg, mem, &scenario, 32_000_000);
+    assert!(out.is_certified(), "{:?}", out.outcome);
 }
 
 // ---------------------------------------------------------------------
@@ -195,7 +191,7 @@ fn agm_witness_is_complete_and_memoization_independent() {
     let scenario = witness_scenario();
     let mut witnesses = Vec::new();
     for memoize in [true, false] {
-        let out = check_strong_outcome(
+        let out = check_strong(
             &alg,
             mem.clone(),
             &scenario,
@@ -232,7 +228,7 @@ fn sharded_witness_is_complete_and_memoization_independent() {
         fan_in::<CounterSpec>(vec![CounterOp::Inc, CounterOp::Inc], vec![CounterOp::Read]);
     let mut witnesses = Vec::new();
     for memoize in [true, false] {
-        let out = check_strong_outcome(
+        let out = check_strong(
             &alg,
             mem.clone(),
             &scenario,
@@ -268,9 +264,9 @@ fn combined_cached_max_read_yields_a_witness_even_at_one_shard() {
     let mut mem = SimMemory::new();
     let alg = CombiningMaxRegAlg::new(&mut mem, 3, 1, ReadMode::Cached);
     let scenario = cached_fan_in_max_scenario();
-    let report = check_strong(&alg, mem, &scenario, 8_000_000);
-    assert!(!report.strongly_linearizable);
-    let witness = report.witness.expect("refutation carries a witness");
+    let out = check_strong(&alg, mem, &scenario, 8_000_000);
+    assert!(out.is_refuted());
+    let witness = out.witness().expect("refutation carries a witness");
     assert!(
         witness.path.iter().any(|e| e.contains("Write")),
         "witness path: {:?}",
@@ -280,8 +276,8 @@ fn combined_cached_max_read_yields_a_witness_even_at_one_shard() {
     // Control: identical scenario, stable read — certified.
     let mut mem = SimMemory::new();
     let alg = CombiningMaxRegAlg::new(&mut mem, 3, 1, ReadMode::Stable);
-    let report = check_strong(&alg, mem, &cached_fan_in_max_scenario(), 16_000_000);
-    assert!(report.strongly_linearizable, "{:?}", report.witness);
+    let out = check_strong(&alg, mem, &cached_fan_in_max_scenario(), 16_000_000);
+    assert!(out.is_certified(), "{:?}", out.outcome);
 }
 
 #[test]
@@ -295,7 +291,7 @@ fn combined_cached_witness_is_complete_and_memoization_independent() {
         fan_in::<CounterSpec>(vec![CounterOp::Inc, CounterOp::Inc], vec![CounterOp::Read]);
     let mut witnesses = Vec::new();
     for memoize in [true, false] {
-        let out = check_strong_outcome(
+        let out = check_strong(
             &alg,
             mem.clone(),
             &scenario,
@@ -330,24 +326,23 @@ fn combined_cached_reads_meet_their_window_specs_strongly() {
     let alg = CombiningCounterAlg::relaxed(&mut mem, 3, 1, 2);
     let scenario =
         fan_in::<LaggingCounterSpec>(vec![CounterOp::Inc, CounterOp::Inc], vec![CounterOp::Read]);
-    let report = check_strong(&alg, mem, &scenario, 16_000_000);
-    assert!(report.strongly_linearizable, "{:?}", report.witness);
+    let out = check_strong(&alg, mem, &scenario, 16_000_000);
+    assert!(out.is_certified(), "{:?}", out.outcome);
 
     let mut mem = SimMemory::new();
     let alg = CombiningMaxRegAlg::relaxed(&mut mem, 3, 1, ReadMode::Cached, 2);
-    let report = check_strong(&alg, mem, &cached_fan_in_lagging_scenario(), 16_000_000);
-    assert!(report.strongly_linearizable, "{:?}", report.witness);
+    let out = check_strong(&alg, mem, &cached_fan_in_lagging_scenario(), 16_000_000);
+    assert!(out.is_certified(), "{:?}", out.outcome);
 }
 
 #[test]
 fn certifications_carry_no_leftover_witness() {
     // The pre-PR-4 checker could attach an exploratory witness to a
-    // *passing* report; a certificate must come clean.
+    // *passing* report; a certificate now has no witness to carry.
     let mut mem = SimMemory::new();
     let alg = TreiberStackAlg::new(&mut mem);
-    let report = check_strong(&alg, mem, &witness_scenario(), 32_000_000);
-    assert!(report.strongly_linearizable);
-    assert!(report.witness.is_none());
+    let out = check_strong(&alg, mem, &witness_scenario(), 32_000_000);
+    assert!(out.is_certified(), "{:?}", out.outcome);
 }
 
 #[test]
@@ -360,10 +355,10 @@ fn agm_stack_smallest_scenarios_are_fine() {
         vec![StackOp::Push(1)],
         vec![StackOp::Pop, StackOp::Pop],
     ]);
-    let report = check_strong(&alg, mem, &scenario, 8_000_000);
+    let out = check_strong(&alg, mem, &scenario, 8_000_000);
     assert!(
-        report.strongly_linearizable,
+        out.is_certified(),
         "one pusher cannot create the ambiguity: {:?}",
-        report.witness
+        out.outcome
     );
 }

@@ -74,8 +74,10 @@ fn recorded_staleness_matches_the_machine_verdicts() {
     let scenario =
         fan_in::<CounterSpec>(vec![CounterOp::Inc, CounterOp::Inc], vec![CounterOp::Read]);
     let machine_exact = check_strong(&alg, mem, &scenario, 8_000_000);
+    assert!(!machine_exact.is_bounded(), "{:?}", machine_exact.outcome);
     assert_eq!(
-        machine_exact.strongly_linearizable, exact_verdict,
+        machine_exact.is_certified(),
+        exact_verdict,
         "recorded exact verdict diverged from the step-machine verdict"
     );
 
@@ -84,8 +86,14 @@ fn recorded_staleness_matches_the_machine_verdicts() {
     let scenario =
         fan_in::<LaggingCounterSpec>(vec![CounterOp::Inc, CounterOp::Inc], vec![CounterOp::Read]);
     let machine_lagging = check_strong(&alg, mem, &scenario, 8_000_000);
+    assert!(
+        !machine_lagging.is_bounded(),
+        "{:?}",
+        machine_lagging.outcome
+    );
     assert_eq!(
-        machine_lagging.strongly_linearizable, lagging_verdict,
+        machine_lagging.is_certified(),
+        lagging_verdict,
         "recorded lagging verdict diverged from the step-machine verdict"
     );
 

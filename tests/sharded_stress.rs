@@ -280,3 +280,28 @@ fn unary_and_binary_lanes_agree_op_for_op() {
         assert!(max[1].register_bits() <= 64 * n && wide[1].register_bits() <= 64 * n);
     }
 }
+
+#[test]
+fn one_shard_max_register_keeps_u64_max() {
+    // At one shard the quotient count of `u64::MAX` overflowed: debug
+    // builds panicked and release builds dropped the write. Both the
+    // registry's keyed form and the bare register must keep it.
+    for backend in [
+        Backend::Global,
+        Backend::Sharded { shards: 1 },
+        Backend::Sharded { shards: 2 },
+    ] {
+        let r: Registry<u64> = Registry::new(4, 2, backend);
+        let key = r.get_or_insert(&1);
+        key.write_max(0, 5);
+        key.write_max(1, u64::MAX);
+        assert_eq!(key.read_max(), u64::MAX, "{backend:?}");
+    }
+    let m = ShardedMaxRegister::new_binary(2, 1);
+    m.write_max(0, 5);
+    m.write_max(1, u64::MAX);
+    assert_eq!(m.read_max(), u64::MAX);
+    assert_eq!(m.read_max_relaxed(), u64::MAX);
+    m.write_max(0, u64::MAX - 1);
+    assert_eq!(m.read_max(), u64::MAX);
+}

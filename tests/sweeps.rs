@@ -24,11 +24,11 @@ where
     for scenario in scenarios {
         let mut mem = SimMemory::new();
         let alg = make(&mut mem);
-        let report = check_strong(&alg, mem, &scenario, limit);
+        let out = check_strong(&alg, mem, &scenario, limit);
         assert!(
-            report.strongly_linearizable,
+            out.is_certified(),
             "scenario {scenario:?} refuted: {:?}",
-            report.witness
+            out.outcome
         );
     }
 }

@@ -670,3 +670,104 @@ fn every_twin_has_a_pinned_record() {
         missing.join("\n")
     );
 }
+
+/// Whether a `!` negates the receiver of the `.is_certified()` call
+/// at byte `at` of `line`: walk back over the receiver (a path with
+/// balanced call parentheses), then past `(` and spaces, and look for
+/// a `!` that is not a macro's.
+fn negates_call(line: &str, at: usize) -> bool {
+    let b = line.as_bytes();
+    let mut i = at;
+    while i > 0 {
+        match b[i - 1] {
+            c if c.is_ascii_alphanumeric() || c == b'_' || c == b'.' || c == b':' => i -= 1,
+            b')' | b']' => {
+                let mut depth = 0;
+                while i > 0 {
+                    i -= 1;
+                    match b[i] {
+                        b')' | b']' => depth += 1,
+                        b'(' | b'[' => depth -= 1,
+                        _ => {}
+                    }
+                    if depth == 0 {
+                        break;
+                    }
+                }
+            }
+            _ => break,
+        }
+    }
+    let head = line[..i].trim_end_matches(|c: char| c == '(' || c.is_whitespace());
+    head.strip_suffix('!')
+        .is_some_and(|rest| !rest.ends_with(|c: char| c.is_alphanumeric() || c == '_'))
+}
+
+#[test]
+fn the_strong_checker_has_one_entry_point() {
+    // `check_strong` is the one strong-checker entry point and returns
+    // the three-way `StrongOutcome`; the panicking two-outcome wrappers
+    // and the two objects no code called stay gone. A refuted
+    // assertion reads `is_refuted()`: `!is_certified()` would accept
+    // `Bounded`.
+    let root = repo_root();
+    let mut files = Vec::new();
+    for dir in ["crates", "src", "tests", "examples"] {
+        files_with_extensions(&root.join(dir), &["rs", "toml", "md"], &mut files);
+    }
+    files.retain(|p| !p.ends_with("tests/target_coverage.rs"));
+    let gone = [
+        "check_strong_with",
+        "check_strong_outcome",
+        "StrongReport",
+        ".strongly_linearizable",
+        "FetchAdd128",
+        "DoubleCollectSnapshot",
+    ];
+    let (mut entry_points, mut hits) = (0, Vec::new());
+    for path in &files {
+        let text = std::fs::read_to_string(path).expect("readable");
+        entry_points += text.matches("pub fn check_strong<").count();
+        let rel = path.strip_prefix(root).unwrap_or(path);
+        for (lineno, line) in text.lines().enumerate() {
+            for needle in gone.iter().filter(|n| line.contains(**n)) {
+                hits.push(format!("{}:{}: {needle}", rel.display(), lineno + 1));
+            }
+            if line
+                .match_indices(".is_certified()")
+                .any(|(at, _)| negates_call(line, at))
+            {
+                hits.push(format!(
+                    "{}:{}: !….is_certified()",
+                    rel.display(),
+                    lineno + 1
+                ));
+            }
+        }
+    }
+    assert_eq!(
+        entry_points, 1,
+        "`pub fn check_strong<` must be defined once"
+    );
+    assert!(
+        hits.is_empty(),
+        "retired checker API, dead objects or a negated certificate:\n{}",
+        hits.join("\n")
+    );
+}
+
+#[test]
+fn negated_certificates_are_told_from_macro_bangs() {
+    for (line, negated) in [
+        ("assert!(out.is_certified());", false),
+        ("assert!(!out.is_certified());", true),
+        ("    !report.outcome().is_certified(),", true),
+        ("assert!(!(out.is_certified()));", true),
+        ("assert!(!check(&a, m, &s, 9).is_certified());", true),
+        ("assert_eq!(out.is_certified(), shards == 1);", false),
+        ("x != out.is_certified()", false),
+    ] {
+        let at = line.find(".is_certified()").expect("a call");
+        assert_eq!(negates_call(line, at), negated, "{line}");
+    }
+}

@@ -345,23 +345,21 @@ fn e44_bridged_service_histories_match_the_dispatch_twin_verdicts() {
         let mut mem = SimMemory::new();
         let alg = KeyedDispatchAlg::new(&mut mem, 3, &[1, 2], RouteMode::Exact);
         let twin = check_strong(&alg, mem, &same_key_fan_in_scenario(), 16_000_000);
+        assert!(!twin.is_bounded(), "{:?}", twin.outcome);
         assert_eq!(
-            twin.strongly_linearizable, exact_verdict,
+            twin.is_certified(),
+            exact_verdict,
             "exact twin and exact bridged run must agree"
         );
     }
     {
         let mut mem = SimMemory::new();
         let alg = KeyedDispatchAlg::new(&mut mem, 3, &[1, 2], RouteMode::Cached);
-        let out = check_strong_outcome(
-            &alg,
-            mem.clone(),
-            &same_key_fan_in_scenario(),
-            StrongOptions::with_limit(16_000_000),
-        );
-        let refuted = out.witness().is_some();
+        let out = check_strong(&alg, mem.clone(), &same_key_fan_in_scenario(), 16_000_000);
+        assert!(!out.is_bounded(), "{:?}", out.outcome);
         assert_eq!(
-            refuted, !cached_verdict,
+            out.is_refuted(),
+            !cached_verdict,
             "cached twin refutation must mirror the bridged refutation"
         );
         let w = out.witness().expect("the cached twin must be refuted");
@@ -372,8 +370,10 @@ fn e44_bridged_service_histories_match_the_dispatch_twin_verdicts() {
         let mut mem = SimMemory::new();
         let alg = LaggingKeyedDispatchAlg::new(&mut mem, 3, &[1, 2], 2);
         let twin = check_strong(&alg, mem, &same_key_fan_in_lagging_scenario(), 16_000_000);
+        assert!(!twin.is_bounded(), "{:?}", twin.outcome);
         assert_eq!(
-            twin.strongly_linearizable, lagging_verdict,
+            twin.is_certified(),
+            lagging_verdict,
             "lagging twin and lagging bridged run must agree"
         );
     }
