@@ -1,7 +1,8 @@
 //! [`Combiner`]: the generic flat-combining front-end, built from
 //! announcement slots ([`crate::PublicationArray`], swap), a combiner
 //! election ([`crate::CombinerLock`], swap), a fetch&add epoch counter
-//! and a single-word published fold — no compare&swap anywhere, which
+//! and a published fold that is itself a Theorem-1 max register (wide
+//! fetch&add) — no compare&swap anywhere, which
 //! [`Combiner::consensus_ceiling`] asserts through the [`BaseObject`]
 //! constants.
 //!
@@ -19,8 +20,8 @@
 //!
 //! * **won** — the owner sweeps every slot, claims the announced
 //!   operations (its own usually among them), applies each to the
-//!   inner §3 object, publishes a fresh whole-object fold to the cache
-//!   register, bumps the epoch, and releases;
+//!   inner §3 object, raises its own lane of the cache max register to
+//!   a fresh whole-object fold, bumps the epoch, and releases;
 //! * **lost** — the owner applies its operation to the inner object
 //!   *directly* (the plain sharded path) and withdraws its
 //!   announcement. **No waiting, ever**: classic flat combining parks
@@ -40,16 +41,18 @@
 //! then write different lanes with the same monotone intent, and the
 //! fold absorbs the duplicate.
 //!
-//! [`Combiner::read_cached`] is one load of the published fold, the
-//! fast path the read-heavy regime wants (E26); what it honestly
-//! meets is in its docs and in [`crate::machines`].
+//! [`Combiner::read_cached`] is one 16-byte load of the published fold
+//! plus the word-kernel fold over its lanes, the fast path the
+//! read-heavy regime wants (E26); what it honestly meets is in its docs
+//! and in [`crate::machines`].
 //!
 //! [`PublicationArray::take`]: crate::PublicationArray::take
 
 use std::fmt::Debug;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use sl2_primitives::{BaseObject, ConsensusNumber, FetchAdd, Swap};
+use sl2_bignum::{LaneEncoding, Lanes};
+use sl2_primitives::{BaseObject, ConsensusNumber, FetchAdd};
 
 use crate::slots::{CombinerLock, Lease, PublicationArray, Published, Tenure};
 
@@ -59,9 +62,9 @@ use crate::slots::{CombinerLock, Lease, PublicationArray, Published, Tenure};
 /// and every live tenure carries a *fresh* unique lease, so two spaced
 /// sightings of one lease with no publication in between never happen
 /// while the holder makes progress); it is deliberately small so
-/// recovery is prompt — a merely *stalled* holder suspected wrongly is
-/// survived by the release validation and the publication repair
-/// (DESIGN.md §10), which is not yet monotone (ROADMAP item 1).
+/// recovery is prompt — a merely *stalled* holder suspected wrongly
+/// only overlaps its rescuer's tenure, which the max-register cache
+/// makes harmless (DESIGN.md §10).
 pub(crate) const RECLAIM_STRIKES: u64 = 2;
 
 /// Per-process abandonment evidence: the last `(lease, epoch)` pair
@@ -123,8 +126,9 @@ pub trait Combinable: Foldable {
     /// The announced operation.
     type Op: Copy + Debug;
 
-    /// Injective encoding of an operation into a word below
-    /// `u64::MAX` (the slot reserves one encoding).
+    /// Injective encoding of an operation into a word. Only a no-op (a
+    /// max-register write of 0) may encode to 0, which announces
+    /// nothing: the slot reads 0 as empty.
     fn encode(op: Self::Op) -> u64;
 
     /// Inverse of [`Combinable::encode`].
@@ -211,9 +215,8 @@ pub struct Combiner<O> {
     /// never announces, so only the evidence halves are used.
     slots: PublicationArray,
     lock: CombinerLock,
-    /// Published whole-object fold and publication count, written only
-    /// by the publication routine under the election lock (two tenures
-    /// overlap only across a wrongful reclaim: see `Published::publish`).
+    /// Published whole-object fold, written only by the publication
+    /// routine, each publisher in its own lane.
     published: Published,
 }
 
@@ -254,20 +257,25 @@ impl<O: Foldable> Combiner<O> {
 
     /// Publications so far.
     pub fn epoch(&self) -> u64 {
-        self.published.epoch.read()
+        self.lock.epoch.read()
     }
 
-    /// The 1-load fast path: the last published whole-object fold.
-    /// Wait-free, one shared read; monotone across calls while one
-    /// tenure publishes at a time (a wrongful reclaim can regress it,
-    /// ROADMAP item 1) and never ahead of the exact value — but it may
-    /// trail operations that completed on the direct path since the
-    /// last publication. So the checker refutes it against the exact
+    /// The cache's lanes: one binary lane per process.
+    fn lanes(&self) -> Lanes {
+        Lanes::new(self.slots.len(), LaneEncoding::Binary)
+    }
+
+    /// The fast path: the largest published whole-object fold, read
+    /// from the cache max register (one 16-byte load while it is
+    /// inline, then the word-kernel fold). Wait-free, monotone across
+    /// calls and never ahead of the exact value — but it may trail
+    /// operations that completed on the direct path since the last
+    /// publication. So the checker refutes it against the exact
     /// specifications (a replayable witness) and certifies it against
     /// the `sl2_spec::relaxed` lagging windows (DESIGN.md §8).
     pub fn read_cached(&self) -> u64 {
         sl2_obs::count("combine.read_cached");
-        self.published.read()
+        self.published.read(&self.lanes())
     }
 
     /// The exact read: the inner object's stable fold (lock-free).
@@ -276,52 +284,39 @@ impl<O: Foldable> Combiner<O> {
         self.inner.fold_exact()
     }
 
-    /// Opportunistically republishes a fresh fold (one election
-    /// attempt; a held lock means a combiner is about to publish
-    /// anyway). Read-heavy callers can use this to bound cache lag at
-    /// quiescence. Returns whether a publication happened. The caller
-    /// is anonymous, so it never reclaims a frozen lease.
+    /// Opportunistically republishes a fresh fold on behalf of
+    /// `process` (one election attempt; a held lock means a combiner is
+    /// about to publish anyway, and the attempt counts toward
+    /// reclaiming a frozen lease). Read-heavy callers can use this to
+    /// bound cache lag at quiescence. Returns whether a publication
+    /// happened.
     ///
     /// No sweep: announcements never *need* service (owners always
     /// apply their own operations — the protocol has no waiters), so a
     /// refresher only folds and publishes.
-    pub fn refresh(&self) -> bool {
-        self.republish(None)
-    }
-
-    /// One publication attempt outside a sweep: the election, then a
-    /// fresh one-pass fold published under the tenure. `process` is
-    /// the caller's identity: with one, a lost election counts toward
-    /// reclaiming a frozen lease; anonymous callers never reclaim.
-    pub(crate) fn republish(&self, process: Option<usize>) -> bool {
+    pub fn refresh(&self, process: usize) -> bool {
         let (Election::Won(lease) | Election::Reclaimed(lease)) = self.elect(process, || {}) else {
             return false;
         };
         let tenure = self.lock.hold(lease);
         let fold = self.inner.fold_relaxed();
-        self.release(tenure, Some(fold));
+        self.release(tenure, process, Some(fold));
         true
     }
 
     /// The one election. A win resets the caller's strikes. A loss
-    /// first runs `lost` (the caller's direct path), and only then —
-    /// for a caller with an identity — observes the holder's lease,
-    /// reclaiming it once it has stayed frozen for [`RECLAIM_STRIKES`]
-    /// consecutive sightings. Suspicion needs an identity to accumulate
-    /// under, so a cluster of anonymous readers cannot stampede the
-    /// lock.
-    fn elect(&self, process: Option<usize>, lost: impl FnOnce()) -> Election {
+    /// first runs `lost` (the caller's direct path), and only then
+    /// observes the holder's lease, reclaiming it once it has stayed
+    /// frozen for [`RECLAIM_STRIKES`] consecutive sightings by
+    /// `process`.
+    fn elect(&self, process: usize, lost: impl FnOnce()) -> Election {
+        let cell = self.slots.suspicion(process);
         if let Some(lease) = self.lock.try_acquire() {
             // Whatever this process was watching is moot now.
-            if let Some(p) = process {
-                self.slots.suspicion(p).strikes.store(0, Ordering::Relaxed);
-            }
+            cell.strikes.store(0, Ordering::Relaxed);
             return Election::Won(lease);
         }
         lost();
-        let Some(cell) = process.map(|p| self.slots.suspicion(p)) else {
-            return Election::Lost;
-        };
         // One sighting of the holder's `(lease, epoch)`. Unique leases
         // make the evidence sound under crash-stop: a live tenure
         // either releases (lease changes or clears) or publishes (epoch
@@ -332,7 +327,7 @@ impl<O: Foldable> Combiner<O> {
             cell.strikes.store(0, Ordering::Relaxed);
             return Election::Lost;
         }
-        let epoch = self.published.epoch.read();
+        let epoch = self.lock.epoch.read();
         if cell.lease.load(Ordering::Relaxed) != lease
             || cell.epoch.load(Ordering::Relaxed) != epoch
         {
@@ -357,13 +352,15 @@ impl<O: Foldable> Combiner<O> {
         }
     }
 
-    /// The one publication routine: publishes `fold`, if any, and ends
-    /// the tenure. Every write of the cache — a combining sweep's, a
-    /// refresh's, a counter increment's — comes through here.
-    fn release(&self, tenure: Tenure<'_>, fold: Option<u64>) {
+    /// The one publication routine: raises `process`'s lane of the
+    /// cache to `fold`, if any, and ends the tenure. Every write of the
+    /// cache — a combining sweep's, a refresh's, a counter increment's
+    /// — comes through here.
+    fn release(&self, tenure: Tenure<'_>, process: usize, fold: Option<u64>) {
         if let Some(fold) = fold {
             sl2_chaos::point("combine.pre_publish");
-            self.published.publish(fold);
+            self.published.publish(&self.lanes(), process, fold);
+            self.lock.epoch.fetch_add(1);
             sl2_trace::event("combine.publish", fold);
         }
         sl2_chaos::point("combine.pre_release");
@@ -386,16 +383,15 @@ impl<O: Foldable> Combiner<O> {
 
     /// The highest consensus number among the front-end's own base
     /// objects — [`ConsensusNumber::Two`], by construction: slots and
-    /// lock are swap, the epoch is fetch&add, the cache is a swap
-    /// register. The test suite asserts this stays put (the paper's
-    /// budget; cf. Khanchandani & Wattenhofer).
+    /// lock are swap, the epoch is fetch&add, the cache is a wide
+    /// fetch&add register. The test suite asserts this stays put (the
+    /// paper's budget; cf. Khanchandani & Wattenhofer).
     pub fn consensus_ceiling(&self) -> ConsensusNumber {
         use crate::slots::{PubSlot, SeqCache};
         let parts = [
             PubSlot::CONSENSUS_NUMBER,
             CombinerLock::CONSENSUS_NUMBER,
             SeqCache::CONSENSUS_NUMBER,
-            Swap::CONSENSUS_NUMBER,
             FetchAdd::CONSENSUS_NUMBER,
             sl2_bignum::WideFaa::CONSENSUS_NUMBER,
         ];
@@ -418,7 +414,7 @@ impl<O: Combinable> Combiner<O> {
         // say *which request's* election this was: payload 0 = lost,
         // 1 = won, 2 = reclaimed a dead holder's lock.
         sl2_trace::event("combine.announce", process as u64);
-        let elected = self.elect(Some(process), || {
+        let elected = self.elect(process, || {
             // Lost the election: the plain wait-free path, then retire
             // the announcement (a combiner that already claimed it
             // re-applies harmlessly — `apply` is idempotent).
@@ -460,7 +456,8 @@ impl<O: Combinable> Combiner<O> {
     }
 
     /// One combining tenure: sweep every slot, apply the claims through
-    /// `applier`'s lanes, then publish and release. `base` is the fold
+    /// `applier`'s lanes, then publish into `applier`'s cache lane and
+    /// release. `base` is the fold
     /// to start from — `None` merges onto the published cache (the
     /// normal tenure, which skips publication when the sweep came up
     /// empty); `Some(fold)` publishes unconditionally from that fold
@@ -470,7 +467,7 @@ impl<O: Combinable> Combiner<O> {
         // Times the whole tenure (sweep + publish + release).
         let _tenure_timer = sl2_obs::time("combine.fold_batch");
         let publish_always = base.is_some();
-        let mut fold = base.unwrap_or_else(|| self.published.read());
+        let mut fold = base.unwrap_or_else(|| self.published.read(&self.lanes()));
         let mut applied = 0;
         for i in 0..self.slots.len() {
             sl2_chaos::point("combine.mid_sweep");
@@ -483,7 +480,8 @@ impl<O: Combinable> Combiner<O> {
         }
         sl2_obs::record("combine.batch_size", applied as u64);
         sl2_trace::event("combine.fold", applied as u64);
-        self.release(tenure, (publish_always || applied > 0).then_some(fold));
+        let fold = (publish_always || applied > 0).then_some(fold);
+        self.release(tenure, applier, fold);
         applied
     }
 }

@@ -8,8 +8,9 @@
 //! regime: operations are *announced* in per-process
 //! [`PublicationArray`] slots (swap), one announcer wins a
 //! [`CombinerLock`] election (swap), applies the batch to the inner
-//! sharded object, and publishes a whole-object fold to a single cache
-//! register — so read-heavy callers take a **1-load fast path**
+//! sharded object, and publishes a whole-object fold into a cache that
+//! is itself a Theorem-1 max register — so read-heavy callers take a
+//! **1-load fast path** (one 16-byte load and a word-kernel fold)
 //! instead of the S-probe fold. Khanchandani & Wattenhofer's point
 //! ("Is Compare-and-Swap Really Necessary?") holds throughout: slots,
 //! lock, cache and epoch are swap/fetch&add, compare&swap appears
@@ -26,8 +27,8 @@
 //!   no blocked states — and neither do the checker twins in
 //!   [`machines`].
 //! * **the cached read is honest about what it is** — exact as of its
-//!   publication, never ahead, monotone while one tenure publishes at a
-//!   time (ROADMAP item 1), but stale against direct-path completions.
+//!   publication, never ahead, monotone even across overlapping
+//!   tenures, but stale against direct-path completions.
 //!   Combining is a *helping* pattern, exactly the
 //!   structure the "Difficulty of Consistent Refereeing" impossibility
 //!   line warns can break strong linearizability — so the cached read
@@ -58,7 +59,7 @@
 //! });
 //! // Exact read (stable collect) vs the 1-load cached fold.
 //! assert_eq!(max.read_max(), 40);
-//! max.refresh();
+//! max.refresh(0);
 //! assert_eq!(max.read_cached(), 40);
 //! ```
 

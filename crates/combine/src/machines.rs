@@ -5,9 +5,9 @@
 //! inner objects: the same announce → elect → (combine | direct)
 //! protocol for the max register, and increment → elect → publish for
 //! the counter, with every base object a [`SimMemory`] cell (`Swap`
-//! slots, `Swap` lock, `Swap` cache, `Wide` inner shards) and every
+//! slots, `Swap` lock, `AMaxReg` cache, `Wide` inner shards) and every
 //! protocol action one [`OpMachine::step`]. As in production, both
-//! twins share one election step ([`Elect`]) and one publish-then-unlock
+//! twins share one election step (`Elect`) and one publish-then-unlock
 //! step ([`Release`]), and their reads one [`Read`]. The whole point
 //! of the front-end — a 1-load cached read — is also its semantic
 //! risk: combining is a *helping* pattern, exactly the structure the
@@ -34,19 +34,16 @@
 //! observability, not semantics — no read path consults it) to keep
 //! the checker's state space tight.
 //!
-//! The publish step models production's two-swap repair
-//! (`Published::publish`): a publication that displaces a larger fold
-//! swaps it straight back. No pinned record reaches that second swap,
-//! because none runs two publishers at once: the anonymous lock admits
-//! one holder, and the recovery election's restore-on-clobber never
-//! lets a second process win while the first holds the lock. What the
-//! twins still do not model (ROADMAP item 1(a)):
-//!
-//! * the validated `release` — a twin unlocks with a plain swap of 0;
-//! * strike-based reclaim of a stalled but live holder — the recovery
-//!   twin takes over only the planted [`DEAD_LEASE`];
-//! * any record with two publishers at once, and so the windows of the
-//!   two-swap repair.
+//! The cache is an atomic max-register cell, written with one
+//! `max_write` and read with one `max_read`, as production's
+//! publication and cached read each are one operation on a Theorem-1
+//! max register. That is sound by composition: Theorem 1's register
+//! is strongly linearizable (the `thm1/` records certify its twin),
+//! and strong linearizability composes, so the atomic cell stands for
+//! it (DESIGN.md §10). Because that cell cannot go backwards, two
+//! publishers at once are harmless, and the one thing the twins leave
+//! out is strike-based reclaim of a stalled but live holder: the
+//! recovery twin takes over only the planted [`DEAD_LEASE`].
 //!
 //! Inner lanes go through the shared [`LaneEncoding`] codec: the
 //! constructors model the paper's unary lanes, and `with_encoding`
@@ -100,7 +97,7 @@ impl FrontCells {
         FrontCells {
             slots: (0..n).map(|_| mem.alloc(Cell::Swap(0))).collect(),
             lock: mem.alloc(Cell::Swap(0)),
-            cache: mem.alloc(Cell::Swap(0)),
+            cache: mem.alloc(Cell::AMaxReg(0)),
             shards: (0..shards)
                 .map(|_| mem.alloc(Cell::Wide(BigNat::zero())))
                 .collect(),
@@ -133,48 +130,28 @@ impl FrontCells {
 
 /// The election: one swap of the anonymous lock word `1` (a non-zero
 /// answer loses), or under recovery of the lease [`LEASE_BASE`]` + p`,
-/// which wins on `0` or [`DEAD_LEASE`] (a takeover) and puts any other,
-/// live lease back with a second swap before losing (restore-on-clobber
-/// — production's read-first acquire shrinks but cannot close this
-/// window).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Elect {
-    /// Swap the own lock word in.
-    Swap,
-    /// Lost against a live lease: swap it back.
-    Restore(u64),
-}
+/// which wins on `0` or [`DEAD_LEASE`] (a takeover). A loser's word
+/// stays in the cell until the holder's unlock clears it, as in
+/// production's `CombinerLock::try_acquire`.
+struct Elect;
 
 impl Elect {
-    /// One memory operation; ready with whether the election was won.
-    fn step(&mut self, mem: &mut SimMemory, lock: Loc, lease: Option<u64>) -> Step<bool> {
-        match (*self, lease) {
-            (Elect::Swap, None) => Step::Ready(mem.swap(lock, 1) == 0),
-            (Elect::Swap, Some(lease)) => match mem.swap(lock, lease) {
-                0 | DEAD_LEASE => Step::Ready(true),
-                prev => {
-                    *self = Elect::Restore(prev);
-                    Step::Pending
-                }
-            },
-            (Elect::Restore(prev), _) => {
-                mem.swap(lock, prev);
-                Step::Ready(false)
-            }
+    /// One memory operation: whether the election was won.
+    fn won(mem: &mut SimMemory, lock: Loc, lease: Option<u64>) -> bool {
+        match lease {
+            None => mem.swap(lock, 1) == 0,
+            Some(lease) => matches!(mem.swap(lock, lease), 0 | DEAD_LEASE),
         }
     }
 }
 
-/// The end of a won tenure: publish a fold into the cache register,
-/// then unlock — production's `Combiner` publication routine. The
-/// publish is `Published::publish`'s two-swap repair: a displaced fold
-/// larger than the published one is swapped straight back.
+/// The end of a won tenure: publish a fold into the cache max register,
+/// then unlock with a plain swap of 0 — production's `Combiner`
+/// publication routine and `CombinerLock::release`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Release {
-    /// Swap the fold into the cache register.
+    /// Write the fold into the cache max register.
     Publish(u64),
-    /// The publish displaced this larger fold: swap it back.
-    Repair(u64),
     /// Swap the lock word out.
     Unlock,
 }
@@ -182,28 +159,24 @@ pub enum Release {
 impl Release {
     /// One memory operation; ready once the lock is released.
     fn step(&mut self, mem: &mut SimMemory, cells: &FrontCells) -> Step<()> {
-        *self = match *self {
-            Release::Publish(fold) => match mem.swap(cells.cache, fold) {
-                prev if prev > fold => Release::Repair(prev),
-                _ => Release::Unlock,
-            },
-            Release::Repair(prev) => {
-                mem.swap(cells.cache, prev);
-                Release::Unlock
+        match *self {
+            Release::Publish(fold) => {
+                mem.max_write(cells.cache, fold);
+                *self = Release::Unlock;
+                Step::Pending
             }
             Release::Unlock => {
                 mem.swap(cells.lock, 0);
-                return Step::Ready(());
+                Step::Ready(())
             }
-        };
-        Step::Pending
+        }
     }
 }
 
 /// A whole-object read through the front-end.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Read {
-    /// [`ReadMode::Cached`]: one load of the cache register.
+    /// [`ReadMode::Cached`]: one read of the cache max register.
     Cached(Loc),
     /// [`ReadMode::Stable`]: the inner stable collect, bypassing the
     /// cache.
@@ -220,7 +193,7 @@ impl Read {
     /// pass reduced by `finish`.
     fn step(&mut self, mem: &mut SimMemory, finish: fn(Sharding, &[u64]) -> u64) -> Step<u64> {
         match self {
-            Read::Cached(cache) => Step::Ready(mem.read(*cache)),
+            Read::Cached(cache) => Step::Ready(mem.max_read(*cache)),
             Read::Stable { sharding, collect } => {
                 collect.step(mem).map(|pass| finish(*sharding, &pass))
             }
@@ -371,10 +344,11 @@ where
 /// Where a combining max-register write currently is in the protocol.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum WriteStage {
-    /// Announce: swap `payload + 1` into the own slot.
+    /// Announce: swap `payload` into the own slot (0 announces
+    /// nothing).
     Publish,
     /// The shared election, with the anonymous lock word.
-    Elect(Elect),
+    Elect,
     /// Combiner sweep, peeking slot `.0` (a read).
     SweepPeek(usize),
     /// Combiner sweep, claiming occupied slot `.0` (a swap-out).
@@ -454,16 +428,18 @@ impl WriteState {
         let cells = &self.cells;
         self.stage = match self.stage.clone() {
             WriteStage::Publish => {
-                mem.swap(cells.slots[self.process], self.payload + 1);
-                WriteStage::Elect(Elect::Swap)
+                mem.swap(cells.slots[self.process], self.payload);
+                WriteStage::Elect
             }
-            WriteStage::Elect(mut elect) => match elect.step(mem, cells.lock, None) {
-                Step::Pending => WriteStage::Elect(elect),
-                Step::Ready(true) => WriteStage::ReadCache,
-                Step::Ready(false) => WriteStage::Direct(self.write_of(self.payload)),
-            },
+            WriteStage::Elect => {
+                if Elect::won(mem, cells.lock, None) {
+                    WriteStage::ReadCache
+                } else {
+                    WriteStage::Direct(self.write_of(self.payload))
+                }
+            }
             WriteStage::ReadCache => {
-                self.fold = mem.read(cells.cache);
+                self.fold = mem.max_read(cells.cache);
                 WriteStage::SweepPeek(0)
             }
             WriteStage::SweepPeek(i) => match mem.read(cells.slots[i]) {
@@ -472,10 +448,10 @@ impl WriteState {
             },
             WriteStage::SweepTake(i) => match mem.swap(cells.slots[i], 0) {
                 0 => self.after_slot(i), // withdraw raced the claim
-                stored => WriteStage::Apply {
+                value => WriteStage::Apply {
                     i,
-                    value: stored - 1,
-                    write: self.write_of(stored - 1),
+                    value,
+                    write: self.write_of(value),
                 },
             },
             WriteStage::Apply {
@@ -600,16 +576,17 @@ where
     /// tenure is initial state and every in-tree operation still
     /// terminates (the wait-freedom claim survives the fault).
     pub fn abandon_lock(self, mem: &mut SimMemory) -> Self {
-        let won = Elect::Swap.step(mem, self.cells.lock, None);
-        assert_eq!(won, Step::Ready(true), "the lock starts free");
+        assert!(
+            Elect::won(mem, self.cells.lock, None),
+            "the lock starts free"
+        );
         self
     }
 
     /// Arms the lease-reclaim election (the
     /// [`crate::CombinerLock::reclaim`] model): the election swaps the
-    /// process's unique lease instead of the anonymous 1, treats a
-    /// [`DEAD_LEASE`] answer as a takeover, and restores a live
-    /// holder's lease before completing lost.
+    /// process's unique lease instead of the anonymous 1 and treats a
+    /// [`DEAD_LEASE`] answer as a takeover.
     pub fn with_recovery(mut self) -> Self {
         self.recovery = true;
         self
@@ -694,7 +671,7 @@ pub enum IncStage {
     Write(LaneWrite),
     /// The shared election: lost completes the increment unpublished
     /// (the staleness the cached read pays), won folds.
-    Elect(Elect),
+    Elect,
     /// Election won: one naive pass over the stripes.
     Fold(Collect),
     /// The shared publish-then-unlock.
@@ -706,13 +683,15 @@ impl IncState {
     fn step(&mut self, mem: &mut SimMemory) -> Step<CounterResp> {
         let cells = &self.cells;
         let next = match &mut self.stage {
-            IncStage::Write(write) => write.step(mem).map(|()| IncStage::Elect(Elect::Swap)),
-            IncStage::Elect(elect) => match elect.step(mem, cells.lock, self.lease) {
-                Step::Ready(false) => return Step::Ready(CounterResp::Ok),
-                won => {
-                    won.map(|_| IncStage::Fold(cells.collect(Reduce::Sum, WholeReadMode::Naive)))
+            IncStage::Write(write) => write.step(mem).map(|()| IncStage::Elect),
+            IncStage::Elect => {
+                if !Elect::won(mem, cells.lock, self.lease) {
+                    return Step::Ready(CounterResp::Ok);
                 }
-            },
+                Step::Ready(IncStage::Fold(
+                    cells.collect(Reduce::Sum, WholeReadMode::Naive),
+                ))
+            }
             IncStage::Fold(collect) => collect
                 .step(mem)
                 .map(|pass| IncStage::Release(Release::Publish(pass.iter().sum()))),
@@ -796,18 +775,30 @@ mod tests {
     }
 
     #[test]
-    fn a_publication_that_displaces_a_larger_fold_swaps_it_back() {
-        // Production's two-swap repair, solo: a larger fold planted in
-        // the cache (what an overlapping publisher leaves) costs the
-        // publication one extra swap and survives it.
+    fn a_publication_below_a_larger_fold_leaves_it() {
+        // A larger fold already in the cache (what an overlapping
+        // publisher leaves) survives a smaller publication, at no
+        // extra step: the cache is a max register.
         let mut mem = SimMemory::new();
         let alg = CombiningCounterAlg::cached(&mut mem, 2, 2);
-        mem.swap(alg.cells.cache, 5);
+        mem.max_write(alg.cells.cache, 5);
         let (r, steps) = run_solo(&mut alg.machine(0, &CounterOp::Inc), &mut mem);
         assert_eq!(r, CounterResp::Ok);
-        assert_eq!(steps, 8, "the 7 steps of a solo inc, plus the repair");
-        assert_eq!(mem.read(alg.cells.cache), 5, "the larger fold is back");
+        assert_eq!(steps, 7, "the 7 steps of a solo inc");
+        assert_eq!(mem.max_read(alg.cells.cache), 5, "the larger fold stays");
         assert_eq!(mem.read(alg.cells.lock), 0, "and the tenure released");
+    }
+
+    #[test]
+    fn a_max_register_write_of_zero_announces_nothing() {
+        // Solo: announce 0, win, read the cache, peek two empty slots,
+        // unlock with nothing to publish.
+        let mut mem = SimMemory::new();
+        let alg = CombiningMaxRegAlg::new(&mut mem, 2, 2, ReadMode::Cached);
+        let (r, steps) = run_solo(&mut alg.machine(0, &MaxOp::Write(0)), &mut mem);
+        assert_eq!((r, steps), (MaxResp::Ok, 6));
+        assert_eq!(mem.max_read(alg.cells.cache), 0);
+        assert_eq!(mem.read(alg.cells.lock), 0, "the tenure released");
     }
 
     // -- checker verdicts (the DESIGN.md §8 table) ---------------------
@@ -1031,7 +1022,7 @@ mod tests {
     fn recovery_resumes_combining_and_certifies_the_lagging_window() {
         // The tentpole adjudication: with lease reclaim armed, some
         // interleavings republish the full fold (a read sees 2), and
-        // the whole tree — takeovers, clobber-restores, post-recovery
+        // the whole tree — takeovers, lost swaps, post-recovery
         // reads — is certified strongly linearizable against the
         // lagging window. Recovery restores publication, not
         // exactness: the exact spec still refutes.

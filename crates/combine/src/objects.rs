@@ -147,13 +147,11 @@ pub type CombiningCounter = Combiner<ShardedFetchInc>;
 
 impl Combiner<ShardedFetchInc> {
     /// Increments by one on behalf of `process` (always the wait-free
-    /// striped path), then runs the publication [`Combiner::refresh`]
-    /// runs, under `process`'s identity: unlike an anonymous refresh,
-    /// it may reclaim a frozen lease. Returns whether this increment
-    /// published.
+    /// striped path), then runs [`Combiner::refresh`] for `process`.
+    /// Returns whether this increment published.
     pub fn inc_traced(&self, process: usize) -> bool {
         self.inner().inc(process);
-        self.republish(Some(process))
+        self.refresh(process)
     }
 
     /// Increments by one on behalf of `process`.
@@ -315,6 +313,13 @@ mod tests {
         m.write_max(1, 4);
         assert_eq!(m.read_cached(), 9, "smaller write keeps the fold");
         assert_eq!(m.read_max(), 9);
+        let epoch = m.epoch();
+        assert_eq!(m.apply(1, 0), ApplyPath::Combined { applied: 0 });
+        assert_eq!(
+            m.epoch(),
+            epoch,
+            "a write of 0 announces and publishes nothing"
+        );
     }
 
     #[test]
@@ -364,7 +369,7 @@ mod tests {
             });
         });
         assert_eq!(c.read_exact(), (n as u64) * 300, "no increment lost");
-        c.refresh();
+        c.refresh(0);
         assert_eq!(c.read_cached(), (n as u64) * 300, "refresh catches up");
     }
 
@@ -430,7 +435,7 @@ mod tests {
             });
         });
         assert_eq!(m.read_max(), 200 * n as u64);
-        m.refresh();
+        m.refresh(0);
         assert_eq!(m.read_cached(), 200 * n as u64);
     }
 

@@ -24,11 +24,14 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use sl2_bignum::{Lanes, WideFaa};
+use sl2_core::algos::max_register::SlMaxRegister;
 use sl2_primitives::{BaseObject, CachePadded, ConsensusNumber, FetchAdd, Lines, Swap};
 
 use crate::combiner::Suspicion;
 
-/// Slot word meaning "no operation announced".
+/// Slot word meaning "no operation announced"; only a no-op encodes to
+/// it ([`crate::Combinable::encode`]).
 const EMPTY: u64 = 0;
 
 /// One process's announcement slot: a swap register.
@@ -59,10 +62,10 @@ pub struct ProcessLine {
 /// The announcement slots of all `n` processes, one padded cache line
 /// per process (shared with that process's `Suspicion` cell).
 ///
-/// Operation words are offset by one internally so the all-zeros
-/// initial state reads as "nothing announced" — callers publish any
-/// encoding below `u64::MAX` and get it back verbatim from
-/// [`PublicationArray::take`].
+/// Operation words are stored verbatim, and the all-zeros initial
+/// state reads as "nothing announced": a published non-zero word comes
+/// back from [`PublicationArray::take`], and publishing 0 announces
+/// nothing.
 ///
 /// # Examples
 ///
@@ -121,17 +124,9 @@ impl PublicationArray {
     /// means the previous operation already completed via the direct
     /// path with its withdraw lost to a concurrent [`take`].
     ///
-    /// # Panics
-    ///
-    /// Panics if `word == u64::MAX` (the one encoding the offset cannot
-    /// represent).
-    ///
     /// [`take`]: PublicationArray::take
     pub fn publish(&self, process: usize, word: u64) {
-        let stored = word
-            .checked_add(1)
-            .expect("operation encoding must stay below u64::MAX");
-        self.lines[process].slot.cell.swap(stored);
+        self.lines[process].slot.cell.swap(word);
     }
 
     /// Claims the announcement in slot `i`, if any: a read (cheap for
@@ -147,7 +142,7 @@ impl PublicationArray {
         }
         match slot.cell.swap(EMPTY) {
             EMPTY => None,
-            stored => Some(stored - 1),
+            word => Some(word),
         }
     }
 
@@ -164,13 +159,15 @@ impl PublicationArray {
 /// [`CombinerLock::try_acquire`] (or [`CombinerLock::reclaim`]), to be
 /// surrendered via [`CombinerLock::release`].
 ///
-/// The wrapped id is the *lease word* the lock cell holds for the
-/// duration of the tenure — globally unique (a fetch&add generation
-/// counter mints it), never zero. Uniqueness is what makes abandonment
-/// detectable: a crashed combiner's lease stays frozen in the cell
-/// forever, while any live tenure eventually ends or advances the
-/// epoch, so "same lease, same epoch, observed twice" is evidence of
-/// a dead holder (see [`CombinerLock::reclaim`]).
+/// The wrapped id is the *lease word* the winning swap put in the lock
+/// cell — globally unique (a fetch&add generation counter mints it),
+/// never zero. A losing acquirer's swap may replace it with the
+/// loser's own word, which stands in for the tenure until its release
+/// clears the cell. Uniqueness is what makes abandonment detectable: a
+/// crashed combiner leaves the cell frozen on one word forever, while
+/// any live tenure eventually ends or advances the epoch, so "same
+/// word, same epoch, observed twice" is evidence of a dead holder (see
+/// [`CombinerLock::reclaim`]).
 #[derive(Debug, PartialEq, Eq)]
 #[must_use = "an unreleased lease abandons the combiner lock"]
 pub struct Lease {
@@ -185,10 +182,10 @@ impl Lease {
 }
 
 /// The combiner election: a swap-based try-lock (consensus number 2 —
-/// `swap` decides the two-process race the election is) whose holder
-/// is identified by a unique, non-zero *lease* word, so a lock
-/// abandoned by a crash-stopped combiner can be detected and
-/// reclaimed by the survivors.
+/// `swap` decides the two-process race the election is) whose cell
+/// holds unique, non-zero *lease* words, so a lock abandoned by a
+/// crash-stopped combiner can be detected and reclaimed by the
+/// survivors.
 ///
 /// Strictly a *try*-lock: there is no blocking acquire, because the
 /// combining protocol has no waiters — losers take the direct path.
@@ -196,26 +193,28 @@ impl Lease {
 /// # Protocol (swap + fetch&add only — no compare&swap)
 ///
 /// * **Acquire** reads the cell first and fails fast while it is
-///   non-zero, then swaps a freshly minted lease in. A non-zero swap
-///   result means another acquirer won the same race; the loser hands
-///   the winner's lease straight back (restore-on-clobber) and
-///   reports failure.
-/// * **Release** swaps zero in and checks it got its own lease back.
-///   Getting someone else's lease back means the tenure was reclaimed
-///   while this combiner was (wrongly) suspected dead; the foreign
-///   lease is restored and `release` reports the anomaly.
-/// * **Reclaim** takes over a lease the caller has independently
-///   observed frozen (same lease *and* no epoch progress across
-///   repeated observations): one swap, validated against the
-///   suspected lease, restored if the cell moved meanwhile.
+///   non-zero, then swaps a freshly minted lease in, and wins iff the
+///   swap displaced 0. A loser's lease stays in the cell: the cell is
+///   non-zero until the tenure's release clears it, which is all the
+///   next acquirer needs to see.
+/// * **Release** swaps 0 in; the lock is free afterwards, whatever
+///   word a losing or rescuing swap left in the cell meanwhile.
+/// * **Reclaim** takes over a lease word the caller has independently
+///   observed frozen (same word *and* no epoch progress across
+///   repeated observations): one swap, won iff it displaced exactly
+///   that word or 0.
 ///
-/// Under crash-stop faults the suspicion evidence is conclusive once
-/// the suspect is really dead, so reclaim never steals from a live
-/// combiner. A merely *stalled* combiner can be suspected wrongly: the
-/// release validation keeps the lock consistent, but the published
-/// cache stays monotone only while one tenure publishes at a time —
-/// a resurrected publisher overlapping its rescuer can regress it
-/// (ROADMAP item 1; DESIGN.md §10 spells out the model boundary).
+/// No arm swaps a displaced word back, so no interleaving can leave
+/// the cell frozen on the word of a tenure that has ended. Without
+/// reclaim, tenures are exclusive: a swap wins only by displacing 0,
+/// and only a winner's release puts 0 back. Under crash-stop faults
+/// the suspicion evidence is conclusive once the suspect is really
+/// dead, but a merely *stalled* holder can be suspected wrongly, and
+/// then its tenure overlaps the rescuer's. The combining front-end
+/// tolerates that by construction: its published fold is a Theorem-1
+/// max register, which cannot go backwards (DESIGN.md §10).
+/// [`crate::CombiningSnapshot`], whose multi-word cache needs one
+/// writer, never reclaims.
 ///
 /// # Examples
 ///
@@ -249,6 +248,10 @@ pub struct CombinerLock {
     /// Written only on the way to swapping `cell`, so it rides `cell`'s
     /// line.
     gen: FetchAdd,
+    /// Publications made under this lock, counted by the combining
+    /// front-end's publishers on the line its losers already read for
+    /// suspicion evidence.
+    pub(crate) epoch: FetchAdd,
 }
 
 impl CombinerLock {
@@ -265,8 +268,8 @@ impl CombinerLock {
 
     /// Tries to win the election: `Some(lease)` iff the caller now
     /// holds the lock. Read-first so losing costs one shared load on
-    /// the common held-lock path; the swap race among simultaneous
-    /// acquirers is resolved by restore-on-clobber.
+    /// the common held-lock path; among simultaneous acquirers, the
+    /// one whose swap displaced 0 wins.
     pub fn try_acquire(&self) -> Option<Lease> {
         if self.cell.read() != 0 {
             return None;
@@ -275,44 +278,30 @@ impl CombinerLock {
     }
 
     /// Swaps a fresh lease in and keeps it if the cell held `expected`
-    /// or was free; any other word is a live holder's lease, handed
-    /// straight back (restore-on-clobber) before failing.
+    /// or was free. On any other word the caller loses, and its lease
+    /// stays in the cell until the standing tenure's release clears it.
     fn swap_in(&self, expected: u64) -> Option<Lease> {
         let id = self.fresh_id();
-        match self.cell.swap(id) {
-            prev if prev == expected || prev == 0 => Some(Lease { id }),
-            live => {
-                self.cell.swap(live);
-                None
-            }
-        }
+        let prev = self.cell.swap(id);
+        (prev == expected || prev == 0).then_some(Lease { id })
     }
 
-    /// Releases the lock. Returns `true` on a clean handback (the
-    /// cell still held this lease); `false` means the tenure had been
-    /// reclaimed by a survivor that suspected this combiner dead — the
-    /// reclaimer's lease is restored and the caller must treat its
-    /// tenure as forfeited (its publication already happened; it kept
-    /// the cache monotone only if it did not overlap the rescuer's,
-    /// ROADMAP item 1).
+    /// Releases the lock: one swap of 0, after which the lock is free.
+    /// Returns whether the cell still held this lease; `false` means a
+    /// losing acquirer's swap or a rescuer's reclaim replaced it during
+    /// the tenure, which the combining front-end tolerates (see the
+    /// type docs).
     pub fn release(&self, lease: Lease) -> bool {
-        match self.cell.swap(0) {
-            id if id == lease.id => true,
-            0 => false, // reclaimed *and* released again meanwhile
-            foreign => {
-                self.cell.swap(foreign);
-                false
-            }
-        }
+        self.cell.swap(0) == lease.id
     }
 
-    /// Takes over a tenure whose lease the caller has observed frozen
-    /// (same `suspected` lease word with no epoch progress across
+    /// Takes over a tenure whose lease word the caller has observed
+    /// frozen (same `suspected` word with no epoch progress across
     /// repeated, spaced observations — the caller supplies the
     /// evidence, e.g. [`crate::Combiner`]'s per-process strike
-    /// counters). Returns the new lease iff the takeover landed on
-    /// exactly the suspected tenure (or on a lock that had just been
-    /// freed); any other interleaving restores the cell and fails.
+    /// counters). Returns the new lease iff the takeover displaced
+    /// exactly the suspected word (or landed on a lock that had just
+    /// been freed).
     pub fn reclaim(&self, suspected: u64) -> Option<Lease> {
         if suspected == 0 || self.cell.read() != suspected {
             return None;
@@ -352,8 +341,8 @@ pub(crate) struct Tenure<'a> {
 impl Drop for Tenure<'_> {
     fn drop(&mut self) {
         if let Some(lease) = self.lease.take() {
-            // `false`: a survivor reclaimed the tenure; forfeit (see
-            // `CombinerLock::release`).
+            // `false` only says another word replaced the lease; the
+            // lock is free either way (see `CombinerLock::release`).
             let _ = self.lock.release(lease);
         }
     }
@@ -363,37 +352,29 @@ impl BaseObject for CombinerLock {
     const CONSENSUS_NUMBER: ConsensusNumber = ConsensusNumber::Two;
 }
 
-/// The published single-word fold and its publication count: both
-/// written only by a publisher (under the election lock), back to back.
+/// The published fold: a Theorem-1 max register over one binary lane
+/// per process, run by [`SlMaxRegister`]'s own code on a borrowed
+/// [`WideFaa`]. A publisher raises only its own lane, so publications
+/// from overlapping tenures commute and a read never goes backwards.
 #[derive(Debug, Default)]
 #[repr(align(64))]
 pub(crate) struct Published {
-    fold: Swap,
-    pub(crate) epoch: FetchAdd,
+    fold: WideFaa,
 }
 
 impl Published {
-    /// The last published fold (one read).
-    pub(crate) fn read(&self) -> u64 {
-        self.fold.read()
+    /// The largest fold published so far: one 16-byte load while the
+    /// register is inline, then the word-kernel fold over the lanes.
+    pub(crate) fn read(&self, lanes: &Lanes) -> u64 {
+        SlMaxRegister::read_on(&self.fold, lanes)
     }
 
-    /// Publishes `fold`, then counts the publication. Folds only grow,
-    /// so if the swap displaces a *larger* value, a concurrent
-    /// publisher (possible only across a wrongful reclaim of a
-    /// stalled-but-live tenure) got there with fresher data, and the
-    /// second swap puts it back. The repair is not monotone: a read
-    /// between the two swaps sees the smaller fold, and a third
-    /// publisher's fold swapped in between them is overwritten until
-    /// the next publication (ROADMAP item 1). The one caller is
-    /// `Combiner`'s publication routine; the step-machine twins model
-    /// both swaps.
-    pub(crate) fn publish(&self, fold: u64) {
-        let prev = self.fold.swap(fold);
-        if prev > fold {
-            self.fold.swap(prev);
-        }
-        self.epoch.fetch_add(1);
+    /// Raises `process`'s lane to `fold` (a no-op if the lane already
+    /// holds at least that). The one caller is `Combiner`'s
+    /// publication routine; the step-machine twins model it as one
+    /// `max_write`.
+    pub(crate) fn publish(&self, lanes: &Lanes, process: usize, fold: u64) {
+        SlMaxRegister::write_on(&self.fold, lanes, process, fold);
     }
 }
 
@@ -485,9 +466,9 @@ mod tests {
         assert_eq!(slots.len(), 3);
         assert!(!slots.is_empty());
         assert_eq!(slots.take(1), None, "initially empty");
-        slots.publish(1, 0); // word 0 is a legal encoding
+        slots.publish(1, u64::MAX); // every non-zero word is stored verbatim
         assert!(slots.lines[1].slot.is_occupied());
-        assert_eq!(slots.take(1), Some(0));
+        assert_eq!(slots.take(1), Some(u64::MAX));
         assert!(!slots.withdraw(1), "take already claimed it");
         slots.publish(1, 41);
         assert!(slots.withdraw(1), "owner got it back");
@@ -495,9 +476,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "below u64::MAX")]
-    fn publish_rejects_the_unencodable_word() {
-        PublicationArray::new(1).publish(0, u64::MAX);
+    fn publishing_zero_announces_nothing() {
+        let slots = PublicationArray::new(1);
+        slots.publish(0, 0);
+        assert_eq!(slots.take(0), None);
+        assert!(!slots.withdraw(0));
     }
 
     #[test]
@@ -541,7 +524,7 @@ mod tests {
     }
 
     #[test]
-    fn abandoned_lease_is_reclaimable_and_forfeits_the_late_release() {
+    fn abandoned_lease_is_reclaimable_and_a_late_release_frees_the_lock() {
         let lock = CombinerLock::new();
         let dead = lock.try_acquire().expect("free lock");
         let frozen = dead.id();
@@ -559,12 +542,34 @@ mod tests {
         assert_eq!(lock.holder(), rescued.id());
 
         // The suspect was merely stalled after all: its late release
-        // must report forfeiture and leave the rescuer's tenure held.
-        assert!(!lock.release(dead), "forfeited tenure");
-        assert_eq!(lock.holder(), rescued.id());
-
-        assert!(lock.release(rescued));
+        // reports that its lease was replaced and frees the lock. The
+        // two tenures overlap from here on, which the max-register
+        // cache makes harmless.
+        assert!(!lock.release(dead), "the lease was replaced");
+        assert!(!lock.is_held(), "a late release frees the lock");
+        let next = lock.try_acquire().expect("free again");
+        assert!(
+            !lock.release(rescued),
+            "the rescuer's lease was released early"
+        );
         assert!(!lock.is_held());
+        assert!(!lock.release(next));
+    }
+
+    #[test]
+    fn a_losing_swap_cannot_freeze_the_lock_on_a_released_lease() {
+        // A and B both read 0 in `try_acquire`. A swaps in and wins; B
+        // swaps its own lease in, gets A's back and loses (the raw
+        // swap below is B's). A then releases. No arm swaps anything
+        // back, so the lock is free, not frozen on A's ended lease.
+        let lock = CombinerLock::new();
+        let a = lock.try_acquire().expect("free lock");
+        let b = lock.fresh_id();
+        assert_eq!(lock.cell.swap(b), a.id(), "B's swap loses to A");
+        assert!(!lock.release(a), "A's release finds B's word");
+        assert!(!lock.is_held(), "the lock is free");
+        let next = lock.try_acquire().expect("the next acquire wins");
+        assert!(lock.release(next));
     }
 
     #[test]

@@ -70,27 +70,41 @@ impl SlMaxRegister {
     }
 }
 
-impl MaxRegister for SlMaxRegister {
-    fn write_max(&self, process: usize, v: u64) {
+impl SlMaxRegister {
+    /// Theorem 1's `writeMax` on a borrowed register: the code every
+    /// production write runs, whether the register is this struct's or
+    /// another object's (the combining front-end's published fold).
+    /// `process` must be the only writer of its lane.
+    pub fn write_on(reg: &WideFaa, lanes: &Lanes, process: usize, v: u64) {
         // Step 1: recover prevLocalMax from the own lane (only this
         // process writes it) via a fetch&add(R, 0) probe. The borrowed
-        // probe decodes from the register's atomic snapshot (one DWCAS
-        // read while the value is inline, a locked view once it has
+        // probe decodes from the register's atomic snapshot (one 16-byte
+        // load while the value is inline, a locked view once it has
         // spilled) — no copy of the whole register is materialized.
-        let prev = self
-            .reg
-            .read_with(|image| self.lanes.decode(process, image));
+        let prev = reg.read_with(|image| lanes.decode(process, image));
         let Some(new) = Target::AtLeast(v).next(prev) else {
             return; // the probing fetch&add was the linearization point
         };
         // Step 2: raise the lane to v in one fetch&add (the write-only
         // form: the previous value is not needed).
-        let (pos, neg) = self.lanes.adjustments(process, prev, new);
-        self.reg.adjust(&pos, &neg);
+        let (pos, neg) = lanes.adjustments(process, prev, new);
+        reg.adjust(&pos, &neg);
+    }
+
+    /// Theorem 1's `readMax` on a borrowed register: one
+    /// `fetch&add(R, 0)` probe folded over every lane.
+    pub fn read_on(reg: &WideFaa, lanes: &Lanes) -> u64 {
+        reg.read_with(|image| lanes.fold(image))
+    }
+}
+
+impl MaxRegister for SlMaxRegister {
+    fn write_max(&self, process: usize, v: u64) {
+        SlMaxRegister::write_on(&self.reg, &self.lanes, process, v);
     }
 
     fn read_max(&self) -> u64 {
-        self.reg.read_with(|image| self.lanes.fold(image))
+        SlMaxRegister::read_on(&self.reg, &self.lanes)
     }
 }
 

@@ -126,7 +126,7 @@
 //!     }
 //! });
 //! assert_eq!(max.read_max(), 100); // exact (stable collect)
-//! max.refresh(); // publish a fresh fold at quiescence
+//! max.refresh(0); // publish a fresh fold at quiescence, as process 0
 //! assert_eq!(max.read_cached(), 100); // 1 load
 //! ```
 //!

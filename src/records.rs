@@ -16,7 +16,9 @@
 //! [`LaneEncoding`] ([`recoded`], run unary), the other twins'
 //! records ([`twins`]), and the paper's remaining claims and baselines
 //! ([`claims`]). The benchmark's `checker` workload keeps its own copy
-//! of the first two parts.
+//! of the first two parts. One object is planted here rather than
+//! shipped: the combining cache's retired two-swap publication
+//! ([`claims`] pins its refutation).
 
 use sl2_bignum::LaneEncoding;
 use sl2_combine::{
@@ -38,6 +40,8 @@ use sl2_core::machines::rw_max_register::RwMaxRegAlg;
 use sl2_core::machines::simple::SimpleAlg;
 use sl2_core::machines::sl_set::SlSetAlg;
 use sl2_core::machines::snapshot::SnapshotAlg;
+use sl2_exec::machine::{OpMachine, Step};
+use sl2_exec::mem::{Cell, Loc};
 use sl2_exec::{
     check_strong, fan_in, validate_witness, Algorithm, CorpusOptions, CorpusReport, Scenario,
     ScenarioCorpus, SimMemory, StrongOptions,
@@ -53,7 +57,7 @@ use sl2_sharded::{
 use sl2_spec::counters::{CounterOp, CounterSpec, FaaOp, FetchIncOp, FetchIncSpec};
 use sl2_spec::fifo::{QueueOp, StackOp, StackSpec};
 use sl2_spec::keyed::{KeyedMaxSpec, LaggingKeyedMaxSpec};
-use sl2_spec::max_register::{MaxOp, MaxRegisterSpec};
+use sl2_spec::max_register::{MaxOp, MaxRegisterSpec, MaxResp};
 use sl2_spec::put_take::SetOp;
 use sl2_spec::snapshot::SnapOp;
 use sl2_spec::tas::TasOp;
@@ -528,6 +532,11 @@ pub fn claims<D: Driver>(d: &mut D) {
         ]),
         |mem| MaxRegAlg::new(mem, 3),
     );
+    // Two publishers and a double reader on the shipped binary lanes:
+    // the shape that refutes the two-swap cache below.
+    d.drive(&one("thm1/two_publishers", two_publishers()), |mem| {
+        MaxRegAlg::with_encoding(mem, 3, LaneEncoding::Binary)
+    });
     // Theorem 9: two increments against a read and an increment.
     d.drive(
         &one(
@@ -705,4 +714,85 @@ pub fn claims<D: Driver>(d: &mut D) {
         ),
         MultiwordFaaAlg::new,
     );
+    // The combining cache's retired publication: a read between the
+    // swap of 3 and the swap back of 5 returns 3 after Publish(5) has
+    // completed.
+    d.drive(
+        &one("two_swap_cache/two_publishers", two_publishers()),
+        TwoSwapCacheAlg::new,
+    );
+}
+
+/// `[[Publish(5)], [Publish(3)], [Read, Read]]`: two publications of
+/// folds, the larger first, against a reader that reads twice.
+fn two_publishers() -> Scenario<MaxRegisterSpec> {
+    Scenario::new(vec![
+        vec![MaxOp::Write(5)],
+        vec![MaxOp::Write(3)],
+        vec![MaxOp::Read, MaxOp::Read],
+    ])
+}
+
+/// The combining cache before it became a Theorem-1 max register: one
+/// swap word, whose publication swaps the fold in and then swaps a
+/// displaced larger fold back.
+#[derive(Debug, Clone)]
+struct TwoSwapCacheAlg {
+    cache: Loc,
+}
+
+impl TwoSwapCacheAlg {
+    fn new(mem: &mut SimMemory) -> Self {
+        TwoSwapCacheAlg {
+            cache: mem.alloc(Cell::Swap(0)),
+        }
+    }
+}
+
+impl Algorithm for TwoSwapCacheAlg {
+    type Spec = MaxRegisterSpec;
+    type Machine = TwoSwapCacheMachine;
+
+    fn spec(&self) -> MaxRegisterSpec {
+        MaxRegisterSpec
+    }
+
+    fn machine(&self, _process: usize, op: &MaxOp) -> TwoSwapCacheMachine {
+        match *op {
+            MaxOp::Write(fold) => TwoSwapCacheMachine::Publish(self.cache, fold),
+            MaxOp::Read => TwoSwapCacheMachine::Read(self.cache),
+        }
+    }
+}
+
+/// One publication or read of the two-swap cache.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+enum TwoSwapCacheMachine {
+    /// Swap the fold in.
+    Publish(Loc, u64),
+    /// The swap displaced this larger fold: swap it back.
+    Repair(Loc, u64),
+    /// One read of the cache word.
+    Read(Loc),
+}
+
+impl OpMachine for TwoSwapCacheMachine {
+    type Resp = MaxResp;
+
+    fn step(&mut self, mem: &mut SimMemory) -> Step<MaxResp> {
+        match *self {
+            TwoSwapCacheMachine::Publish(cache, fold) => match mem.swap(cache, fold) {
+                prev if prev > fold => {
+                    *self = TwoSwapCacheMachine::Repair(cache, prev);
+                    Step::Pending
+                }
+                _ => Step::Ready(MaxResp::Ok),
+            },
+            TwoSwapCacheMachine::Repair(cache, prev) => {
+                mem.swap(cache, prev);
+                Step::Ready(MaxResp::Ok)
+            }
+            TwoSwapCacheMachine::Read(cache) => Step::Ready(MaxResp::Value(mem.read(cache))),
+        }
+    }
 }

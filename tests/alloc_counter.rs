@@ -276,13 +276,14 @@ fn combined_cached_reads_and_small_value_writes_are_allocation_free() {
     // The ISSUE-5 pin: the combining front-end's 1-load cached read —
     // its whole reason to exist — must never touch the heap, and the
     // write path (announce, elect, sweep, fold, publish) stays
-    // allocation-free at small values too: slots/lock/cache are plain
-    // u64 swaps and the inner shards stay on BigNat's inline path.
+    // allocation-free at small values too: slots and lock are plain
+    // u64 swaps, and the cache and the inner shards stay on BigNat's
+    // inline path.
     let m = CombiningMaxRegister::new(ShardedMaxRegister::new(4, 4));
     for p in 0..4 {
         m.write_max(p, 4 + p as u64);
     }
-    m.refresh();
+    m.refresh(0);
 
     let (n, last) = allocs_during(|| {
         let mut last = 0;
@@ -301,7 +302,7 @@ fn combined_cached_reads_and_small_value_writes_are_allocation_free() {
                 m.write_max(p, 1); // stale value: probe-only apply
             }
         }
-        m.refresh()
+        m.refresh(0)
     });
     assert_eq!(n, 0, "combining write allocated on the small-value path");
     assert_eq!(m.read_cached(), 15);
@@ -326,7 +327,7 @@ fn combined_counter_cached_ops_are_allocation_free() {
     });
     assert_eq!(n, 0, "combining counter inc/read allocated at small counts");
     assert_eq!(c.read_exact(), 44);
-    c.refresh();
+    c.refresh(0);
     assert_eq!(c.read_cached(), 44);
 }
 

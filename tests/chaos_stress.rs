@@ -118,7 +118,101 @@ fn crash_stopped_combiner_is_reclaimed_and_survivors_finish() {
         high.load(Ordering::SeqCst),
         "chaos[seed={seed}]: a survivor write was lost"
     );
-    m.refresh();
+    m.refresh(0);
+    assert_eq!(
+        m.read_cached(),
+        m.read_max(),
+        "chaos[seed={seed}]: quiescent refresh diverged"
+    );
+}
+
+#[test]
+fn overlapping_tenures_never_regress_the_cached_fold() {
+    // A combiner stalls, alive, at `combine.pre_publish` with a stale
+    // fold in hand. Survivors see its lease frozen, reclaim it and
+    // publish far past it; then the stall ends and the stale fold is
+    // published into the overlapping tenures. The cache is a Theorem-1
+    // max register, so a reader that checks every read never sees it
+    // go backwards. Every other thread yields each round, so the
+    // stall's own periodic yields come back promptly on a small host.
+    let seed = 0xDEAD_0004u64;
+    let _session = install(FaultPlan::new(seed).on(
+        "combine.pre_publish",
+        Some(0),
+        1,
+        FaultAction::Stall(1 << 20),
+    ));
+    let m = CombiningMaxRegister::new(ShardedMaxRegister::new(THREADS, 2));
+    let ready = AtomicU64::new(0);
+    let reclaimed = AtomicBool::new(false);
+    let stale_published = AtomicBool::new(false);
+    let high = AtomicU64::new(5);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            set_thread(0);
+            while ready.load(Ordering::SeqCst) < (THREADS - 1) as u64 {
+                std::thread::yield_now();
+            }
+            let path = m.apply(0, 5);
+            let overlapped = reclaimed.load(Ordering::SeqCst);
+            stale_published.store(true, Ordering::SeqCst);
+            // Its sweep may also have claimed a survivor's first write.
+            assert!(matches!(path, ApplyPath::Combined { .. }), "{path:?}");
+            assert!(
+                overlapped,
+                "chaos[seed={seed}]: the stall ended before a survivor reclaimed"
+            );
+        });
+        for p in 1..THREADS - 1 {
+            let (m, ready, reclaimed, stale_published, high) =
+                (&m, &ready, &reclaimed, &stale_published, &high);
+            s.spawn(move || {
+                set_thread(p);
+                ready.fetch_add(1, Ordering::SeqCst);
+                // Start once the stalled tenure is open.
+                while !m.lock().is_held() && !stale_published.load(Ordering::SeqCst) {
+                    std::thread::yield_now();
+                }
+                let mut v = 1_000 * p as u64;
+                while !stale_published.load(Ordering::SeqCst) {
+                    v += 1;
+                    high.fetch_max(v, Ordering::SeqCst);
+                    if let ApplyPath::Reclaimed { .. } = m.apply(p, v) {
+                        reclaimed.store(true, Ordering::SeqCst);
+                    }
+                    std::thread::yield_now();
+                }
+            });
+        }
+        s.spawn(|| {
+            set_thread(THREADS - 1);
+            ready.fetch_add(1, Ordering::SeqCst);
+            let mut last = 0u64;
+            loop {
+                let done = stale_published.load(Ordering::SeqCst);
+                let cached = m.read_cached();
+                assert!(
+                    cached >= last,
+                    "chaos[seed={seed}]: cached fold regressed {last} -> {cached}"
+                );
+                assert!(
+                    cached <= high.load(Ordering::SeqCst),
+                    "chaos[seed={seed}]: cached fold invented a value"
+                );
+                last = cached;
+                if done {
+                    break;
+                }
+                std::thread::yield_now();
+            }
+        });
+    });
+    assert_eq!(
+        m.read_max(),
+        high.load(Ordering::SeqCst),
+        "chaos[seed={seed}]: a write was lost"
+    );
+    m.refresh(1);
     assert_eq!(
         m.read_cached(),
         m.read_max(),
@@ -293,7 +387,7 @@ fn seeded_noise_matrix_preserves_the_counter_invariants() {
             total,
             "chaos[seed={seed}]: quiescent conservation failed"
         );
-        c.refresh();
+        c.refresh(0);
         assert_eq!(
             c.read_cached(),
             total,

@@ -80,7 +80,7 @@ fn combined_counter_never_under_reports_its_own_tickets() {
     let total = issued.load(Ordering::SeqCst);
     assert!(total > 0, "the window must fit some work");
     assert_eq!(c.read_exact(), total, "quiescent exact read conserves");
-    c.refresh();
+    c.refresh(0);
     assert_eq!(
         c.read_cached(),
         total,
@@ -152,7 +152,7 @@ fn combined_max_register_reads_are_monotone_per_thread() {
     // stable fold equals the high-water mark; one refresh brings the
     // cache to the same point.
     assert_eq!(m.read_max(), high_water.load(Ordering::SeqCst));
-    m.refresh();
+    m.refresh(0);
     assert_eq!(m.read_cached(), m.read_max());
 }
 
@@ -188,7 +188,7 @@ fn combined_and_plain_sharded_max_registers_agree_on_mirrored_ops() {
             plain.read_max(),
             "round {round}: mirrored streams diverged"
         );
-        combined.refresh();
+        combined.refresh(0);
         assert_eq!(
             combined.read_cached(),
             plain.read_max(),
@@ -200,8 +200,8 @@ fn combined_and_plain_sharded_max_registers_agree_on_mirrored_ops() {
 #[test]
 fn packed_control_lines_keep_their_sizes() {
     // ISSUE 22 packs the control words by writer — {lock cell, lease
-    // generation}, {published fold, epoch}, {process p's slot, p's
-    // suspicion} — one line each. A field added to any of them must
+    // generation, publication epoch}, {published fold}, {process p's
+    // slot, p's suspicion} — one line each. A field added to any of them must
     // not silently spill it into a second line (or a header into the
     // lock's): these sizes are what the registry's per-key block is
     // laid out from.
@@ -209,7 +209,7 @@ fn packed_control_lines_keep_their_sizes() {
     assert_eq!(
         (size_of::<CombinerLock>(), align_of::<CombinerLock>()),
         (64, 64),
-        "lock cell + generation: one line"
+        "lock cell + generation + epoch: one line"
     );
     // Header line (inner object's header + the per-process array's),
     // lock line, published line; shard and process lines trail.
@@ -238,6 +238,7 @@ fn two_writers_on_a_packed_registry_key_agree_with_plain_objects() {
                 s.spawn(move || {
                     let deadline = Instant::now() + WINDOW / 4;
                     let mut v = round * 1_000_000;
+                    let (mut last_max, mut last_count) = (0, 0);
                     while Instant::now() < deadline {
                         v += 1 + p as u64;
                         // Plain first, so it always covers the key.
@@ -245,13 +246,15 @@ fn two_writers_on_a_packed_registry_key_agree_with_plain_objects() {
                         obj.write_max(p, v);
                         obj.inc(p);
                         issued.fetch_add(1, Ordering::SeqCst);
-                        // No per-read monotonicity claim here: with
-                        // both writers preemptible mid-tenure, a
-                        // wrongful reclaim's two-swap repair is
-                        // observable in between (DESIGN.md §10) — at
-                        // the parent commit as much as on this layout.
+                        // Both writers are preemptible mid-tenure, so
+                        // wrongful reclaims overlap tenures; the cache
+                        // is a max register, so no read regresses.
                         let cached = obj.read_max_cached();
                         assert!(cached <= plain.read_max(), "cached fold ran ahead");
+                        assert!(cached >= last_max, "cached fold regressed");
+                        let count = obj.read_count_cached();
+                        assert!(count >= last_count, "cached count regressed");
+                        (last_max, last_count) = (cached, count);
                     }
                 });
             }
@@ -262,7 +265,7 @@ fn two_writers_on_a_packed_registry_key_agree_with_plain_objects() {
         let KeyedMax::Combining(m) = obj.max() else {
             panic!("the key is on the combining backend");
         };
-        m.refresh();
+        m.refresh(0);
         assert_eq!(obj.read_max_cached(), plain.read_max(), "round {round}");
     }
 }
@@ -286,10 +289,16 @@ fn abandoned_combiner_lock_degrades_boundedly_then_is_reclaimed() {
     drop(dead);
     assert_eq!(m.lock().holder(), frozen);
 
-    for _ in 0..8 {
-        assert!(!m.refresh(), "anonymous refresh must not reclaim");
+    // A refresh is a sighting under its caller's identity: process
+    // 1's two observe the frozen lease and strike once, short of a
+    // reclaim.
+    for _ in 0..2 {
+        assert!(
+            !m.refresh(1),
+            "below the strike count a refresh does not reclaim"
+        );
     }
-    assert_eq!(m.lock().holder(), frozen, "suspicion needs an identity");
+    assert_eq!(m.lock().holder(), frozen, "the lease stays frozen");
 
     // Two frozen sightings: direct-path completions, cache stalls.
     assert_eq!(m.apply(0, 10), ApplyPath::Direct);
@@ -324,20 +333,22 @@ fn abandoned_combiner_lock_degrades_boundedly_then_is_reclaimed() {
 #[test]
 fn abandoned_counter_publisher_is_reclaimed_and_conserves() {
     // Same crash aftermath for the publication-combining counter:
-    // increments stay wait-free throughout, anonymous refreshes never
-    // reclaim (no identity to accumulate suspicion under), and the
-    // per-process reclaim republishes without losing or doubling a
-    // unit.
+    // increments stay wait-free throughout, refreshes count sightings
+    // under their caller's identity, and the per-process reclaim
+    // republishes without losing or doubling a unit.
     let c = CombiningCounter::new(ShardedFetchInc::new(4, 2));
     let dead = c.lock().try_acquire().expect("fresh lock is free");
     let frozen = dead.id();
     drop(dead);
     assert_eq!(c.lock().holder(), frozen);
 
-    for _ in 0..8 {
-        assert!(!c.refresh(), "anonymous refresh must not reclaim");
+    for _ in 0..2 {
+        assert!(
+            !c.refresh(1),
+            "below the strike count a refresh does not reclaim"
+        );
     }
-    assert_eq!(c.lock().holder(), frozen, "suspicion needs an identity");
+    assert_eq!(c.lock().holder(), frozen, "the lease stays frozen");
 
     assert!(!c.inc_traced(0), "first frozen sighting: observe");
     assert!(!c.inc_traced(0), "second frozen sighting: strike");

@@ -8,8 +8,9 @@
 //! (E27), the binary-encoding twins (E31), the service dispatch twin
 //! (E43), the other twins (snapshots, relaxed counters, abandoned-lock
 //! fronts, binary dispatch), the Figure-1 scenarios those families lack
-//! and the edges no family above covers (`fig1/…`), and the AAC and
-//! multiword fetch&add baselines. This suite drives that list three ways and
+//! and the edges no family above covers (`fig1/…`), the AAC and
+//! multiword fetch&add baselines, and the combining cache's retired
+//! two-swap publication, planted. This suite drives that list three ways and
 //! asserts they agree record for record: parallel memo-on (the CI
 //! configuration), serial memo-on, and parallel memo-off. The twins whose
 //! lanes go through the shared `LaneEncoding` codec are additionally
@@ -489,7 +490,7 @@ fn refuted_records_replay_and_print_what_the_fixture_pins() {
         lines: Vec::new(),
     };
     records::all(&mut witnesses);
-    assert_eq!(witnesses.lines.len(), 28, "the list pins 28 refutations");
+    assert_eq!(witnesses.lines.len(), 29, "the list pins 29 refutations");
     assert_matches_fixture("witness", &witnesses.lines);
 }
 

@@ -205,6 +205,84 @@ fn cached_reads_lag_but_never_invent() {
     );
 }
 
+/// Every backend a key can run on.
+const BACKENDS: [Backend; 6] = [
+    Backend::Global,
+    Backend::Sharded { shards: 1 },
+    Backend::Sharded { shards: 2 },
+    Backend::Combining { shards: 1 },
+    Backend::Combining { shards: 2 },
+    Backend::Combining { shards: 4 },
+];
+
+#[test]
+fn boundary_operands_land_on_every_backend() {
+    // Zero, the word and half-word edges, and `u64::MAX`, which the
+    // combining front-end's announcement slot once could not encode
+    // (it panicked). Each operand on a fresh key, then all of them in
+    // ascending order on one key from alternating processes: the exact
+    // read follows, and a solo write always publishes, so the cached
+    // read does too.
+    const OPERANDS: [u64; 11] = [
+        0,
+        1,
+        2,
+        63,
+        64,
+        (1 << 32) - 1,
+        1 << 32,
+        (1 << 63) - 1,
+        1 << 63,
+        u64::MAX - 1,
+        u64::MAX,
+    ];
+    for backend in BACKENDS {
+        let reg: sl2_service::Registry<u64> = sl2_service::Registry::new(32, 2, backend);
+        for (i, &v) in OPERANDS.iter().enumerate() {
+            let fresh = reg.get_or_insert(&(i as u64));
+            fresh.write_max(i % 2, v);
+            assert_eq!(fresh.read_max(), v, "{backend:?}: fresh key, operand {v}");
+            assert_eq!(
+                fresh.read_max_cached(),
+                v,
+                "{backend:?}: fresh key, operand {v}"
+            );
+            let shared = reg.get_or_insert(&100);
+            shared.write_max(i % 2, v);
+            assert_eq!(shared.read_max(), v, "{backend:?}: ascending to {v}");
+            assert_eq!(shared.read_max_cached(), v, "{backend:?}: ascending to {v}");
+        }
+    }
+}
+
+#[test]
+fn a_write_max_of_u64_max_answers_and_its_lane_lives() {
+    // Through `Service::call`, a panicking op ends its worker and every
+    // later call routed to that lane parks forever. So the second call
+    // on the same key (same lane) is the test, under a watchdog that
+    // turns a wedge into a failure.
+    for backend in BACKENDS {
+        let replies = within(Duration::from_secs(10), move || {
+            let svc = Service::new(16, 2, backend);
+            let key = 9;
+            let write = svc.call(Request {
+                key,
+                op: ServiceOp::WriteMax(u64::MAX),
+            });
+            let read = svc.call(Request {
+                key,
+                op: ServiceOp::ReadMax,
+            });
+            (write, read)
+        });
+        assert_eq!(
+            replies,
+            (Response::Ok, Response::Value(u64::MAX)),
+            "{backend:?}"
+        );
+    }
+}
+
 #[test]
 fn shutdown_wakes_a_worker_on_its_way_to_sleep() {
     // The window is a worker that has read `closing == false` and not

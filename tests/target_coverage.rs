@@ -577,9 +577,10 @@ fn combining_tenures_share_one_guard_one_publication_and_one_twin_step() {
     let publishes = sites("published.publish(");
     assert_eq!(publishes.len(), 1, "one publication routine: {publishes:?}");
 
-    // In the twins, a swap of the lock or cache cell belongs to the
-    // shared election (`impl Elect`) or publish-then-unlock
-    // (`impl Release`) step.
+    // In the twins, the lock is swapped only by the shared election
+    // (`impl Elect`) or publish-then-unlock (`impl Release`) step, and
+    // the cache is written only by `impl Release`'s `max_write`: no
+    // swap or plain write may reach it, so it cannot go backwards.
     let machines = code(&root.join("crates/combine/src/machines.rs"));
     let span = |header: &str| {
         let start = machines
@@ -588,26 +589,31 @@ fn combining_tenures_share_one_guard_one_publication_and_one_twin_step() {
         let end = start + machines[start..].find("\n}\n").expect("impl block ends");
         start..end
     };
-    let shared = [span("impl Elect {"), span("impl Release {")];
-    let (mut swaps, mut stray) = (0, Vec::new());
-    for (at, _) in machines.match_indices("mem.swap(") {
-        let args = &machines[at + "mem.swap(".len()..];
-        let cell = args[..args.find(',').expect("two arguments")].trim();
-        if !(cell.ends_with("lock") || cell.ends_with("cache")) {
-            continue;
-        }
-        swaps += 1;
-        if !shared.iter().any(|s| s.contains(&at)) {
-            stray.push(format!(
-                "machines.rs:{}: {cell}",
-                machines[..at].lines().count()
-            ));
+    let (elect, release) = (span("impl Elect {"), span("impl Release {"));
+    let (mut writes, mut stray) = (Vec::new(), Vec::new());
+    for verb in ["mem.swap(", "mem.write(", "mem.max_write("] {
+        for (at, _) in machines.match_indices(verb) {
+            let args = &machines[at + verb.len()..];
+            let cell = args[..args.find(',').expect("two arguments")].trim();
+            let line = machines[..at].lines().count();
+            let allowed = if cell.ends_with("cache") {
+                verb == "mem.max_write(" && release.contains(&at)
+            } else if cell.ends_with("lock") {
+                verb == "mem.swap(" && (elect.contains(&at) || release.contains(&at))
+            } else {
+                continue;
+            };
+            writes.push(line);
+            if !allowed {
+                stray.push(format!("machines.rs:{line}: {verb}{cell}, …)"));
+            }
         }
     }
-    assert!(swaps > 0, "no twin swaps the lock or the cache?");
+    assert!(writes.len() >= 3, "no twin writes the lock and the cache?");
     assert!(
         stray.is_empty(),
-        "twins swap the lock or cache by hand; use the shared `Elect` or `Release` step:\n{}",
+        "twins write the lock or cache by hand; use the shared `Elect` or `Release` step \
+         (the cache only through `max_write`):\n{}",
         stray.join("\n")
     );
 }
