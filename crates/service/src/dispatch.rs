@@ -227,7 +227,17 @@ struct Job {
 /// worker burns at most this much CPU per idle gap.
 const SPIN_BUDGET: Duration = Duration::from_micros(40);
 
-#[derive(Debug, Default)]
+/// Room, in jobs, that each of a worker's two deques (the shared queue
+/// and the batch in hand) gets when the service is built. Allocated up
+/// front by the constructing thread, neither grows while a client keeps
+/// up to 256 requests in flight. A deque that grows mid-run is
+/// reallocated at a moment set by how deep a burst got, and where the
+/// new buffer landed on the heap moved the process's peak RSS by a
+/// whole registry table from one run to the next (EXPERIMENTS.md, E61
+/// follow-up).
+const QUEUE_JOBS: usize = 256;
+
+#[derive(Debug)]
 struct QueueState {
     jobs: VecDeque<Job>,
     /// The worker is in `cv.wait` (set by it, cleared by whoever
@@ -235,7 +245,7 @@ struct QueueState {
     parked: bool,
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct WorkerQueue {
     state: Mutex<QueueState>,
     cv: Condvar,
@@ -243,6 +253,19 @@ struct WorkerQueue {
     /// store, not an RMW; the worker polls it, lock-free, against its
     /// own completion count before it parks.
     submitted: AtomicU64,
+}
+
+impl WorkerQueue {
+    fn new() -> Self {
+        WorkerQueue {
+            state: Mutex::new(QueueState {
+                jobs: VecDeque::with_capacity(QUEUE_JOBS),
+                parked: false,
+            }),
+            cv: Condvar::new(),
+            submitted: AtomicU64::new(0),
+        }
+    }
 }
 
 #[derive(Debug)]
@@ -299,12 +322,11 @@ impl Shared {
         }
     }
 
-    fn worker_loop(&self, worker: usize) {
+    /// Serves lane `worker`. `batch` is the batch in hand: swapped
+    /// whole with the shared deque, so both keep their capacity and the
+    /// lock is taken once per batch, not once per job.
+    fn worker_loop(&self, worker: usize, mut batch: VecDeque<Job>) {
         let q = &*self.queues[worker];
-        // The batch in hand: swapped whole with the shared deque, so
-        // both keep their capacity and the lock is taken once per
-        // batch, not once per job.
-        let mut batch = VecDeque::new();
         // Reply-and-wait: after answering a blocking `call` the worker
         // parks at once — the caller is about to sleep on the reply
         // anyway, and a spinning worker here is the bimodal regime.
@@ -394,7 +416,9 @@ impl Service {
         assert!(workers > 0, "service needs at least one worker");
         let shared = Arc::new(Shared {
             registry: Registry::with_policy(capacity, workers, policy),
-            queues: (0..workers).map(|_| CachePadded::default()).collect(),
+            queues: (0..workers)
+                .map(|_| CachePadded::new(WorkerQueue::new()))
+                .collect(),
             latency: (0..workers).map(|_| Mutex::new(Histogram::new())).collect(),
             closing: AtomicBool::new(false),
             completed: (0..workers).map(|_| CachePadded::default()).collect(),
@@ -403,6 +427,7 @@ impl Service {
         let workers = (0..workers)
             .map(|w| {
                 let shared = Arc::clone(&shared);
+                let batch = VecDeque::with_capacity(QUEUE_JOBS);
                 std::thread::spawn(move || {
                     // One mechanism under chaos + obs: the worker's
                     // logical id is its lane, so fault plans target
@@ -413,8 +438,8 @@ impl Service {
                     // Absorb a crash-stop unwind: the worker dies
                     // silently (crash-stop semantics), it does not
                     // poison the process with a panic. Disarmed this is
-                    // an inlined `Some(worker_loop(w))`.
-                    let _ = sl2_chaos::catch_crash(|| shared.worker_loop(w));
+                    // an inlined `Some(worker_loop(w, batch))`.
+                    let _ = sl2_chaos::catch_crash(|| shared.worker_loop(w, batch));
                 })
             })
             .collect();
