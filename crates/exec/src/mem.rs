@@ -208,6 +208,17 @@ impl SimMemory {
         }
     }
 
+    /// Whether `self` still holds `other`'s blocks and nothing fresh: no
+    /// cell written, no array index materialized and nothing allocated
+    /// since `self` was cloned from `other`. The checker's mark of a
+    /// step that left every base object as it was (a read, a failed
+    /// CAS, a fetch&add of zero, a write of the value already there).
+    pub(crate) fn shares_blocks(&self, other: &SimMemory) -> bool {
+        self.fresh.is_empty()
+            && Rc::ptr_eq(&self.cells, &other.cells)
+            && Rc::ptr_eq(&self.arrays, &other.arrays)
+    }
+
     /// Counts one base-object operation.
     fn tick(&mut self) {
         self.steps += 1;

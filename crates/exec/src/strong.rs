@@ -21,10 +21,18 @@
 //! ```
 //!
 //! The implementation is strongly linearizable on the scenario iff
-//! `feasible(root, ε)`. The search memoizes on the pair (execution
-//! state, linearization-relevant state), which merges schedule
-//! prefixes that converged — and the memo is **sound**: states are
-//! keyed by a canonical `StateKey` stored by value and compared by
+//! `feasible(root, ε)`. Two reductions keep the search off commuting
+//! orders (DESIGN.md §7). *Lazy linearization*: a step that forces
+//! nothing tries σ = ε only, since linearizing running operations can
+//! always wait for the next completion. *Sleep sets*, without a memo
+//! only: a *quiet* step — one that completes nothing and leaves every
+//! base object as it was — commutes with another process's quiet step,
+//! so of two such steps only one order is explored.
+//!
+//! The search memoizes on the pair (execution state,
+//! linearization-relevant state), which merges schedule prefixes that
+//! converged — and the memo is **sound**: states are keyed by a
+//! canonical `StateKey` stored by value and compared by
 //! equality, never by a bare hash (DESIGN.md §7; a hash collision in
 //! the pre-PR-4 scheme could silently flip a verdict, which for a
 //! referee is the one unforgivable failure). The explorer itself is an
@@ -182,9 +190,11 @@ pub enum MemoMode {
     /// Sound memoization: canonical `StateKey`s stored by value and
     /// compared by equality. The default.
     Canonical,
-    /// No memoization: the execution tree is re-explored at every join.
-    /// Exponentially slower on racy scenarios; used by the soundness
-    /// differential tests and the E16/E24 ablations.
+    /// No memo table: the execution tree is re-explored at every join,
+    /// except that commuting quiet steps are explored in one order
+    /// (sleep sets). Exponentially slower on racy scenarios; used by the
+    /// soundness differential tests, where it pits a different
+    /// reduction against the memo's, and the E16/E24 ablations.
     Off,
 }
 
@@ -276,9 +286,15 @@ impl<A: Algorithm> ExecState<A> {
         c.machine.is_some() || c.invoked < scenario.ops[p].len()
     }
 
-    /// The first process at or after `from` that can step.
-    fn next_enabled(&self, scenario: &Scenario<A::Spec>, from: usize) -> Option<usize> {
-        (from..self.procs.len()).find(|&p| self.can_step(scenario, p))
+    /// The first process at or after `from` that can step and is not in
+    /// the sleep mask `asleep`.
+    fn next_enabled(
+        &self,
+        scenario: &Scenario<A::Spec>,
+        from: usize,
+        asleep: u64,
+    ) -> Option<usize> {
+        (from..self.procs.len()).find(|&p| asleep & sleep_bit(p) == 0 && self.can_step(scenario, p))
     }
 
     /// The processes that can step, in process order.
@@ -486,7 +502,7 @@ pub fn check_strong<A: Algorithm>(
         states: vec![INITIAL],
     });
     let mut engine = Engine::new(alg, scenario, options.into());
-    let verdict = engine.run_task(SpawnTask::Feasible(Rc::clone(&exec), Rc::clone(&lin)));
+    let verdict = engine.run_task(SpawnTask::Feasible(Rc::clone(&exec), Rc::clone(&lin), 0));
     // Captured before witness extraction, which re-probes the engine
     // and would otherwise pollute the accounting.
     let (nodes, stats) = (engine.nodes, engine.stats);
@@ -542,7 +558,14 @@ pub fn validate_witness<A: Algorithm>(
 // ---------------------------------------------------------------------
 
 /// An operation a step just completed, with its actual response.
-type Completed<S> = Option<(OpKey, <S as Spec>::Resp)>;
+type Completion<S> = (OpKey, <S as Spec>::Resp);
+
+/// A step's completion, if it finished an operation.
+type Completed<S> = Option<Completion<S>>;
+
+/// A linearization to go on from, with the completion it has yet to
+/// include, if any.
+type Extension<S> = (Rc<LinState<S>>, Completed<S>);
 
 /// Executes one step of process `p` (invoking its next operation if
 /// idle — the caller ensured one remains). Returns the child state and
@@ -595,11 +618,10 @@ fn event_label<A: Algorithm>(
 /// include (a completion not linearized yet), or `Err` with a
 /// completion whose response contradicts the one fixed for it while it
 /// was pending.
-#[allow(clippy::type_complexity)]
 fn meet<S: Spec>(
     lin: &Rc<LinState<S>>,
     completed: Completed<S>,
-) -> Result<(Rc<LinState<S>>, Completed<S>), (OpKey, S::Resp)> {
+) -> Result<Extension<S>, Completion<S>> {
     let Some((k, r)) = completed else {
         return Ok((Rc::clone(lin), None));
     };
@@ -613,13 +635,43 @@ fn meet<S: Spec>(
 /// Node budget exhausted: unwinds the engine without a verdict.
 struct BudgetExhausted;
 
+/// Process `p`'s bit in a sleep mask. Processes from 64 on have none
+/// and never sleep: an empty sleep set is the unreduced search.
+fn sleep_bit(p: usize) -> u64 {
+    if p < 64 {
+        1 << p
+    } else {
+        0
+    }
+}
+
 /// A subproblem the engine can evaluate: the two mutually recursive
 /// procedures of the AND/OR search, reified.
 enum SpawnTask<A: Algorithm> {
-    /// `feasible(exec, lin)` — the AND side.
-    Feasible(Rc<ExecState<A>>, Rc<LinState<A::Spec>>),
-    /// `extensions(child, lin, must)` — the OR side.
-    Ext(Rc<ExecState<A>>, Rc<LinState<A::Spec>>, Completed<A::Spec>),
+    /// `feasible(exec, lin)` — the AND side — with the sleep mask of
+    /// processes it need not step.
+    Feasible(Rc<ExecState<A>>, Rc<LinState<A::Spec>>, u64),
+    /// `extensions(child, lin, must)` — the OR side of a step that
+    /// completed `must`.
+    Ext(Rc<ExecState<A>>, Rc<LinState<A::Spec>>, Completion<A::Spec>),
+}
+
+impl<A: Algorithm> SpawnTask<A> {
+    /// What a step into `child` asks of the OR side. With nothing
+    /// forced σ = ε is the only alternative tried (the laziness lemma,
+    /// DESIGN.md §7), so `child` is entered at once with `sleep`; a
+    /// completion to linearize opens an OR frame.
+    fn after_step(
+        child: Rc<ExecState<A>>,
+        lin: Rc<LinState<A::Spec>>,
+        must: Completed<A::Spec>,
+        sleep: u64,
+    ) -> Self {
+        match must {
+            None => SpawnTask::Feasible(child, lin, sleep),
+            Some(m) => SpawnTask::Ext(child, lin, m),
+        }
+    }
 }
 
 /// AND frame: every enabled step must admit a surviving extension.
@@ -630,18 +682,26 @@ struct FeasibleFrame<A: Algorithm> {
     /// The enabled process whose step is explored now; the AND runs
     /// over enabled processes in process order.
     next: usize,
+    /// Processes this frame does not step: each one's next step is
+    /// quiet and commutes with the quiet steps that led here, so an
+    /// ancestor already explored its other order. Empty with a memo.
+    sleep: u64,
+    /// This frame's quiet steps already proven feasible; its later
+    /// quiet steps put them to sleep in their children.
+    done_quiet: u64,
+    /// Whether the step in flight (process `next`'s) is quiet.
+    quiet: bool,
 }
 
-/// OR frame: some linearization extension σ keeps the child feasible.
-/// Alternatives are generated lazily: first σ = ε (allowed only when
-/// nothing is forced), then every `(candidate, response)` pair.
+/// OR frame: some linearization extension σ, which must include the
+/// step's completion, keeps the child feasible. Alternatives are every
+/// `(candidate, response)` pair, generated lazily.
 struct ExtFrame<A: Algorithm> {
     child: Rc<ExecState<A>>,
     lin: Rc<LinState<A::Spec>>,
-    /// The op the step just completed, until σ linearizes it — with
+    /// The op the step just completed, which σ must linearize — with
     /// the response the cursors no longer record.
-    must: Completed<A::Spec>,
-    tried_epsilon: bool,
+    must: Completion<A::Spec>,
     /// The candidate being tried, once its responses are loaded.
     cand: Option<OpKey>,
     /// Where the scan for the next candidate resumes.
@@ -653,12 +713,11 @@ struct ExtFrame<A: Algorithm> {
 }
 
 impl<A: Algorithm> ExtFrame<A> {
-    fn new(child: Rc<ExecState<A>>, lin: Rc<LinState<A::Spec>>, must: Completed<A::Spec>) -> Self {
+    fn new(child: Rc<ExecState<A>>, lin: Rc<LinState<A::Spec>>, must: Completion<A::Spec>) -> Self {
         ExtFrame {
             child,
             lin,
             must,
-            tried_epsilon: false,
             cand: None,
             next_process: 0,
             resp_opts: Vec::new(),
@@ -672,34 +731,25 @@ impl<A: Algorithm> ExtFrame<A> {
     /// running ops not linearized while pending: one per process at
     /// most, tried in process order.
     fn candidate(&self, p: usize) -> Option<OpKey> {
+        if self.must.0.process == p {
+            return Some(self.must.0);
+        }
         let cursor = &self.child.procs[p];
         let k = OpKey {
             process: p,
             index: cursor.invoked.checked_sub(1)?,
         };
-        let open = match &self.must {
-            Some((m, _)) if m.process == p => true,
-            _ => cursor.machine.is_some() && self.lin.pending_resp(k).is_none(),
-        };
-        open.then_some(k)
+        (cursor.machine.is_some() && self.lin.pending_resp(k).is_none()).then_some(k)
     }
 
-    /// Produces the next alternative as a subtask, or `None` when the
-    /// OR is exhausted (the frame then resolves to false).
+    /// The next alternative — the extended linearization, and `must`
+    /// while σ has not linearized it yet — or `None` when the OR is
+    /// exhausted (the frame then resolves to false).
     fn next_alternative<'a>(
         &mut self,
         table: &mut SpecTable<'a, A::Spec>,
         scenario: &'a Scenario<A::Spec>,
-    ) -> Option<SpawnTask<A>> {
-        if !self.tried_epsilon {
-            self.tried_epsilon = true;
-            if self.must.is_none() {
-                return Some(SpawnTask::Feasible(
-                    Rc::clone(&self.child),
-                    Rc::clone(&self.lin),
-                ));
-            }
-        }
+    ) -> Option<Extension<A::Spec>> {
         loop {
             let k = match self.cand {
                 Some(k) => k,
@@ -713,7 +763,7 @@ impl<A: Algorithm> ExtFrame<A> {
                     // every response the spec admits from some
                     // consistent state.
                     self.resp_opts.clear();
-                    if !matches!(&self.must, Some((m, _)) if *m == k) {
+                    if k != self.must.0 {
                         let op = &scenario.ops[k.process][k.index];
                         for &s in &self.lin.states {
                             for o in table.outcomes(s, op) {
@@ -728,7 +778,7 @@ impl<A: Algorithm> ExtFrame<A> {
                 }
             };
             let op = &scenario.ops[k.process][k.index];
-            let actual = self.must.as_ref().filter(|(m, _)| *m == k).map(|(_, r)| r);
+            let actual = (k == self.must.0).then_some(&self.must.1);
             loop {
                 let resp = match actual {
                     Some(r) => (self.resp_i == 0).then_some(r),
@@ -737,15 +787,10 @@ impl<A: Algorithm> ExtFrame<A> {
                 let Some(resp) = resp else { break };
                 self.resp_i += 1;
                 if let Some(next_lin) = self.lin.extended(table, k, op, resp, actual.is_none()) {
-                    let still_must = match actual {
-                        Some(_) => None,
-                        None => self.must.clone(),
-                    };
-                    return Some(SpawnTask::Ext(
-                        Rc::clone(&self.child),
-                        Rc::new(next_lin),
-                        still_must,
-                    ));
+                    // σ ends with `must`: a running op after it would
+                    // wait for the next completion anyway (laziness).
+                    let still_must = actual.is_none().then(|| self.must.clone());
+                    return Some((Rc::new(next_lin), still_must));
                 }
             }
             self.cand = None;
@@ -803,13 +848,15 @@ impl<'a, A: Algorithm> Engine<'a, A> {
     }
 
     /// Starts a `feasible` evaluation: resolves terminal and memoized
-    /// states immediately, otherwise opens an AND frame.
+    /// states immediately, and states whose every enabled step is
+    /// asleep; otherwise opens an AND frame.
     fn enter_feasible(
         &mut self,
         exec: Rc<ExecState<A>>,
         lin: Rc<LinState<A::Spec>>,
+        sleep: u64,
     ) -> Result<Entered<A>, BudgetExhausted> {
-        let Some(first) = exec.next_enabled(self.scenario, 0) else {
+        let Some(first) = exec.next_enabled(self.scenario, 0, sleep) else {
             return Ok(Entered::Done(true));
         };
         let key = self.memo.is_some().then(|| StateKey {
@@ -832,6 +879,9 @@ impl<'a, A: Algorithm> Engine<'a, A> {
             lin,
             key,
             next: first,
+            sleep,
+            done_quiet: 0,
+            quiet: false,
         }))
     }
 
@@ -845,7 +895,7 @@ impl<'a, A: Algorithm> Engine<'a, A> {
         loop {
             if let Some(task) = spawn.take() {
                 match task {
-                    SpawnTask::Feasible(e, l) => match self.enter_feasible(e, l)? {
+                    SpawnTask::Feasible(e, l, s) => match self.enter_feasible(e, l, s)? {
                         Entered::Done(b) => result = Some(b),
                         Entered::Frame(f) => stack.push(Frame::Feasible(f)),
                     },
@@ -861,15 +911,33 @@ impl<'a, A: Algorithm> Engine<'a, A> {
             match top {
                 Frame::Feasible(f) => {
                     let r = result.take();
-                    f.next += usize::from(r == Some(true));
+                    if r == Some(true) {
+                        if f.quiet {
+                            f.done_quiet |= sleep_bit(f.next);
+                        }
+                        f.next += 1;
+                    }
                     let verdict = if r == Some(false) {
                         Some(false) // AND fails: record and propagate.
-                    } else if let Some(p) = f.exec.next_enabled(self.scenario, f.next) {
+                    } else if let Some(p) = f.exec.next_enabled(self.scenario, f.next, f.sleep) {
                         f.next = p;
                         let (child, completed) = step_child(self.alg, self.scenario, &f.exec, p);
+                        f.quiet = completed.is_none() && child.mem.shares_blocks(&f.exec.mem);
                         match meet(&f.lin, completed) {
                             Ok((lin, must)) => {
-                                spawn = Some(SpawnTask::Ext(Rc::new(child), lin, must));
+                                // Sleep sets (DESIGN.md §7): a quiet
+                                // step's child skips the sleepers and
+                                // the quiet siblings already proven, all
+                                // of which commute with it (`p` is in
+                                // neither mask). Without a memo only —
+                                // with one, both orders meet at one key.
+                                let sleep = if f.quiet && self.memo.is_none() {
+                                    f.sleep | f.done_quiet
+                                } else {
+                                    0
+                                };
+                                spawn =
+                                    Some(SpawnTask::after_step(Rc::new(child), lin, must, sleep));
                                 None
                             }
                             // Linearized while pending with a response
@@ -896,7 +964,9 @@ impl<'a, A: Algorithm> Engine<'a, A> {
                         continue;
                     }
                     match f.next_alternative(&mut self.table, self.scenario) {
-                        Some(task) => spawn = Some(task),
+                        Some((lin, must)) => {
+                            spawn = Some(SpawnTask::after_step(Rc::clone(&f.child), lin, must, 0));
+                        }
                         None => {
                             stack.pop();
                             result = Some(false);
@@ -914,7 +984,7 @@ impl<'a, A: Algorithm> Engine<'a, A> {
         exec: &Rc<ExecState<A>>,
         lin: &Rc<LinState<A::Spec>>,
     ) -> Result<bool, BudgetExhausted> {
-        self.run_task(SpawnTask::Feasible(Rc::clone(exec), Rc::clone(lin)))
+        self.run_task(SpawnTask::Feasible(Rc::clone(exec), Rc::clone(lin), 0))
     }
 
     /// Re-walks the refuted tree from the root, *through* memoized
@@ -1020,32 +1090,28 @@ impl<'a, A: Algorithm> Engine<'a, A> {
     }
 
     /// Decides how the OR side of one schedule step fails, if it does:
-    /// enumerates every extension alternative, preferring σ = ε as the
-    /// continuation so the witness follows the adversary's schedule.
+    /// with nothing forced σ = ε is the one alternative, otherwise every
+    /// extension is enumerated and the first false feasible leaf is the
+    /// continuation.
     fn refute_ext(
         &mut self,
         child: &Rc<ExecState<A>>,
         lin: &Rc<LinState<A::Spec>>,
         must: Completed<A::Spec>,
     ) -> ExtProbe<A::Spec> {
+        let Some(must) = must else {
+            return match self.verdict(child, lin) {
+                Ok(true) => ExtProbe::Survives,
+                Ok(false) => ExtProbe::Descend(Rc::clone(lin)),
+                Err(BudgetExhausted) => ExtProbe::Truncated,
+            };
+        };
         let mut descend: Option<Rc<LinState<A::Spec>>> = None;
-        if must.is_none() {
-            match self.verdict(child, lin) {
-                Ok(true) => return ExtProbe::Survives,
-                Ok(false) => descend = Some(Rc::clone(lin)),
-                Err(BudgetExhausted) => return ExtProbe::Truncated,
-            }
-        }
         let mut frame = ExtFrame::new(Rc::clone(child), Rc::clone(lin), must);
-        frame.tried_epsilon = true; // ε handled above
-        loop {
-            let Some(task) = frame.next_alternative(&mut self.table, self.scenario) else {
-                break;
-            };
-            let SpawnTask::Ext(c, next_lin, still_must) = task else {
-                unreachable!("alternatives after ε are extension tasks");
-            };
-            match self.refute_ext(&c, &next_lin, still_must) {
+        while let Some((next_lin, still_must)) =
+            frame.next_alternative(&mut self.table, self.scenario)
+        {
+            match self.refute_ext(child, &next_lin, still_must) {
                 ExtProbe::Survives => return ExtProbe::Survives,
                 ExtProbe::Descend(l) => {
                     descend.get_or_insert(l);
@@ -1090,7 +1156,7 @@ fn recurse<A: Algorithm>(
     limit: usize,
     f: &mut dyn FnMut(&History<A::Spec>),
 ) {
-    if exec.next_enabled(scenario, 0).is_none() {
+    if exec.next_enabled(scenario, 0, 0).is_none() {
         *count += 1;
         assert!(*count <= limit, "history enumeration exceeded {limit}");
         f(history);
@@ -1123,6 +1189,7 @@ mod tests {
     use crate::mem::{Cell, Loc};
     use sl2_spec::counters::{CounterOp, CounterResp, CounterSpec};
     use sl2_spec::max_register::{MaxOp, MaxRegisterSpec, MaxResp};
+    use std::iter;
 
     /// Max register whose ops are single atomic steps — trivially SL.
     #[derive(Debug, Clone)]
@@ -1236,12 +1303,114 @@ mod tests {
             vec![CounterOp::Inc],
             vec![CounterOp::Read],
         ]);
-        let out = check_strong(&alg, mem.clone(), &scenario, 2_000_000);
-        assert!(out.is_refuted());
-        let w = out.witness().expect("witness on failure");
-        assert!(!w.path.is_empty());
-        assert_eq!(w.path.len(), w.schedule.len());
-        validate_witness(&alg, mem, &scenario, w).expect("witness must replay");
+        // Both memo modes: the increments' first steps are quiet reads,
+        // which the memo-off search explores in one order only.
+        for memoize in [true, false] {
+            let options = StrongOptions::with_limit(2_000_000).memoize(memoize);
+            let out = check_strong(&alg, mem.clone(), &scenario, options);
+            assert!(out.is_refuted(), "memoize={memoize}: {:?}", out.outcome);
+            let w = out.witness().expect("witness on failure");
+            assert!(!w.path.is_empty());
+            assert_eq!(w.path.len(), w.schedule.len());
+            validate_witness(&alg, mem.clone(), &scenario, w).expect("witness must replay");
+        }
+    }
+
+    /// A counter whose read takes two steps (read, then re-read and
+    /// return the second value) and whose increment is one fetch&add:
+    /// a read's first step is quiet.
+    #[derive(Debug, Clone)]
+    struct ReadTwice {
+        loc: Loc,
+    }
+
+    #[derive(Debug, Clone, PartialEq, Eq, Hash)]
+    enum ReadTwiceMachine {
+        Inc(Loc),
+        Read { loc: Loc, again: bool },
+    }
+
+    impl OpMachine for ReadTwiceMachine {
+        type Resp = CounterResp;
+        fn step(&mut self, mem: &mut SimMemory) -> Step<CounterResp> {
+            match self {
+                ReadTwiceMachine::Inc(loc) => {
+                    mem.faa(*loc, 1);
+                    Step::Ready(CounterResp::Ok)
+                }
+                ReadTwiceMachine::Read { loc, again } => {
+                    let v = mem.read(*loc);
+                    if *again {
+                        return Step::Ready(CounterResp::Value(v));
+                    }
+                    *again = true;
+                    Step::Pending
+                }
+            }
+        }
+    }
+
+    impl Algorithm for ReadTwice {
+        type Spec = CounterSpec;
+        type Machine = ReadTwiceMachine;
+        fn spec(&self) -> CounterSpec {
+            CounterSpec
+        }
+        fn machine(&self, _p: usize, op: &CounterOp) -> ReadTwiceMachine {
+            match op {
+                CounterOp::Inc => ReadTwiceMachine::Inc(self.loc),
+                CounterOp::Read => ReadTwiceMachine::Read {
+                    loc: self.loc,
+                    again: false,
+                },
+            }
+        }
+    }
+
+    /// Memo-off nodes of `ReadTwice` on `ops`, after `idle` processes
+    /// with no operations; asserts the check certifies.
+    fn read_twice_tree_nodes(idle: usize, ops: &[Vec<CounterOp>]) -> usize {
+        let mut mem = SimMemory::new();
+        let alg = ReadTwice {
+            loc: mem.alloc(Cell::Faa(0)),
+        };
+        let procs = iter::repeat_n(Vec::new(), idle).chain(ops.iter().cloned());
+        let scenario = Scenario::new(procs.collect());
+        let options = StrongOptions::with_limit(1_000_000).memoize(false);
+        let out = check_strong(&alg, mem, &scenario, options);
+        assert!(out.is_certified(), "{idle} idle: {:?}", out.outcome);
+        out.nodes
+    }
+
+    #[test]
+    fn commuting_reads_are_explored_in_one_order() {
+        // Three readers race only each other: every first step is quiet,
+        // and the memo-off search explores one order of each pair of
+        // them. The engine before sleep sets and lazy linearization
+        // explored 7 001 nodes here.
+        let reads = [CounterOp::Read, CounterOp::Read];
+        let nodes =
+            read_twice_tree_nodes(0, &[reads.to_vec(), reads.to_vec(), vec![CounterOp::Read]]);
+        assert_eq!(nodes, 2_103, "memo-off nodes (7 001 unreduced)");
+    }
+
+    #[test]
+    fn processes_from_64_on_never_sleep() {
+        // The same two readers as processes 0 and 1 and as processes 64
+        // and 65: the low pair's quiet steps sleep, the high pair's have
+        // no bit in the mask, so it explores the 40 nodes the engine
+        // before either reduction explored for both pairs.
+        let pair = [
+            vec![CounterOp::Read, CounterOp::Read],
+            vec![CounterOp::Read],
+        ];
+        let (low, high) = (
+            read_twice_tree_nodes(0, &pair),
+            read_twice_tree_nodes(64, &pair),
+        );
+        assert_eq!(high, 40, "processes 64 and 65");
+        assert!(low < high, "processes 0 and 1: {low} nodes");
+        assert_eq!(sleep_bit(64), 0);
     }
 
     #[test]
@@ -1455,7 +1624,8 @@ mod tests {
     #[test]
     fn canonical_memo_is_immune_to_hash_collisions() {
         // Equality-checked keys and an interner that compares states:
-        // correct refutation, agreeing with the memo-free ground truth.
+        // correct refutation, agreeing with the memo-free search, whose
+        // witness replays too.
         let (mem, alg, scenario) = collider_scenario();
         let canonical = check_strong(&alg, mem.clone(), &scenario, 1_000_000);
         assert!(canonical.is_refuted(), "{:?}", canonical.outcome);
@@ -1467,7 +1637,11 @@ mod tests {
         );
         assert!(tree.is_refuted(), "{:?}", tree.outcome);
         let w = canonical.witness().expect("refutation carries a witness");
-        validate_witness(&alg, mem, &scenario, w).expect("witness must replay");
+        validate_witness(&alg, mem.clone(), &scenario, w).expect("witness must replay");
+        let w = tree
+            .witness()
+            .expect("the memo-off refutation carries one too");
+        validate_witness(&alg, mem, &scenario, w).expect("memo-off witness must replay");
     }
 
     #[test]

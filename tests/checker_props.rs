@@ -380,6 +380,99 @@ mod memo_differential {
         differential(|mem| MaxRegAlg::new(mem, 3), &max_corpus());
     }
 
+    /// Every scenario of 2–3 processes with 1–2 operations each and at
+    /// most 4 in all, over `alphabet`, in a fixed order.
+    fn small_scenarios<O: Clone>(alphabet: &[O]) -> Vec<Vec<Vec<O>>> {
+        let mut lists: Vec<Vec<O>> = alphabet.iter().map(|o| vec![o.clone()]).collect();
+        for a in alphabet {
+            for b in alphabet {
+                lists.push(vec![a.clone(), b.clone()]);
+            }
+        }
+        let mut out: Vec<Vec<Vec<O>>> = Vec::new();
+        let mut partial: Vec<Vec<Vec<O>>> = vec![Vec::new()];
+        for processes in 1..=3 {
+            partial = partial
+                .iter()
+                .flat_map(|s| {
+                    lists.iter().filter_map(move |l| {
+                        let total: usize = s.iter().map(Vec::len).sum::<usize>() + l.len();
+                        (total <= 4).then(|| s.iter().cloned().chain([l.clone()]).collect())
+                    })
+                })
+                .collect();
+            if processes >= 2 {
+                out.extend(partial.iter().cloned());
+            }
+        }
+        out
+    }
+
+    /// Checks every [`small_scenarios`] member of `alphabet` in both
+    /// memo modes, asserting they agree scenario by scenario, and
+    /// returns `(scenarios, refuted, digest)`: the digest folds the
+    /// refuted members' positions, so it pins which ones are refuted.
+    fn refutations<A: Algorithm>(
+        make: impl Fn(&mut SimMemory) -> A,
+        alphabet: &[<A::Spec as sl2_spec::Spec>::Op],
+    ) -> (usize, usize, u64) {
+        let scenarios = small_scenarios(alphabet);
+        let (mut refuted, mut digest) = (0, 0xcbf2_9ce4_8422_2325u64);
+        for (i, ops) in scenarios.iter().enumerate() {
+            let scenario = Scenario::new(ops.clone());
+            let verdicts: Vec<bool> = [true, false]
+                .map(|memoize| {
+                    let mut mem = SimMemory::new();
+                    let alg = make(&mut mem);
+                    let options = StrongOptions::with_limit(1_000_000).memoize(memoize);
+                    let out = check_strong(&alg, mem, &scenario, options);
+                    assert!(!out.is_bounded(), "{ops:?} memoize={memoize}: bounded");
+                    out.is_refuted()
+                })
+                .into();
+            assert_eq!(verdicts[0], verdicts[1], "memo modes disagree on {ops:?}");
+            if verdicts[0] {
+                refuted += 1;
+                digest = (digest ^ i as u64).wrapping_mul(0x100_0000_01b3);
+            }
+        }
+        (scenarios.len(), refuted, digest)
+    }
+
+    #[test]
+    fn generated_families_reproduce_the_unreduced_verdicts() {
+        // An independent differential for the search's reductions (lazy
+        // linearization in both memo modes, sleep sets memo-off): every
+        // small scenario of two twins that refute at S = 2, checked in
+        // both modes. The counts and digests were computed by the engine
+        // before either reduction; they reproduce the refuted column
+        // of ROADMAP item 15's table (232 of 1 232 and 20 of 92).
+        use sl2_spec::counters::CounterOp;
+        let max = refutations(
+            |mem| ShardedMaxRegAlg::new(mem, 3, 2),
+            &[
+                MaxOp::Write(1),
+                MaxOp::Write(2),
+                MaxOp::Write(3),
+                MaxOp::Read,
+            ],
+        );
+        assert_eq!(
+            max,
+            (1_232, 232, 15_303_947_530_520_003_896),
+            "ShardedMaxRegAlg S=2"
+        );
+        let counter = refutations(
+            |mem| ShardedCounterAlg::exact(mem, 3, 2),
+            &[CounterOp::Inc, CounterOp::Read],
+        );
+        assert_eq!(
+            counter,
+            (92, 20, 12_435_206_701_303_467_307),
+            "ShardedCounterAlg::exact S=2"
+        );
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(20))]
 

@@ -38,32 +38,20 @@
 //! witness) is the new fixture.
 
 use sl2::prelude::*;
-use sl2::records::{self, Only, Parallel, Serial, Witnesses};
+use sl2::records::{self, Parallel, Serial, Witnesses};
 use sl2_core::baselines::agm_stack::AgmStackAlg;
 use sl2_spec::fifo::StackOp;
 
 /// Global node budget of each re-certification pass; the memo-on pass
-/// spends well under a million nodes and the memo-off pass ~22M (16M of
-/// them in the two `ALLOWED_BOUNDED_OFF` anchors), so this is headroom,
-/// not a cliff — but a runaway scenario surfaces as a `Bounded` record
-/// instead of an eaten CI hour. Sized ≥ `corpus_threads() × the 8M
-/// per-scenario limit`: the parallel driver *reserves* each scenario's
-/// allowance up front, so anything smaller could transiently starve a
-/// concurrent worker into a `Bounded` record the serial driver would
-/// have decided.
+/// spends well under a million nodes and the memo-off pass ~7M (5.9M of
+/// them in the two `combining_stable_s{1,2}/fan_in` records), so this
+/// is headroom, not a cliff — but a runaway scenario surfaces as a
+/// `Bounded` record instead of an eaten CI hour. Sized ≥
+/// `corpus_threads() × the 8M per-scenario limit`: the parallel driver
+/// *reserves* each scenario's allowance up front, so anything smaller
+/// could transiently starve a concurrent worker into a `Bounded` record
+/// the serial driver would have decided.
 const NODE_BUDGET: usize = 256_000_000;
-
-/// Records the memo-off differential pass is allowed to leave
-/// `Bounded`. Tree-mode exploration of the combining write protocol is
-/// the extreme end of the E24 DAG/tree separation: the
-/// `combining_stable_s1/fan_in` anchor re-explores ~53M states
-/// un-memoized (its canonical-key DAG is ~2.4k) and the refuted `s2`
-/// twin ~104M — both were run to completion once at a 256M budget and
-/// agreed with the memo-on verdicts (DESIGN.md §8). `Bounded` makes no
-/// semantic claim either way, so these two records cannot *disagree*
-/// with the memo-on pass — but pinning the exemption list keeps a
-/// genuine disagreement from hiding behind budget exhaustion.
-const ALLOWED_BOUNDED_OFF: &[&str] = &["combining_stable_s1/fan_in", "combining_stable_s2/fan_in"];
 
 fn options(memoize: bool) -> CorpusOptions {
     CorpusOptions {
@@ -147,14 +135,10 @@ fn shape_lines(on: &CorpusReport, off: &CorpusReport) -> Vec<String> {
         .iter()
         .zip(&off.records)
         .map(|(a, b)| {
-            let off_nodes = match b.verdict {
-                CorpusVerdict::Bounded => "null".to_string(),
-                _ => b.nodes.to_string(),
-            };
             format!(
                 "{{\"corpus\":\"shape\",\"name\":{:?},\"verdict\":\"{}\",\"nodes\":{},\
                  \"memo_hits\":{},\"memo_misses\":{},\"max_depth\":{},\
-                 \"witness_steps\":{},\"off_nodes\":{off_nodes}}}",
+                 \"witness_steps\":{},\"off_nodes\":{}}}",
                 a.name,
                 a.verdict.as_str(),
                 a.nodes,
@@ -162,6 +146,7 @@ fn shape_lines(on: &CorpusReport, off: &CorpusReport) -> Vec<String> {
                 a.stats.memo_misses,
                 a.stats.max_depth,
                 a.witness_steps,
+                b.nodes,
             )
         })
         .collect()
@@ -310,24 +295,17 @@ fn corpus_recertifies_every_shipped_verdict() {
             a.name
         );
         assert_eq!(a.name, b.name);
-        if b.verdict == CorpusVerdict::Bounded {
-            assert!(
-                ALLOWED_BOUNDED_OFF.contains(&a.name.as_str()),
-                "{}: memo-off ran out of budget outside the documented \
-                 tree-mode exemptions",
-                a.name
-            );
-        } else {
-            assert_eq!(
-                a.verdict, b.verdict,
-                "memo-on vs memo-off disagree on {}",
-                a.name
-            );
-        }
+        assert_eq!(
+            a.verdict, b.verdict,
+            "memo-on vs memo-off disagree on {}",
+            a.name
+        );
     }
 
-    // No scenario ran out of budget, and the budget was respected.
+    // No scenario ran out of budget in either mode (a memo-off `Bounded`
+    // would hide a disagreement), and the budget was respected.
     assert_eq!(on.count(CorpusVerdict::Bounded), 0, "{:?}", on.records);
+    assert_eq!(off.count(CorpusVerdict::Bounded), 0, "{:?}", off.records);
     assert!(on.nodes_spent <= on.node_budget);
 
     // Pinned claims reproduce.
@@ -417,16 +395,6 @@ fn corpus_recertifies_every_shipped_verdict() {
     }
 }
 
-/// Records the binary-sibling tree pass leaves out: the two
-/// `ALLOWED_BOUNDED_OFF` anchors and the one other record that alone is
-/// most of a memo-off pass (the three the benchmark's tree phase skips).
-/// All three still compare memo-on.
-const SIBLING_TREE_SKIPS: &[&str] = &[
-    "combining_stable_s1/fan_in",
-    "combining_stable_s2/fan_in",
-    "combining_stable_s2/frontier_safe",
-];
-
 #[test]
 fn binary_siblings_explore_their_unary_records_graphs() {
     // Lane states of the two encodings are in bijection (same probe,
@@ -435,14 +403,11 @@ fn binary_siblings_explore_their_unary_records_graphs() {
     // nodes (memo on), tree nodes (memo off) and search shape equal
     // record for record. Any difference is a bug in the codec or in a
     // twin's use of it.
-    for (memoize, skip) in [(true, &[][..]), (false, SIBLING_TREE_SKIPS)] {
+    for memoize in [true, false] {
         let run = |encoding| {
-            let mut driver = Only {
-                keep: |name: &str| !skip.contains(&name),
-                inner: serial(memoize),
-            };
+            let mut driver = serial(memoize);
             records::recoded(&mut driver, encoding);
-            driver.inner.report
+            driver.report
         };
         let (unary, binary) = (run(LaneEncoding::Unary), run(LaneEncoding::Binary));
         assert_eq!(unary.records.len(), binary.records.len());
