@@ -11,8 +11,9 @@
 //! (DESIGN.md §7 "The history checker"): the linearized set is a prefix
 //! per process, kept as one cursor each, and spec states are ids in the
 //! check's `SpecTable`, so a memo key is `(cursors, state id)`.
+//! [`is_linearizable`] runs it once per key when every op has one.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 
 use sl2_spec::Spec;
 
@@ -36,58 +37,8 @@ const NONE: usize = usize::MAX;
 /// with no open operation, an invocation by a process with one open, or
 /// a reused [`OpId`].
 pub fn linearize<S: Spec>(spec: &S, history: &History<S>) -> Option<Linearization<S>> {
-    let (ops, heads) = history
-        .timeline()
-        .unwrap_or_else(|e| panic!("ill-formed history: {e}"));
-    let n = ops.len();
-    let mut s = Search {
-        ops,
-        key: heads.into_iter().chain([NONE]).collect(),
-        memo: HashSet::default(),
-        table: SpecTable::new(spec.clone(), n),
-    };
-    // Complete ops still to place; pending ones may be dropped.
-    let mut left = s.ops.iter().filter(|o| o.resp.is_some()).count();
-    // Per node: state, op placed to reach it, next candidate to try
-    // (heads from that op on) and the outcomes left of the current one.
-    let mut frames = Vec::with_capacity(n + 1);
-    frames.push((INITIAL, NONE, 0, 0..0));
-    // (op, outcome) per linearized op.
-    let mut chosen: Vec<(usize, usize)> = Vec::with_capacity(n);
-    while left > 0 {
-        let (state, placed, from, outs) = frames.last_mut()?;
-        // `outs` are op `from - 1`'s outcomes; a complete op takes only
-        // those with its actual response.
-        let actual = usize::checked_sub(*from, 1).and_then(|i| s.ops[i].resp);
-        if let Some(k) = outs.find(|&k| actual.is_none_or(|r| r == s.table.outcome(k).1)) {
-            let (op, next) = (*from - 1, s.table.outcome(k).0);
-            left -= s.toggle(op, s.ops[op].next);
-            chosen.push((op, k));
-            if left == 0 || !s.failed(next) {
-                frames.push((next, op, 0, 0..0));
-            } else {
-                left += s.toggle(op, op);
-                chosen.pop();
-            }
-            continue;
-        }
-        // Outcomes spent: the next enabled head in invocation order, or
-        // the node fails. A node on the path is never reached again (each
-        // step places one more op), so recording it when it fails decides
-        // every revisit as recording it on entry would.
-        let op = s.enabled_from(*from);
-        if op != NONE {
-            (*from, *outs) = (op + 1, s.table.outcomes(*state, s.ops[op].op));
-        } else {
-            let (state, placed) = (*state, *placed);
-            frames.pop();
-            s.fail(state);
-            if placed != NONE {
-                left += s.toggle(placed, placed);
-                chosen.pop();
-            }
-        }
-    }
+    let (mut s, heads) = Search::new(spec, history);
+    let chosen = s.run(&heads)?;
     let entry = |&(i, k): &(usize, usize)| {
         let op = &s.ops[i];
         (op.id, op.op.clone(), s.table.outcome(k).1.clone())
@@ -95,9 +46,39 @@ pub fn linearize<S: Spec>(spec: &S, history: &History<S>) -> Option<Linearizatio
     Some(chosen.iter().map(entry).collect())
 }
 
-/// Convenience: does a linearization exist?
+/// Does a linearization exist? When every op has a [`Spec::key_of`]
+/// key, each key's sub-history is searched on its own, in order of the
+/// key's first invocation, stopping at the first that fails:
+/// linearizability is local (DESIGN.md §7 "Per key"). Otherwise the
+/// whole history is searched, as [`linearize`] does.
+///
+/// # Panics
+///
+/// As [`linearize`], if the history is ill-formed.
 pub fn is_linearizable<S: Spec>(spec: &S, history: &History<S>) -> bool {
-    linearize(spec, history).is_some()
+    let (mut s, mut heads) = Search::new(spec, history);
+    // Per op, its key's rank in order of first invocation.
+    let mut ranks: HashMap<u64, usize, FxBuild> = HashMap::default();
+    let rank = s.ops.iter().map(|o| {
+        let fresh = ranks.len();
+        Some(*ranks.entry(spec.key_of(o.op)?).or_insert(fresh))
+    });
+    let Some(rank) = rank.collect::<Option<Vec<usize>>>() else {
+        return s.run(&heads).is_some();
+    };
+    // Stable: each key's ops stay in invocation order.
+    let mut order: Vec<usize> = (0..rank.len()).collect();
+    order.sort_by_key(|&i| rank[i]);
+    order.chunk_by(|&a, &b| rank[a] == rank[b]).all(|sub| {
+        // Link each op to its process's next op on the same key.
+        heads.fill(NONE);
+        for &i in sub.iter().rev() {
+            let slot = s.ops[i].slot;
+            (s.ops[i].next, heads[slot]) = (heads[slot], i);
+        }
+        s.memo.clear();
+        s.run(&heads).is_some()
+    })
 }
 
 struct Search<'h, S: Spec> {
@@ -110,7 +91,81 @@ struct Search<'h, S: Spec> {
     table: SpecTable<'h, S>,
 }
 
-impl<S: Spec> Search<'_, S> {
+impl<'h, S: Spec> Search<'h, S> {
+    /// The search over `history`, its ops linked per process, and each
+    /// process's first op.
+    fn new(spec: &S, history: &'h History<S>) -> (Self, Vec<usize>) {
+        let (ops, heads) = history
+            .timeline()
+            .unwrap_or_else(|e| panic!("ill-formed history: {e}"));
+        let n = ops.len();
+        let s = Search {
+            ops,
+            key: vec![NONE; heads.len() + 1],
+            memo: HashSet::default(),
+            table: SpecTable::new(spec.clone(), n),
+        };
+        (s, heads)
+    }
+
+    /// The Wing–Gong search over the lists that start at `heads` (one
+    /// per process) and follow the ops' `next` links: the `(op,
+    /// outcome)` placed at each step, or `None` if no linearization
+    /// exists.
+    fn run(&mut self, heads: &[usize]) -> Option<Vec<(usize, usize)>> {
+        self.key[..heads.len()].copy_from_slice(heads);
+        // Complete ops still to place; pending ones may be dropped.
+        let mut left = 0;
+        for &head in heads {
+            let mut i = head;
+            while i != NONE {
+                left += usize::from(self.ops[i].resp.is_some());
+                i = self.ops[i].next;
+            }
+        }
+        // Per node: state, op placed to reach it, next candidate to try
+        // (heads from that op on) and the outcomes left of the current one.
+        let mut frames = Vec::with_capacity(self.ops.len() + 1);
+        frames.push((INITIAL, NONE, 0, 0..0));
+        // (op, outcome) per linearized op.
+        let mut chosen: Vec<(usize, usize)> = Vec::with_capacity(self.ops.len());
+        while left > 0 {
+            let (state, placed, from, outs) = frames.last_mut()?;
+            // `outs` are op `from - 1`'s outcomes; a complete op takes only
+            // those with its actual response.
+            let actual = usize::checked_sub(*from, 1).and_then(|i| self.ops[i].resp);
+            if let Some(k) = outs.find(|&k| actual.is_none_or(|r| r == self.table.outcome(k).1)) {
+                let (op, next) = (*from - 1, self.table.outcome(k).0);
+                left -= self.toggle(op, self.ops[op].next);
+                chosen.push((op, k));
+                if left == 0 || !self.failed(next) {
+                    frames.push((next, op, 0, 0..0));
+                } else {
+                    left += self.toggle(op, op);
+                    chosen.pop();
+                }
+                continue;
+            }
+            // Outcomes spent: the next enabled head in invocation order, or
+            // the node fails. A node on the path is never reached again (each
+            // step places one more op), so recording it when it fails decides
+            // every revisit as recording it on entry would.
+            let op = self.enabled_from(*from);
+            if op != NONE {
+                (*from, *outs) = (op + 1, self.table.outcomes(*state, self.ops[op].op));
+            } else {
+                let (state, placed) = (*state, *placed);
+                frames.pop();
+                self.fail(state);
+                if placed != NONE {
+                    left += self.toggle(placed, placed);
+                    chosen.pop();
+                }
+            }
+        }
+        Some(chosen)
+    }
+
     /// Moves op `i`'s process cursor to `to` (`i` itself to undo
     /// placing it); 1 if `i` is complete, else 0.
     fn toggle(&mut self, i: usize, to: usize) -> usize {
@@ -192,6 +247,7 @@ pub fn validate_linearization<S: Spec>(
 mod tests {
     use super::*;
     use sl2_spec::fifo::{QueueOp, QueueResp, QueueSpec};
+    use sl2_spec::keyed::{KeyedMaxOp, KeyedMaxSpec};
     use sl2_spec::max_register::{MaxOp, MaxRegisterSpec, MaxResp};
     use sl2_spec::put_take::{PutTakeSetSpec, SetOp, SetResp};
 
@@ -301,6 +357,97 @@ mod tests {
     fn empty_history_is_linearizable() {
         let h: History<QueueSpec> = History::new();
         assert!(is_linearizable(&QueueSpec, &h));
+    }
+
+    /// Both entry points, which must agree: the verdict per key, and
+    /// the whole search's linearization, validated.
+    fn verdict<S: Spec>(spec: &S, h: &History<S>) -> bool {
+        let lin = linearize(spec, h);
+        if let Some(lin) = &lin {
+            validate_linearization(spec, h, lin).expect("valid");
+        }
+        assert_eq!(is_linearizable(spec, h), lin.is_some(), "{h:?}");
+        lin.is_some()
+    }
+
+    #[test]
+    fn one_wrong_key_refutes_the_history() {
+        // Key 1's sub-history is fine; key 2's read misses a write that
+        // returned before it was invoked. Each process switches keys, so
+        // a key's lists are not the processes' lists.
+        for (seen, ok) in [(4, true), (0, false)] {
+            let mut h: History<KeyedMaxSpec> = History::new();
+            h.invoke(OpId(0), 0, KeyedMaxOp::Write { key: 1, v: 5 });
+            h.invoke(OpId(1), 1, KeyedMaxOp::Write { key: 2, v: 4 });
+            h.ret(OpId(0), MaxResp::Ok);
+            h.ret(OpId(1), MaxResp::Ok);
+            h.invoke(OpId(2), 1, KeyedMaxOp::Read { key: 1 });
+            h.invoke(OpId(3), 0, KeyedMaxOp::Read { key: 2 });
+            h.ret(OpId(2), MaxResp::Value(5));
+            h.ret(OpId(3), MaxResp::Value(seen));
+            assert_eq!(verdict(&KeyedMaxSpec, &h), ok, "key 2 read {seen}");
+        }
+    }
+
+    #[test]
+    fn a_key_with_only_pending_ops_places_nothing() {
+        // Key 2 has two pending writes and nothing else: its search is
+        // done before it starts, and key 1 alone decides.
+        for (seen, ok) in [(5, true), (9, false)] {
+            let mut h: History<KeyedMaxSpec> = History::new();
+            h.invoke(OpId(0), 0, KeyedMaxOp::Write { key: 1, v: 5 });
+            h.invoke(OpId(1), 1, KeyedMaxOp::Write { key: 2, v: 9 });
+            h.invoke(OpId(2), 2, KeyedMaxOp::Write { key: 2, v: 7 });
+            h.ret(OpId(0), MaxResp::Ok);
+            h.invoke(OpId(3), 0, KeyedMaxOp::Read { key: 1 });
+            h.ret(OpId(3), MaxResp::Value(seen));
+            assert_eq!(verdict(&KeyedMaxSpec, &h), ok, "key 1 read {seen}");
+        }
+    }
+
+    /// Keyed max registers plus `None`, a read of the largest value
+    /// under any key: an op with no key.
+    #[derive(Clone, Debug)]
+    struct WithGlobalRead;
+
+    impl Spec for WithGlobalRead {
+        type State = <KeyedMaxSpec as Spec>::State;
+        type Op = Option<KeyedMaxOp>;
+        type Resp = MaxResp;
+
+        fn initial(&self) -> Self::State {
+            KeyedMaxSpec.initial()
+        }
+
+        fn step(&self, s: &Self::State, op: &Self::Op) -> Vec<(Self::State, MaxResp)> {
+            match op {
+                Some(op) => KeyedMaxSpec.step(s, op),
+                None => {
+                    let max = s.values().max().copied().unwrap_or(0);
+                    vec![(s.clone(), MaxResp::Value(max))]
+                }
+            }
+        }
+
+        fn key_of(&self, op: &Self::Op) -> Option<u64> {
+            KeyedMaxSpec.key_of(op.as_ref()?)
+        }
+    }
+
+    #[test]
+    fn an_op_without_a_key_falls_back_to_the_whole_search() {
+        // Every keyed sub-history is fine on its own; only the whole
+        // history shows that the global read missed key 1's write.
+        for (seen, ok) in [(5, true), (3, false)] {
+            let mut h: History<WithGlobalRead> = History::new();
+            h.invoke(OpId(0), 0, Some(KeyedMaxOp::Write { key: 1, v: 5 }));
+            h.invoke(OpId(1), 1, Some(KeyedMaxOp::Write { key: 2, v: 3 }));
+            h.ret(OpId(0), MaxResp::Ok);
+            h.ret(OpId(1), MaxResp::Ok);
+            h.invoke(OpId(2), 0, None);
+            h.ret(OpId(2), MaxResp::Value(seen));
+            assert_eq!(verdict(&WithGlobalRead, &h), ok, "global read {seen}");
+        }
     }
 
     // Per-process cursors rely on well-formedness, so an ill-formed

@@ -828,7 +828,7 @@ struct Engine<'a, A: Algorithm> {
     table: SpecTable<'a, A::Spec>,
     scenario: &'a Scenario<A::Spec>,
     /// `None` with memoization off.
-    memo: Option<HashMap<StateKey<A>, bool>>,
+    memo: Option<HashMap<StateKey<A>, bool, FxBuild>>,
     nodes: usize,
     node_limit: usize,
     stats: SearchStats,
@@ -840,7 +840,7 @@ impl<'a, A: Algorithm> Engine<'a, A> {
             alg,
             table: SpecTable::new(alg.spec(), 0),
             scenario,
-            memo: (options.memo == MemoMode::Canonical).then(HashMap::new),
+            memo: (options.memo == MemoMode::Canonical).then(HashMap::default),
             nodes: 0,
             node_limit: options.node_limit,
             stats: SearchStats::default(),
@@ -1006,7 +1006,7 @@ impl<'a, A: Algorithm> Engine<'a, A> {
         // exponentially; replay under a fresh canonical memo instead
         // (memoization does not change verdicts — the differential
         // suite pins that).
-        self.memo.get_or_insert_with(HashMap::new);
+        self.memo.get_or_insert_with(HashMap::default);
         let mut path = Vec::new();
         let mut schedule = Vec::new();
         let mut exec = Rc::clone(exec0);

@@ -49,6 +49,15 @@ pub enum KeyedMaxOp {
     },
 }
 
+impl KeyedMaxOp {
+    /// The key the op names.
+    fn key(&self) -> Value {
+        match *self {
+            KeyedMaxOp::Write { key, .. } | KeyedMaxOp::Read { key } => key,
+        }
+    }
+}
+
 /// Exact keyed max register: a map from keys to running maxima.
 /// Untouched keys read 0 (lazy instantiation is invisible to the
 /// specification — a fresh register holds 0).
@@ -62,6 +71,11 @@ impl Spec for KeyedMaxSpec {
 
     fn initial(&self) -> Self::State {
         BTreeMap::new()
+    }
+
+    /// A write or read touches only its own key's entry.
+    fn key_of(&self, op: &KeyedMaxOp) -> Option<Value> {
+        Some(op.key())
     }
 
     fn step(&self, s: &Self::State, op: &KeyedMaxOp) -> Vec<(Self::State, MaxResp)> {
@@ -106,6 +120,12 @@ impl Spec for LaggingKeyedMaxSpec {
 
     fn initial(&self) -> LaggingKeyedMaxState {
         LaggingKeyedMaxState::default()
+    }
+
+    /// A write pushes onto, and a read picks from, only its own key's
+    /// window.
+    fn key_of(&self, op: &KeyedMaxOp) -> Option<Value> {
+        Some(op.key())
     }
 
     fn step(

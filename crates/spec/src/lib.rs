@@ -68,6 +68,20 @@ pub trait Spec: Clone + Debug {
     /// paper.
     fn step(&self, s: &Self::State, op: &Self::Op) -> Vec<(Self::State, Self::Resp)>;
 
+    /// The key of the one component of the state that `op` acts on,
+    /// for a specification that is a product of independent objects.
+    ///
+    /// `Some(k)` is a contract: the state is a product over keys, `op`'s
+    /// outcomes depend only on component `k`, and each successor state
+    /// differs from its predecessor at most in component `k`. A history
+    /// is then linearizable iff each key's sub-history is (locality,
+    /// Herlihy & Wing), and a checker may search them one at a time. The
+    /// default, `None`, makes no such claim: a history in which any op
+    /// has no key is checked whole.
+    fn key_of(&self, _op: &Self::Op) -> Option<Value> {
+        None
+    }
+
     /// Executes `op` in place, for deterministic specs.
     ///
     /// # Panics

@@ -802,14 +802,20 @@ mod reference_differential {
         false
     }
 
-    /// `linearize` and the reference agree exactly; returns the
-    /// linearization, validated.
+    /// `linearize` and the reference agree exactly, and
+    /// `is_linearizable` (per key where the spec has keys) agrees with
+    /// both; returns the linearization, validated.
     pub fn agrees<S: Spec>(spec: &S, history: &History<S>) -> Option<Linearization<S>> {
         let lin = linearize(spec, history);
         assert_eq!(
             lin,
             reference_linearize(spec, history),
             "history: {history:?}"
+        );
+        assert_eq!(
+            is_linearizable(spec, history),
+            lin.is_some(),
+            "verdict, history: {history:?}"
         );
         if let Some(lin) = &lin {
             validate_linearization(spec, history, lin).expect("valid");
