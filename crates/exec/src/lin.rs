@@ -14,6 +14,8 @@
 //! [`is_linearizable`] runs it once per key when every op has one.
 
 use std::collections::{HashMap, HashSet};
+use std::mem;
+use std::ops::Range;
 
 use sl2_spec::Spec;
 
@@ -38,12 +40,14 @@ const NONE: usize = usize::MAX;
 /// a reused [`OpId`].
 pub fn linearize<S: Spec>(spec: &S, history: &History<S>) -> Option<Linearization<S>> {
     let (mut s, heads) = Search::new(spec, history);
-    let chosen = s.run(&heads)?;
+    if !s.run(&heads) {
+        return None;
+    }
     let entry = |&(i, k): &(usize, usize)| {
         let op = &s.ops[i];
         (op.id, op.op.clone(), s.table.outcome(k).1.clone())
     };
-    Some(chosen.iter().map(entry).collect())
+    Some(s.chosen.iter().map(entry).collect())
 }
 
 /// Does a linearization exist? When every op has a [`Spec::key_of`]
@@ -64,7 +68,7 @@ pub fn is_linearizable<S: Spec>(spec: &S, history: &History<S>) -> bool {
         Some(*ranks.entry(spec.key_of(o.op)?).or_insert(fresh))
     });
     let Some(rank) = rank.collect::<Option<Vec<usize>>>() else {
-        return s.run(&heads).is_some();
+        return s.run(&heads);
     };
     // Stable: each key's ops stay in invocation order.
     let mut order: Vec<usize> = (0..rank.len()).collect();
@@ -77,7 +81,7 @@ pub fn is_linearizable<S: Spec>(spec: &S, history: &History<S>) -> bool {
             (s.ops[i].next, heads[slot]) = (heads[slot], i);
         }
         s.memo.clear();
-        s.run(&heads).is_some()
+        s.run(&heads)
     })
 }
 
@@ -89,7 +93,17 @@ struct Search<'h, S: Spec> {
     /// The `key`s of failed nodes.
     memo: HashSet<Box<[usize]>, FxBuild>,
     table: SpecTable<'h, S>,
+    /// Per node on the path: state, op placed to reach it, next
+    /// candidate to try (heads from that op on) and the outcomes left of
+    /// the current one. Reused by every `run`.
+    frames: Vec<Frame>,
+    /// `(op, outcome)` per linearized op: after a `run` that succeeded,
+    /// the linearization it found.
+    chosen: Vec<(usize, usize)>,
 }
+
+/// A node of [`Search::run`]'s path (see [`Search::frames`]).
+type Frame = (StateId, usize, usize, Range<usize>);
 
 impl<'h, S: Spec> Search<'h, S> {
     /// The search over `history`, its ops linked per process, and each
@@ -104,15 +118,32 @@ impl<'h, S: Spec> Search<'h, S> {
             key: vec![NONE; heads.len() + 1],
             memo: HashSet::default(),
             table: SpecTable::new(spec.clone(), n),
+            frames: Vec::with_capacity(n + 1),
+            chosen: Vec::with_capacity(n),
         };
         (s, heads)
     }
 
     /// The Wing–Gong search over the lists that start at `heads` (one
-    /// per process) and follow the ops' `next` links: the `(op,
-    /// outcome)` placed at each step, or `None` if no linearization
-    /// exists.
-    fn run(&mut self, heads: &[usize]) -> Option<Vec<(usize, usize)>> {
+    /// per process) and follow the ops' `next` links: whether a
+    /// linearization exists, leaving the `(op, outcome)` placed at each
+    /// step in `chosen` when one does.
+    fn run(&mut self, heads: &[usize]) -> bool {
+        let (mut frames, mut chosen) = (mem::take(&mut self.frames), mem::take(&mut self.chosen));
+        frames.clear();
+        chosen.clear();
+        let found = self.place(heads, &mut frames, &mut chosen);
+        (self.frames, self.chosen) = (frames, chosen);
+        found
+    }
+
+    /// [`Search::run`] on its buffers, taken out of `self`.
+    fn place(
+        &mut self,
+        heads: &[usize],
+        frames: &mut Vec<Frame>,
+        chosen: &mut Vec<(usize, usize)>,
+    ) -> bool {
         self.key[..heads.len()].copy_from_slice(heads);
         // Complete ops still to place; pending ones may be dropped.
         let mut left = 0;
@@ -123,14 +154,11 @@ impl<'h, S: Spec> Search<'h, S> {
                 i = self.ops[i].next;
             }
         }
-        // Per node: state, op placed to reach it, next candidate to try
-        // (heads from that op on) and the outcomes left of the current one.
-        let mut frames = Vec::with_capacity(self.ops.len() + 1);
         frames.push((INITIAL, NONE, 0, 0..0));
-        // (op, outcome) per linearized op.
-        let mut chosen: Vec<(usize, usize)> = Vec::with_capacity(self.ops.len());
         while left > 0 {
-            let (state, placed, from, outs) = frames.last_mut()?;
+            let Some((state, placed, from, outs)) = frames.last_mut() else {
+                return false;
+            };
             // `outs` are op `from - 1`'s outcomes; a complete op takes only
             // those with its actual response.
             let actual = usize::checked_sub(*from, 1).and_then(|i| self.ops[i].resp);
@@ -163,7 +191,7 @@ impl<'h, S: Spec> Search<'h, S> {
                 }
             }
         }
-        Some(chosen)
+        true
     }
 
     /// Moves op `i`'s process cursor to `to` (`i` itself to undo

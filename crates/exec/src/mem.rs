@@ -36,6 +36,17 @@
 //! until one side writes. Cells allocated between steps wait in a
 //! growable buffer and join the shared block at the next step, so
 //! building an algorithm's memory copies each cell once.
+//!
+//! # Footprints
+//!
+//! Beside its value a memory keeps the *footprint* of the operations
+//! since the checker last took it: none; one cell, and whether they
+//! changed it; or unknown — more than one operation, an allocation, a
+//! read by flat index, or a question about the layout or the step
+//! count. The checker's memo-off search reads it after each step to
+//! tell which steps commute (DESIGN.md §7 "Commuting steps, explored
+//! once"). It is not part of the value: `Eq` and `Hash` ignore it, and
+//! a clone carries it unchanged.
 
 use std::hash::{Hash, Hasher};
 use std::iter;
@@ -104,6 +115,73 @@ pub struct Loc(pub(crate) usize);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ArrayLoc(pub(crate) usize);
 
+/// What a step did to shared memory: [`Footprint::FREE`] when it made no
+/// operation, one cell and whether the step changed it (materializing
+/// an array index counts as a change), or [`Footprint::UNKNOWN`] when
+/// the step made more than one operation, allocated, read by flat
+/// index or asked about the layout or the step count.
+///
+/// The bits are `key << 1 | changed`: a standalone cell's key is its
+/// index plus one, below [`ARRAY_KEYS`]; an array cell's is
+/// `ARRAY_KEYS | array << 20 | index`. A cell past that encoding is
+/// `UNKNOWN`, which is never wrong, only coarse.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Footprint(u32);
+
+/// The first array-cell key of a [`Footprint`].
+const ARRAY_KEYS: u64 = 1 << 30;
+
+impl Footprint {
+    /// No memory operation.
+    pub(crate) const FREE: Footprint = Footprint(0);
+    /// Conflicts with every step but a free one.
+    pub(crate) const UNKNOWN: Footprint = Footprint(u32::MAX);
+
+    fn cell(key: u64, changed: bool) -> Self {
+        match u32::try_from(key << 1 | u64::from(changed)) {
+            Ok(bits) if bits != u32::MAX => Footprint(bits),
+            _ => Footprint::UNKNOWN,
+        }
+    }
+
+    fn standalone(loc: Loc, changed: bool) -> Self {
+        let key = loc.0 as u64 + 1;
+        if key < ARRAY_KEYS {
+            Footprint::cell(key, changed)
+        } else {
+            Footprint::UNKNOWN
+        }
+    }
+
+    fn array(a: ArrayLoc, i: usize, changed: bool) -> Self {
+        if a.0 < 1 << 10 && i < 1 << 20 {
+            Footprint::cell(ARRAY_KEYS | (a.0 as u64) << 20 | i as u64, changed)
+        } else {
+            Footprint::UNKNOWN
+        }
+    }
+
+    /// This footprint followed by `next` in the same step.
+    fn then(self, next: Footprint) -> Self {
+        if self == Footprint::FREE {
+            next
+        } else {
+            Footprint::UNKNOWN
+        }
+    }
+
+    /// Whether steps of two processes with these footprints commute:
+    /// either order reaches the same memory, and each step reads what
+    /// it would have read first. True if one is free, or if both are
+    /// known and touch different cells or change neither.
+    pub(crate) fn independent(self, other: Footprint) -> bool {
+        let known = self != Footprint::UNKNOWN && other != Footprint::UNKNOWN;
+        self == Footprint::FREE
+            || other == Footprint::FREE
+            || known && (self.0 >> 1 != other.0 >> 1 || (self.0 | other.0) & 1 == 0)
+    }
+}
+
 /// Whether two shared blocks hold equal cells; clones share blocks, so
 /// the pointer answers first.
 fn same<T: ?Sized + PartialEq>(a: &Rc<T>, b: &Rc<T>) -> bool {
@@ -140,6 +218,9 @@ pub struct SimMemory {
     /// Infinite arrays, in allocation order.
     arrays: Rc<[ArrayCells]>,
     steps: u64,
+    /// What the operations since the last [`SimMemory::take_footprint`]
+    /// touched; not part of the value.
+    footprint: std::cell::Cell<Footprint>,
 }
 
 impl PartialEq for SimMemory {
@@ -159,7 +240,7 @@ impl Eq for SimMemory {}
 impl Hash for SimMemory {
     fn hash<H: Hasher>(&self, h: &mut H) {
         // One sequence, wherever its cells sit, as `Eq` compares it.
-        h.write_usize(self.cell_count());
+        h.write_usize(self.len());
         self.standalone().for_each(|c| c.hash(h));
         self.arrays.hash(h);
         self.steps.hash(h);
@@ -174,14 +255,16 @@ impl SimMemory {
 
     /// Allocates a standalone cell.
     pub fn alloc(&mut self, cell: Cell) -> Loc {
+        self.poison();
         self.fresh.push(cell);
-        Loc(self.cell_count() - 1)
+        Loc(self.len() - 1)
     }
 
     /// Allocates an infinite array whose cells materialize (as copies of
     /// `template`) on first access. Observationally identical to the
     /// paper's infinite arrays: untouched cells hold the initial value.
     pub fn alloc_array(&mut self, template: Cell) -> ArrayLoc {
+        self.poison();
         let array = ArrayCells {
             template,
             cells: Rc::new([]),
@@ -192,6 +275,7 @@ impl SimMemory {
 
     /// Total base-object operations performed (the paper's step count).
     pub fn steps(&self) -> u64 {
+        self.poison();
         self.steps
     }
 
@@ -208,15 +292,21 @@ impl SimMemory {
         }
     }
 
-    /// Whether `self` still holds `other`'s blocks and nothing fresh: no
-    /// cell written, no array index materialized and nothing allocated
-    /// since `self` was cloned from `other`. The checker's mark of a
-    /// step that left every base object as it was (a read, a failed
-    /// CAS, a fetch&add of zero, a write of the value already there).
-    pub(crate) fn shares_blocks(&self, other: &SimMemory) -> bool {
-        self.fresh.is_empty()
-            && Rc::ptr_eq(&self.cells, &other.cells)
-            && Rc::ptr_eq(&self.arrays, &other.arrays)
+    /// The footprint of the operations since the last call; starts the
+    /// next one afresh.
+    pub(crate) fn take_footprint(&self) -> Footprint {
+        self.footprint.replace(Footprint::FREE)
+    }
+
+    /// Records one more operation's footprint.
+    fn touch(&self, fp: Footprint) {
+        self.footprint.set(self.footprint.get().then(fp));
+    }
+
+    /// Marks the operations since the last take as commuting with
+    /// nothing: what they saw depends on more than one cell.
+    fn poison(&self) {
+        self.footprint.set(Footprint::UNKNOWN);
     }
 
     /// Counts one base-object operation.
@@ -225,30 +315,48 @@ impl SimMemory {
         self.freeze();
     }
 
+    /// Number of standalone cells, without poisoning the footprint.
+    fn len(&self) -> usize {
+        self.cells.len() + self.fresh.len()
+    }
+
     /// Every standalone cell, in allocation order.
     fn standalone(&self) -> impl Iterator<Item = &Cell> {
         self.cells.iter().chain(&self.fresh)
     }
 
+    /// One step that reads standalone cell `loc`.
+    fn look(&mut self, loc: Loc) -> &Cell {
+        self.tick();
+        self.touch(Footprint::standalone(loc, false));
+        &self.cells[loc.0]
+    }
+
     /// One step on standalone cell `loc`. On a shared block `op` runs on
     /// a copy of the cell, and the block is unshared and written only if
-    /// the copy changed.
+    /// the copy changed. On a block it owns alone it writes in place,
+    /// and the footprint says changed.
     fn apply<R>(&mut self, loc: Loc, op: impl FnOnce(&mut Cell) -> R) -> R {
         self.tick();
         if let Some(cells) = Rc::get_mut(&mut self.cells) {
-            return op(&mut cells[loc.0]);
+            let out = op(&mut cells[loc.0]);
+            self.touch(Footprint::standalone(loc, true));
+            return out;
         }
         let mut cell = self.cells[loc.0].clone();
         let out = op(&mut cell);
-        if cell != self.cells[loc.0] {
+        let changed = cell != self.cells[loc.0];
+        if changed {
             Rc::make_mut(&mut self.cells)[loc.0] = cell;
         }
+        self.touch(Footprint::standalone(loc, changed));
         out
     }
 
-    /// Array `a`'s cell `i`, materializing the array up to `i` first.
-    fn array_get(&mut self, a: ArrayLoc, i: usize) -> &Cell {
-        if self.arrays[a.0].cells.len() <= i {
+    /// Materializes array `a` up to index `i`; whether it grew.
+    fn materialize(&mut self, a: ArrayLoc, i: usize) -> bool {
+        let grow = self.arrays[a.0].cells.len() <= i;
+        if grow {
             let arr = &mut Rc::make_mut(&mut self.arrays)[a.0];
             let missing = i + 1 - arr.cells.len();
             arr.cells = arr
@@ -258,24 +366,36 @@ impl SimMemory {
                 .chain(iter::repeat_n(arr.template.clone(), missing))
                 .collect();
         }
+        grow
+    }
+
+    /// One step that reads array `a`'s cell `i`.
+    fn look_at(&mut self, a: ArrayLoc, i: usize) -> &Cell {
+        self.tick();
+        let grew = self.materialize(a, i);
+        self.touch(Footprint::array(a, i, grew));
         &self.arrays[a.0].cells[i]
     }
 
     /// [`SimMemory::apply`] on array `a`'s cell `i`.
     fn apply_at<R>(&mut self, a: ArrayLoc, i: usize, op: impl FnOnce(&mut Cell) -> R) -> R {
         self.tick();
-        self.array_get(a, i);
-        if let Some(arrays) = Rc::get_mut(&mut self.arrays) {
-            if let Some(cells) = Rc::get_mut(&mut arrays[a.0].cells) {
-                return op(&mut cells[i]);
-            }
+        let grew = self.materialize(a, i);
+        let owned =
+            Rc::get_mut(&mut self.arrays).and_then(|arrays| Rc::get_mut(&mut arrays[a.0].cells));
+        if let Some(cells) = owned {
+            let out = op(&mut cells[i]);
+            self.touch(Footprint::array(a, i, true));
+            return out;
         }
         let mut cell = self.arrays[a.0].cells[i].clone();
         let out = op(&mut cell);
-        if cell != self.arrays[a.0].cells[i] {
+        let changed = cell != self.arrays[a.0].cells[i];
+        if changed {
             let arr = &mut Rc::make_mut(&mut self.arrays)[a.0];
             Rc::make_mut(&mut arr.cells)[i] = cell;
         }
+        self.touch(Footprint::array(a, i, grew || changed));
         out
     }
 
@@ -284,14 +404,12 @@ impl SimMemory {
     /// Reads any cell as a word. Every base object is readable (Lemma
     /// 16); `ASnap` cells must use [`SimMemory::snap_scan`].
     pub fn read(&mut self, loc: Loc) -> Word {
-        self.tick();
-        self.cells[loc.0].as_word()
+        self.look(loc).as_word()
     }
 
     /// Reads an array cell as a word.
     pub fn read_at(&mut self, a: ArrayLoc, i: usize) -> Word {
-        self.tick();
-        self.array_get(a, i).as_word()
+        self.look_at(a, i).as_word()
     }
 
     /// Writes a `Reg` cell.
@@ -339,8 +457,7 @@ impl SimMemory {
 
     /// Reads a `Wide` cell (= `fetch&add(R, 0)`).
     pub fn wide_read(&mut self, loc: Loc) -> BigNat {
-        self.tick();
-        match &self.cells[loc.0] {
+        match self.look(loc) {
             Cell::Wide(cur) => cur.clone(),
             other => panic!("wide_read on non-wide cell {other:?}"),
         }
@@ -389,8 +506,7 @@ impl SimMemory {
 
     /// `ReadMax` on an `AMaxReg` cell.
     pub fn max_read(&mut self, loc: Loc) -> Word {
-        self.tick();
-        match &self.cells[loc.0] {
+        match self.look(loc) {
             Cell::AMaxReg(cur) => *cur,
             other => panic!("max_read on non-max-register cell {other:?}"),
         }
@@ -406,8 +522,7 @@ impl SimMemory {
 
     /// `scan` on an `ASnap` cell.
     pub fn snap_scan(&mut self, loc: Loc) -> Vec<Word> {
-        self.tick();
-        match &self.cells[loc.0] {
+        match self.look(loc) {
             Cell::ASnap(view) => view.clone(),
             other => panic!("snap_scan on non-snapshot cell {other:?}"),
         }
@@ -495,8 +610,7 @@ impl SimMemory {
 
     /// Readable test&set array: read cell `i`.
     pub fn rtas_read_at(&mut self, a: ArrayLoc, i: usize) -> u8 {
-        self.tick();
-        match self.array_get(a, i) {
+        match self.look_at(a, i) {
             Cell::Tas(bit) | Cell::ARTas(bit) => *bit as u8,
             other => panic!("rtas_read on non-test&set cell {other:?}"),
         }
@@ -506,7 +620,8 @@ impl SimMemory {
 
     /// Number of standalone cells.
     pub fn cell_count(&self) -> usize {
-        self.cells.len() + self.fresh.len()
+        self.poison();
+        self.len()
     }
 
     /// A copy of the memory with the step counter reset — the "states of
@@ -514,6 +629,7 @@ impl SimMemory {
     /// from. Cloning is legitimate *only after a successful double
     /// collect*; the collect itself must go through per-cell reads.
     pub fn snapshot_state(&self) -> SimMemory {
+        self.poison();
         let mut copy = self.clone();
         copy.steps = 0;
         copy
@@ -525,6 +641,7 @@ impl SimMemory {
     /// cells in allocation order.
     pub fn collect_read(&mut self, flat: usize) -> Cell {
         self.tick();
+        self.poison();
         let mut rest = flat;
         for block in iter::once(&self.cells).chain(self.arrays.iter().map(|a| &a.cells)) {
             if rest < block.len() {
@@ -537,7 +654,8 @@ impl SimMemory {
 
     /// Number of flat-indexable cells currently materialized.
     pub fn flat_len(&self) -> usize {
-        self.cell_count() + self.arrays.iter().map(|a| a.cells.len()).sum::<usize>()
+        self.poison();
+        self.len() + self.arrays.iter().map(|a| a.cells.len()).sum::<usize>()
     }
 
     /// Rebuilds a memory image from collected cell values, preserving
@@ -563,6 +681,7 @@ impl SimMemory {
             fresh: Vec::new(),
             arrays,
             steps: 0,
+            footprint: Default::default(),
         }
     }
 }
@@ -760,6 +879,78 @@ mod tests {
         assert_ne!(stepped, frozen);
         stepped.steps = 0;
         assert_eq!(stepped, frozen);
+    }
+
+    #[test]
+    fn a_step_records_the_one_cell_it_touched() {
+        let mut mem = SimMemory::new();
+        let r = mem.alloc(Cell::Reg(0));
+        let c = mem.alloc(Cell::Cas(0));
+        let a = mem.alloc_array(Cell::Reg(0));
+        assert_eq!(mem.take_footprint(), Footprint::UNKNOWN, "allocations");
+        mem.freeze();
+        // As the checker steps: on a clone, which shares every block.
+        let step = |op: &dyn Fn(&mut SimMemory)| {
+            let mut child = mem.clone();
+            child.take_footprint();
+            op(&mut child);
+            assert_eq!(child, {
+                let mut again = mem.clone();
+                op(&mut again);
+                again
+            });
+            child.take_footprint()
+        };
+        let read = step(&|m| {
+            m.read(r);
+        });
+        assert_eq!(read, Footprint::standalone(r, false));
+        assert_eq!(step(&|m| m.write(r, 0)), read, "the value already there");
+        let write = step(&|m| m.write(r, 1));
+        assert_eq!(write, Footprint::standalone(r, true));
+        let failed_cas = step(&|m| {
+            m.cas(c, 5, 1);
+        });
+        assert_eq!(failed_cas, Footprint::standalone(c, false));
+        // Materializing an index is a change, even on a read.
+        let fresh = step(&|m| {
+            m.read_at(a, 3);
+        });
+        assert_eq!(fresh, Footprint::array(a, 3, true));
+        let other = step(&|m| m.write_at(a, 4, 1));
+        assert_eq!(step(&|_| {}), Footprint::FREE);
+        for unknown in [
+            step(&|m| {
+                m.read(r);
+                m.read(c);
+            }),
+            step(&|m| {
+                m.read(r);
+                m.flat_len();
+            }),
+            step(&|m| {
+                m.read(r);
+                m.cell_count();
+            }),
+            step(&|m| {
+                m.read(r);
+                m.steps();
+            }),
+            step(&|m| {
+                m.collect_read(0);
+            }),
+            step(&|m| {
+                m.snapshot_state();
+            }),
+        ] {
+            assert_eq!(unknown, Footprint::UNKNOWN);
+        }
+        // Independent: different cells, or neither changed; a free step.
+        assert!(read.independent(read) && read.independent(failed_cas));
+        assert!(write.independent(failed_cas) && fresh.independent(other));
+        assert!(Footprint::FREE.independent(Footprint::UNKNOWN));
+        assert!(!write.independent(read) && !fresh.independent(fresh));
+        assert!(!Footprint::UNKNOWN.independent(read));
     }
 
     #[test]

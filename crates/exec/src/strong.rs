@@ -25,9 +25,12 @@
 //! orders (DESIGN.md §7). *Lazy linearization*: a step that forces
 //! nothing tries σ = ε only, since linearizing running operations can
 //! always wait for the next completion. *Sleep sets*, without a memo
-//! only: a *quiet* step — one that completes nothing and leaves every
-//! base object as it was — commutes with another process's quiet step,
-//! so of two such steps only one order is explored.
+//! only: two steps of different processes that complete nothing
+//! commute when their footprints are independent — they touch
+//! different cells, or neither changes the cell it touches — so of two
+//! such steps only one order is explored. A step's footprint is what
+//! its memory recorded ([`SimMemory`]); one that makes more than one
+//! operation, allocates or asks about the layout commutes with nothing.
 //!
 //! The search memoizes on the pair (execution state,
 //! linearization-relevant state), which merges schedule prefixes that
@@ -61,7 +64,7 @@ use sl2_spec::Spec;
 
 use crate::history::{History, OpId};
 use crate::machine::{Algorithm, OpMachine, Step};
-use crate::mem::SimMemory;
+use crate::mem::{Footprint, SimMemory};
 use crate::sched::Scenario;
 use crate::table::{FxBuild, SpecTable, StateId, INITIAL};
 
@@ -191,10 +194,11 @@ pub enum MemoMode {
     /// compared by equality. The default.
     Canonical,
     /// No memo table: the execution tree is re-explored at every join,
-    /// except that commuting quiet steps are explored in one order
-    /// (sleep sets). Exponentially slower on racy scenarios; used by the
-    /// soundness differential tests, where it pits a different
-    /// reduction against the memo's, and the E16/E24 ablations.
+    /// except that two non-completing steps on independent cells are
+    /// explored in one order (sleep sets). Exponentially slower on
+    /// racy scenarios; used by the soundness differential tests, where
+    /// it pits a different reduction against the memo's, and the
+    /// E16/E24 ablations.
     Off,
 }
 
@@ -502,7 +506,11 @@ pub fn check_strong<A: Algorithm>(
         states: vec![INITIAL],
     });
     let mut engine = Engine::new(alg, scenario, options.into());
-    let verdict = engine.run_task(SpawnTask::Feasible(Rc::clone(&exec), Rc::clone(&lin), 0));
+    let verdict = engine.run_task(SpawnTask::Feasible(
+        Rc::clone(&exec),
+        Rc::clone(&lin),
+        Sleep::default(),
+    ));
     // Captured before witness extraction, which re-probes the engine
     // and would otherwise pollute the accounting.
     let (nodes, stats) = (engine.nodes, engine.stats);
@@ -578,6 +586,7 @@ fn step_child<A: Algorithm>(
     p: usize,
 ) -> (ExecState<A>, Completed<A::Spec>) {
     let mut child = exec.clone();
+    child.mem.take_footprint(); // this step's operations only
     let cursor = &mut child.procs[p];
     let mut machine = cursor.machine.take().unwrap_or_else(|| {
         cursor.invoked += 1;
@@ -645,12 +654,60 @@ fn sleep_bit(p: usize) -> u64 {
     }
 }
 
+/// How many processes a [`Sleep`] set holds at most.
+const SLEEPERS: usize = 4;
+
+/// A sleep set (DESIGN.md §7): processes a node does not step, each
+/// with the footprint of the non-completing step it would take. Holds
+/// at most [`SLEEPERS`]; a process that does not fit stays awake, which
+/// is always sound, since a smaller sleep set only explores more.
+#[derive(Clone, Copy, Default)]
+struct Sleep {
+    mask: u64,
+    /// The members' footprints, in process order.
+    fps: [Footprint; SLEEPERS],
+}
+
+impl Sleep {
+    fn len(&self) -> usize {
+        self.mask.count_ones() as usize
+    }
+
+    /// Adds process `p`, whose step has footprint `fp`, if it has a bit
+    /// and there is room.
+    fn insert(&mut self, p: usize, fp: Footprint) {
+        let (bit, len) = (sleep_bit(p), self.len());
+        if bit == 0 || len == SLEEPERS {
+            return;
+        }
+        let rank = (self.mask & (bit - 1)).count_ones() as usize;
+        self.fps.copy_within(rank..len, rank + 1);
+        self.fps[rank] = fp;
+        self.mask |= bit;
+    }
+
+    /// The members whose steps commute with a step of footprint `fp`.
+    fn independent_of(&self, fp: Footprint) -> Sleep {
+        let mut out = Sleep::default();
+        let mut rest = self.mask;
+        for &member in &self.fps[..self.len()] {
+            let bit = rest & rest.wrapping_neg();
+            rest ^= bit;
+            if member.independent(fp) {
+                out.fps[out.len()] = member;
+                out.mask |= bit;
+            }
+        }
+        out
+    }
+}
+
 /// A subproblem the engine can evaluate: the two mutually recursive
 /// procedures of the AND/OR search, reified.
 enum SpawnTask<A: Algorithm> {
-    /// `feasible(exec, lin)` — the AND side — with the sleep mask of
+    /// `feasible(exec, lin)` — the AND side — with the sleep set of
     /// processes it need not step.
-    Feasible(Rc<ExecState<A>>, Rc<LinState<A::Spec>>, u64),
+    Feasible(Rc<ExecState<A>>, Rc<LinState<A::Spec>>, Sleep),
     /// `extensions(child, lin, must)` — the OR side of a step that
     /// completed `must`.
     Ext(Rc<ExecState<A>>, Rc<LinState<A::Spec>>, Completion<A::Spec>),
@@ -665,7 +722,7 @@ impl<A: Algorithm> SpawnTask<A> {
         child: Rc<ExecState<A>>,
         lin: Rc<LinState<A::Spec>>,
         must: Completed<A::Spec>,
-        sleep: u64,
+        sleep: Sleep,
     ) -> Self {
         match must {
             None => SpawnTask::Feasible(child, lin, sleep),
@@ -682,15 +739,17 @@ struct FeasibleFrame<A: Algorithm> {
     /// The enabled process whose step is explored now; the AND runs
     /// over enabled processes in process order.
     next: usize,
-    /// Processes this frame does not step: each one's next step is
-    /// quiet and commutes with the quiet steps that led here, so an
-    /// ancestor already explored its other order. Empty with a memo.
-    sleep: u64,
-    /// This frame's quiet steps already proven feasible; its later
-    /// quiet steps put them to sleep in their children.
-    done_quiet: u64,
-    /// Whether the step in flight (process `next`'s) is quiet.
-    quiet: bool,
+    /// Processes this frame does not step: each one's next step
+    /// completes nothing and commutes with the steps that led here, so
+    /// an ancestor already explored its other order. Then, as they are
+    /// proven feasible, this frame's own non-completing steps, which
+    /// its later steps put to sleep in their children where they
+    /// commute; these are all below `next`, so the scan never meets
+    /// them. Empty with a memo.
+    sleep: Sleep,
+    /// The footprint of the step in flight (process `next`'s), or
+    /// `None` if it completes an operation or there is a memo.
+    step: Option<Footprint>,
 }
 
 /// OR frame: some linearization extension σ, which must include the
@@ -854,9 +913,9 @@ impl<'a, A: Algorithm> Engine<'a, A> {
         &mut self,
         exec: Rc<ExecState<A>>,
         lin: Rc<LinState<A::Spec>>,
-        sleep: u64,
+        sleep: Sleep,
     ) -> Result<Entered<A>, BudgetExhausted> {
-        let Some(first) = exec.next_enabled(self.scenario, 0, sleep) else {
+        let Some(first) = exec.next_enabled(self.scenario, 0, sleep.mask) else {
             return Ok(Entered::Done(true));
         };
         let key = self.memo.is_some().then(|| StateKey {
@@ -880,8 +939,7 @@ impl<'a, A: Algorithm> Engine<'a, A> {
             key,
             next: first,
             sleep,
-            done_quiet: 0,
-            quiet: false,
+            step: None,
         }))
     }
 
@@ -912,29 +970,30 @@ impl<'a, A: Algorithm> Engine<'a, A> {
                 Frame::Feasible(f) => {
                     let r = result.take();
                     if r == Some(true) {
-                        if f.quiet {
-                            f.done_quiet |= sleep_bit(f.next);
+                        if let Some(fp) = f.step {
+                            f.sleep.insert(f.next, fp);
                         }
                         f.next += 1;
                     }
                     let verdict = if r == Some(false) {
                         Some(false) // AND fails: record and propagate.
-                    } else if let Some(p) = f.exec.next_enabled(self.scenario, f.next, f.sleep) {
+                    } else if let Some(p) = f.exec.next_enabled(self.scenario, f.next, f.sleep.mask)
+                    {
                         f.next = p;
                         let (child, completed) = step_child(self.alg, self.scenario, &f.exec, p);
-                        f.quiet = completed.is_none() && child.mem.shares_blocks(&f.exec.mem);
+                        // Sleep sets (DESIGN.md §7): without a memo only —
+                        // with one, both orders meet at one key.
+                        let unmemoized = completed.is_none() && self.memo.is_none();
+                        f.step = unmemoized.then(|| child.mem.take_footprint());
                         match meet(&f.lin, completed) {
                             Ok((lin, must)) => {
-                                // Sleep sets (DESIGN.md §7): a quiet
-                                // step's child skips the sleepers and
-                                // the quiet siblings already proven, all
-                                // of which commute with it (`p` is in
-                                // neither mask). Without a memo only —
-                                // with one, both orders meet at one key.
-                                let sleep = if f.quiet && self.memo.is_none() {
-                                    f.sleep | f.done_quiet
-                                } else {
-                                    0
+                                // A non-completing step's child skips the
+                                // sleepers and the siblings already proven
+                                // that commute with it (`p` is neither);
+                                // a completion's child skips nothing.
+                                let sleep = match f.step {
+                                    Some(fp) => f.sleep.independent_of(fp),
+                                    None => Sleep::default(),
                                 };
                                 spawn =
                                     Some(SpawnTask::after_step(Rc::new(child), lin, must, sleep));
@@ -965,7 +1024,12 @@ impl<'a, A: Algorithm> Engine<'a, A> {
                     }
                     match f.next_alternative(&mut self.table, self.scenario) {
                         Some((lin, must)) => {
-                            spawn = Some(SpawnTask::after_step(Rc::clone(&f.child), lin, must, 0));
+                            spawn = Some(SpawnTask::after_step(
+                                Rc::clone(&f.child),
+                                lin,
+                                must,
+                                Sleep::default(),
+                            ));
                         }
                         None => {
                             stack.pop();
@@ -984,7 +1048,11 @@ impl<'a, A: Algorithm> Engine<'a, A> {
         exec: &Rc<ExecState<A>>,
         lin: &Rc<LinState<A::Spec>>,
     ) -> Result<bool, BudgetExhausted> {
-        self.run_task(SpawnTask::Feasible(Rc::clone(exec), Rc::clone(lin), 0))
+        self.run_task(SpawnTask::Feasible(
+            Rc::clone(exec),
+            Rc::clone(lin),
+            Sleep::default(),
+        ))
     }
 
     /// Re-walks the refuted tree from the root, *through* memoized
@@ -1186,7 +1254,7 @@ fn recurse<A: Algorithm>(
 mod tests {
     use super::*;
     use crate::lin::is_linearizable;
-    use crate::mem::{Cell, Loc};
+    use crate::mem::{ArrayLoc, Cell, Loc};
     use sl2_spec::counters::{CounterOp, CounterResp, CounterSpec};
     use sl2_spec::max_register::{MaxOp, MaxRegisterSpec, MaxResp};
     use std::iter;
@@ -1411,6 +1479,115 @@ mod tests {
         assert_eq!(high, 40, "processes 64 and 65");
         assert!(low < high, "processes 0 and 1: {low} nodes");
         assert_eq!(sleep_bit(64), 0);
+    }
+
+    /// A planted twin that asks about the layout mid-operation. A
+    /// write's first step writes `slots` at index `v`, which nothing
+    /// has materialized, and its second writes `v` to `reg` and
+    /// completes. A read's first step reads `reg` and records
+    /// `flat_len()`; its second returns what it read, or 7, which
+    /// nobody writes, if it read 0 after the layout had grown. So a
+    /// read's first step between a write's two is a non-linearizable
+    /// history. It touches a different cell than the write's first
+    /// step, yet does not commute with it.
+    #[derive(Debug, Clone)]
+    struct LayoutReader {
+        reg: Loc,
+        slots: ArrayLoc,
+        len: usize,
+    }
+
+    #[derive(Debug, Clone, PartialEq, Eq, Hash)]
+    enum LayoutMachine {
+        Read {
+            reg: Loc,
+            len: usize,
+            seen: Option<(u64, usize)>,
+        },
+        Write {
+            reg: Loc,
+            slots: ArrayLoc,
+            v: u64,
+            marked: bool,
+        },
+    }
+
+    impl OpMachine for LayoutMachine {
+        type Resp = MaxResp;
+        fn step(&mut self, mem: &mut SimMemory) -> Step<MaxResp> {
+            match self {
+                LayoutMachine::Read { reg, len, seen } => match *seen {
+                    None => {
+                        *seen = Some((mem.read(*reg), mem.flat_len()));
+                        Step::Pending
+                    }
+                    Some((0, now)) if now > *len => Step::Ready(MaxResp::Value(7)),
+                    Some((v, _)) => Step::Ready(MaxResp::Value(v)),
+                },
+                LayoutMachine::Write {
+                    reg,
+                    slots,
+                    v,
+                    marked,
+                } => {
+                    if *marked {
+                        mem.write(*reg, *v);
+                        return Step::Ready(MaxResp::Ok);
+                    }
+                    mem.write_at(*slots, *v as usize, *v);
+                    *marked = true;
+                    Step::Pending
+                }
+            }
+        }
+    }
+
+    impl Algorithm for LayoutReader {
+        type Spec = MaxRegisterSpec;
+        type Machine = LayoutMachine;
+        fn spec(&self) -> MaxRegisterSpec {
+            MaxRegisterSpec
+        }
+        fn machine(&self, _p: usize, op: &MaxOp) -> LayoutMachine {
+            match op {
+                MaxOp::Write(v) => LayoutMachine::Write {
+                    reg: self.reg,
+                    slots: self.slots,
+                    v: *v,
+                    marked: false,
+                },
+                MaxOp::Read => LayoutMachine::Read {
+                    reg: self.reg,
+                    len: self.len,
+                    seen: None,
+                },
+            }
+        }
+    }
+
+    #[test]
+    fn a_step_that_reads_the_layout_commutes_with_nothing() {
+        // The reader is process 0, so its first step is explored first.
+        // Were its footprint only the register it read, the writer's
+        // first step would put it to sleep until the writer completed,
+        // and the memo-off search, never seeing the order that returns
+        // 7, would certify.
+        let mut mem = SimMemory::new();
+        let reg = mem.alloc(Cell::Reg(0));
+        let slots = mem.alloc_array(Cell::Reg(0));
+        let alg = LayoutReader {
+            reg,
+            slots,
+            len: mem.flat_len(),
+        };
+        let scenario = Scenario::new(vec![vec![MaxOp::Read], vec![MaxOp::Write(2)]]);
+        for memoize in [true, false] {
+            let options = StrongOptions::with_limit(10_000).memoize(memoize);
+            let out = check_strong(&alg, mem.clone(), &scenario, options);
+            assert!(out.is_refuted(), "memoize={memoize}: {:?}", out.outcome);
+            let w = out.witness().expect("witness on failure");
+            validate_witness(&alg, mem.clone(), &scenario, w).expect("witness must replay");
+        }
     }
 
     #[test]

@@ -381,8 +381,8 @@ mod memo_differential {
     }
 
     /// Every scenario of 2–3 processes with 1–2 operations each and at
-    /// most 4 in all, over `alphabet`, in a fixed order.
-    fn small_scenarios<O: Clone>(alphabet: &[O]) -> Vec<Vec<Vec<O>>> {
+    /// most `max_ops` in all, over `alphabet`, in a fixed order.
+    fn small_scenarios<O: Clone>(alphabet: &[O], max_ops: usize) -> Vec<Vec<Vec<O>>> {
         let mut lists: Vec<Vec<O>> = alphabet.iter().map(|o| vec![o.clone()]).collect();
         for a in alphabet {
             for b in alphabet {
@@ -397,7 +397,7 @@ mod memo_differential {
                 .flat_map(|s| {
                     lists.iter().filter_map(move |l| {
                         let total: usize = s.iter().map(Vec::len).sum::<usize>() + l.len();
-                        (total <= 4).then(|| s.iter().cloned().chain([l.clone()]).collect())
+                        (total <= max_ops).then(|| s.iter().cloned().chain([l.clone()]).collect())
                     })
                 })
                 .collect();
@@ -408,15 +408,17 @@ mod memo_differential {
         out
     }
 
-    /// Checks every [`small_scenarios`] member of `alphabet` in both
-    /// memo modes, asserting they agree scenario by scenario, and
-    /// returns `(scenarios, refuted, digest)`: the digest folds the
-    /// refuted members' positions, so it pins which ones are refuted.
+    /// Checks every [`small_scenarios`] member of `alphabet` with at
+    /// most `max_ops` operations in both memo modes, asserting they
+    /// agree scenario by scenario, and returns `(scenarios, refuted,
+    /// digest)`: the digest folds the refuted members' positions, so it
+    /// pins which ones are refuted.
     fn refutations<A: Algorithm>(
         make: impl Fn(&mut SimMemory) -> A,
         alphabet: &[<A::Spec as sl2_spec::Spec>::Op],
+        max_ops: usize,
     ) -> (usize, usize, u64) {
-        let scenarios = small_scenarios(alphabet);
+        let scenarios = small_scenarios(alphabet, max_ops);
         let (mut refuted, mut digest) = (0, 0xcbf2_9ce4_8422_2325u64);
         for (i, ops) in scenarios.iter().enumerate() {
             let scenario = Scenario::new(ops.clone());
@@ -443,11 +445,21 @@ mod memo_differential {
     fn generated_families_reproduce_the_unreduced_verdicts() {
         // An independent differential for the search's reductions (lazy
         // linearization in both memo modes, sleep sets memo-off): every
-        // small scenario of two twins that refute at S = 2, checked in
-        // both modes. The counts and digests were computed by the engine
-        // before either reduction; they reproduce the refuted column
-        // of ROADMAP item 15's table (232 of 1 232 and 20 of 92).
+        // small scenario of each family, checked in both modes. The
+        // sharded twins refute at S = 2; their counts and digests were
+        // computed by the engine before either reduction and reproduce
+        // the refuted column of ROADMAP item 15's table (232 of 1 232
+        // and 20 of 92). The array, CAS and combining twins write cells
+        // of their own (a pushed node, a lane) between shared steps, so
+        // sleep sets over independent cells act on them; theirs were
+        // computed memo-on by the engine before sleep sets looked at
+        // which cell a step touched.
+        use sl2_combine::{CombiningCounterAlg, CombiningMaxRegAlg, ReadMode};
+        use sl2_core::baselines::agm_stack::AgmStackAlg;
+        use sl2_core::baselines::cas_queue::CasQueueAlg;
+        use sl2_core::baselines::treiber_stack::TreiberStackAlg;
         use sl2_spec::counters::CounterOp;
+        use sl2_spec::fifo::{QueueOp, StackOp};
         let max = refutations(
             |mem| ShardedMaxRegAlg::new(mem, 3, 2),
             &[
@@ -456,6 +468,7 @@ mod memo_differential {
                 MaxOp::Write(3),
                 MaxOp::Read,
             ],
+            4,
         );
         assert_eq!(
             max,
@@ -465,12 +478,57 @@ mod memo_differential {
         let counter = refutations(
             |mem| ShardedCounterAlg::exact(mem, 3, 2),
             &[CounterOp::Inc, CounterOp::Read],
+            4,
         );
         assert_eq!(
             counter,
             (92, 20, 12_435_206_701_303_467_307),
             "ShardedCounterAlg::exact S=2"
         );
+        let stack = [StackOp::Push(1), StackOp::Push(2), StackOp::Pop];
+        assert_eq!(
+            refutations(AgmStackAlg::new, &stack, 4),
+            (414, 162, 15_999_331_921_705_914_903),
+            "AgmStackAlg"
+        );
+        // Memo-off, ≤ 3 ops: 95 195 507 nodes while only quiet steps
+        // slept, 154 217 since independent cells do.
+        assert_eq!(
+            refutations(TreiberStackAlg::new, &stack, 3),
+            (90, 0, 14_695_981_039_346_656_037),
+            "TreiberStackAlg"
+        );
+        assert_eq!(
+            refutations(
+                CasQueueAlg::new,
+                &[QueueOp::Enq(1), QueueOp::Enq(2), QueueOp::Deq],
+                4
+            ),
+            (414, 0, 14_695_981_039_346_656_037),
+            "CasQueueAlg"
+        );
+        // ~0.7 s each in release, ~4 s each in a debug build: CI's
+        // release run of this suite checks them.
+        if !cfg!(debug_assertions) {
+            assert_eq!(
+                refutations(
+                    |mem| CombiningMaxRegAlg::new(mem, 3, 1, ReadMode::Cached),
+                    &[MaxOp::Write(1), MaxOp::Write(2), MaxOp::Read],
+                    3
+                ),
+                (90, 20, 7_012_378_477_342_534_497),
+                "CombiningMaxRegAlg cached S=1"
+            );
+            assert_eq!(
+                refutations(
+                    |mem| CombiningCounterAlg::cached(mem, 3, 1),
+                    &[CounterOp::Inc, CounterOp::Read],
+                    4
+                ),
+                (92, 37, 735_509_880_977_349_618),
+                "CombiningCounterAlg::cached"
+            );
+        }
     }
 
     proptest! {

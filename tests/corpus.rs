@@ -43,9 +43,10 @@ use sl2_core::baselines::agm_stack::AgmStackAlg;
 use sl2_spec::fifo::StackOp;
 
 /// Global node budget of each re-certification pass; the memo-on pass
-/// spends well under a million nodes and the memo-off pass ~7M (5.9M of
-/// them in the two `combining_stable_s{1,2}/fan_in` records), so this
-/// is headroom, not a cliff — but a runaway scenario surfaces as a
+/// spends well under a million nodes and the memo-off pass ~157k (70k
+/// of them in the two `combining_stable_s{1,2}/fan_in` records; ~7M
+/// while only steps that changed no cell slept), so this is headroom,
+/// not a cliff — but a runaway scenario surfaces as a
 /// `Bounded` record instead of an eaten CI hour. Sized ≥
 /// `corpus_threads() × the 8M per-scenario limit`: the parallel driver
 /// *reserves* each scenario's allowance up front, so anything smaller
