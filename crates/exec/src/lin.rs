@@ -11,7 +11,8 @@
 //! (DESIGN.md §7 "The history checker"): the linearized set is a prefix
 //! per process, kept as one cursor each, and spec states are ids in the
 //! check's `SpecTable`, so a memo key is `(cursors, state id)`.
-//! [`is_linearizable`] runs it once per key when every op has one.
+//! [`is_linearizable`] runs it once per key when every op has one, over
+//! lists linked per key and process in one pass, with no sort.
 
 use std::collections::{HashMap, HashSet};
 use std::mem;
@@ -53,35 +54,36 @@ pub fn linearize<S: Spec>(spec: &S, history: &History<S>) -> Option<Linearizatio
 /// Does a linearization exist? When every op has a [`Spec::key_of`]
 /// key, each key's sub-history is searched on its own, in order of the
 /// key's first invocation, stopping at the first that fails:
-/// linearizability is local (DESIGN.md §7 "Per key"). Otherwise the
+/// linearizability is local (DESIGN.md §7 "Per key"); one reverse pass
+/// links each key's lists, in O(ops + keys · processes). Otherwise the
 /// whole history is searched, as [`linearize`] does.
 ///
 /// # Panics
 ///
 /// As [`linearize`], if the history is ill-formed.
 pub fn is_linearizable<S: Spec>(spec: &S, history: &History<S>) -> bool {
-    let (mut s, mut heads) = Search::new(spec, history);
+    let (mut s, heads) = Search::new(spec, history);
     // Per op, its key's rank in order of first invocation.
     let mut ranks: HashMap<u64, usize, FxBuild> = HashMap::default();
-    let rank = s.ops.iter().map(|o| {
+    let mut rank = Vec::with_capacity(s.ops.len());
+    rank.extend(s.ops.iter().map_while(|o| {
         let fresh = ranks.len();
         Some(*ranks.entry(spec.key_of(o.op)?).or_insert(fresh))
-    });
-    let Some(rank) = rank.collect::<Option<Vec<usize>>>() else {
+    }));
+    if rank.len() < s.ops.len() {
         return s.run(&heads);
-    };
-    // Stable: each key's ops stay in invocation order.
-    let mut order: Vec<usize> = (0..rank.len()).collect();
-    order.sort_by_key(|&i| rank[i]);
-    order.chunk_by(|&a, &b| rank[a] == rank[b]).all(|sub| {
-        // Link each op to its process's next op on the same key.
-        heads.fill(NONE);
-        for &i in sub.iter().rev() {
-            let slot = s.ops[i].slot;
-            (s.ops[i].next, heads[slot]) = (heads[slot], i);
-        }
+    }
+    // Row `r` holds key `r`'s first op per process; one reverse pass
+    // links each op to its process's next op on the same key.
+    let p = heads.len().max(1);
+    let mut firsts = vec![NONE; ranks.len() * p];
+    for (i, r) in rank.into_iter().enumerate().rev() {
+        let first = &mut firsts[r * p + s.ops[i].slot];
+        (s.ops[i].next, *first) = (*first, i);
+    }
+    firsts.chunks_exact(p).all(|row| {
         s.memo.clear();
-        s.run(&heads)
+        s.run(row)
     })
 }
 
@@ -203,14 +205,21 @@ impl<'h, S: Spec> Search<'h, S> {
 
     /// The first enabled head from op `from` on, in invocation order. A
     /// head is enabled iff no head returned before it was invoked, so
-    /// the earliest head return bounds them all: O(processes).
+    /// the earliest head return bounds them all: two passes over the
+    /// processes (a `NONE` head is never below the bound).
     fn enabled_from(&self, from: usize) -> usize {
-        let heads = self.key[..self.key.len() - 1]
-            .iter()
-            .filter(|&&h| h != NONE);
-        let bound = heads.clone().map(|&h| self.ops[h].returned).min();
-        let enabled = heads.filter(|&&h| h >= from && Some(h) < bound).min();
-        enabled.copied().unwrap_or(NONE)
+        let heads = &self.key[..self.key.len() - 1];
+        let mut bound = NONE;
+        for &h in heads.iter().filter(|&&h| h != NONE) {
+            bound = bound.min(self.ops[h].returned);
+        }
+        let mut enabled = NONE;
+        for &h in heads {
+            if h >= from && h < bound.min(enabled) {
+                enabled = h;
+            }
+        }
+        enabled
     }
 
     /// Whether node `(heads, state)` failed before.

@@ -91,9 +91,14 @@ impl Hasher for Fx {
     }
 
     fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            self.write_u64(u64::from_le_bytes(word.try_into().expect("8 bytes")));
+        }
+        // The tail, if any, as one zero-padded word.
+        for tail in words.remainder().chunks(8) {
             let mut word = [0; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
+            word[..tail.len()].copy_from_slice(tail);
             self.write_u64(u64::from_le_bytes(word));
         }
     }
@@ -112,3 +117,26 @@ impl Hasher for Fx {
 }
 
 pub(crate) type FxBuild = BuildHasherDefault<Fx>;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_byte_write_hashes_as_zero_padded_words() {
+        // `write`'s definition: `write_u64` over each 8-byte chunk,
+        // little-endian, the last one zero-padded. Every hash value, and
+        // with it every table's iteration order, rests on it.
+        let bytes: Vec<u8> = (1..=24u8).map(|b| b.wrapping_mul(37)).collect();
+        for len in 0..=24 {
+            let (mut fx, mut words) = (Fx(1), Fx(1));
+            fx.write(&bytes[..len]);
+            for chunk in bytes[..len].chunks(8) {
+                let mut word = [0; 8];
+                word[..chunk.len()].copy_from_slice(chunk);
+                words.write_u64(u64::from_le_bytes(word));
+            }
+            assert_eq!(fx.finish(), words.finish(), "{len} bytes");
+        }
+    }
+}

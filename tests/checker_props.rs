@@ -731,7 +731,7 @@ mod reference_differential {
     use sl2_exec::history::{Event, OpRecord};
     use sl2_exec::lin::Linearization;
     use sl2_exec::sched;
-    use sl2_spec::keyed::{KeyedMaxOp, KeyedMaxSpec};
+    use sl2_spec::keyed::{KeyedMaxOp, KeyedMaxSpec, LaggingKeyedMaxSpec};
     use sl2_spec::Spec;
     use std::collections::HashSet;
 
@@ -995,11 +995,12 @@ mod reference_differential {
         assert!(planted >= 950, "{planted} planted");
     }
 
-    /// Up to two crashes, each after 0..`max_steps` steps.
-    fn crashes(rng: &mut rand::rngs::StdRng, max_steps: u64) -> Vec<(usize, u64)> {
+    /// Up to two crashes among `procs` processes, each after
+    /// 0..`max_steps` steps.
+    fn crashes(rng: &mut rand::rngs::StdRng, procs: usize, max_steps: u64) -> Vec<(usize, u64)> {
         let n = rng.gen_range(0..3usize);
         (0..n)
-            .map(|_| (rng.gen_range(0..3usize), rng.gen_range(0..max_steps)))
+            .map(|_| (rng.gen_range(0..procs), rng.gen_range(0..max_steps)))
             .collect()
     }
 
@@ -1011,7 +1012,7 @@ mod reference_differential {
         let mut seen = Coverage::default();
         for seed in 0..500 {
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-            let crashes = crashes(&mut rng, 12);
+            let crashes = crashes(&mut rng, 3, 12);
             let mut history = run(keyed_twin, keyed_ops(&mut rng, 6), seed, &crashes);
             let reads = returns(&history, |r| matches!(r, MaxResp::Value(_)));
             let corrupt = rng.gen_range(0..4u64);
@@ -1027,6 +1028,109 @@ mod reference_differential {
         );
     }
 
+    /// `procs` processes × `per` keyed ops over keys 1..=`keys`, values
+    /// 1..=8. Each process's first two ops take two different keys below
+    /// `keys`, so key `keys` is first invoked after ops on two others.
+    fn wide_keyed_ops(
+        rng: &mut rand::rngs::StdRng,
+        procs: u64,
+        per: u64,
+        keys: u64,
+    ) -> Vec<Vec<KeyedMaxOp>> {
+        let mut op = |p: u64, j: u64| {
+            let key = match j {
+                0 | 1 => 1 + (p + j) % (keys - 1),
+                _ => rng.gen_range(1..keys + 1),
+            };
+            match rng.gen_range(0..2u32) {
+                0 => KeyedMaxOp::Write {
+                    key,
+                    v: rng.gen_range(1..9u64),
+                },
+                _ => KeyedMaxOp::Read { key },
+            }
+        };
+        (0..procs)
+            .map(|p| (0..per).map(|j| op(p, j)).collect())
+            .collect()
+    }
+
+    /// Whether some process's ops on some key are all pending: the
+    /// partition links a row whose only entries place nothing.
+    fn a_key_only_pending_for_a_process<S: Spec>(spec: &S, history: &History<S>) -> bool {
+        let complete = history.complete_ops();
+        history.pending_ops().iter().any(|pending| {
+            let key = spec.key_of(&pending.op);
+            !complete
+                .iter()
+                .any(|c| c.process == pending.process && spec.key_of(&c.op) == key)
+        })
+    }
+
+    /// Seeded histories of a keyed twin over `keys` keys and `procs`
+    /// processes, with crashes; every other one has a complete read
+    /// rewritten to a value nobody wrote, and must be refuted. Returns
+    /// the coverage, and how many histories met a key first invoked
+    /// after two others and a key only pending for some process.
+    fn wide_keyed_differential<A: Algorithm<Spec = S>, S: Spec<Op = KeyedMaxOp, Resp = MaxResp>>(
+        make: impl Fn(&mut SimMemory) -> A,
+        spec: &S,
+        (keys, procs, per): (u64, usize, u64),
+        histories: u64,
+    ) -> (Coverage, usize, usize) {
+        let (mut seen, mut late, mut only_pending) = (Coverage::default(), 0, 0);
+        for seed in 0..histories {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let crashes = crashes(&mut rng, procs, 4 * per);
+            let ops = wide_keyed_ops(&mut rng, procs as u64, per, keys);
+            let mut history = run(&make, ops, seed, &crashes);
+            let reads = returns(&history, |r| matches!(r, MaxResp::Value(_)));
+            let plant = seed % 2 == 1 && !reads.is_empty();
+            if plant {
+                let at = reads[rng.gen_range(0..reads.len())];
+                history = with_return(&history, at, MaxResp::Value(NEVER_WRITTEN));
+            }
+            let lin = agrees(spec, &history);
+            if plant {
+                assert!(lin.is_none(), "planted history {seed}: {history:?}");
+            }
+            let invoked = history.ops();
+            late += usize::from(invoked.iter().any(|o| spec.key_of(&o.op) == Some(keys)));
+            only_pending += usize::from(a_key_only_pending_for_a_process(spec, &history));
+            seen.add(&history, lin);
+        }
+        (seen, late, only_pending)
+    }
+
+    #[test]
+    fn many_keys_and_processes_histories_match_the_reference() {
+        // Six keys over four processes, with crash-pending ops: the
+        // per-key partition meets rows (key, process) that are empty,
+        // hold only pending ops, or start after other keys' ops.
+        let keys: Vec<u64> = (1..=6).collect();
+        let twin = |mem: &mut SimMemory| KeyedDispatchAlg::new(mem, 4, &keys, RouteMode::Exact);
+        let (seen, late, only_pending) =
+            wide_keyed_differential(twin, &KeyedMaxSpec, (6, 4, 5), 300);
+        assert!(
+            seen.accepted >= 140 && seen.rejected >= 140 && late >= 200 && only_pending >= 80,
+            "{seen:?}, late key in {late}, a key only pending in {only_pending}"
+        );
+    }
+
+    #[test]
+    fn lagging_keyed_histories_match_the_reference() {
+        // Cached reads judged against the 2-stale keyed spec: keyed and
+        // nondeterministic, so a read may take any of its key's window.
+        let keys: Vec<u64> = (1..=4).collect();
+        let twin = |mem: &mut SimMemory| LaggingKeyedDispatchAlg::new(mem, 4, &keys, 2);
+        let spec = LaggingKeyedMaxSpec { k: 2 };
+        let (seen, late, only_pending) = wide_keyed_differential(twin, &spec, (4, 4, 4), 300);
+        assert!(
+            seen.accepted >= 100 && seen.rejected >= 150 && late >= 200 && only_pending >= 80,
+            "{seen:?}, late key in {late}, a key only pending in {only_pending}"
+        );
+    }
+
     #[test]
     fn nondeterministic_spec_histories_match_the_reference() {
         // The multiplicity queue (a dequeue may repeat the head) and
@@ -1038,7 +1142,7 @@ mod reference_differential {
         let (mut queue, mut set) = (Coverage::default(), Coverage::default());
         for seed in 0..300 {
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-            let crashes = crashes(&mut rng, 16);
+            let crashes = crashes(&mut rng, 3, 16);
             let rewrite = rng.gen_range(0..4u64);
             let mut coin = || rng.gen_range(0..2u32) == 0;
             let queue_ops: Vec<Vec<QueueOp>> = (0..3u64)

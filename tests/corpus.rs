@@ -273,6 +273,13 @@ fn corpus_recertifies_every_shipped_verdict() {
     records::all(&mut off);
     let (on, serial, off) = (on.report, serial_on.report, off.report);
 
+    // Machine-readable artifact for CI's corpus re-certification step,
+    // written before any assertion so that a failing run still leaves it.
+    if let Ok(path) = std::env::var("SL2_CORPUS_JSON") {
+        std::fs::write(&path, on.to_json_lines())
+            .unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
+    }
+
     // Parallel and serial drivers agree record-for-record (the budget
     // is headroom, not a constraint, so worker scheduling cannot show
     // through), and the two sound memoization modes agree too.
@@ -388,12 +395,6 @@ fn corpus_recertifies_every_shipped_verdict() {
     // The S = 4 acceptance anchor certified within the shared budget.
     let anchor = on.get("sharded_s4/frontier_safe").expect("anchor present");
     assert!(anchor.nodes > 0 && anchor.nodes < on.node_budget);
-
-    // Machine-readable artifact for CI's corpus re-certification step.
-    if let Ok(path) = std::env::var("SL2_CORPUS_JSON") {
-        std::fs::write(&path, on.to_json_lines())
-            .unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
-    }
 }
 
 #[test]
