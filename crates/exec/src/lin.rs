@@ -14,14 +14,15 @@
 //! [`is_linearizable`] runs it once per key when every op has one, over
 //! lists linked per key and process in one pass, with no sort.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
+use std::hash::BuildHasher;
 use std::mem;
 use std::ops::Range;
 
 use sl2_spec::Spec;
 
 use crate::history::{History, OpId, TimedOp};
-use crate::table::{FxBuild, SpecTable, StateId, INITIAL};
+use crate::table::{Chains, FxBuild, SpecTable, StateId, INITIAL};
 
 /// A linearization: operations in order with their responses
 /// (assigned responses for pending operations).
@@ -93,7 +94,7 @@ struct Search<'h, S: Spec> {
     /// Per process, its first op not linearized yet; then a state id.
     key: Vec<usize>,
     /// The `key`s of failed nodes.
-    memo: HashSet<Box<[usize]>, FxBuild>,
+    memo: Memo,
     table: SpecTable<'h, S>,
     /// Per node on the path: state, op placed to reach it, next
     /// candidate to try (heads from that op on) and the outcomes left of
@@ -118,7 +119,7 @@ impl<'h, S: Spec> Search<'h, S> {
         let s = Search {
             ops,
             key: vec![NONE; heads.len() + 1],
-            memo: HashSet::default(),
+            memo: Memo::default(),
             table: SpecTable::new(spec.clone(), n),
             frames: Vec::with_capacity(n + 1),
             chosen: Vec::with_capacity(n),
@@ -225,47 +226,94 @@ impl<'h, S: Spec> Search<'h, S> {
     /// Whether node `(heads, state)` failed before.
     fn failed(&mut self, state: StateId) -> bool {
         *self.key.last_mut().expect("state slot") = state as usize;
-        self.memo.contains(self.key.as_slice())
+        self.memo.contains(&self.key)
     }
 
     /// Records that node `(heads, state)` failed.
     fn fail(&mut self, state: StateId) {
         *self.key.last_mut().expect("state slot") = state as usize;
-        self.memo.insert(self.key.as_slice().into());
+        self.memo.insert(&self.key);
+    }
+}
+
+/// The failed nodes' keys, all of one length, end to end in one arena:
+/// no allocation per key once the arena and its [`Chains`] have grown,
+/// and none after a `clear`.
+#[derive(Default)]
+struct Memo {
+    keys: Vec<usize>,
+    chains: Chains,
+}
+
+impl Memo {
+    fn contains(&self, key: &[usize]) -> bool {
+        if self.keys.is_empty() {
+            return false;
+        }
+        let (hash, width) = (FxBuild::default().hash_one(key), key.len());
+        let at = |i: usize| &self.keys[i * width..][..width];
+        self.chains.find(hash, |i| at(i) == key).is_some()
+    }
+
+    fn insert(&mut self, key: &[usize]) {
+        self.chains.push(FxBuild::default().hash_one(key));
+        self.keys.extend_from_slice(key);
+    }
+
+    fn clear(&mut self) {
+        self.keys.clear();
+        self.chains.clear();
     }
 }
 
 /// Checks that `lin` is itself a valid linearization of `history`
-/// (used to cross-validate checker output in tests).
+/// (used to cross-validate checker output in tests): each entry names a
+/// distinct op of the history with that op, every complete op is listed
+/// with its actual response, no op is listed after an op that it
+/// precedes in real time, and the sequence is legal for `spec`.
 pub fn validate_linearization<S: Spec>(
     spec: &S,
     history: &History<S>,
     lin: &Linearization<S>,
 ) -> Result<(), String> {
     let ops = history.ops();
-    let find = |id: OpId| ops.iter().find(|r| r.id == id);
-    // 1. Every complete op appears with its actual response.
-    for rec in history.complete_ops() {
-        let (resp, _) = rec.returned.clone().expect("complete");
-        match lin.iter().find(|(id, _, _)| *id == rec.id) {
-            None => {
-                return Err(format!(
-                    "complete op {:?} missing from linearization",
-                    rec.id
-                ))
-            }
-            Some((_, _, r)) if *r != resp => {
-                return Err(format!("op {:?} response mismatch", rec.id))
-            }
-            _ => {}
+    let index: HashMap<OpId, usize> = ops.iter().enumerate().map(|(i, r)| (r.id, i)).collect();
+    // 1. Each entry is a distinct op of the history, with its own op and,
+    // if it returned, its actual response.
+    let mut listed = vec![false; ops.len()];
+    let mut records = Vec::with_capacity(lin.len());
+    for (id, op, resp) in lin {
+        let Some(&i) = index.get(id) else {
+            return Err(format!("{id:?} is not an op of the history"));
+        };
+        if mem::replace(&mut listed[i], true) {
+            return Err(format!("{id:?} is linearized twice"));
         }
+        let rec = &ops[i];
+        if *op != rec.op {
+            return Err(format!("op {id:?} is not the history's {:?}", rec.op));
+        }
+        if matches!(&rec.returned, Some((actual, _)) if actual != resp) {
+            return Err(format!("op {id:?} response mismatch"));
+        }
+        records.push(rec);
     }
-    // 2. Real-time order respected.
-    for (x, (a, _, _)) in lin.iter().enumerate() {
-        for (b, _, _) in lin.iter().skip(x + 1) {
-            let (ra, rb) = (find(*a).expect("known"), find(*b).expect("known"));
-            if history.precedes(rb, ra) {
-                return Err(format!("{:?} linearized before its predecessor {:?}", a, b));
+    if let Some(i) = (0..ops.len()).find(|&i| !listed[i] && ops[i].returned.is_some()) {
+        let id = ops[i].id;
+        return Err(format!("complete op {id:?} missing from linearization"));
+    }
+    // 2. Real-time order respected: scanning from the end, the earliest
+    // return among the later entries must not come before an entry's
+    // invocation.
+    let mut earliest: Option<(usize, OpId)> = None;
+    for rec in records.into_iter().rev() {
+        if let Some((_, b)) = earliest.filter(|&(at, _)| at < rec.invoked_at) {
+            let a = rec.id;
+            return Err(format!("{a:?} linearized before its predecessor {b:?}"));
+        }
+        if let Some(&(_, at)) = rec.returned.as_ref() {
+            if earliest.is_none_or(|(e, _)| at < e) {
+                earliest = Some((at, rec.id));
             }
         }
     }
@@ -297,6 +345,39 @@ mod tests {
         h.ret(OpId(1), MaxResp::Value(5));
         let lin = linearize(&MaxRegisterSpec, &h).expect("linearizable");
         validate_linearization(&MaxRegisterSpec, &h, &lin).expect("valid");
+    }
+
+    /// `Write(5)` then `Read → 5`, one after the other, and its
+    /// linearization.
+    fn write_then_read() -> (History<MaxRegisterSpec>, Linearization<MaxRegisterSpec>) {
+        let mut h: History<MaxRegisterSpec> = History::new();
+        h.invoke(OpId(0), 0, MaxOp::Write(5));
+        h.ret(OpId(0), MaxResp::Ok);
+        h.invoke(OpId(1), 1, MaxOp::Read);
+        h.ret(OpId(1), MaxResp::Value(5));
+        let lin = linearize(&MaxRegisterSpec, &h).expect("linearizable");
+        (h, lin)
+    }
+
+    #[test]
+    fn a_linearization_listing_an_op_twice_is_invalid() {
+        // A repeated read is legal and does not precede itself.
+        let (h, mut lin) = write_then_read();
+        lin.push(lin[1]);
+        let err = validate_linearization(&MaxRegisterSpec, &h, &lin).unwrap_err();
+        assert_eq!(err, "OpId(1) is linearized twice");
+    }
+
+    #[test]
+    fn a_linearization_naming_a_foreign_op_is_invalid() {
+        let (h, mut lin) = write_then_read();
+        lin.push((OpId(7), MaxOp::Read, MaxResp::Value(5)));
+        let err = validate_linearization(&MaxRegisterSpec, &h, &lin).unwrap_err();
+        assert_eq!(err, "OpId(7) is not an op of the history");
+        // An id of the history with an op it did not invoke.
+        let (h, mut lin) = write_then_read();
+        lin[0].1 = MaxOp::Write(6);
+        assert!(validate_linearization(&MaxRegisterSpec, &h, &lin).is_err());
     }
 
     #[test]

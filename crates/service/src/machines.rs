@@ -31,7 +31,10 @@
 //!   *unpublished* — the no-waiters direct path. Cached routing is
 //!   therefore refuted against the exact keyed spec and certified
 //!   against [`LaggingKeyedMaxSpec`] — the §8 law resurfacing one
-//!   layer up, per key (DESIGN.md §12).
+//!   layer up, per key (DESIGN.md §12). The window `k = 2` is
+//!   certified on the corpus's 2–3-process scenarios only: with four
+//!   processes, crash-free histories need `k = 4`, so a window for
+//!   more processes must be derived from their count.
 //!
 //! Per-key registers go through the shared [`LaneEncoding`] codec:
 //! [`KeyedDispatchAlg::new`] models the paper's unary lanes,
@@ -331,7 +334,9 @@ impl OpMachine for KeyedDispatchMachine {
 
 /// The cached twin under the lagging keyed specification: same
 /// machines, adjudicated against [`LaggingKeyedMaxSpec`] — the spec
-/// pair the corpus certifies/refutes in opposite polarities.
+/// pair the corpus certifies/refutes in opposite polarities. How stale
+/// a cached read may be grows with the processes racing on its key:
+/// `k = 2` holds for 2–3 processes, not for 4 (DESIGN.md §12).
 #[derive(Debug, Clone)]
 pub struct LaggingKeyedDispatchAlg {
     inner: KeyedDispatchAlg,

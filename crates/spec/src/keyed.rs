@@ -91,6 +91,29 @@ impl Spec for KeyedMaxSpec {
             }
         }
     }
+
+    /// A read, and a write at or below its key's maximum, leave the
+    /// state as it is.
+    fn step_each(
+        &self,
+        s: &Self::State,
+        op: &KeyedMaxOp,
+        emit: &mut dyn FnMut(Option<Self::State>, MaxResp),
+    ) {
+        match *op {
+            KeyedMaxOp::Write { key, v } => match s.get(&key) {
+                Some(&cur) if cur >= v => emit(None, MaxResp::Ok),
+                cur => {
+                    let mut next = s.clone();
+                    next.insert(key, cur.map_or(v, |&cur| cur.max(v)));
+                    emit(Some(next), MaxResp::Ok);
+                }
+            },
+            KeyedMaxOp::Read { key } => {
+                emit(None, MaxResp::Value(s.get(&key).copied().unwrap_or(0)));
+            }
+        }
+    }
 }
 
 /// k-stale keyed max register: `Write` is exact per key, but `Read`
@@ -134,18 +157,7 @@ impl Spec for LaggingKeyedMaxSpec {
         op: &KeyedMaxOp,
     ) -> Vec<(LaggingKeyedMaxState, MaxResp)> {
         match op {
-            KeyedMaxOp::Write { key, v } => {
-                let mut next = s.clone();
-                let window = next.recent.entry(*key).or_insert_with(|| {
-                    VecDeque::from([0]) // fresh key: current maximum 0
-                });
-                let cur = *window.back().expect("window is never empty");
-                window.push_back(cur.max(*v));
-                while window.len() > self.k + 1 {
-                    window.pop_front();
-                }
-                vec![(next, MaxResp::Ok)]
-            }
+            KeyedMaxOp::Write { key, v } => vec![(self.written(s, *key, *v), MaxResp::Ok)],
             KeyedMaxOp::Read { key } => {
                 let mut out: Vec<(LaggingKeyedMaxState, MaxResp)> = Vec::new();
                 let fresh = VecDeque::from([0]);
@@ -158,6 +170,52 @@ impl Spec for LaggingKeyedMaxSpec {
                 out
             }
         }
+    }
+
+    /// A read leaves the state as it is, and so does a write at or
+    /// below its key's maximum once the window is full and constant.
+    fn step_each(
+        &self,
+        s: &LaggingKeyedMaxState,
+        op: &KeyedMaxOp,
+        emit: &mut dyn FnMut(Option<LaggingKeyedMaxState>, MaxResp),
+    ) {
+        match *op {
+            KeyedMaxOp::Write { key, v } => {
+                let unchanged = s.recent.get(&key).is_some_and(|window| {
+                    window.len() == self.k + 1 && window.iter().all(|&m| m >= v && m == window[0])
+                });
+                let next = (!unchanged).then(|| self.written(s, key, v));
+                emit(next, MaxResp::Ok);
+            }
+            KeyedMaxOp::Read { key } => match s.recent.get(&key) {
+                None => emit(None, MaxResp::Value(0)),
+                Some(window) => {
+                    for (i, &m) in window.iter().enumerate() {
+                        if !window.range(..i).any(|&seen| seen == m) {
+                            emit(None, MaxResp::Value(m));
+                        }
+                    }
+                }
+            },
+        }
+    }
+}
+
+impl LaggingKeyedMaxSpec {
+    /// `s` after `write_max(key, v)`: the key's window gains the new
+    /// maximum and keeps its last `k + 1` entries.
+    fn written(&self, s: &LaggingKeyedMaxState, key: Value, v: Value) -> LaggingKeyedMaxState {
+        let mut next = s.clone();
+        let window = next.recent.entry(key).or_insert_with(|| {
+            VecDeque::from([0]) // fresh key: current maximum 0
+        });
+        let cur = *window.back().expect("window is never empty");
+        window.push_back(cur.max(v));
+        while window.len() > self.k + 1 {
+            window.pop_front();
+        }
+        next
     }
 }
 
@@ -231,6 +289,80 @@ mod tests {
             (KeyedMaxOp::Read { key: 1 }, MaxResp::Value(0)),
         ];
         assert!(is_legal(&spec, &other_keys));
+    }
+
+    /// A splitmix64 stream: seeded, so every run draws the same cases.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) % n
+        }
+
+        /// A write or a read on keys 1..=5, values 0..4.
+        fn op(&mut self) -> KeyedMaxOp {
+            let key = 1 + self.below(5);
+            match self.below(2) {
+                0 => KeyedMaxOp::Write {
+                    key,
+                    v: self.below(4),
+                },
+                _ => KeyedMaxOp::Read { key },
+            }
+        }
+    }
+
+    /// Asserts that `step_each` emits `step`'s outcomes for `op` in
+    /// `s`, in order, saying `None` exactly for a successor equal to
+    /// `s`; tallies the outcomes as `[unchanged, changed]`.
+    fn check_step_each<S: Spec>(spec: &S, s: &S::State, op: &S::Op, tally: &mut [usize; 2]) {
+        let mut out = Vec::new();
+        spec.step_each(s, op, &mut |next, resp| {
+            assert!(
+                next.as_ref() != Some(s),
+                "{op:?} in {s:?}: Some for an unchanged state"
+            );
+            tally[usize::from(next.is_some())] += 1;
+            out.push((next.unwrap_or_else(|| s.clone()), resp));
+        });
+        assert_eq!(out, spec.step(s, op), "{spec:?}: {op:?} in {s:?}");
+    }
+
+    #[test]
+    fn step_each_emits_what_step_returns_in_order() {
+        // Seeded differential over random states, both ops, and windows
+        // of every length up to one past full.
+        let mut rng = Rng(48);
+        let mut tally = [0; 2];
+        for _ in 0..2_000 {
+            let mut s = BTreeMap::new();
+            for key in 1..=4 {
+                if rng.below(2) == 0 {
+                    s.insert(key, rng.below(4));
+                }
+            }
+            check_step_each(&KeyedMaxSpec, &s, &rng.op(), &mut tally);
+        }
+        for k in 0..=3 {
+            let spec = LaggingKeyedMaxSpec { k };
+            for _ in 0..2_000 {
+                let mut s = LaggingKeyedMaxState::default();
+                for key in 1..=4 {
+                    let len = rng.below(k as u64 + 3) as usize;
+                    if len > 0 {
+                        let window = (0..len).map(|_| rng.below(3)).collect();
+                        s.recent.insert(key, window);
+                    }
+                }
+                check_step_each(&spec, &s, &rng.op(), &mut tally);
+            }
+        }
+        let [unchanged, changed] = tally;
+        assert!(unchanged >= 5_000 && changed >= 2_000, "{tally:?}");
     }
 
     #[test]

@@ -68,6 +68,22 @@ pub trait Spec: Clone + Debug {
     /// paper.
     fn step(&self, s: &Self::State, op: &Self::Op) -> Vec<(Self::State, Self::Resp)>;
 
+    /// [`Spec::step`]'s outcomes, in its order, passed to `emit` one at
+    /// a time, with `None` standing for a successor equal to `s`. A spec
+    /// whose op often leaves the state as it is overrides this, so a
+    /// checker neither clones nor looks up that state. The default
+    /// passes every successor of [`Spec::step`] as `Some`.
+    fn step_each(
+        &self,
+        s: &Self::State,
+        op: &Self::Op,
+        emit: &mut dyn FnMut(Option<Self::State>, Self::Resp),
+    ) {
+        for (next, resp) in self.step(s, op) {
+            emit(Some(next), resp);
+        }
+    }
+
     /// The key of the one component of the state that `op` acts on,
     /// for a specification that is a product of independent objects.
     ///

@@ -724,15 +724,54 @@ fn a_history_verdict_allocates_per_spec_transition_not_per_node() {
     // spec table asks `Spec::step` once per `(state, op)` (139 when the
     // search asked `Spec::accept` once per `(state, op, response)`, 96
     // while the two keys' ops were searched together: 36 `step` calls
-    // then, 28 now).
+    // then, 28 now). Of those 28 transitions, the 23 that leave the
+    // state as it is (every read, and each write at or below its key's
+    // maximum) go through `Spec::step_each` with neither a `Vec` nor a
+    // clone, and the table interns the other 5 without a second copy:
+    // 28 allocations (79 while each transition allocated a `Vec` and a
+    // clone), the check's buffers and tables and those 5 new states.
     let h = keyed_history_60();
     assert_eq!(h.len(), 120, "60 operations, all complete");
     let spec = sl2_spec::keyed::KeyedMaxSpec;
     assert!(is_linearizable(&spec, &h), "warm-up and verdict");
     let (n, ok) = allocs_during(|| is_linearizable(&spec, &h));
     assert!(ok);
-    assert_eq!(n, 79, "allocations per verdict");
+    assert_eq!(n, 28, "allocations per verdict");
     assert!(2 * n <= 289, "at most half the bitmask search's 289");
+}
+
+#[test]
+fn a_refuted_verdict_allocates_nothing_per_failed_node() {
+    // `keyed_history_60` with its last read rewritten to a value nobody
+    // wrote: the search records 45 failed nodes before it gives up.
+    // While each failed node's memo key was its own `Box<[usize]>` (and
+    // each transition a `Vec` and a state clone) the verdict made 131
+    // allocations. Now the keys lie end to end in one arena that grows
+    // by doubling, so a failed node costs no allocation of its own.
+    use sl2::exec::history::Event;
+    use sl2_spec::max_register::MaxResp;
+    let h = keyed_history_60();
+    let last = h.len() - 1;
+    let Event::Return {
+        resp: MaxResp::Value(_),
+        ..
+    } = h.events()[last]
+    else {
+        panic!("the last event returns a read");
+    };
+    let mut planted = History::new();
+    for (at, e) in h.events().iter().enumerate() {
+        match e {
+            Event::Invoke { id, process, op } => planted.invoke(*id, *process, *op),
+            Event::Return { id, .. } if at == last => planted.ret(*id, MaxResp::Value(9_999)),
+            Event::Return { id, resp } => planted.ret(*id, *resp),
+        }
+    }
+    let spec = sl2_spec::keyed::KeyedMaxSpec;
+    assert!(!is_linearizable(&spec, &planted), "warm-up and verdict");
+    let (n, ok) = allocs_during(|| is_linearizable(&spec, &planted));
+    assert!(!ok);
+    assert_eq!(n, 41, "allocations per refuted verdict");
 }
 
 #[cfg(not(feature = "armed"))]

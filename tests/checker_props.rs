@@ -1067,6 +1067,21 @@ mod reference_differential {
         })
     }
 
+    /// History `seed` of a keyed twin over `keys` keys and `procs`
+    /// processes, `per` ops each, with crashes; with the generator after
+    /// drawing it, and its crashes.
+    fn wide_keyed_run<A: Algorithm<Spec = S>, S: Spec<Op = KeyedMaxOp>>(
+        make: impl Fn(&mut SimMemory) -> A,
+        (keys, procs, per): (u64, usize, u64),
+        seed: u64,
+    ) -> (rand::rngs::StdRng, Vec<(usize, u64)>, History<S>) {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let crashes = crashes(&mut rng, procs, 4 * per);
+        let ops = wide_keyed_ops(&mut rng, procs as u64, per, keys);
+        let history = run(make, ops, seed, &crashes);
+        (rng, crashes, history)
+    }
+
     /// Seeded histories of a keyed twin over `keys` keys and `procs`
     /// processes, with crashes; every other one has a complete read
     /// rewritten to a value nobody wrote, and must be refuted. Returns
@@ -1080,10 +1095,7 @@ mod reference_differential {
     ) -> (Coverage, usize, usize) {
         let (mut seen, mut late, mut only_pending) = (Coverage::default(), 0, 0);
         for seed in 0..histories {
-            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-            let crashes = crashes(&mut rng, procs, 4 * per);
-            let ops = wide_keyed_ops(&mut rng, procs as u64, per, keys);
-            let mut history = run(&make, ops, seed, &crashes);
+            let (mut rng, _, mut history) = wide_keyed_run(&make, (keys, procs, per), seed);
             let reads = returns(&history, |r| matches!(r, MaxResp::Value(_)));
             let plant = seed % 2 == 1 && !reads.is_empty();
             if plant {
@@ -1128,6 +1140,41 @@ mod reference_differential {
         assert!(
             seen.accepted >= 100 && seen.rejected >= 150 && late >= 200 && only_pending >= 80,
             "{seen:?}, late key in {late}, a key only pending in {only_pending}"
+        );
+    }
+
+    #[test]
+    fn a_two_write_window_is_too_narrow_for_four_processes() {
+        // The cached path's staleness grows with the processes that race
+        // on a key: `k = 2` certifies the corpus's 2–3-process scenarios,
+        // but of the 150 unplanted histories of the test above (the even
+        // seeds), 28 are refuted at `k = 2`, 15 of them crash-free.
+        // Every crash-free one linearizes at `k = 4`, and every one at
+        // `k = 5`, so a lagging spec for this path needs a `k` derived
+        // from the process count.
+        let keys: Vec<u64> = (1..=4).collect();
+        let twin = |mem: &mut SimMemory| LaggingKeyedDispatchAlg::new(mem, 4, &keys, 2);
+        let lags = |history: &History<LaggingKeyedMaxSpec>, k| {
+            is_linearizable(&LaggingKeyedMaxSpec { k }, history)
+        };
+        let (mut refuted, mut crash_free_refuted) = (0, 0);
+        let (mut crash_free_k, mut every_k) = (0, 0);
+        for seed in (0..300).step_by(2) {
+            let (_, crashes, history) = wide_keyed_run(twin, (4, 4, 4), seed);
+            let k = (0..)
+                .find(|&k| lags(&history, k))
+                .expect("some window fits");
+            refuted += usize::from(k > 2);
+            every_k = every_k.max(k);
+            if crashes.is_empty() {
+                crash_free_refuted += usize::from(k > 2);
+                crash_free_k = crash_free_k.max(k);
+            }
+        }
+        assert_eq!(
+            (refuted, crash_free_refuted, crash_free_k, every_k),
+            (28, 15, 4, 5),
+            "(refuted at k = 2, of them crash-free, smallest k for every crash-free one, for all)"
         );
     }
 
