@@ -78,6 +78,14 @@ impl<S: Spec> History<S> {
         History { events: Vec::new() }
     }
 
+    /// Creates an empty history with room for `events` events, so that
+    /// recording that many never reallocates.
+    pub fn with_capacity(events: usize) -> Self {
+        History {
+            events: Vec::with_capacity(events),
+        }
+    }
+
     /// Appends an invocation event.
     pub fn invoke(&mut self, id: OpId, process: usize, op: S::Op) {
         self.events.push(Event::Invoke { id, process, op });
@@ -127,13 +135,21 @@ impl<S: Spec> History<S> {
     }
 
     /// Per-operation records, in invocation order.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the event, on a return with no open operation or
+    /// an invocation that reuses an [`OpId`]: the messages the
+    /// linearizability checker panics with on the same history.
     pub fn ops(&self) -> Vec<OpRecord<S>> {
         let mut recs: Vec<OpRecord<S>> = Vec::new();
         let mut index: HashMap<OpId, usize> = HashMap::new();
         for (i, ev) in self.events.iter().enumerate() {
             match ev {
                 Event::Invoke { id, process, op } => {
-                    index.insert(*id, recs.len());
+                    if index.insert(*id, recs.len()).is_some() {
+                        panic!("event {i} reuses {id:?}");
+                    }
                     recs.push(OpRecord {
                         id: *id,
                         process: *process,
@@ -142,10 +158,12 @@ impl<S: Spec> History<S> {
                         returned: None,
                     });
                 }
-                Event::Return { id, resp } => {
-                    let at = index[id];
-                    recs[at].returned = Some((resp.clone(), i));
-                }
+                Event::Return { id, resp } => match index.get(id) {
+                    Some(&at) if recs[at].returned.is_none() => {
+                        recs[at].returned = Some((resp.clone(), i));
+                    }
+                    _ => panic!("event {i} returns {id:?}, which is not open"),
+                },
             }
         }
         recs

@@ -569,16 +569,47 @@ mod tests {
     }
 
     // Per-process cursors rely on well-formedness, so an ill-formed
-    // history fails closed in every build, naming the event.
+    // history fails closed in every build, naming the event. So do
+    // `History::ops` and the validator built on it: a reused id must not
+    // silently re-point the earlier op's record at the later one.
 
-    #[test]
-    #[should_panic(expected = "event 2 returns OpId(7), which is not open")]
-    fn a_return_with_no_open_op_panics() {
+    /// Write(1) by p0, then a return of `OpId(7)`, never invoked.
+    fn orphan_return() -> History<MaxRegisterSpec> {
         let mut h: History<MaxRegisterSpec> = History::new();
         h.invoke(OpId(0), 0, MaxOp::Write(1));
         h.ret(OpId(0), MaxResp::Ok);
         h.ret(OpId(7), MaxResp::Ok);
-        linearize(&MaxRegisterSpec, &h);
+        h
+    }
+
+    /// Write(1) by p0, then p0 invokes a read under the same `OpId(0)`.
+    fn reused_id() -> History<MaxRegisterSpec> {
+        let mut h: History<MaxRegisterSpec> = History::new();
+        h.invoke(OpId(0), 0, MaxOp::Write(1));
+        h.ret(OpId(0), MaxResp::Ok);
+        h.invoke(OpId(1), 1, MaxOp::Read);
+        h.invoke(OpId(0), 0, MaxOp::Read);
+        h.ret(OpId(1), MaxResp::Value(1));
+        h.ret(OpId(0), MaxResp::Value(1));
+        h
+    }
+
+    #[test]
+    #[should_panic(expected = "event 2 returns OpId(7), which is not open")]
+    fn a_return_with_no_open_op_panics() {
+        linearize(&MaxRegisterSpec, &orphan_return());
+    }
+
+    #[test]
+    #[should_panic(expected = "event 2 returns OpId(7), which is not open")]
+    fn op_records_of_a_return_with_no_open_op_panic() {
+        orphan_return().ops();
+    }
+
+    #[test]
+    #[should_panic(expected = "event 2 returns OpId(7), which is not open")]
+    fn validating_against_a_return_with_no_open_op_panics() {
+        let _ = validate_linearization(&MaxRegisterSpec, &orphan_return(), &Vec::new());
     }
 
     #[test]
@@ -593,13 +624,23 @@ mod tests {
     #[test]
     #[should_panic(expected = "event 3 reuses OpId(0)")]
     fn a_duplicate_op_id_panics() {
-        let mut h: History<MaxRegisterSpec> = History::new();
-        h.invoke(OpId(0), 0, MaxOp::Write(1));
-        h.ret(OpId(0), MaxResp::Ok);
-        h.invoke(OpId(1), 1, MaxOp::Read);
-        h.invoke(OpId(0), 0, MaxOp::Read);
-        h.ret(OpId(1), MaxResp::Value(1));
-        h.ret(OpId(0), MaxResp::Value(1));
-        linearize(&MaxRegisterSpec, &h);
+        linearize(&MaxRegisterSpec, &reused_id());
+    }
+
+    #[test]
+    #[should_panic(expected = "event 3 reuses OpId(0)")]
+    fn op_records_of_a_duplicate_op_id_panic() {
+        reused_id().ops();
+    }
+
+    #[test]
+    #[should_panic(expected = "event 3 reuses OpId(0)")]
+    fn validating_against_a_duplicate_op_id_panics() {
+        let h = reused_id();
+        let lin = vec![
+            (OpId(0), MaxOp::Write(1), MaxResp::Ok),
+            (OpId(1), MaxOp::Read, MaxResp::Value(1)),
+        ];
+        let _ = validate_linearization(&MaxRegisterSpec, &h, &lin);
     }
 }

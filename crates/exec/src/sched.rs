@@ -210,6 +210,10 @@ impl<S: Spec> Execution<S> {
 /// Runs `alg` over `scenario` on `mem`, scheduling with `sched` and
 /// crashing per `crashes`. Returns when no live process can take a
 /// step (all ops done, or the only owners of remaining ops crashed).
+///
+/// A run allocates per run, never per step: one `enabled` buffer is
+/// refilled each step, machines step in place, and the history and
+/// step counts are sized from [`Scenario::total_ops`] up front.
 pub fn run<A: Algorithm>(
     alg: &A,
     mut mem: SimMemory,
@@ -218,42 +222,43 @@ pub fn run<A: Algorithm>(
     crashes: &CrashPlan,
 ) -> Execution<A::Spec> {
     let n = scenario.processes();
-    let mut history = History::new();
+    let total = scenario.total_ops();
+    // Every op invokes once and returns at most once.
+    let mut history = History::with_capacity(2 * total);
     let mut next_op_idx = vec![0usize; n];
     let mut active: Vec<Option<(OpId, A::Machine, u64)>> = (0..n).map(|_| None).collect();
     let mut proc_steps = vec![0u64; n];
-    let mut op_steps = Vec::new();
+    let mut op_steps = Vec::with_capacity(total);
+    let mut enabled = Vec::with_capacity(n);
     let mut next_id = 0usize;
 
     loop {
-        let enabled: Vec<usize> = (0..n)
-            .filter(|&p| {
-                crashes.alive(p, proc_steps[p])
-                    && (active[p].is_some() || next_op_idx[p] < scenario.ops[p].len())
-            })
-            .collect();
+        enabled.clear();
+        enabled.extend((0..n).filter(|&p| {
+            crashes.alive(p, proc_steps[p])
+                && (active[p].is_some() || next_op_idx[p] < scenario.ops[p].len())
+        }));
         if enabled.is_empty() {
             break;
         }
         let p = sched.pick(&enabled);
         assert!(enabled.contains(&p), "scheduler picked a disabled process");
 
-        if active[p].is_none() {
+        let (id, machine, taken) = active[p].get_or_insert_with(|| {
             let op = scenario.ops[p][next_op_idx[p]].clone();
             next_op_idx[p] += 1;
             let id = OpId(next_id);
             next_id += 1;
-            history.invoke(id, p, op.clone());
-            active[p] = Some((id, alg.machine(p, &op), 0));
-        }
-        let (id, mut machine, taken) = active[p].take().expect("just ensured active");
+            let machine = alg.machine(p, &op);
+            history.invoke(id, p, op);
+            (id, machine, 0)
+        });
         proc_steps[p] += 1;
-        match machine.step(&mut mem) {
-            Step::Pending => active[p] = Some((id, machine, taken + 1)),
-            Step::Ready(resp) => {
-                history.ret(id, resp);
-                op_steps.push((id, taken + 1));
-            }
+        *taken += 1;
+        if let Step::Ready(resp) = machine.step(&mut mem) {
+            history.ret(*id, resp);
+            op_steps.push((*id, *taken));
+            active[p] = None;
         }
     }
 

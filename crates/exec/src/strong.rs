@@ -1210,7 +1210,7 @@ pub fn for_each_history<A: Algorithm>(
     f: &mut dyn FnMut(&History<A::Spec>),
 ) {
     let exec = ExecState::<A>::initial(scenario, mem);
-    let mut history = History::new();
+    let mut history = History::with_capacity(2 * scenario.total_ops());
     let mut count = 0usize;
     recurse(alg, scenario, &exec, &mut history, &mut count, limit, f);
 }

@@ -774,6 +774,46 @@ fn a_refuted_verdict_allocates_nothing_per_failed_node() {
     assert_eq!(n, 41, "allocations per refuted verdict");
 }
 
+#[test]
+fn a_seeded_run_allocates_per_run_not_per_step() {
+    // Pinned without a clock. `sched::run` used to collect a fresh
+    // `enabled` `Vec` every step, move the stepped machine out of its
+    // slot and back, and grow the history and step counts by doubling:
+    // 209 allocations for these 60 ops (194 steps) and 1 837 for 600
+    // (1 814 steps). Now one `enabled` buffer is refilled, machines step
+    // in place and the buffers are sized from the scenario, so a run
+    // makes the same 7 at any length: its six vectors, and the memory
+    // block the first step settles the algorithm's cells into.
+    use sl2::exec::sched::{self, Execution};
+    let run_of = |ops_per_process: u64| -> (u64, Execution<KeyedMaxSpec>) {
+        let scenario = Scenario::new(
+            (0..3u64)
+                .map(|p| {
+                    (0..ops_per_process)
+                        .map(|i| match (p + i) % 3 {
+                            0 => KeyedMaxOp::Read { key: 1 + i % 2 },
+                            _ => KeyedMaxOp::Write {
+                                key: 1 + i % 2,
+                                v: 1 + (p * 5 + i) % 8,
+                            },
+                        })
+                        .collect()
+                })
+                .collect(),
+        );
+        let mut mem = SimMemory::new();
+        let alg = KeyedDispatchAlg::new(&mut mem, 3, &[1, 2], RouteMode::Exact);
+        let mut random = RandomSched::seeded(11);
+        let crashes = CrashPlan::none(3);
+        allocs_during(|| sched::run(&alg, mem, &scenario, &mut random, &crashes))
+    };
+    let (short, short_run) = run_of(20);
+    let (long, long_run) = run_of(200);
+    assert_eq!(short_run.op_steps.len(), 60, "every op completes");
+    assert_eq!(long_run.op_steps.len(), 600, "every op completes");
+    assert_eq!((short, long), (7, 7), "allocations over 60 and 600 ops");
+}
+
 #[cfg(not(feature = "armed"))]
 #[test]
 fn disarmed_chaos_points_are_free() {

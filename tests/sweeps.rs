@@ -7,7 +7,7 @@
 //! has many chances to surface.
 
 use sl2::prelude::*;
-use sl2_exec::sched::{run, FixedSchedule};
+use sl2_exec::sched::{run, FixedSchedule, Scheduler};
 use sl2_spec::counters::{CounterSpec, FetchIncOp};
 use sl2_spec::max_register::{MaxOp, MaxRegisterSpec};
 use sl2_spec::put_take::SetOp;
@@ -391,4 +391,124 @@ fn fixed_schedules_are_deterministic() {
         .history
     };
     assert_eq!(run_once(), run_once());
+}
+
+/// FNV-1a (64-bit): a hash that is the same on every build and
+/// platform, unlike std's `DefaultHasher`.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Runs `alg` on `scenario` under every scheduler kind, once without
+/// crashes and once with process 1 crashed after its first step (which
+/// leaves its first operation pending), and hashes each `Execution`:
+/// events, per-operation and per-process step counts, final memory.
+fn execution_digests<A: Algorithm>(
+    make: impl Fn(&mut SimMemory) -> A,
+    scenario: &Scenario<A::Spec>,
+) -> Vec<u64> {
+    let n = scenario.processes();
+    let mut digests = Vec::new();
+    for crashed in [false, true] {
+        let scheds: [Box<dyn Scheduler>; 4] = [
+            Box::new(RoundRobin::default()),
+            Box::new(RandomSched::seeded(7)),
+            Box::new(BurstSched::seeded(7, 4)),
+            Box::new(FixedSchedule::new(vec![2, 2, 0, 1, 1, 0, 2, 1, 0, 0, 2, 1])),
+        ];
+        for mut sched in scheds {
+            let crashes = if crashed {
+                CrashPlan::none(n).crash_after(1, 1)
+            } else {
+                CrashPlan::none(n)
+            };
+            let mut mem = SimMemory::new();
+            let alg = make(&mut mem);
+            let exec = run(&alg, mem, scenario, sched.as_mut(), &crashes);
+            assert_eq!(exec.history.pending_ops().len(), usize::from(crashed));
+            let rendered = format!(
+                "{:?}|{:?}|{:?}|{:?}",
+                exec.history.events(),
+                exec.op_steps,
+                exec.proc_steps,
+                exec.mem
+            );
+            digests.push(fnv1a(rendered.as_bytes()));
+        }
+    }
+    digests
+}
+
+#[test]
+fn seeded_executions_are_pinned_byte_for_byte() {
+    // Computed before `run` was rewritten to step its machines in place;
+    // any change to a pick, a step count, an event or a memory cell
+    // moves a digest.
+    let max_ops = Scenario::new(vec![
+        vec![MaxOp::Write(3), MaxOp::Read, MaxOp::Write(6)],
+        vec![MaxOp::Write(7), MaxOp::Read],
+        vec![MaxOp::Read, MaxOp::Write(2), MaxOp::Read],
+    ]);
+    let keyed = Scenario::new(vec![
+        vec![
+            KeyedMaxOp::Write { key: 1, v: 3 },
+            KeyedMaxOp::Read { key: 1 },
+            KeyedMaxOp::Write { key: 2, v: 5 },
+        ],
+        vec![
+            KeyedMaxOp::Write { key: 1, v: 7 },
+            KeyedMaxOp::Read { key: 2 },
+        ],
+        vec![
+            KeyedMaxOp::Read { key: 2 },
+            KeyedMaxOp::Write { key: 2, v: 2 },
+            KeyedMaxOp::Read { key: 1 },
+        ],
+    ]);
+    let found = [
+        execution_digests(
+            |mem| KeyedDispatchAlg::new(mem, 3, &[1, 2], RouteMode::Exact),
+            &keyed,
+        ),
+        execution_digests(|mem| MaxRegAlg::new(mem, 3), &max_ops),
+        execution_digests(|mem| ShardedMaxRegAlg::new(mem, 3, 2), &max_ops),
+    ];
+    let pinned: [[u64; 8]; 3] = [
+        // KeyedDispatchAlg
+        [
+            0x1fcb_24ab_07b6_dc3f,
+            0x1a6d_3132_dac8_4c16,
+            0xca28_46e1_fa4b_2b8a,
+            0x7e32_339c_33b0_e340,
+            0x1ab6_3f07_b6f9_9570,
+            0xc870_794f_56aa_5752,
+            0xc402_91e7_6860_4091,
+            0x5355_bd28_3dce_22b4,
+        ],
+        // MaxRegAlg
+        [
+            0xf070_3ec6_d03b_5a8f,
+            0x77ec_5d35_1285_abbc,
+            0x8412_97ea_495f_0b60,
+            0x5876_644b_9d52_db17,
+            0xbffe_1332_1ceb_1bf1,
+            0xa73b_6a7e_3695_f336,
+            0x61f3_e9a2_8145_72bc,
+            0x8990_e543_980b_059d,
+        ],
+        // ShardedMaxRegAlg, two shards
+        [
+            0x0b84_cce9_63b1_5336,
+            0x0786_61a6_f4b2_8c1e,
+            0xad28_8a80_ab9b_566a,
+            0x706f_a9cc_6b02_7061,
+            0x7b36_abb4_0f51_3920,
+            0xea3d_9376_69d1_fd07,
+            0x0184_b159_15d8_d554,
+            0x89eb_3fd8_fd85_c403,
+        ],
+    ];
+    assert_eq!(found, pinned.map(Vec::from));
 }

@@ -134,6 +134,30 @@ fn all_seven_examples_exist_on_disk() {
 }
 
 #[test]
+fn ci_runs_every_example() {
+    // One step per example (`run: cargo run --release --example NAME`)
+    // or the `for e in …` loop over the rest.
+    let ci = read_repo_file(".github/workflows/ci.yml");
+    let mut run = BTreeSet::new();
+    for line in ci.lines().map(str::trim) {
+        if let Some(rest) = line.strip_prefix("for e in ") {
+            run.extend(rest.split(';').next().unwrap_or("").split_whitespace());
+        } else if let Some(name) = line.strip_prefix("run: cargo run --release --example ") {
+            run.insert(name.trim());
+        }
+    }
+    assert!(
+        ci.contains("cargo run --release --example \"$e\" || exit 1"),
+        "CI's example loop must run each example and fail on its exit code"
+    );
+    let expected: BTreeSet<&str> = EXPECTED_EXAMPLES.iter().copied().collect();
+    assert_eq!(
+        run, expected,
+        "CI must run every example the README promises"
+    );
+}
+
+#[test]
 fn integration_test_suites_match_the_documented_set() {
     let found = rust_file_stems(&repo_root().join("tests"));
     let expected: BTreeSet<String> = EXPECTED_TESTS.iter().map(|s| s.to_string()).collect();
